@@ -343,10 +343,10 @@ func BenchmarkIngestWindow(b *testing.B) {
 
 // BenchmarkIngestAuto measures the self-tuning commit spine on the same
 // small-transaction workload as BenchmarkIngestWindow: no static window —
-// the AutoTune controller sizes the window and linger from the commit
-// latencies the run itself observes (starting at 1, probing upward while
-// fsync amortization keeps paying). tuned_window reports where the
-// controller ended up, txns/batch the achieved commit fan-in.
+// the spine commits whatever queued during the previous commit, so the
+// fan-in (txns/batch) is what the store's commit latency makes it.
+// tuned_window reports the in-flight bound at the end of the run:
+// MaxWindow unless the latency guard tightened it.
 func BenchmarkIngestAuto(b *testing.B) {
 	cfg := bench.DefaultIngest()
 	cfg.Elements = b.N

@@ -333,10 +333,11 @@ func pipelineSweep(icfg bench.IngestConfig, print bool, freshDir func() string) 
 }
 
 // adaptiveSweep runs the self-tuning pipeline cells: the same shape as
-// pipelineSweep's static-window cells, but with the ingest spine under
-// the AutoTune controller — unfused and fused wiring. Comparing its
-// cells against pipelineSweep's answers whether the controller found
-// the static optimum (the bar: within 10% of the best static window).
+// pipelineSweep's static-window cells, but with the work-conserving
+// tuned ingest spine (stream.AutoTune) — unfused and fused wiring.
+// Comparing its cells against pipelineSweep's answers whether natural
+// batching reaches the static optimum with no window picked by hand
+// (the bar: within 10% of the best static window).
 // The adaptive half of BENCH_ingest.json ("Adaptive"), shared by
 // -adaptive and -benchjson. freshDir supplies a new data directory per
 // lsm cell.

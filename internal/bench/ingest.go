@@ -52,11 +52,11 @@ type IngestConfig struct {
 	// transactions. 0 or 1 selects the serialized spine (one commit per
 	// transaction).
 	Window int
-	// Auto replaces the static Window with the self-tuning controller
+	// Auto replaces the static Window with the self-tuning spine
 	// (stream.AutoTune): the pipeline runs TransactionsTuned + MergeTuned
-	// sharing one stream.AutoTuner that sizes the commit window and
-	// linger from observed fsync latency. Mutually exclusive with
-	// Window > 1.
+	// sharing one stream.AutoTuner, and the spine commits whatever
+	// queued during the previous commit instead of holding out for a
+	// window. Mutually exclusive with Window > 1.
 	Auto bool
 }
 
@@ -122,9 +122,9 @@ type IngestResult struct {
 	CommitTxns    uint64
 	CommitBatches uint64
 
-	// TunedWindow is the window the controller settled on by the end of
-	// an Auto run (0 for static runs); TunedGrows / TunedShrinks count
-	// its up / down resizes along the way.
+	// TunedWindow is the tuner's in-flight bound at the end of an Auto
+	// run (0 for static runs); TunedShrinks / TunedGrows count how often
+	// its latency guard halved the bound and doubled it back.
 	TunedWindow  int    `json:",omitempty"`
 	TunedGrows   uint64 `json:",omitempty"`
 	TunedShrinks uint64 `json:",omitempty"`

@@ -73,8 +73,9 @@ type PipelineResult struct {
 	CommitTxns    uint64
 	CommitBatches uint64
 
-	// TunedWindow is the controller's final window for Ingest.Auto runs
-	// (0 for static runs); TunedGrows / TunedShrinks its resize counts.
+	// TunedWindow is the tuner's final in-flight bound for Ingest.Auto
+	// runs (0 for static runs); TunedGrows / TunedShrinks count its
+	// latency guard's moves.
 	TunedWindow  int    `json:",omitempty"`
 	TunedGrows   uint64 `json:",omitempty"`
 	TunedShrinks uint64 `json:",omitempty"`

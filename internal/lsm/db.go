@@ -409,16 +409,7 @@ func (d *DB) Apply(b *kv.Batch, sync bool) error {
 		return err
 	}
 
-	ops := make([]walOp, 0, b.Len())
-	for _, op := range b.Ops() {
-		k := kindPut
-		if op.Kind == kv.OpDelete {
-			k = kindDelete
-		}
-		ops = append(ops, walOp{kind: k, key: op.Key, value: op.Value})
-	}
-	payload := encodeBatchPayload(nil, ops)
-	if err := d.wal.append(payload, sync); err != nil {
+	if err := d.wal.appendBatch(b.Ops(), sync); err != nil {
 		// Fail-stop: the WAL's durable contents are now unknown (the
 		// writer's sticky error, see walWriter); no later write may
 		// report success on top of it.
@@ -426,8 +417,8 @@ func (d *DB) Apply(b *kv.Batch, sync bool) error {
 	}
 
 	d.mu.Lock()
-	for _, op := range ops {
-		d.mem.set(op.key, op.value, op.kind)
+	for _, op := range b.Ops() {
+		d.mem.set(op.Key, op.Value, walKind(op.Kind))
 	}
 	full := d.mem.approximateBytes() >= d.opts.MemtableBytes
 	d.mu.Unlock()

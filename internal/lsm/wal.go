@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+
+	"sistream/internal/kv"
 )
 
 // The write-ahead log makes batched writes durable before they are applied
@@ -53,17 +55,48 @@ func newWALWriter(path string) (*walWriter, error) {
 	return &walWriter{f: f}, nil
 }
 
-// append writes one record, syncing the file when sync is true.
-func (w *walWriter) append(payload []byte, sync bool) error {
+// walHeaderLen is the size of a record's length+CRC header.
+const walHeaderLen = 8
+
+// appendBatch writes ops as one record, syncing the file when sync is
+// true. The payload is encoded straight into the writer's reusable buffer
+// behind a placeholder for the header, so a record costs no allocation
+// and no second copy.
+func (w *walWriter) appendBatch(ops []kv.Op, sync bool) error {
 	if w.err != nil {
 		return w.err
 	}
-	w.buf = w.buf[:0]
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	w.buf = append(w.buf, hdr[:]...)
-	w.buf = append(w.buf, payload...)
+	var hdr [walHeaderLen]byte
+	w.buf = append(w.buf[:0], hdr[:]...)
+	w.buf = binary.AppendUvarint(w.buf, uint64(len(ops)))
+	for _, op := range ops {
+		kind := walKind(op.Kind)
+		w.buf = append(w.buf, byte(kind))
+		w.buf = binary.AppendUvarint(w.buf, uint64(len(op.Key)))
+		w.buf = append(w.buf, op.Key...)
+		if kind == kindPut {
+			w.buf = binary.AppendUvarint(w.buf, uint64(len(op.Value)))
+			w.buf = append(w.buf, op.Value...)
+		}
+	}
+	return w.writeRecord(sync)
+}
+
+// walKind maps a batch operation kind to the entry kind logged for it.
+func walKind(k kv.OpKind) entryKind {
+	if k == kv.OpDelete {
+		return kindDelete
+	}
+	return kindPut
+}
+
+// writeRecord frames the payload sitting in w.buf behind the header
+// placeholder, writes the record and optionally syncs, latching the first
+// failure.
+func (w *walWriter) writeRecord(sync bool) error {
+	payload := w.buf[walHeaderLen:]
+	binary.LittleEndian.PutUint32(w.buf[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(w.buf[4:8], crc32.Checksum(payload, crcTable))
 	if _, err := w.f.Write(w.buf); err != nil {
 		w.err = fmt.Errorf("lsm: wal write: %w", err)
 		return w.err
@@ -77,7 +110,7 @@ func (w *walWriter) append(payload []byte, sync bool) error {
 	return nil
 }
 
-// sync fsyncs the log, latching any failure like append does.
+// sync fsyncs the log, latching any failure like appendBatch does.
 func (w *walWriter) sync() error {
 	if w.err != nil {
 		return w.err
@@ -201,21 +234,6 @@ type walOp struct {
 	kind  entryKind
 	key   []byte
 	value []byte
-}
-
-// encodeBatchPayload serializes ops into buf (reused across calls).
-func encodeBatchPayload(buf []byte, ops []walOp) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(ops)))
-	for _, op := range ops {
-		buf = append(buf, byte(op.kind))
-		buf = binary.AppendUvarint(buf, uint64(len(op.key)))
-		buf = append(buf, op.key...)
-		if op.kind == kindPut {
-			buf = binary.AppendUvarint(buf, uint64(len(op.value)))
-			buf = append(buf, op.value...)
-		}
-	}
-	return buf
 }
 
 func decodeBatchPayload(p []byte) ([]walOp, error) {

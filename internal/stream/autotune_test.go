@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,14 +12,15 @@ import (
 )
 
 // This file pins the self-tuning spine to the promise that makes it safe
-// to leave on: tuning changes BATCHING GEOMETRY only. Whatever window
-// sequence the controller walks through, the committed table contents,
+// to leave on: tuning changes BATCHING GEOMETRY only. Whatever batches the
+// work-conserving spine forms and wherever the latency guard moves the
+// in-flight bound, the committed table contents,
 // stats and punctuation framing are identical to the sequential
 // reference — across protocols, wiring shapes (direct, fused
 // Reparallelize, merge+re-route fallback), and forced mid-stream
 // resizes.
 
-// runSpineTuned is runSpine with the adaptive controller in both ends of
+// runSpineTuned is runSpine with one tuner in both ends of
 // the spine (TransactionsTuned + MergeTuned) and a selectable region
 // wiring between them.
 func runSpineTuned(t *testing.T, script []scriptItem, punctuateN, lanes int, wiring string, cfg AutoTune, proto func(*txn.Context) txn.Protocol) (sig []string, rows map[string]string, stats *ToTableStats) {
@@ -89,9 +91,8 @@ func runSpineTuned(t *testing.T, script []scriptItem, punctuateN, lanes int, wir
 
 // TestPropertyAdaptiveEquivalence: random scripts (rollbacks included)
 // through the self-tuning spine must reproduce the sequential reference
-// exactly — for all three protocols and all three wiring shapes. The
-// tuner runs a deliberately twitchy config (Settle=1: a decision per
-// batch) so window resizes land mid-script constantly.
+// exactly — for all three protocols and all three wiring shapes, with
+// batch boundaries falling wherever the commits happen to leave them.
 func TestPropertyAdaptiveEquivalence(t *testing.T) {
 	protos := map[string]func(*txn.Context) txn.Protocol{
 		"mvcc": func(c *txn.Context) txn.Protocol { return txn.NewSI(c) },
@@ -102,7 +103,7 @@ func TestPropertyAdaptiveEquivalence(t *testing.T) {
 	if testing.Short() {
 		seeds = 2
 	}
-	twitchy := AutoTune{MaxWindow: 8, Settle: 1}
+	twitchy := AutoTune{MaxWindow: 8}
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed + 7700))
 		script := genScript(rng)
@@ -119,15 +120,30 @@ func TestPropertyAdaptiveEquivalence(t *testing.T) {
 	}
 }
 
-// TestStressAutoTuneResizeMidStream is the -race stress of the
-// controller resizing while the pipeline runs: LatencyBound of 1ns makes
-// every grown window immediately violate the latency guard, so the
-// controller oscillates grow/shrink for the whole run — concurrent with
-// 8 lanes, windowed transactions, rollbacks splitting batches — and the
-// outcome must still match the sequential expectation exactly.
+// phasedStore makes 4 of every 32 Applies slow, so a tuner whose
+// LatencyBound sits between the two speeds keeps halving and recovering.
+type phasedStore struct {
+	kv.Store
+	slow    time.Duration
+	applies atomic.Int64
+}
+
+func (s *phasedStore) Apply(b *kv.Batch, sync bool) error {
+	if (s.applies.Add(1)-1)%32 < 4 {
+		time.Sleep(s.slow)
+	}
+	return s.Store.Apply(b, sync)
+}
+
+// TestStressAutoTuneResizeMidStream is the -race stress of the in-flight
+// bound moving while the pipeline runs: the store alternates slow and fast
+// phases around the LatencyBound, so the guard halves and doubles back for
+// the whole run — concurrent with 8 lanes, windowed transactions, rollbacks
+// splitting batches — and the outcome must still match the sequential
+// expectation exactly.
 func TestStressAutoTuneResizeMidStream(t *testing.T) {
 	ctx := txn.NewContext()
-	store := kv.NewMem()
+	store := &phasedStore{Store: kv.NewMem(), slow: 6 * time.Millisecond}
 	t.Cleanup(func() { store.Close() })
 	tbl, err := ctx.CreateTable("stress", store, txn.TableOptions{})
 	if err != nil {
@@ -138,13 +154,15 @@ func TestStressAutoTuneResizeMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := txn.NewSI(ctx)
-	tun := NewAutoTuner(AutoTune{MaxWindow: 16, Settle: 1, LatencyBound: time.Nanosecond})
+	tun := NewAutoTuner(AutoTune{MaxWindow: 16, LatencyBound: 4 * time.Millisecond})
 
 	txns := 2000
 	if testing.Short() {
 		txns = 400
 	}
-	const keys, perTxn, rollbackEvery = 97, 7, 5
+	// Rollbacks split the spine's batches into clean runs of at most 12,
+	// long enough to exceed half the bound of 16 (the guard's condition).
+	const keys, perTxn, rollbackEvery = 97, 7, 13
 
 	top := New("stress-tune")
 	src := top.Source("gen", func(emit func(Element)) error {
@@ -175,7 +193,7 @@ func TestStressAutoTuneResizeMidStream(t *testing.T) {
 
 	ts := tun.Stats()
 	if ts.Grows == 0 || ts.Shrinks == 0 {
-		t.Fatalf("controller never oscillated (grows=%d shrinks=%d); the stress needs resizes mid-stream", ts.Grows, ts.Shrinks)
+		t.Fatalf("guard never oscillated (grows=%d shrinks=%d); the stress needs resizes mid-stream", ts.Grows, ts.Shrinks)
 	}
 	wantCommits := int64(txns - txns/rollbackEvery)
 	wantAborts := int64(txns / rollbackEvery)
@@ -212,98 +230,59 @@ func TestStressAutoTuneResizeMidStream(t *testing.T) {
 	}
 }
 
-// TestAutoTunerController unit-drives the decision logic with synthetic
-// observations: amortization that keeps improving grows the window to the
-// cap; a latency violation halves it and holds; a probe that stops paying
-// reverts with hysteresis.
-func TestAutoTunerController(t *testing.T) {
-	const settle = 4
-	a := NewAutoTuner(AutoTune{MaxWindow: 8, Settle: settle, LatencyBound: time.Second})
-	if a.Window() != 1 {
-		t.Fatalf("start window = %d, want 1", a.Window())
+// TestAutoTunerLatencyGuard unit-drives the one decision the tuner makes:
+// the in-flight bound starts at MaxWindow, halves on a batch over
+// LatencyBound that halving would have shortened, and doubles back after
+// calmBatches consecutive batches under half the bound.
+func TestAutoTunerLatencyGuard(t *testing.T) {
+	const bound = 10 * time.Millisecond
+	a := NewAutoTuner(AutoTune{MaxWindow: 8, LatencyBound: bound})
+	if a.Window() != 8 {
+		t.Fatalf("start bound = %d, want MaxWindow 8", a.Window())
 	}
-	// Perfect amortization: per-batch cost constant at 1ms no matter the
-	// batch size, so per-transaction cost halves with every doubling.
-	feed := func(n int) {
-		for i := 0; i < settle; i++ {
-			a.observeBatch(n, time.Millisecond)
+	calm := func(n int) {
+		for i := 0; i < n; i++ {
+			a.observeBatch(1, bound/4)
 		}
 	}
-	feed(1) // decision: probe to 2
-	if a.Window() != 2 {
-		t.Fatalf("after first decision window = %d, want 2 (probe)", a.Window())
+	// Fast batches never move it, however many.
+	calm(3 * calmBatches)
+	if st := a.Stats(); st.Window != 8 || st.Grows != 0 || st.Shrinks != 0 {
+		t.Fatalf("idle guard moved: %+v", st)
 	}
-	feed(2) // probe accepted (cost halved), next decision probes again
-	feed(2) // probe to 4
-	feed(4) // accepted; probe to 8 next
-	feed(4)
-	feed(8) // accepted; at cap
+	// A slow SMALL batch is a store stall, not the window's doing.
+	a.observeBatch(4, 2*bound)
 	if a.Window() != 8 {
-		t.Fatalf("window = %d after improving amortization, want cap 8", a.Window())
+		t.Fatalf("bound = %d after a slow batch of 4 <= 8/2, want 8", a.Window())
 	}
-	if g := a.Stats().Grows; g < 3 {
-		t.Fatalf("grows = %d, want >= 3", g)
+	// Slow batches bigger than the halved bound halve it, down to 1.
+	for _, want := range []int{4, 2, 1, 1} {
+		a.observeBatch(a.Window(), 2*bound)
+		if a.Window() != want {
+			t.Fatalf("bound = %d after a slow full batch, want %d", a.Window(), want)
+		}
 	}
-
-	// Latency violation: batches now take longer than the bound — halve.
-	for i := 0; i < settle; i++ {
-		a.observeBatch(8, 2*time.Second)
+	if s := a.Stats().Shrinks; s != 3 {
+		t.Fatalf("shrinks = %d, want 3", s)
 	}
-	if a.Window() != 4 {
-		t.Fatalf("window = %d after latency violation, want 4", a.Window())
+	// Recovery needs calmBatches CONSECUTIVE calm batches: a batch between
+	// half the bound and the bound resets the count without shrinking.
+	calm(calmBatches - 1)
+	a.observeBatch(1, bound*3/4)
+	calm(calmBatches - 1)
+	if a.Window() != 1 {
+		t.Fatalf("bound = %d after an interrupted calm streak, want 1", a.Window())
 	}
-	if s := a.Stats().Shrinks; s == 0 {
-		t.Fatal("latency violation recorded no shrink")
+	calm(1)
+	if a.Window() != 2 {
+		t.Fatalf("bound = %d after %d calm batches, want 2", a.Window(), calmBatches)
 	}
-	// Hold: the next few decisions must not probe upward again.
-	feed(4)
-	if a.Window() != 4 {
-		t.Fatalf("window = %d during hold, want 4", a.Window())
+	// And it doubles back all the way, then stops at MaxWindow.
+	calm(4 * calmBatches)
+	if st := a.Stats(); st.Window != 8 || st.Grows != 3 {
+		t.Fatalf("after recovery: %+v, want bound 8 after 3 grows", st)
 	}
-
-	// Flat cost curve: once the hold expires, a probe that does not beat
-	// the margin must revert.
-	b := NewAutoTuner(AutoTune{MaxWindow: 8, Settle: 1, LatencyBound: time.Hour})
-	b.observeBatch(1, time.Millisecond) // probe to 2
-	if b.Window() != 2 {
-		t.Fatalf("b window = %d, want 2", b.Window())
-	}
-	b.observeBatch(2, 2*time.Millisecond) // per-txn cost flat: revert
-	if b.Window() != 1 {
-		t.Fatalf("b window = %d after flat probe, want 1 (revert)", b.Window())
-	}
-	if s := b.Stats().Shrinks; s != 1 {
-		t.Fatalf("b shrinks = %d, want 1", s)
-	}
-}
-
-// TestAutoTunerLinger: the linger follows the window and the observed
-// inter-arrival gap, clamped to [spineLinger, MaxLinger].
-func TestAutoTunerLinger(t *testing.T) {
-	a := NewAutoTuner(AutoTune{MaxWindow: 8, Settle: 1, MaxLinger: time.Millisecond, LatencyBound: time.Hour})
-	if a.linger() != spineLinger {
-		t.Fatalf("initial linger = %v, want floor %v", a.linger(), spineLinger)
-	}
-	// Window 1: the floor regardless of arrivals.
-	a.interArrival.Observe(float64(500 * time.Microsecond))
-	a.retarget()
-	if a.linger() != spineLinger {
-		t.Fatalf("linger = %v at window 1, want floor", a.linger())
-	}
-	// Window 4 with 500µs gaps wants 1.5ms — clamped to MaxLinger 1ms.
-	a.setWindow(4)
-	a.retarget()
-	if a.linger() != time.Millisecond {
-		t.Fatalf("linger = %v, want clamp at MaxLinger 1ms", a.linger())
-	}
-	// Tiny gaps: floor wins.
-	a.interArrival.Reset()
-	a.interArrival.Observe(float64(10 * time.Nanosecond))
-	for i := 0; i < 64; i++ {
-		a.interArrival.Observe(float64(10 * time.Nanosecond))
-	}
-	a.retarget()
-	if a.linger() != spineLinger {
-		t.Fatalf("linger = %v with tiny gaps, want floor %v", a.linger(), spineLinger)
+	if got := a.meanFanIn(); got <= 1 {
+		t.Fatalf("mean fan-in = %v, want > 1 (full batches were observed)", got)
 	}
 }

@@ -10,9 +10,9 @@ import (
 // regions and their key routing, reroute/fuse decisions at region
 // boundaries, table writers, and the commit spine with its tuner — and
 // Explain renders the list together with LIVE figures (per-stage channel
-// occupancy, writer counters, tuner window) read at call time. The plan
-// is append-only and guarded by its own mutex, so Explain may be called
-// at any moment: before Start, mid-run, or after Wait.
+// occupancy, writer counters, the tuner's in-flight bound) read at call
+// time. The plan is append-only and guarded by its own mutex, so Explain
+// may be called at any moment: before Start, mid-run, or after Wait.
 
 // planNode is one recorded plan entry. live, when non-nil, is sampled at
 // Plan/Explain time and must be safe to call concurrently with the
@@ -44,8 +44,8 @@ type PlanStep struct {
 	// count, key routing, fusion verdict, ...). May be empty.
 	Detail string
 	// Live holds the step's runtime figures at sampling time (channel
-	// occupancy, writer counters, tuner window, ...). Empty when the step
-	// has none.
+	// occupancy, writer counters, the tuner's in-flight bound, ...). Empty
+	// when the step has none.
 	Live string
 }
 

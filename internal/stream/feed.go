@@ -34,7 +34,8 @@ import (
 // and a COMMIT punctuation; both punctuations carry the commit timestamp
 // in Tuple.Ts. Data elements are shaped exactly as ToStream shapes them:
 // Key is the row key, Value the committed value as of that commit's own
-// snapshot (Num parsed when decimal), Ts the commit timestamp, Delete set
+// snapshot (Num set only when the entire value is a decimal literal, as
+// strconv.ParseFloat reads it), Ts the commit timestamp, Delete set
 // when the change removed the row. Reading at the commit's snapshot means
 // the emitted value is exactly what that transaction installed, even if
 // later commits already overwrote it.

@@ -347,3 +347,48 @@ func TestFeedPartitionedPerKeyOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestChangeTupleNum: a feed tuple's Num is the row value read as a
+// number only when the ENTIRE value is a decimal literal; everything else
+// — binary payloads above all, the common case on a feed — leaves it 0
+// and the Value untouched.
+func TestChangeTupleNum(t *testing.T) {
+	p, tbl := feedEnv(t)
+	cases := []struct {
+		name, value string
+		num         float64
+	}{
+		{"decimal", "42", 42},
+		{"fraction", "-1.5", -1.5},
+		{"exponent", "1e3", 1000},
+		{"empty", "", 0},
+		{"binary", "\x00\x00\x00\x00\x00\x00\x45\x40", 0},
+		{"trailing junk", "12abc", 0},
+		{"leading space", " 7", 0},
+	}
+	for _, c := range cases {
+		tx, err := p.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Write(tx, tbl, c.name, []byte(c.value)); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cts := tbl.Group().LastCTS()
+	for _, c := range cases {
+		tp := changeTuple(tbl, c.name, cts)
+		if tp.Delete || string(tp.Value) != c.value {
+			t.Errorf("%s: tuple %+v, want value %q", c.name, tp, c.value)
+		}
+		if tp.Num != c.num {
+			t.Errorf("%s: Num = %v for value %q, want %v", c.name, tp.Num, c.value, c.num)
+		}
+	}
+	if tp := changeTuple(tbl, "never written", cts); !tp.Delete || tp.Num != 0 {
+		t.Errorf("missing row: tuple %+v, want Delete with Num 0", tp)
+	}
+}

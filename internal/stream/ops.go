@@ -159,22 +159,22 @@ func (s *Stream) TransactionsWindow(p txn.Protocol, window int, tables ...*txn.T
 	return s.transactionsPipeline(p, func() int { return window }, window > 1, desc, nil, tables...)
 }
 
-// TransactionsTuned is TransactionsWindow with the window under control
-// of an AutoTuner instead of a constant: the bound is re-read at every
-// transaction begin, so the controller's resizes apply from the next
-// transaction on while in-flight ones are never disturbed. The
-// transactions always ride one txn.Chain (a chain of one is a plain
-// transaction), so any window the controller picks has exactly the
-// commit/abort behavior of the same static window — only batching
-// geometry moves. Pass the SAME tuner to the region's MergeTuned, which
-// closes the feedback loop. The visibility caveat of TransactionsWindow
-// applies whenever the tuner grows past 1: use on blind-write ingest
-// spines.
+// TransactionsTuned is TransactionsWindow whose window is the in-flight
+// bound of an AutoTuner instead of a constant: MaxWindow, tightened only
+// by the tuner's latency guard. The bound is re-read at every transaction
+// begin, so a change applies from the next transaction on while in-flight
+// ones are never disturbed. It is backpressure, not a batch size — the
+// MergeTuned spine commits whatever has queued and never waits for the
+// window to fill. The transactions always ride one txn.Chain (a chain of
+// one is a plain transaction), so any bound has exactly the commit/abort
+// behavior of the same static window — only batching geometry moves. Pass
+// the SAME tuner to the region's MergeTuned. The visibility caveat of
+// TransactionsWindow applies: use on blind-write ingest spines.
 func (s *Stream) TransactionsTuned(p txn.Protocol, tun *AutoTuner, tables ...*txn.Table) *Stream {
 	if tun == nil {
 		panic("stream: TransactionsTuned needs a tuner")
 	}
-	desc := fmt.Sprintf("protocol=%s window=auto (tuner, chained)", p.Name())
+	desc := fmt.Sprintf("protocol=%s inflight<=%d (tuner, chained)", p.Name(), tun.cfg.MaxWindow)
 	return s.transactionsPipeline(p, tun.Window, true, desc, tun, tables...)
 }
 
@@ -183,15 +183,14 @@ func (s *Stream) TransactionsTuned(p txn.Protocol, tun *AutoTuner, tables ...*tx
 // in-flight bound (constant or tuner-driven), chained attaches the
 // shared txn.Chain. desc and tun feed the recorded plan (explain.go):
 // desc states the window decision, tun (when non-nil) adds the live
-// controller position to the step's runtime figures.
+// in-flight bound to the step's runtime figures.
 func (s *Stream) transactionsPipeline(p txn.Protocol, window func() int, chained bool, desc string, tun *AutoTuner, tables ...*txn.Table) *Stream {
 	out := s.t.newStream()
 	occ := occOf(out)
 	live := occ
 	if tun != nil {
 		live = func() string {
-			st := tun.Stats()
-			return fmt.Sprintf("%s, window=%d linger=%s grows=%d shrinks=%d", occ(), st.Window, st.Linger, st.Grows, st.Shrinks)
+			return fmt.Sprintf("%s, inflight<=%d", occ(), tun.Window())
 		}
 	}
 	s.t.note("operator", "transactions", desc, live)

@@ -579,26 +579,34 @@ func (r *ParallelRegion) MergeBatched(name string, maxBatch int) *Stream {
 	if maxBatch < 1 {
 		panic("stream: MergeBatched needs maxBatch >= 1")
 	}
-	sp := newCommitSpine(r.t, name, r.spineRegs("MergeBatched"), maxBatch)
-	return r.close(name, sp.enqueue, sp)
+	out, _ := r.mergeSpine(name, "MergeBatched", maxBatch, nil)
+	return out
 }
 
-// MergeTuned closes the region like MergeBatched but puts the spine's
-// batching geometry under an AutoTuner: the batch ceiling is the tuner's
-// current window (bounded by its MaxWindow), the linger follows the
-// tuner's inter-arrival estimate, and every clean commit run is timed
-// and fed back to the controller. Pair it with a TransactionsTuned
-// upstream sharing the SAME tuner — the window bound and the batch
-// ceiling then move together, which is the whole feedback loop. All
-// other MergeBatched contracts (framing, early COMMIT emission, ToTable/
+// MergeTuned closes the region like MergeBatched but makes the spine
+// work-conserving: the worker never holds a decided transaction back for
+// company — each batch is whatever boundaries queued while the previous
+// batch was committing, at most the tuner's in-flight bound. Fan-in stays
+// near 1 while the store keeps up and rises by itself as commits lag.
+// Every clean commit run is timed and fed to the tuner's latency guard.
+// Pair it with a TransactionsTuned upstream sharing the SAME tuner, which
+// applies the same bound to the transactions in flight. All other
+// MergeBatched contracts (framing, early COMMIT emission, ToTable/
 // one-protocol requirements) apply unchanged.
 func (r *ParallelRegion) MergeTuned(name string, tun *AutoTuner) *Stream {
 	if tun == nil {
 		panic("stream: MergeTuned needs a tuner")
 	}
-	sp := newCommitSpine(r.t, name, r.spineRegs("MergeTuned"), tun.cfg.MaxWindow)
+	out, _ := r.mergeSpine(name, "MergeTuned", tun.cfg.MaxWindow, tun)
+	return out
+}
+
+// mergeSpine closes the region over a commit spine (tests inspect the
+// returned spine once the topology has run).
+func (r *ParallelRegion) mergeSpine(name, op string, maxBatch int, tun *AutoTuner) (*Stream, *commitSpine) {
+	sp := newCommitSpine(r.t, name, r.spineRegs(op), maxBatch)
 	sp.tun = tun
-	return r.close(name, sp.enqueue, sp)
+	return r.close(name, sp.enqueue, sp), sp
 }
 
 // spineRegs validates the region's commit actions for a batched close
@@ -627,10 +635,9 @@ func (r *ParallelRegion) close(name string, onPunct func(Element), sp *commitSpi
 		r.t.note("spine", name, fmt.Sprintf("merge barrier, lanes=%d (synchronous commit at barrier)", len(r.lanes)), occOf(out))
 	case sp.tun != nil:
 		occ := occOf(out)
-		r.t.note("spine", name, fmt.Sprintf("commit spine, lanes=%d batch<=auto (tuner)", len(r.lanes)), func() string {
-			st := sp.tun.Stats()
-			return fmt.Sprintf("%s, queue %d/%d, window=%d linger=%s grows=%d shrinks=%d",
-				occ(), len(sp.q), cap(sp.q), st.Window, st.Linger, st.Grows, st.Shrinks)
+		r.t.note("spine", name, fmt.Sprintf("commit spine, lanes=%d batch<=queued (work-conserving)", len(r.lanes)), func() string {
+			return fmt.Sprintf("%s, inflight<=%d, queue %d/%d, mean fan-in %.2f",
+				occ(), sp.tun.Window(), len(sp.q), cap(sp.q), sp.tun.meanFanIn())
 		})
 	default:
 		occ := occOf(out)
@@ -699,12 +706,15 @@ type commitSpine struct {
 	tbls     []*txn.Table
 	cc       txn.ChainCommitter
 	maxBatch int
-	// tun, when set (MergeTuned), overrides the static batching geometry:
-	// the collection target is capped at the tuner's current window, the
-	// linger follows the tuner, and every clean commit run is timed and
-	// fed back as a controller observation.
+	// tun, when set (MergeTuned), makes the worker work-conserving: no
+	// collection target and no linger, batches capped at the tuner's
+	// in-flight bound, every clean commit run timed for its latency guard.
 	tun *AutoTuner
 	q   chan spineEntry
+	// Worker-owned scratch, reused across batches: commitRun's chain
+	// submission and the static path's linger timer (never armed under tun).
+	txs    []*txn.Txn
+	linger *time.Timer
 	// groupFailed latches the first txn.ErrGroupFailed verdict (worker-
 	// goroutine owned): a poisoned commit group is surfaced as exactly ONE
 	// topology failure, and every later fail-fast verdict is accounted as
@@ -745,25 +755,30 @@ func (sp *commitSpine) enqueue(e Element) {
 	if e.Tx == nil {
 		return
 	}
-	if sp.tun != nil {
-		sp.tun.noteEnqueue(len(sp.q))
-	}
 	sp.q <- spineEntry{kind: e.Kind, tx: e.Tx}
 }
 
-// spineLinger bounds how long the spine collects further boundaries for
-// one batch once cross-transaction pressure is established — the same
+// spineLinger bounds how long the static spine collects further boundaries
+// for one batch once cross-transaction pressure is established — the same
 // fallback bound the group-commit leader uses for its own collection.
 const spineLinger = 200 * time.Microsecond
 
-// run drains the queue until it closes. Batch formation mirrors the
-// group-commit leader's adaptive policy: the previous batch's size
-// estimates how many boundaries the pipeline produces per commit
-// latency, and the worker collects up to that many (never beyond
-// maxBatch), parking on the queue with a linger-bounded timer. A
-// steady one-at-a-time stream (previous batch of one) never lingers and
-// never pays added latency; only once commits demonstrably lag boundary
-// production does the spine start holding out for larger batches.
+// run drains the queue until it closes. Every batch ends by taking
+// whatever is already queued, up to the ceiling; the two closes differ in
+// whether the worker first holds out for more.
+//
+// MergeTuned never does: the boundaries that queued during the previous
+// commit ARE the batch, so an idle store decides a lone transaction at
+// once and a saturated one sees its fan-in grow by itself.
+//
+// MergeBatched mirrors the group-commit leader's adaptive policy: the
+// previous batch's size estimates how many boundaries the pipeline
+// produces per commit latency, and the worker collects up to that many
+// (never beyond maxBatch), parking on the queue with a linger-bounded
+// timer. A steady one-at-a-time stream (previous batch of one) never
+// lingers; only once commits demonstrably lag boundary production does
+// the spine start holding out for larger batches. Under a small fixed
+// window that hold-out is what keeps the fsync amortized.
 func (sp *commitSpine) run() {
 	pend := make([]spineEntry, 0, sp.maxBatch)
 	target := 1
@@ -772,23 +787,17 @@ func (sp *commitSpine) run() {
 		if !ok {
 			return
 		}
-		// ceil is the batch ceiling of this iteration: the static maxBatch,
-		// tightened to the tuner's current window under MergeTuned so the
-		// spine's geometry tracks the controller.
-		ceil, linger := sp.maxBatch, spineLinger
-		if sp.tun != nil {
-			if w := sp.tun.Window(); w < ceil {
-				ceil = w
-			}
-			linger = sp.tun.linger()
-		}
-		if target > ceil {
-			target = ceil
-		}
 		pend = append(pend[:0], e)
+		ceil := sp.maxBatch
 		closed := false
-		if target > 1 {
-			timer := time.NewTimer(linger)
+		if sp.tun != nil {
+			ceil = sp.tun.Window()
+		} else if target > 1 {
+			if sp.linger == nil {
+				sp.linger = time.NewTimer(spineLinger)
+			} else {
+				sp.linger.Reset(spineLinger)
+			}
 		collect:
 			for len(pend) < target {
 				select {
@@ -798,18 +807,19 @@ func (sp *commitSpine) run() {
 						break collect
 					}
 					pend = append(pend, e2)
-				case <-timer.C:
+				case <-sp.linger.C:
 					break collect
 				}
 			}
-			if !timer.Stop() {
+			// Stop and drain, so the next Reset starts from an empty channel.
+			if !sp.linger.Stop() {
 				select {
-				case <-timer.C:
+				case <-sp.linger.C:
 				default:
 				}
 			}
 		}
-		// Opportunistically take whatever else is already queued.
+		// Take whatever else is already queued.
 	drain:
 		for !closed && len(pend) < ceil {
 			select {
@@ -822,10 +832,7 @@ func (sp *commitSpine) run() {
 				break drain
 			}
 		}
-		target = len(pend)
-		if target > ceil {
-			target = ceil
-		}
+		target = len(pend) // <= maxBatch: collect stops at the old target, drain at ceil
 		sp.process(pend)
 		if closed {
 			// A closed receive means the queue is closed AND empty: every
@@ -878,11 +885,11 @@ func (sp *commitSpine) commitRun(run []spineEntry) {
 		start = time.Now()
 	}
 	if sp.cc != nil && len(run) > 0 {
-		txs := make([]*txn.Txn, len(run))
+		sp.txs = sp.txs[:0]
 		for i := range run {
-			txs[i] = run[i].tx
+			sp.txs = append(sp.txs, run[i].tx)
 		}
-		errsPerTx := sp.cc.CommitChain(txs, sp.tbls)
+		errsPerTx := sp.cc.CommitChain(sp.txs, sp.tbls)
 		for i := range errsPerTx {
 			for j, reg := range sp.regs {
 				sp.account(reg, errsPerTx[i][j])

@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync/atomic"
 
 	"sistream/internal/txn"
@@ -162,8 +163,10 @@ type TableChange struct {
 // ToStream is the paper's TO_STREAM linking operator with the per-commit
 // trigger policy: it subscribes to group commits and emits one data
 // element per changed row of tbl, in commit order. The element's Key is
-// the row key, Value/Num are the committed value (Num parsed when the
-// value is a decimal), Ts is the commit timestamp. The stream closes when
+// the row key, Value the committed value, Ts the commit timestamp; Num is
+// set only when the ENTIRE value is a decimal literal ("42", "-1.5",
+// "1e3" — as strconv.ParseFloat reads it) and stays 0 for anything else,
+// a literal followed by other bytes included. The stream closes when
 // stop is called. Each commit's changes ship as one batch (split at
 // batchCap), so delivery stays prompt — a batch never waits for a later
 // commit.
@@ -239,7 +242,8 @@ func ToStream(t *Topology, tbl *txn.Table, p txn.Protocol) (*Stream, func()) {
 // single definition both TO_STREAM paths (ToStream, FromTablePartitioned)
 // emit: Key is the row key, Ts the commit timestamp, Delete set when the
 // row is gone at that snapshot, Value a private copy of the committed
-// value (Num parsed when decimal). The row is read at the commit's own
+// value (Num set when the whole value is a decimal literal, see
+// ToStream). The row is read at the commit's own
 // snapshot so the value is exactly what that transaction installed, even
 // if later commits already overwrote it.
 func changeTuple(tbl *txn.Table, key string, cts txn.Timestamp) Tuple {
@@ -247,8 +251,7 @@ func changeTuple(tbl *txn.Table, key string, cts txn.Timestamp) Tuple {
 	tuple := Tuple{Key: key, Ts: int64(cts), Delete: !ok}
 	if ok {
 		tuple.Value = append([]byte(nil), v...)
-		var n float64
-		if _, err := fmt.Sscanf(string(v), "%g", &n); err == nil {
+		if n, err := strconv.ParseFloat(string(v), 64); err == nil {
 			tuple.Num = n
 		}
 	}

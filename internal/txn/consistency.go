@@ -381,6 +381,7 @@ func (p *protocolBase) groupCommitMany(g *Group, reqs []*commitReq) {
 	}
 	g.qmu.Lock()
 	g.pending = append(g.pending, reqs...)
+	g.pendingSubs++
 	lead := !g.leaderActive
 	if lead {
 		g.leaderActive = true
@@ -542,10 +543,10 @@ func (p *protocolBase) installCommit(tx *Txn, admit func(*commitOverlay) error) 
 
 // groupCommitLinger bounds how long a batch leader collects followers for
 // the next batch once commit pressure is established. The collection is
-// wake-driven — each enqueue nudges the leader, and it stops as soon as
-// the queue has reached the previous batch's size — so under steady
-// pressure the timer never fires; it is the fallback that bounds the wait
-// when the offered load drops below the previous batch size.
+// wake-driven — each enqueue nudges the leader, and it stops as soon as as
+// many submitters have queued as the previous batch carried — so under
+// steady pressure the timer never fires; it is the fallback that bounds
+// the wait when fewer committers are active than last time.
 const groupCommitLinger = 200 * time.Microsecond
 
 // groupCommit runs the group-commit pipeline for a transaction confined
@@ -568,6 +569,7 @@ func (p *protocolBase) groupCommit(g *Group, tx *Txn, admit func(*commitOverlay)
 	req := &commitReq{tx: tx, admit: admit, ready: make(chan struct{})}
 	g.qmu.Lock()
 	g.pending = append(g.pending, req)
+	g.pendingSubs++
 	if g.leaderActive {
 		g.qmu.Unlock()
 		// Nudge a collecting leader. The send never blocks (capacity 1);
@@ -600,12 +602,16 @@ func (p *protocolBase) groupCommit(g *Group, tx *Txn, admit func(*commitOverlay)
 // it. The claimant's own request is always in the queue, so the drained
 // batch is never empty.
 //
-// Batch formation is adaptive: the previous batch's size (g.batchTarget,
-// leader-owned under commitMu) estimates the number of concurrently
-// active committers, and the leader collects arrivals until the queue
-// reaches that estimate — parking between wakes, so unrelated goroutines
-// keep the CPU — or the linger timer expires. A lone committer (previous
-// batch of one) never collects and never pays the linger. Leadership is
+// Batch formation is adaptive: the number of submitters in the previous
+// batch (g.batchTarget, leader-owned under commitMu; one per groupCommit /
+// groupCommitMany call, however many requests it carries) estimates the
+// number of concurrently active committers, and the leader collects
+// arrivals until that many have queued — parking between wakes, so
+// unrelated goroutines keep the CPU — or the linger timer expires. A lone
+// committer (previous batch from one submitter) never collects and never
+// pays the linger, whether it commits one transaction or a chain run of
+// any length: counting requests instead would make a sole chain submitter
+// with a shorter run than last time wait for itself. Leadership is
 // released only with the queue observably empty (checked under qmu), so
 // no request is ever stranded: an enqueuer that finds no active leader IS
 // the leader for the batch containing its request, and a retiring leader
@@ -613,32 +619,39 @@ func (p *protocolBase) groupCommit(g *Group, tx *Txn, admit func(*commitOverlay)
 func (p *protocolBase) leadGroup(g *Group) {
 	g.commitMu.Lock()
 	if g.batchTarget > 1 {
-		// Collect up to the previous batch's size before draining.
-		timer := time.NewTimer(groupCommitLinger)
+		// Collect as many submitters as the previous batch had before
+		// draining. One timer serves every tenure (leader-owned under
+		// commitMu).
+		if g.linger == nil {
+			g.linger = time.NewTimer(groupCommitLinger)
+		} else {
+			g.linger.Reset(groupCommitLinger)
+		}
 	collect:
 		for {
 			g.qmu.Lock()
-			n := len(g.pending)
+			n := g.pendingSubs
 			g.qmu.Unlock()
 			if n >= g.batchTarget {
 				break
 			}
 			select {
 			case <-g.wake:
-			case <-timer.C:
+			case <-g.linger.C:
 				break collect
 			}
 		}
-		if !timer.Stop() {
+		// Stop and drain, so the next Reset starts from an empty channel.
+		if !g.linger.Stop() {
 			select {
-			case <-timer.C:
+			case <-g.linger.C:
 			default:
 			}
 		}
 	}
 	g.qmu.Lock()
-	batch := g.pending
-	g.pending = nil
+	batch, subs := g.pending, g.pendingSubs
+	g.pending, g.pendingSubs = nil, 0
 	g.qmu.Unlock()
 	// Drain a stale wake token so the next tenure's collection starts
 	// clean.
@@ -646,7 +659,7 @@ func (p *protocolBase) leadGroup(g *Group) {
 	case <-g.wake:
 	default:
 	}
-	g.batchTarget = len(batch)
+	g.batchTarget = subs
 	p.leaderCommit(g, batch)
 
 	// Retire: pass the baton to a parked committer, or release.

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"sistream/internal/kv"
 	"sistream/internal/metrics"
@@ -241,14 +242,16 @@ type Group struct {
 	// the exclusivity latch: a leader holds it for its tenure, and
 	// multi-group transactions take the commitMu of every involved group
 	// in canonical order instead of queueing (see installCommit). qmu
-	// guards pending, leaderActive and the queue handoff only and is
-	// never held across I/O.
+	// guards pending, pendingSubs, leaderActive and the queue handoff only
+	// and is never held across I/O.
 	commitMu     sync.Mutex
 	qmu          sync.Mutex
 	pending      []*commitReq
+	pendingSubs  int // submissions (groupCommit/groupCommitMany calls) in pending
 	leaderActive bool
 	wake         chan struct{} // nudges a leader collecting its next batch
-	batchTarget  int           // previous batch size; leader-owned under commitMu
+	batchTarget  int           // previous batch's submitter count; leader-owned under commitMu
+	linger       *time.Timer   // the collecting leader's timer; leader-owned under commitMu
 
 	// sbCache holds the leader's per-store durability-batch scratch,
 	// reused across tenures; leader-owned under commitMu (see
@@ -266,9 +269,9 @@ type Group struct {
 	// the durability phase (the store Apply — the fsync when SyncCommits is
 	// set) and of the in-memory admission+install work around it, plus an
 	// EWMA of achieved batch sizes. Recording is a handful of atomic adds
-	// per BATCH (not per transaction), cheap enough to leave always on;
-	// the adaptive spine controller (stream.AutoTune) reads it to decide
-	// whether growing the commit window still buys fsync amortization.
+	// per BATCH (not per transaction), cheap enough to leave always on. It
+	// is a diagnostic for benchmarks and tests; nothing in the engine reads
+	// it.
 	syncHist    metrics.Histogram
 	installHist metrics.Histogram
 	batchEWMA   metrics.EWMA
@@ -289,8 +292,8 @@ func (g *Group) CommitStats() (txns, batches uint64) {
 }
 
 // CommitProfile is a point-in-time digest of the group-commit pipeline's
-// observed behavior (Group.CommitProfile), the signal set the adaptive
-// spine controller feeds on. All latencies are per BATCH, in nanoseconds.
+// observed behavior (Group.CommitProfile), a diagnostic for benchmarks
+// and tests. All latencies are per BATCH, in nanoseconds.
 type CommitProfile struct {
 	// Txns / Batches mirror CommitStats; Txns/Batches is the achieved
 	// cross-transaction commit fan-in.

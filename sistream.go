@@ -107,15 +107,18 @@ type (
 	// instead of inserting a merge barrier and a fresh router.
 	KeyFn = stream.KeyFn
 	// AutoTune configures the self-tuning commit spine (NewAutoTuner):
-	// window bound, per-batch latency ceiling, linger cap and decision
-	// cadence. The zero value of every field selects its default.
+	// the in-flight transaction bound and the per-batch latency ceiling
+	// that tightens it. The zero value of every field selects its default.
 	AutoTune = stream.AutoTune
-	// AutoTuner is the controller of one self-tuning pipeline: pass it to
-	// both Stream.TransactionsTuned and ParallelRegion.MergeTuned; it
-	// sizes the commit window and linger from observed commit latency.
+	// AutoTuner is the shared state of one self-tuning pipeline: pass it
+	// to both Stream.TransactionsTuned and ParallelRegion.MergeTuned. The
+	// spine then commits whatever transactions queued while the previous
+	// batch was committing, up to the tuner's in-flight bound, and never
+	// holds a decided transaction back to fill a batch.
 	AutoTuner = stream.AutoTuner
-	// AutoTunerStats is a point-in-time controller snapshot
-	// (AutoTuner.Stats): current window/linger and resize counts.
+	// AutoTunerStats is a point-in-time snapshot of a tuner
+	// (AutoTuner.Stats): the current in-flight bound and how often the
+	// latency guard halved it and doubled it back.
 	AutoTunerStats = stream.AutoTunerStats
 	// PlanStep is one step of a topology's recorded query plan
 	// (Topology.Plan, rendered by Explain): its kind, name, construction
@@ -208,8 +211,8 @@ var (
 	// NewKeyFn builds a shareable partitioning token from one key-string
 	// hash, usable on both the ingest side and the feed side.
 	NewKeyFn = stream.NewKeyFn
-	// NewAutoTuner creates the self-tuning commit-spine controller,
-	// starting at window 1 (no batching until measurements justify it).
+	// NewAutoTuner creates the shared state of a self-tuning commit spine,
+	// with the in-flight bound at AutoTune.MaxWindow.
 	NewAutoTuner = stream.NewAutoTuner
 
 	// NewMemStore creates a volatile in-memory base table.
