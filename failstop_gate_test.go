@@ -14,6 +14,8 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -30,6 +32,25 @@ var panicAllowlist = map[string]int{
 	"version.go": 2, // fileMeta/version refcount underflow guards
 }
 
+// parseNonTest parses the non-test source files of one package directory.
+func parseNonTest(t *testing.T, dir string) (*token.FileSet, []*ast.File) {
+	t.Helper()
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []*ast.File
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			files = append(files, f)
+		}
+	}
+	return fset, files
+}
+
 // TestNoPanicsInFailStopLayers walks every non-test source file of
 // internal/txn and internal/lsm and fails on any panic call not covered
 // by the allowlist. Replace the panic with group/DB poisoning (see
@@ -39,38 +60,90 @@ func TestNoPanicsInFailStopLayers(t *testing.T) {
 	var violations []string
 	counts := map[string]int{}
 	for _, dir := range []string{"internal/txn", "internal/lsm"} {
-		fset := token.NewFileSet()
-		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
-		}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pkg := range pkgs {
-			for _, f := range pkg.Files {
-				ast.Inspect(f, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					fn, ok := call.Fun.(*ast.Ident)
-					if !ok || fn.Name != "panic" {
-						return true
-					}
-					pos := fset.Position(call.Pos())
-					base := filepath.Base(pos.Filename)
-					counts[base]++
-					if counts[base] > panicAllowlist[base] {
-						violations = append(violations,
-							pos.Filename+":"+strconv.Itoa(pos.Line))
-					}
+		fset, files := parseNonTest(t, dir)
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
 					return true
-				})
-			}
+				}
+				fn, ok := call.Fun.(*ast.Ident)
+				if !ok || fn.Name != "panic" {
+					return true
+				}
+				pos := fset.Position(call.Pos())
+				base := filepath.Base(pos.Filename)
+				counts[base]++
+				if counts[base] > panicAllowlist[base] {
+					violations = append(violations,
+						pos.Filename+":"+strconv.Itoa(pos.Line))
+				}
+				return true
+			})
 		}
 	}
 	if len(violations) > 0 {
 		t.Fatalf("panic() in fail-stop layers (poison the group/DB instead, see internal/txn/failstop.go):\n  %s",
 			strings.Join(violations, "\n  "))
+	}
+}
+
+// TestCommitProtocolExistsOnce keeps the consistency protocol (paper
+// Section 4.3) from forking again: fail-stop, capability-gated sync and
+// index maintenance each had to be patched twice while internal/txn
+// carried a second copy of the commit sequence for transactions spanning
+// groups. The gate counts, over non-test internal/txn, the three calls
+// only a commit pipeline makes — poisoning groups by store, publishing
+// LastCTS, and the durability Apply — and fails, naming the functions,
+// when any of them has more homes than the one pipeline (plus recovery,
+// which restores LastCTS in CreateGroup, and the index backfill, whose
+// Apply in CreateIndex is not a commit).
+func TestCommitProtocolExistsOnce(t *testing.T) {
+	// One entry per call site, naming the enclosing function.
+	var poisoners, publishers, appliers []string
+	_, files := parseNonTest(t, "internal/txn")
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				switch sel.Sel.Name {
+				case "failGroupsOnStores":
+					poisoners = append(poisoners, fd.Name.Name)
+				case "Store":
+					if recv, ok := sel.X.(*ast.SelectorExpr); ok && recv.Sel.Name == "lastCTS" {
+						publishers = append(publishers, fd.Name.Name)
+					}
+				case "Apply":
+					if len(call.Args) == 2 && fd.Name.Name != "CreateIndex" {
+						appliers = append(appliers, fd.Name.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	functions := func(sites []string) []string {
+		sort.Strings(sites)
+		return slices.Compact(sites)
+	}
+	if len(poisoners) != 1 {
+		t.Errorf("failGroupsOnStores has %d call sites, want 1 (the pipeline's error exit): %v", len(poisoners), poisoners)
+	}
+	if fns := functions(publishers); len(fns) != 2 {
+		t.Errorf("lastCTS.Store appears in %d functions, want 2 (recovery in CreateGroup, the commit pipeline): %v", len(fns), fns)
+	}
+	if fns := functions(appliers); len(fns) != 1 {
+		t.Errorf("commit-path kv.Store.Apply is called from %d functions, want 1 (the commit pipeline): %v", len(fns), fns)
 	}
 }

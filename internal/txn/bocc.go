@@ -123,10 +123,10 @@ func (p *BOCC) WriteSegment(tx *Txn, tbl *Table, seg *Segment) (int, error) {
 
 // CommitState implements Protocol.
 func (p *BOCC) CommitState(tx *Txn, tbl *Table) error {
-	if err := requireGroup(tbl); err != nil {
+	if coordinator, err := flagState(tx, tbl); err != nil || !coordinator {
 		return err
 	}
-	return commitState(tx, tbl, func() error { return p.finishCommit(tx) })
+	return p.finishCommit(tx)
 }
 
 // Commit implements Protocol.
@@ -143,7 +143,7 @@ func (p *BOCC) finishCommit(tx *Txn) error {
 	defer r.mu.Unlock()
 
 	if err := r.validateLocked(tx); err != nil {
-		p.abortLocked(tx)
+		_ = p.abort(tx) // the verdict is the validation error
 		return err
 	}
 

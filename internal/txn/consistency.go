@@ -1,7 +1,9 @@
 package txn
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -192,39 +194,6 @@ func recycleTxn(tx *Txn, orderRetained bool) {
 	tx.mu.Unlock()
 }
 
-// commitState implements the per-state flag protocol. finishFn runs the
-// protocol-specific global commit when this call flipped the last flag.
-func commitState(tx *Txn, tbl *Table, finishFn func() error) error {
-	tx.mu.Lock()
-	if tx.finished.Load() {
-		tx.mu.Unlock()
-		return ErrFinished
-	}
-	e, ok := tx.states[tbl.id]
-	if !ok {
-		// Committing a state the transaction never touched: register an
-		// empty entry so the accounting still works (a TO_TABLE operator
-		// may see only punctuations for some batch).
-		e = tx.entry(tbl)
-	}
-	if e.status == StatusAbort {
-		tx.mu.Unlock()
-		return ErrAborted
-	}
-	e.status = StatusCommit
-	for _, other := range tx.states {
-		if other.status != StatusCommit {
-			// Not the last flag: another operator will coordinate.
-			tx.mu.Unlock()
-			return nil
-		}
-	}
-	// This caller flipped the last flag: it becomes the coordinator
-	// (Section 4.3) and must perform the global commit.
-	tx.mu.Unlock()
-	return finishFn()
-}
-
 // commitAll flags every touched state and runs the global commit.
 func commitAll(tx *Txn, finishFn func() error) error {
 	tx.mu.Lock()
@@ -243,27 +212,31 @@ func commitAll(tx *Txn, finishFn func() error) error {
 	return finishFn()
 }
 
-// flagState flips tx's commit flag for tbl without running the global
-// commit, reporting whether this flip completed the transaction's flag set
-// (the caller became the coordinator). It is commitState with the
-// finishFn decoupled — the chain commit path flags several transactions
-// before performing their global commits as one batch.
+// flagState implements the per-state flag protocol: it flips tx's commit
+// flag for tbl and reports whether this flip completed the transaction's
+// flag set — the caller became the coordinator (Section 4.3) and must run
+// the global commit (CommitState does so at once; the chain commit path
+// flags several transactions first and commits them as one batch).
 func flagState(tx *Txn, tbl *Table) (coordinator bool, err error) {
+	if err := requireGroup(tbl); err != nil {
+		return false, err
+	}
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
 	if tx.finished.Load() {
 		return false, ErrFinished
 	}
-	e, ok := tx.states[tbl.id]
-	if !ok {
-		e = tx.entry(tbl)
-	}
+	// Committing a state the transaction never touched registers an empty
+	// entry so the accounting still works (a TO_TABLE operator may see only
+	// punctuations for some batch).
+	e := tx.entry(tbl)
 	if e.status == StatusAbort {
 		return false, ErrAborted
 	}
 	e.status = StatusCommit
 	for _, other := range tx.states {
 		if other.status != StatusCommit {
+			// Not the last flag: another operator will coordinate.
 			return false, nil
 		}
 	}
@@ -275,13 +248,13 @@ func flagState(tx *Txn, tbl *Table) (coordinator bool, err error) {
 // commit the transactions whose flag set completed, submitting maximal
 // consecutive runs that commit into the SAME single topology group as one
 // multi-request pipeline submission (groupCommitMany) — one leader tenure
-// and one coalesced durability batch for the whole run. Transactions
-// spanning groups, or with nothing written, break the run and commit
-// individually, preserving chain order (and thus ascending commit
-// timestamps per key) throughout. admitFor supplies the protocol's
-// admission check per transaction (nil for none); after, when non-nil,
-// runs once per coordinated transaction after its commit attempt (S2PL
-// releases its locks there).
+// and one coalesced durability batch for the whole run. A transaction
+// spanning groups (or with no state left) breaks the run and commits on
+// its own through installCommit, preserving chain order (and thus
+// ascending commit timestamps per key) throughout. admitFor supplies the
+// protocol's admission check per transaction (nil for none); after, when
+// non-nil, runs once per coordinated transaction after its commit attempt
+// (S2PL releases its locks there).
 func (p *protocolBase) commitChain(txs []*Txn, tbls []*Table, admitFor func(*Txn) func(*commitOverlay) error, after func(*Txn)) [][]error {
 	errs := make([][]error, len(txs))
 	type coord struct {
@@ -293,10 +266,6 @@ func (p *protocolBase) commitChain(txs []*Txn, tbls []*Table, admitFor func(*Txn
 	for i, tx := range txs {
 		errs[i] = make([]error, len(tbls))
 		for j, tbl := range tbls {
-			if err := requireGroup(tbl); err != nil {
-				errs[i][j] = err
-				continue
-			}
 			became, err := flagState(tx, tbl)
 			errs[i][j] = err
 			if became {
@@ -329,53 +298,48 @@ func (p *protocolBase) commitChain(txs []*Txn, tbls []*Table, admitFor func(*Txn
 		runReqs, runCoords, runGroup = nil, nil, nil
 	}
 	for _, c := range coords {
-		admit := func(*commitOverlay) error { return nil }
+		var admit func(*commitOverlay) error
 		if admitFor != nil {
-			if a := admitFor(c.tx); a != nil {
-				admit = a
-			}
+			admit = admitFor(c.tx)
 		}
 		groups := txGroups(c.tx)
-		switch len(groups) {
-		case 0:
-			// Nothing written: finish inline (no timestamp consumed, so
-			// order relative to the run is immaterial).
-			p.finish(c.tx)
-			recycleTxn(c.tx, false)
-			if after != nil {
-				after(c.tx)
-			}
-		case 1:
-			g := groups[0]
-			if runGroup != nil && g != runGroup {
-				flush()
-			}
-			runGroup = g
-			runReqs = append(runReqs, &commitReq{tx: c.tx, admit: admit, ready: make(chan struct{})})
-			runCoords = append(runCoords, c)
-		default:
+		if len(groups) != 1 {
 			flush()
-			errs[c.txIdx][c.tblIdx] = p.multiGroupCommit(groups, c.tx, admit)
+			errs[c.txIdx][c.tblIdx] = p.installCommit(c.tx, admit)
 			if after != nil {
 				after(c.tx)
 			}
+			continue
 		}
+		if runGroup != nil && groups[0] != runGroup {
+			flush()
+		}
+		runGroup = groups[0]
+		runReqs = append(runReqs, &commitReq{tx: c.tx, admit: admit, ready: make(chan struct{})})
+		runCoords = append(runCoords, c)
 	}
 	flush()
 	return errs
 }
 
-// groupCommitMany submits several already-ordered commit requests of one
-// chain to g's pipeline as a unit: all requests enter the queue in a
-// single append, so one leader tenure drains them together (the whole
-// point of cross-transaction batching — one coalesced store batch and one
-// fsync for the run). The caller then leads or parks exactly as a single
-// committer does in groupCommit, handling the leadership baton on any of
-// its requests.
+// groupCommitMany runs the group-commit pipeline for already-ordered
+// commit requests confined to topology group g — one for a plain Commit,
+// a whole run for a chain. All requests enter the queue in a single
+// append, so one leader tenure drains them together (the whole point of
+// cross-transaction batching — one coalesced store batch and one fsync
+// for the run). If a batch leader is already active the committer nudges
+// it (wake) and parks on its requests' ready channels — either the leader
+// commits a request in its batch, or it hands the parked committer the
+// leadership baton on retirement (promoted). Otherwise the committer
+// claims leadership itself. A leader's tenure is exactly ONE batch
+// (leadGroup), so a committer is never conscripted into serving other
+// transactions indefinitely — in particular an S2PL committer's row locks
+// are released after one batch, as with the original per-commit latch.
 func (p *protocolBase) groupCommitMany(g *Group, reqs []*commitReq) {
 	if err := g.Err(); err != nil {
 		// Fail-stop fast path: the group is poisoned, nothing may be
-		// enqueued. Every request is decided here with the sticky error.
+		// enqueued (commitBatch re-checks for requests that raced in).
+		// Every request is decided here with the sticky error.
 		p.failReqs(reqs, err)
 		return
 	}
@@ -390,6 +354,8 @@ func (p *protocolBase) groupCommitMany(g *Group, reqs []*commitReq) {
 	if lead {
 		p.leadGroup(g)
 	} else {
+		// Nudge a collecting leader. The send never blocks (capacity 1);
+		// a stale token at worst costs the leader one extra queue check.
 		select {
 		case g.wake <- struct{}{}:
 		default:
@@ -400,7 +366,7 @@ func (p *protocolBase) groupCommitMany(g *Group, reqs []*commitReq) {
 		if req.promoted {
 			// Retiring leader handed us the baton with this request (and
 			// therefore every later one of ours) still pending: lead the
-			// batch containing it; leaderCommit decides it synchronously.
+			// batch containing it; commitBatch decides it synchronously.
 			req.promoted = false
 			req.ready = make(chan struct{})
 			p.leadGroup(g)
@@ -422,7 +388,10 @@ func (p *protocolBase) finish(tx *Txn) {
 
 // abort drops all write sets and releases the slot. "It is enough ... to
 // simply clear the corresponding write set and release the memory"
-// (Section 4.2).
+// (Section 4.2). Write sets are private, so it is safe under any latch —
+// the commit pipeline aborts rejected and failed requests with it while
+// holding the group latches. ErrFinished reports a transaction that was
+// already decided (callers recording a verdict of their own ignore it).
 func (p *protocolBase) abort(tx *Txn) error {
 	tx.mu.Lock()
 	if tx.finished.Swap(true) {
@@ -439,16 +408,25 @@ func (p *protocolBase) abort(tx *Txn) error {
 	return nil
 }
 
-// txGroups returns the distinct groups of the transaction's states.
+// txGroups returns the distinct groups of the transaction's states in
+// canonical (ID) order — the one place the latch order of a spanning
+// commit is decided (lockGroups takes them as given). The common case,
+// every state in one group, returns that group's preallocated solo set
+// and allocates nothing.
 func txGroups(tx *Txn) []*Group {
-	seen := map[GroupID]*Group{}
+	var out []*Group
 	for _, e := range tx.states {
 		g := e.table.group
-		seen[g.id] = g
+		if out == nil {
+			out = g.solo
+		} else if !slices.Contains(out, g) {
+			// Clipped, so the first append copies instead of growing into
+			// a group's shared solo array.
+			out = append(slices.Clip(out), g)
+		}
 	}
-	out := make([]*Group, 0, len(seen))
-	for _, g := range seen {
-		out = append(out, g)
+	if len(out) > 1 {
+		slices.SortFunc(out, func(a, b *Group) int { return cmp.Compare(a.id, b.id) })
 	}
 	return out
 }
@@ -481,29 +459,12 @@ type commitReq struct {
 	ready    chan struct{}
 }
 
-// commitOverlay exposes the writes admitted earlier in the same
-// group-commit batch. Admission checks (First-Committer-Wins) must see
-// those writes even though their versions are not installed yet —
-// otherwise two same-batch writers of one key would both pass. Outside a
-// batch (multi-group slow path) the overlay is nil and latestCTS falls
-// back to the installed version store alone.
+// commitOverlay exposes the writes admitted earlier in the same commit
+// batch. Admission checks (First-Committer-Wins) must see those writes
+// even though their versions are not installed yet — otherwise two
+// same-batch writers of one key would both pass.
 type commitOverlay struct {
 	pending map[*Table]map[string]Timestamp
-}
-
-// latestCTS returns the newest commit timestamp of key in tbl, combining
-// installed versions with writes admitted earlier in this batch.
-func (ov *commitOverlay) latestCTS(tbl *Table, key string) Timestamp {
-	var latest Timestamp
-	if o := tbl.object(key, false); o != nil {
-		latest = o.LatestCTS()
-	}
-	if ov != nil {
-		if ts := ov.pending[tbl][key]; ts > latest {
-			latest = ts
-		}
-	}
-	return latest
 }
 
 // record notes an admitted write at cts for later admission checks in the
@@ -521,24 +482,38 @@ func (ov *commitOverlay) record(tbl *Table, key string, cts Timestamp) {
 }
 
 // installCommit is the coordinator's global commit, shared by all
-// protocols. Transactions whose states all belong to one topology group —
-// the continuous-query common case — go through the group-commit pipeline
-// (groupCommit); transactions spanning groups take the slow path under
-// the commit latches of every involved group (multiGroupCommit). The
-// caller (via commitState/commitAll) has already established that it is
+// protocols — the one dispatch on the transaction's latch set. There is
+// one commit pipeline (commitBatch); what varies is only how its latches
+// are taken: a transaction whose states all belong to one topology group
+// — the continuous-query common case — queues on that group's pipeline
+// and shares a leader's batch (groupCommitMany), while a transaction
+// spanning groups is a batch of one under the commit latch of every
+// involved group, taken in txGroups' canonical order (quiescing their
+// pipelines — a leader holds its group's latch for the whole batch). The
+// caller (via flagState/commitAll) has already established that it is
 // the coordinator.
 func (p *protocolBase) installCommit(tx *Txn, admit func(*commitOverlay) error) error {
 	groups := txGroups(tx)
-	switch len(groups) {
-	case 0:
+	if len(groups) == 0 {
 		// Nothing written (read-only or empty transaction).
 		p.finish(tx)
 		recycleTxn(tx, false)
 		return nil
-	case 1:
-		return p.groupCommit(groups[0], tx, admit)
 	}
-	return p.multiGroupCommit(groups, tx, admit)
+	reqs := []*commitReq{{tx: tx, admit: admit, ready: make(chan struct{})}}
+	if len(groups) == 1 {
+		p.groupCommitMany(groups[0], reqs)
+		return reqs[0].err
+	}
+	lockGroups(groups)
+	p.commitBatch(groups, reqs)
+	unlockGroups(groups)
+	// Threshold-driven sweeps run after the latches are released so they
+	// never extend the cross-group critical section.
+	for _, g := range groups {
+		g.maybeGC()
+	}
+	return reqs[0].err
 }
 
 // groupCommitLinger bounds how long a batch leader collects followers for
@@ -549,61 +524,13 @@ func (p *protocolBase) installCommit(tx *Txn, admit func(*commitOverlay) error) 
 // the wait when fewer committers are active than last time.
 const groupCommitLinger = 200 * time.Microsecond
 
-// groupCommit runs the group-commit pipeline for a transaction confined
-// to one topology group. The committer enqueues its validated request; if
-// a batch leader is already active the committer nudges it (wake) and
-// parks on the request's ready channel — either the leader commits the
-// request in its batch, or it hands the parked committer the leadership
-// baton on retirement (promoted). Otherwise the committer claims
-// leadership itself. A leader's tenure is exactly ONE batch (leadGroup),
-// so a committer is never conscripted into serving other transactions
-// indefinitely — in particular an S2PL committer's row locks are released
-// after one batch, as with the original per-commit latch.
-func (p *protocolBase) groupCommit(g *Group, tx *Txn, admit func(*commitOverlay) error) error {
-	if err := g.Err(); err != nil {
-		// Fail-stop fast path: a poisoned group rejects commits before
-		// they queue (leaderCommit re-checks for requests that raced in).
-		p.abortLocked(tx)
-		return err
-	}
-	req := &commitReq{tx: tx, admit: admit, ready: make(chan struct{})}
-	g.qmu.Lock()
-	g.pending = append(g.pending, req)
-	g.pendingSubs++
-	if g.leaderActive {
-		g.qmu.Unlock()
-		// Nudge a collecting leader. The send never blocks (capacity 1);
-		// a stale token at worst costs the leader one extra queue check.
-		select {
-		case g.wake <- struct{}{}:
-		default:
-		}
-		<-req.ready
-		if !req.promoted {
-			return req.err
-		}
-		// Retiring leader handed us the baton: our request is still
-		// pending, so lead the batch that will contain it.
-		req.promoted = false
-		req.ready = make(chan struct{})
-	} else {
-		g.leaderActive = true
-		g.qmu.Unlock()
-	}
-
-	p.leadGroup(g)
-	// The leader's own request was part of the batch it led; err is set
-	// (and ready closed) by leaderCommit.
-	return req.err
-}
-
 // leadGroup serves one leader tenure: collect a batch, commit it, then
 // hand leadership to a parked committer (if any are pending) or release
 // it. The claimant's own request is always in the queue, so the drained
 // batch is never empty.
 //
 // Batch formation is adaptive: the number of submitters in the previous
-// batch (g.batchTarget, leader-owned under commitMu; one per groupCommit /
+// batch (g.batchTarget, leader-owned under commitMu; one per
 // groupCommitMany call, however many requests it carries) estimates the
 // number of concurrently active committers, and the leader collects
 // arrivals until that many have queued — parking between wakes, so
@@ -660,7 +587,7 @@ func (p *protocolBase) leadGroup(g *Group) {
 	default:
 	}
 	g.batchTarget = subs
-	p.leaderCommit(g, batch)
+	p.commitBatch(g.solo, batch)
 
 	// Retire: pass the baton to a parked committer, or release.
 	g.qmu.Lock()
@@ -674,17 +601,26 @@ func (p *protocolBase) leadGroup(g *Group) {
 	g.qmu.Unlock()
 	g.commitMu.Unlock()
 
-	// Housekeeping off the latch: the retiring leader sweeps any member
-	// table whose opt-in GC threshold was reached. New commits proceed
-	// concurrently (the next leader holds commitMu; the sweep takes only
-	// per-object writer mutexes).
+	// Housekeeping off the latch: new commits proceed concurrently (the
+	// next leader holds commitMu; the sweep takes only per-object writer
+	// mutexes).
+	g.maybeGC()
+}
+
+// maybeGC sweeps any member table whose opt-in GC threshold was reached.
+// Committers call it after releasing the group's latch.
+func (g *Group) maybeGC() {
 	for _, tbl := range g.tables {
 		tbl.maybeGC()
 	}
 }
 
-// leaderCommit commits one batch of enqueued transactions. Caller holds
-// g.commitMu. The pipeline:
+// commitBatch is the commit pipeline: it commits one batch of validated
+// transactions under a latch set. Caller holds the commitMu of every group
+// in groups, and every state of every request belongs to one of them — a
+// leader's drained queue under its own group's latch (leadGroup), or one
+// spanning transaction under the latches of all its groups
+// (installCommit). The pipeline:
 //
 //  1. snapshot the GC horizon, then reserve a contiguous commit-timestamp
 //     range — one timestamp per request, assigned in arrival order. The
@@ -697,22 +633,26 @@ func (p *protocolBase) leadGroup(g *Group) {
 //  3. durability: ONE coalesced batch per distinct base store — all
 //     admitted rows plus one LastCTS watermark per touched table — with a
 //     single (optionally synchronous) Apply. This is where group commit
-//     pays: N transactions share one fsync. A failed store aborts the
-//     whole batch; nothing was installed yet, so memory is untouched and
-//     partially persisted stores reconcile at recovery via the watermark
-//     (see CreateGroup).
+//     pays: N transactions share one fsync. A failed store fails the
+//     whole batch fail-stop (poisonBatch); nothing was installed yet, so
+//     memory is untouched and partially persisted stores reconcile at
+//     recovery via the watermark (see CreateGroup).
 //  4. install all versions in commit-timestamp order (cannot fail:
 //     version arrays grow on demand and installers of one group are
 //     serialized by the latch).
-//  5. publish LastCTS once for the batch — the single atomic store that
-//     makes every member transaction visible, completely or not at all —
-//     then notify watchers per transaction in commit order.
-func (p *protocolBase) leaderCommit(g *Group, batch []*commitReq) {
-	if err := g.Err(); err != nil {
-		// The group was poisoned after these requests passed the enqueue
-		// fast path; decide them all with the sticky error.
-		p.failReqs(batch, err)
-		return
+//  5. publish LastCTS once per latched group — under all the latches, so
+//     the batch becomes visible completely or not at all to snapshot
+//     readers of any involved group — then notify each group's watchers
+//     per transaction in commit order.
+func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
+	// Fail-stop: a poisoned group anywhere in the latch set rejects the
+	// whole batch — requests that passed the enqueue fast path before the
+	// poisoning are decided here with the sticky error.
+	for _, g := range groups {
+		if err := g.Err(); err != nil {
+			p.failReqs(batch, err)
+			return
+		}
 	}
 	tenureStart := time.Now()
 	horizon := p.ctx.OldestActiveVersion()
@@ -729,7 +669,7 @@ func (p *protocolBase) leaderCommit(g *Group, batch []*commitReq) {
 		if req.admit != nil {
 			if err := req.admit(&overlay); err != nil {
 				req.err = err
-				p.abortLocked(req.tx)
+				_ = p.abort(req.tx) // verdict recorded above
 				close(req.ready)
 				continue
 			}
@@ -762,7 +702,8 @@ func (p *protocolBase) leaderCommit(g *Group, batch []*commitReq) {
 
 	// Phase 3: durability, one coalesced batch per distinct base store.
 	// The scratch batches (ops array, row-key arena) are cached on the
-	// group across tenures, so coalescing allocates nothing steady-state.
+	// table's group across tenures (that group's latch is held), so
+	// coalescing allocates nothing steady-state.
 	var (
 		batches []*storeBatch
 		tables  []*Table
@@ -774,20 +715,20 @@ func (p *protocolBase) leaderCommit(g *Group, batch []*commitReq) {
 		reqDeltas [][]indexDelta
 		preimage  map[*Table]map[string]rowImage
 	)
-	getSB := func(st kv.Store) *storeBatch {
+	getSB := func(tbl *Table) *storeBatch {
 		for _, sb := range batches {
-			if sb.store == st {
+			if sb.store == tbl.store {
 				return sb
 			}
 		}
-		sb := g.storeScratch(st)
+		sb := tbl.group.storeScratch(tbl.store)
 		batches = append(batches, sb)
 		return sb
 	}
 	for ri, req := range admitted {
 		var deltas []indexDelta
 		for _, e := range req.entries {
-			sb := getSB(e.table.store)
+			sb := getSB(e.table)
 			ixs := e.table.indexSet()
 			for i, key := range e.order {
 				op := &e.ops[i]
@@ -865,40 +806,33 @@ func (p *protocolBase) leaderCommit(g *Group, batch []*commitReq) {
 	// One watermark per touched table: everything below maxCTS in this
 	// store is durable together with it.
 	for _, tbl := range tables {
-		getSB(tbl.store).batch.PutOwned(tbl.metaKey(), encodeTS(maxCTS))
+		getSB(tbl).batch.PutOwned(tbl.metaKey(), encodeTS(maxCTS))
 	}
 	for _, sb := range batches {
 		if err := sb.store.Apply(sb.batch, sb.sync); err != nil {
-			// Fail-stop: after a durability error the batch's persistence
-			// is unknowable (stores applied earlier in this loop already
-			// hold it durably, the failed one may hold any prefix). No
-			// version was installed yet, so memory is clean — but ONLY a
-			// restart can reconcile disk, so every group with a table on
-			// any touched store is poisoned before the requests are
-			// decided. Recovery resolves the divergence via the per-store
-			// watermark (see CreateGroup).
-			cause := fmt.Errorf("txn: commit durability: %w", err)
+			// After a durability error the batch's persistence is
+			// unknowable (stores applied earlier in this loop already hold
+			// it durably, the failed one may hold any prefix). No version
+			// was installed yet, so memory is clean — but ONLY a restart
+			// can reconcile disk (see poisonBatch).
 			stores := make([]kv.Store, len(batches))
 			for i, b := range batches {
 				stores[i] = b.store
 			}
-			g.fail(cause)
-			p.ctx.failGroupsOnStores(stores, cause)
-			p.failReqs(admitted, g.Err())
+			p.poisonBatch(groups, stores, admitted, fmt.Errorf("txn: commit durability: %w", err))
 			return
 		}
 	}
 	syncDone := time.Now()
-	g.syncHist.Record(syncDone.Sub(admitDone).Nanoseconds())
 
 	// Phase 4: in-memory version install, ascending commit timestamps.
 	// Admission already resolved most objects (op.obj); only keys created
 	// by this very batch still need the registry. Install cannot fail in
 	// normal operation (version arrays grow on demand, installers are
 	// serialized by the latch); an invariant trip is handled fail-stop —
-	// the group is poisoned with the diagnostic and the whole batch stays
-	// invisible (LastCTS is never published) — instead of killing the
-	// embedding process.
+	// the latched groups are poisoned with the diagnostic and the whole
+	// batch stays invisible (LastCTS is never published) — instead of
+	// killing the embedding process.
 	for ri, req := range admitted {
 		for _, e := range req.entries {
 			for i, key := range e.order {
@@ -908,8 +842,7 @@ func (p *protocolBase) leaderCommit(g *Group, batch []*commitReq) {
 					o = e.table.object(key, true)
 				}
 				if err := o.Install(req.cts, op.value, op.delete, horizon); err != nil {
-					g.fail(fmt.Errorf("txn: install invariant violated: %w", err))
-					p.failReqs(admitted, g.Err())
+					p.poisonBatch(groups, nil, admitted, fmt.Errorf("txn: install invariant violated: %w", err))
 					return
 				}
 			}
@@ -919,8 +852,7 @@ func (p *protocolBase) leaderCommit(g *Group, batch []*commitReq) {
 			// snapshot sees the index mutation exactly when it sees the row.
 			for _, d := range reqDeltas[ri] {
 				if err := d.ix.install(d.ikey, d.pkey, req.cts, d.del, horizon); err != nil {
-					g.fail(fmt.Errorf("txn: install invariant violated: %w", err))
-					p.failReqs(admitted, g.Err())
+					p.poisonBatch(groups, nil, admitted, fmt.Errorf("txn: install invariant violated: %w", err))
 					return
 				}
 			}
@@ -928,236 +860,49 @@ func (p *protocolBase) leaderCommit(g *Group, batch []*commitReq) {
 	}
 
 	// Phase 5: atomic visibility for the whole batch, then per-commit
-	// watcher notifications (TO_STREAM triggers) in commit order.
-	g.lastCTS.Store(maxCTS)
-	g.commitTxns.Add(uint64(len(admitted)))
-	g.commitBatches.Add(1)
-	// Install latency excludes the durability Apply — it is the in-memory
-	// half of the batch (admission + version install + publish). Watcher
-	// notifications are excluded too: they run downstream consumers'
-	// code and can block on feed backpressure, which is occupancy, not
-	// commit cost.
-	g.installHist.Record(admitDone.Sub(tenureStart).Nanoseconds() + time.Since(syncDone).Nanoseconds())
-	g.batchEWMA.Observe(float64(len(admitted)))
+	// watcher notifications (TO_STREAM triggers) in commit order. Every
+	// latched group records the batch under its own profile. Install
+	// latency excludes the durability Apply — it is the in-memory half of
+	// the batch (admission + version install + publish). Watcher
+	// notifications are excluded too: they run downstream consumers' code
+	// and can block on feed backpressure, which is occupancy, not commit
+	// cost.
+	for _, g := range groups {
+		g.lastCTS.Store(maxCTS)
+	}
+	syncNs := syncDone.Sub(admitDone).Nanoseconds()
+	installNs := admitDone.Sub(tenureStart).Nanoseconds() + time.Since(syncDone).Nanoseconds()
+	for _, g := range groups {
+		g.commitTxns.Add(uint64(len(admitted)))
+		g.commitBatches.Add(1)
+		g.syncHist.Record(syncNs)
+		g.installHist.Record(installNs)
+		g.batchEWMA.Observe(float64(len(admitted)))
+	}
 	nowNs := syncDone.UnixNano()
 	for _, tbl := range tables {
 		tbl.lastCommitNanos.Store(nowNs)
 	}
 	for _, req := range admitted {
-		var writes map[StateID][]string
-		for _, e := range req.entries {
-			if len(e.order) == 0 {
-				continue
-			}
-			e.table.commitsSinceGC.Add(1)
-			if writes == nil {
-				writes = make(map[StateID][]string)
-			}
-			writes[e.table.id] = e.order
-		}
 		retained := false
-		if writes != nil {
-			retained = g.notify(req.cts, writes)
+		for _, g := range groups {
+			var writes map[StateID][]string
+			for _, e := range req.entries {
+				if e.table.group != g || len(e.order) == 0 {
+					continue
+				}
+				e.table.commitsSinceGC.Add(1)
+				if writes == nil {
+					writes = make(map[StateID][]string)
+				}
+				writes[e.table.id] = e.order
+			}
+			if writes != nil && g.notify(req.cts, writes) {
+				retained = true
+			}
 		}
 		p.finish(req.tx)
 		recycleTxn(req.tx, retained)
 		close(req.ready)
 	}
-}
-
-// multiGroupCommit is the slow path for transactions spanning topology
-// groups: it takes the commit latch of every involved group in canonical
-// ID order (quiescing their pipelines — a leader holds its group's latch
-// for the whole batch) and commits the single transaction exactly as the
-// original protocol did: admit, one durability batch per store, install,
-// then one LastCTS publish per group so the cross-group commit is
-// all-or-nothing for snapshot readers of any involved group.
-func (p *protocolBase) multiGroupCommit(groups []*Group, tx *Txn, admit func(*commitOverlay) error) error {
-	lockGroups(groups)
-	defer func() {
-		unlockGroups(groups)
-		// Threshold-driven sweeps run after the latches are released so
-		// they never extend the cross-group critical section.
-		for _, g := range groups {
-			for _, tbl := range g.tables {
-				tbl.maybeGC()
-			}
-		}
-	}()
-
-	// Fail-stop: a poisoned group anywhere in the span rejects the whole
-	// cross-group commit (checked under the latches so no failure can
-	// race in between check and install).
-	for _, g := range groups {
-		if err := g.Err(); err != nil {
-			p.abortLocked(tx)
-			return err
-		}
-	}
-
-	if admit != nil {
-		if err := admit(nil); err != nil {
-			p.abortLocked(tx)
-			return err
-		}
-	}
-
-	tenureStart := time.Now()
-	entries := sortedEntries(tx)
-	horizon := p.ctx.OldestActiveVersion()
-
-	cts := p.ctx.next()
-	if ch := tx.chain; ch != nil {
-		ch.raise(cts)
-	}
-
-	// Durability precedes the in-memory install so a failed store leaves
-	// no memory state behind: the transaction aborts as if it never
-	// happened.
-	type storeBatch struct {
-		store kv.Store
-		batch *kv.Batch
-		sync  bool
-	}
-	var batches []*storeBatch
-	var deltas []indexDelta
-	byStore := map[kv.Store]*storeBatch{}
-	for _, e := range entries {
-		sb, ok := byStore[e.table.store]
-		if !ok {
-			sb = &storeBatch{store: e.table.store, batch: kv.NewBatch(len(e.order) + 1)}
-			byStore[e.table.store] = sb
-			batches = append(batches, sb)
-		}
-		ixs := e.table.indexSet()
-		for i, key := range e.order {
-			op := &e.ops[i]
-			if op.delete {
-				sb.batch.Delete(e.table.rowKey(key))
-			} else {
-				sb.batch.Put(e.table.rowKey(key), op.value)
-			}
-			if len(ixs) > 0 {
-				// Single transaction: the pre-image is always the installed
-				// state (a write set holds one op per key). Posting rows join
-				// the same per-store durability batch as the rows.
-				oldVal, hadOld := latestImage(e.table, op.obj, key)
-				start := len(deltas)
-				deltas = indexDeltasFor(deltas, ixs, key, op.value, op.delete, oldVal, hadOld)
-				for _, d := range deltas[start:] {
-					if d.del {
-						sb.batch.Delete(d.ix.appendRowKey(nil, d.ikey, d.pkey))
-					} else {
-						sb.batch.Put(d.ix.appendRowKey(nil, d.ikey, d.pkey), nil)
-					}
-				}
-			}
-		}
-		sb.batch.Put(e.table.metaKey(), encodeTS(cts))
-		// Same capability gate as the single-group leader: no sync point
-		// over backends that do not support one.
-		if e.table.opts.SyncCommits && e.table.caps.SupportsSync {
-			sb.sync = true
-		}
-	}
-	applyStart := time.Now()
-	for _, sb := range batches {
-		if err := sb.store.Apply(sb.batch, sb.sync); err != nil {
-			// No version was installed yet, so aborting here is clean in
-			// memory — but stores applied earlier in this loop already
-			// hold the batch durably (the multi-store tear window), so
-			// every group with a table on any touched store is poisoned:
-			// only restart + recovery (per-store watermark, see
-			// CreateGroup) can reconcile the divergence.
-			cause := fmt.Errorf("txn: commit durability: %w", err)
-			stores := make([]kv.Store, len(batches))
-			for i, b := range batches {
-				stores[i] = b.store
-			}
-			p.ctx.failGroupsOnStores(stores, cause)
-			p.abortLocked(tx)
-			return cause
-		}
-	}
-	syncDone := time.Now()
-
-	// In-memory version install. An invariant trip is fail-stop: every
-	// involved group is poisoned with the diagnostic and the commit stays
-	// invisible (no LastCTS publish), instead of panicking the process.
-	for _, e := range entries {
-		for i, key := range e.order {
-			op := &e.ops[i]
-			if err := e.table.object(key, true).Install(cts, op.value, op.delete, horizon); err != nil {
-				cause := fmt.Errorf("txn: install invariant violated: %w", err)
-				for _, g := range groups {
-					g.fail(cause)
-				}
-				p.abortLocked(tx)
-				return fmt.Errorf("%w: %w", ErrGroupFailed, cause)
-			}
-		}
-	}
-	for _, d := range deltas {
-		if err := d.ix.install(d.ikey, d.pkey, cts, d.del, horizon); err != nil {
-			cause := fmt.Errorf("txn: install invariant violated: %w", err)
-			for _, g := range groups {
-				g.fail(cause)
-			}
-			p.abortLocked(tx)
-			return fmt.Errorf("%w: %w", ErrGroupFailed, cause)
-		}
-	}
-
-	// Atomic visibility, then commit watchers per group. The slow path is
-	// a batch of one: each involved group records the same durability and
-	// install latencies under its own profile.
-	syncNs := syncDone.Sub(applyStart).Nanoseconds()
-	installNs := applyStart.Sub(tenureStart).Nanoseconds() + time.Since(syncDone).Nanoseconds()
-	retained := false
-	for _, g := range groups {
-		g.lastCTS.Store(cts)
-		g.commitTxns.Add(1)
-		g.commitBatches.Add(1)
-		g.syncHist.Record(syncNs)
-		g.installHist.Record(installNs)
-		g.batchEWMA.Observe(1)
-	}
-	nowNs := syncDone.UnixNano()
-	for _, g := range groups {
-		var writes map[StateID][]string
-		for _, e := range entries {
-			if e.table.group != g || len(e.order) == 0 {
-				continue
-			}
-			e.table.commitsSinceGC.Add(1)
-			e.table.lastCommitNanos.Store(nowNs)
-			if writes == nil {
-				writes = make(map[StateID][]string)
-			}
-			writes[e.table.id] = e.order
-		}
-		if writes != nil && g.notify(cts, writes) {
-			retained = true
-		}
-	}
-	p.finish(tx)
-	recycleTxn(tx, retained)
-	return nil
-}
-
-// abortLocked marks the transaction aborted without needing group locks
-// released first (write sets are private, so dropping them is safe).
-func (p *protocolBase) abortLocked(tx *Txn) {
-	tx.mu.Lock()
-	if tx.finished.Swap(true) {
-		tx.mu.Unlock()
-		return
-	}
-	for _, e := range tx.states {
-		e.recycle(false)
-	}
-	tx.states = nil
-	tx.mu.Unlock()
-	close(tx.done)
-	p.ctx.unregister(tx)
 }

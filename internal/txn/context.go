@@ -3,7 +3,6 @@ package txn
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -218,6 +217,9 @@ type Group struct {
 	ctx    *Context
 	tables []*Table
 	byID   map[StateID]bool
+	// solo is []*Group{g}: the latch set of a commit confined to this
+	// group, built once so the commit hot path never allocates it.
+	solo []*Group
 
 	lastCTS atomic.Uint64
 
@@ -239,15 +241,15 @@ type Group struct {
 	// recorded verdict — or with the leadership baton, when the retiring
 	// leader leaves pending requests behind (one-batch tenures keep any
 	// single committer from serving the queue indefinitely). commitMu is
-	// the exclusivity latch: a leader holds it for its tenure, and
-	// multi-group transactions take the commitMu of every involved group
-	// in canonical order instead of queueing (see installCommit). qmu
+	// the exclusivity latch: a leader holds it for its tenure, and a
+	// transaction spanning groups takes the commitMu of every involved
+	// group in canonical order instead of queueing (see installCommit). qmu
 	// guards pending, pendingSubs, leaderActive and the queue handoff only
 	// and is never held across I/O.
 	commitMu     sync.Mutex
 	qmu          sync.Mutex
 	pending      []*commitReq
-	pendingSubs  int // submissions (groupCommit/groupCommitMany calls) in pending
+	pendingSubs  int // submissions (groupCommitMany calls) in pending
 	leaderActive bool
 	wake         chan struct{} // nudges a leader collecting its next batch
 	batchTarget  int           // previous batch's submitter count; leader-owned under commitMu
@@ -384,6 +386,7 @@ func (c *Context) CreateGroup(id GroupID, tables ...*Table) (*Group, error) {
 		return nil, fmt.Errorf("txn: group %q already exists", id)
 	}
 	g := &Group{id: id, ctx: c, byID: make(map[StateID]bool), wake: make(chan struct{}, 1)}
+	g.solo = []*Group{g}
 	for _, t := range tables {
 		if t.group != nil {
 			return nil, fmt.Errorf("txn: table %q already in group %q", t.id, t.group.id)
@@ -428,10 +431,10 @@ func (c *Context) CreateGroup(id GroupID, tables ...*Table) (*Group, error) {
 	return g, nil
 }
 
-// lockGroups acquires the commit mutexes of all groups in a canonical
-// order (by ID) to keep cross-group commits deadlock-free.
+// lockGroups acquires the commit mutexes of all groups in the order
+// given, which must be the canonical one (by ID, see txGroups) to keep
+// cross-group commits deadlock-free.
 func lockGroups(groups []*Group) {
-	sort.Slice(groups, func(i, j int) bool { return groups[i].id < groups[j].id })
 	for _, g := range groups {
 		g.commitMu.Lock()
 	}

@@ -16,7 +16,7 @@
 //	txn.go          Txn handles, write sets, snapshot pins
 //	table.go        Table: the MVCC dictionary over a kv.Store base table
 //	consistency.go  the shared commit machinery: per-state flags,
-//	                group-commit pipeline, multi-group slow path
+//	                commit pipeline (one, for any set of group latches)
 //	si.go           snapshot isolation (First-Committer-Wins)
 //	s2pl.go         strict two-phase locking (wait-die)
 //	bocc.go         backward-oriented optimistic validation

@@ -85,6 +85,20 @@ func (c *Context) failGroupsOnStores(stores []kv.Store, cause error) {
 	}
 }
 
+// poisonBatch is the commit pipeline's one error exit (see commitBatch):
+// cause poisons every latched group and every group with a table on one
+// of stores — the base stores a failed durability phase touched, nil for
+// an install-invariant trip, which no store saw — BEFORE the batch's
+// requests are decided with the sticky error, which wraps ErrGroupFailed
+// and cause alike.
+func (p *protocolBase) poisonBatch(groups []*Group, stores []kv.Store, reqs []*commitReq, cause error) {
+	for _, g := range groups {
+		g.fail(cause)
+	}
+	p.ctx.failGroupsOnStores(stores, cause)
+	p.failReqs(reqs, groups[0].Err())
+}
+
 // failReqs records the fail-stop verdict on a slice of commit requests:
 // each transaction is aborted and its owner woken with err. Versions a
 // partially processed batch may already have installed stay invisible
@@ -93,7 +107,7 @@ func (c *Context) failGroupsOnStores(stores []kv.Store, cause error) {
 func (p *protocolBase) failReqs(reqs []*commitReq, err error) {
 	for _, req := range reqs {
 		req.err = err
-		p.abortLocked(req.tx)
+		_ = p.abort(req.tx) // ErrFinished only; the verdict is err
 		close(req.ready)
 	}
 }

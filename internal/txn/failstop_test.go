@@ -2,6 +2,7 @@ package txn
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"sistream/internal/kv"
@@ -84,9 +85,11 @@ func TestMultiStoreFailurePoisonsAllTouchedGroups(t *testing.T) {
 	}
 }
 
-// TestMultiGroupCommitFailurePoisonsSpan exercises the slow path: a
-// transaction spanning two groups whose durability fails must poison
-// both groups, and later commits on either fail fast.
+// TestMultiGroupCommitFailurePoisonsSpan exercises the spanning commit
+// (one batch under the latches of both groups): a transaction spanning
+// two groups whose durability fails must poison both groups — its own
+// verdict already carrying the fail-stop class, exactly like the same
+// failure confined to one group — and later commits on either fail fast.
 func TestMultiGroupCommitFailurePoisonsSpan(t *testing.T) {
 	inner := kv.NewMem()
 	defer inner.Close()
@@ -102,8 +105,8 @@ func TestMultiGroupCommitFailurePoisonsSpan(t *testing.T) {
 	tx, _ := p.Begin()
 	p.Write(tx, a, "k", []byte("doomed"))
 	p.Write(tx, b, "k", []byte("doomed"))
-	if err := p.Commit(tx); !errors.Is(err, errDiskFull) {
-		t.Fatalf("cross-group commit = %v, want the injected disk error", err)
+	if err := p.Commit(tx); !errors.Is(err, errDiskFull) || !errors.Is(err, ErrGroupFailed) {
+		t.Fatalf("cross-group commit = %v, want ErrGroupFailed wrapping the injected disk error", err)
 	}
 	if err := g1.Err(); !errors.Is(err, ErrGroupFailed) {
 		t.Fatalf("g1.Err() = %v, want ErrGroupFailed", err)
@@ -112,7 +115,7 @@ func TestMultiGroupCommitFailurePoisonsSpan(t *testing.T) {
 		t.Fatalf("g2.Err() = %v, want ErrGroupFailed", err)
 	}
 
-	// The cross-group slow path rejects a spanning transaction too.
+	// A spanning transaction is rejected too.
 	fs.fail.Store(false)
 	tx2, _ := p.Begin()
 	p.Write(tx2, a, "k", []byte("later"))
@@ -122,6 +125,53 @@ func TestMultiGroupCommitFailurePoisonsSpan(t *testing.T) {
 	}
 	if ctx.ActiveCount() != 0 {
 		t.Fatalf("leaked slots: %d active", ctx.ActiveCount())
+	}
+}
+
+// TestMultiGroupCommitFailurePoisonsSpanOnInstall covers the pipeline's
+// other error exit under both latch sets: an install-invariant trip (a
+// version already installed above the commit timestamp — S2PL has no
+// admission check that would catch it first) must poison every latched
+// group and decide the commit with ErrGroupFailed wrapping the diagnostic.
+func TestMultiGroupCommitFailurePoisonsSpanOnInstall(t *testing.T) {
+	for _, spanning := range []bool{false, true} {
+		store := kv.NewMem()
+		defer store.Close()
+		ctx := NewContext()
+		a, _ := ctx.CreateTable("a", store, TableOptions{})
+		b, _ := ctx.CreateTable("b", store, TableOptions{})
+		var groups []*Group
+		if spanning {
+			g1, _ := ctx.CreateGroup("g1", a)
+			g2, _ := ctx.CreateGroup("g2", b)
+			groups = []*Group{g1, g2}
+		} else {
+			g, _ := ctx.CreateGroup("g", a, b)
+			groups = []*Group{g}
+		}
+		p := NewS2PL(ctx)
+
+		if err := b.object("k", true).Install(1<<40, []byte("future"), false, 0); err != nil {
+			t.Fatal(err)
+		}
+		tx, _ := p.Begin()
+		p.Write(tx, a, "k", []byte("doomed"))
+		p.Write(tx, b, "k", []byte("doomed"))
+		err := p.Commit(tx)
+		if !errors.Is(err, ErrGroupFailed) || !strings.Contains(err.Error(), "install invariant violated") {
+			t.Fatalf("spanning=%v: commit = %v, want ErrGroupFailed wrapping the install diagnostic", spanning, err)
+		}
+		for _, g := range groups {
+			if g.Err() == nil || g.Err().Error() != err.Error() {
+				t.Fatalf("spanning=%v: group %s Err() = %v, want the commit's verdict %v", spanning, g.ID(), g.Err(), err)
+			}
+			if g.LastCTS() != 0 {
+				t.Fatalf("spanning=%v: group %s published LastCTS %d for a failed batch", spanning, g.ID(), g.LastCTS())
+			}
+		}
+		if ctx.ActiveCount() != 0 || p.LockCount() != 0 {
+			t.Fatalf("spanning=%v: leaked %d slots, %d locks", spanning, ctx.ActiveCount(), p.LockCount())
+		}
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 // Transactional secondary indexes. An index maps a derived key (the
 // "index key", computed by a user extractor from a row's key and value)
 // to the set of row keys currently carrying it. Maintenance happens in
-// the SAME write path as the table itself: the group-commit leader (and
-// the multi-group slow path) derives index mutations from every admitted
-// row write, appends them to the SAME coalesced durability batch, and
+// the SAME write path as the table itself: the commit pipeline
+// (commitBatch) derives index mutations from every admitted row write,
+// appends them to the SAME coalesced durability batch, and
 // installs them into the index's version store at the SAME commit
 // timestamp as the row — so an index is never ahead of or behind its
 // table, under all three concurrency-control protocols, and aborted

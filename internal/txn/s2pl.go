@@ -161,10 +161,10 @@ func (p *S2PL) Delete(tx *Txn, tbl *Table, key string) error {
 
 // CommitState implements Protocol.
 func (p *S2PL) CommitState(tx *Txn, tbl *Table) error {
-	if err := requireGroup(tbl); err != nil {
+	if coordinator, err := flagState(tx, tbl); err != nil || !coordinator {
 		return err
 	}
-	return commitState(tx, tbl, func() error { return p.finishCommit(tx) })
+	return p.finishCommit(tx)
 }
 
 // Commit implements Protocol.

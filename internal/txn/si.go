@@ -19,7 +19,7 @@ import (
 //     leader admits it (First-Committer-Wins, against installed versions
 //     plus earlier same-batch admissions), persists one coalesced
 //     (optionally synchronous) batch per base store, installs the versions
-//     and publishes LastCTS once per batch (see leaderCommit).
+//     and publishes LastCTS once per batch (see commitBatch).
 //   - Abort just discards the write set — no undo is ever needed inside
 //     the table.
 type SI struct {
@@ -162,10 +162,8 @@ func (p *SI) admitFCW(tx *Txn, ov *commitOverlay) error {
 			if o != nil {
 				latest = o.LatestCTS()
 			}
-			if ov != nil {
-				if ts := ov.pending[e.table][key]; ts > latest {
-					latest = ts
-				}
+			if ts := ov.pending[e.table][key]; ts > latest {
+				latest = ts
 			}
 			if latest > snapshot {
 				return fmt.Errorf("%w: state %q key %q (latest %d > snapshot %d)",
@@ -179,12 +177,10 @@ func (p *SI) admitFCW(tx *Txn, ov *commitOverlay) error {
 // CommitState implements Protocol (the consistency protocol's per-state
 // flag; see Section 4.3).
 func (p *SI) CommitState(tx *Txn, tbl *Table) error {
-	if err := requireGroup(tbl); err != nil {
+	if coordinator, err := flagState(tx, tbl); err != nil || !coordinator {
 		return err
 	}
-	return commitState(tx, tbl, func() error {
-		return p.installCommit(tx, func(ov *commitOverlay) error { return p.admitFCW(tx, ov) })
-	})
+	return p.installCommit(tx, func(ov *commitOverlay) error { return p.admitFCW(tx, ov) })
 }
 
 // Commit implements Protocol.
