@@ -30,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"sistream/internal/kv"
 	"sistream/internal/lsm"
@@ -108,6 +109,9 @@ func main() {
 			st.BlockCacheBlocks, st.BlockCacheHits, st.BlockCacheMisses)
 		fmt.Printf("wal recovery: %d records replayed, %d torn tails discarded\n",
 			st.WALRecordsRecovered, st.WALTornTails)
+		fmt.Printf("write path:   %d wal segments recycled, %d write stalls, flush %s, compaction %s\n",
+			st.WALSegmentsRecycled, st.WriteStalls,
+			time.Duration(st.FlushNanos), time.Duration(st.CompactionNanos))
 		var files, size int
 		for l := range st.LevelFiles {
 			if st.LevelFiles[l] == 0 {
@@ -175,12 +179,12 @@ func walDump(dir, walFile string, skipCorrupt bool) {
 	}
 	for _, path := range paths {
 		fmt.Printf("-- %s\n", path)
-		stats, err := lsm.DumpWAL(path, skipCorrupt, func(off int64, ops []lsm.WALEntry) bool {
+		stats, err := lsm.DumpWAL(path, skipCorrupt, func(off int64, logNum uint64, ops []lsm.WALEntry) bool {
 			for _, op := range ops {
 				if op.Delete {
-					fmt.Printf("%08d  DEL %q\n", off, op.Key)
+					fmt.Printf("%08d  log %d  DEL %q\n", off, logNum, op.Key)
 				} else {
-					fmt.Printf("%08d  PUT %q = %q\n", off, op.Key, op.Value)
+					fmt.Printf("%08d  log %d  PUT %q = %q\n", off, logNum, op.Key, op.Value)
 				}
 			}
 			return true
@@ -192,6 +196,9 @@ func walDump(dir, walFile string, skipCorrupt bool) {
 		}
 		if stats.TornTail {
 			fmt.Fprintf(os.Stderr, ", torn tail discarded")
+		}
+		if stats.StaleBytes > 0 {
+			fmt.Fprintf(os.Stderr, ", %d bytes of a recycled segment's previous life ignored", stats.StaleBytes)
 		}
 		fmt.Fprintln(os.Stderr)
 		if err != nil {

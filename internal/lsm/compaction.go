@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"time"
 )
 
 // Compaction policy (leveled, LevelDB-style, simplified):
@@ -18,10 +19,11 @@ import (
 //     level that contains any data for the key range — at that point no
 //     older value can be shadowed.
 //
-// Compactions run synchronously on the writer path right after a flush;
-// this keeps the implementation single-threaded and deterministic, which
-// the benchmark harness prefers (no background jitter), at the cost of an
-// occasional latency spike on the writer — acknowledged in DESIGN.md.
+// Compactions run on the flush worker right after a flush (DB.background)
+// — off the writer's path, one at a time — or, for a forced full
+// compaction, on the caller of DB.Compact, which drains the worker first
+// and keeps writers out. Either way exactly one goroutine changes the
+// table layout at any time.
 
 // maxBytesForLevel returns the size budget of level l (l >= 1).
 func (d *DB) maxBytesForLevel(l int) uint64 {
@@ -46,10 +48,12 @@ func (d *DB) pickCompaction() (level int) {
 	return -1
 }
 
-// compact runs one compaction from the given level. Called WITHOUT d.mu;
-// only the writer thread calls it, so the level layout can only change
-// under our feet by... nobody. Readers share the version via refcounts.
+// compact runs one compaction from the given level. Called WITHOUT d.mu,
+// by the one goroutine that may change the table layout (see the policy
+// comment above), so the layout cannot change under it. Readers share
+// the version via refcounts.
 func (d *DB) compact(level int) error {
+	start := time.Now()
 	d.mu.Lock()
 	v := d.cur
 	v.ref()
@@ -142,19 +146,36 @@ func (d *DB) compact(level int) error {
 		})
 	}
 
+	err = d.logEdit(edit)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	v.unref()
-	return d.applyEdit(edit, outputs)
+	if err != nil {
+		return err
+	}
+	d.installEdit(edit, outputs)
+	d.compactions++
+	d.compactionNanos += int64(time.Since(start))
+	return nil
 }
 
-// applyEdit installs a compaction/flush edit: appends it to the manifest,
-// swaps in the new version, and retires replaced files. Called with d.mu.
-func (d *DB) applyEdit(edit *versionEdit, outputs []*fileMeta) error {
+// logEdit appends a flush or compaction edit to the manifest and syncs it.
+// Called WITHOUT d.mu — the sync must not hold up readers and memtable
+// inserts — by the one goroutine that may change the table layout, so
+// appends never interleave.
+func (d *DB) logEdit(edit *versionEdit) error {
+	d.mu.RLock()
 	edit.NextFileNum = d.nextFileNum
+	d.mu.RUnlock()
 	if err := d.manifest.append(edit); err != nil {
 		return fmt.Errorf("lsm: manifest append: %w", err)
 	}
+	return nil
+}
+
+// installEdit makes a logged edit visible: swaps in the new version and
+// retires replaced files. Called with d.mu.
+func (d *DB) installEdit(edit *versionEdit, outputs []*fileMeta) {
 	nv := d.cur.clone()
 	drop := func(l int, num uint64) {
 		files := nv.levels[l]
@@ -179,7 +200,6 @@ func (d *DB) applyEdit(edit *versionEdit, outputs []*fileMeta) error {
 	old := d.cur
 	d.cur = nv
 	old.unref()
-	return nil
 }
 
 // writeCompactionOutputs drains the merge into one or more SSTables,

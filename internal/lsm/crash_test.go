@@ -120,7 +120,7 @@ func TestCrashBeforeOldWALRemoval(t *testing.T) {
 
 	// Resurrect a stale log OLDER than the manifest's recorded LogNum,
 	// holding a value that must not come back.
-	stale, err := newWALWriter(walPath(dir, liveWAL-1))
+	stale, err := newWALWriter(walPath(dir, liveWAL-1), liveWAL-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,10 +175,7 @@ func TestCrashTornWALAfterFlush(t *testing.T) {
 
 	// Tear: append a record and chop it mid-payload.
 	path := walPath(dir, liveWAL)
-	w, err := newWALWriter(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := reopenWAL(t, path)
 	if err := w.append(encodeBatchPayload(nil, []walOp{
 		{kind: kindPut, key: []byte("torn"), value: []byte("never-acked")},
 	}), true); err != nil {
@@ -391,10 +388,7 @@ func TestVerifyDirCleanAndCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := newWALWriter(wal)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := reopenWAL(t, wal)
 	if err := w.append(encodeBatchPayload(nil, []walOp{{kind: kindPut, key: []byte("after"), value: []byte("y")}}), true); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"sistream/internal/kv"
 )
@@ -81,28 +82,58 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// overlapMinOps is the batch size from which a synced Apply inserts into
+// the memtable on a second goroutine while the caller waits for the
+// device. Starting that goroutine and collecting it costs a few
+// microseconds of scheduling, which a skip-list insert of about a
+// microsecond per op repays only for batches well beyond a handful; below
+// the cut-over the hand-off would add to the commit latency it is meant
+// to shorten.
+const overlapMinOps = 32
+
 // DB is a persistent key-value store implementing kv.Store. See the
-// package comment for the on-disk architecture.
+// package comment for the on-disk architecture and the concurrency model.
 type DB struct {
 	dir  string
 	opts Options
 
-	// writeMu serializes the write path (WAL append + memtable insert +
-	// flush/compaction). Held for the full duration of Apply.
+	// writeMu serializes the writers: Apply, Sync, Flush, Compact and
+	// Close. It covers the WAL writer and the hand-over of a full memtable
+	// to the flush worker; the worker itself never takes it.
 	writeMu sync.Mutex
 
 	// mu guards the fields below. Readers take RLock briefly to snapshot
-	// (memtable, version) and then work lock-free on the snapshot.
-	mu          sync.RWMutex
-	mem         *memtable
+	// (memtable, immutable memtable, version) and then work lock-free on
+	// the snapshot; memtable inserts take it exclusively.
+	mu  sync.RWMutex
+	mem *memtable
+	// imm is the full memtable the worker is writing to an L0 table, nil
+	// when there is none; it is never modified. immLog is its log, retired
+	// once the table is installed (0 for the open-time flush, whose logs
+	// Open removes itself).
+	imm         *memtable
+	immLog      uint64
 	cur         *version
 	wal         *walWriter
 	walNum      uint64
+	retiredWAL  uint64 // a flushed generation's log file kept for recycling; 0: none
 	nextFileNum uint64
 	manifest    *manifestWriter
 	manifestNum uint64
 	compactPtr  [numLevels][]byte
 	closed      bool
+
+	// The flush worker (background) sleeps on bgCond (over mu) until imm
+	// is set or the DB closes; it broadcasts when a flush is installed and
+	// when it goes idle. bgBusy is set while it flushes and compacts;
+	// bgDone is closed when it has exited.
+	bgCond *sync.Cond
+	bgBusy bool
+	bgDone chan struct{}
+
+	// inserted collects the memtable-insert goroutine of an overlapped
+	// Apply; capacity 1 so that goroutine never waits for the collector.
+	inserted chan struct{}
 
 	// failure, when non-nil, is the sticky fail-stop record: a write-path
 	// error of unknowable durable effect happened and the DB refuses all
@@ -113,10 +144,14 @@ type DB struct {
 	cache *blockCache
 
 	// stats
-	flushes     int
-	compactions int
+	flushes         int
+	compactions     int
+	flushNanos      int64
+	compactionNanos int64
+	walsRecycled    int
+	writeStalls     int
 	// WAL recovery counters, set once at Open: durable records replayed
-	// and torn final records (partial appends from a crash) discarded.
+	// and logs that ended in a record failing validation.
 	walRecovered int
 	walTornTails int
 }
@@ -130,7 +165,9 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, err
 	}
 	d := &DB{dir: dir, opts: opts, mem: newMemtable(), cur: newVersion(), nextFileNum: 1,
-		cache: newBlockCache(opts.BlockCacheBlocks)}
+		cache:  newBlockCache(opts.BlockCacheBlocks),
+		bgDone: make(chan struct{}), inserted: make(chan struct{}, 1)}
+	d.bgCond = sync.NewCond(&d.mu)
 
 	manifestNum, haveCurrent, err := readCurrent(dir)
 	if err != nil {
@@ -144,12 +181,20 @@ func Open(dir string, opts Options) (*DB, error) {
 		}
 	}
 
-	// Replay any WALs at or after logNum into the memtable, oldest first.
+	// Replay the WALs at or after logNum into the memtable, oldest first:
+	// after a crash with a flush under way that is two logs, the immutable
+	// memtable's and then the active one's.
 	wals, ssts, manifests, err := listFiles(dir)
 	if err != nil {
 		return nil, err
 	}
-	replayed := false
+	// File numbers are handed out while an edit is on its way to the
+	// manifest, so the recorded NextFileNum can trail what is on disk.
+	for _, nums := range [][]uint64{wals, ssts, manifests} {
+		if n := len(nums); n > 0 && nums[n-1] >= d.nextFileNum {
+			d.nextFileNum = nums[n-1] + 1
+		}
+	}
 	for _, num := range wals {
 		if num < logNum {
 			continue
@@ -167,26 +212,30 @@ func Open(dir string, opts Options) (*DB, error) {
 		if err != nil {
 			return nil, fmt.Errorf("lsm: replay wal %d: %w", num, err)
 		}
-		replayed = true
 	}
 
 	// Start a fresh manifest so old edits are compacted away.
 	if err := d.rotateManifest(); err != nil {
 		return nil, err
 	}
-	// Fresh WAL for new writes.
-	if err := d.rotateWAL(); err != nil {
+	// A new log for new writes: never a recycled one, so Open pays for no
+	// rename and writes nothing ahead of need.
+	replayed := d.mem
+	d.walNum = d.nextFileNum
+	d.nextFileNum++
+	if d.wal, err = d.openWAL(d.walNum, 0); err != nil {
 		return nil, err
 	}
-	// If recovery found WAL data, persist it as an SSTable now so the old
-	// WALs can be removed and the state is clean.
-	if replayed && d.mem.len() > 0 {
-		if err := d.flushLocked(); err != nil {
+	if replayed.len() > 0 {
+		// Persist what recovery found as an SSTable now, so the old WALs
+		// can be removed and the state is clean.
+		d.imm, d.mem = replayed, newMemtable()
+		if err := d.flushImm(); err != nil {
 			return nil, err
 		}
 	} else {
 		// Record the current log number so recovery ignores older WALs.
-		if err := d.manifest.append(&versionEdit{LogNum: d.walNum, NextFileNum: d.nextFileNum}); err != nil {
+		if err := d.logEdit(&versionEdit{LogNum: d.walNum}); err != nil {
 			return nil, err
 		}
 	}
@@ -204,15 +253,14 @@ func Open(dir string, opts Options) (*DB, error) {
 		}
 	}
 	for _, num := range wals {
-		if num != d.walNum {
-			os.Remove(walPath(dir, num))
-		}
+		os.Remove(walPath(dir, num))
 	}
 	for _, num := range manifests {
 		if num != d.manifestNum {
 			os.Remove(manifestPath(dir, num))
 		}
 	}
+	go d.background()
 	return d, nil
 }
 
@@ -298,19 +346,73 @@ func (d *DB) rotateManifest() error {
 	return nil
 }
 
-// rotateWAL closes the current WAL (if any) and opens a fresh one.
-func (d *DB) rotateWAL() error {
+// openWAL opens the file of log num — the retired log recycle renamed to
+// it, or a new file when recycle is 0 — and makes the name durable before
+// anything in the log can be acknowledged: a record synced into a file
+// whose (re)name a crash forgets would be lost with it.
+func (d *DB) openWAL(num, recycle uint64) (w *walWriter, err error) {
+	if recycle != 0 {
+		w, err = recycleWAL(d.dir, recycle, num)
+	} else {
+		w, err = newWALWriter(walPath(d.dir, num), num)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := syncDir(d.dir); err != nil {
+		w.close()
+		return nil, fmt.Errorf("lsm: sync dir for wal %d: %w", num, err)
+	}
+	return w, nil
+}
+
+// switchMemtable makes the active memtable the immutable one, handing it
+// to the flush worker, and starts a new memtable on a new log — a
+// recycled file when a flushed generation has left one. It waits first
+// if the previous immutable memtable is still being flushed, the only
+// stall a writer can meet. The old log stays on disk until its memtable
+// is in a table; it is synced here if anything in it is not, so that
+// nothing the new log acknowledges can outlive a write that preceded it.
+// Caller holds writeMu.
+func (d *DB) switchMemtable() error {
+	d.mu.Lock()
+	if d.imm != nil {
+		d.writeStalls++
+		for d.imm != nil && d.Err() == nil {
+			d.bgCond.Wait()
+		}
+	}
+	if err := d.Err(); err != nil {
+		d.mu.Unlock()
+		return err
+	}
 	num := d.nextFileNum
 	d.nextFileNum++
-	w, err := newWALWriter(walPath(d.dir, num))
+	recycle := d.retiredWAL
+	d.retiredWAL = 0
+	old := d.wal
+	d.mu.Unlock()
+
+	if old.unsynced {
+		if err := old.sync(); err != nil {
+			return err
+		}
+	}
+	w, err := d.openWAL(num, recycle)
 	if err != nil {
 		return err
 	}
-	if d.wal != nil {
-		d.wal.close()
+	old.close()
+
+	d.mu.Lock()
+	d.imm, d.immLog = d.mem, d.walNum
+	d.mem = newMemtable()
+	d.wal, d.walNum = w, num
+	if recycle != 0 {
+		d.walsRecycled++
 	}
-	d.wal = w
-	d.walNum = num
+	d.bgCond.Broadcast()
+	d.mu.Unlock()
 	return nil
 }
 
@@ -343,43 +445,49 @@ func (d *DB) fail(err error) error {
 }
 
 // checkWrite gates the write path: closed beats failed, failed beats
-// everything else.
-func (d *DB) checkWrite() error {
+// everything else. full reports a memtable at its flush threshold.
+func (d *DB) checkWrite() (full bool, err error) {
 	d.mu.RLock()
-	err := d.checkOpen()
+	err = d.checkOpen()
+	full = d.mem.approximateBytes() >= d.opts.MemtableBytes
 	d.mu.RUnlock()
-	if err != nil {
-		return err
+	if err == nil {
+		err = d.Err()
 	}
-	return d.Err()
+	return full, err
 }
 
-// Get implements kv.Store.
+// Get implements kv.Store: the memtable, then the immutable memtable,
+// then the levels — newest data first.
 func (d *DB) Get(key []byte) ([]byte, bool, error) {
 	d.mu.RLock()
 	if err := d.checkOpen(); err != nil {
 		d.mu.RUnlock()
 		return nil, false, err
 	}
-	if v, kind, found := d.mem.get(key); found {
-		// Copy out: the memtable buffer may be overwritten in place.
-		var out []byte
-		if kind == kindPut {
-			out = append([]byte(nil), v...)
-		}
-		d.mu.RUnlock()
-		if kind == kindDelete {
-			return nil, false, nil
-		}
-		return out, true, nil
+	value, kind, found := d.mem.get(key)
+	if found {
+		// Copy out under the latch: the memtable may overwrite in place.
+		value = append([]byte(nil), value...)
 	}
+	imm := d.imm
 	v := d.cur
 	v.ref()
 	d.mu.RUnlock()
 	defer v.unref()
-	value, kind, found, err := v.get(key)
-	if err != nil || !found || kind == kindDelete {
-		return nil, false, err
+	if !found && imm != nil {
+		if value, kind, found = imm.get(key); found {
+			value = append([]byte(nil), value...)
+		}
+	}
+	if !found {
+		var err error
+		if value, kind, found, err = v.get(key); err != nil {
+			return nil, false, err
+		}
+	}
+	if !found || kind == kindDelete {
+		return nil, false, nil
 	}
 	return value, true, nil
 }
@@ -398,54 +506,107 @@ func (d *DB) Delete(key []byte) error {
 	return d.Apply(b, d.opts.SyncWrites)
 }
 
-// Apply implements kv.Store: one WAL record, then the memtable, then a
-// flush + compaction round if the memtable is full. The batch is durable
-// on return when sync is true.
+// Apply implements kv.Store: one WAL record, then the memtable. With sync
+// the batch is durable on return, and the call costs one write and one
+// data-only sync: from overlapMinOps operations on, the memtable inserts
+// run on a second goroutine while this one waits for the device. A full
+// memtable is handed to the flush worker first (see switchMemtable), so
+// neither a flush nor a compaction runs inside Apply.
+//
+// Fail-stop: a failed WAL write leaves the memtable untouched. A failed
+// sync may find the batch already in the memtable, where reads of the
+// failed DB can see it — it was never acknowledged, that memtable is
+// never flushed, and a reopen recovers the synced prefix only.
 func (d *DB) Apply(b *kv.Batch, sync bool) error {
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()
 
-	if err := d.checkWrite(); err != nil {
+	full, err := d.checkWrite()
+	if err != nil {
 		return err
 	}
+	if full {
+		if err := d.switchMemtable(); err != nil {
+			return d.fail(err)
+		}
+	}
 
-	if err := d.wal.appendBatch(b.Ops(), sync); err != nil {
+	ops := b.Ops()
+	if err := d.wal.appendBatch(ops); err != nil {
 		// Fail-stop: the WAL's durable contents are now unknown (the
 		// writer's sticky error, see walWriter); no later write may
 		// report success on top of it.
 		return d.fail(err)
 	}
-
-	d.mu.Lock()
-	for _, op := range b.Ops() {
-		d.mem.set(op.Key, op.Value, walKind(op.Kind))
-	}
-	full := d.mem.approximateBytes() >= d.opts.MemtableBytes
-	d.mu.Unlock()
-
-	if full {
-		if err := d.flushLocked(); err != nil {
+	switch {
+	case !sync:
+		d.insert(ops)
+	case len(ops) < overlapMinOps:
+		if err := d.wal.sync(); err != nil {
 			return d.fail(err)
 		}
-		if !d.opts.DisableAutoCompaction {
-			if err := d.maybeCompact(); err != nil {
-				return d.fail(err)
-			}
+		d.insert(ops)
+	default:
+		go func() {
+			d.insert(ops)
+			d.inserted <- struct{}{}
+		}()
+		err := d.wal.sync()
+		<-d.inserted
+		if err != nil {
+			return d.fail(err)
 		}
 	}
 	return nil
 }
 
-// flushLocked writes the memtable to an L0 SSTable, rotates the WAL and
-// installs the edit. Caller must hold writeMu (or be the only goroutine,
-// as during Open).
-func (d *DB) flushLocked() error {
+// insert applies ops to the active memtable.
+func (d *DB) insert(ops []kv.Op) {
 	d.mu.Lock()
-	mem := d.mem
-	if mem.len() == 0 {
-		d.mu.Unlock()
-		return nil
+	for _, op := range ops {
+		d.mem.set(op.Key, op.Value, walKind(op.Kind))
 	}
+	d.mu.Unlock()
+}
+
+// background is the flush worker: it writes each immutable memtable to an
+// L0 table, installs the edit, retires the memtable's log and runs the
+// compactions the new table makes due. It exits when the DB is closed
+// (after flushing a memtable still waiting) or has failed.
+func (d *DB) background() {
+	defer close(d.bgDone)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for {
+		for d.imm == nil && !d.closed {
+			d.bgCond.Wait()
+		}
+		if d.imm == nil || d.Err() != nil {
+			return
+		}
+		d.bgBusy = true
+		d.mu.Unlock()
+		err := d.flushImm()
+		if err == nil && !d.opts.DisableAutoCompaction {
+			err = d.maybeCompact()
+		}
+		if err != nil {
+			d.fail(fmt.Errorf("lsm: flush worker: %w", err))
+		}
+		d.mu.Lock()
+		d.bgBusy = false
+		d.bgCond.Broadcast()
+	}
+}
+
+// flushImm writes the immutable memtable to an L0 SSTable, installs the
+// edit (which moves the manifest's log number past the memtable's log)
+// and retires that log. Only the flush worker calls it, and Open before
+// the worker exists.
+func (d *DB) flushImm() error {
+	start := time.Now()
+	d.mu.Lock()
+	imm, immLog, logNum := d.imm, d.immLog, d.walNum
 	num := d.nextFileNum
 	d.nextFileNum++
 	d.mu.Unlock()
@@ -454,7 +615,7 @@ func (d *DB) flushLocked() error {
 	if err != nil {
 		return err
 	}
-	it := mem.iterator()
+	it := imm.iterator()
 	for it.seekToFirst(); it.valid(); it.next() {
 		b.add(it.key(), it.value(), it.kind())
 	}
@@ -472,26 +633,31 @@ func (d *DB) flushLocked() error {
 		largest:  append([]byte(nil), largest...),
 		reader:   reader, dir: d.dir,
 	}
-
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	oldWAL := d.walNum
-	if err := d.rotateWAL(); err != nil {
-		return err
-	}
+	// The active log cannot change while imm is set, so logNum still
+	// names it: every older log is covered by the new table.
 	edit := &versionEdit{
-		LogNum: d.walNum,
+		LogNum: logNum,
 		AddFiles: []editFile{{
 			Level: 0, Num: num, Size: size, Count: count,
 			Smallest: fm.smallest, Largest: fm.largest,
 		}},
 	}
-	if err := d.applyEdit(edit, []*fileMeta{fm}); err != nil {
+	if err := d.logEdit(edit); err != nil {
 		return err
 	}
-	d.mem = newMemtable()
+
+	d.mu.Lock()
+	d.installEdit(edit, []*fileMeta{fm})
+	d.imm = nil
 	d.flushes++
-	os.Remove(walPath(d.dir, oldWAL))
+	d.flushNanos += int64(time.Since(start))
+	// The flushed memtable's log becomes the next switch's file. The slot
+	// is free: the switch that made this memtable immutable emptied it.
+	if immLog != 0 {
+		d.retiredWAL = immLog
+	}
+	d.bgCond.Broadcast()
+	d.mu.Unlock()
 	return nil
 }
 
@@ -507,28 +673,39 @@ func (d *DB) maybeCompact() error {
 		if err := d.compact(level); err != nil {
 			return err
 		}
-		d.mu.Lock()
-		d.compactions++
-		d.mu.Unlock()
 	}
 }
 
-// Flush forces the memtable to disk; exposed for tests and tooling.
-func (d *DB) Flush() error {
-	d.writeMu.Lock()
-	defer d.writeMu.Unlock()
-	if err := d.checkWrite(); err != nil {
-		return err
-	}
-	if err := d.flushLocked(); err != nil {
-		return d.fail(err)
-	}
-	if !d.opts.DisableAutoCompaction {
-		if err := d.maybeCompact(); err != nil {
+// drain flushes the memtable (when it holds anything) and waits until the
+// flush worker has nothing left to do, reporting the sticky failure if
+// the DB failed meanwhile. Caller holds writeMu, so the worker stays idle
+// afterwards for as long as the caller keeps it.
+func (d *DB) drain() error {
+	d.mu.RLock()
+	empty := d.mem.len() == 0
+	d.mu.RUnlock()
+	if !empty {
+		if err := d.switchMemtable(); err != nil {
 			return d.fail(err)
 		}
 	}
-	return nil
+	d.mu.Lock()
+	for (d.imm != nil || d.bgBusy) && d.Err() == nil {
+		d.bgCond.Wait()
+	}
+	d.mu.Unlock()
+	return d.Err()
+}
+
+// Flush forces the memtable to disk (and runs the compactions that makes
+// due); exposed for tests and tooling.
+func (d *DB) Flush() error {
+	d.writeMu.Lock()
+	defer d.writeMu.Unlock()
+	if _, err := d.checkWrite(); err != nil {
+		return err
+	}
+	return d.drain()
 }
 
 // Compact forces a full compaction: the memtable is flushed and every
@@ -538,11 +715,11 @@ func (d *DB) Flush() error {
 func (d *DB) Compact() error {
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()
-	if err := d.checkWrite(); err != nil {
+	if _, err := d.checkWrite(); err != nil {
 		return err
 	}
-	if err := d.flushLocked(); err != nil {
-		return d.fail(err)
+	if err := d.drain(); err != nil {
+		return err
 	}
 	for level := 0; level < numLevels-1; level++ {
 		for {
@@ -563,16 +740,14 @@ func (d *DB) Compact() error {
 			if err := d.compact(level); err != nil {
 				return d.fail(err)
 			}
-			d.mu.Lock()
-			d.compactions++
-			d.mu.Unlock()
 		}
 	}
 	return nil
 }
 
-// Scan implements kv.Store. It merges the memtable with all table levels
-// and yields live (non-tombstone) entries in ascending key order.
+// Scan implements kv.Store. It merges the memtable, the immutable memtable
+// and all table levels and yields live (non-tombstone) entries in
+// ascending key order.
 //
 // The scan holds the database read lock for its whole duration, so fn must
 // not call back into the DB. Transactional reads in this repository are
@@ -588,6 +763,10 @@ func (d *DB) Scan(start, end []byte, fn func(key, value []byte) bool) error {
 	age := 0
 	sources = append(sources, &mergeSource{it: &memIterAdapter{it: d.mem.iterator()}, age: age})
 	age++
+	if d.imm != nil {
+		sources = append(sources, &mergeSource{it: &memIterAdapter{it: d.imm.iterator()}, age: age})
+		age++
+	}
 	for _, f := range d.cur.levels[0] {
 		sources = append(sources, &mergeSource{it: f.reader.iterator(), age: age})
 		age++
@@ -613,19 +792,17 @@ func (d *DB) Scan(start, end []byte, fn func(key, value []byte) bool) error {
 	return nil
 }
 
-// Sync implements kv.Store: it fsyncs the active WAL. A sync failure is
+// Sync implements kv.Store: it syncs the active WAL (an older log still
+// on disk was synced when it was switched away from). A sync failure is
 // fail-stop (see ErrDBFailed) — the kernel may drop dirty pages after
 // reporting it, so retrying could silently lose acknowledged writes.
 func (d *DB) Sync() error {
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()
-	if err := d.checkWrite(); err != nil {
+	if _, err := d.checkWrite(); err != nil {
 		return err
 	}
-	d.mu.RLock()
-	w := d.wal
-	d.mu.RUnlock()
-	if err := w.sync(); err != nil {
+	if err := d.wal.sync(); err != nil {
 		return d.fail(err)
 	}
 	return nil
@@ -633,18 +810,28 @@ func (d *DB) Sync() error {
 
 // Close implements kv.Store. It does NOT flush the memtable: unflushed but
 // WAL-durable writes are recovered on the next Open, which is exactly the
-// crash-consistency path and keeps Close cheap.
+// crash-consistency path and keeps Close cheap. A flush already handed to
+// the worker is finished first; the worker has exited when Close returns.
 func (d *DB) Close() error {
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.closed {
+		d.mu.Unlock()
 		return kv.ErrClosed
 	}
 	d.closed = true
+	d.bgCond.Broadcast()
+	d.mu.Unlock()
+	<-d.bgDone
+
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.wal.close()
 	d.manifest.close()
+	if d.retiredWAL != 0 {
+		os.Remove(walPath(d.dir, d.retiredWAL))
+	}
 	d.cur.unref()
 	d.cur = newVersion() // keep pointer valid for stragglers
 	return nil
@@ -665,14 +852,25 @@ type Stats struct {
 	// BlockCacheBlocks is the current number of cached blocks.
 	BlockCacheBlocks int
 	// WALRecordsRecovered counts the durable WAL records replayed into
-	// the memtable by this Open; WALTornTails counts logs whose final
-	// record was torn (a crash mid-append — the partial record was never
-	// acknowledged durable and is discarded, which is the expected
+	// the memtable by this Open; WALTornTails counts logs that ended in a
+	// record failing validation (a crash mid-append, or in a recycled
+	// segment the remains of its previous life — never acknowledged
+	// durable either way and discarded, which is the expected
 	// crash-recovery shape, surfaced here so operators can tell it apart
 	// from silence). Mid-file corruption is NOT a counter: it fails the
 	// Open (see lsmtool wal-dump --skip-corrupt for salvage).
 	WALRecordsRecovered int
 	WALTornTails        int
+	// WALSegmentsRecycled counts memtable switches whose new log reused a
+	// retired log file instead of creating one. WriteStalls counts
+	// switches that had to wait for the previous memtable's flush — the
+	// only time a writer waits for the flush worker.
+	WALSegmentsRecycled int
+	WriteStalls         int
+	// FlushNanos and CompactionNanos are the cumulative wall time of all
+	// memtable flushes and of all compactions.
+	FlushNanos      int64
+	CompactionNanos int64
 }
 
 // Stats returns a snapshot of internal counters.
@@ -686,6 +884,10 @@ func (d *DB) Stats() Stats {
 		MemKeys:             d.mem.len(),
 		WALRecordsRecovered: d.walRecovered,
 		WALTornTails:        d.walTornTails,
+		WALSegmentsRecycled: d.walsRecycled,
+		WriteStalls:         d.writeStalls,
+		FlushNanos:          d.flushNanos,
+		CompactionNanos:     d.compactionNanos,
 	}
 	s.BlockCacheHits, s.BlockCacheMisses = d.cache.stats()
 	s.BlockCacheBlocks = d.cache.len()

@@ -17,18 +17,42 @@
 // A database directory holds numbered WAL files (one per memtable
 // generation), SSTables, a manifest of version edits, and CURRENT
 // pointing at the live manifest. Open rebuilds the level structure from
-// the manifest and replays any WAL at or after its recorded log number.
-// Replay is strict about corruption: a torn FINAL record — a crash
-// mid-append, never acknowledged durable — is discarded (counted in
-// Stats.WALTornTails), but mid-file corruption fails the Open, because
-// the records after it were acknowledged and silently dropping them
-// would be data loss. DumpWAL / `lsmtool wal-dump --skip-corrupt` is the
+// the manifest and replays every WAL at or after its recorded log number
+// in order — two after a crash that caught a flush under way: the
+// immutable memtable's log, then the active one's. A flushed
+// generation's log file is recycled: renamed to the next log number and
+// overwritten in place, so a sync of it needs no file-system journal
+// commit. Every record therefore carries its log number under the CRC,
+// and replay is strict about corruption: the log ends cleanly at an
+// intact record of another log (the previous life's tail), a record that
+// fails validation with no later record of this log is a torn FINAL
+// record — a crash mid-append, never acknowledged durable — and is
+// discarded (counted in Stats.WALTornTails), but a broken record with an
+// intact one after it fails the Open, because the records after it were
+// acknowledged and silently dropping them would be data loss (wal.go has
+// the exact rules). DumpWAL / `lsmtool wal-dump --skip-corrupt` is the
 // salvage path for that situation: it decodes a log read-only and can
 // resynchronize past corrupt records.
 //
-// The concurrency model is single-writer (writeMu serializes Apply,
-// flush and compaction) with lock-free snapshot readers: Get/Scan
-// briefly take a read latch to snapshot (memtable, version) and then
-// work on immutable state. See DESIGN.md for how the transactional
+// # Concurrency
+//
+// Writers are serialized by writeMu: an Apply writes one WAL record,
+// makes it durable with one data-only sync when asked to, and inserts the
+// batch into the memtable — for larger synced batches on a second
+// goroutine while the caller waits for the device. Nothing else runs
+// inside Apply. When the memtable is full the writer switches to a new
+// memtable and log and hands the full one, now immutable, to the flush
+// worker, the single goroutine that writes L0 tables, installs version
+// edits, retires logs and runs compactions; a writer waits for it only
+// when the previous immutable memtable has still not been flushed
+// (Stats.WriteStalls). Flush, Compact and Close drain the worker first.
+// Readers never block on any of this beyond a memtable insert: Get/Scan
+// briefly take a read latch to snapshot (memtable, immutable memtable,
+// version) and then work on immutable state. Any error on the write
+// path — in a writer or in the worker — latches the sticky ErrDBFailed:
+// writes are refused from then on, reads keep serving. After a failed
+// sync, reads of the failed DB may reflect the final unacknowledged
+// batch; it is never flushed and never survives a reopen. See DESIGN.md
+// ("LSM write path") for the cost breakdown and how the transactional
 // layers above use the store.
 package lsm

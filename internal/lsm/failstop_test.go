@@ -14,7 +14,7 @@ import (
 // are unknown, so reporting success later would be a lie.
 func TestWALWriterStickyError(t *testing.T) {
 	dir := t.TempDir()
-	w, err := newWALWriter(filepath.Join(dir, "000001.wal"))
+	w, err := newWALWriter(filepath.Join(dir, "000001.wal"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestWALWriterStickyError(t *testing.T) {
 func TestWALWriterStickySyncError(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "000001.wal")
-	w, err := newWALWriter(path)
+	w, err := newWALWriter(path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
 package lsm
 
-import (
-	"bytes"
-	"math/rand"
-	"sync"
-)
+import "bytes"
 
 // entryKind discriminates live values from tombstones, both in the
 // memtable and inside SSTables.
@@ -26,46 +22,71 @@ const (
 // as tombstones so they shadow older values in SSTables below.
 //
 // The memtable itself is not synchronized; the DB serializes writers and
-// protects readers with its own lock.
+// protects readers with its own lock. An immutable memtable (one being
+// flushed) is never written again and is read without any lock.
 type memtable struct {
 	head   *skipNode
 	height int
-	rng    *rand.Rand
-	bytes  int // approximate memory footprint of keys+values
+	rng    uint64 // xorshift state for tower heights
+	bytes  int    // approximate memory footprint of keys+values
 	count  int
 }
 
+// skipNode is one entry. Key and value share one backing array (kv, the
+// key first) and the tower is exactly as tall as the height drawn for the
+// node — three quarters of all nodes have height 1 — allocated together
+// with the node for the common heights.
 type skipNode struct {
-	key  []byte
-	val  []byte
+	kv   []byte
+	klen int32
 	kind entryKind
-	next [maxSkipHeight]*skipNode
+	next []*skipNode
 }
 
-// memtablePool recycles the rand source; memtables themselves are cheap.
-var memtableSeed = func() func() int64 {
-	var mu sync.Mutex
-	var s int64 = 0x5eed
-	return func() int64 {
-		mu.Lock()
-		defer mu.Unlock()
-		s += 0x9e3779b97f4a7c1 // golden-ratio increment keeps seeds distinct
-		return s
+func (n *skipNode) key() []byte   { return n.kv[:n.klen] }
+func (n *skipNode) value() []byte { return n.kv[n.klen:] }
+
+// newSkipNode allocates a node with a tower of height h; towers of up to
+// four levels (255 nodes in 256) sit in the node's own allocation.
+func newSkipNode(h int) *skipNode {
+	switch {
+	case h == 1:
+		n := new(struct {
+			skipNode
+			tower [1]*skipNode
+		})
+		n.next = n.tower[:]
+		return &n.skipNode
+	case h <= 4:
+		n := new(struct {
+			skipNode
+			tower [4]*skipNode
+		})
+		n.next = n.tower[:h]
+		return &n.skipNode
 	}
-}()
+	return &skipNode{next: make([]*skipNode, h)}
+}
 
 func newMemtable() *memtable {
 	return &memtable{
-		head:   &skipNode{},
+		head:   newSkipNode(maxSkipHeight),
 		height: 1,
-		rng:    rand.New(rand.NewSource(memtableSeed())),
+		rng:    0x9e3779b97f4a7c15,
 	}
 }
 
 func (m *memtable) randomHeight() int {
+	// xorshift64: two bits per level decide whether the tower grows.
+	x := m.rng
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	m.rng = x
 	h := 1
-	for h < maxSkipHeight && m.rng.Intn(skipBranching) == 0 {
+	for h < maxSkipHeight && x&(skipBranching-1) == 0 {
 		h++
+		x >>= 2
 	}
 	return h
 }
@@ -75,7 +96,7 @@ func (m *memtable) randomHeight() int {
 func (m *memtable) findGreaterOrEqual(k []byte, prev *[maxSkipHeight]*skipNode) *skipNode {
 	x := m.head
 	for level := m.height - 1; level >= 0; level-- {
-		for next := x.next[level]; next != nil && bytes.Compare(next.key, k) < 0; next = x.next[level] {
+		for next := x.next[level]; next != nil && bytes.Compare(next.key(), k) < 0; next = x.next[level] {
 			x = next
 		}
 		if prev != nil {
@@ -85,13 +106,13 @@ func (m *memtable) findGreaterOrEqual(k []byte, prev *[maxSkipHeight]*skipNode) 
 	return x.next[0]
 }
 
-// set inserts or overwrites key with (kind, value).
+// set inserts or overwrites key with (kind, value), copying both.
 func (m *memtable) set(key, value []byte, kind entryKind) {
 	var prev [maxSkipHeight]*skipNode
 	node := m.findGreaterOrEqual(key, &prev)
-	if node != nil && bytes.Equal(node.key, key) {
-		m.bytes += len(value) - len(node.val)
-		node.val = append(node.val[:0], value...)
+	if node != nil && bytes.Equal(node.key(), key) {
+		m.bytes += len(value) - len(node.value())
+		node.kv = append(node.kv[:node.klen], value...)
 		node.kind = kind
 		return
 	}
@@ -102,11 +123,10 @@ func (m *memtable) set(key, value []byte, kind entryKind) {
 		}
 		m.height = h
 	}
-	n := &skipNode{
-		key:  append([]byte(nil), key...),
-		val:  append([]byte(nil), value...),
-		kind: kind,
-	}
+	n := newSkipNode(h)
+	n.kv = append(append(make([]byte, 0, len(key)+len(value)), key...), value...)
+	n.klen = int32(len(key))
+	n.kind = kind
 	for level := 0; level < h; level++ {
 		n.next[level] = prev[level].next[level]
 		prev[level].next[level] = n
@@ -119,8 +139,8 @@ func (m *memtable) set(key, value []byte, kind entryKind) {
 // key; found=true with kind==kindDelete means the key is known deleted.
 func (m *memtable) get(key []byte) (value []byte, kind entryKind, found bool) {
 	n := m.findGreaterOrEqual(key, nil)
-	if n != nil && bytes.Equal(n.key, key) {
-		return n.val, n.kind, true
+	if n != nil && bytes.Equal(n.key(), key) {
+		return n.value(), n.kind, true
 	}
 	return nil, 0, false
 }
@@ -153,6 +173,6 @@ func (it *memIterator) valid() bool { return it.node != nil }
 // next advances to the following entry.
 func (it *memIterator) next() { it.node = it.node.next[0] }
 
-func (it *memIterator) key() []byte     { return it.node.key }
-func (it *memIterator) value() []byte   { return it.node.val }
+func (it *memIterator) key() []byte     { return it.node.key() }
+func (it *memIterator) value() []byte   { return it.node.value() }
 func (it *memIterator) kind() entryKind { return it.node.kind }

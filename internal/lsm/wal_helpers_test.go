@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -21,7 +22,30 @@ func (w *walWriter) append(payload []byte, sync bool) error {
 	}
 	var hdr [walHeaderLen]byte
 	w.buf = append(append(w.buf[:0], hdr[:]...), payload...)
-	return w.writeRecord(sync)
+	if err := w.writeRecord(); err != nil || !sync {
+		return err
+	}
+	return w.sync()
+}
+
+// reopenWAL opens an existing log file positioned at its end, the way a
+// crash scenario continues a log the DB has closed.
+func reopenWAL(t *testing.T, path string) *walWriter {
+	t.Helper()
+	num, err := walNumOf(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := newWALWriter(path, num)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, err := w.f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.off = fi.Size()
+	return w
 }
 
 // encodeBatchPayload serializes ops into buf: the reference encoding of a
@@ -51,16 +75,16 @@ func TestAppendBatchBytesMatchReference(t *testing.T) {
 		{},
 		{{Kind: kv.OpPut, Key: []byte("k"), Value: nil}, {Kind: kv.OpDelete, Key: []byte("d"), Value: []byte("ignored")}},
 	}
-	direct, err := newWALWriter(filepath.Join(dir, "direct.log"))
+	direct, err := newWALWriter(filepath.Join(dir, "direct.log"), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := newWALWriter(filepath.Join(dir, "ref.log"))
+	ref, err := newWALWriter(filepath.Join(dir, "ref.log"), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ops := range batches {
-		if err := direct.appendBatch(ops, false); err != nil {
+		if err := direct.appendBatch(ops); err != nil {
 			t.Fatal(err)
 		}
 		wops := make([]walOp, 0, len(ops))
@@ -87,4 +111,32 @@ func TestAppendBatchBytesMatchReference(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("appendBatch wrote %d bytes that differ from the reference framing (%d bytes)", len(got), len(want))
 	}
+	// And both match the framing spelled out by hand: length, CRC over log
+	// number + payload, log number, payload.
+	var byHand []byte
+	for _, ops := range batches {
+		wops := make([]walOp, 0, len(ops))
+		for _, op := range ops {
+			wops = append(wops, walOp{kind: walKind(op.Kind), key: op.Key, value: op.Value})
+		}
+		byHand = frameRecord(byHand, 7, encodeBatchPayload(nil, wops))
+	}
+	if !bytes.Equal(got, byHand) {
+		t.Fatalf("record framing on disk differs from the documented layout")
+	}
+}
+
+// frameRecord appends payload to log as one record of log logNum: the
+// reference framing, written independently of walWriter.writeRecord.
+func frameRecord(log []byte, logNum uint64, payload []byte) []byte {
+	body := binary.LittleEndian.AppendUint64(nil, logNum)
+	body = append(body, payload...)
+	log = binary.LittleEndian.AppendUint32(log, uint32(len(payload)))
+	log = binary.LittleEndian.AppendUint32(log, crc32.Checksum(body, crcTable))
+	return append(log, body...)
+}
+
+// putPayload is the payload of a single-put batch.
+func putPayload(key, value string) []byte {
+	return encodeBatchPayload(nil, []walOp{{kind: kindPut, key: []byte(key), value: []byte(value)}})
 }

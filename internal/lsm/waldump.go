@@ -10,9 +10,7 @@ package lsm
 // hand.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"sort"
 )
@@ -38,109 +36,82 @@ type WALDumpStats struct {
 	// corruption skips nothing.
 	CorruptRecords int
 	SkippedBytes   int64
-	// TornTail reports a partial final record — a crash mid-append,
-	// benign (never acknowledged as durable) and therefore not counted
-	// into CorruptRecords.
+	// TornTail reports a log ending in a record that fails validation
+	// with no record of this log after it — a crash mid-append or, in a
+	// recycled segment, the middle of a record of the file's previous
+	// life; benign (never acknowledged as durable) and therefore not
+	// counted into CorruptRecords.
 	TornTail bool
+	// StaleBytes is non-zero for a recycled segment whose records end at an
+	// intact record of another log: the previous life's tail — not data,
+	// not corruption — and its extent to the end of the file.
+	StaleBytes int64
 }
 
 // DumpWAL decodes the write-ahead log at path in order, calling fn for
-// each well-formed record with the record's byte offset and decoded
-// operations; fn returning false stops the dump early. The file is read
-// directly — no DB is opened, nothing is modified.
+// each well-formed record with the record's byte offset, its log number
+// and decoded operations; fn returning false stops the dump early. The
+// file is read directly — no DB is opened, nothing is modified. The log
+// number recovery expects in every record is the one in the file name, so
+// path must be named like a log ("000042.wal").
 //
-// Without skipCorrupt the dump mirrors recovery semantics: a torn final
-// record ends the dump cleanly (TornTail), mid-file corruption stops it
-// with an error. With skipCorrupt the dump salvages instead: it skips
-// the corrupt spot, resynchronizes on the next offset where a whole
-// record validates (length plausible, payload present, CRC and batch
-// encoding valid — a false positive is practically impossible), counts
-// the corruption and continues. The whole file is read into memory, so
-// the tool handles the multi-MiB logs one memtable generation produces,
-// not arbitrarily large files.
-func DumpWAL(path string, skipCorrupt bool, fn func(offset int64, ops []WALEntry) bool) (WALDumpStats, error) {
+// Without skipCorrupt the dump mirrors recovery (replayWAL) exactly — the
+// two share the record walk: the log ends cleanly at the end of the file
+// or at an intact record of another log (StaleBytes), a broken record with
+// no later record of this log ends it as a torn tail, and a broken record
+// with one stops the dump with an error. With skipCorrupt the dump
+// salvages instead: it skips the corrupt spot, resumes at the next intact
+// record of this log anywhere in the rest of the file, counts the
+// corruption and continues. The whole file is read into memory, so the
+// tool handles the multi-MiB logs one memtable generation produces, not
+// arbitrarily large files.
+func DumpWAL(path string, skipCorrupt bool, fn func(offset int64, logNum uint64, ops []WALEntry) bool) (WALDumpStats, error) {
 	var st WALDumpStats
+	logNum, err := walNumOf(path)
+	if err != nil {
+		return st, err
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return st, err
 	}
-	// validRecordAt decodes the record starting at off, returning its
-	// total framed length and operations, or ok=false when anything about
-	// it is broken.
-	validRecordAt := func(off int64) (ops []walOp, framed int64, ok bool) {
-		if off+8 > int64(len(data)) {
-			return nil, 0, false
+	c := walCursor{data: data, logNum: logNum, window: walScanAhead}
+	if skipCorrupt {
+		c.window = int64(len(data))
+	}
+	out := make([]WALEntry, 0, 64)
+	for {
+		at := c.off
+		payload, end, resume := c.next()
+		switch end {
+		case walEndClean:
+			return st, nil
+		case walEndStale:
+			st.StaleBytes = int64(len(data)) - at
+			return st, nil
+		case walEndTorn:
+			st.TornTail = true
+			st.SkippedBytes += int64(len(data)) - at
+			return st, nil
+		case walEndCorrupt:
+			st.CorruptRecords++
+			if !skipCorrupt {
+				return st, fmt.Errorf("%w: wal record at offset %d fails validation with an intact record of log %d at offset %d",
+					errCorrupt, at, logNum, resume)
+			}
+			st.SkippedBytes += resume - at
+			c.off = resume
+			continue
 		}
-		n := binary.LittleEndian.Uint32(data[off : off+4])
-		want := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if n > maxWALPayload || off+8+int64(n) > int64(len(data)) {
-			return nil, 0, false
-		}
-		payload := data[off+8 : off+8+int64(n)]
-		// Decode before checksumming: during salvage resynchronization
-		// this runs at every candidate offset, and random bytes fail the
-		// batch framing within a few bytes (kind must be 1 or 2, varints
-		// must fit) while the CRC always walks the whole payload.
 		ops, err := decodeBatchPayload(payload)
 		if err != nil {
-			return nil, 0, false
-		}
-		if crc32.Checksum(payload, crcTable) != want {
-			return nil, 0, false
-		}
-		return ops, 8 + int64(n), true
-	}
-	// tornTail reports whether the breakage at off physically extends to
-	// the end of the file — the only place a benign partial append lives.
-	// The test is purely physical, exactly replayWAL's: an implausible
-	// length also declares an extent past EOF, so a garbage final header
-	// is torn, not corrupt, and a strict dump accepts every log recovery
-	// accepts.
-	tornTail := func(off int64) bool {
-		if off+8 > int64(len(data)) {
-			return true
-		}
-		n := binary.LittleEndian.Uint32(data[off : off+4])
-		return off+8+int64(n) >= int64(len(data))
-	}
-
-	out := make([]WALEntry, 0, 64)
-	off := int64(0)
-	for off < int64(len(data)) {
-		ops, framed, ok := validRecordAt(off)
-		if !ok {
-			if !skipCorrupt {
-				if tornTail(off) {
-					st.TornTail = true
-					st.SkippedBytes += int64(len(data)) - off
-					return st, nil
-				}
-				st.CorruptRecords++
-				return st, fmt.Errorf("%w: wal record at offset %d: %d bytes of log following",
-					errCorrupt, off, int64(len(data))-off)
-			}
-			// Salvage: resynchronize on the next offset holding a fully
-			// valid record — even when the breakage LOOKS like a torn tail
-			// (garbage length bytes can fake a record overrunning EOF
-			// while real records follow). Only a breakage with nothing
-			// valid after it is classified by its physical shape.
-			next := off + 1
-			for ; next < int64(len(data)); next++ {
-				if _, _, ok := validRecordAt(next); ok {
-					break
-				}
-			}
-			st.SkippedBytes += next - off
-			if next >= int64(len(data)) {
-				if tornTail(off) {
-					st.TornTail = true
-				} else {
-					st.CorruptRecords++
-				}
-				return st, nil
-			}
+			// The frame is intact but the batch inside is not: recovery
+			// refuses it wherever it sits.
 			st.CorruptRecords++
-			off = next
+			if !skipCorrupt {
+				return st, fmt.Errorf("%w: wal record at offset %d: malformed batch payload", errCorrupt, at)
+			}
+			st.SkippedBytes += c.off - at
 			continue
 		}
 		out = out[:0]
@@ -149,12 +120,10 @@ func DumpWAL(path string, skipCorrupt bool, fn func(offset int64, ops []WALEntry
 		}
 		st.Records++
 		st.Ops += len(ops)
-		if fn != nil && !fn(off, out) {
+		if fn != nil && !fn(at, logNum, out) {
 			return st, nil
 		}
-		off += framed
 	}
-	return st, nil
 }
 
 // WALFiles lists the write-ahead log files of a database directory,

@@ -322,3 +322,86 @@ func TestS2PLChainSuccessorWaitsOutPredecessor(t *testing.T) {
 		t.Fatalf("k = %q, want successor's value", v)
 	}
 }
+
+// TestCommitChainUndeclaredTablesMatchCommitState: a chain member that did
+// not Declare every table of the chain completes its flag set at the
+// column of the last table it touched, and must then be committed exactly
+// once — its later columns are those of a decided transaction. The
+// verdict matrix, the number of transactions committed and the resulting
+// rows must equal what per-transaction, per-table CommitState calls give
+// on an identical universe, under every protocol.
+func TestCommitChainUndeclaredTablesMatchCommitState(t *testing.T) {
+	protos := map[string]func(*Context) Protocol{
+		"mvcc": func(c *Context) Protocol { return NewSI(c) },
+		"s2pl": func(c *Context) Protocol { return NewS2PL(c) },
+		"bocc": func(c *Context) Protocol { return NewBOCC(c) },
+	}
+	// universe builds two grouped tables and three chain members: one that
+	// touches only the first table and declares nothing, one that declares
+	// both, one that touches only the second.
+	universe := func(t *testing.T, mk func(*Context) Protocol) (Protocol, []*Table, []*Txn) {
+		ctx := NewContext()
+		store := kv.NewMem()
+		t.Cleanup(func() { store.Close() })
+		var tbls []*Table
+		for _, id := range []StateID{"first", "second"} {
+			tbl, err := ctx.CreateTable(id, store, TableOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbls = append(tbls, tbl)
+		}
+		if _, err := ctx.CreateGroup("g", tbls...); err != nil {
+			t.Fatal(err)
+		}
+		p := mk(ctx)
+		c := NewChain()
+		onlyFirst := beginChained(t, p, tbls[0], c, "a", "only-first")
+		both := beginChained(t, p, tbls[0], c, "b", "both")
+		if err := both.Declare(tbls...); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Write(both, tbls[1], "b", []byte("both")); err != nil {
+			t.Fatal(err)
+		}
+		onlySecond := beginChained(t, p, tbls[1], c, "c", "only-second")
+		return p, tbls, []*Txn{onlyFirst, both, onlySecond}
+	}
+	rows := func(tbls []*Table) string {
+		out := ""
+		for _, tbl := range tbls {
+			for _, k := range []string{"a", "b", "c"} {
+				v, ok := tbl.ReadAt(k, tbl.Group().LastCTS())
+				out += fmt.Sprintf("%s/%s=%q,%t ", tbl.ID(), k, v, ok)
+			}
+		}
+		return out
+	}
+	for name, mk := range protos {
+		t.Run(name, func(t *testing.T) {
+			p, tbls, txs := universe(t, mk)
+			got := p.(ChainCommitter).CommitChain(txs, tbls)
+
+			ref, refTbls, refTxs := universe(t, mk)
+			for i, tx := range refTxs {
+				for j, tbl := range refTbls {
+					want := ref.CommitState(tx, tbl)
+					if !errors.Is(got[i][j], want) || (want == nil) != (got[i][j] == nil) {
+						t.Errorf("member %d table %d: CommitChain says %v, CommitState says %v", i, j, got[i][j], want)
+					}
+				}
+			}
+			if !errors.Is(got[0][1], ErrFinished) {
+				t.Errorf("member 0 completed at its first column; its second must be ErrFinished, got %v", got[0][1])
+			}
+			gotTxns, _ := tbls[0].Group().CommitStats()
+			wantTxns, _ := refTbls[0].Group().CommitStats()
+			if gotTxns != wantTxns || gotTxns != 3 {
+				t.Errorf("chain committed %d transactions, CommitState %d, want 3", gotTxns, wantTxns)
+			}
+			if g, w := rows(tbls), rows(refTbls); g != w {
+				t.Errorf("rows after the chain:\n %s\nafter CommitState:\n %s", g, w)
+			}
+		})
+	}
+}

@@ -244,8 +244,10 @@ func flagState(tx *Txn, tbl *Table) (coordinator bool, err error) {
 }
 
 // commitChain is the shared implementation of ChainCommitter (see
-// chain.go): flag tbls on every transaction in order, then globally
-// commit the transactions whose flag set completed, submitting maximal
+// chain.go): flag tbls on every transaction in order — up to the column
+// that completes its flag set, exactly as per-table CommitState calls
+// would — then globally commit the transactions whose flag set
+// completed, each once, submitting maximal
 // consecutive runs that commit into the SAME single topology group as one
 // multi-request pipeline submission (groupCommitMany) — one leader tenure
 // and one coalesced durability batch for the whole run. A transaction
@@ -268,9 +270,20 @@ func (p *protocolBase) commitChain(txs []*Txn, tbls []*Table, admitFor func(*Txn
 		for j, tbl := range tbls {
 			became, err := flagState(tx, tbl)
 			errs[i][j] = err
-			if became {
-				coords = append(coords, coord{tx: tx, txIdx: i, tblIdx: j})
+			if !became {
+				continue
 			}
+			// The flag set is complete: the transaction is decided by the
+			// global commit below, once. Flagging a later column would
+			// register that table on a transaction that never declared it,
+			// complete the set a second time and commit it twice; a
+			// CommitState on a decided transaction reports ErrFinished,
+			// and so do the remaining columns.
+			coords = append(coords, coord{tx: tx, txIdx: i, tblIdx: j})
+			for k := j + 1; k < len(tbls); k++ {
+				errs[i][k] = ErrFinished
+			}
+			break
 		}
 	}
 
