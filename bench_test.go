@@ -6,6 +6,10 @@
 //	BenchmarkClaimC2/*        reader-dominated throughput split
 //	BenchmarkClaimC3/*        consistency under extreme contention
 //	BenchmarkAblation*        design-choice ablations A1–A5
+//	BenchmarkCommitContended  the contended SI commit path
+//
+// The dataflow spine (ingest, feed, pipeline, mixed read/write) is
+// measured by the gated benchmark in benchmark/, not here.
 //
 // Every benchmark runs a fixed-duration workload cell (not b.N
 // iterations) and reports throughput via ReportMetric: Ktps is the
@@ -257,170 +261,6 @@ func BenchmarkCommitContended(b *testing.B) {
 			if txns, batches := tbl.Group().CommitStats(); batches > 0 {
 				b.ReportMetric(float64(txns)/float64(batches), "txns/batch")
 			}
-		})
-	}
-}
-
-// BenchmarkIngest measures the dataflow spine end to end: a single
-// writer query pushing b.N data elements through source → punctuate →
-// TO_TABLE → commit against an in-memory base table. ns/op is wall time
-// per ingested element; elems/s is the headline ingest rate the
-// vectorized engine is tuned for (see DESIGN.md "Vectorized dataflow").
-func BenchmarkIngest(b *testing.B) {
-	cfg := bench.DefaultIngest()
-	cfg.Elements = b.N
-	cfg.CommitEvery = 100
-	cfg.Keys = 100_000
-	res, err := bench.RunIngest(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if res.Aborts != 0 {
-		b.Fatalf("single-writer ingest aborted %d transactions", res.Aborts)
-	}
-	b.ReportMetric(res.ElemsPerSec, "elems/s")
-}
-
-// BenchmarkIngestLanes sweeps the parallel keyed ingest lanes
-// (stream.Parallelize): the same single-writer query as BenchmarkIngest,
-// hash-partitioned into N lanes with per-lane TO_TABLE write paths and a
-// transaction-preserving commit barrier. On a multi-core box the
-// per-element work (operator chains, write-set building, value copies)
-// runs on N cores; lanes=1 selects the sequential spine (identical to
-// BenchmarkIngest), so the lanes=1 vs lanes=N delta is the full cost —
-// router, broadcast, barrier — against the parallel gain.
-func BenchmarkIngestLanes(b *testing.B) {
-	for _, lanes := range []int{1, 2, 4} {
-		b.Run("lanes="+itoa(lanes), func(b *testing.B) {
-			cfg := bench.DefaultIngest()
-			cfg.Elements = b.N
-			cfg.CommitEvery = 100
-			cfg.Keys = 100_000
-			cfg.Lanes = lanes
-			res, err := bench.RunIngest(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Aborts != 0 {
-				b.Fatalf("single-writer ingest aborted %d transactions", res.Aborts)
-			}
-			b.ReportMetric(res.ElemsPerSec, "elems/s")
-		})
-	}
-}
-
-// BenchmarkIngestWindow measures the fused commit spine on the
-// small-transaction workload it targets: commit-every-10 with 4 keyed
-// lanes, windowed transactions and cross-transaction group-commit
-// batching at the barrier. window=1 is the serialized spine (every small
-// transaction pays its own group-commit batch); window=8 lets the spine
-// submit up to 8 consecutive decided transactions as ONE batch — one
-// leader tenure, one coalesced store batch per run. txns/batch reports
-// the achieved commit fan-in.
-func BenchmarkIngestWindow(b *testing.B) {
-	for _, window := range []int{1, 8} {
-		b.Run("window="+itoa(window), func(b *testing.B) {
-			cfg := bench.DefaultIngest()
-			cfg.Elements = b.N
-			cfg.CommitEvery = 10
-			cfg.Keys = 100_000
-			cfg.Lanes = 4
-			cfg.Window = window
-			res, err := bench.RunIngest(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Aborts != 0 {
-				b.Fatalf("single-writer ingest aborted %d transactions", res.Aborts)
-			}
-			b.ReportMetric(res.ElemsPerSec, "elems/s")
-			if res.CommitBatches > 0 {
-				b.ReportMetric(float64(res.CommitTxns)/float64(res.CommitBatches), "txns/batch")
-			}
-		})
-	}
-}
-
-// BenchmarkIngestAuto measures the self-tuning commit spine on the same
-// small-transaction workload as BenchmarkIngestWindow: no static window —
-// the spine commits whatever queued during the previous commit, so the
-// fan-in (txns/batch) is what the store's commit latency makes it.
-// tuned_window reports the in-flight bound at the end of the run:
-// MaxWindow unless the latency guard tightened it.
-func BenchmarkIngestAuto(b *testing.B) {
-	cfg := bench.DefaultIngest()
-	cfg.Elements = b.N
-	cfg.CommitEvery = 10
-	cfg.Keys = 100_000
-	cfg.Lanes = 4
-	cfg.Auto = true
-	res, err := bench.RunIngest(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if res.Aborts != 0 {
-		b.Fatalf("single-writer ingest aborted %d transactions", res.Aborts)
-	}
-	b.ReportMetric(res.ElemsPerSec, "elems/s")
-	b.ReportMetric(float64(res.TunedWindow), "tuned_window")
-	if res.CommitBatches > 0 {
-		b.ReportMetric(float64(res.CommitTxns)/float64(res.CommitBatches), "txns/batch")
-	}
-}
-
-// BenchmarkPipeline measures the full shared-nothing pipeline end to
-// end — ingest lanes → table → partitioned feed → downstream lanes —
-// with the commit window fixed at 8 and the partition→lane wiring
-// toggled: fused=true wires feed partition i directly into downstream
-// lane i (no merge hop, no re-route); fused=false routes through the
-// explicit Merge → Parallelize seam the fusion removes. elems/s is
-// downstream elements delivered per wall-clock second.
-func BenchmarkPipeline(b *testing.B) {
-	for _, fused := range []bool{false, true} {
-		name := "unfused"
-		if fused {
-			name = "fused"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := bench.DefaultPipeline()
-			cfg.Ingest.Elements = b.N
-			cfg.Ingest.Keys = 100_000
-			cfg.Fuse = fused
-			res, err := bench.RunPipeline(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.DownElems != res.IngestElems {
-				b.Fatalf("pipeline delivered %d of %d committed writes", res.DownElems, res.IngestElems)
-			}
-			b.ReportMetric(res.ElemsPerSec, "elems/s")
-			b.ReportMetric(res.CommitFanIn(), "txns/batch")
-		})
-	}
-}
-
-// BenchmarkFeedPartitions measures the table→stream change feed
-// concurrent with its writer: the BenchmarkIngest query writing the
-// table while a feed delivers every committed change downstream, clock
-// stopped when the feed has drained. partitions=0 is the sequential
-// single-watcher ToStream baseline; partitions=N runs the partitioned
-// feed (per-partition commit watchers, barrier-merged). elems/s is feed
-// elements delivered per wall-clock second.
-func BenchmarkFeedPartitions(b *testing.B) {
-	for _, parts := range []int{0, 1, 4} {
-		b.Run("partitions="+itoa(parts), func(b *testing.B) {
-			cfg := bench.FeedConfig{Ingest: bench.DefaultIngest(), Partitions: parts}
-			cfg.Ingest.Elements = b.N
-			cfg.Ingest.CommitEvery = 100
-			cfg.Ingest.Keys = 100_000
-			res, err := bench.RunFeed(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.FeedElems != res.IngestElems {
-				b.Fatalf("feed delivered %d of %d committed writes", res.FeedElems, res.IngestElems)
-			}
-			b.ReportMetric(res.ElemsPerSec, "elems/s")
 		})
 	}
 }

@@ -2,9 +2,16 @@ package bench
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"sistream/internal/kv"
+	"sistream/internal/txn"
 )
 
 func quickCfg(t *testing.T, proto, backend string) Config {
@@ -114,55 +121,24 @@ func TestSIReadersDontAbort(t *testing.T) {
 	}
 }
 
-// TestRunIngestWindowed: the fused-spine ingest cell must commit every
-// transaction, deliver every write, and achieve cross-transaction
-// fan-in > 1 on a small-transaction workload (the serialized spine can
-// never batch a single query's commits).
-func TestRunIngestWindowed(t *testing.T) {
-	cfg := DefaultIngest()
-	cfg.Elements = 20_000
-	cfg.CommitEvery = 5
-	cfg.Keys = 1000
-	cfg.Lanes = 2
-	cfg.Window = 8
-	res, err := RunIngest(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Aborts != 0 {
-		t.Fatalf("windowed ingest aborted %d transactions", res.Aborts)
-	}
-	if res.Writes != int64(cfg.Elements) {
-		t.Fatalf("writes=%d want %d", res.Writes, cfg.Elements)
-	}
-	wantCommits := int64((cfg.Elements + cfg.CommitEvery - 1) / cfg.CommitEvery)
-	if res.Commits != wantCommits {
-		t.Fatalf("commits=%d want %d", res.Commits, wantCommits)
-	}
-	if res.CommitBatches >= res.CommitTxns {
-		t.Fatalf("no cross-transaction batching: %d txns in %d batches", res.CommitTxns, res.CommitBatches)
-	}
-}
-
-// TestRunPipelineBothWirings: the end-to-end pipeline cell must deliver
-// every committed change downstream under both the fused and the
-// unfused wiring.
-func TestRunPipelineBothWirings(t *testing.T) {
-	for _, fused := range []bool{false, true} {
-		cfg := DefaultPipeline()
-		cfg.Ingest.Elements = 10_000
-		cfg.Ingest.Keys = 1000
-		cfg.Fuse = fused
-		res, err := RunPipeline(cfg)
-		if err != nil {
-			t.Fatal(err)
+// TestRunOnSurfacesFatalErrors: a sticky sync failure poisons the commit
+// group, which is not an abort — the cell must stop and return the
+// injected cause, not spin on it until the timer fires and report the
+// surviving workers' throughput. The preload is the store's first
+// durability point, the first writer commit its second.
+func TestRunOnSurfacesFatalErrors(t *testing.T) {
+	for _, failAt := range []int{1, 2} {
+		cfg := quickCfg(t, "mvcc", "mem")
+		cfg.Duration = 30 * time.Second // the error, not the timer, must end the cell
+		badDisk := errors.New("injected: EIO")
+		store := kv.NewFault(kv.NewMem())
+		store.FailSyncAt(failAt, badDisk)
+		res, err := runOn(cfg, store)
+		if !errors.Is(err, badDisk) {
+			t.Fatalf("fail at sync %d: runOn = %+v, %v; want the injected error", failAt, res, err)
 		}
-		if res.DownElems != res.IngestElems {
-			t.Fatalf("fuse=%t: pipeline delivered %d of %d committed writes", fused, res.DownElems, res.IngestElems)
-		}
-		wantCommits := int64((cfg.Ingest.Elements + cfg.Ingest.CommitEvery - 1) / cfg.Ingest.CommitEvery)
-		if res.DownCommits != wantCommits {
-			t.Fatalf("fuse=%t: downstream commits=%d want %d", fused, res.DownCommits, wantCommits)
+		if failAt > 1 && !errors.Is(err, txn.ErrGroupFailed) {
+			t.Fatalf("fail at sync %d: %v does not wrap ErrGroupFailed", failAt, err)
 		}
 	}
 }
@@ -201,6 +177,28 @@ func TestSweepAndReports(t *testing.T) {
 	PrintResult(&one, results[0])
 	if !strings.Contains(one.String(), "protocol=mvcc") {
 		t.Fatalf("result output:\n%s", one.String())
+	}
+}
+
+// TestSweepFreshDirPerPersistentCell: every cell of a sweep over a
+// chained persistent spec gets its own data directory — a second cell
+// reopening the first one's directory would replay its data.
+func TestSweepFreshDirPerPersistentCell(t *testing.T) {
+	base := quickCfg(t, "mvcc", "cache(8)+lsm")
+	base.Duration = 50 * time.Millisecond
+	root := t.TempDir()
+	dirFor := func(proto string, theta float64) string {
+		return filepath.Join(root, fmt.Sprintf("%s-%g", proto, theta))
+	}
+	if _, err := Sweep(base, []string{"mvcc"}, []float64{0, 2}, dirFor); err != nil {
+		t.Fatal(err)
+	}
+	cells, err := os.ReadDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 2 {
+		t.Fatalf("two-cell sweep opened %d directories, want 2", len(cells))
 	}
 }
 

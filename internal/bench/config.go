@@ -10,6 +10,8 @@ package bench
 import (
 	"fmt"
 	"time"
+
+	"sistream/internal/kv"
 )
 
 // Config parameterizes one benchmark cell. The zero value is not valid;
@@ -84,8 +86,10 @@ func (c *Config) validate() error {
 	default:
 		return fmt.Errorf("bench: unknown protocol %q", c.Protocol)
 	}
-	if err := validateBackend(c.Backend); err != nil {
-		return err
+	// The spec is checked against the registry without opening it;
+	// directory problems surface when Run opens the store.
+	if _, err := kv.SpecCaps(c.Backend); err != nil {
+		return fmt.Errorf("bench: backend %w", err)
 	}
 	if c.States < 1 || c.TableSize < 1 || c.TxnOps < 1 || c.Writers < 0 || c.Readers < 0 {
 		return fmt.Errorf("bench: non-positive size parameter")

@@ -8,7 +8,9 @@ import (
 )
 
 // Sweep runs one cell per (protocol, theta) pair with everything else
-// fixed, mirroring one panel of the paper's Figure 4.
+// fixed, mirroring one panel of the paper's Figure 4. dirFor, when set,
+// names each cell's data directory: a persistent backend handed the same
+// directory twice would replay the earlier cell's data into the next one.
 func Sweep(base Config, protocols []string, thetas []float64, dirFor func(proto string, theta float64) string) ([]Result, error) {
 	var out []Result
 	for _, proto := range protocols {
@@ -16,7 +18,7 @@ func Sweep(base Config, protocols []string, thetas []float64, dirFor func(proto 
 			cfg := base
 			cfg.Protocol = proto
 			cfg.Theta = theta
-			if cfg.Backend == "lsm" && dirFor != nil {
+			if dirFor != nil {
 				cfg.Dir = dirFor(proto, theta)
 			}
 			r, err := Run(cfg)

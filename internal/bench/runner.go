@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sistream/internal/kv"
+	_ "sistream/internal/lsm" // registers the "lsm" backend driver
 	"sistream/internal/metrics"
 	"sistream/internal/txn"
 	"sistream/internal/zipf"
@@ -18,19 +19,25 @@ import (
 // any committed reader snapshot must observe equal values everywhere.
 const chkKey = "\x00chk"
 
-// Run executes one benchmark cell and returns its result.
+// Run executes one benchmark cell and returns its result. cfg.Backend
+// resolves through the kv adapter registry, so any registered spec works
+// ("mem", "lsm", "cache(256)+lsm", ...).
 func Run(cfg Config) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-
-	// --- base store -----------------------------------------------------
-	store, err := OpenStore(cfg.Backend, cfg.Dir)
+	store, err := kv.Open(cfg.Backend, kv.OpenOptions{Dir: cfg.Dir})
 	if err != nil {
 		return Result{}, err
 	}
 	defer store.Close()
+	return runOn(cfg, store)
+}
 
+// runOn runs one validated cell over an already opened base store. Aborts
+// are part of the measurement; any other protocol or store error stops
+// the cell and is returned instead of a Result.
+func runOn(cfg Config, store kv.Store) (Result, error) {
 	// --- preload ---------------------------------------------------------
 	// Rows are bulk-loaded straight into the base store (no per-row sync)
 	// together with the LastCTS watermark; CreateGroup then recovers them
@@ -113,8 +120,30 @@ func Run(cfg Config) (Result, error) {
 		readLat, commitLat          metrics.Histogram
 		chkSeq                      atomic.Uint64
 	)
+	// halt ends the cell: with nil when the measured interval is over,
+	// with the first non-abort error a worker hit (a poisoned commit group,
+	// a full transaction table) otherwise.
+	var (
+		fatal    error
+		haltOnce sync.Once
+		wg       sync.WaitGroup
+	)
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	halt := func(err error) {
+		haltOnce.Do(func() {
+			fatal = err
+			close(stop)
+		})
+	}
+	// failed accounts one failed operation: an abort is counted and the
+	// worker retries with a fresh transaction, anything else halts the cell.
+	failed := func(err error, aborts *atomic.Int64) {
+		if txn.IsAbort(err) {
+			aborts.Add(1)
+			return
+		}
+		halt(err)
+	}
 
 	// Writer(s): the continuous stream query updating all states in
 	// TxnOps-operation transactions, keys Zipf-distributed.
@@ -133,6 +162,7 @@ func Run(cfg Config) (Result, error) {
 				}
 				tx, err := p.Begin()
 				if err != nil {
+					halt(err)
 					return
 				}
 				ok := true
@@ -141,7 +171,7 @@ func Run(cfg Config) (Result, error) {
 					tbl := tables[i%len(tables)]
 					if err := p.Write(tx, tbl, key, val); err != nil {
 						_ = p.Abort(tx)
-						writerAborts.Add(1)
+						failed(err, &writerAborts)
 						ok = false
 					}
 				}
@@ -153,7 +183,7 @@ func Run(cfg Config) (Result, error) {
 					for _, t := range tables {
 						if err := p.Write(tx, t, chkKey, encodeU64(seq)); err != nil {
 							_ = p.Abort(tx)
-							writerAborts.Add(1)
+							failed(err, &writerAborts)
 							ok = false
 							break
 						}
@@ -164,7 +194,7 @@ func Run(cfg Config) (Result, error) {
 				}
 				start := time.Now()
 				if err := p.Commit(tx); err != nil {
-					writerAborts.Add(1)
+					failed(err, &writerAborts)
 					continue
 				}
 				commitLat.RecordSince(start)
@@ -189,6 +219,7 @@ func Run(cfg Config) (Result, error) {
 				start := time.Now()
 				tx, err := p.BeginReadOnly()
 				if err != nil {
+					halt(err)
 					return
 				}
 				ok := true
@@ -198,7 +229,7 @@ func Run(cfg Config) (Result, error) {
 					tbl := tables[i%len(tables)]
 					if _, _, err := p.Read(tx, tbl, key); err != nil {
 						_ = p.Abort(tx) // no-op if already dead (wait-die)
-						readerAborts.Add(1)
+						failed(err, &readerAborts)
 						ok = false
 					}
 				}
@@ -207,7 +238,7 @@ func Run(cfg Config) (Result, error) {
 						v, _, err := p.Read(tx, t, chkKey)
 						if err != nil {
 							_ = p.Abort(tx)
-							readerAborts.Add(1)
+							failed(err, &readerAborts)
 							ok = false
 							break
 						}
@@ -218,7 +249,7 @@ func Run(cfg Config) (Result, error) {
 					continue
 				}
 				if err := p.Commit(tx); err != nil {
-					readerAborts.Add(1)
+					failed(err, &readerAborts)
 					continue
 				}
 				// Committed: snapshot must have been consistent.
@@ -236,9 +267,16 @@ func Run(cfg Config) (Result, error) {
 	// --- measure -----------------------------------------------------------
 	began := time.Now()
 	timer := time.NewTimer(cfg.Duration)
-	<-timer.C
-	close(stop)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		halt(nil)
+	case <-stop:
+	}
 	wg.Wait()
+	if fatal != nil {
+		return Result{}, fmt.Errorf("bench: cell stopped: %w", fatal)
+	}
 	elapsed := time.Since(began)
 
 	res := Result{

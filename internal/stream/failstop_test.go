@@ -12,16 +12,31 @@ import (
 // poisons the commit group; the fused spine must surface exactly one
 // topology failure (wrapping txn.ErrGroupFailed), account every later
 // boundary as an abort, and drain to completion — no wedged worker, no
-// post-failure commit acknowledged.
+// post-failure commit acknowledged. The durable image under the fault
+// layer is the volatile store and the LSM store (the "lsm" driver is
+// registered by backend_equiv_test.go's import).
 func TestSpineDrainsCleanlyOnGroupFailure(t *testing.T) {
-	inner := kv.NewMem()
-	fault := kv.NewFault(inner)
+	for name, spec := range map[string]string{
+		"fault+mem": "fault+mem",
+		"fault+lsm": "fault+lsm:" + t.TempDir(),
+	} {
+		t.Run(name, func(t *testing.T) { spineDrainsCleanlyOnGroupFailure(t, spec) })
+	}
+}
+
+func spineDrainsCleanlyOnGroupFailure(t *testing.T, spec string) {
+	store, err := kv.Open(spec, kv.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close() // closes the durable image the reopened handle shares
+	fault := store.FaultLayer()
 	badDisk := errors.New("injected: EIO")
 	// Fail the 4th durability point and every one after it.
 	fault.FailSyncAt(4, badDisk)
 
 	ctx := txn.NewContext()
-	tbl, err := ctx.CreateTable("t", fault, txn.TableOptions{SyncCommits: true})
+	tbl, err := ctx.CreateTable("t", store, txn.TableOptions{SyncCommits: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +94,6 @@ func TestSpineDrainsCleanlyOnGroupFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
 	ctx2 := txn.NewContext()
 	tbl2, err := ctx2.CreateTable("t", re, txn.TableOptions{SyncCommits: true})
 	if err != nil {
