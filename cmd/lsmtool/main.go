@@ -104,7 +104,8 @@ func main() {
 		st := db.Stats()
 		fmt.Printf("flushes:      %d\n", st.Flushes)
 		fmt.Printf("compactions:  %d\n", st.Compactions)
-		fmt.Printf("memtable:     %d keys, ~%d bytes\n", st.MemKeys, st.MemBytes)
+		fmt.Printf("memtable:     %d keys, ~%d bytes; put in key order %d times (flush or scan) in %s\n",
+			st.MemKeys, st.MemBytes, st.MemOrderings, time.Duration(st.MemOrderNanos))
 		fmt.Printf("block cache:  %d blocks, %d hits, %d misses\n",
 			st.BlockCacheBlocks, st.BlockCacheHits, st.BlockCacheMisses)
 		fmt.Printf("wal recovery: %d records replayed, %d torn tails discarded\n",

@@ -43,8 +43,8 @@ type FaultStats struct {
 	// InjectedApplyFailures counts Apply calls failed by FailApplyAt.
 	InjectedApplyFailures uint64
 	// FirstSyncFailure is the wall-clock time of the first scripted sync
-	// failure (zero if none happened yet). sibench -faults uses it to
-	// measure time-to-fail-stop.
+	// failure (zero if none happened yet), the start of a
+	// time-to-fail-stop measurement.
 	FirstSyncFailure time.Time
 }
 

@@ -82,15 +82,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// overlapMinOps is the batch size from which a synced Apply inserts into
-// the memtable on a second goroutine while the caller waits for the
-// device. Starting that goroutine and collecting it costs a few
-// microseconds of scheduling, which a skip-list insert of about a
-// microsecond per op repays only for batches well beyond a handful; below
-// the cut-over the hand-off would add to the commit latency it is meant
-// to shorten.
-const overlapMinOps = 32
-
 // DB is a persistent key-value store implementing kv.Store. See the
 // package comment for the on-disk architecture and the concurrency model.
 type DB struct {
@@ -131,10 +122,6 @@ type DB struct {
 	bgBusy bool
 	bgDone chan struct{}
 
-	// inserted collects the memtable-insert goroutine of an overlapped
-	// Apply; capacity 1 so that goroutine never waits for the collector.
-	inserted chan struct{}
-
 	// failure, when non-nil, is the sticky fail-stop record: a write-path
 	// error of unknowable durable effect happened and the DB refuses all
 	// further writes (see ErrDBFailed). Set once via CAS; never cleared.
@@ -150,6 +137,9 @@ type DB struct {
 	compactionNanos int64
 	walsRecycled    int
 	writeStalls     int
+	// Scan counts its orderings under the read latch, hence atomics.
+	memOrderings  atomic.Int64
+	memOrderNanos atomic.Int64
 	// WAL recovery counters, set once at Open: durable records replayed
 	// and logs that ended in a record failing validation.
 	walRecovered int
@@ -164,9 +154,9 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	d := &DB{dir: dir, opts: opts, mem: newMemtable(), cur: newVersion(), nextFileNum: 1,
+	d := &DB{dir: dir, opts: opts, mem: newMemtableSized(opts.MemtableBytes), cur: newVersion(), nextFileNum: 1,
 		cache:  newBlockCache(opts.BlockCacheBlocks),
-		bgDone: make(chan struct{}), inserted: make(chan struct{}, 1)}
+		bgDone: make(chan struct{})}
 	d.bgCond = sync.NewCond(&d.mu)
 
 	manifestNum, haveCurrent, err := readCurrent(dir)
@@ -229,7 +219,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	if replayed.len() > 0 {
 		// Persist what recovery found as an SSTable now, so the old WALs
 		// can be removed and the state is clean.
-		d.imm, d.mem = replayed, newMemtable()
+		d.imm, d.mem = replayed, newMemtableSized(opts.MemtableBytes)
 		if err := d.flushImm(); err != nil {
 			return nil, err
 		}
@@ -406,7 +396,7 @@ func (d *DB) switchMemtable() error {
 
 	d.mu.Lock()
 	d.imm, d.immLog = d.mem, d.walNum
-	d.mem = newMemtable()
+	d.mem = newMemtableSized(d.opts.MemtableBytes)
 	d.wal, d.walNum = w, num
 	if recycle != 0 {
 		d.walsRecycled++
@@ -506,17 +496,16 @@ func (d *DB) Delete(key []byte) error {
 	return d.Apply(b, d.opts.SyncWrites)
 }
 
-// Apply implements kv.Store: one WAL record, then the memtable. With sync
-// the batch is durable on return, and the call costs one write and one
-// data-only sync: from overlapMinOps operations on, the memtable inserts
-// run on a second goroutine while this one waits for the device. A full
-// memtable is handed to the flush worker first (see switchMemtable), so
-// neither a flush nor a compaction runs inside Apply.
+// Apply implements kv.Store: one WAL record, with sync one data-only sync
+// that makes the batch durable, then the memtable — a hash probe and a
+// copy per operation, on the caller's goroutine whatever the batch size.
+// A full memtable is handed to the flush worker first (see
+// switchMemtable), so neither a flush nor a compaction, nor putting any
+// keys in order, runs inside Apply.
 //
-// Fail-stop: a failed WAL write leaves the memtable untouched. A failed
-// sync may find the batch already in the memtable, where reads of the
-// failed DB can see it — it was never acknowledged, that memtable is
-// never flushed, and a reopen recovers the synced prefix only.
+// Fail-stop: a failed WAL write and a failed sync both leave the memtable
+// untouched — reads of the failed DB never see the unacknowledged batch,
+// and a reopen recovers the synced prefix only.
 func (d *DB) Apply(b *kv.Batch, sync bool) error {
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()
@@ -538,35 +527,27 @@ func (d *DB) Apply(b *kv.Batch, sync bool) error {
 		// report success on top of it.
 		return d.fail(err)
 	}
-	switch {
-	case !sync:
-		d.insert(ops)
-	case len(ops) < overlapMinOps:
+	if sync {
 		if err := d.wal.sync(); err != nil {
 			return d.fail(err)
 		}
-		d.insert(ops)
-	default:
-		go func() {
-			d.insert(ops)
-			d.inserted <- struct{}{}
-		}()
-		err := d.wal.sync()
-		<-d.inserted
-		if err != nil {
-			return d.fail(err)
-		}
 	}
-	return nil
-}
-
-// insert applies ops to the active memtable.
-func (d *DB) insert(ops []kv.Op) {
 	d.mu.Lock()
 	for _, op := range ops {
 		d.mem.set(op.Key, op.Value, walKind(op.Kind))
 	}
 	d.mu.Unlock()
+	return nil
+}
+
+// orderedIter returns an iterator over m, which puts its keys in order
+// first; Stats reports how often that happened and how long it took.
+func (d *DB) orderedIter(m *memtable) *memIterator {
+	start := time.Now()
+	it := m.iterator()
+	d.memOrderings.Add(1)
+	d.memOrderNanos.Add(int64(time.Since(start)))
+	return it
 }
 
 // background is the flush worker: it writes each immutable memtable to an
@@ -615,7 +596,7 @@ func (d *DB) flushImm() error {
 	if err != nil {
 		return err
 	}
-	it := imm.iterator()
+	it := d.orderedIter(imm)
 	for it.seekToFirst(); it.valid(); it.next() {
 		b.add(it.key(), it.value(), it.kind())
 	}
@@ -747,7 +728,8 @@ func (d *DB) Compact() error {
 
 // Scan implements kv.Store. It merges the memtable, the immutable memtable
 // and all table levels and yields live (non-tombstone) entries in
-// ascending key order.
+// ascending key order. The memtables are unordered, so each Scan first
+// sorts a private copy of their entries (Stats.MemOrderings).
 //
 // The scan holds the database read lock for its whole duration, so fn must
 // not call back into the DB. Transactional reads in this repository are
@@ -761,10 +743,10 @@ func (d *DB) Scan(start, end []byte, fn func(key, value []byte) bool) error {
 	}
 	var sources []*mergeSource
 	age := 0
-	sources = append(sources, &mergeSource{it: &memIterAdapter{it: d.mem.iterator()}, age: age})
+	sources = append(sources, &mergeSource{it: &memIterAdapter{it: d.orderedIter(d.mem)}, age: age})
 	age++
 	if d.imm != nil {
-		sources = append(sources, &mergeSource{it: &memIterAdapter{it: d.imm.iterator()}, age: age})
+		sources = append(sources, &mergeSource{it: &memIterAdapter{it: d.orderedIter(d.imm)}, age: age})
 		age++
 	}
 	for _, f := range d.cur.levels[0] {
@@ -871,6 +853,13 @@ type Stats struct {
 	// memtable flushes and of all compactions.
 	FlushNanos      int64
 	CompactionNanos int64
+	// MemOrderings counts the iterators built over a memtable, each of
+	// which sorts the memtable's keys (one per flush, one per memtable a
+	// Scan reads), and MemOrderNanos is the cumulative wall time of that
+	// sorting: the work an insert leaves undone. A flush's share is part of
+	// FlushNanos too.
+	MemOrderings  int64
+	MemOrderNanos int64
 }
 
 // Stats returns a snapshot of internal counters.
@@ -888,6 +877,8 @@ func (d *DB) Stats() Stats {
 		WriteStalls:         d.writeStalls,
 		FlushNanos:          d.flushNanos,
 		CompactionNanos:     d.compactionNanos,
+		MemOrderings:        d.memOrderings.Load(),
+		MemOrderNanos:       d.memOrderNanos.Load(),
 	}
 	s.BlockCacheHits, s.BlockCacheMisses = d.cache.stats()
 	s.BlockCacheBlocks = d.cache.len()

@@ -1,6 +1,7 @@
 // Package lsm implements a persistent log-structured merge-tree key-value
-// store: a write-ahead log, a skip-list memtable, block-based sorted
-// string tables with bloom filters, leveled compaction, a shared
+// store: a write-ahead log, an unordered hash-indexed memtable (put in
+// key order by whoever flushes or scans it), block-based sorted string
+// tables with bloom filters, leveled compaction, a shared
 // data-block LRU cache, and a manifest-based recovery protocol.
 //
 // It is this repository's substitute for RocksDB, which the paper's
@@ -37,22 +38,23 @@
 // # Concurrency
 //
 // Writers are serialized by writeMu: an Apply writes one WAL record,
-// makes it durable with one data-only sync when asked to, and inserts the
-// batch into the memtable — for larger synced batches on a second
-// goroutine while the caller waits for the device. Nothing else runs
-// inside Apply. When the memtable is full the writer switches to a new
-// memtable and log and hands the full one, now immutable, to the flush
-// worker, the single goroutine that writes L0 tables, installs version
-// edits, retires logs and runs compactions; a writer waits for it only
-// when the previous immutable memtable has still not been flushed
-// (Stats.WriteStalls). Flush, Compact and Close drain the worker first.
+// makes it durable with one data-only sync when asked to, and then
+// inserts the batch into the memtable, a hash probe and a copy per
+// operation. Nothing else runs inside Apply, and it starts no goroutine:
+// the flush worker is the only one a DB owns. When the memtable is full
+// the writer switches to a new memtable and log and hands the full one,
+// now immutable, to that worker, which sorts its keys, writes the L0
+// table, installs version edits, retires logs and runs compactions; a
+// writer waits for it only when the previous immutable memtable has
+// still not been flushed (Stats.WriteStalls). Flush, Compact and Close
+// drain the worker first.
 // Readers never block on any of this beyond a memtable insert: Get/Scan
 // briefly take a read latch to snapshot (memtable, immutable memtable,
 // version) and then work on immutable state. Any error on the write
 // path — in a writer or in the worker — latches the sticky ErrDBFailed:
-// writes are refused from then on, reads keep serving. After a failed
-// sync, reads of the failed DB may reflect the final unacknowledged
-// batch; it is never flushed and never survives a reopen. See DESIGN.md
+// writes are refused from then on, reads keep serving. The batch whose
+// WAL write or sync failed never reaches the memtable, so those reads
+// see acknowledged writes only, and so does a reopen. See DESIGN.md
 // ("LSM write path") for the cost breakdown and how the transactional
 // layers above use the store.
 package lsm

@@ -73,6 +73,7 @@ func TestWALWriterStickySyncError(t *testing.T) {
 // TestDBFailStopOnWALError: a WAL failure poisons the DB — writes fail
 // fast with a wrapped ErrDBFailed, reads keep serving.
 func TestDBFailStopOnWALError(t *testing.T) {
+	checkGoroutines(t)
 	dir := t.TempDir()
 	d, err := Open(dir, Options{})
 	if err != nil {
@@ -138,6 +139,7 @@ func TestDBFailStopOnWALError(t *testing.T) {
 // inner store makes Apply fail; the DB is the inner store here, so this
 // exercises Fault over lsm (the tentpole requires both backends).
 func TestDBFailStopViaFaultStore(t *testing.T) {
+	checkGoroutines(t)
 	dir := t.TempDir()
 	d, err := Open(dir, Options{})
 	if err != nil {

@@ -17,7 +17,7 @@ type internalIterator interface {
 	kind() entryKind
 }
 
-// memtable iterator adaption: the skip-list iterator exposes a
+// memtable iterator adaption: the memtable's iterator exposes a
 // valid/next protocol; wrap it into the pull protocol.
 type memIterAdapter struct {
 	it      *memIterator

@@ -9,13 +9,34 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sistream/internal/kv"
 )
 
 // Tests of the write path's boundaries: the memtable hand-over to the
-// flush worker, recycled WAL segments, the overlapped sync + memtable
+// flush worker, recycled WAL segments, the sync ahead of the memtable
 // insert, and what a crash or a failure at each of them leaves behind.
+
+// checkGoroutines fails the test if, once it has returned and its deferred
+// Closes have run, more goroutines are left than there were at the call:
+// an open DB owns exactly one (the flush worker), a closed one none. The
+// count is given a moment to settle, since an exiting goroutine is counted
+// until it is gone. Call it first, before any Open.
+func checkGoroutines(t *testing.T) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			buf := make([]byte, 1<<16)
+			t.Errorf("%d goroutines after the test, %d before it:\n%s", n, base, buf[:runtime.Stack(buf, true)])
+		}
+	})
+}
 
 // applyPuts applies one synced batch of puts and records it in model.
 func applyPuts(t *testing.T, d *DB, model map[string]string, kvs ...string) {
@@ -58,6 +79,7 @@ func liveWALs(t *testing.T, dir string) []uint64 {
 // reopen — replaying a recycled segment with a previous life behind its
 // records — finds exactly what was acknowledged.
 func TestRecycledSegmentsCarryAckedWritesAcrossReopen(t *testing.T) {
+	checkGoroutines(t)
 	dir := t.TempDir()
 	d, err := Open(dir, Options{MemtableBytes: 8 << 10})
 	if err != nil {
@@ -78,11 +100,6 @@ func TestRecycledSegmentsCarryAckedWritesAcrossReopen(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-d.bgDone:
-	default:
-		t.Fatal("flush worker still running after Close")
-	}
 	d2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -98,6 +115,7 @@ func TestRecycledSegmentsCarryAckedWritesAcrossReopen(t *testing.T) {
 // the immutable memtable's and the active one's, which recovery replays
 // in that order to exactly the acknowledged writes.
 func TestBackgroundFlushFailureThenCrashReplaysBothLogs(t *testing.T) {
+	checkGoroutines(t)
 	dir := t.TempDir()
 	d, err := Open(dir, Options{MemtableBytes: 8 << 10, DisableAutoCompaction: true})
 	if err != nil {
@@ -153,6 +171,7 @@ func TestBackgroundFlushFailureThenCrashReplaysBothLogs(t *testing.T) {
 // the first log replays whole, the second up to its torn record, and
 // neither the torn record nor the previous life behind it comes back.
 func TestCrashTwoLiveLogsTornSecond(t *testing.T) {
+	checkGoroutines(t)
 	dir := t.TempDir()
 	crashPut(t, dir, map[string]string{"a": "first-log", "b": "first-log"})
 	first := liveWALs(t, dir)
@@ -205,6 +224,7 @@ func TestCrashTwoLiveLogsTornSecond(t *testing.T) {
 // The new log is all previous life; recovery must read it as empty — not
 // as data, not as corruption, not even as a torn tail.
 func TestCrashBetweenRecycleRenameAndFirstRecord(t *testing.T) {
+	checkGoroutines(t)
 	dir := t.TempDir()
 	want := map[string]string{"a": "1", "b": "2"}
 	crashPut(t, dir, want)
@@ -241,20 +261,22 @@ func TestCrashBetweenRecycleRenameAndFirstRecord(t *testing.T) {
 	}
 }
 
-// TestFailStopSyncFailureDuringOverlappedInsert: the device fails the sync
-// while the batch's memtable inserts are running beside it. The call
-// returns the cause, the DB is failed for good, the batch may be visible
-// to reads of the failed DB but its memtable is never flushed, and a
-// reopen after the crash finds the synced prefix only.
-func TestFailStopSyncFailureDuringOverlappedInsert(t *testing.T) {
+// TestFailStopSyncFailureLeavesMemtableUntouched: the device fails the sync
+// of a written batch. The call returns the cause, the DB is failed for
+// good, the batch never reaches the memtable — reads of the failed DB do
+// not see it — nothing is flushed, and a reopen after the crash finds the
+// synced prefix only.
+func TestFailStopSyncFailureLeavesMemtableUntouched(t *testing.T) {
+	checkGoroutines(t)
+	const perBatch = 64
 	dir := t.TempDir()
 	d, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	batch := func(tag string) *kv.Batch {
-		b := kv.NewBatch(2 * overlapMinOps)
-		for i := 0; i < 2*overlapMinOps; i++ {
+		b := kv.NewBatch(perBatch)
+		for i := 0; i < perBatch; i++ {
 			b.Put([]byte(fmt.Sprintf("%s-%03d", tag, i)), []byte(tag))
 		}
 		return b
@@ -263,16 +285,10 @@ func TestFailStopSyncFailureDuringOverlappedInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	synced := d.wal.off
+	before := d.Stats()
 
 	eio := errors.New("EIO")
-	d.wal.datasync = func(*os.File) error {
-		// Fail only once the inserts are done, so the memtable provably
-		// holds the batch the sync is about to disown.
-		for d.Stats().MemKeys < 4*overlapMinOps {
-			runtime.Gosched()
-		}
-		return eio
-	}
+	d.wal.datasync = func(*os.File) error { return eio }
 	if err := d.Apply(batch("unacked"), true); !errors.Is(err, eio) || errors.Is(err, ErrDBFailed) {
 		t.Fatalf("Apply with a failing sync = %v, want the raw cause", err)
 	}
@@ -288,11 +304,20 @@ func TestFailStopSyncFailureDuringOverlappedInsert(t *testing.T) {
 	if _, ok, err := d.Get([]byte("acked-000")); err != nil || !ok {
 		t.Fatalf("read of the failed DB: ok=%t err=%v", ok, err)
 	}
+	for _, k := range []string{"unacked-000", "unacked-063", "later-000"} {
+		if _, ok, err := d.Get([]byte(k)); err != nil || ok {
+			t.Fatalf("the failed DB serves %s of a batch it never acknowledged (ok=%t err=%v)", k, ok, err)
+		}
+	}
+	if st := d.Stats(); st.MemKeys != before.MemKeys || st.MemBytes != before.MemBytes {
+		t.Fatalf("memtable moved under the failed sync: %d keys / %d bytes, before %d / %d",
+			st.MemKeys, st.MemBytes, before.MemKeys, before.MemBytes)
+	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, ssts, _, err := listFiles(dir); err != nil || len(ssts) != 0 {
-		t.Fatalf("tables on disk after the failure: %v (%v) — the disowned memtable was flushed", ssts, err)
+		t.Fatalf("tables on disk after the failure: %v (%v) — the failed DB flushed", ssts, err)
 	}
 
 	// The crash: what was written but never synced is gone.
@@ -306,11 +331,77 @@ func TestFailStopSyncFailureDuringOverlappedInsert(t *testing.T) {
 	}
 	defer d2.Close()
 	n, err := kv.Len(d2)
-	if err != nil || n != 2*overlapMinOps {
-		t.Fatalf("%d keys after reopen (%v), want the %d of the synced batch", n, err, 2*overlapMinOps)
+	if err != nil || n != perBatch {
+		t.Fatalf("%d keys after reopen (%v), want the %d of the synced batch", n, err, perBatch)
 	}
 	if _, ok, _ := d2.Get([]byte("unacked-000")); ok {
 		t.Fatal("the unacknowledged batch survived the reopen")
+	}
+}
+
+// TestApplyNeverAliasesBatchKeys: the commit path hands Apply keys it
+// "owns" (Batch.PutOwned) yet rebuilds them in one reused arena every
+// tenure, so the memtable must hold copies. Every batch here is built in
+// the same arena, which is scribbled over as soon as Apply returns; an
+// aliased key would change under the memtable, which the flush worker
+// reports as "sstable keys out of order" a few hundred batches later, or
+// which reads back as a lost row after the reopen.
+func TestApplyNeverAliasesBatchKeys(t *testing.T) {
+	checkGoroutines(t)
+	const batches, perBatch = 1200, 8
+	dir := t.TempDir()
+	d, err := Open(dir, Options{MemtableBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(dst []byte, i int) []byte {
+		return fmt.Appendf(dst, "s/state0/key-%07d", i*7919%(batches*perBatch))
+	}
+	value := func(dst []byte, i int) []byte { return fmt.Appendf(dst, "value-of-%d", i) }
+	arena := make([]byte, 0, perBatch*64) // never regrown: every batch aliases the same bytes
+	batch := kv.NewBatch(perBatch)
+	for b := 0; b < batches; b++ {
+		arena = arena[:0]
+		batch.Reset()
+		for i := b * perBatch; i < (b+1)*perBatch; i++ {
+			k := len(arena)
+			arena = key(arena, i)
+			v := len(arena)
+			arena = value(arena, i)
+			batch.PutOwned(arena[k:v:v], arena[v:len(arena):len(arena)])
+		}
+		if err := d.Apply(batch, b%64 == 0); err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		for i := range arena {
+			arena[i] = '#'
+		}
+	}
+	if st := d.Stats(); st.Flushes < 2 {
+		t.Fatalf("%d flushes, the run was meant to cross at least two", st.Flushes)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := VerifyDir(dir); err != nil {
+		t.Fatalf("verify after close: %v", err)
+	}
+	d2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	for i := 0; i < batches*perBatch; i++ {
+		v, ok, err := d2.Get(key(nil, i))
+		if err != nil || !ok || string(v) != string(value(nil, i)) {
+			t.Fatalf("key %d after reopen: %q ok=%t err=%v", i, v, ok, err)
+		}
+	}
+	if n, err := kv.Len(d2); err != nil || n != batches*perBatch {
+		t.Fatalf("%d keys after reopen (%v), want %d", n, err, batches*perBatch)
 	}
 }
 
@@ -320,6 +411,7 @@ func TestFailStopSyncFailureDuringOverlappedInsert(t *testing.T) {
 // through the active memtable, the immutable one and the tables it turns
 // into — then a Close racing the worker's last flush, and a reopen.
 func TestStressImmutableMemtableReadersAndClose(t *testing.T) {
+	checkGoroutines(t)
 	batches := 500
 	if testing.Short() {
 		batches = 200
@@ -414,11 +506,6 @@ func TestStressImmutableMemtableReadersAndClose(t *testing.T) {
 	write()
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
-	}
-	select {
-	case <-d.bgDone:
-	default:
-		t.Fatal("flush worker still running after Close")
 	}
 	d2, err := Open(dir, opts)
 	if err != nil {
