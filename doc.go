@@ -32,18 +32,21 @@
 //     and the install fast path allocates nothing but the value.
 //   - The dataflow engine is vectorized: edges carry element batches,
 //     chains of stateless operators fuse into their consumer's goroutine,
-//     and TO_TABLE applies each transaction's tuples through a batched
-//     write API (Protocol.WriteBatch) — one snapshot pin and one latch
-//     acquisition per batch. See DESIGN.md "Vectorized dataflow".
+//     and TO_TABLE — one table sink per ToTable call, sequential or per
+//     lane — applies each transaction's tuples as segments
+//     (Protocol.WriteSegment): one value copy per tuple, one snapshot pin
+//     and one latch acquisition per run. See DESIGN.md "Vectorized
+//     dataflow".
 //   - Queries scale past one core on both sides of a table.
 //     Stream.Parallelize splits the ingest spine into keyed lanes with
 //     per-lane write segments re-serialized at a transaction-preserving
 //     merge barrier; FromTablePartitioned splits the change feed
-//     (TO_STREAM) into per-partition commit watchers merged through the
-//     same barrier discipline, so an end-to-end pipeline — ingest lanes
-//     → table → feed partitions → downstream lanes — is shared-nothing
-//     per key from source to sink. See DESIGN.md "Parallel keyed ingest
-//     lanes" and "Partitioned change feed".
+//     (TO_STREAM; ToStream is its one-partition case) into per-partition
+//     sources merged through the same barrier discipline, every
+//     undelivered commit pinned against GC, so an end-to-end pipeline —
+//     ingest lanes → table → feed partitions → downstream lanes — is
+//     shared-nothing per key from source to sink. See DESIGN.md
+//     "Parallel keyed ingest lanes" and "Partitioned change feed".
 //   - The commit spine batches ACROSS transactions: TransactionsWindow
 //     keeps a bounded window of one query's small transactions in
 //     flight on a commit chain (serial-order semantics preserved:

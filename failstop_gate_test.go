@@ -147,3 +147,68 @@ func TestCommitProtocolExistsOnce(t *testing.T) {
 		t.Errorf("commit-path kv.Store.Apply is called from %d functions, want 1 (the commit pipeline): %v", len(fns), fns)
 	}
 }
+
+// methodCallSites maps each method name called (x.Name(...)) in the
+// non-test files of dir to the functions containing the calls, one entry
+// per call site.
+func methodCallSites(t *testing.T, dir string) map[string][]string {
+	t.Helper()
+	sites := map[string][]string{}
+	_, files := parseNonTest(t, dir)
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+						sites[sel.Sel.Name] = append(sites[sel.Sel.Name], fd.Name.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	return sites
+}
+
+// TestLinkingOperatorsExistOnce keeps the paper's linking operators from
+// forking again, one layer above TestCommitProtocolExistsOnce. The
+// contract — a transaction reaches every state or none — is decided
+// where TO_TABLE turns a COMMIT/ROLLBACK punctuation into
+// CommitState/Abort; that decision had three copies (the sequential
+// operator, the Merge barrier's closure, the commit spine) which
+// disagreed about a poisoned group, and TO_STREAM had two watchers of
+// which only one pinned the GC horizon. The gate counts, over non-test
+// internal/stream and internal/txn, the calls only those operators make
+// and fails, naming the functions, when one of them gets a second home.
+func TestLinkingOperatorsExistOnce(t *testing.T) {
+	check := func(what string, got []string, want ...string) {
+		t.Helper()
+		sort.Strings(got)
+		sort.Strings(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: call sites in %v, want exactly %v", what, got, want)
+		}
+	}
+	stream := methodCallSites(t, "internal/stream")
+	// TO_TABLE's verdict: one function commits, and it is the one that
+	// aborts a transaction on its final punctuation. The other Abort
+	// callers end transactions they began themselves and that no
+	// punctuation decides: Transactions (a failed Declare, a transaction
+	// left open when the input ends) and TableJoin (its own read-only
+	// lookups).
+	check("TO_TABLE verdict (CommitState/CommitChain)",
+		slices.Concat(stream["CommitState"], stream["CommitChain"]), "decide", "decide")
+	check("Abort", stream["Abort"], "decide", "transactionsPipeline", "transactionsPipeline", "TableJoin")
+	// TO_TABLE's write path: one function flushes a write set.
+	check("TO_TABLE flush (WriteSegment/WriteBatch)",
+		slices.Concat(stream["WriteSegment"], stream["WriteBatch"]), "flush")
+	// TO_STREAM: one watcher, the GC-pinned partitioned feed.
+	check("TO_STREAM watcher (WatchPartitioned)", stream["WatchPartitioned"], "FromTablePartitioned")
+	check("TO_STREAM watcher (Group.Watch)", stream["Watch"])
+	// Underneath, one function appends to a transaction's write set.
+	check("write-set append (stateEntry.write)", methodCallSites(t, "internal/txn")["write"], "bufferWrites")
+}

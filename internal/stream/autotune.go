@@ -97,7 +97,7 @@ func (a *AutoTuner) Stats() AutoTunerStats {
 	return AutoTunerStats{Window: a.Window(), Grows: a.grows.Load(), Shrinks: a.shrinks.Load()}
 }
 
-// meanFanIn is the mean number of transactions per clean commit run so far.
+// meanFanIn is the mean number of transactions per commit run so far.
 func (a *AutoTuner) meanFanIn() float64 {
 	b := a.batches.Load()
 	if b == 0 {

@@ -12,11 +12,13 @@
 //
 //	TO_TABLE     Stream.ToTable — applies stream tuples to a table inside
 //	             the transaction delimited by the punctuations;
-//	             ParallelRegion.ToTable is its keyed-parallel analogue.
-//	TO_STREAM    ToStream — emits a stream of committed changes of a
-//	             table (per-commit trigger policy);
-//	             FromTablePartitioned is its partitioned analogue.
-//	FROM(table)  TableSnapshot / QueryKeys — one-time snapshot queries.
+//	             ParallelRegion.ToTable runs the same table sink with
+//	             one writer per lane (table.go, tableSink).
+//	TO_STREAM    FromTablePartitioned — emits the committed changes of
+//	             a table as per-partition lanes (per-commit trigger
+//	             policy); ToStream is its one-partition case, merged.
+//	FROM(table)  TableSnapshot / QueryKeys — one-time queries on a
+//	             pinned txn.Snapshot.
 //	FROM(stream) Hub.Attach — subscribe to a stream at the point of
 //	             attachment.
 //
@@ -32,7 +34,7 @@
 // into keyed lanes whose private write segments merge into one shared
 // transaction at a cyclic punctuation barrier (parallel.go), and
 // FromTablePartitioned splits a table's change feed into per-partition
-// commit watchers re-serialized by the same barrier (feed.go) — so
+// commit sources re-serialized by the same barrier (feed.go) — so
 // per-key order and per-transaction atomicity hold end to end with no
 // sequential stage between a source and a downstream sink.
 //

@@ -9,22 +9,52 @@ import (
 )
 
 // TestSpineDrainsCleanlyOnGroupFailure: a sticky sync failure mid-run
-// poisons the commit group; the fused spine must surface exactly one
-// topology failure (wrapping txn.ErrGroupFailed), account every later
-// boundary as an abort, and drain to completion — no wedged worker, no
-// post-failure commit acknowledged. The durable image under the fault
-// layer is the volatile store and the LSM store (the "lsm" driver is
-// registered by backend_equiv_test.go's import).
+// poisons the commit group; every TO_TABLE close — the sequential
+// operator, the Merge coordinator, the static and the tuned spine, which
+// all decide through tableSink.decide — must surface exactly ONE topology
+// failure (wrapping txn.ErrGroupFailed), account every later boundary as
+// an abort, and drain to completion — no wedged worker, no post-failure
+// commit acknowledged. The durable image under the fault layer is the
+// volatile store and the LSM store (the "lsm" driver is registered by
+// backend_equiv_test.go's import).
 func TestSpineDrainsCleanlyOnGroupFailure(t *testing.T) {
-	for name, spec := range map[string]string{
-		"fault+mem": "fault+mem",
-		"fault+lsm": "fault+lsm:" + t.TempDir(),
-	} {
-		t.Run(name, func(t *testing.T) { spineDrainsCleanlyOnGroupFailure(t, spec) })
+	closes := map[string]func(s *Stream, p txn.Protocol, tbl *txn.Table) *ToTableStats{
+		"sequential": func(s *Stream, p txn.Protocol, tbl *txn.Table) *ToTableStats {
+			out, stats := s.Transactions(p).ToTable(p, tbl)
+			out.Discard()
+			return stats
+		},
+		"Merge": func(s *Stream, p txn.Protocol, tbl *txn.Table) *ToTableStats {
+			region := s.Transactions(p).Parallelize(2, nil)
+			stats := region.ToTable(p, tbl)
+			region.Merge("merge").Discard()
+			return stats
+		},
+		"MergeBatched": func(s *Stream, p txn.Protocol, tbl *txn.Table) *ToTableStats {
+			region := s.TransactionsWindow(p, 4).Parallelize(2, nil)
+			stats := region.ToTable(p, tbl)
+			region.MergeBatched("merge", 4).Discard()
+			return stats
+		},
+		"MergeTuned": func(s *Stream, p txn.Protocol, tbl *txn.Table) *ToTableStats {
+			tun := NewAutoTuner(AutoTune{MaxWindow: 4})
+			region := s.TransactionsTuned(p, tun).Parallelize(2, nil)
+			stats := region.ToTable(p, tbl)
+			region.MergeTuned("merge", tun).Discard()
+			return stats
+		},
+	}
+	for closeName, build := range closes {
+		for specName, spec := range map[string]string{
+			"fault+mem": "fault+mem",
+			"fault+lsm": "fault+lsm:" + t.TempDir(),
+		} {
+			t.Run(closeName+"/"+specName, func(t *testing.T) { drainsCleanlyOnGroupFailure(t, spec, build) })
+		}
 	}
 }
 
-func spineDrainsCleanlyOnGroupFailure(t *testing.T, spec string) {
+func drainsCleanlyOnGroupFailure(t *testing.T, spec string, build func(*Stream, txn.Protocol, *txn.Table) *ToTableStats) {
 	store, err := kv.Open(spec, kv.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -54,9 +84,7 @@ func spineDrainsCleanlyOnGroupFailure(t *testing.T, spec string) {
 		}
 		return nil
 	})
-	region := src.Punctuate(commitEvery).TransactionsWindow(p, 4).Parallelize(2, nil)
-	stats := region.ToTable(p, tbl)
-	region.MergeBatched("merge", 4).Discard()
+	stats := build(src.Punctuate(commitEvery), p, tbl)
 
 	// The run must TERMINATE (a wedged spine worker would hang the test)
 	// and surface the fail-stop error through the region's error path.
@@ -66,6 +94,9 @@ func spineDrainsCleanlyOnGroupFailure(t *testing.T, spec string) {
 	}
 	if !errors.Is(err, txn.ErrGroupFailed) || !errors.Is(err, badDisk) {
 		t.Fatalf("topology error = %v, want ErrGroupFailed wrapping the injected EIO", err)
+	}
+	if len(top.errs) != 1 {
+		t.Fatalf("%d topology errors, want exactly one (the latched fail-stop verdict); the second: %v", len(top.errs), top.errs[1])
 	}
 
 	if group.Err() == nil {

@@ -1,17 +1,15 @@
 package stream
 
-// Partitioned change feed: the TO_STREAM half of the shared-nothing
-// pipeline. The sequential ToStream funnels every downstream consumer
-// through one commit-watcher goroutine — however many ingest lanes feed
-// the table, the change feed re-serializes behind it. FromTablePartitioned
-// removes that stage: the feed is split into P per-partition source nodes
-// (each draining only its key range's committed write-set entries from a
+// The change feed: TO_STREAM, the only place a topology watches a table's
+// commits. The feed is split into P per-partition source nodes (each
+// draining only its key range's committed write-set entries from a
 // txn.Table.WatchPartitioned feed), exposed as a ParallelRegion whose
 // Merge barrier re-serializes the commit punctuations with exactly the
 // same cyclic-barrier discipline the ingest lanes use — so a downstream
 // Merge observes exactly one BOT/COMMIT pair per transaction, and per-key
 // order is preserved end to end: ingest lanes → table → feed partitions →
-// downstream lanes is shared-nothing per key from source to sink.
+// downstream lanes is shared-nothing per key from source to sink. The
+// sequential ToStream is the one-partition case, merged.
 
 import (
 	"fmt"
@@ -32,13 +30,14 @@ import (
 // Each committed transaction that wrote tbl appears on every lane as a
 // BOT punctuation, the lane's share of the changed rows as data elements,
 // and a COMMIT punctuation; both punctuations carry the commit timestamp
-// in Tuple.Ts. Data elements are shaped exactly as ToStream shapes them:
-// Key is the row key, Value the committed value as of that commit's own
-// snapshot (Num set only when the entire value is a decimal literal, as
-// strconv.ParseFloat reads it), Ts the commit timestamp, Delete set
-// when the change removed the row. Reading at the commit's snapshot means
-// the emitted value is exactly what that transaction installed, even if
-// later commits already overwrote it.
+// in Tuple.Ts. Data elements are shaped by changeTuple: Key is the row
+// key, Value the committed value as of that commit's own snapshot (Num
+// set only when the ENTIRE value is a decimal literal — "42", "-1.5",
+// "1e3", as strconv.ParseFloat reads it — and 0 for anything else, a
+// literal followed by other bytes included), Ts the commit timestamp,
+// Delete set when the change removed the row. Reading at the commit's
+// snapshot means the emitted value is exactly what that transaction
+// installed, even if later commits already overwrote it.
 //
 // The region must be closed with Merge (directly, or after deriving
 // per-partition operator chains with Apply — the lane-to-lane hookup that
@@ -53,16 +52,16 @@ import (
 // that far behind, the committing thread blocks (backpressure) rather
 // than dropping committed changes. stop ends the feed: queued commits are
 // still delivered, then the lanes close. Punctuation-only transactions
-// (commits not writing tbl) do not appear on the feed, matching ToStream.
+// (commits not writing tbl) do not appear on the feed.
 //
-// Unlike ToStream, the partitioned feed participates in garbage
-// collection: every undelivered commit is pinned into the context's GC
-// horizon (txn.PartitionedFeed), and each partition acknowledges a commit
-// only after emitting its rows — read at the commit's snapshot — so an
-// aggressively collected table (TableOptions.GCEveryCommits, a hot key's
-// version array turning over) can never reclaim a version a lagging
-// partition still needs. A stalled consumer therefore pins the horizon
-// until it resumes or the feed is stopped and drained.
+// The feed participates in garbage collection: every undelivered commit
+// is pinned into the context's GC horizon (txn.PartitionedFeed), and each
+// partition acknowledges a commit only after emitting its rows — read at
+// the commit's snapshot — so an aggressively collected table
+// (TableOptions.GCEveryCommits, a hot key's version array turning over)
+// can never reclaim a version a lagging partition still needs. A stalled
+// consumer therefore pins the horizon until it resumes or the feed is
+// stopped and drained.
 func FromTablePartitioned(t *Topology, tbl *txn.Table, parts int, keyFn *KeyFn) (*ParallelRegion, func()) {
 	feed, err := tbl.WatchPartitioned(parts, 0, keyFn.keyHash())
 	if err != nil {
@@ -91,8 +90,7 @@ func FromTablePartitioned(t *Topology, tbl *txn.Table, parts int, keyFn *KeyFn) 
 
 // emitFeedCommit ships one commit's changes on a feed lane as an in-band
 // [BOT, rows..., COMMIT] run, split at batchCap so a large commit never
-// delays delivery of its first rows. Rows are shaped by changeTuple —
-// the same constructor the sequential ToStream emits through.
+// delays delivery of its first rows.
 func emitFeedCommit(lane *Stream, tbl *txn.Table, ev txn.FeedEvent) {
 	punct := func(k Kind) Element {
 		return Element{Kind: k, Tuple: Tuple{Ts: int64(ev.CTS)}}

@@ -90,37 +90,33 @@ func runScriptIngest(t *testing.T, p txn.Protocol, tbl *txn.Table, script []scri
 	}
 }
 
-// sequentialFeedSigs runs the script with the sequential spine and the
-// sequential TO_STREAM feed, returning the reference commit signatures
-// (elements grouped by their commit timestamp, in commit order).
+// sequentialFeedSigs runs the script with the sequential spine and
+// returns the reference commit signatures, in commit order. The reference
+// is INDEPENDENT of the feed under test (ToStream shares its code): a
+// plain Group.Watch listener records each commit on the committing
+// goroutine, reading the rows at the commit's timestamp straight from the
+// table.
 func sequentialFeedSigs(t *testing.T, script []scriptItem, punctuateN int) []commitSig {
 	t.Helper()
 	p, tbl := feedEnv(t)
-	feedTop := New("feed-seq")
-	out, stopFeed := ToStream(feedTop, tbl, p)
-	collected := out.Collect()
-	runScriptIngest(t, p, tbl, script, punctuateN, 1, 1, feedTop, stopFeed)
-
 	var sigs []commitSig
-	var rows []string
-	flush := func() {
-		if rows != nil {
-			sort.Strings(rows)
-			sigs[len(sigs)-1].rows = strings.Join(rows, ",")
-			rows = nil
+	tbl.Group().Watch(func(cts txn.Timestamp, writes map[txn.StateID][]string) {
+		keys, ok := writes[tbl.ID()]
+		if !ok {
+			return
 		}
-	}
-	for _, e := range <-collected {
-		if e.Kind != KindData {
-			t.Fatalf("sequential TO_STREAM emitted a %v punctuation", e.Kind)
+		rows := make([]string, 0, len(keys))
+		for _, k := range keys {
+			if v, ok := tbl.ReadAt(k, cts); ok {
+				rows = append(rows, k+"="+string(v))
+			} else {
+				rows = append(rows, k+"=DEL")
+			}
 		}
-		if len(sigs) == 0 || sigs[len(sigs)-1].cts != e.Tuple.Ts {
-			flush()
-			sigs = append(sigs, commitSig{cts: e.Tuple.Ts})
-		}
-		rows = append(rows, rowSig(e.Tuple))
-	}
-	flush()
+		sort.Strings(rows)
+		sigs = append(sigs, commitSig{cts: int64(cts), rows: strings.Join(rows, ",")})
+	})
+	runScriptIngest(t, p, tbl, script, punctuateN, 1, 1, New("no-feed"), func() {})
 	return sigs
 }
 
@@ -212,8 +208,8 @@ func partitionedFeedSigs(t *testing.T, script []scriptItem, punctuateN, lanes, p
 }
 
 // TestPropertyFeedEquivalence: for random scripts, every ingest lane
-// count × feed partition count must deliver exactly the sequential
-// TO_STREAM path's changes — same commit sequence, same per-commit
+// count × feed partition count must deliver exactly the changes the
+// sequential spine committed — same commit sequence, same per-commit
 // element multisets (and thus the same total multiset and per-key
 // order), with the partitioned feed's punctuations correctly framed and
 // appearing exactly once per transaction after the merge barrier.
@@ -255,7 +251,7 @@ func TestPropertyFeedEquivalence(t *testing.T) {
 // cross-transaction commit batching ({1,2,8}) feeding a partitioned feed
 // consumed either fused (direct partition→lane wiring, single spanning
 // barrier) or re-routed (explicit Merge → Parallelize seam). Every
-// combination must deliver the sequential TO_STREAM signatures exactly.
+// combination must deliver the sequential reference's signatures exactly.
 func TestPropertyFeedEquivalenceFusedSpine(t *testing.T) {
 	seeds := int64(5)
 	if testing.Short() {
@@ -390,5 +386,76 @@ func TestChangeTupleNum(t *testing.T) {
 	}
 	if tp := changeTuple(tbl, "never written", cts); !tp.Delete || tp.Num != 0 {
 		t.Errorf("missing row: tuple %+v, want Delete with Num 0", tp)
+	}
+}
+
+// TestToStreamPinsGCHorizon: TO_STREAM reads every row at its commit's
+// own snapshot, so a lagging consumer must keep those snapshots alive. A
+// hot key is overwritten a few hundred times under the most aggressive
+// sweeping while the ToStream consumer is stalled; once released, every
+// emitted row must carry the value its own commit installed — a reclaimed
+// version would surface as a spurious Delete — and after stop and drain
+// the feed pins nothing.
+func TestToStreamPinsGCHorizon(t *testing.T) {
+	ctx := txn.NewContext()
+	store := kv.NewMem()
+	defer store.Close()
+	tbl, err := ctx.CreateTable("hot", store, txn.TableOptions{VersionSlots: 4, GCEveryCommits: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctx.CreateGroup("g", tbl); err != nil {
+		t.Fatal(err)
+	}
+	p := txn.NewSI(ctx)
+
+	top := New("lagging")
+	feed, stopFeed := ToStream(top, tbl, p)
+	release := make(chan struct{})
+	var rows []Tuple
+	feed.Sink("stalled", func(e Element) {
+		<-release
+		if e.Kind == KindData {
+			rows = append(rows, e.Tuple)
+		}
+	})
+	top.Start()
+
+	const commits = 300
+	for i := 0; i < commits; i++ {
+		tx, err := p.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Write(tx, tbl, "k", []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tbl.GCStats().Runs == 0 {
+		t.Fatal("sweeper never ran (the test needs active sweeping to prove the pin)")
+	}
+
+	close(release)
+	stopFeed()
+	if err := top.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != commits {
+		t.Fatalf("feed delivered %d rows, want %d", len(rows), commits)
+	}
+	for i, r := range rows {
+		if want := fmt.Sprintf("v%d", i); r.Delete || string(r.Value) != want {
+			t.Fatalf("row %d = %+v, want value %s (a reclaimed version reads as a spurious Delete)", i, r, want)
+		}
+	}
+	if horizon, now := ctx.OldestActiveVersion(), ctx.Now(); horizon != now {
+		t.Fatalf("GC horizon %d after stop and drain, want the clock %d (the feed still pins)", horizon, now)
+	}
+	tbl.GC()
+	if rv := tbl.ResidentVersions(); rv != 1 {
+		t.Fatalf("resident versions = %d after the unpinned sweep, want 1", rv)
 	}
 }

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -25,7 +24,8 @@ import (
 //     punctuation first flushes its pending per-lane write segment into
 //     the shared transaction (txn.Segment — one latch acquisition per
 //     lane per boundary), then parks; the last lane to arrive becomes the
-//     commit coordinator and fires the single CommitState/Abort only
+//     commit coordinator and has the region's table sinks decide the
+//     transaction (tableSink.decide — the single CommitState/Abort) only
 //     after every lane has acknowledged the boundary. The transaction
 //     therefore commits all lanes' writes atomically — the same
 //     per-transaction atomicity the sequential TO_TABLE provides — and
@@ -123,13 +123,12 @@ func (k *KeyFn) keyHash() func(string) uint64 {
 type ParallelRegion struct {
 	t     *Topology
 	lanes []*Stream
-	// actions run on the commit coordinator (the last lane to reach a
-	// punctuation barrier), in registration order, with every lane parked
-	// and every lane's segment flushed — see ToTable. MergeBatched defers
-	// them to the commit spine, which requires every action to be a
-	// ToTable registration (regs mirrors them one to one).
-	actions []func(Element)
-	regs    []laneCommitReg
+	// sinks are the region's ToTable operators, in registration order. The
+	// closing barrier has them decide every transaction once all lanes
+	// have flushed their writes and parked: on the coordinator (the last
+	// lane to reach the punctuation) under Merge, on the commit spine's
+	// worker under MergeBatched and MergeTuned.
+	sinks []*tableSink
 	// key is the routing token the region was partitioned with (nil = the
 	// default key hash). Token identity is what makes direct
 	// partition→lane fusion verifiable — see Reparallelize.
@@ -268,11 +267,10 @@ func (r *ParallelRegion) Reparallelize(name string, p int, keyFn *KeyFn) *Parall
 		r.merged = true
 		r.t.note("region", name, fmt.Sprintf("fused lane-for-lane (lanes=%d, matching partitioning — no merge, no re-route)", p), nil)
 		return &ParallelRegion{
-			t:       r.t,
-			lanes:   r.lanes,
-			actions: r.actions,
-			regs:    r.regs,
-			key:     r.key,
+			t:     r.t,
+			lanes: r.lanes,
+			sinks: r.sinks,
+			key:   r.key,
 		}
 	}
 	r.t.note("region", name, "reroute (partitioning mismatch: merge + re-hash)", nil)
@@ -285,96 +283,30 @@ func (r *ParallelRegion) checkOpen(op string) {
 	}
 }
 
-// laneTableCtl coordinates one region ToTable's poisoning state across
-// lanes: the first lane flush failure of a transaction poisons it (and
-// accounts for it exactly once); the commit coordinator turns a poisoned
-// transaction into a global abort. Poisoning is keyed to the transaction
-// handle — NOT a flag reset at BOT — because with a single lane the
-// region's stream can deliver a whole [BOT .. COMMIT BOT ..] run in one
-// batch, whose fused-stage flushes all execute before the collector's
-// barrier syncs; a BOT-time reset would then wipe a poison the same
-// batch's COMMIT still has to observe. Several transactions may be
-// poisoned at once (a commit spine defers their handling past the
-// barrier), so the state is a set, cleared as each transaction's final
-// punctuation is handled.
-type laneTableCtl struct {
-	mu       sync.Mutex
-	poisoned map[*txn.Txn]bool
-}
-
-// fail records a lane flush failure of tx. Only the FIRST failure of the
-// transaction counts: one abort for the abort family (a First-Committer-
-// Wins loss, or ErrFinished because another lane's failure already
-// aborted the transaction), a topology failure otherwise — mirroring the
-// sequential TO_TABLE, which poisons on the first failing write and
-// counts a single abort for the transaction.
-func (c *laneTableCtl) fail(t *Topology, op string, stats *ToTableStats, tx *txn.Txn, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.poisoned[tx] {
-		return
-	}
-	if c.poisoned == nil {
-		c.poisoned = make(map[*txn.Txn]bool)
-	}
-	c.poisoned[tx] = true
-	if txn.IsAbort(err) || err == txn.ErrFinished {
-		stats.Aborts.Add(1)
-	} else {
-		t.fail(op, err)
-	}
-}
-
-func (c *laneTableCtl) isPoisoned(tx *txn.Txn) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.poisoned[tx]
-}
-
-// clear drops tx's poison record once its final punctuation has been
-// handled (the transaction is finished; the handle is never seen again).
-func (c *laneTableCtl) clear(tx *txn.Txn) {
-	c.mu.Lock()
-	delete(c.poisoned, tx)
-	c.mu.Unlock()
-}
-
-// laneCommitReg is one ToTable's registration with the region's commit
-// machinery: the protocol and table it maintains, its live stats, and its
-// poisoning state. The barrier actions and the commit spine both work off
-// these.
-type laneCommitReg struct {
-	p     txn.Protocol
-	tbl   *txn.Table
-	stats *ToTableStats
-	ctl   *laneTableCtl
-}
-
-// ToTable adds a per-lane TO_TABLE write path to every lane of the
-// region, maintaining tbl inside the transaction attached to the
-// elements — the parallel analogue of Stream.ToTable:
+// ToTable adds a TO_TABLE to the region, maintaining tbl inside the
+// transaction attached to the elements — Stream.ToTable's table sink with
+// one writer per lane and the verdict moved to the closing barrier:
 //
 //   - Each lane buffers its data tuples into a private txn.Segment (value
 //     copies happen lane-locally, in parallel, with no shared latch).
 //   - At every punctuation the lane flushes its segment into the shared
-//     transaction — through the protocol's SegmentWriter fast path when
-//     available (SI, BOCC and S2PL all implement it: ownership transfer,
-//     one latch acquisition, with S2PL additionally acquiring its
-//     exclusive locks lane-side), through Protocol.WriteBatch otherwise —
-//     BEFORE acknowledging the barrier, so the coordinator never commits
-//     a transaction with lane writes still buffered.
-//   - The commit itself (CommitState on COMMIT, Abort on ROLLBACK, global
-//     abort of poisoned transactions) runs once per transaction, at the
-//     region's closing barrier: synchronously on the coordinator under
-//     Merge, deferred to the batching commit spine under MergeBatched.
+//     transaction (Protocol.WriteSegment: ownership transfer, one latch
+//     acquisition, with S2PL acquiring its exclusive locks lane-side)
+//     BEFORE acknowledging the barrier, so a transaction is never decided
+//     with lane writes still buffered.
+//   - The decision itself (CommitState on COMMIT, Abort on ROLLBACK,
+//     global abort of poisoned transactions — tableSink.decide) runs once
+//     per transaction, at the region's closing barrier: synchronously on
+//     the coordinator under Merge, deferred to the batching commit spine
+//     under MergeBatched and MergeTuned.
 //
 // Poisoning is flush-granular: a lane discovers a write failure when its
-// segment flushes at a boundary, not per element as the sequential
-// operator does, so under injected mid-transaction faults the Writes
-// count may include same-transaction writes a sequential run would have
-// skipped. Commits, Aborts and committed table contents are identical for
-// every lane count (the sequential engine discards a poisoned
-// transaction's buffered writes just the same).
+// segment flushes at a boundary, not at the end of each input batch as
+// the sequential operator does, so under injected mid-transaction faults
+// the Writes count may include same-transaction writes a sequential run
+// would have skipped. Commits, Aborts and committed table contents are
+// identical for every lane count (the sequential engine discards a
+// poisoned transaction's buffered writes just the same).
 //
 // The returned stats object is live. As with chained sequential ToTable
 // operators, maintaining several tables requires declaring them all on
@@ -382,124 +314,27 @@ type laneCommitReg struct {
 // CommitState fires the global commit.
 func (r *ParallelRegion) ToTable(p txn.Protocol, tbl *txn.Table) *ToTableStats {
 	r.checkOpen("ToTable")
-	stats := &ToTableStats{}
-	name := "to_table/" + string(tbl.ID())
-	r.t.note("table", name, fmt.Sprintf("protocol=%s lanes=%d (per-lane segments)", p.Name(), len(r.lanes)), func() string {
-		return fmt.Sprintf("writes=%d commits=%d aborts=%d", stats.Writes.Load(), stats.Commits.Load(), stats.Aborts.Load())
-	})
-	sw, _ := p.(txn.SegmentWriter)
-	ctl := &laneTableCtl{}
+	sink := newTableSink(r.t, p, tbl, fmt.Sprintf("%d (per-lane segments)", len(r.lanes)))
 	for i := range r.lanes {
-		seg := txn.NewSegment(batchCap)
-		var cur *txn.Txn
-		// flush merges the lane's segment into tx; eos marks the
-		// end-of-stream flush, where ErrFinished is expected (the
-		// Transactions operator aborts a dangling transaction when its
-		// own input ends) and must not count as a new abort.
-		flush := func(tx *txn.Txn, eos bool) {
-			if seg.Len() == 0 {
-				return
-			}
-			if tx == nil {
-				seg.Reset()
-				return
-			}
-			var (
-				n   int
-				err error
-			)
-			if sw != nil {
-				n, err = sw.WriteSegment(tx, tbl, seg)
-			} else {
-				n, err = p.WriteBatch(tx, tbl, seg.Ops())
-			}
-			seg.Reset()
-			stats.Writes.Add(int64(n))
-			if err != nil && !(eos && err == txn.ErrFinished) {
-				ctl.fail(r.t, name, stats, tx, err)
-			}
-		}
+		w := sink.writer()
 		r.lanes[i] = r.lanes[i].fuse(func(e Element, emit func(Element)) {
-			switch e.Kind {
-			case KindBOT:
-				// A well-formed stream never has a pending segment here;
-				// flush defensively so a malformed one cannot leak writes
-				// across transactions.
-				flush(cur, false)
-				cur = e.Tx
-			case KindData:
-				if e.Tx != nil {
-					cur = e.Tx
-					if e.Tuple.Key != "" {
-						if e.Tuple.Delete {
-							seg.Delete(e.Tuple.Key)
-						} else {
-							seg.Put(e.Tuple.Key, e.Tuple.Value)
-						}
-					}
-				}
-			case KindCommit, KindRollback:
-				if e.Tx != nil {
-					cur = e.Tx
-				}
-				flush(cur, false)
-				cur = nil
-			}
+			w.step(&e)
 			emit(e)
-		}, func(emit func(Element)) {
-			// Input ended mid-transaction: apply the dangling segment (the
-			// sequential engine applies pending runs at batch boundaries
-			// too); the transaction itself is rolled back upstream.
-			flush(cur, true)
+		}, func(func(Element)) {
+			// Input ended mid-transaction: apply the dangling segment; the
+			// transaction itself is rolled back upstream.
+			w.flush(true)
 		})
 	}
-	reg := laneCommitReg{p: p, tbl: tbl, stats: stats, ctl: ctl}
-	r.regs = append(r.regs, reg)
-	r.actions = append(r.actions, func(e Element) {
-		switch e.Kind {
-		case KindCommit:
-			if e.Tx == nil {
-				return
-			}
-			if ctl.isPoisoned(e.Tx) {
-				// Some lane already gave up on the transaction; make the
-				// abort global (the abort itself was already counted).
-				if err := p.Abort(e.Tx); err != nil && err != txn.ErrFinished {
-					r.t.fail(name, err)
-				}
-				ctl.clear(e.Tx)
-				return
-			}
-			if err := p.CommitState(e.Tx, tbl); err != nil {
-				if txn.IsAbort(err) || err == txn.ErrFinished {
-					stats.Aborts.Add(1)
-				} else {
-					r.t.fail(name, err)
-				}
-				return
-			}
-			stats.Commits.Add(1)
-		case KindRollback:
-			if e.Tx == nil {
-				return
-			}
-			// Lane segments were flushed before the barrier (Writes counts
-			// them, as in the sequential engine); Abort discards them.
-			if err := p.Abort(e.Tx); err != nil && err != txn.ErrFinished {
-				r.t.fail(name, err)
-			}
-			ctl.clear(e.Tx)
-			stats.Aborts.Add(1)
-		}
-	})
-	return stats
+	r.sinks = append(r.sinks, sink)
+	return sink.stats
 }
 
 // laneBarrier is the punctuation barrier of a parallel region: a cyclic
 // barrier over the region's lane collectors. Lanes forward data batches
 // to the merged output as they arrive; at a punctuation each lane parks,
 // and the LAST lane to arrive becomes the coordinator for that boundary —
-// it runs the region's commit work (onPunct: the registered actions under
+// it runs the region's commit work (onPunct: the sinks' verdict under
 // Merge, a spine enqueue under MergeBatched), emits the punctuation into
 // the merged stream exactly once, and releases the parked lanes.
 type laneBarrier struct {
@@ -544,14 +379,19 @@ func (b *laneBarrier) sync(e Element) {
 // transaction between that transaction's BOT and COMMIT/ROLLBACK, and
 // per-key element order preserved (cross-key order within a transaction
 // is arbitrary — lanes run concurrently). Merge must be called exactly
-// once per region; the region's commit actions (ToTable) run at its
-// barrier, synchronously — the transaction is globally committed before
-// its COMMIT punctuation is emitted downstream.
+// once per region; the region's table sinks (ToTable) decide at its
+// barrier, synchronously, on the coordinator — the transaction is
+// globally committed before its COMMIT punctuation is emitted downstream.
 func (r *ParallelRegion) Merge(name string) *Stream {
-	actions := r.actions
+	sinks := r.sinks
+	one := make([]*txn.Txn, 1) // coordinator-owned, under the barrier's mutex
 	return r.close(name, func(e Element) {
-		for _, act := range actions {
-			act(e)
+		if !endsTxn(&e) {
+			return
+		}
+		one[0] = e.Tx
+		for _, sink := range sinks {
+			sink.decide(e.Kind, one)
 		}
 	}, nil)
 }
@@ -561,7 +401,7 @@ func (r *ParallelRegion) Merge(name string) *Stream {
 // transaction to a spine worker and releases the lanes immediately, so
 // the next transaction's data flows while the previous commits. The
 // worker batches up to maxBatch consecutive lane-complete transactions
-// into ONE group-commit submission (txn.ChainCommitter) — one leader
+// into ONE group-commit submission (Protocol.CommitChain) — one leader
 // tenure, one coalesced store batch and fsync, one LastCTS publish for
 // the whole run; aborts (rollbacks, poisoned transactions) split the
 // batch and never poison their neighbors. Pair it with a
@@ -573,8 +413,7 @@ func (r *ParallelRegion) Merge(name string) *Stream {
 // exactly once, in order — but a COMMIT punctuation may be emitted
 // downstream BEFORE its transaction is globally committed (durable and
 // visible); the transaction's Done channel still closes only at the real
-// commit. Every commit action of the region must come from ToTable, and
-// all ToTable calls must share one protocol.
+// commit. All ToTable calls of the region must share one protocol.
 func (r *ParallelRegion) MergeBatched(name string, maxBatch int) *Stream {
 	if maxBatch < 1 {
 		panic("stream: MergeBatched needs maxBatch >= 1")
@@ -588,7 +427,7 @@ func (r *ParallelRegion) MergeBatched(name string, maxBatch int) *Stream {
 // company — each batch is whatever boundaries queued while the previous
 // batch was committing, at most the tuner's in-flight bound. Fan-in stays
 // near 1 while the store keeps up and rises by itself as commits lag.
-// Every clean commit run is timed and fed to the tuner's latency guard.
+// Every commit run is timed and fed to the tuner's latency guard.
 // Pair it with a TransactionsTuned upstream sharing the SAME tuner, which
 // applies the same bound to the transactions in flight. All other
 // MergeBatched contracts (framing, early COMMIT emission, ToTable/
@@ -604,23 +443,20 @@ func (r *ParallelRegion) MergeTuned(name string, tun *AutoTuner) *Stream {
 // mergeSpine closes the region over a commit spine (tests inspect the
 // returned spine once the topology has run).
 func (r *ParallelRegion) mergeSpine(name, op string, maxBatch int, tun *AutoTuner) (*Stream, *commitSpine) {
-	sp := newCommitSpine(r.t, name, r.spineRegs(op), maxBatch)
+	sp := newCommitSpine(r.spineSinks(op), maxBatch)
 	sp.tun = tun
 	return r.close(name, sp.enqueue, sp), sp
 }
 
-// spineRegs validates the region's commit actions for a batched close
-// and returns the ToTable registrations the spine works off.
-func (r *ParallelRegion) spineRegs(op string) []laneCommitReg {
-	if len(r.regs) != len(r.actions) {
-		panic("stream: " + op + " requires all region commit actions to come from ToTable")
-	}
-	for _, reg := range r.regs[1:] {
-		if reg.p != r.regs[0].p {
+// spineSinks validates the region's table sinks for a batched close: one
+// chain of transactions is committed through one protocol.
+func (r *ParallelRegion) spineSinks(op string) []*tableSink {
+	for _, sink := range r.sinks {
+		if sink.p != r.sinks[0].p {
 			panic("stream: " + op + " requires all region ToTable calls to share one protocol")
 		}
 	}
-	return r.regs
+	return r.sinks
 }
 
 // close implements Merge/MergeBatched: lane collectors, the punctuation
@@ -692,35 +528,25 @@ func (r *ParallelRegion) close(name string, onPunct func(Element), sp *commitSpi
 // commitSpine is the deferred commit worker of a batched region barrier:
 // the coordinator enqueues each decided transaction (with its punctuation
 // kind) in boundary order and releases the lanes; the worker drains the
-// queue, groups maximal runs of consecutive clean COMMIT entries up to
-// maxBatch, and submits each run to the group-commit pipeline as ONE
-// cross-transaction batch through txn.ChainCommitter. Rollbacks and
-// poisoned transactions are handled singly, splitting the run exactly
-// where they sit — an abort never delays or poisons its neighbors beyond
-// that split. Protocols without ChainCommitter (e.g. test wrappers) fall
-// back to per-transaction CommitState in the same order.
+// queue and hands each run of consecutive COMMIT (or ROLLBACK) boundaries
+// to the region's table sinks in one decide call, so a run of clean
+// COMMITs reaches the group-commit pipeline as ONE cross-transaction
+// batch (Protocol.CommitChain). Rollbacks and poisoned transactions split
+// the run exactly where they sit (tableSink.decide) — an abort never
+// delays or poisons its neighbors beyond that split.
 type commitSpine struct {
-	t        *Topology
-	name     string
-	regs     []laneCommitReg
-	tbls     []*txn.Table
-	cc       txn.ChainCommitter
+	sinks    []*tableSink
 	maxBatch int
 	// tun, when set (MergeTuned), makes the worker work-conserving: no
 	// collection target and no linger, batches capped at the tuner's
-	// in-flight bound, every clean commit run timed for its latency guard.
+	// in-flight bound, every commit run timed for its latency guard.
 	tun *AutoTuner
 	q   chan spineEntry
-	// Worker-owned scratch, reused across batches: commitRun's chain
-	// submission and the static path's linger timer (never armed under tun).
+	// Worker-owned scratch, reused across batches: process's run of
+	// transactions and the static path's linger timer (never armed under
+	// tun).
 	txs    []*txn.Txn
 	linger *time.Timer
-	// groupFailed latches the first txn.ErrGroupFailed verdict (worker-
-	// goroutine owned): a poisoned commit group is surfaced as exactly ONE
-	// topology failure, and every later fail-fast verdict is accounted as
-	// an abort — the spine drains the remaining boundaries deterministically
-	// instead of wedging or flooding the error list (see account).
-	groupFailed bool
 }
 
 // spineEntry is one decided transaction awaiting its commit work.
@@ -729,14 +555,8 @@ type spineEntry struct {
 	tx   *txn.Txn
 }
 
-func newCommitSpine(t *Topology, name string, regs []laneCommitReg, maxBatch int) *commitSpine {
-	sp := &commitSpine{t: t, name: name, regs: regs, maxBatch: maxBatch}
-	for _, reg := range regs {
-		sp.tbls = append(sp.tbls, reg.tbl)
-	}
-	if len(regs) > 0 {
-		sp.cc, _ = regs[0].p.(txn.ChainCommitter)
-	}
+func newCommitSpine(sinks []*tableSink, maxBatch int) *commitSpine {
+	sp := &commitSpine{sinks: sinks, maxBatch: maxBatch}
 	qcap := 2 * maxBatch
 	if qcap < chanBuf {
 		qcap = chanBuf
@@ -749,13 +569,9 @@ func newCommitSpine(t *Topology, name string, regs []laneCommitReg, maxBatch int
 // order (called by the barrier coordinator; a full queue backpressures
 // the barrier, which is safe — the worker never waits on the barrier).
 func (sp *commitSpine) enqueue(e Element) {
-	if e.Kind != KindCommit && e.Kind != KindRollback {
-		return
+	if endsTxn(&e) {
+		sp.q <- spineEntry{kind: e.Kind, tx: e.Tx}
 	}
-	if e.Tx == nil {
-		return
-	}
-	sp.q <- spineEntry{kind: e.Kind, tx: e.Tx}
 }
 
 // spineLinger bounds how long the static spine collects further boundaries
@@ -842,120 +658,25 @@ func (sp *commitSpine) run() {
 	}
 }
 
-// process handles one drained slice of boundary entries in order.
+// process handles one drained slice of boundary entries in order: each
+// maximal run of one punctuation kind is decided by every sink in turn.
+// A sink's chain flags its table on the whole run; the sink whose flag
+// completes the transactions' flag sets (the last one, when every table
+// is declared) submits them to the pipeline as one batch.
 func (sp *commitSpine) process(entries []spineEntry) {
-	i := 0
-	for i < len(entries) {
-		e := entries[i]
-		if e.kind == KindCommit && !sp.anyPoisoned(e.tx) {
-			j := i
-			for j < len(entries) && entries[j].kind == KindCommit && !sp.anyPoisoned(entries[j].tx) {
-				j++
-			}
-			sp.commitRun(entries[i:j])
-			i = j
-			continue
-		}
-		sp.single(e)
-		i++
-	}
-}
-
-// anyPoisoned reports whether any lane write path gave up on tx. The
-// poisoning state is final once the transaction's boundary passed the
-// barrier (every lane flushed before acknowledging), so reading it at
-// spine time is race-free.
-func (sp *commitSpine) anyPoisoned(tx *txn.Txn) bool {
-	for _, reg := range sp.regs {
-		if reg.ctl.isPoisoned(tx) {
-			return true
-		}
-	}
-	return false
-}
-
-// commitRun commits a run of consecutive clean transactions — as one
-// chain batch when the protocol supports it, per-transaction otherwise.
-// Stats mirror the synchronous barrier actions exactly: per table, nil is
-// a commit, an abort-family error an abort, anything else a topology
-// failure.
-func (sp *commitSpine) commitRun(run []spineEntry) {
-	var start time.Time
-	if sp.tun != nil {
-		start = time.Now()
-	}
-	if sp.cc != nil && len(run) > 0 {
+	for len(entries) > 0 {
+		kind := entries[0].kind
 		sp.txs = sp.txs[:0]
-		for i := range run {
-			sp.txs = append(sp.txs, run[i].tx)
+		for len(entries) > 0 && entries[0].kind == kind {
+			sp.txs = append(sp.txs, entries[0].tx)
+			entries = entries[1:]
 		}
-		errsPerTx := sp.cc.CommitChain(sp.txs, sp.tbls)
-		for i := range errsPerTx {
-			for j, reg := range sp.regs {
-				sp.account(reg, errsPerTx[i][j])
-			}
+		start := time.Now()
+		for _, sink := range sp.sinks {
+			sink.decide(kind, sp.txs)
 		}
-	} else {
-		for _, e := range run {
-			for _, reg := range sp.regs {
-				sp.account(reg, reg.p.CommitState(e.tx, reg.tbl))
-			}
-		}
-	}
-	if sp.tun != nil {
-		// Only clean runs are observations: rollbacks and poisoned commits
-		// (handled by single) measure fault handling, not batching.
-		sp.tun.observeBatch(len(run), time.Since(start))
-	}
-}
-
-// account books one table's commit verdict into its stats. A broken
-// commit group (fail-stop, txn.ErrGroupFailed) is deterministic pipeline
-// poisoning: the first verdict fails the topology with the sticky cause,
-// every subsequent one counts as an abort so the worker drains the
-// remaining in-flight boundaries cleanly — no post-failure commit is
-// ever acknowledged, and the barrier never wedges behind a spine that
-// stopped consuming.
-func (sp *commitSpine) account(reg laneCommitReg, err error) {
-	switch {
-	case err == nil:
-		reg.stats.Commits.Add(1)
-	case errors.Is(err, txn.ErrGroupFailed):
-		reg.stats.Aborts.Add(1)
-		if !sp.groupFailed {
-			sp.groupFailed = true
-			sp.t.fail(sp.name, err)
-		}
-	case txn.IsAbort(err) || err == txn.ErrFinished:
-		reg.stats.Aborts.Add(1)
-	default:
-		sp.t.fail(sp.name, err)
-	}
-}
-
-// single handles a rollback or a poisoned commit — the batch splitters —
-// with exactly the synchronous actions' semantics.
-func (sp *commitSpine) single(e spineEntry) {
-	switch e.kind {
-	case KindCommit:
-		for _, reg := range sp.regs {
-			if reg.ctl.isPoisoned(e.tx) {
-				// The abort was already counted at poisoning time.
-				if err := reg.p.Abort(e.tx); err != nil && err != txn.ErrFinished {
-					sp.t.fail(sp.name, err)
-				}
-				reg.ctl.clear(e.tx)
-				continue
-			}
-			sp.account(reg, reg.p.CommitState(e.tx, reg.tbl))
-		}
-	case KindRollback:
-		for _, reg := range sp.regs {
-			if err := reg.p.Abort(e.tx); err != nil && err != txn.ErrFinished {
-				sp.t.fail(sp.name, err)
-			}
-			reg.ctl.clear(e.tx)
-			reg.stats.Aborts.Add(1)
+		if sp.tun != nil && kind == KindCommit {
+			sp.tun.observeBatch(len(sp.txs), time.Since(start))
 		}
 	}
 }

@@ -125,9 +125,8 @@ func TestPropertySpineEquivalence(t *testing.T) {
 }
 
 // TestSpineEquivalenceAllProtocols drives the fused spine (window=8,
-// batch=8, 4 lanes) through all three protocols: SI and BOCC take the
-// SegmentWriter + ChainCommitter fast paths, S2PL additionally exercises
-// lane-side lock acquisition with chain-aware wait-die.
+// batch=8, 4 lanes) through all three protocols; S2PL additionally
+// exercises lane-side lock acquisition with chain-aware wait-die.
 func TestSpineEquivalenceAllProtocols(t *testing.T) {
 	protos := map[string]func(*txn.Context) txn.Protocol{
 		"mvcc": func(c *txn.Context) txn.Protocol { return txn.NewSI(c) },
@@ -148,11 +147,11 @@ func TestSpineEquivalenceAllProtocols(t *testing.T) {
 	}
 }
 
-// TestSpineFallbackWithoutChainCommitter: a wrapped protocol (no
-// ChainCommitter) must run the spine through the per-transaction
-// CommitState fallback with identical semantics, including injected
-// write failures poisoning transactions mid-window.
-func TestSpineFallbackWithoutChainCommitter(t *testing.T) {
+// TestSpinePoisonedMidWindow: injected write failures poison
+// transactions in the middle of a window, so the spine's chains are split
+// by global aborts (tableSink.decide) — with semantics identical to the
+// sequential reference, element for element.
+func TestSpinePoisonedMidWindow(t *testing.T) {
 	for seed := int64(200); seed < 210; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {

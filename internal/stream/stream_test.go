@@ -385,7 +385,13 @@ func TestToStreamEmitsCommittedChanges(t *testing.T) {
 
 	feed, stopFeed := ToStream(top, e.t1, e.p)
 	got := make(chan Element, 16)
-	feed.Sink("collect", func(el Element) { got <- el })
+	// The feed frames each commit's rows with BOT/COMMIT punctuations
+	// carrying the commit timestamp; the rows are the data elements.
+	feed.Sink("collect", func(el Element) {
+		if el.Kind == KindData {
+			got <- el
+		}
+	})
 
 	writer := top.SliceSource("src", []Tuple{
 		{Key: "a", Value: []byte("1")},

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"sistream/internal/txn"
@@ -19,6 +20,214 @@ type ToTableStats struct {
 	Aborts atomic.Int64
 }
 
+// endsTxn reports whether e is the final punctuation of an attached
+// transaction — the boundaries a table sink decides.
+func endsTxn(e *Element) bool {
+	return (e.Kind == KindCommit || e.Kind == KindRollback) && e.Tx != nil
+}
+
+// tableSink is one TO_TABLE linking operator — what a ToTable call
+// creates, on a stream or on every lane of a parallel region. It owns the
+// two things the operator does, each in exactly one place: the write path
+// (sinkWriter, one per lane — the sequential operator is the one-writer
+// case) and the verdict that turns a COMMIT/ROLLBACK punctuation into
+// CommitState/Abort (decide). Where decide runs is all that differs
+// between the closes: inline on the sequential operator, on the barrier
+// coordinator under Merge, on the spine worker under MergeBatched and
+// MergeTuned.
+type tableSink struct {
+	t     *Topology
+	name  string
+	p     txn.Protocol
+	tbl   *txn.Table
+	tbls  []*txn.Table // {tbl}, CommitChain's table list
+	stats *ToTableStats
+
+	// poisoned holds the transactions some writer gave up on and whose
+	// final punctuation has not been decided yet. Poisoning is keyed to
+	// the transaction handle — NOT a flag reset at BOT — because a lane's
+	// stream can deliver a whole [BOT .. COMMIT BOT ..] run in one batch,
+	// whose fused-stage flushes all execute before the barrier decides the
+	// first COMMIT; and a commit spine defers the decisions further, so
+	// several transactions may be poisoned at once.
+	mu       sync.Mutex
+	poisoned map[*txn.Txn]bool
+
+	// groupFailed latches the first txn.ErrGroupFailed verdict. Only
+	// decide touches it, and decide runs on one goroutine at a time.
+	groupFailed bool
+}
+
+func newTableSink(t *Topology, p txn.Protocol, tbl *txn.Table, lanes string) *tableSink {
+	s := &tableSink{
+		t: t, name: "to_table/" + string(tbl.ID()),
+		p: p, tbl: tbl, tbls: []*txn.Table{tbl}, stats: &ToTableStats{},
+	}
+	t.note("table", s.name, "protocol="+p.Name()+" lanes="+lanes, func() string {
+		return fmt.Sprintf("writes=%d commits=%d aborts=%d", s.stats.Writes.Load(), s.stats.Commits.Load(), s.stats.Aborts.Load())
+	})
+	return s
+}
+
+// poison records that a writer's flush of tx failed. Only the FIRST
+// failure of a transaction counts: one abort for the abort family (a
+// First-Committer-Wins loss, or ErrFinished because another lane's
+// failure already aborted the transaction), a topology failure otherwise.
+// decide turns the poisoned transaction's COMMIT into a global abort.
+func (s *tableSink) poison(tx *txn.Txn, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.poisoned[tx] {
+		return
+	}
+	if s.poisoned == nil {
+		s.poisoned = make(map[*txn.Txn]bool)
+	}
+	s.poisoned[tx] = true
+	if txn.IsAbort(err) || err == txn.ErrFinished {
+		s.stats.Aborts.Add(1)
+	} else {
+		s.t.fail(s.name, err)
+	}
+}
+
+// takePoison reports whether tx is poisoned and forgets it: the caller is
+// deciding the transaction's final punctuation, after which the handle is
+// never seen again.
+func (s *tableSink) takePoison(tx *txn.Txn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.poisoned[tx] {
+		return false
+	}
+	delete(s.poisoned, tx)
+	return true
+}
+
+// decide is the TO_TABLE verdict, the one place a transaction's final
+// punctuation becomes CommitState/CommitChain or Abort. txs are the
+// transactions of consecutive boundaries of one kind, in boundary order —
+// one for the sequential operator and the Merge coordinator, a batch for
+// the spine worker. Every writer has flushed a transaction's writes before
+// its boundary reaches decide.
+//
+// Clean COMMITs go to the protocol as one chain per maximal run, so an
+// abort splits a batch exactly where it sits and never delays or poisons
+// its neighbors. A poisoned COMMIT — some writer already gave up on the
+// transaction, and counted it — is made a global abort. ROLLBACK aborts
+// and counts one abort (on top of any poisoning abort the transaction
+// already recorded).
+func (s *tableSink) decide(kind Kind, txs []*txn.Txn) {
+	for len(txs) > 0 {
+		n := 0
+		for kind == KindCommit && n < len(txs) && !s.takePoison(txs[n]) {
+			n++
+		}
+		switch {
+		case n == 1:
+			s.count(s.p.CommitState(txs[0], s.tbl))
+		case n > 1:
+			for _, verdict := range s.p.CommitChain(txs[:n], s.tbls) {
+				s.count(verdict[0])
+			}
+		}
+		if txs = txs[n:]; len(txs) == 0 {
+			return
+		}
+		if err := s.p.Abort(txs[0]); err != nil && err != txn.ErrFinished {
+			s.t.fail(s.name, err)
+		}
+		if kind == KindRollback {
+			s.takePoison(txs[0])
+			s.stats.Aborts.Add(1)
+		}
+		txs = txs[1:]
+	}
+}
+
+// count books one commit verdict: nil is a commit; the abort family (and
+// ErrFinished — another state's operator already decided the transaction)
+// is an abort; txn.ErrGroupFailed — the commit group is poisoned,
+// fail-stop — fails the topology ONCE with the sticky cause and is an
+// abort from then on, so the remaining boundaries drain deterministically
+// and no post-failure commit is ever acknowledged; anything else fails
+// the topology.
+func (s *tableSink) count(err error) {
+	switch {
+	case err == nil:
+		s.stats.Commits.Add(1)
+	case errors.Is(err, txn.ErrGroupFailed):
+		s.stats.Aborts.Add(1)
+		if !s.groupFailed {
+			s.groupFailed = true
+			s.t.fail(s.name, err)
+		}
+	case txn.IsAbort(err) || err == txn.ErrFinished:
+		s.stats.Aborts.Add(1)
+	default:
+		s.t.fail(s.name, err)
+	}
+}
+
+// sinkWriter is one lane's write path into a tableSink: consecutive data
+// tuples of one transaction form a run, buffered into a private
+// txn.Segment (the value copy happens here, lane-locally, with no shared
+// latch) and merged into the shared transaction by ONE
+// Protocol.WriteSegment call — one state-entry resolution, one snapshot
+// pin and one transaction-latch acquisition per run instead of per tuple.
+type sinkWriter struct {
+	sink *tableSink
+	seg  *txn.Segment
+	// tx is the transaction of the buffered run; dead the one whose flush
+	// this writer saw fail — its remaining tuples are skipped (and not
+	// counted into Writes), up to the next transaction.
+	tx, dead *txn.Txn
+}
+
+func (s *tableSink) writer() *sinkWriter {
+	return &sinkWriter{sink: s, seg: txn.NewSegment(batchCap)}
+}
+
+// step advances the writer by one element of its lane: data tuples with a
+// transaction attached and a key join the run (inserted/updated when
+// Tuple.Delete is false, deleted otherwise), every punctuation cuts it —
+// a transaction's writes are in its write set before its COMMIT or
+// ROLLBACK is decided. A well-formed stream never has a pending run at
+// BOT; flushing there keeps a malformed one from crossing transactions.
+func (w *sinkWriter) step(e *Element) {
+	if e.Kind != KindData {
+		w.flush(false)
+		return
+	}
+	if e.Tx == nil || e.Tx == w.dead || e.Tuple.Key == "" {
+		return
+	}
+	w.tx = e.Tx
+	if e.Tuple.Delete {
+		w.seg.Delete(e.Tuple.Key)
+	} else {
+		w.seg.Put(e.Tuple.Key, e.Tuple.Value)
+	}
+}
+
+// flush applies the pending run — the only place a TO_TABLE touches a
+// write set. Every applied write counts into Writes; the first failing
+// flush of a transaction poisons it. eos marks the end-of-stream flush,
+// where ErrFinished is expected (the Transactions operator aborts a
+// dangling transaction when its own input ends) and is no new abort.
+func (w *sinkWriter) flush(eos bool) {
+	if w.seg.Len() == 0 {
+		return
+	}
+	n, err := w.sink.p.WriteSegment(w.tx, w.sink.tbl, w.seg)
+	w.seg.Reset()
+	w.sink.stats.Writes.Add(int64(n))
+	if err != nil && !(eos && err == txn.ErrFinished) {
+		w.dead = w.tx
+		w.sink.poison(w.tx, err)
+	}
+}
+
 // ToTable is the paper's TO_TABLE linking operator: it applies data
 // tuples to tbl inside the transaction attached to the elements
 // (inserted/updated when Tuple.Delete is false, deleted otherwise) and
@@ -26,226 +235,57 @@ type ToTableStats struct {
 // COMMIT, Abort on ROLLBACK. Elements pass through so further ToTable
 // operators can maintain additional states within the same transaction.
 //
-// The operator is vectorized: consecutive data tuples of one transaction
-// form a run that is applied with a single Protocol.WriteBatch call —
-// one state-entry resolution, one snapshot pin and one transaction-latch
-// acquisition per run instead of per tuple. Runs are cut at punctuations
-// and at batch boundaries (so writes are always applied before their
-// elements are forwarded downstream, exactly as in the per-element
-// engine).
+// It is the one-writer case of the table sink ParallelRegion.ToTable
+// runs per lane (see tableSink): the same vectorized write path, with
+// the verdict decided inline. Runs are additionally cut at the end of
+// every input batch, so writes are always applied before their elements
+// are forwarded downstream — a TableJoin or second ToTable under the
+// same transaction reads them.
 //
 // A conflict abort from the protocol (e.g. First-Committer-Wins) poisons
-// the rest of the batch: remaining writes up to the next BOT are skipped
-// and counted into stats.Aborts. The returned stats object is live.
+// the transaction: its remaining writes are skipped, its COMMIT becomes a
+// global abort, and it counts once into stats.Aborts. The returned stats
+// object is live.
 func (s *Stream) ToTable(p txn.Protocol, tbl *txn.Table) (*Stream, *ToTableStats) {
 	out := s.t.newStream()
-	stats := &ToTableStats{}
-	name := "to_table/" + string(tbl.ID())
-	s.t.note("table", name, "protocol="+p.Name()+" lanes=1 (sequential, vectorized runs)", func() string {
-		return fmt.Sprintf("writes=%d commits=%d aborts=%d", stats.Writes.Load(), stats.Commits.Load(), stats.Aborts.Load())
-	})
-
-	var (
-		poisoned bool
-		runTx    *txn.Txn
-		ops      = make([]txn.WriteOp, 0, batchCap)
-		// groupFailed latches the first fail-stop verdict: a poisoned
-		// commit group (txn.ErrGroupFailed) fails the topology exactly
-		// once; every later fail-fast commit is counted as an abort so the
-		// operator keeps draining deterministically (mirrors the batched
-		// spine's accounting).
-		groupFailed bool
-	)
-	// flushRun applies the pending run through the batched write API.
-	// Counting matches the per-element engine: every applied write
-	// increments Writes; the first failing write poisons the transaction
-	// and counts one abort.
-	flushRun := func() {
-		if len(ops) == 0 {
-			return
-		}
-		n, err := p.WriteBatch(runTx, tbl, ops)
-		ops = ops[:0]
-		stats.Writes.Add(int64(n))
-		if err != nil {
-			poisoned = true
-			if txn.IsAbort(err) || err == txn.ErrFinished {
-				stats.Aborts.Add(1)
-			} else {
-				s.t.fail(name, err)
+	sink := newTableSink(s.t, p, tbl, "1 (sequential, vectorized runs)")
+	w := sink.writer()
+	one := make([]*txn.Txn, 1)
+	s.consume(sink.name, func(b []Element) {
+		for i := range b {
+			e := &b[i]
+			w.step(e)
+			if endsTxn(e) {
+				one[0] = e.Tx
+				sink.decide(e.Kind, one)
 			}
 		}
-	}
-
-	s.consume(name, func(b []Element) {
-		for _, e := range b {
-			switch e.Kind {
-			case KindBOT:
-				// A well-formed stream never has a pending run here; flush
-				// defensively so a malformed one can't cross transactions.
-				flushRun()
-				poisoned = false
-				runTx = nil
-			case KindData:
-				if e.Tx == nil || poisoned || e.Tuple.Key == "" {
-					continue
-				}
-				runTx = e.Tx
-				ops = append(ops, txn.WriteOp{
-					Key:    e.Tuple.Key,
-					Value:  e.Tuple.Value,
-					Delete: e.Tuple.Delete,
-				})
-			case KindCommit:
-				if e.Tx == nil {
-					continue
-				}
-				flushRun()
-				if poisoned {
-					// Someone (possibly this operator) already gave up on
-					// the transaction; make the abort global.
-					if err := p.Abort(e.Tx); err != nil && err != txn.ErrFinished {
-						s.t.fail(name, err)
-					}
-					continue
-				}
-				if err := p.CommitState(e.Tx, tbl); err != nil {
-					switch {
-					case errors.Is(err, txn.ErrGroupFailed):
-						stats.Aborts.Add(1)
-						if !groupFailed {
-							groupFailed = true
-							s.t.fail(name, err)
-						}
-					case txn.IsAbort(err) || err == txn.ErrFinished:
-						stats.Aborts.Add(1)
-					default:
-						s.t.fail(name, err)
-					}
-					continue
-				}
-				stats.Commits.Add(1)
-			case KindRollback:
-				if e.Tx == nil {
-					continue
-				}
-				// Apply pending writes first so Writes counts them, as
-				// the per-element engine did; Abort discards them anyway.
-				flushRun()
-				if err := p.Abort(e.Tx); err != nil && err != txn.ErrFinished {
-					s.t.fail(name, err)
-				}
-				stats.Aborts.Add(1)
-			}
-		}
-		// Writes must be applied before downstream operators (a second
-		// ToTable, a TableJoin under the same transaction) see the batch.
-		flushRun()
+		w.flush(false)
 		out.ch <- b
 	}, func() { close(out.ch) })
-	return out, stats
-}
-
-// TableChange is one committed row change delivered by ToStream.
-type TableChange struct {
-	// CTS is the commit timestamp of the transaction.
-	CTS txn.Timestamp
-	// State is the table the change belongs to.
-	State txn.StateID
-	// Key is the written (or deleted) row key.
-	Key string
-	// Value is the row value as of CTS; nil when the row was deleted.
-	Value []byte
-	// Deleted reports whether the change removed the row.
-	Deleted bool
+	return out, sink.stats
 }
 
 // ToStream is the paper's TO_STREAM linking operator with the per-commit
-// trigger policy: it subscribes to group commits and emits one data
-// element per changed row of tbl, in commit order. The element's Key is
-// the row key, Value the committed value, Ts the commit timestamp; Num is
-// set only when the ENTIRE value is a decimal literal ("42", "-1.5",
-// "1e3" — as strconv.ParseFloat reads it) and stays 0 for anything else,
-// a literal followed by other bytes included. The stream closes when
-// stop is called. Each commit's changes ship as one batch (split at
-// batchCap), so delivery stays prompt — a batch never waits for a later
-// commit.
-//
-// The feed buffers up to feedBuf commits; if a slow consumer falls that
-// far behind, the committing thread blocks (backpressure) — a deliberate
-// choice over silently dropping committed changes.
+// trigger policy: the one-partition case of FromTablePartitioned, merged.
+// Every commit that wrote tbl appears as a BOT punctuation, one data
+// element per changed row, and a COMMIT punctuation, in commit order;
+// all three carry the commit timestamp in Tuple.Ts (see
+// FromTablePartitioned for the row shape, the backpressure rule and the
+// GC pin a lagging consumer holds). stop ends the feed: queued commits
+// are still delivered, then the stream closes.
 func ToStream(t *Topology, tbl *txn.Table, p txn.Protocol) (*Stream, func()) {
-	const feedBuf = txn.DefaultFeedBuf
-	type commitEvent struct {
-		cts  txn.Timestamp
-		keys []string
-	}
-	feed := make(chan commitEvent, feedBuf)
-	stopCh := make(chan struct{})
-	g := tbl.Group()
-	if g == nil {
-		panic(fmt.Sprintf("stream: table %q is not in a group", tbl.ID()))
-	}
-	g.Watch(func(cts txn.Timestamp, writes map[txn.StateID][]string) {
-		keys, ok := writes[tbl.ID()]
-		if !ok {
-			return
-		}
-		select {
-		case <-stopCh:
-		case feed <- commitEvent{cts: cts, keys: keys}:
-		}
-	})
-
-	out := t.newStream()
-	emit := func(ev commitEvent) {
-		b := getBatch()
-		for _, key := range ev.keys {
-			b = append(b, Element{Kind: KindData, Tuple: changeTuple(tbl, key, ev.cts)})
-			if len(b) >= batchCap {
-				out.ch <- b
-				b = getBatch()
-			}
-		}
-		if len(b) > 0 {
-			out.ch <- b
-		} else {
-			putBatch(b)
-		}
-	}
-	t.spawn("to_stream/"+string(tbl.ID()), func() {
-		defer close(out.ch)
-		<-t.start
-		for {
-			select {
-			case <-stopCh:
-				// Drain commits already queued so a consumer that stops
-				// the feed after its writers finished still sees every
-				// committed change.
-				for {
-					select {
-					case ev := <-feed:
-						emit(ev)
-					default:
-						return
-					}
-				}
-			case ev := <-feed:
-				emit(ev)
-			}
-		}
-	})
-	return out, func() { close(stopCh) }
+	r, stop := FromTablePartitioned(t, tbl, 1, nil)
+	return r.Merge("to_stream/" + string(tbl.ID())), stop
 }
 
-// changeTuple shapes one committed row change as a feed tuple — the
-// single definition both TO_STREAM paths (ToStream, FromTablePartitioned)
-// emit: Key is the row key, Ts the commit timestamp, Delete set when the
-// row is gone at that snapshot, Value a private copy of the committed
-// value (Num set when the whole value is a decimal literal, see
-// ToStream). The row is read at the commit's own
-// snapshot so the value is exactly what that transaction installed, even
-// if later commits already overwrote it.
+// changeTuple shapes one committed row change as a feed tuple: Key is the
+// row key, Ts the commit timestamp, Delete set when the row is gone at
+// that snapshot, Value a private copy of the committed value (Num set
+// when the whole value is a decimal literal, see FromTablePartitioned).
+// The row is read at the commit's own snapshot so the value is exactly
+// what that transaction installed, even if later commits already
+// overwrote it.
 func changeTuple(tbl *txn.Table, key string, cts txn.Timestamp) Tuple {
 	v, ok := tbl.ReadAt(key, cts)
 	tuple := Tuple{Key: key, Ts: int64(cts), Delete: !ok}
@@ -296,70 +336,53 @@ type KV struct {
 	Value []byte
 }
 
-// TableSnapshot is the paper's ad-hoc FROM(table) operator: it runs a
-// read-only transaction and materializes every visible row of tbl under
-// one consistent snapshot. Under BOCC the query may abort (validation);
-// callers retry.
+// TableSnapshot is the paper's ad-hoc FROM(table) operator: it
+// materializes every visible row of tbl under one consistent snapshot
+// (txn.Snapshot over p's context). The read is wait-free under all three
+// protocols — an RCU version-store scan at the pinned commit timestamp
+// that takes no lock, records no read set and never aborts.
 func TableSnapshot(p txn.Protocol, tbl *txn.Table) ([]KV, error) {
-	tx, err := p.BeginReadOnly()
+	snap, err := p.Context().Snapshot(tbl)
 	if err != nil {
 		return nil, err
 	}
+	defer snap.Release()
 	var rows []KV
-	var scanErr error
-	// Route through the protocol's Read for every key so protocol
-	// semantics (locks, read sets) hold; keys are discovered via the
-	// version store.
-	seen := map[string]bool{}
-	tbl.SnapshotScan(^txn.Timestamp(0), func(key string, _ []byte) bool {
-		seen[key] = true
+	err = snap.Scan(tbl, func(key string, value []byte) bool {
+		rows = append(rows, KV{Key: key, Value: append([]byte(nil), value...)})
 		return true
 	})
-	for key := range seen {
-		v, ok, err := p.Read(tx, tbl, key)
-		if err != nil {
-			scanErr = err
-			break
-		}
-		if ok {
-			rows = append(rows, KV{Key: key, Value: append([]byte(nil), v...)})
-		}
-	}
-	if scanErr != nil {
-		_ = p.Abort(tx)
-		return nil, scanErr
-	}
-	if err := p.Commit(tx); err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return rows, err
 }
 
 // QueryKeys reads the given keys of one or more tables under a single
-// read-only transaction — the ad-hoc query shape of the paper's
-// benchmark (N point reads per query). Results align with keys; a nil
-// value means the key was not visible. The error may be an abort
-// (ErrAborted family) under S2PL/BOCC; callers count and retry.
+// consistent snapshot (txn.Snapshot over p's context, pinned across every
+// table addressed) — the ad-hoc query shape of the paper's benchmark (N
+// point reads per query). Results align with reads; a nil value means the
+// key was not visible. Like TableSnapshot the reads are wait-free under
+// all three protocols and never abort.
 func QueryKeys(p txn.Protocol, reads []TableKey) ([][]byte, error) {
-	tx, err := p.BeginReadOnly()
+	out := make([][]byte, len(reads))
+	if len(reads) == 0 {
+		return out, nil
+	}
+	tables := make([]*txn.Table, len(reads))
+	for i, r := range reads {
+		tables[i] = r.Table
+	}
+	snap, err := p.Context().Snapshot(tables...)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]byte, len(reads))
+	defer snap.Release()
 	for i, r := range reads {
-		v, ok, err := p.Read(tx, r.Table, r.Key)
+		v, ok, err := snap.Get(r.Table, r.Key)
 		if err != nil {
-			if !txn.IsAbort(err) {
-				_ = p.Abort(tx)
-			}
 			return nil, err
 		}
 		if ok {
 			out[i] = v
 		}
-	}
-	if err := p.Commit(tx); err != nil {
-		return nil, err
 	}
 	return out, nil
 }

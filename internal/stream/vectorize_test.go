@@ -19,10 +19,10 @@ import (
 // BOT/COMMIT land in the middle.
 
 // faultProtocol injects a conflict abort at the failAt-th attempted
-// write operation (1-based, counted across WriteBatch calls): operations
-// before it apply, the transaction is aborted for real, and the batched
-// write reports ErrConflict — exactly what a First-Committer-Wins loss
-// looks like to ToTable.
+// write operation (1-based, counted across WriteSegment/WriteBatch
+// calls): operations before it apply, the transaction is aborted for
+// real, and the write reports ErrConflict — exactly what a
+// First-Committer-Wins loss looks like to ToTable.
 type faultProtocol struct {
 	txn.Protocol
 	failAt int64
@@ -42,6 +42,12 @@ func (f *faultProtocol) WriteBatch(tx *txn.Txn, tbl *txn.Table, ops []txn.WriteO
 		}
 	}
 	return f.Protocol.WriteBatch(tx, tbl, ops)
+}
+
+// WriteSegment is the call ToTable makes; the embedded protocol's would
+// bypass the injection.
+func (f *faultProtocol) WriteSegment(tx *txn.Txn, tbl *txn.Table, seg *txn.Segment) (int, error) {
+	return f.WriteBatch(tx, tbl, seg.Ops())
 }
 
 // scriptItem is one element of a generated input script.
@@ -459,10 +465,8 @@ func TestPropertyLane1FaultEquivalence(t *testing.T) {
 	}
 }
 
-// TestLaneEquivalenceAllProtocols drives the parallel region through the
-// generic WriteBatch fallback too: S2PL and BOCC do not implement
-// SegmentWriter, so their lanes merge segments through Protocol.WriteBatch
-// under the per-lane transaction latching.
+// TestLaneEquivalenceAllProtocols drives the parallel region through all
+// three protocols' WriteSegment (S2PL's takes its locks lane-side).
 func TestLaneEquivalenceAllProtocols(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	script := genScript(rng)

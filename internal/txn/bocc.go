@@ -39,11 +39,7 @@ func NewBOCC(ctx *Context) *BOCC {
 	return &BOCC{protocolBase{ctx: ctx}}
 }
 
-var (
-	_ Protocol       = (*BOCC)(nil)
-	_ SegmentWriter  = (*BOCC)(nil)
-	_ ChainCommitter = (*BOCC)(nil)
-)
+var _ Protocol = (*BOCC)(nil)
 
 // Name implements Protocol.
 func (p *BOCC) Name() string { return "bocc" }
@@ -94,31 +90,6 @@ func (p *BOCC) Read(tx *Txn, tbl *Table, key string) ([]byte, bool, error) {
 	tx.mu.Unlock()
 	v, ok := tbl.readVersion(key, ^Timestamp(0))
 	return v, ok, nil
-}
-
-// Write implements Protocol.
-func (p *BOCC) Write(tx *Txn, tbl *Table, key string, value []byte) error {
-	return bufferWrite(tx, tbl, key, writeOp{value: append([]byte(nil), value...)})
-}
-
-// Delete implements Protocol.
-func (p *BOCC) Delete(tx *Txn, tbl *Table, key string) error {
-	return bufferWrite(tx, tbl, key, writeOp{delete: true})
-}
-
-// WriteBatch implements Protocol: pure write-set appends (BOCC takes no
-// locks and pins no snapshot on write), one latch acquisition per batch.
-func (p *BOCC) WriteBatch(tx *Txn, tbl *Table, ops []WriteOp) (int, error) {
-	return bufferWriteBatch(tx, tbl, ops, false)
-}
-
-// WriteSegment implements SegmentWriter: BOCC's write path has no
-// per-key side effects (no locks, no snapshot pin — writes are pure
-// write-set appends), so a lane's segment can be adopted wholesale,
-// transferring ownership of the buffered value copies instead of taking
-// the second copy the generic WriteBatch fallback pays.
-func (p *BOCC) WriteSegment(tx *Txn, tbl *Table, seg *Segment) (int, error) {
-	return writeSegment(tx, tbl, seg, false)
 }
 
 // CommitState implements Protocol.
@@ -190,7 +161,7 @@ type chainRecord struct {
 	writes map[StateID]map[string]struct{}
 }
 
-// CommitChain implements ChainCommitter. The whole chain window runs
+// CommitChain implements Protocol. The whole chain window runs
 // inside ONE validation critical section (Härder's scheme extends
 // naturally: validation and write phase of the batch form one critical
 // section). Each member is validated backward against the committed

@@ -80,23 +80,3 @@ func (t *Txn) SetChain(c *Chain) { t.chain = c }
 func sameChainPredecessor(req, hold *Txn) bool {
 	return req.chain != nil && req.chain == hold.chain && hold.id < req.id
 }
-
-// ChainCommitter is implemented by protocols whose commit path can take a
-// whole chain window at once. CommitChain flags every table in tbls on
-// every transaction in txs, in order — exactly as per-transaction
-// CommitState calls in that order would — and globally commits every
-// transaction whose flag set this completed, batching consecutive
-// single-group members through ONE group-commit pipeline submission. An
-// abort (admission rejection, validation failure, prior poisoning) splits
-// the batch: the rejected member aborts alone and its neighbors commit
-// unaffected.
-//
-// The returned matrix is indexed [transaction][table] and mirrors what
-// the equivalent CommitState call would have returned: nil for a
-// successful flag (or for the final flag of a successfully committed
-// transaction), an ErrAborted variant when the transaction failed, with
-// the global-commit verdict attributed to the table whose flag completed
-// the set.
-type ChainCommitter interface {
-	CommitChain(txs []*Txn, tbls []*Table) [][]error
-}

@@ -190,10 +190,6 @@ func TestCommitChainAllProtocols(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := mk(ctx)
-			cc, ok := p.(ChainCommitter)
-			if !ok {
-				t.Fatalf("%s does not implement ChainCommitter", name)
-			}
 			c := NewChain()
 			txs := make([]*Txn, 3)
 			for i := range txs {
@@ -201,7 +197,7 @@ func TestCommitChainAllProtocols(t *testing.T) {
 			}
 			g := tbl.Group()
 			_, b0 := g.CommitStats()
-			errs := cc.CommitChain(txs, []*Table{tbl})
+			errs := p.CommitChain(txs, []*Table{tbl})
 			for i := range errs {
 				if errs[i][0] != nil {
 					t.Fatalf("tx %d: %v", i, errs[i][0])
@@ -219,7 +215,7 @@ func TestCommitChainAllProtocols(t *testing.T) {
 	}
 }
 
-// TestS2PLWriteSegmentLaneSideLocks: the S2PL SegmentWriter fast path
+// TestS2PLWriteSegmentLaneSideLocks: S2PL's WriteSegment
 // acquires its exclusive locks on the calling (lane) goroutine before the
 // merge and adopts the segment's values; locks fall at commit.
 func TestS2PLWriteSegmentLaneSideLocks(t *testing.T) {
@@ -234,8 +230,6 @@ func TestS2PLWriteSegmentLaneSideLocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewS2PL(ctx)
-	var _ SegmentWriter = p
-
 	tx, err := p.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +374,7 @@ func TestCommitChainUndeclaredTablesMatchCommitState(t *testing.T) {
 	for name, mk := range protos {
 		t.Run(name, func(t *testing.T) {
 			p, tbls, txs := universe(t, mk)
-			got := p.(ChainCommitter).CommitChain(txs, tbls)
+			got := p.CommitChain(txs, tbls)
 
 			ref, refTbls, refTxs := universe(t, mk)
 			for i, tx := range refTxs {

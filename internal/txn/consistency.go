@@ -52,10 +52,34 @@ type Protocol interface {
 	// the corresponding single-operation call would have aborted it, and
 	// operations from the failing one onward are not applied.
 	WriteBatch(tx *Txn, tbl *Table, ops []WriteOp) (int, error)
+	// WriteSegment is WriteBatch(tx, tbl, seg.Ops()) with ownership
+	// transfer: the segment's buffered values — private copies already,
+	// see Segment.Put — are adopted into the write set instead of copied
+	// a second time. Safe to call concurrently from the lanes of one
+	// transaction: the calls serialize on the transaction latch, and keyed
+	// routing keeps the lanes' key sets disjoint, so merge order cannot
+	// change the write set's contents.
+	WriteSegment(tx *Txn, tbl *Table, seg *Segment) (int, error)
 	// CommitState flags tbl as ready to commit for tx; when it is the
 	// last accessed state, the caller executes the global commit
 	// (consistency protocol, Section 4.3).
 	CommitState(tx *Txn, tbl *Table) error
+	// CommitChain takes a whole chain window at once (see chain.go): it
+	// flags every table in tbls on every transaction in txs, in order —
+	// exactly as per-transaction CommitState calls in that order would —
+	// and globally commits every transaction whose flag set this
+	// completed, batching consecutive single-group members through ONE
+	// group-commit pipeline submission. An abort (admission rejection,
+	// validation failure, prior poisoning) splits the batch: the rejected
+	// member aborts alone and its neighbors commit unaffected.
+	//
+	// The returned matrix is indexed [transaction][table] and mirrors what
+	// the equivalent CommitState call would have returned: nil for a
+	// successful flag (or for the final flag of a successfully committed
+	// transaction), an ErrAborted variant when the transaction failed,
+	// with the global-commit verdict attributed to the table whose flag
+	// completed the set.
+	CommitChain(txs []*Txn, tbls []*Table) [][]error
 	// Commit flags all states and executes the global commit.
 	Commit(tx *Txn) error
 	// Abort aborts tx globally, dropping all uncommitted writes.
@@ -64,9 +88,24 @@ type Protocol interface {
 	Context() *Context
 }
 
-// protocolBase carries the machinery shared by the three protocols.
+// protocolBase carries the machinery shared by the three protocols. The
+// write path is shared whole (Write, Delete, WriteBatch and WriteSegment
+// below); what a protocol adds to it is its pre-write hook, and BOCC —
+// whose writes are pure write-set appends — sets neither half.
 type protocolBase struct {
 	ctx *Context
+	// lockKey (S2PL) takes a written key's exclusive lock. It runs before
+	// the transaction latch is taken: acquisition may wait, and a wait-die
+	// kill aborts the transaction, which takes the latch itself.
+	lockKey func(tx *Txn, tbl *Table, key string) error
+	// pinOnWrite (SI) pins the snapshot of the table's group under the
+	// latch (first access wins): the First-Committer-Wins check compares
+	// committed versions against this pin, so strictly sequential
+	// transactions — the batches of one continuous stream query, whose
+	// Begin may race ahead of the previous batch's commit in a pipelined
+	// dataflow — never conflict with themselves, while genuinely
+	// concurrent writers of one key still abort.
+	pinOnWrite bool
 }
 
 // Context returns the protocol's state context.
@@ -101,51 +140,77 @@ func errReadOnlyWrite(tx *Txn) error {
 	return fmt.Errorf("txn: write in read-only transaction %d", tx.id)
 }
 
-// bufferWrite records a write into tx's uncommitted write set. Writes
-// "are merely appended to the write set" and never block (Section 4.2).
-func bufferWrite(tx *Txn, tbl *Table, key string, op writeOp) error {
-	if tx.readOnly {
-		return errReadOnlyWrite(tx)
-	}
-	if err := requireGroup(tbl); err != nil {
-		return err
-	}
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	if tx.finished.Load() {
-		return ErrFinished
-	}
-	tx.entry(tbl).write(key, op)
-	return nil
+// Write implements Protocol.
+func (p *protocolBase) Write(tx *Txn, tbl *Table, key string, value []byte) error {
+	op := [1]WriteOp{{Key: key, Value: value}}
+	_, err := p.bufferWrites(tx, tbl, op[:], false)
+	return err
 }
 
-// bufferWriteBatch appends a whole batch of operations to tx's write set
-// under a single latch acquisition — the batched analogue of bufferWrite.
-// Values are copied, as with single writes. When pin is set the table's
-// group snapshot is pinned first (SI semantics; see SI.Write).
-func bufferWriteBatch(tx *Txn, tbl *Table, ops []WriteOp, pin bool) (int, error) {
+// Delete implements Protocol.
+func (p *protocolBase) Delete(tx *Txn, tbl *Table, key string) error {
+	op := [1]WriteOp{{Key: key, Delete: true}}
+	_, err := p.bufferWrites(tx, tbl, op[:], false)
+	return err
+}
+
+// WriteBatch implements Protocol: the fast path of hand-written writers —
+// per-tuple cost reduces to one value copy and a write-set append.
+func (p *protocolBase) WriteBatch(tx *Txn, tbl *Table, ops []WriteOp) (int, error) {
+	return p.bufferWrites(tx, tbl, ops, false)
+}
+
+// WriteSegment implements Protocol: the flush of the TO_TABLE writers.
+func (p *protocolBase) WriteSegment(tx *Txn, tbl *Table, seg *Segment) (int, error) {
+	return p.bufferWrites(tx, tbl, seg.ops, true)
+}
+
+// bufferWrites is the write path of every protocol: it records ops into
+// tx's uncommitted write set — writes "are merely appended to the write
+// set" (Section 4.2) — after the protocol's pre-write hook, under ONE
+// latch acquisition however many operations the call carries. Values are
+// copied unless the caller hands over ownership (adopt: a segment's
+// values are private copies already). A lock the hook fails to get has
+// aborted the transaction; the count of keys locked before it is
+// reported, matching the per-operation sequence (writes before the
+// failure counted, the write set discarded by the abort either way).
+func (p *protocolBase) bufferWrites(tx *Txn, tbl *Table, ops []WriteOp, adopt bool) (int, error) {
 	if tx.readOnly {
 		return 0, errReadOnlyWrite(tx)
 	}
 	if err := requireGroup(tbl); err != nil {
 		return 0, err
 	}
+	if p.lockKey != nil {
+		if tx.finished.Load() {
+			return 0, ErrFinished
+		}
+		for i := range ops {
+			if err := p.lockKey(tx, tbl, ops[i].Key); err != nil {
+				return i, err
+			}
+		}
+	}
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
 	if tx.finished.Load() {
 		return 0, ErrFinished
 	}
-	if pin {
+	if p.pinOnWrite {
 		tx.pin(tbl)
 	}
 	e := tx.entry(tbl)
 	e.grow(len(ops))
-	for _, op := range ops {
-		if op.Delete {
-			e.write(op.Key, writeOp{delete: true})
-		} else {
-			e.write(op.Key, writeOp{value: append([]byte(nil), op.Value...)})
+	for i := range ops {
+		op := &ops[i]
+		w := writeOp{delete: op.Delete}
+		if !op.Delete {
+			w.value = op.Value
+			if !adopt {
+				w.value = append([]byte(nil), op.Value...)
+			}
 		}
+		e.write(op.Key, w)
 	}
 	return len(ops), nil
 }
@@ -243,7 +308,7 @@ func flagState(tx *Txn, tbl *Table) (coordinator bool, err error) {
 	return true, nil
 }
 
-// commitChain is the shared implementation of ChainCommitter (see
+// commitChain is the shared implementation of Protocol.CommitChain (see
 // chain.go): flag tbls on every transaction in order — up to the column
 // that completes its flag set, exactly as per-table CommitState calls
 // would — then globally commit the transactions whose flag set

@@ -155,10 +155,6 @@ func runSweepScript(t *testing.T, proto string, window, tables int, script []swe
 		return committed, groups, p
 	}
 
-	cc, ok := p.(ChainCommitter)
-	if !ok {
-		t.Fatalf("protocol %s does not support chain commits", proto)
-	}
 	ch := NewChain()
 	for start := 0; start < len(script); start += window {
 		end := start + window
@@ -177,7 +173,7 @@ func runSweepScript(t *testing.T, proto string, window, tables int, script []swe
 			}
 			txs = append(txs, tx)
 		}
-		errs := cc.CommitChain(txs, tbls)
+		errs := p.CommitChain(txs, tbls)
 		for i := range errs {
 			noteErr(start+i, errs[i][len(tbls)-1])
 		}

@@ -37,7 +37,7 @@
 // latch with Segments on the write side and WatchPartitioned fan-out on
 // the change-feed side; and a windowed query's consecutive small
 // transactions commit through one pipeline batch via commit chains
-// (ChainCommitter), raising fan-in without giving up serial-order
+// (Protocol.CommitChain), raising fan-in without giving up serial-order
 // semantics. DESIGN.md walks through each with its correctness
 // invariants.
 package txn

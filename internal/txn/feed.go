@@ -29,7 +29,7 @@ import (
 // DefaultFeedBuf is the default per-feed commit buffer: how many commits
 // the partitioned feed queues before the committing thread blocks
 // (backpressure — a deliberate choice over silently dropping committed
-// changes, matching the sequential TO_STREAM feed).
+// changes).
 const DefaultFeedBuf = 4096
 
 // FeedEvent is one committed transaction's changes to a table, restricted
@@ -149,10 +149,9 @@ type rawEvent struct {
 // control, and the delivery acknowledgements that advance the feed's GC
 // pin.
 type PartitionedFeed struct {
-	feeds     []<-chan FeedEvent
-	stop      func()
-	pin       *feedPin
-	coalesced bool
+	feeds []<-chan FeedEvent
+	stop  func()
+	pin   *feedPin
 }
 
 // Partitions returns the per-partition event channels (do not modify the
@@ -165,24 +164,12 @@ func (f *PartitionedFeed) Partitions() []<-chan FeedEvent { return f.feeds }
 // that commit's snapshot. Call it once per received event, after use; the
 // feed's GC pin advances past a commit once every partition has
 // acknowledged it. A consumer that stops acknowledging pins the horizon
-// (deliberately: that is the lagging feed the pin protects). On a
-// coalescing feed (FeedOptions.Coalesce) Ack is a no-op — the feed holds
-// no pin.
-func (f *PartitionedFeed) Ack(part int) {
-	if f.coalesced {
-		return
-	}
-	f.pin.ack(part)
-}
+// (deliberately: that is the lagging feed the pin protects).
+func (f *PartitionedFeed) Ack(part int) { f.pin.ack(part) }
 
 // PinnedCTS reports the oldest commit timestamp the feed currently pins
-// into the GC horizon (0 when nothing is pinned; always 0 for a
-// coalescing feed).
+// into the GC horizon (0 when nothing is pinned).
 func (f *PartitionedFeed) PinnedCTS() Timestamp { return f.pin.oldest.Load() }
-
-// Coalesced reports whether the feed runs in changelog mode
-// (FeedOptions.Coalesce).
-func (f *PartitionedFeed) Coalesced() bool { return f.coalesced }
 
 // Stop shuts the feed down: commits after Stop are dropped, commits
 // already queued are still delivered (drain), and all partition channels
@@ -223,43 +210,6 @@ func (f *PartitionedFeed) Stop() { f.stop() }
 // reduces to a channel-closed check, and a stopped, drained and fully
 // acknowledged feed pins nothing.
 func (t *Table) WatchPartitioned(parts, buf int, keyFn func(string) uint64) (*PartitionedFeed, error) {
-	return t.WatchPartitionedOpts(parts, FeedOptions{Buf: buf, KeyFn: keyFn})
-}
-
-// FeedOptions configures WatchPartitionedOpts beyond the partition count.
-type FeedOptions struct {
-	// Buf is the commit buffer between the committing thread and the
-	// router, and the capacity of each partition channel (DefaultFeedBuf
-	// when <= 0).
-	Buf int
-	// KeyFn routes keys to partitions (nil selects DefaultKeyHash).
-	KeyFn func(string) uint64
-	// Coalesce opts the feed into CHANGELOG mode, trading the exact
-	// per-commit log for a GC horizon that a stalled consumer cannot pin:
-	//
-	//   - The feed registers no GC pin and Ack is a no-op. Versions behind
-	//     a lagging partition become reclaimable immediately, so the
-	//     table's residency stays bounded no matter how long a consumer
-	//     stalls — the fix for the stalled-consumer horizon leak.
-	//   - When a partition's channel is full, newer commits are folded
-	//     into one pending bucket per partition: per-key NEWEST-WINS. The
-	//     bucket carries the newest folded commit's CTS and each written
-	//     key once (first-write order of its first appearance); memory is
-	//     bounded by the partition's distinct-key count, not the stall
-	//     length. Consumers read current values via Table.ReadAt at the
-	//     event's CTS — the latest committed version of a key is never
-	//     reclaimed, so those reads are always safe.
-	//   - Partitions a commit did not touch receive NO event (empty-Keys
-	//     alignment events are dropped), so the per-partition sequences
-	//     are not commit-aligned. A coalescing feed is a state-tracking
-	//     tap, NOT a source for barrier re-serialization — do not use it
-	//     where FromTablePartitioned's aligned contract is required.
-	Coalesce bool
-}
-
-// WatchPartitionedOpts is WatchPartitioned with full options; see the
-// WatchPartitioned contract and FeedOptions for the coalescing variant.
-func (t *Table) WatchPartitionedOpts(parts int, opts FeedOptions) (*PartitionedFeed, error) {
 	if parts < 1 {
 		return nil, fmt.Errorf("txn: WatchPartitioned needs parts >= 1, got %d", parts)
 	}
@@ -267,22 +217,15 @@ func (t *Table) WatchPartitionedOpts(parts int, opts FeedOptions) (*PartitionedF
 	if g == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownState, t.id)
 	}
-	keyFn := opts.KeyFn
 	if keyFn == nil {
 		keyFn = DefaultKeyHash
 	}
-	buf := opts.Buf
 	if buf <= 0 {
 		buf = DefaultFeedBuf
 	}
 
-	// A coalescing feed deliberately holds no pin: its consumers read only
-	// at the NEWEST folded CTS per key, and the latest committed version
-	// survives every sweep. The zero-valued pin keeps PinnedCTS at 0.
 	pin := &feedPin{acked: make([]uint64, parts)}
-	if !opts.Coalesce {
-		t.ctx.addFeedPin(pin)
-	}
+	t.ctx.addFeedPin(pin)
 
 	in := make(chan rawEvent, buf)
 	stopCh := make(chan struct{})
@@ -327,9 +270,7 @@ func (t *Table) WatchPartitionedOpts(parts int, opts FeedOptions) (*PartitionedF
 			return
 		}
 		sending.Add(1)
-		if !opts.Coalesce {
-			pin.add(cts)
-		}
+		pin.add(cts)
 		stopMu.Unlock()
 		defer sending.Done()
 		select {
@@ -337,9 +278,7 @@ func (t *Table) WatchPartitionedOpts(parts int, opts FeedOptions) (*PartitionedF
 			// Stop raced in while we were blocked (or about to enqueue
 			// with both cases ready): if the event went undelivered it
 			// must not stay pinned.
-			if !opts.Coalesce {
-				pin.dropLast()
-			}
+			pin.dropLast()
 		case in <- rawEvent{cts: cts, keys: keys}:
 		}
 	})
@@ -351,11 +290,6 @@ func (t *Table) WatchPartitionedOpts(parts int, opts FeedOptions) (*PartitionedF
 		feeds[i] = chans[i]
 	}
 
-	if opts.Coalesce {
-		go coalesceRouter(chans, in, stopCh, &sending, parts, keyFn)
-		return &PartitionedFeed{feeds: feeds, stop: stop, pin: pin, coalesced: true}, nil
-	}
-
 	// The router: splits each commit's write-set order into per-partition
 	// key slices and delivers the event to every partition. Delivery is
 	// blocking — a slow partition backpressures the router and, once the
@@ -365,7 +299,7 @@ func (t *Table) WatchPartitionedOpts(parts int, opts FeedOptions) (*PartitionedF
 		// Every partition gets a PRIVATE key slice — also at parts == 1,
 		// where handing the shared write-set order slice through would
 		// break FeedEvent's may-retain/may-modify contract for any other
-		// watcher (a sequential ToStream, a second feed) holding the same
+		// watcher (a Group.Watch listener, a second feed) holding the same
 		// slice.
 		buckets := make([][]string, parts)
 		if parts == 1 {
@@ -424,112 +358,4 @@ func (t *Table) WatchPartitionedOpts(parts int, opts FeedOptions) (*PartitionedF
 		}
 	}()
 	return &PartitionedFeed{feeds: feeds, stop: stop, pin: pin}, nil
-}
-
-// coalesceBucket is one partition's folded backlog in changelog mode: the
-// newest folded commit's timestamp and every key written since the last
-// delivered event, each once, in order of first appearance.
-type coalesceBucket struct {
-	cts  Timestamp
-	keys []string
-	seen map[string]struct{}
-}
-
-// coalesceRouter is the changelog-mode router (FeedOptions.Coalesce): it
-// NEVER blocks on a consumer. An event for a partition whose channel has
-// room is delivered directly; when the channel is full the partition's
-// backlog folds into one per-key newest-wins bucket, flushed
-// opportunistically as soon as the consumer frees a slot. Partitions a
-// commit did not touch get no event. On stop it drains the commit buffer
-// (waiting out in-flight committing threads first, like the aligned
-// router), delivers any pending buckets with a final blocking send so a
-// consumer draining to channel close always observes the final state, and
-// closes the channels.
-func coalesceRouter(chans []chan FeedEvent, in chan rawEvent, stopCh chan struct{}, sending *sync.WaitGroup, parts int, keyFn func(string) uint64) {
-	pending := make([]*coalesceBucket, parts)
-	defer func() {
-		for i, b := range pending {
-			if b != nil {
-				chans[i] <- FeedEvent{CTS: b.cts, Keys: b.keys}
-			}
-		}
-		for _, c := range chans {
-			close(c)
-		}
-	}()
-	handle := func(ev rawEvent) {
-		// Split the shared write-set order slice into private per-partition
-		// buckets (same privacy contract as the aligned router), dropping
-		// untouched partitions.
-		buckets := make([][]string, parts)
-		if parts == 1 {
-			buckets[0] = append(make([]string, 0, len(ev.keys)), ev.keys...)
-		} else {
-			for _, k := range ev.keys {
-				p := int(keyFn(k) % uint64(parts))
-				buckets[p] = append(buckets[p], k)
-			}
-		}
-		for i, keys := range buckets {
-			if len(keys) == 0 {
-				continue
-			}
-			if pending[i] == nil {
-				// Fast path: consumer keeping up, deliver the commit as-is.
-				select {
-				case chans[i] <- FeedEvent{CTS: ev.cts, Keys: keys}:
-					continue
-				default:
-					pending[i] = &coalesceBucket{seen: make(map[string]struct{})}
-				}
-			}
-			b := pending[i]
-			b.cts = ev.cts
-			for _, k := range keys {
-				if _, dup := b.seen[k]; !dup {
-					b.seen[k] = struct{}{}
-					b.keys = append(b.keys, k)
-				}
-			}
-		}
-		// Opportunistic flush: hand any folded backlog to consumers that
-		// freed up, so buckets exist only across actual stalls.
-		for i, b := range pending {
-			if b == nil {
-				continue
-			}
-			select {
-			case chans[i] <- FeedEvent{CTS: b.cts, Keys: b.keys}:
-				pending[i] = nil
-			default:
-			}
-		}
-	}
-	for {
-		select {
-		case <-stopCh:
-			settled := make(chan struct{})
-			go func() {
-				sending.Wait()
-				close(settled)
-			}()
-			for {
-				select {
-				case ev := <-in:
-					handle(ev)
-				case <-settled:
-					for {
-						select {
-						case ev := <-in:
-							handle(ev)
-						default:
-							return
-						}
-					}
-				}
-			}
-		case ev := <-in:
-			handle(ev)
-		}
-	}
 }

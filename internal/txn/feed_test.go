@@ -86,81 +86,6 @@ func TestWatchPartitionedFanOut(t *testing.T) {
 	}
 }
 
-// TestWatchPartitionedCoalesce pins the changelog-mode contract: events
-// for a keeping-up partition are delivered per commit; a stalled
-// partition's backlog folds into one newest-wins bucket (newest CTS, each
-// key once, no growth with stall length); untouched partitions receive NO
-// event (no empty-Keys alignment); per-key routing is still stable.
-func TestWatchPartitionedCoalesce(t *testing.T) {
-	_, p, tbl := feedEnv(t)
-	// Route by the key's digit suffix so the test controls partition
-	// placement exactly.
-	route := func(k string) uint64 { return uint64(k[len(k)-1] - '0') }
-	feed, err := tbl.WatchPartitionedOpts(2, FeedOptions{Buf: 1, KeyFn: route, Coalesce: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	commit := func(keys ...string) Timestamp {
-		tx, err := p.Begin()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range keys {
-			if err := p.Write(tx, tbl, k, []byte("v-"+k)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := p.Commit(tx); err != nil {
-			t.Fatal(err)
-		}
-		return tbl.Group().LastCTS()
-	}
-
-	// Partition 0 only: the first commit lands in the (size-1) channel;
-	// the next three MUST fold into one pending bucket.
-	cts1 := commit("a0")
-	commit("a0", "b0")
-	commit("c0")
-	ctsFold := commit("a0")
-	// Partition 1 only: fits the channel, delivered as-is; partition 0
-	// must NOT see an empty alignment event for it.
-	ctsOther := commit("x1")
-
-	feed.Stop()
-	var part0, part1 []FeedEvent
-	for ev := range feed.Partitions()[0] {
-		part0 = append(part0, ev)
-	}
-	for ev := range feed.Partitions()[1] {
-		part1 = append(part1, ev)
-	}
-
-	if len(part0) != 2 {
-		t.Fatalf("partition 0: %d events, want 2 (direct + one folded bucket), got %+v", len(part0), part0)
-	}
-	if part0[0].CTS != cts1 || len(part0[0].Keys) != 1 || part0[0].Keys[0] != "a0" {
-		t.Fatalf("partition 0 direct event = %+v, want cts %d keys [a0]", part0[0], cts1)
-	}
-	folded := part0[1]
-	if folded.CTS != ctsFold {
-		t.Fatalf("folded bucket cts = %d, want newest folded commit %d", folded.CTS, ctsFold)
-	}
-	// Newest-wins: a0 written in three folded commits appears once, in
-	// first-appearance order relative to b0 and c0.
-	want := []string{"a0", "b0", "c0"}
-	if len(folded.Keys) != len(want) {
-		t.Fatalf("folded keys = %v, want %v", folded.Keys, want)
-	}
-	for i := range want {
-		if folded.Keys[i] != want[i] {
-			t.Fatalf("folded keys = %v, want %v", folded.Keys, want)
-		}
-	}
-	if len(part1) != 1 || part1[0].CTS != ctsOther || len(part1[0].Keys) != 1 || part1[0].Keys[0] != "x1" {
-		t.Fatalf("partition 1 = %+v, want one event cts %d keys [x1]", part1, ctsOther)
-	}
-}
-
 // TestWatchPartitionedStopDrain: commits queued before stop are still
 // delivered afterwards; commits after stop are dropped; channels close.
 func TestWatchPartitionedStopDrain(t *testing.T) {

@@ -160,101 +160,6 @@ func TestGCFeedPinProtectsLaggingFeed(t *testing.T) {
 	}
 }
 
-// TestGCCoalescedFeedDoesNotPinHorizon is the regression for the
-// stalled-consumer horizon leak: an aligned partitioned feed pins its
-// oldest undelivered commit, so a consumer that never drains (or never
-// acks) pins the GC horizon FOREVER and the table's residency grows with
-// every commit — TestGCFeedPinProtectsLaggingFeed shows exactly that,
-// deliberately. A coalescing feed (FeedOptions.Coalesce) must not: it
-// holds no pin, so with the most aggressive sweeping (GCEveryCommits=1) a
-// long write burst against a never-draining, never-acking consumer keeps
-// ResidentVersions bounded, and the folded backlog still delivers the
-// final state on drain.
-func TestGCCoalescedFeedDoesNotPinHorizon(t *testing.T) {
-	ctx := NewContext()
-	store := kv.NewMem()
-	defer store.Close()
-	tbl, err := ctx.CreateTable("changelog", store, TableOptions{
-		VersionSlots:   256,
-		GCEveryCommits: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ctx.CreateGroup("g", tbl); err != nil {
-		t.Fatal(err)
-	}
-	p := NewSI(ctx)
-
-	// Tiny buffers and NO consumer: the aligned feed would leave every
-	// commit pinned here.
-	feed, err := tbl.WatchPartitionedOpts(1, FeedOptions{Buf: 2, Coalesce: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !feed.Coalesced() {
-		t.Fatal("feed does not report changelog mode")
-	}
-
-	const commits = 200
-	for i := 0; i < commits; i++ {
-		tx, err := p.Begin()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Write(tx, tbl, "hot", []byte(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Commit(tx); err != nil {
-			t.Fatal(err)
-		}
-		if pinned := feed.PinnedCTS(); pinned != 0 {
-			t.Fatalf("coalescing feed pins cts %d at commit %d, want no pin ever", pinned, i)
-		}
-	}
-	feed.Ack(0) // no-op, must not panic or move anything
-	if pinned := feed.PinnedCTS(); pinned != 0 {
-		t.Fatalf("PinnedCTS = %d after no-op Ack, want 0", pinned)
-	}
-	// The unpinned horizon lets the per-commit sweeper reclaim: residency
-	// stays bounded by one incremental sweep-coverage interval, nowhere
-	// near the burst length. (The aligned-feed control above holds all
-	// `commits` versions at this point.)
-	if rv := tbl.ResidentVersions(); rv > 32 {
-		t.Fatalf("resident versions = %d during the stall, want bounded (<= 32)", rv)
-	}
-
-	// Drain after stop: the folded backlog must surface the FINAL state —
-	// newest CTS, each key once — and reading at that CTS yields the last
-	// committed value (the latest version is never reclaimed).
-	feed.Stop()
-	lastCTS := tbl.Group().LastCTS()
-	var got []FeedEvent
-	for ev := range feed.Partitions()[0] {
-		got = append(got, ev)
-	}
-	if len(got) == 0 {
-		t.Fatal("no events drained from the coalesced backlog")
-	}
-	final := got[len(got)-1]
-	if final.CTS != lastCTS {
-		t.Fatalf("final event cts = %d, want newest commit %d", final.CTS, lastCTS)
-	}
-	seen := 0
-	for _, k := range final.Keys {
-		if k == "hot" {
-			seen++
-		}
-	}
-	if seen != 1 {
-		t.Fatalf("final event carries %q %d times, want exactly once (newest-wins dedup)", "hot", seen)
-	}
-	v, ok := tbl.ReadAt("hot", final.CTS)
-	if !ok || string(v) != fmt.Sprintf("v%d", commits-1) {
-		t.Fatalf("ReadAt(hot, %d) = %q (ok=%t), want v%d", final.CTS, v, ok, commits-1)
-	}
-}
-
 // TestGCIdleSweeperReclaimsAfterQuiesce is the regression for the
 // idle-table leak: threshold sweeps only run on retiring commit leaders,
 // so a table whose writer stops after a burst retains every dead version

@@ -228,7 +228,7 @@ func runLayoutScript(t *testing.T, proto string, split bool, script []layoutStep
 					}
 				}
 			}
-			errs := p.(ChainCommitter).CommitChain(txs, []*Table{a})
+			errs := p.CommitChain(txs, []*Table{a})
 			for i, m := range st.members {
 				// Every member holds a (declared); only the window's last
 				// commit can be checked against the groups' current LastCTS.

@@ -24,14 +24,12 @@ type S2PL struct {
 
 // NewS2PL creates the strict-2PL protocol over ctx.
 func NewS2PL(ctx *Context) *S2PL {
-	return &S2PL{protocolBase: protocolBase{ctx: ctx}, locks: newLockManager()}
+	p := &S2PL{protocolBase: protocolBase{ctx: ctx}, locks: newLockManager()}
+	p.lockKey = p.lockExclusive
+	return p
 }
 
-var (
-	_ Protocol       = (*S2PL)(nil)
-	_ SegmentWriter  = (*S2PL)(nil)
-	_ ChainCommitter = (*S2PL)(nil)
-)
+var _ Protocol = (*S2PL)(nil)
 
 // Name implements Protocol.
 func (p *S2PL) Name() string { return "s2pl" }
@@ -72,91 +70,27 @@ func (p *S2PL) Read(tx *Txn, tbl *Table, key string) ([]byte, bool, error) {
 	return v, ok, nil
 }
 
-// Write implements Protocol: exclusive lock, then buffer the write.
-func (p *S2PL) Write(tx *Txn, tbl *Table, key string, value []byte) error {
-	if err := requireGroup(tbl); err != nil {
-		return err
-	}
-	if tx.finished.Load() {
-		return ErrFinished
-	}
+// lockExclusive is S2PL's pre-write hook: every written key is locked
+// exclusively — on the calling goroutine, so the lanes of a parallel
+// region lock lane-side, before their segment merges into the shared
+// transaction — and held until the transaction finishes. A wait-die kill
+// aborts the transaction. Concurrent calls from the lanes of one
+// transaction are safe: keyed routing keeps their key sets disjoint, and
+// acquisition is re-entrant per transaction for duplicate keys.
+func (p *S2PL) lockExclusive(tx *Txn, tbl *Table, key string) error {
 	if err := p.locks.acquire(tx, tbl.id, key, lockExclusive); err != nil {
 		p.abortInternal(tx)
 		return err
 	}
-	return bufferWrite(tx, tbl, key, writeOp{value: append([]byte(nil), value...)})
+	return nil
 }
 
-// WriteBatch implements Protocol: exclusive locks are still acquired per
-// key (that is what S2PL is), but the write-set buffering pays the
-// transaction latch once per batch. A wait-die kill at the i-th lock
-// aborts the transaction and reports i operations applied, matching the
-// per-operation sequence (writes before the failure counted, the write
-// set discarded by the abort either way).
-func (p *S2PL) WriteBatch(tx *Txn, tbl *Table, ops []WriteOp) (int, error) {
-	if err := requireGroup(tbl); err != nil {
-		return 0, err
-	}
-	if tx.finished.Load() {
-		return 0, ErrFinished
-	}
-	for i, op := range ops {
-		if err := p.locks.acquire(tx, tbl.id, op.Key, lockExclusive); err != nil {
-			p.abortInternal(tx)
-			return i, err
-		}
-	}
-	return bufferWriteBatch(tx, tbl, ops, false)
-}
-
-// WriteSegment implements SegmentWriter: the lane acquires its exclusive
-// locks LANE-SIDE — on the calling goroutine, before the segment merges
-// into the shared transaction — and the merge then adopts the segment's
-// buffered value copies under one transaction-latch acquisition, exactly
-// like SI and BOCC. Without this, S2PL lanes fell back to WriteBatch's
-// second value copy. A wait-die kill at the i-th key aborts the
-// transaction and reports i operations applied, matching WriteBatch.
-// Concurrent calls from the lanes of one transaction are safe: keyed
-// routing keeps their key sets disjoint, and lock acquisition is
-// re-entrant per transaction for duplicate keys within one lane.
-func (p *S2PL) WriteSegment(tx *Txn, tbl *Table, seg *Segment) (int, error) {
-	if err := requireGroup(tbl); err != nil {
-		return 0, err
-	}
-	if tx.finished.Load() {
-		return 0, ErrFinished
-	}
-	ops := seg.Ops()
-	for i := range ops {
-		if err := p.locks.acquire(tx, tbl.id, ops[i].Key, lockExclusive); err != nil {
-			p.abortInternal(tx)
-			return i, err
-		}
-	}
-	return writeSegment(tx, tbl, seg, false)
-}
-
-// CommitChain implements ChainCommitter. S2PL needs no commit-time
+// CommitChain implements Protocol. S2PL needs no commit-time
 // admission (the locks already guarantee serializability); each
 // coordinated transaction's locks fall only after its chain run is fully
 // installed and visible, preserving strictness across the batch.
 func (p *S2PL) CommitChain(txs []*Txn, tbls []*Table) [][]error {
 	return p.commitChain(txs, tbls, nil, func(tx *Txn) { p.locks.releaseAll(tx) })
-}
-
-// Delete implements Protocol.
-func (p *S2PL) Delete(tx *Txn, tbl *Table, key string) error {
-	if err := requireGroup(tbl); err != nil {
-		return err
-	}
-	if tx.finished.Load() {
-		return ErrFinished
-	}
-	if err := p.locks.acquire(tx, tbl.id, key, lockExclusive); err != nil {
-		p.abortInternal(tx)
-		return err
-	}
-	return bufferWrite(tx, tbl, key, writeOp{delete: true})
 }
 
 // CommitState implements Protocol.

@@ -8,24 +8,21 @@ package txn
 // lives on the shared Txn, and naive per-tuple writes from P goroutines
 // would serialize on the transaction latch for every element.
 //
-// A Segment moves that work off the shared latch: each lane appends its
+// A Segment moves that work off the shared latch: each writer appends its
 // tuples (value copies included — the allocation-heavy part) into its own
 // private segment with no synchronization at all, and merges the whole
 // segment into the transaction's write set in a single latch acquisition
-// at the commit barrier. Protocols that can adopt the segment's buffered
-// values directly implement SegmentWriter (SI and BOCC do — neither
-// write path has per-key side effects); the others go through the
-// generic Protocol.WriteBatch, which re-copies values but keeps protocol
-// semantics (S2PL's per-key exclusive locks) intact.
-// Either way the concurrent calls of the P lanes are serialized by the
-// transaction latch (tx.mu) — per-lane latching, paid once per lane per
-// transaction instead of once per tuple.
+// (Protocol.WriteSegment), which adopts the buffered values instead of
+// copying them again. The concurrent calls of the P lanes are serialized
+// by the transaction latch (tx.mu) — per-lane latching, paid once per
+// lane per transaction instead of once per tuple. The sequential TO_TABLE
+// is the one-writer case of the same path.
 
 // Segment is one lane's private write-set buffer for the currently open
 // transaction: a sequence of operations against a single table, in lane
 // arrival order. Append methods copy values, so the producer may reuse
 // its buffers immediately; the segment itself is single-goroutine (one
-// lane) until it is handed to WriteSegment or Ops.
+// lane) until it is handed to WriteSegment.
 type Segment struct {
 	ops []WriteOp
 }
@@ -56,48 +53,7 @@ func (s *Segment) Len() int { return len(s.ops) }
 // private copy), so resetting after a merge is always safe.
 func (s *Segment) Reset() { s.ops = s.ops[:0] }
 
-// Ops exposes the buffered operations for the generic Protocol.WriteBatch
-// fallback. The caller must not retain the slice across a Reset.
+// Ops exposes the buffered operations (fault-injecting protocol wrappers
+// replay a prefix through WriteBatch). The caller must not retain the
+// slice across a Reset.
 func (s *Segment) Ops() []WriteOp { return s.ops }
-
-// SegmentWriter is implemented by protocols whose write path can adopt a
-// segment's buffered values directly — ownership transfer instead of a
-// second copy. WriteSegment is equivalent to WriteBatch(tx, tbl,
-// seg.Ops()) and is safe to call concurrently from several lanes of one
-// transaction: calls serialize on the transaction latch.
-type SegmentWriter interface {
-	WriteSegment(tx *Txn, tbl *Table, seg *Segment) (int, error)
-}
-
-// writeSegment merges seg into tx's write set under one latch
-// acquisition, transferring ownership of the buffered values (no copy —
-// Segment.Put already made the private copy bufferWriteBatch would make).
-// When pin is set the table's group snapshot is pinned first (SI
-// semantics, see SI.Write).
-func writeSegment(tx *Txn, tbl *Table, seg *Segment, pin bool) (int, error) {
-	if tx.readOnly {
-		return 0, errReadOnlyWrite(tx)
-	}
-	if err := requireGroup(tbl); err != nil {
-		return 0, err
-	}
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	if tx.finished.Load() {
-		return 0, ErrFinished
-	}
-	if pin {
-		tx.pin(tbl)
-	}
-	e := tx.entry(tbl)
-	e.grow(len(seg.ops))
-	for i := range seg.ops {
-		op := &seg.ops[i]
-		if op.Delete {
-			e.write(op.Key, writeOp{delete: true})
-		} else {
-			e.write(op.Key, writeOp{value: op.Value})
-		}
-	}
-	return len(seg.ops), nil
-}

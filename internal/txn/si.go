@@ -11,7 +11,8 @@ import (
 //     then the latest version visible at the snapshot pinned on the
 //     transaction's first read of the group (ReadCTS). Reads never block
 //     writes and vice versa.
-//   - Writes only append to the write set ("Dirty Array"); with a single
+//   - Writes only append to the write set ("Dirty Array") after pinning
+//     the group's snapshot (protocolBase.pinOnWrite); with a single
 //     writer they never block, and with multiple writers conflicts are
 //     resolved at commit time by the First-Committer-Wins rule.
 //   - Commit runs the shared consistency protocol through the group-commit
@@ -28,14 +29,10 @@ type SI struct {
 
 // NewSI creates the snapshot-isolation protocol over ctx.
 func NewSI(ctx *Context) *SI {
-	return &SI{protocolBase{ctx: ctx}}
+	return &SI{protocolBase{ctx: ctx, pinOnWrite: true}}
 }
 
-var (
-	_ Protocol       = (*SI)(nil)
-	_ SegmentWriter  = (*SI)(nil)
-	_ ChainCommitter = (*SI)(nil)
-)
+var _ Protocol = (*SI)(nil)
 
 // Name implements Protocol.
 func (p *SI) Name() string { return "mvcc" }
@@ -72,67 +69,12 @@ func (p *SI) Read(tx *Txn, tbl *Table, key string) ([]byte, bool, error) {
 	return v, ok, nil
 }
 
-// Write implements Protocol. The write pins the transaction's snapshot
-// for the table's group (first access wins): the First-Committer-Wins
-// check compares committed versions against this pin, so strictly
-// sequential transactions — e.g. the batches of one continuous stream
-// query, whose Begin may race ahead of the previous batch's commit in a
-// pipelined dataflow — never conflict with themselves, while genuinely
-// concurrent writers of one key still abort.
-func (p *SI) Write(tx *Txn, tbl *Table, key string, value []byte) error {
-	if err := requireGroup(tbl); err != nil {
-		return err
-	}
-	tx.mu.Lock()
-	if tx.finished.Load() {
-		tx.mu.Unlock()
-		return ErrFinished
-	}
-	tx.pin(tbl)
-	tx.mu.Unlock()
-	return bufferWrite(tx, tbl, key, writeOp{value: append([]byte(nil), value...)})
-}
-
-// WriteBatch implements Protocol: one snapshot pin, one state-entry
-// resolution and one latch acquisition for the whole batch. This is the
-// fast path of the vectorized TO_TABLE operator — per-tuple cost reduces
-// to appending to the write set.
-func (p *SI) WriteBatch(tx *Txn, tbl *Table, ops []WriteOp) (int, error) {
-	return bufferWriteBatch(tx, tbl, ops, true)
-}
-
-// WriteSegment implements SegmentWriter: it merges a lane's private
-// write-set segment into the transaction under one latch acquisition,
-// adopting the segment's value copies instead of re-copying them. Safe
-// for concurrent calls from the lanes of one parallel region — the
-// transaction latch serializes the merges, and keyed routing keeps the
-// lanes' key sets disjoint, so merge order cannot change the write set's
-// contents.
-func (p *SI) WriteSegment(tx *Txn, tbl *Table, seg *Segment) (int, error) {
-	return writeSegment(tx, tbl, seg, true)
-}
-
-// Delete implements Protocol (see Write for snapshot pinning).
-func (p *SI) Delete(tx *Txn, tbl *Table, key string) error {
-	if err := requireGroup(tbl); err != nil {
-		return err
-	}
-	tx.mu.Lock()
-	if tx.finished.Load() {
-		tx.mu.Unlock()
-		return ErrFinished
-	}
-	tx.pin(tbl)
-	tx.mu.Unlock()
-	return bufferWrite(tx, tbl, key, writeOp{delete: true})
-}
-
 // admitFCW is the First-Committer-Wins check: the transaction must abort
 // if any written key has a committed version newer than the transaction's
 // snapshot — "if the current version is greater than the timestamp of
 // the transaction, it must abort" (Section 4.2). The snapshot is the
-// ReadCTS pinned at the transaction's first access of the group (Write
-// pins it too, so it always exists for written states); the begin
+// ReadCTS pinned at the transaction's first access of the group (writes
+// pin it too, so it always exists for written states); the begin
 // timestamp is a defensive fallback. The overlay carries writes admitted
 // earlier in the same group-commit batch, whose versions are not
 // installed yet but must conflict all the same.
@@ -190,7 +132,7 @@ func (p *SI) Commit(tx *Txn) error {
 	})
 }
 
-// CommitChain implements ChainCommitter: the chain's transactions are
+// CommitChain implements Protocol: the chain's transactions are
 // flagged in order and the completed ones are admitted (First-Committer-
 // Wins, chain-floor aware) and committed through the group-commit
 // pipeline as one multi-request submission per consecutive same-group

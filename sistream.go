@@ -42,18 +42,9 @@ type (
 	// while committing strictly in order, with conflicts between chain
 	// members exempted as serial history (see TransactionsWindow).
 	Chain = txn.Chain
-	// ChainCommitter is implemented by protocols whose commit path can
-	// take a whole chain window at once — one group-commit batch for
-	// several consecutive transactions (SI, S2PL and BOCC all do).
-	ChainCommitter = txn.ChainCommitter
 	// GCTableStats reports a table's explicit sweep activity: runs,
 	// reclaimed version slots and swept shards (Table.GCStats).
 	GCTableStats = txn.GCTableStats
-	// FeedOptions configures a partitioned change feed beyond the
-	// partition count: buffer depth, routing hash, and the opt-in
-	// newest-wins coalescing (changelog) delivery mode that never pins
-	// the GC horizon (Table.WatchPartitionedOpts).
-	FeedOptions = txn.FeedOptions
 	// CommitProfile is a topology group's observed commit-path profile:
 	// per-batch sync and install latency summaries plus the batch-size
 	// EWMA the group-commit leader records (Group.CommitProfile).
@@ -187,13 +178,17 @@ var (
 	NewTopology = stream.New
 	// MergeStreams fans several streams into one.
 	MergeStreams = stream.Merge
-	// ToStream is the TO_STREAM linking operator (per-commit trigger).
+	// ToStream is the TO_STREAM linking operator (per-commit trigger):
+	// the one-partition case of FromTablePartitioned, merged — each
+	// commit's rows framed by BOT/COMMIT carrying the commit timestamp.
 	ToStream = stream.ToStream
 	// FromTablePartitioned is the partitioned TO_STREAM linking operator:
-	// per-partition commit watchers exposed as the lanes of a
-	// ParallelRegion, re-serialized by its Merge barrier.
+	// per-partition commit sources exposed as the lanes of a
+	// ParallelRegion, re-serialized by its Merge barrier; undelivered
+	// commits pin the GC horizon.
 	FromTablePartitioned = stream.FromTablePartitioned
-	// TableSnapshot is the ad-hoc FROM(table) snapshot query.
+	// TableSnapshot is the ad-hoc FROM(table) snapshot query: a scan of a
+	// pinned Snapshot, wait-free under all three protocols.
 	TableSnapshot = stream.TableSnapshot
 	// FromSnapshot streams a pinned Snapshot's rows of one table as a
 	// lane-parallel scan source (the analytical FROM(table) source).
@@ -202,7 +197,8 @@ var (
 	// construction decisions (fusion, lanes, reroutes, window mode) plus
 	// live runtime figures (channel occupancy, tuner position, counters).
 	Explain = stream.Explain
-	// QueryKeys runs point reads under one read-only transaction.
+	// QueryKeys runs point reads under one pinned Snapshot across the
+	// addressed tables, wait-free under all three protocols.
 	QueryKeys = stream.QueryKeys
 	// DataElement wraps a tuple into a stream element.
 	DataElement = stream.DataElement
