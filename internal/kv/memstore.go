@@ -21,7 +21,22 @@ type Mem struct {
 
 type memShard struct {
 	mu sync.RWMutex
-	m  map[string][]byte
+	m  map[string]*memEntry
+}
+
+// memEntry boxes a value so that overwriting an existing key — the steady
+// state of a table whose key set has settled — is a store through the
+// pointer found by an allocation-free m[string(key)] lookup; assigning
+// m[string(key)] = v would allocate the key string on every write.
+type memEntry struct{ v []byte }
+
+// put stores value under key. Caller holds sh.mu.
+func (sh *memShard) put(key, value []byte) {
+	if e := sh.m[string(key)]; e != nil {
+		e.v = value
+		return
+	}
+	sh.m[string(key)] = &memEntry{v: value}
 }
 
 // Capabilities: the memory store is volatile — nothing survives the
@@ -37,7 +52,7 @@ func (s *Mem) Capabilities() Capabilities {
 func NewMem() *Mem {
 	s := &Mem{}
 	for i := range s.shards {
-		s.shards[i].m = make(map[string][]byte)
+		s.shards[i].m = make(map[string]*memEntry)
 	}
 	return s
 }
@@ -68,9 +83,11 @@ func (s *Mem) Get(key []byte) ([]byte, bool, error) {
 	}
 	sh := &s.shards[shardFor(key)]
 	sh.mu.RLock()
-	v, ok := sh.m[string(key)]
-	sh.mu.RUnlock()
-	return v, ok, nil
+	defer sh.mu.RUnlock()
+	if e := sh.m[string(key)]; e != nil {
+		return e.v, true, nil
+	}
+	return nil, false, nil
 }
 
 // Put implements Store.
@@ -82,7 +99,7 @@ func (s *Mem) Put(key, value []byte) error {
 	}
 	sh := &s.shards[shardFor(key)]
 	sh.mu.Lock()
-	sh.m[string(key)] = cloneBytes(value)
+	sh.put(key, cloneBytes(value))
 	sh.mu.Unlock()
 	return nil
 }
@@ -129,7 +146,7 @@ func (s *Mem) Apply(b *Batch, _ bool) error {
 		sh.mu.Lock()
 		for _, op := range perShard[i] {
 			if op.Kind == OpPut {
-				sh.m[string(op.Key)] = op.Value
+				sh.put(op.Key, op.Value)
 			} else {
 				delete(sh.m, string(op.Key))
 			}
@@ -164,14 +181,14 @@ func (s *Mem) Scan(start, end []byte, fn func(key, value []byte) bool) error {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for k, v := range sh.m {
+		for k, e := range sh.m {
 			if start != nil && k < string(start) {
 				continue
 			}
 			if end != nil && k >= string(end) {
 				continue
 			}
-			pairs = append(pairs, pair{k, v})
+			pairs = append(pairs, pair{k, e.v})
 		}
 		sh.mu.RUnlock()
 	}

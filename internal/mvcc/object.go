@@ -33,6 +33,7 @@ package mvcc
 
 import (
 	"fmt"
+	"iter"
 	"sync"
 	"sync/atomic"
 )
@@ -74,7 +75,7 @@ type versionSet struct {
 // concurrent use; reads are wait-free (atomic loads only), writers
 // serialize on a short mutex.
 type Object struct {
-	mu     sync.Mutex // writers only: Install, InstallRecovered, GC
+	mu     sync.Mutex // writers only: Install, InstallRecovered, GC, Retained
 	snap   atomic.Pointer[versionSet]
 	latest atomic.Uint64 // newest installed cts, deletions included
 }
@@ -234,6 +235,27 @@ func (s *versionSet) reclaimOrGrow(oldestActive Timestamp) *versionSet {
 // included); used by tests and the slot-size ablation.
 func (o *Object) LiveVersions() int {
 	return int(o.snap.Load().n.Load())
+}
+
+// Retained calls fn once with the values of the retained versions, oldest
+// first — every occupied slot, reclaimable ones included: the values some
+// reader may still see. The writer mutex is held until fn returns, so no
+// Install or GC interleaves and whatever fn concludes from the versions
+// it may act on before the next one is installed (the secondary index
+// drops a candidate entry that way, see txn.Index). The sequence is
+// valid only inside fn, which must not call a writer method of o.
+func (o *Object) Retained(fn func(values iter.Seq[[]byte])) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	s := o.snap.Load()
+	n := int(s.n.Load())
+	fn(func(yield func([]byte) bool) {
+		for i := 0; i < n; i++ {
+			if !yield(s.slots[i].val) {
+				return
+			}
+		}
+	})
 }
 
 // Capacity returns the current version-array length.

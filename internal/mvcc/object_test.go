@@ -2,7 +2,9 @@ package mvcc
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -359,5 +361,37 @@ func BenchmarkObjectInstall(b *testing.B) {
 		if err := o.Install(cts, val, false, old); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRetainedSeesEveryOccupiedSlot: the iteration hook yields the value
+// of every retained version, dead-but-unreclaimed ones included, oldest
+// first, and stops when the caller stops ranging.
+func TestRetainedSeesEveryOccupiedSlot(t *testing.T) {
+	o := NewObject(0)
+	for i, v := range []string{"a", "b", "c"} {
+		if err := o.Install(Timestamp(10*(i+1)), []byte(v), false, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []string
+	o.Retained(func(values iter.Seq[[]byte]) {
+		for v := range values {
+			got = append(got, string(v))
+		}
+	})
+	if !slices.Equal(got, []string{"a", "b", "c"}) {
+		t.Fatalf("retained = %v, want [a b c]", got)
+	}
+	o.GC(25) // a's dts is 20: reclaimed; b (dts 30) and c stay
+	got = got[:0]
+	o.Retained(func(values iter.Seq[[]byte]) {
+		for v := range values {
+			got = append(got, string(v))
+			break
+		}
+	})
+	if !slices.Equal(got, []string{"b"}) {
+		t.Fatalf("retained after GC, first only = %v, want [b]", got)
 	}
 }

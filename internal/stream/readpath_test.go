@@ -103,12 +103,12 @@ func equivScript(rng *rand.Rand, txns int) []Element {
 	return script
 }
 
-func runEquivProperty(t *testing.T, protocol string, lanes int, seed int64) {
+func runEquivProperty(t *testing.T, protocol string, lanes int, seed int64, gcEvery int) {
 	t.Helper()
 	ctx := txn.NewContext()
 	store := kv.NewMem()
 	t.Cleanup(func() { store.Close() })
-	tbl, err := ctx.CreateTable("rows", store, txn.TableOptions{})
+	tbl, err := ctx.CreateTable("rows", store, txn.TableOptions{GCEveryCommits: gcEvery})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +186,15 @@ func runEquivProperty(t *testing.T, protocol string, lanes int, seed int64) {
 	if err := equivCheck(tbl, ix, group.LastCTS()); err != nil {
 		t.Error(err)
 	}
+	if gcEvery > 0 && tbl.GCStats().Runs == 0 {
+		t.Error("GCEveryCommits set, yet the script crossed no sweep")
+	}
 }
 
 // TestPropertyIndexTableEquivalence sweeps the property over the three
-// protocols × {1, 4} lanes × several seeds (fewer under -short).
+// protocols × {1, 4} lanes × several seeds (fewer under -short), without
+// sweeps and with one after every commit (GCEveryCommits: 1), so that
+// every script also crosses the sweeper dropping index candidates.
 func TestPropertyIndexTableEquivalence(t *testing.T) {
 	seeds := 6
 	if testing.Short() {
@@ -197,11 +202,12 @@ func TestPropertyIndexTableEquivalence(t *testing.T) {
 	}
 	for _, protocol := range []string{"mvcc", "s2pl", "bocc"} {
 		for _, lanes := range []int{1, 4} {
-			for seed := int64(0); seed < int64(seeds); seed++ {
-				protocol, lanes, seed := protocol, lanes, seed
-				t.Run(fmt.Sprintf("%s/lanes=%d/seed=%d", protocol, lanes, seed), func(t *testing.T) {
-					runEquivProperty(t, protocol, lanes, seed)
-				})
+			for _, gcEvery := range []int{0, 1} {
+				for seed := int64(0); seed < int64(seeds); seed++ {
+					t.Run(fmt.Sprintf("%s/lanes=%d/gc=%d/seed=%d", protocol, lanes, gcEvery, seed), func(t *testing.T) {
+						runEquivProperty(t, protocol, lanes, seed, gcEvery)
+					})
+				}
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"sistream/internal/kv"
@@ -516,7 +515,9 @@ func sortedEntries(tx *Txn) []*stateEntry {
 	for _, e := range tx.states {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].table.id < out[j].table.id })
+	if len(out) > 1 {
+		slices.SortFunc(out, func(a, b *stateEntry) int { return cmp.Compare(a.table.id, b.table.id) })
+	}
 	return out
 }
 
@@ -709,7 +710,8 @@ func (g *Group) maybeGC() {
 //     First-Committer-Wins sees writes of earlier same-batch admissions;
 //     a rejected request aborts immediately with no state modified.
 //  3. durability: ONE coalesced batch per distinct base store — all
-//     admitted rows plus one LastCTS watermark per touched table — with a
+//     admitted rows plus one LastCTS watermark per touched table (and
+//     nothing else: secondary indexes persist nothing) — with a
 //     single (optionally synchronous) Apply. This is where group commit
 //     pays: N transactions share one fsync. A failed store fails the
 //     whole batch fail-stop (poisonBatch); nothing was installed yet, so
@@ -717,7 +719,8 @@ func (g *Group) maybeGC() {
 //     recovery via the watermark (see CreateGroup).
 //  4. install all versions in commit-timestamp order (cannot fail:
 //     version arrays grow on demand and installers of one group are
-//     serialized by the latch).
+//     serialized by the latch); each installed row image is then added to
+//     the candidate sets of the table's secondary indexes.
 //  5. publish LastCTS once per latched group — under all the latches, so
 //     the batch becomes visible completely or not at all to snapshot
 //     readers of any involved group — then notify each group's watchers
@@ -785,13 +788,6 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 	var (
 		batches []*storeBatch
 		tables  []*Table
-		// Secondary-index maintenance: posting mutations per admitted
-		// request (installed in phase 4 at the request's cts), and the
-		// pending post-write images of keys already visited in this batch
-		// (the pre-image of a later same-batch write of the same key).
-		// Both stay nil while no touched table has indexes.
-		reqDeltas [][]indexDelta
-		preimage  map[*Table]map[string]rowImage
 	)
 	getSB := func(tbl *Table) *storeBatch {
 		for _, sb := range batches {
@@ -803,11 +799,9 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 		batches = append(batches, sb)
 		return sb
 	}
-	for ri, req := range admitted {
-		var deltas []indexDelta
+	for _, req := range admitted {
 		for _, e := range req.entries {
 			sb := getSB(e.table)
-			ixs := e.table.indexSet()
 			for i, key := range e.order {
 				op := &e.ops[i]
 				off := len(sb.arena)
@@ -820,41 +814,6 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 				} else {
 					sb.batch.PutOwned(rk, op.value)
 				}
-				if len(ixs) > 0 {
-					// Index mutations join the SAME durability batch as the
-					// row (posting rows share its arena) and are stashed for
-					// install at the SAME commit timestamp in phase 4 — the
-					// index is never ahead of or behind its table.
-					img, found := rowImage{}, false
-					if m := preimage[e.table]; m != nil {
-						img, found = m[key]
-					}
-					oldVal, hadOld := img.val, found && !img.del
-					if !found {
-						oldVal, hadOld = latestImage(e.table, op.obj, key)
-					}
-					start := len(deltas)
-					deltas = indexDeltasFor(deltas, ixs, key, op.value, op.delete, oldVal, hadOld)
-					for _, d := range deltas[start:] {
-						ioff := len(sb.arena)
-						sb.arena = d.ix.appendRowKey(sb.arena, d.ikey, d.pkey)
-						irk := sb.arena[ioff:len(sb.arena):len(sb.arena)]
-						if d.del {
-							sb.batch.DeleteOwned(irk)
-						} else {
-							sb.batch.PutOwned(irk, nil)
-						}
-					}
-					if preimage == nil {
-						preimage = make(map[*Table]map[string]rowImage)
-					}
-					m := preimage[e.table]
-					if m == nil {
-						m = make(map[string]rowImage)
-						preimage[e.table] = m
-					}
-					m[key] = rowImage{val: op.value, del: op.delete}
-				}
 			}
 			// The sync point is requested only where the backend declares
 			// SupportsSync: a volatile backend has nothing to fsync, so
@@ -863,22 +822,9 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 			if e.table.opts.SyncCommits && e.table.caps.SupportsSync {
 				sb.sync = true
 			}
-			seen := false
-			for _, t := range tables {
-				if t == e.table {
-					seen = true
-					break
-				}
-			}
-			if !seen {
+			if !slices.Contains(tables, e.table) {
 				tables = append(tables, e.table)
 			}
-		}
-		if deltas != nil {
-			if reqDeltas == nil {
-				reqDeltas = make([][]indexDelta, len(admitted))
-			}
-			reqDeltas[ri] = deltas
 		}
 	}
 	// One watermark per touched table: everything below maxCTS in this
@@ -911,8 +857,9 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 	// the latched groups are poisoned with the diagnostic and the whole
 	// batch stays invisible (LastCTS is never published) — instead of
 	// killing the embedding process.
-	for ri, req := range admitted {
+	for _, req := range admitted {
 		for _, e := range req.entries {
+			ixs := e.table.indexSet()
 			for i, key := range e.order {
 				op := &e.ops[i]
 				o := op.obj
@@ -923,15 +870,15 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 					p.poisonBatch(groups, nil, admitted, fmt.Errorf("txn: install invariant violated: %w", err))
 					return
 				}
-			}
-		}
-		if reqDeltas != nil {
-			// Posting installs at the row's cts, right after the rows: a
-			// snapshot sees the index mutation exactly when it sees the row.
-			for _, d := range reqDeltas[ri] {
-				if err := d.ix.install(d.ikey, d.pkey, req.cts, d.del, horizon); err != nil {
-					p.poisonBatch(groups, nil, admitted, fmt.Errorf("txn: install invariant violated: %w", err))
-					return
+				if op.delete {
+					continue
+				}
+				// Secondary indexes: the row becomes a candidate of the
+				// index key its NEW image carries — strictly after the
+				// version is installed (the sweeper's race argument, see
+				// index.go), before LastCTS makes it readable.
+				for _, ix := range ixs {
+					ix.add(key, op.value, o)
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"fmt"
+	"iter"
 	"sync"
 	"sync/atomic"
 
@@ -11,35 +12,49 @@ import (
 
 // Transactional secondary indexes. An index maps a derived key (the
 // "index key", computed by a user extractor from a row's key and value)
-// to the set of row keys currently carrying it. Maintenance happens in
-// the SAME write path as the table itself: the commit pipeline
-// (commitBatch) derives index mutations from every admitted row write,
-// appends them to the SAME coalesced durability batch, and
-// installs them into the index's version store at the SAME commit
-// timestamp as the row — so an index is never ahead of or behind its
-// table, under all three concurrency-control protocols, and aborted
-// transactions never touch it (only admitted requests are processed).
+// to the rows carrying it. Its consistency condition is one sentence —
+// Lookup(ikey) at rts equals a scan at rts filtered by the extractor —
+// and the index EVALUATES that condition instead of keeping a second
+// version history in step with the rows: what it stores per index key is
+// a versionless CANDIDATE SET, the row keys that have some retained
+// version extracting to it, and a lookup reads each candidate's row at
+// rts and keeps it iff the extractor, applied to that very version,
+// yields the index key. Equal to the filtered scan by construction under
+// all three protocols, as long as the candidate set is a superset of the
+// rows a reader can see:
 //
-// Each (index key, row key) posting is an mvcc.Object holding presence
-// versions: visible at rts exactly when the row carried that index key
-// at rts. Lookups therefore compose with snapshot reads for free — an
-// index read at a Snapshot's CTS returns exactly the rows a filtered
-// full-table scan at that CTS would.
+//   - the commit pipeline (commitBatch, phase 4) adds (ikey, row) right
+//     AFTER the row's version is installed and before LastCTS is
+//     published, so every version a snapshot can read has its candidate;
+//     aborted transactions never reach phase 4. Deletes cost nothing, and
+//     a rewrite that keeps its index key is a read-locked hit.
+//   - the table sweep (Table.sweep -> Index.gc) removes a candidate when
+//     no retained version of the row extracts to the index key, checking
+//     and removing under the row object's writer mutex. Install takes the
+//     same mutex and the add follows the Install, so the sweeper's step is
+//     entirely before an install (the add re-inserts the entry) or
+//     entirely after it (it sees the version and keeps the entry).
+//
+// Lock order: row object writer mutex, then index shard lock. Nothing is
+// persisted: an index is rebuilt from the rows by CreateIndex.
 
-// indexShards spreads the posting lists over independently locked maps,
+// indexShards spreads the candidate sets over independently locked maps,
 // mirroring the table's key shards. Must be a power of two.
 const indexShards = 16
 
 // IndexKeyFunc derives the index key of one row. ok=false excludes the
-// row from the index (a partial index). The function must be pure — it
-// is re-evaluated on the commit path for both the old and the new row
-// image — and must not retain key or value. Index keys must not contain
-// NUL bytes (the persisted posting-row encoding uses NUL as separator).
+// row from the index (a partial index). The function must be pure and
+// cheap, and must not retain key or value: it is evaluated on the commit
+// path for every written image, on the READ path for every candidate of a
+// lookup (the result of a lookup is whatever it says about the row
+// versions at the snapshot), and by the sweeper while it holds a row's
+// writer mutex.
 type IndexKeyFunc func(key string, value []byte) (ikey string, ok bool)
 
 // Index is a transactionally maintained secondary index over one table
-// (Table.CreateIndex). All methods are safe for concurrent use; reads
-// are wait-free against the commit path (RCU posting versions).
+// (Table.CreateIndex). All methods are safe for concurrent use; a lookup
+// takes one shard read lock to copy its candidates and reads row versions
+// wait-free (RCU).
 type Index struct {
 	name    string
 	tbl     *Table
@@ -52,10 +67,10 @@ type Index struct {
 	puts, deletes, lookups, hits atomic.Uint64
 }
 
-// indexShard is one latch-striped slice of the posting map:
-// ikey -> row key -> presence versions. Posting objects are never
-// removed once created (installers cache pointers to them, exactly as
-// table rows do); reclamation compacts their version arrays instead.
+// indexShard is one latch-striped slice of the candidate map:
+// ikey -> row key -> the row's version object (row objects are never
+// removed from their table, so the pointer saves lookups and the sweeper
+// a trip through the table's key shards).
 type indexShard struct {
 	mu sync.RWMutex
 	m  map[string]map[string]*mvcc.Object
@@ -69,8 +84,11 @@ func (ix *Index) Table() *Table { return ix.tbl }
 
 // IndexStats are an index's lifetime counters (Index.Stats).
 type IndexStats struct {
-	// Puts / Deletes count posting insertions and removals installed by
-	// the commit path (backfill included).
+	// Puts counts candidate entries added — by the backfill (one per
+	// distinct index key among a row's retained versions) and by commits
+	// that gave a row an index key it had no entry for; a rewrite that
+	// keeps its key adds nothing. Deletes counts entries the sweeper
+	// dropped. Puts - Deletes is ResidentPostings.
 	Puts, Deletes uint64
 	// Lookups counts Lookup calls; Hits the rows they returned.
 	Lookups, Hits uint64
@@ -95,185 +113,142 @@ func (ix *Index) shard(ikey string) *indexShard {
 	return &ix.shards[h&(indexShards-1)]
 }
 
-// posting returns the presence-version object of (ikey, pkey), creating
-// it when create is set.
-func (ix *Index) posting(ikey, pkey string, create bool) *mvcc.Object {
+// add makes row pkey (version object o) a candidate of the index key its
+// image value extracts to. Idempotent; the steady state — the entry
+// exists — takes only the shard's read lock. Callers add AFTER the
+// version carrying value is installed in o (see the file comment).
+func (ix *Index) add(pkey string, value []byte, o *mvcc.Object) {
+	ikey, ok := ix.extract(pkey, value)
+	if !ok {
+		return
+	}
 	sh := ix.shard(ikey)
 	sh.mu.RLock()
-	o := sh.m[ikey][pkey]
+	_, ok = sh.m[ikey][pkey]
 	sh.mu.RUnlock()
-	if o != nil || !create {
-		return o
+	if ok {
+		return
 	}
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	post := sh.m[ikey]
-	if post == nil {
-		post = make(map[string]*mvcc.Object)
-		sh.m[ikey] = post
+	set := sh.m[ikey]
+	if set == nil {
+		set = make(map[string]*mvcc.Object)
+		sh.m[ikey] = set
 	}
-	if o = post[pkey]; o == nil {
-		o = mvcc.NewObject(0)
-		post[pkey] = o
-	}
-	return o
-}
-
-// install applies one posting mutation at cts: presence when delete is
-// false, removal otherwise. Called under the owning group's commit latch
-// (backfill holds it too), so installs per posting are cts-monotonic.
-func (ix *Index) install(ikey, pkey string, cts Timestamp, delete bool, horizon Timestamp) error {
-	if err := ix.posting(ikey, pkey, true).Install(cts, nil, delete, horizon); err != nil {
-		return fmt.Errorf("index %q: %w", ix.name, err)
-	}
-	if delete {
-		ix.deletes.Add(1)
-	} else {
+	if _, ok = set[pkey]; !ok {
+		set[pkey] = o
 		ix.puts.Add(1)
 	}
-	return nil
-}
-
-// appendRowKey appends the persisted posting-row key for (ikey, pkey) to
-// dst: "i/<table>/<index>/<ikey>\x00<pkey>". Posting rows ride the same
-// per-store durability batch as the table rows of their commit.
-func (ix *Index) appendRowKey(dst []byte, ikey, pkey string) []byte {
-	dst = append(dst, 'i', '/')
-	dst = append(dst, ix.tbl.id...)
-	dst = append(dst, '/')
-	dst = append(dst, ix.name...)
-	dst = append(dst, '/')
-	dst = append(dst, ikey...)
-	dst = append(dst, 0)
-	return append(dst, pkey...)
-}
-
-// rowPrefix namespaces this index's posting rows in the base store.
-func (ix *Index) rowPrefix() []byte {
-	return []byte("i/" + string(ix.tbl.id) + "/" + ix.name + "/")
+	sh.mu.Unlock()
 }
 
 // Lookup calls fn for every row whose index key equals ikey at snapshot
 // rts, with the row's value at that same snapshot, until fn returns
-// false. Posting visibility and row visibility are installed at the same
-// commit timestamp, so the result equals a full-table scan at rts
-// filtered by the same extractor. Iteration order is unspecified.
+// false. Each candidate's row is read at rts and kept iff the extractor
+// maps that version to ikey, so the result equals a full-table scan at
+// rts filtered by the same extractor; the cost is one version read and
+// one extractor call per candidate, and a row has at most one candidate
+// entry per retained version. Iteration order is unspecified.
 func (ix *Index) Lookup(rts Timestamp, ikey string, fn func(key string, value []byte) bool) {
 	ix.lookups.Add(1)
+	buf := acquirePairs()
+	defer releasePairs(buf)
 	sh := ix.shard(ikey)
-	type pair struct {
-		k string
-		o *mvcc.Object
-	}
 	sh.mu.RLock()
-	post := sh.m[ikey]
-	pairs := make([]pair, 0, len(post))
-	for k, o := range post {
-		pairs = append(pairs, pair{k, o})
+	for k, o := range sh.m[ikey] {
+		*buf = append(*buf, objPair{k, o})
 	}
 	sh.mu.RUnlock()
-	for _, p := range pairs {
-		if _, ok := p.o.Read(rts); !ok {
-			continue
-		}
-		v, ok := ix.tbl.readVersion(p.k, rts)
+	hits := uint64(0)
+	for _, p := range *buf {
+		v, ok := p.o.Read(rts)
 		if !ok {
-			// Unreachable when the write-path invariant holds (posting and
-			// row install at one cts); skipping keeps a lookup from ever
-			// fabricating a row.
 			continue
 		}
-		ix.hits.Add(1)
+		if ik, ok := ix.extract(p.k, v); !ok || ik != ikey {
+			continue
+		}
+		hits++
 		if !fn(p.k, v) {
-			return
+			break
 		}
 	}
+	ix.hits.Add(hits)
 }
 
-// ResidentPostings counts posting version slots currently occupied —
-// the index-side analogue of Table.ResidentVersions (diagnostic).
+// ResidentPostings counts the candidate entries the index holds — the
+// index-side analogue of Table.ResidentVersions (diagnostic).
 func (ix *Index) ResidentPostings() int {
 	n := 0
 	for i := range ix.shards {
 		sh := &ix.shards[i]
 		sh.mu.RLock()
-		for _, post := range sh.m {
-			for _, o := range post {
-				n += o.LiveVersions()
-			}
+		for _, set := range sh.m {
+			n += len(set)
 		}
 		sh.mu.RUnlock()
 	}
 	return n
 }
 
-// gc reclaims dead posting versions in count index shards from the
-// cursor (wrapping), returning reclaimed slots. Invoked by the table
-// sweeps so index residency is bounded by the same policy as row
-// residency.
-func (ix *Index) gc(horizon Timestamp, count int) int {
-	if count < 1 {
-		count = 1
-	}
-	if count > indexShards {
-		count = indexShards
-	}
+// gc visits count index shards from the cursor (wrapping) and drops every
+// candidate whose row retains no version extracting to the entry's index
+// key, returning the number dropped. Invoked by the table sweeps (buf is
+// the sweep's pooled buffer) after they reclaimed row versions, so index
+// residency is bounded by the same policy as row residency.
+func (ix *Index) gc(count int, buf *[]objPair) int {
+	count = min(max(count, 1), indexShards)
 	from := int(ix.gcCursor.Load()) % indexShards
 	ix.gcCursor.Store(uint32((from + count) % indexShards))
 	n := 0
 	for j := 0; j < count; j++ {
 		sh := &ix.shards[(from+j)%indexShards]
+		// One copy per shard: an entry without an object names the index
+		// key of the candidates that follow it.
+		*buf = (*buf)[:0]
 		sh.mu.RLock()
-		objs := make([]*mvcc.Object, 0, len(sh.m))
-		for _, post := range sh.m {
-			for _, o := range post {
-				objs = append(objs, o)
+		for ikey, set := range sh.m {
+			*buf = append(*buf, objPair{k: ikey})
+			for k, o := range set {
+				*buf = append(*buf, objPair{k, o})
 			}
 		}
 		sh.mu.RUnlock()
-		for _, o := range objs {
-			n += o.GC(horizon)
+		ikey := ""
+		for _, p := range *buf {
+			if p.o == nil {
+				ikey = p.k
+			} else if ix.dropUnseen(sh, ikey, p) {
+				n++
+			}
 		}
 	}
+	ix.deletes.Add(uint64(n))
 	return n
 }
 
-// indexDelta is one posting mutation derived from an admitted row write,
-// installed at the writing transaction's commit timestamp.
-type indexDelta struct {
-	ix   *Index
-	ikey string
-	pkey string
-	del  bool
-}
-
-// indexDeltasFor appends the posting mutations implied by writing key
-// with newVal (or deleting it when del is set), given the row's
-// pre-image: oldVal/hadOld describe the latest value the key holds
-// before this write installs (earlier same-batch admissions included).
-func indexDeltasFor(dst []indexDelta, ixs []*Index, key string, newVal []byte, del bool, oldVal []byte, hadOld bool) []indexDelta {
-	for _, ix := range ixs {
-		var (
-			oldIK, newIK string
-			oldOK, newOK bool
-		)
-		if hadOld {
-			oldIK, oldOK = ix.extract(key, oldVal)
+// dropUnseen removes candidate p of ikey from sh unless some retained
+// version of its row still extracts to ikey. Check and removal both
+// happen under the row's writer mutex (see the file comment for why no
+// racing commit can lose its entry that way).
+func (ix *Index) dropUnseen(sh *indexShard, ikey string, p objPair) (dropped bool) {
+	p.o.Retained(func(values iter.Seq[[]byte]) {
+		for v := range values {
+			if ik, ok := ix.extract(p.k, v); ok && ik == ikey {
+				return
+			}
 		}
-		if !del {
-			newIK, newOK = ix.extract(key, newVal)
+		sh.mu.Lock()
+		if set := sh.m[ikey]; set[p.k] != nil {
+			delete(set, p.k)
+			if len(set) == 0 {
+				delete(sh.m, ikey)
+			}
+			dropped = true
 		}
-		if oldOK && newOK && oldIK == newIK {
-			continue // index key unchanged: nothing to maintain
-		}
-		if oldOK {
-			dst = append(dst, indexDelta{ix: ix, ikey: oldIK, pkey: key, del: true})
-		}
-		if newOK {
-			dst = append(dst, indexDelta{ix: ix, ikey: newIK, pkey: key, del: false})
-		}
-	}
-	return dst
+		sh.mu.Unlock()
+	})
+	return dropped
 }
 
 // indexSet returns the table's registered indexes (nil when none) — one
@@ -300,16 +275,18 @@ func (t *Table) Index(name string) *Index {
 func (t *Table) Indexes() []*Index { return t.indexSet() }
 
 // CreateIndex registers a secondary index named name over the table,
-// derived by extract, and backfills it from the committed state at the
-// group's current LastCTS. The table must already belong to a group
-// (CreateIndex after CreateGroup — recovery has run, so the backfill
-// sees recovered rows too). Creation quiesces the group's commit
-// pipeline for the duration of the backfill; from the first commit after
-// it returns, the index is maintained transactionally in the write path.
+// derived by extract, and backfills it from the table's version store.
+// The table must already belong to a group (CreateIndex after CreateGroup
+// — recovery has run, so the backfill sees recovered rows too). Creation
+// quiesces the group's commit pipeline for the duration of the backfill;
+// from the first commit after it returns, the index is maintained in the
+// write path. The backfill adds a candidate for EVERY retained version of
+// every row, so a snapshot pinned before the index existed reads it as
+// consistently as one taken afterwards.
 //
-// Persisted posting rows from a previous process run are cleared before
-// the backfill, so a changed extractor can never leave stale postings in
-// the base store.
+// The index lives in memory only. Directories written by older versions
+// hold persisted posting rows ("i/<table>/<index>/..."); they are cleared
+// here, once.
 func (t *Table) CreateIndex(name string, extract IndexKeyFunc) (*Index, error) {
 	if name == "" || extract == nil {
 		return nil, fmt.Errorf("txn: CreateIndex needs a name and an extractor")
@@ -319,8 +296,8 @@ func (t *Table) CreateIndex(name string, extract IndexKeyFunc) (*Index, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownState, t.id)
 	}
 	// Quiesce the commit pipeline: no transaction can commit into the
-	// table while the backfill scans, so the index is exact at LastCTS
-	// and every later commit maintains it incrementally.
+	// table while the backfill scans, and every later commit maintains
+	// the index incrementally.
 	g.commitMu.Lock()
 	defer g.commitMu.Unlock()
 	if t.Index(name) != nil {
@@ -331,62 +308,31 @@ func (t *Table) CreateIndex(name string, extract IndexKeyFunc) (*Index, error) {
 		ix.shards[i].m = make(map[string]map[string]*mvcc.Object)
 	}
 
-	// Drop stale persisted postings, then persist the backfill in one
-	// batch (same sync gate as commits: only where the backend has one).
-	batch := kv.NewBatch(0)
-	prefix := ix.rowPrefix()
+	stale := kv.NewBatch(0)
+	prefix := []byte("i/" + string(t.id) + "/" + name + "/")
 	end := append(append([]byte(nil), prefix...), 0xff)
 	if err := t.store.Scan(prefix, end, func(k, _ []byte) bool {
-		batch.Delete(k)
+		stale.Delete(k)
 		return true
 	}); err != nil {
 		return nil, fmt.Errorf("txn: index %q: clear postings: %w", name, err)
 	}
+	if stale.Len() > 0 {
+		if err := t.store.Apply(stale, t.opts.SyncCommits && t.caps.SupportsSync); err != nil {
+			return nil, fmt.Errorf("txn: index %q: clear postings: %w", name, err)
+		}
+	}
 
-	rts := g.LastCTS()
-	var installErr error
+	buf := acquirePairs()
+	defer releasePairs(buf)
 	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		type pair struct {
-			k string
-			o *mvcc.Object
-		}
-		pairs := make([]pair, 0, len(sh.m))
-		for k, o := range sh.m {
-			pairs = append(pairs, pair{k, o})
-		}
-		sh.mu.RUnlock()
-		for _, p := range pairs {
-			v, ok := p.o.Read(rts)
-			if !ok {
-				continue
-			}
-			ikey, ok := extract(p.k, v)
-			if !ok {
-				continue
-			}
-			// Under the quiesced latch the visible version is the newest,
-			// so its commit timestamp is the object's LatestCTS; installing
-			// the posting there makes it visible to every snapshot that can
-			// see the row — including ones pinned before the index existed.
-			if err := ix.install(ikey, p.k, p.o.LatestCTS(), false, 0); err != nil {
-				installErr = err
-				break
-			}
-			batch.Put(ix.appendRowKey(nil, ikey, p.k), nil)
-		}
-		if installErr != nil {
-			break
-		}
-	}
-	if installErr != nil {
-		return nil, installErr
-	}
-	if batch.Len() > 0 {
-		sync := t.opts.SyncCommits && t.caps.SupportsSync
-		if err := t.store.Apply(batch, sync); err != nil {
-			return nil, fmt.Errorf("txn: index %q: persist backfill: %w", name, err)
+		*buf = t.shards[i].copyPairs(*buf)
+		for _, p := range *buf {
+			p.o.Retained(func(values iter.Seq[[]byte]) {
+				for v := range values {
+					ix.add(p.k, v, p.o)
+				}
+			})
 		}
 	}
 
@@ -399,26 +345,4 @@ func (t *Table) CreateIndex(name string, extract IndexKeyFunc) (*Index, error) {
 	next = append(next, ix)
 	t.indexes.Store(&next)
 	return ix, nil
-}
-
-// rowImage tracks a key's pending post-write image within one commit
-// batch: later same-batch admissions must compute their index deltas
-// against it, not against the installed version store (those earlier
-// writes install only in phase 4).
-type rowImage struct {
-	val []byte
-	del bool
-}
-
-// latestImage returns the latest installed live value of key in tbl —
-// the index pre-image when no earlier same-batch admission rewrote the
-// key. o, when non-nil, is the key's already-resolved version object.
-func latestImage(tbl *Table, o *mvcc.Object, key string) ([]byte, bool) {
-	if o == nil {
-		o = tbl.object(key, false)
-	}
-	if o == nil {
-		return nil, false
-	}
-	return o.Read(mvcc.Infinity)
 }

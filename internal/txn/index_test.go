@@ -1,8 +1,12 @@
 package txn
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sistream/internal/kv"
 )
@@ -29,6 +33,42 @@ func lookupAll(t *testing.T, ix *Index, rts Timestamp, ikey string) map[string]s
 		return true
 	})
 	return out
+}
+
+// checkLookupEqualsScan is the index's consistency condition, evaluated:
+// for every bucket, Lookup at rts must return exactly the rows — keys and
+// values — of a scan at rts filtered by the extractor.
+func checkLookupEqualsScan(t testing.TB, tbl *Table, ix *Index, rts Timestamp, buckets string) {
+	t.Helper()
+	want := map[string]map[string]string{}
+	tbl.SnapshotScan(rts, func(k string, v []byte) bool {
+		if b, ok := ix.extract(k, v); ok {
+			if want[b] == nil {
+				want[b] = map[string]string{}
+			}
+			want[b][k] = string(v)
+		}
+		return true
+	})
+	for _, c := range buckets {
+		b := string(c)
+		got := map[string]string{}
+		ix.Lookup(rts, b, func(k string, v []byte) bool {
+			if _, dup := got[k]; dup {
+				t.Errorf("rts %d bucket %s: key %s returned twice", rts, b, k)
+			}
+			got[k] = string(v)
+			return true
+		})
+		if len(got) != len(want[b]) {
+			t.Errorf("rts %d bucket %s: lookup has %d rows, filtered scan %d", rts, b, len(got), len(want[b]))
+		}
+		for k, v := range want[b] {
+			if gv, ok := got[k]; !ok || gv != v {
+				t.Errorf("rts %d bucket %s key %s: lookup %q (found %v), scan %q", rts, b, k, gv, ok, v)
+			}
+		}
+	}
 }
 
 // TestIndexCreateValidation pins the CreateIndex contract: arguments,
@@ -133,48 +173,148 @@ func TestIndexBackfillMaintenanceAndTimeTravel(t *testing.T) {
 		t.Fatalf("bucket b at old snapshot = %v, want k3:b3", got)
 	}
 
+	// Puts counts candidate entries: 3 from the backfill, then b/k1, a/k4
+	// and a/k5 (k2's and k3's writes carry no index key). Nothing is swept
+	// while cts0 is worth reading, so Deletes stays 0.
 	st := ix.Stats()
-	if st.Puts == 0 || st.Deletes == 0 || st.Lookups == 0 || st.Hits == 0 {
-		t.Fatalf("stats not counting: %+v", st)
+	if st.Puts != 6 || st.Deletes != 0 || st.Lookups == 0 || st.Hits == 0 {
+		t.Fatalf("stats: %+v, want 6 puts, 0 deletes, lookups and hits counted", st)
 	}
 }
 
-// TestIndexPostingRowsPersisted pins the durability contract: posting
-// rows live in the base store under "i/<table>/<index>/<ikey>\x00<pkey>"
-// and track the live postings — the backfill writes them, maintenance
-// adds and removes them in the same batch as the rows.
-func TestIndexPostingRowsPersisted(t *testing.T) {
-	e := newEnv(t)
-	p := NewSI(e.ctx)
-	write(t, p, e.t1, "k1", "a1", "k2", "b2")
-	if _, err := e.t1.CreateIndex("bucket", valueBucket); err != nil {
+// recordingStore records the shape of every Apply it forwards.
+type recordingStore struct {
+	kv.Store
+	mu      sync.Mutex
+	applies [][]kv.Op
+}
+
+func (r *recordingStore) Apply(b *kv.Batch, sync bool) error {
+	r.mu.Lock()
+	r.applies = append(r.applies, append([]kv.Op(nil), b.Ops()...))
+	r.mu.Unlock()
+	return r.Store.Apply(b, sync)
+}
+
+// TestIndexWritesNoStoreRows pins what an index costs the base store:
+// nothing. The commit batch of an indexed table is its rows plus the
+// watermark, no key under "i/" exists after churn, and CreateIndex clears
+// the posting rows a directory written by an older version still holds.
+func TestIndexWritesNoStoreRows(t *testing.T) {
+	ctx := NewContext()
+	mem := kv.NewMem()
+	t.Cleanup(func() { mem.Close() })
+	// Stale posting rows of the index about to be created, and one of
+	// another index that must be left alone.
+	for _, k := range []string{"i/rows/bucket/a\x00k1", "i/rows/bucket/b\x00k2", "i/rows/other/a\x00k1"} {
+		if err := mem.Put([]byte(k), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store := &recordingStore{Store: mem}
+	tbl, err := ctx.CreateTable("rows", store, TableOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := ctx.CreateGroup("g", tbl); err != nil {
+		t.Fatal(err)
+	}
+	p := NewSI(ctx)
+	write(t, p, tbl, "k1", "a1", "k2", "b2")
 
-	postings := func() map[string]bool {
+	indexRows := func() []string {
 		t.Helper()
-		prefix := []byte("i/state1/bucket/")
-		end := append(append([]byte(nil), prefix...), 0xff)
-		out := map[string]bool{}
-		if err := e.store.Scan(prefix, end, func(k, _ []byte) bool {
-			out[string(k[len(prefix):])] = true
+		var out []string
+		if err := mem.Scan([]byte("i/rows/bucket/"), []byte("i/rows/bucket/\xff"), func(k, _ []byte) bool {
+			out = append(out, string(k))
 			return true
 		}); err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
-
-	if got := postings(); len(got) != 2 || !got["a\x00k1"] || !got["b\x00k2"] {
-		t.Fatalf("backfilled posting rows = %v, want a\\x00k1 and b\\x00k2", got)
+	if got := indexRows(); len(got) != 2 {
+		t.Fatalf("test setup: %d stale posting rows, want 2", len(got))
+	}
+	if _, err := tbl.CreateIndex("bucket", valueBucket); err != nil {
+		t.Fatal(err)
+	}
+	if got := indexRows(); len(got) != 0 {
+		t.Fatalf("posting rows after CreateIndex: %q, want none", got)
+	}
+	if _, found, _ := mem.Get([]byte("i/rows/other/a\x00k1")); !found {
+		t.Fatal("CreateIndex cleared another index's rows")
 	}
 
-	// A bucket move must delete the old posting row and put the new one
-	// within the same commit; leaving the index removes the row outright.
-	write(t, p, e.t1, "k1", "b1", "k2", "x2")
-	if got := postings(); len(got) != 1 || !got["b\x00k1"] {
-		t.Fatalf("posting rows after churn = %v, want only b\\x00k1", got)
+	// Churn: bucket moves, partial-index exits and entries, a delete.
+	store.applies = nil
+	const n = 6
+	tx, err := p.Begin()
+	if err != nil {
+		t.Fatal(err)
 	}
+	for i, v := range []string{"b1", "x2", "a3", "a4", "b5"} {
+		if err := p.Write(tx, tbl, fmt.Sprintf("k%d", i+1), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Delete(tx, tbl, "k6"); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, p, tx)
+	if len(store.applies) != 1 {
+		t.Fatalf("%d Apply calls for one commit, want 1", len(store.applies))
+	}
+	rows, marks := 0, 0
+	for _, op := range store.applies[0] {
+		switch {
+		case bytes.HasPrefix(op.Key, []byte("s/rows/")):
+			rows++
+		case bytes.HasPrefix(op.Key, []byte("m/rows/")):
+			marks++
+		default:
+			t.Errorf("commit batch holds %q: neither a row nor the watermark", op.Key)
+		}
+	}
+	if rows != n || marks != 1 {
+		t.Fatalf("commit batch: %d row ops + %d watermarks, want %d + 1", rows, marks, n)
+	}
+	write(t, p, tbl, "k1", "a1", "k2", "b2", "k3", "x3")
+	if got := indexRows(); len(got) != 0 {
+		t.Fatalf("posting rows after churn: %q, want none", got)
+	}
+}
+
+// TestIndexLookupExactForSnapshotsOlderThanIndex: a snapshot pinned
+// before the index existed reads it as consistently as any other. The
+// backfill therefore covers every retained version of a row, not only
+// the newest.
+func TestIndexLookupExactForSnapshotsOlderThanIndex(t *testing.T) {
+	e := newEnv(t)
+	p := NewSI(e.ctx)
+	write(t, p, e.t1, "k1", "a1")
+	snap, err := e.ctx.Snapshot(e.t1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	write(t, p, e.t1, "k1", "b1")
+	ix, err := e.t1.CreateIndex("bucket", valueBucket)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	if err := snap.Lookup(ix, "a", func(k string, v []byte) bool {
+		got[k] = string(v)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got["k1"] != "a1" {
+		t.Fatalf("Lookup(a) under the older snapshot = %v, want k1:a1 (what its Scan sees)", got)
+	}
+	checkLookupEqualsScan(t, e.t1, ix, snap.CTS(), "abx")
+	checkLookupEqualsScan(t, e.t1, ix, e.group.LastCTS(), "abx")
 }
 
 // TestIndexGCBoundsResidentPostings churns one batch of keys across
@@ -212,5 +352,178 @@ func TestIndexGCBoundsResidentPostings(t *testing.T) {
 	last := fmt.Sprintf("%c%d", 'a'+(rewrites-1)%4, rewrites-1)
 	if got := lookupAll(t, ix, cts, last[:1]); len(got) != keys {
 		t.Fatalf("live bucket %q has %d keys after GC, want %d", last[:1], len(got), keys)
+	}
+}
+
+// TestIndexRoamingKeysLeaveNothingBehind bounds the number of index
+// ENTRIES: keys that visit every bucket leave, once their old versions
+// are reclaimed, one candidate each — and under a pinned snapshot exactly
+// the candidates of the versions that pin retains.
+func TestIndexRoamingKeysLeaveNothingBehind(t *testing.T) {
+	e := newEnv(t)
+	p := NewSI(e.ctx)
+	ix, err := e.t1.CreateIndex("bucket", valueBucket)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		keys    = 64
+		buckets = "abcdefgh"
+		rounds  = 3 * len(buckets)
+	)
+	round := func(r int) {
+		t.Helper()
+		kvs := make([]string, 0, 2*keys)
+		for i := 0; i < keys; i++ {
+			kvs = append(kvs, fmt.Sprintf("k%02d", i), fmt.Sprintf("%c%d", buckets[(r+i)%len(buckets)], r))
+		}
+		write(t, p, e.t1, kvs...)
+	}
+	sweep := func() {
+		for s := 0; s < 3; s++ {
+			e.t1.GC()
+		}
+	}
+	r := 0
+	for ; r < rounds; r++ {
+		round(r)
+	}
+	sweep()
+	if got := ix.ResidentPostings(); got > keys {
+		t.Fatalf("%d index entries after %d roaming rounds and GC, want <= %d (one per key)", got, rounds, keys)
+	}
+	checkLookupEqualsScan(t, e.t1, ix, e.group.LastCTS(), buckets)
+
+	// Pinned: the snapshot's version of every key, and the two written
+	// after the pin, stay retained (the horizon is the pin) — three
+	// buckets per key, no more, and the pinned snapshot still reads all
+	// of its rows through the index.
+	snap, err := e.ctx.Snapshot(e.t1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round(r)
+	round(r + 1)
+	sweep()
+	if got := ix.ResidentPostings(); got != 3*keys {
+		t.Fatalf("%d index entries under a pin two rounds old, want exactly %d", got, 3*keys)
+	}
+	checkLookupEqualsScan(t, e.t1, ix, snap.CTS(), buckets)
+	checkLookupEqualsScan(t, e.t1, ix, e.group.LastCTS(), buckets)
+	snap.Release()
+	sweep()
+	if got := ix.ResidentPostings(); got != keys {
+		t.Fatalf("%d index entries after the pin was released, want %d", got, keys)
+	}
+	checkLookupEqualsScan(t, e.t1, ix, e.group.LastCTS(), buckets)
+	if st := ix.Stats(); int(st.Puts-st.Deletes) != keys {
+		t.Fatalf("stats %+v: puts - deletes should be the %d resident entries", st, keys)
+	}
+}
+
+// TestStressIndexSweepNeverLosesCandidate races the three parties of the
+// candidate protocol: committers moving keys between two buckets (install,
+// then add), a sweeper dropping candidates under the rows' writer mutexes,
+// and readers holding the index to its condition under one Snapshot. Run
+// it under -race (CI does).
+func TestStressIndexSweepNeverLosesCandidate(t *testing.T) {
+	e := newEnv(t)
+	p := NewSI(e.ctx)
+	ix, err := e.t1.CreateIndex("bucket", valueBucket)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, keysPerWriter = 3, 12
+	h := newHammer(t)
+	var commits, checks atomic.Uint64
+	// Committers own disjoint keys, so nothing aborts; every transaction
+	// flips some of its keys to the other bucket.
+	for w := 0; w < writers; w++ {
+		rng := newRand(int64(w))
+		n := 0
+		h.run(func() {
+			for !h.stopped() {
+				n++
+				tx, err := p.Begin()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < 4; i++ {
+					key := fmt.Sprintf("w%d-k%02d", w, rng.Intn(keysPerWriter))
+					val := fmt.Sprintf("%c%d", "ab"[rng.Intn(2)], n)
+					if err := p.Write(tx, e.t1, key, []byte(val)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if err := p.Commit(tx); err != nil {
+					t.Error(err)
+					return
+				}
+				commits.Add(1)
+			}
+		})
+	}
+	h.spawn(1, func(int) bool {
+		e.t1.GC()
+		return true
+	})
+	h.spawn(2, func(int) bool {
+		snap, err := e.ctx.Snapshot(e.t1)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		defer snap.Release()
+		checkLookupEqualsScan(t, e.t1, ix, snap.CTS(), "ab")
+		checks.Add(1)
+		return !t.Failed()
+	})
+	d := 500 * time.Millisecond
+	if testing.Short() {
+		d = 100 * time.Millisecond
+	}
+	time.Sleep(d)
+	h.finish()
+	if commits.Load() == 0 || checks.Load() == 0 {
+		t.Fatalf("%d commits, %d checks: the race never ran", commits.Load(), checks.Load())
+	}
+	checkLookupEqualsScan(t, e.t1, ix, e.group.LastCTS(), "ab")
+	t.Logf("%d commits, %d snapshot checks, %d sweeps, %d entries dropped", commits.Load(), checks.Load(), e.t1.GCStats().Runs, ix.Stats().Deletes)
+}
+
+// BenchmarkIndexedCommit is the indexed write path on its own: 10-row
+// transactions over the memory store whose rows alternate between two
+// buckets, so every commit moves every row's index key.
+func BenchmarkIndexedCommit(b *testing.B) {
+	e := newEnv(b)
+	p := NewSI(e.ctx)
+	if _, err := e.t1.CreateIndex("bucket", valueBucket); err != nil {
+		b.Fatal(err)
+	}
+	const rows, keys = 10, 1000
+	names := make([]string, keys)
+	for i := range names {
+		names[i] = fmt.Sprintf("k%04d", i)
+	}
+	vals := [2][]byte{[]byte("a-payload-of-some-bytes"), []byte("b-payload-of-some-bytes")}
+	ops := make([]WriteOp, rows)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for i := range ops {
+			ops[i] = WriteOp{Key: names[(n*rows+i)%keys], Value: vals[(n*rows/keys)%2]}
+		}
+		tx, err := p.Begin()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := p.WriteBatch(tx, e.t1, ops); err != nil {
+			b.Fatal(err)
+		}
+		if err := p.Commit(tx); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

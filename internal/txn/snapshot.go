@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"sistream/internal/mvcc"
 )
 
 // Snapshot is a consistent analytical read view: one commit timestamp
@@ -204,8 +202,9 @@ func (s *Snapshot) ParallelScan(tbl *Table, lanes int, fn func(key string, value
 // Lookup reads rows of ix's table through the secondary index at the
 // snapshot: fn is called for every row whose index key equals ikey at
 // the pinned timestamp, with the row value at that same timestamp. The
-// index write-path invariant (postings install at their row's commit
-// timestamp) makes this equal to a filtered full scan of the table.
+// index holds candidates only; each is re-checked against its row's own
+// version at the pinned timestamp, which makes this equal to a filtered
+// full scan of the table.
 func (s *Snapshot) Lookup(ix *Index, ikey string, fn func(key string, value []byte) bool) error {
 	if err := s.table(ix.tbl); err != nil {
 		return err
@@ -227,23 +226,15 @@ func (s *Snapshot) Release() {
 }
 
 // scanStripe iterates the visible keys of shard stripe `stripe` of
-// `stripes` at rts: the shards i with i % stripes == stripe. Collect
-// pairs under the shard read lock, read versions outside it (RCU), as
-// SnapshotScan does.
+// `stripes` at rts: the shards i with i % stripes == stripe. Each shard's
+// entries are copied under its read lock into the call's one pooled
+// buffer; versions are read and fn runs outside the lock (RCU).
 func scanStripe(t *Table, rts Timestamp, stripe, stripes int, fn func(key string, value []byte) bool) {
-	type pair struct {
-		k string
-		o *mvcc.Object
-	}
+	buf := acquirePairs()
+	defer releasePairs(buf)
 	for i := stripe; i < tableShards; i += stripes {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		pairs := make([]pair, 0, len(sh.m))
-		for k, o := range sh.m {
-			pairs = append(pairs, pair{k, o})
-		}
-		sh.mu.RUnlock()
-		for _, p := range pairs {
+		*buf = t.shards[i].copyPairs(*buf)
+		for _, p := range *buf {
 			if v, ok := p.o.Read(rts); ok {
 				if !fn(p.k, v) {
 					return

@@ -98,6 +98,42 @@ type tableShard struct {
 	m  map[string]*mvcc.Object
 }
 
+// objPair is one (key, version object) entry copied out of a shard under
+// its read lock, so that what runs per entry — a reader's callback, a
+// sweep — runs outside the lock.
+type objPair struct {
+	k string
+	o *mvcc.Object
+}
+
+// pairBufs recycles those copies. A scan, lookup or sweep takes ONE
+// buffer for the whole call and refills it shard by shard: a fresh slice
+// per shard made every reader's garbage a tax on the writer, whose cores
+// the collector shares.
+var pairBufs = sync.Pool{New: func() any { return new([]objPair) }}
+
+func acquirePairs() *[]objPair { return pairBufs.Get().(*[]objPair) }
+
+// releasePairs clears buf to its capacity — an idle pooled buffer must
+// not pin a table's keys and objects — and returns it to the pool.
+func releasePairs(buf *[]objPair) {
+	all := (*buf)[:cap(*buf)]
+	clear(all)
+	*buf = all[:0]
+	pairBufs.Put(buf)
+}
+
+// copyPairs refills buf with the shard's entries.
+func (sh *tableShard) copyPairs(buf []objPair) []objPair {
+	buf = buf[:0]
+	sh.mu.RLock()
+	for k, o := range sh.m {
+		buf = append(buf, objPair{k, o})
+	}
+	sh.mu.RUnlock()
+	return buf
+}
+
 // CreateTable registers a transactional table named id over the given
 // base store. The table is empty in memory until its group is created,
 // which performs recovery of persisted rows.
@@ -231,25 +267,22 @@ func (t *Table) GC() int {
 // (wrapping), recording one sweeper run.
 func (t *Table) sweep(from, count int) int {
 	horizon := t.ctx.OldestActiveVersion()
+	buf := acquirePairs()
+	defer releasePairs(buf)
 	n := 0
 	for j := 0; j < count; j++ {
-		sh := &t.shards[(from+j)%tableShards]
-		sh.mu.RLock()
-		objs := make([]*mvcc.Object, 0, len(sh.m))
-		for _, o := range sh.m {
-			objs = append(objs, o)
-		}
-		sh.mu.RUnlock()
-		for _, o := range objs {
-			n += o.GC(horizon)
+		*buf = t.shards[(from+j)%tableShards].copyPairs(*buf)
+		for _, p := range *buf {
+			n += p.o.GC(horizon)
 		}
 	}
-	// Index postings age with their rows: each sweep also reclaims a
-	// proportional slice of every secondary index's posting versions.
+	// Index candidates age with their rows: each sweep also visits a
+	// proportional slice of every secondary index and drops the entries
+	// whose row no longer retains a version carrying the index key.
 	if ixs := t.indexSet(); len(ixs) > 0 {
 		ic := count * indexShards / tableShards
 		for _, ix := range ixs {
-			n += ix.gc(horizon, ic)
+			n += ix.gc(ic, buf)
 		}
 	}
 	t.gcRuns.Add(1)
@@ -423,24 +456,5 @@ func (t *Table) loadCommitted(cts Timestamp) error {
 // order, calling fn until it returns false. It is the building block of
 // ad-hoc full-table queries (FROM on a table).
 func (t *Table) SnapshotScan(rts Timestamp, fn func(key string, value []byte) bool) {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		type kv struct {
-			k string
-			o *mvcc.Object
-		}
-		pairs := make([]kv, 0, len(sh.m))
-		for k, o := range sh.m {
-			pairs = append(pairs, kv{k, o})
-		}
-		sh.mu.RUnlock()
-		for _, p := range pairs {
-			if v, ok := p.o.Read(rts); ok {
-				if !fn(p.k, v) {
-					return
-				}
-			}
-		}
-	}
+	scanStripe(t, rts, 0, 1, fn)
 }

@@ -55,13 +55,18 @@ type (
 	// wait-free against writers and protected from GC until Release.
 	Snapshot = txn.Snapshot
 	// Index is a transactional secondary index over one table
-	// (Table.CreateIndex), maintained on the commit path itself so it is
-	// never ahead of or behind its table under any protocol.
+	// (Table.CreateIndex): per index key a set of candidate rows, added
+	// on the commit path and re-checked against the row's own version at
+	// the reader's timestamp, so a lookup always equals the filtered scan
+	// — never ahead of or behind its table under any protocol.
 	Index = txn.Index
 	// IndexKeyFunc derives a row's index key; ok=false excludes the row
-	// (a partial index).
+	// (a partial index). It must be pure and cheap: it runs on the commit
+	// path and again, per candidate, on every lookup.
 	IndexKeyFunc = txn.IndexKeyFunc
-	// IndexStats are an index's lifetime counters (Index.Stats).
+	// IndexStats are an index's lifetime counters (Index.Stats): Puts
+	// counts candidate entries added (backfill included), Deletes the
+	// entries the version sweeper dropped, Lookups and Hits the reads.
 	IndexStats = txn.IndexStats
 )
 
