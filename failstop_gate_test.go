@@ -92,21 +92,43 @@ func TestNoPanicsInFailStopLayers(t *testing.T) {
 // Section 4.3) from forking again: fail-stop, capability-gated sync and
 // index maintenance each had to be patched twice while internal/txn
 // carried a second copy of the commit sequence for transactions spanning
-// groups. The gate counts, over non-test internal/txn, the three calls
-// only a commit pipeline makes — poisoning groups by store, publishing
+// groups, and BOCC's chain path registered its history by a rule of its
+// own. The gate counts, over non-test internal/txn, the three calls only
+// a commit pipeline makes — poisoning groups by store, publishing
 // LastCTS, and the durability Apply — and fails, naming the functions,
 // when any of them has more homes than the one pipeline (plus recovery,
 // which restores LastCTS in CreateGroup, and the index backfill, whose
-// Apply in CreateIndex is not a commit).
+// Apply in CreateIndex is not a commit). One level up, every Protocol
+// entry method is declared once, on protocolBase: SI, S2PL and BOCC
+// contribute rules to that one path, not entry points of their own.
 func TestCommitProtocolExistsOnce(t *testing.T) {
 	// One entry per call site, naming the enclosing function.
 	var poisoners, publishers, appliers []string
+	// Entry method name → receiver types declaring it.
+	entries := map[string][]string{}
+	for _, name := range []string{"Begin", "BeginReadOnly", "Read", "CommitState", "Commit", "CommitChain", "Abort"} {
+		entries[name] = nil
+	}
 	_, files := parseNonTest(t, "internal/txn")
 	for _, f := range files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
+			}
+			switch name := fd.Name.Name; {
+			case name == "finishCommit" || name == "abortInternal":
+				t.Errorf("%s is declared: a protocol's commit or abort tail is its settle rule on protocolBase", name)
+			case fd.Recv != nil:
+				if _, entry := entries[name]; entry {
+					recv := fd.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if id, ok := recv.(*ast.Ident); ok {
+						entries[name] = append(entries[name], id.Name)
+					}
+				}
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
@@ -146,6 +168,11 @@ func TestCommitProtocolExistsOnce(t *testing.T) {
 	if fns := functions(appliers); len(fns) != 1 {
 		t.Errorf("commit-path kv.Store.Apply is called from %d functions, want 1 (the commit pipeline): %v", len(fns), fns)
 	}
+	for name, recvs := range entries {
+		if !slices.Equal(recvs, []string{"protocolBase"}) {
+			t.Errorf("entry method %s is declared on %v, want exactly [protocolBase]", name, recvs)
+		}
+	}
 }
 
 // methodCallSites maps each method name called (x.Name(...)) in the
@@ -178,7 +205,7 @@ func methodCallSites(t *testing.T, dir string) map[string][]string {
 // forking again, one layer above TestCommitProtocolExistsOnce. The
 // contract — a transaction reaches every state or none — is decided
 // where TO_TABLE turns a COMMIT/ROLLBACK punctuation into
-// CommitState/Abort; that decision had three copies (the sequential
+// CommitChain/Abort; that decision had three copies (the sequential
 // operator, the Merge barrier's closure, the commit spine) which
 // disagreed about a poisoned group, and TO_STREAM had two watchers of
 // which only one pinned the GC horizon. The gate counts, over non-test
@@ -194,14 +221,15 @@ func TestLinkingOperatorsExistOnce(t *testing.T) {
 		}
 	}
 	stream := methodCallSites(t, "internal/stream")
-	// TO_TABLE's verdict: one function commits, and it is the one that
-	// aborts a transaction on its final punctuation. The other Abort
-	// callers end transactions they began themselves and that no
-	// punctuation decides: Transactions (a failed Declare, a transaction
-	// left open when the input ends) and TableJoin (its own read-only
-	// lookups).
+	// TO_TABLE's verdict: one call commits — a clean run of any length,
+	// one transaction included, is a CommitChain — and the function making
+	// it is the one that aborts a transaction on its final punctuation.
+	// The other Abort callers end transactions they began themselves and
+	// that no punctuation decides: Transactions (a failed Declare, a
+	// transaction left open when the input ends) and TableJoin (its own
+	// read-only lookups).
 	check("TO_TABLE verdict (CommitState/CommitChain)",
-		slices.Concat(stream["CommitState"], stream["CommitChain"]), "decide", "decide")
+		slices.Concat(stream["CommitState"], stream["CommitChain"]), "decide")
 	check("Abort", stream["Abort"], "decide", "transactionsPipeline", "transactionsPipeline", "TableJoin")
 	// TO_TABLE's write path: one function flushes a write set.
 	check("TO_TABLE flush (WriteSegment/WriteBatch)",

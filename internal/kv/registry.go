@@ -24,7 +24,9 @@ import (
 //
 // Layers are separated by '+', outermost first; every layer but the last
 // must be a wrapper (Driver.Wrapper), and the last must be a terminal
-// store. A layer's argument is written either as name(arg) or name:arg.
+// store. A layer's argument is written either as name(arg) or name:arg;
+// the driver name ends at the layer's first ':' or '(', whichever comes
+// first.
 
 // Capabilities are the per-driver capability flags a backend declares at
 // registration. The flags of a chained spec compose outward: each
@@ -128,9 +130,12 @@ type specLayer struct {
 	arg  string
 }
 
-// parseSpec splits a chain spec into layers, outermost first. It checks
-// syntax only; driver existence and wrapper/terminal positions are
-// checked by resolveSpec.
+// parseSpec splits a chain spec into layers, outermost first. A layer's
+// driver name ends at its first ':' or '(', whichever comes first, so an
+// argument may itself contain either ("lsm:/data/run(1)"); name and
+// argument are trimmed of surrounding space. It checks syntax only;
+// driver existence and wrapper/terminal positions are checked by
+// resolveSpec.
 func parseSpec(spec string) ([]specLayer, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("kv: empty backend spec")
@@ -139,26 +144,25 @@ func parseSpec(spec string) ([]specLayer, error) {
 	layers := make([]specLayer, 0, len(parts))
 	for _, part := range parts {
 		part = strings.TrimSpace(part)
-		var l specLayer
-		switch {
-		case part == "":
+		if part == "" {
 			return nil, fmt.Errorf("kv: empty layer in backend spec %q", spec)
-		case strings.Contains(part, "("):
-			open := strings.Index(part, "(")
-			if !strings.HasSuffix(part, ")") {
-				return nil, fmt.Errorf("kv: unclosed argument in backend spec layer %q", part)
+		}
+		l := specLayer{name: part}
+		if i := strings.IndexAny(part, ":("); i >= 0 {
+			l.name, l.arg = part[:i], part[i+1:]
+			if part[i] == '(' {
+				if !strings.HasSuffix(l.arg, ")") {
+					return nil, fmt.Errorf("kv: unclosed argument in backend spec layer %q", part)
+				}
+				l.arg = l.arg[:len(l.arg)-1]
 			}
-			l.name = part[:open]
-			l.arg = part[open+1 : len(part)-1]
-		case strings.Contains(part, ":"):
-			colon := strings.Index(part, ":")
-			l.name = part[:colon]
-			l.arg = part[colon+1:]
-		default:
-			l.name = part
+			l.name, l.arg = strings.TrimSpace(l.name), strings.TrimSpace(l.arg)
 		}
 		if l.name == "" {
 			return nil, fmt.Errorf("kv: missing driver name in backend spec layer %q", part)
+		}
+		if strings.Contains(l.name, ")") {
+			return nil, fmt.Errorf("kv: invalid driver name %q in backend spec layer %q", l.name, part)
 		}
 		layers = append(layers, l)
 	}

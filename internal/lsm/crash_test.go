@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"sistream/internal/leaktest"
 )
 
 // These tests reconstruct the on-disk footprints a crash leaves at each
@@ -58,7 +60,7 @@ func expectAll(t *testing.T, d *DB, want map[string]string) {
 // leaves an orphan .sst next to a WAL that still holds the data. Recovery
 // must take the WAL as truth: replay it, ignore the orphan and remove it.
 func TestCrashBetweenSSTableWriteAndManifest(t *testing.T) {
-	checkGoroutines(t)
+	leaktest.Check(t)
 	dir := t.TempDir()
 	want := map[string]string{"a": "1", "b": "2", "c": "3"}
 	crashPut(t, dir, want)
@@ -96,7 +98,7 @@ func TestCrashBetweenSSTableWriteAndManifest(t *testing.T) {
 // were superseded); recovery must NOT replay it — double-applying old
 // deletes or resurrecting overwritten values — and must remove it.
 func TestCrashBeforeOldWALRemoval(t *testing.T) {
-	checkGoroutines(t)
+	leaktest.Check(t)
 	dir := t.TempDir()
 	d, err := Open(dir, Options{SyncWrites: true})
 	if err != nil {
@@ -154,7 +156,7 @@ func TestCrashBeforeOldWALRemoval(t *testing.T) {
 // prefix, discard only the torn record, and classify it as a torn tail
 // (expected crash shape), not corruption.
 func TestCrashTornWALAfterFlush(t *testing.T) {
-	checkGoroutines(t)
+	leaktest.Check(t)
 	dir := t.TempDir()
 	d, err := Open(dir, Options{SyncWrites: true})
 	if err != nil {
@@ -213,7 +215,7 @@ func TestCrashTornWALAfterFlush(t *testing.T) {
 // byte-identical duplicates of live data under unreferenced numbers;
 // recovery must ignore and remove them without disturbing the inputs.
 func TestCrashDuringCompactionLeavesOrphans(t *testing.T) {
-	checkGoroutines(t)
+	leaktest.Check(t)
 	dir := t.TempDir()
 	want := map[string]string{}
 	d, err := Open(dir, Options{SyncWrites: true, DisableAutoCompaction: true})

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sistream/internal/kv"
+	"sistream/internal/leaktest"
 )
 
 // TestWALWriterStickyError: after a failed write or sync the WAL writer
@@ -73,7 +74,7 @@ func TestWALWriterStickySyncError(t *testing.T) {
 // TestDBFailStopOnWALError: a WAL failure poisons the DB — writes fail
 // fast with a wrapped ErrDBFailed, reads keep serving.
 func TestDBFailStopOnWALError(t *testing.T) {
-	checkGoroutines(t)
+	leaktest.Check(t)
 	dir := t.TempDir()
 	d, err := Open(dir, Options{})
 	if err != nil {
@@ -139,7 +140,7 @@ func TestDBFailStopOnWALError(t *testing.T) {
 // inner store makes Apply fail; the DB is the inner store here, so this
 // exercises Fault over lsm (the tentpole requires both backends).
 func TestDBFailStopViaFaultStore(t *testing.T) {
-	checkGoroutines(t)
+	leaktest.Check(t)
 	dir := t.TempDir()
 	d, err := Open(dir, Options{})
 	if err != nil {

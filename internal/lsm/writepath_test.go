@@ -9,34 +9,17 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"sistream/internal/kv"
+	"sistream/internal/leaktest"
 )
 
 // Tests of the write path's boundaries: the memtable hand-over to the
 // flush worker, recycled WAL segments, the sync ahead of the memtable
 // insert, and what a crash or a failure at each of them leaves behind.
 
-// checkGoroutines fails the test if, once it has returned and its deferred
-// Closes have run, more goroutines are left than there were at the call:
-// an open DB owns exactly one (the flush worker), a closed one none. The
-// count is given a moment to settle, since an exiting goroutine is counted
-// until it is gone. Call it first, before any Open.
-func checkGoroutines(t *testing.T) {
-	t.Helper()
-	base := runtime.NumGoroutine()
-	t.Cleanup(func() {
-		deadline := time.Now().Add(2 * time.Second)
-		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if n := runtime.NumGoroutine(); n > base {
-			buf := make([]byte, 1<<16)
-			t.Errorf("%d goroutines after the test, %d before it:\n%s", n, base, buf[:runtime.Stack(buf, true)])
-		}
-	})
-}
+// The tests here call leaktest.Check first, before any Open: an open DB
+// owns exactly one goroutine (the flush worker), a closed one none.
 
 // applyPuts applies one synced batch of puts and records it in model.
 func applyPuts(t *testing.T, d *DB, model map[string]string, kvs ...string) {
@@ -79,7 +62,7 @@ func liveWALs(t *testing.T, dir string) []uint64 {
 // reopen — replaying a recycled segment with a previous life behind its
 // records — finds exactly what was acknowledged.
 func TestRecycledSegmentsCarryAckedWritesAcrossReopen(t *testing.T) {
-	checkGoroutines(t)
+	leaktest.Check(t)
 	dir := t.TempDir()
 	d, err := Open(dir, Options{MemtableBytes: 8 << 10})
 	if err != nil {
@@ -115,7 +98,7 @@ func TestRecycledSegmentsCarryAckedWritesAcrossReopen(t *testing.T) {
 // the immutable memtable's and the active one's, which recovery replays
 // in that order to exactly the acknowledged writes.
 func TestBackgroundFlushFailureThenCrashReplaysBothLogs(t *testing.T) {
-	checkGoroutines(t)
+	leaktest.Check(t)
 	dir := t.TempDir()
 	d, err := Open(dir, Options{MemtableBytes: 8 << 10, DisableAutoCompaction: true})
 	if err != nil {
@@ -171,7 +154,7 @@ func TestBackgroundFlushFailureThenCrashReplaysBothLogs(t *testing.T) {
 // the first log replays whole, the second up to its torn record, and
 // neither the torn record nor the previous life behind it comes back.
 func TestCrashTwoLiveLogsTornSecond(t *testing.T) {
-	checkGoroutines(t)
+	leaktest.Check(t)
 	dir := t.TempDir()
 	crashPut(t, dir, map[string]string{"a": "first-log", "b": "first-log"})
 	first := liveWALs(t, dir)
@@ -224,7 +207,7 @@ func TestCrashTwoLiveLogsTornSecond(t *testing.T) {
 // The new log is all previous life; recovery must read it as empty — not
 // as data, not as corruption, not even as a torn tail.
 func TestCrashBetweenRecycleRenameAndFirstRecord(t *testing.T) {
-	checkGoroutines(t)
+	leaktest.Check(t)
 	dir := t.TempDir()
 	want := map[string]string{"a": "1", "b": "2"}
 	crashPut(t, dir, want)
@@ -267,7 +250,7 @@ func TestCrashBetweenRecycleRenameAndFirstRecord(t *testing.T) {
 // not see it — nothing is flushed, and a reopen after the crash finds the
 // synced prefix only.
 func TestFailStopSyncFailureLeavesMemtableUntouched(t *testing.T) {
-	checkGoroutines(t)
+	leaktest.Check(t)
 	const perBatch = 64
 	dir := t.TempDir()
 	d, err := Open(dir, Options{})
@@ -347,7 +330,7 @@ func TestFailStopSyncFailureLeavesMemtableUntouched(t *testing.T) {
 // reports as "sstable keys out of order" a few hundred batches later, or
 // which reads back as a lost row after the reopen.
 func TestApplyNeverAliasesBatchKeys(t *testing.T) {
-	checkGoroutines(t)
+	leaktest.Check(t)
 	const batches, perBatch = 1200, 8
 	dir := t.TempDir()
 	d, err := Open(dir, Options{MemtableBytes: 64 << 10})
@@ -411,7 +394,7 @@ func TestApplyNeverAliasesBatchKeys(t *testing.T) {
 // through the active memtable, the immutable one and the tables it turns
 // into — then a Close racing the worker's last flush, and a reopen.
 func TestStressImmutableMemtableReadersAndClose(t *testing.T) {
-	checkGoroutines(t)
+	leaktest.Check(t)
 	batches := 500
 	if testing.Short() {
 		batches = 200

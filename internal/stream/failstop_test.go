@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sistream/internal/kv"
+	"sistream/internal/leaktest"
 	"sistream/internal/txn"
 )
 
@@ -55,6 +56,7 @@ func TestSpineDrainsCleanlyOnGroupFailure(t *testing.T) {
 }
 
 func drainsCleanlyOnGroupFailure(t *testing.T, spec string, build func(*Stream, txn.Protocol, *txn.Table) *ToTableStats) {
+	leaktest.Check(t) // the drained topology and the closed store leave nothing running
 	store, err := kv.Open(spec, kv.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)

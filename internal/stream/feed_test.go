@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sistream/internal/kv"
+	"sistream/internal/leaktest"
 	"sistream/internal/txn"
 )
 
@@ -214,6 +215,7 @@ func partitionedFeedSigs(t *testing.T, script []scriptItem, punctuateN, lanes, p
 // order), with the partitioned feed's punctuations correctly framed and
 // appearing exactly once per transaction after the merge barrier.
 func TestPropertyFeedEquivalence(t *testing.T) {
+	leaktest.Check(t)
 	seeds := int64(8)
 	if testing.Short() {
 		seeds = 3
@@ -253,6 +255,7 @@ func TestPropertyFeedEquivalence(t *testing.T) {
 // barrier) or re-routed (explicit Merge → Parallelize seam). Every
 // combination must deliver the sequential reference's signatures exactly.
 func TestPropertyFeedEquivalenceFusedSpine(t *testing.T) {
+	leaktest.Check(t)
 	seeds := int64(5)
 	if testing.Short() {
 		seeds = 2
@@ -397,6 +400,7 @@ func TestChangeTupleNum(t *testing.T) {
 // version would surface as a spurious Delete — and after stop and drain
 // the feed pins nothing.
 func TestToStreamPinsGCHorizon(t *testing.T) {
+	leaktest.Check(t)
 	ctx := txn.NewContext()
 	store := kv.NewMem()
 	defer store.Close()

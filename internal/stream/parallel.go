@@ -25,7 +25,7 @@ import (
 //     the shared transaction (txn.Segment — one latch acquisition per
 //     lane per boundary), then parks; the last lane to arrive becomes the
 //     commit coordinator and has the region's table sinks decide the
-//     transaction (tableSink.decide — the single CommitState/Abort) only
+//     transaction (tableSink.decide — the single CommitChain/Abort) only
 //     after every lane has acknowledged the boundary. The transaction
 //     therefore commits all lanes' writes atomically — the same
 //     per-transaction atomicity the sequential TO_TABLE provides — and
@@ -294,7 +294,7 @@ func (r *ParallelRegion) checkOpen(op string) {
 //     acquisition, with S2PL acquiring its exclusive locks lane-side)
 //     BEFORE acknowledging the barrier, so a transaction is never decided
 //     with lane writes still buffered.
-//   - The decision itself (CommitState on COMMIT, Abort on ROLLBACK,
+//   - The decision itself (CommitChain on COMMIT, Abort on ROLLBACK,
 //     global abort of poisoned transactions — tableSink.decide) runs once
 //     per transaction, at the region's closing barrier: synchronously on
 //     the coordinator under Merge, deferred to the batching commit spine
@@ -311,7 +311,7 @@ func (r *ParallelRegion) checkOpen(op string) {
 // The returned stats object is live. As with chained sequential ToTable
 // operators, maintaining several tables requires declaring them all on
 // the transaction (stream.Transactions' tables parameter) so the LAST
-// CommitState fires the global commit.
+// state's commit flag fires the global commit.
 func (r *ParallelRegion) ToTable(p txn.Protocol, tbl *txn.Table) *ToTableStats {
 	r.checkOpen("ToTable")
 	sink := newTableSink(r.t, p, tbl, fmt.Sprintf("%d (per-lane segments)", len(r.lanes)))

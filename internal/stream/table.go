@@ -14,7 +14,7 @@ import (
 type ToTableStats struct {
 	// Writes is the number of applied tuple writes (including deletes).
 	Writes atomic.Int64
-	// Commits counts CommitState calls that succeeded.
+	// Commits counts the transactions whose commit succeeded.
 	Commits atomic.Int64
 	// Aborts counts transactions lost to conflicts or explicit rollback.
 	Aborts atomic.Int64
@@ -31,7 +31,7 @@ func endsTxn(e *Element) bool {
 // two things the operator does, each in exactly one place: the write path
 // (sinkWriter, one per lane — the sequential operator is the one-writer
 // case) and the verdict that turns a COMMIT/ROLLBACK punctuation into
-// CommitState/Abort (decide). Where decide runs is all that differs
+// CommitChain/Abort (decide). Where decide runs is all that differs
 // between the closes: inline on the sequential operator, on the barrier
 // coordinator under Merge, on the spine worker under MergeBatched and
 // MergeTuned.
@@ -105,7 +105,7 @@ func (s *tableSink) takePoison(tx *txn.Txn) bool {
 }
 
 // decide is the TO_TABLE verdict, the one place a transaction's final
-// punctuation becomes CommitState/CommitChain or Abort. txs are the
+// punctuation becomes CommitChain or Abort. txs are the
 // transactions of consecutive boundaries of one kind, in boundary order —
 // one for the sequential operator and the Merge coordinator, a batch for
 // the spine worker. Every writer has flushed a transaction's writes before
@@ -123,10 +123,7 @@ func (s *tableSink) decide(kind Kind, txs []*txn.Txn) {
 		for kind == KindCommit && n < len(txs) && !s.takePoison(txs[n]) {
 			n++
 		}
-		switch {
-		case n == 1:
-			s.count(s.p.CommitState(txs[0], s.tbl))
-		case n > 1:
+		if n > 0 {
 			for _, verdict := range s.p.CommitChain(txs[:n], s.tbls) {
 				s.count(verdict[0])
 			}
@@ -231,9 +228,10 @@ func (w *sinkWriter) flush(eos bool) {
 // ToTable is the paper's TO_TABLE linking operator: it applies data
 // tuples to tbl inside the transaction attached to the elements
 // (inserted/updated when Tuple.Delete is false, deleted otherwise) and
-// drives the consistency protocol on punctuations — CommitState on
-// COMMIT, Abort on ROLLBACK. Elements pass through so further ToTable
-// operators can maintain additional states within the same transaction.
+// drives the consistency protocol on punctuations — tbl's commit flag
+// (a CommitChain of one) on COMMIT, Abort on ROLLBACK. Elements pass
+// through so further ToTable operators can maintain additional states
+// within the same transaction.
 //
 // It is the one-writer case of the table sink ParallelRegion.ToTable
 // runs per lane (see tableSink): the same vectorized write path, with

@@ -19,9 +19,15 @@ import (
 //	write phase     on success, the shared commit machinery installs the
 //	                versions and publishes LastCTS.
 //
-// Following Härder's original scheme, validation and the write phase form
-// one critical section (the global validation mutex), and the commit
-// record enters the history with a timestamp drawn AFTER the write phase
+// Over the shared entry path (protocolBase) BOCC sets three rules: a read
+// set recorded by every read that reaches the table (trackReads),
+// backward validation as the admission check (validate), and the
+// registration of a committed write set in the validation history
+// (register). Following Härder's original scheme, validation and the
+// write phase form one critical section (the history's mutex, held around
+// the global commits of every commit entry call as protocolBase.serial),
+// and the commit record
+// enters the history with a timestamp drawn AFTER the write phase
 // completes. Both points matter for correctness with lock-free readers:
 // because reads are unsynchronized, a reader can observe a torn subset of
 // a concurrent commit — but any such reader necessarily began before that
@@ -36,7 +42,9 @@ type BOCC struct {
 
 // NewBOCC creates the optimistic protocol over ctx.
 func NewBOCC(ctx *Context) *BOCC {
-	return &BOCC{protocolBase{ctx: ctx}}
+	p := &BOCC{protocolBase{ctx: ctx, trackReads: true, serial: &ctx.recent.mu}}
+	p.admit, p.settle = p.validate, p.register
+	return p
 }
 
 var _ Protocol = (*BOCC)(nil)
@@ -44,82 +52,25 @@ var _ Protocol = (*BOCC)(nil)
 // Name implements Protocol.
 func (p *BOCC) Name() string { return "bocc" }
 
-// Begin implements Protocol.
-func (p *BOCC) Begin() (*Txn, error) {
-	t, err := p.begin(false)
-	if err != nil {
-		return nil, err
+// validate is BOCC's admission: tx's read set is checked backward against
+// every transaction that committed during its read phase — the history,
+// and the requests admitted before it in the same pipeline batch (a chain
+// predecessor of the same call, say), which are registered only once the
+// batch is installed. A transaction that read what such a predecessor
+// wrote read a pre-window value and must abort. Passing, tx's write set
+// is kept for register: the install phase consumes the entries before the
+// verdict reaches the submitter.
+func (p *BOCC) validate(tx *Txn, batch commitOverlay) error {
+	if err := p.ctx.recent.validateLocked(tx); err != nil {
+		return err
 	}
-	t.reads = make(map[StateID]map[string]struct{})
-	return t, nil
-}
-
-// BeginReadOnly implements Protocol. Read-only transactions still
-// validate: that is what guarantees an ad-hoc query saw a consistent
-// state under BOCC.
-func (p *BOCC) BeginReadOnly() (*Txn, error) {
-	t, err := p.begin(true)
-	if err != nil {
-		return nil, err
-	}
-	t.reads = make(map[StateID]map[string]struct{})
-	return t, nil
-}
-
-// Read implements Protocol: latest committed version, read set recorded.
-func (p *BOCC) Read(tx *Txn, tbl *Table, key string) ([]byte, bool, error) {
-	if err := requireGroup(tbl); err != nil {
-		return nil, false, err
-	}
-	tx.mu.Lock()
-	if tx.finished.Load() {
-		tx.mu.Unlock()
-		return nil, false, ErrFinished
-	}
-	if e, ok := tx.states[tbl.id]; ok {
-		if op, dirty := e.get(key); dirty {
-			v, del := op.value, op.delete
-			tx.mu.Unlock()
-			if del {
-				return nil, false, nil
+	for tbl, written := range batch.pending {
+		for k := range tx.reads[tbl.id] {
+			if _, hit := written[k]; hit {
+				return fmt.Errorf("%w: state %q key %q written earlier in the same commit batch", ErrValidation, tbl.id, k)
 			}
-			return v, true, nil
 		}
 	}
-	tx.trackRead(tbl.id, key)
-	tx.mu.Unlock()
-	v, ok := tbl.readVersion(key, ^Timestamp(0))
-	return v, ok, nil
-}
-
-// CommitState implements Protocol.
-func (p *BOCC) CommitState(tx *Txn, tbl *Table) error {
-	if coordinator, err := flagState(tx, tbl); err != nil || !coordinator {
-		return err
-	}
-	return p.finishCommit(tx)
-}
-
-// Commit implements Protocol.
-func (p *BOCC) Commit(tx *Txn) error {
-	return commitAll(tx, func() error { return p.finishCommit(tx) })
-}
-
-// finishCommit runs validation plus the write phase inside the global
-// validation critical section (see the type comment for why the whole
-// write phase is covered).
-func (p *BOCC) finishCommit(tx *Txn) error {
-	r := &p.ctx.recent
-	r.mu.Lock()
-	defer r.mu.Unlock()
-
-	if err := r.validateLocked(tx); err != nil {
-		_ = p.abort(tx) // the verdict is the validation error
-		return err
-	}
-
-	// Collect the write set before installCommit consumes the entries.
-	writes := make(map[StateID]map[string]struct{}, len(tx.states))
 	for id, e := range tx.states {
 		if len(e.order) == 0 {
 			continue
@@ -128,126 +79,28 @@ func (p *BOCC) finishCommit(tx *Txn) error {
 		for _, k := range e.order {
 			ks[k] = struct{}{}
 		}
-		writes[id] = ks
+		if tx.writes == nil {
+			tx.writes = make(map[StateID]map[string]struct{}, len(tx.states))
+		}
+		tx.writes[id] = ks
 	}
+	return nil
+}
 
-	if len(writes) == 0 {
-		// Pure reader: validation was the whole commit.
-		p.finish(tx)
-		return nil
+// register is BOCC's post-verdict step: a committed transaction that
+// wrote something enters the history with a timestamp drawn after its
+// write phase, so every transaction that could have observed a torn
+// prefix of the commit (it must have begun before now) validates against
+// it.
+func (p *BOCC) register(tx *Txn, verdict error) {
+	if verdict != nil || tx.writes == nil {
+		return
 	}
-
-	if err := p.installCommit(tx, nil); err != nil {
-		return err
-	}
-	// Write phase done: register with a post-install timestamp so every
-	// transaction that could have observed a torn prefix of this commit
-	// (it must have begun before now) will validate against this record.
-	r.registerLocked(p.ctx.next(), writes)
+	r := &p.ctx.recent
+	r.registerLocked(p.ctx.next(), tx.writes)
 	if r.commits%64 == 0 {
 		r.prune(p.ctx.oldestActiveStart())
 	}
-	return nil
-}
-
-// Abort implements Protocol.
-func (p *BOCC) Abort(tx *Txn) error { return p.abort(tx) }
-
-// chainRecord is one chain member's write set collected at admission,
-// used for chain-internal backward validation and for post-install
-// registration.
-type chainRecord struct {
-	tx     *Txn
-	writes map[StateID]map[string]struct{}
-}
-
-// CommitChain implements Protocol. The whole chain window runs
-// inside ONE validation critical section (Härder's scheme extends
-// naturally: validation and write phase of the batch form one critical
-// section). Each member is validated backward against the committed
-// history AND against the write sets of its chain predecessors admitted
-// in the same call — a member that read what its predecessor wrote reads
-// a pre-window value and must abort, exactly as it would have had the
-// predecessor's commit been registered before its validation. Survivors
-// install through one pipeline submission per consecutive same-group run
-// and register with post-install timestamps, in chain order.
-func (p *BOCC) CommitChain(txs []*Txn, tbls []*Table) [][]error {
-	r := &p.ctx.recent
-	r.mu.Lock()
-	defer r.mu.Unlock()
-
-	var admitted []chainRecord
-	errs := p.commitChain(txs, tbls, func(tx *Txn) func(*commitOverlay) error {
-		return func(*commitOverlay) error {
-			// Admissions of this chain are serialized (run by run, request
-			// by request under the group latch), so admitted needs no
-			// extra synchronization; cross-goroutine visibility rides the
-			// pipeline's ready-channel edges.
-			if err := r.validateLocked(tx); err != nil {
-				return err
-			}
-			for i := range admitted {
-				if err := conflicts(tx, admitted[i].writes); err != nil {
-					return err
-				}
-			}
-			// Collect the write set now: the install phase consumes the
-			// entries before this call returns to the submitter.
-			writes := make(map[StateID]map[string]struct{}, len(tx.states))
-			for id, e := range tx.states {
-				if len(e.order) == 0 {
-					continue
-				}
-				ks := make(map[string]struct{}, len(e.order))
-				for _, k := range e.order {
-					ks[k] = struct{}{}
-				}
-				writes[id] = ks
-			}
-			admitted = append(admitted, chainRecord{tx: tx, writes: writes})
-			return nil
-		}
-	}, nil)
-
-	// Register the survivors' write sets with post-install timestamps so
-	// every contemporary that could have observed a torn prefix validates
-	// against them.
-	failed := make(map[*Txn]bool)
-	for i := range errs {
-		for _, err := range errs[i] {
-			if err != nil {
-				failed[txs[i]] = true
-			}
-		}
-	}
-	for i := range admitted {
-		rec := &admitted[i]
-		if failed[rec.tx] || len(rec.writes) == 0 {
-			continue
-		}
-		r.registerLocked(p.ctx.next(), rec.writes)
-		if r.commits%64 == 0 {
-			r.prune(p.ctx.oldestActiveStart())
-		}
-	}
-	return errs
-}
-
-// conflicts reports a backward-validation failure of tx's read set
-// against one write set.
-func conflicts(tx *Txn, writes map[StateID]map[string]struct{}) error {
-	for st, keys := range tx.reads {
-		wr, ok := writes[st]
-		if !ok {
-			continue
-		}
-		for k := range keys {
-			if _, hit := wr[k]; hit {
-				return fmt.Errorf("%w: state %q key %q written by a chain predecessor", ErrValidation, st, k)
-			}
-		}
-	}
-	return nil
 }
 
 // commitRecord remembers one committed transaction's write set for

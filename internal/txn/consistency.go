@@ -4,9 +4,11 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"sistream/internal/kv"
+	"sistream/internal/mvcc"
 )
 
 // This file implements the consistency protocol of the paper's
@@ -22,8 +24,9 @@ import (
 // coordinator and performs the global commit: installing all versions,
 // persisting one batch per base store, and finally publishing the
 // group's LastCTS in a single atomic store — the instant the whole
-// multi-state commit becomes visible. One StatusAbort flag anywhere
-// aborts the transaction globally.
+// multi-state commit becomes visible. An abort anywhere (Abort, or a
+// rejected admission) aborts the transaction globally; later flags of it
+// report ErrFinished.
 
 // Protocol is the common interface of the three concurrency-control
 // protocols. All methods returning an error may return an ErrAborted
@@ -87,28 +90,62 @@ type Protocol interface {
 	Context() *Context
 }
 
-// protocolBase carries the machinery shared by the three protocols. The
-// write path is shared whole (Write, Delete, WriteBatch and WriteSegment
-// below); what a protocol adds to it is its pre-write hook, and BOCC —
-// whose writes are pure write-set appends — sets neither half.
+// protocolBase is the one implementation of every Protocol entry point —
+// Begin, BeginReadOnly, Read, the write path, CommitState, Commit,
+// CommitChain and Abort — for all three protocols. A protocol is this
+// entry path plus the few rules that really differ, set by its
+// constructor: how a read or write reaches the table (pinSnapshot,
+// lockKey, trackReads), what admits a coordinated transaction to the
+// commit pipeline (admit), what follows a verdict (settle), and BOCC's
+// critical section around its commits (serial).
 type protocolBase struct {
 	ctx *Context
-	// lockKey (S2PL) takes a written key's exclusive lock. It runs before
-	// the transaction latch is taken: acquisition may wait, and a wait-die
-	// kill aborts the transaction, which takes the latch itself.
-	lockKey func(tx *Txn, tbl *Table, key string) error
-	// pinOnWrite (SI) pins the snapshot of the table's group under the
-	// latch (first access wins): the First-Committer-Wins check compares
-	// committed versions against this pin, so strictly sequential
-	// transactions — the batches of one continuous stream query, whose
-	// Begin may race ahead of the previous batch's commit in a pipelined
-	// dataflow — never conflict with themselves, while genuinely
-	// concurrent writers of one key still abort.
-	pinOnWrite bool
+	// pinSnapshot (SI) pins the snapshot of the table's group under the
+	// transaction latch on the first access, read or write (first access
+	// wins). Reads see that snapshot; without a pin they read the latest
+	// committed version. The First-Committer-Wins check compares committed
+	// versions against the pin, so strictly sequential transactions — the
+	// batches of one continuous stream query, whose Begin may race ahead of
+	// the previous batch's commit in a pipelined dataflow — never conflict
+	// with themselves, while genuinely concurrent writers of one key still
+	// abort.
+	pinSnapshot bool
+	// lockKey (S2PL) takes key's lock in mode: shared before a read that
+	// reaches the table, exclusive before every write. It runs on the
+	// calling goroutine outside the transaction latch: acquisition may
+	// wait, and a wait-die kill aborts the transaction (see lock).
+	lockKey func(tx *Txn, st StateID, key string, mode lockMode) error
+	// trackReads (BOCC) gives every transaction a read set at Begin; each
+	// read that reaches the table records its key for validation.
+	trackReads bool
+	// admit is the admission check of a coordinated transaction, run by
+	// the commit pipeline in arrival order under the group latch (SI:
+	// First-Committer-Wins; BOCC: backward validation). batch holds the
+	// writes admitted earlier in the same pipeline batch. nil admits every
+	// transaction (S2PL: the locks already serialize).
+	admit func(tx *Txn, batch commitOverlay) error
+	// settle is the post-verdict step, run once per decision: after each
+	// coordinated transaction's global commit with its verdict, after
+	// Abort and after a wait-die kill. S2PL releases its locks; BOCC
+	// registers a committed write set in its validation history.
+	settle func(tx *Txn, verdict error)
+	// serial (BOCC) is held around the global commits of every commit
+	// entry call — from its first completed flag set to its return — so
+	// validation, the write phase and registration form one critical
+	// section.
+	serial *sync.Mutex
 }
 
 // Context returns the protocol's state context.
 func (p *protocolBase) Context() *Context { return p.ctx }
+
+// Begin implements Protocol.
+func (p *protocolBase) Begin() (*Txn, error) { return p.begin(false) }
+
+// BeginReadOnly implements Protocol. A read-only transaction still
+// commits through admission: under BOCC, validation is what guarantees an
+// ad-hoc query saw a consistent state.
+func (p *protocolBase) BeginReadOnly() (*Txn, error) { return p.begin(true) }
 
 func (p *protocolBase) begin(readOnly bool) (*Txn, error) {
 	t := &Txn{
@@ -120,10 +157,76 @@ func (p *protocolBase) begin(readOnly bool) (*Txn, error) {
 		done:     make(chan struct{}),
 	}
 	t.startTS = t.id
+	if p.trackReads {
+		t.reads = make(map[StateID]map[string]struct{})
+	}
 	if err := p.ctx.register(t); err != nil {
 		return nil, err
 	}
 	return t, nil
+}
+
+// Read implements Protocol: the transaction's own write set first, then
+// the table — at the pinned snapshot under SI, the latest committed
+// version otherwise, after recording the read (BOCC) and taking its
+// shared lock (S2PL).
+func (p *protocolBase) Read(tx *Txn, tbl *Table, key string) ([]byte, bool, error) {
+	if err := requireGroup(tbl); err != nil {
+		return nil, false, err
+	}
+	tx.mu.Lock()
+	if tx.finished.Load() {
+		tx.mu.Unlock()
+		return nil, false, ErrFinished
+	}
+	if e, ok := tx.states[tbl.id]; ok {
+		if op, dirty := e.get(key); dirty {
+			tx.mu.Unlock()
+			if op.delete {
+				return nil, false, nil
+			}
+			return op.value, true, nil
+		}
+	}
+	rts := mvcc.Infinity
+	if p.pinSnapshot {
+		rts = tx.pin(tbl)
+	}
+	tx.trackRead(tbl.id, key)
+	tx.mu.Unlock()
+	if p.lockKey != nil {
+		if err := p.lock(tx, tbl.id, key, lockShared); err != nil {
+			return nil, false, err
+		}
+	}
+	v, ok := tbl.readVersion(key, rts)
+	return v, ok, nil
+}
+
+// lock takes key's lock through lockKey. A wait-die kill aborts tx —
+// Abort settles it, so the locks it already holds fall — and is returned
+// as the verdict.
+func (p *protocolBase) lock(tx *Txn, st StateID, key string, mode lockMode) error {
+	err := p.lockKey(tx, st, key, mode)
+	if err != nil {
+		_ = p.Abort(tx) // the verdict is the kill
+	}
+	return err
+}
+
+// Abort implements Protocol: the write sets are dropped (abort) and the
+// protocol settles the transaction.
+func (p *protocolBase) Abort(tx *Txn) error {
+	err := p.abort(tx)
+	p.settled(tx, ErrAborted)
+	return err
+}
+
+// settled runs the protocol's post-verdict step, if it has one.
+func (p *protocolBase) settled(tx *Txn, verdict error) {
+	if p.settle != nil {
+		p.settle(tx, verdict)
+	}
 }
 
 // requireGroup validates that tbl is usable transactionally.
@@ -166,10 +269,10 @@ func (p *protocolBase) WriteSegment(tx *Txn, tbl *Table, seg *Segment) (int, err
 
 // bufferWrites is the write path of every protocol: it records ops into
 // tx's uncommitted write set — writes "are merely appended to the write
-// set" (Section 4.2) — after the protocol's pre-write hook, under ONE
+// set" (Section 4.2) — after the protocol's exclusive locks, under ONE
 // latch acquisition however many operations the call carries. Values are
 // copied unless the caller hands over ownership (adopt: a segment's
-// values are private copies already). A lock the hook fails to get has
+// values are private copies already). A lock that cannot be had has
 // aborted the transaction; the count of keys locked before it is
 // reported, matching the per-operation sequence (writes before the
 // failure counted, the write set discarded by the abort either way).
@@ -185,7 +288,7 @@ func (p *protocolBase) bufferWrites(tx *Txn, tbl *Table, ops []WriteOp, adopt bo
 			return 0, ErrFinished
 		}
 		for i := range ops {
-			if err := p.lockKey(tx, tbl, ops[i].Key); err != nil {
+			if err := p.lock(tx, tbl.id, ops[i].Key, lockExclusive); err != nil {
 				return i, err
 			}
 		}
@@ -195,7 +298,7 @@ func (p *protocolBase) bufferWrites(tx *Txn, tbl *Table, ops []WriteOp, adopt bo
 	if tx.finished.Load() {
 		return 0, ErrFinished
 	}
-	if p.pinOnWrite {
+	if p.pinSnapshot {
 		tx.pin(tbl)
 	}
 	e := tx.entry(tbl)
@@ -258,48 +361,60 @@ func recycleTxn(tx *Txn, orderRetained bool) {
 	tx.mu.Unlock()
 }
 
-// commitAll flags every touched state and runs the global commit.
-func commitAll(tx *Txn, finishFn func() error) error {
-	tx.mu.Lock()
-	if tx.finished.Load() {
-		tx.mu.Unlock()
-		return ErrFinished
-	}
-	for _, e := range tx.states {
-		if e.status == StatusAbort {
-			tx.mu.Unlock()
-			return ErrAborted
-		}
-		e.status = StatusCommit
-	}
-	tx.mu.Unlock()
-	return finishFn()
+// CommitState implements Protocol (the consistency protocol's per-state
+// flag, Section 4.3): the chain of one transaction and one table.
+func (p *protocolBase) CommitState(tx *Txn, tbl *Table) error { return p.commitOne(tx, tbl) }
+
+// Commit implements Protocol: the chain of one transaction whose one
+// column flags every state it touched.
+func (p *protocolBase) Commit(tx *Txn) error { return p.commitOne(tx, nil) }
+
+// commitOne runs commitChain for one transaction and one column (nil:
+// every state), with the verdict matrix on the stack.
+func (p *protocolBase) commitOne(tx *Txn, tbl *Table) error {
+	txs, tbls := [1]*Txn{tx}, [1]*Table{tbl}
+	var verdict [1]error
+	rows := [1][]error{verdict[:]}
+	p.commitChain(txs[:], tbls[:], rows[:])
+	return verdict[0]
 }
 
-// flagState implements the per-state flag protocol: it flips tx's commit
-// flag for tbl and reports whether this flip completed the transaction's
-// flag set — the caller became the coordinator (Section 4.3) and must run
-// the global commit (CommitState does so at once; the chain commit path
-// flags several transactions first and commits them as one batch).
-func flagState(tx *Txn, tbl *Table) (coordinator bool, err error) {
-	if err := requireGroup(tbl); err != nil {
-		return false, err
+// CommitChain implements Protocol (see chain.go).
+func (p *protocolBase) CommitChain(txs []*Txn, tbls []*Table) [][]error {
+	errs := make([][]error, len(txs))
+	cells := make([]error, len(txs)*len(tbls))
+	for i := range errs {
+		errs[i], cells = cells[:len(tbls):len(tbls)], cells[len(tbls):]
+	}
+	p.commitChain(txs, tbls, errs)
+	return errs
+}
+
+// flag flips tx's commit flag for tbl — for every state tx touched when
+// tbl is nil (Commit) — and reports whether the flip completed the
+// transaction's flag set: the caller became the coordinator (Section 4.3)
+// and the transaction is decided by the global commit that follows.
+func flag(tx *Txn, tbl *Table) (coordinator bool, err error) {
+	if tbl != nil {
+		if err := requireGroup(tbl); err != nil {
+			return false, err
+		}
 	}
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
 	if tx.finished.Load() {
 		return false, ErrFinished
 	}
-	// Committing a state the transaction never touched registers an empty
-	// entry so the accounting still works (a TO_TABLE operator may see only
-	// punctuations for some batch).
-	e := tx.entry(tbl)
-	if e.status == StatusAbort {
-		return false, ErrAborted
+	if tbl != nil {
+		// Committing a state the transaction never touched registers an
+		// empty entry so the accounting still works (a TO_TABLE operator
+		// may see only punctuations for some batch).
+		tx.entry(tbl).status = StatusCommit
 	}
-	e.status = StatusCommit
-	for _, other := range tx.states {
-		if other.status != StatusCommit {
+	for _, e := range tx.states {
+		if tbl == nil {
+			e.status = StatusCommit
+		} else if e.status != StatusCommit {
 			// Not the last flag: another operator will coordinate.
 			return false, nil
 		}
@@ -307,96 +422,110 @@ func flagState(tx *Txn, tbl *Table) (coordinator bool, err error) {
 	return true, nil
 }
 
-// commitChain is the shared implementation of Protocol.CommitChain (see
-// chain.go): flag tbls on every transaction in order — up to the column
-// that completes its flag set, exactly as per-table CommitState calls
-// would — then globally commit the transactions whose flag set
-// completed, each once, submitting maximal
-// consecutive runs that commit into the SAME single topology group as one
-// multi-request pipeline submission (groupCommitMany) — one leader tenure
-// and one coalesced durability batch for the whole run. A transaction
-// spanning groups (or with no state left) breaks the run and commits on
-// its own through installCommit, preserving chain order (and thus
-// ascending commit timestamps per key) throughout. admitFor supplies the
-// protocol's admission check per transaction (nil for none); after, when
-// non-nil, runs once per coordinated transaction after its commit attempt
-// (S2PL releases its locks there).
-func (p *protocolBase) commitChain(txs []*Txn, tbls []*Table, admitFor func(*Txn) func(*commitOverlay) error, after func(*Txn)) [][]error {
-	errs := make([][]error, len(txs))
-	type coord struct {
-		tx     *Txn
-		txIdx  int
-		tblIdx int
+// commitChain is the one commit path, behind CommitState, Commit and
+// CommitChain. It flags tbls on every transaction in txs, in order, up to
+// the column that completes the transaction's flag set — exactly as
+// per-table CommitState calls would — recording each flag's outcome in
+// errs[i][j]. A transaction whose set completed is decided here, once:
+// flagging a later column would register that table on a transaction that
+// never declared it and commit it twice, so a CommitState on a decided
+// transaction reports ErrFinished, and so do the remaining columns.
+//
+// Decided transactions commit in chain order (and thus with ascending
+// commit timestamps per key). Maximal consecutive runs confined to the
+// SAME single topology group form one multi-request pipeline submission
+// (groupCommitMany) — one leader tenure and one coalesced durability
+// batch for the whole run. A transaction spanning groups is a run of its
+// own, committed through the same pipeline under the latches of all its
+// groups. One with no state entry — a reader, or a transaction that
+// touched nothing — has nothing to install: admission is its whole
+// commit. The verdict replaces the completing flag's entry, and the
+// protocol settles each transaction as soon as its run is decided — so
+// S2PL's locks fall once the run is installed and visible, never held
+// across a later run's durability.
+func (p *protocolBase) commitChain(txs []*Txn, tbls []*Table, errs [][]error) {
+	// The current run: its latch set, its requests and the errs cell each
+	// verdict goes to. The buffers keep a chain of one off the heap.
+	type cell struct{ i, j int }
+	var (
+		groups     []*Group
+		reqBuf     [1]*commitReq
+		dstBuf     [1]cell
+		reqs       = reqBuf[:0]
+		dsts       = dstBuf[:0]
+		serialized bool
+	)
+	flush := func() {
+		switch {
+		case len(reqs) == 0:
+			return
+		case len(groups) == 1:
+			p.groupCommitMany(groups[0], reqs)
+		default:
+			lockGroups(groups)
+			p.commitBatch(groups, reqs)
+			unlockGroups(groups)
+			// Threshold-driven sweeps run after the latches are released so
+			// they never extend the cross-group critical section.
+			for _, g := range groups {
+				g.maybeGC()
+			}
+		}
+		for k, req := range reqs {
+			errs[dsts[k].i][dsts[k].j] = req.err
+			p.settled(req.tx, req.err)
+		}
+		reqs, dsts = reqs[:0], dsts[:0]
 	}
-	var coords []coord
 	for i, tx := range txs {
-		errs[i] = make([]error, len(tbls))
+		row := errs[i]
 		for j, tbl := range tbls {
-			became, err := flagState(tx, tbl)
-			errs[i][j] = err
-			if !became {
+			coordinator, err := flag(tx, tbl)
+			row[j] = err
+			if !coordinator {
 				continue
 			}
-			// The flag set is complete: the transaction is decided by the
-			// global commit below, once. Flagging a later column would
-			// register that table on a transaction that never declared it,
-			// complete the set a second time and commit it twice; a
-			// CommitState on a decided transaction reports ErrFinished,
-			// and so do the remaining columns.
-			coords = append(coords, coord{tx: tx, txIdx: i, tblIdx: j})
 			for k := j + 1; k < len(tbls); k++ {
-				errs[i][k] = ErrFinished
+				row[k] = ErrFinished
 			}
+			if p.serial != nil && !serialized {
+				// From the first decision on: a flag that completes nothing
+				// never waits for another commit's critical section.
+				p.serial.Lock()
+				serialized = true
+			}
+			gs := txGroups(tx)
+			if len(reqs) > 0 && (len(gs) != 1 || len(groups) != 1 || gs[0] != groups[0]) {
+				flush()
+			}
+			if len(gs) == 0 {
+				row[j] = p.admitAlone(tx)
+				p.settled(tx, row[j])
+				break
+			}
+			groups = gs
+			reqs = append(reqs, &commitReq{tx: tx, admit: p.admit, ready: make(chan struct{})})
+			dsts = append(dsts, cell{i, j})
 			break
 		}
 	}
-
-	// Global commits, in chain order. runReqs accumulates the current
-	// same-group run; flush submits it as one pipeline unit, records the
-	// verdicts and runs the per-transaction epilogue for exactly that run
-	// — so S2PL locks fall as soon as their run is installed and visible,
-	// never held across a later run's durability.
-	var (
-		runReqs   []*commitReq
-		runCoords []coord
-		runGroup  *Group
-	)
-	flush := func() {
-		if len(runReqs) == 0 {
-			return
-		}
-		p.groupCommitMany(runGroup, runReqs)
-		for i, c := range runCoords {
-			errs[c.txIdx][c.tblIdx] = runReqs[i].err
-			if after != nil {
-				after(c.tx)
-			}
-		}
-		runReqs, runCoords, runGroup = nil, nil, nil
-	}
-	for _, c := range coords {
-		var admit func(*commitOverlay) error
-		if admitFor != nil {
-			admit = admitFor(c.tx)
-		}
-		groups := txGroups(c.tx)
-		if len(groups) != 1 {
-			flush()
-			errs[c.txIdx][c.tblIdx] = p.installCommit(c.tx, admit)
-			if after != nil {
-				after(c.tx)
-			}
-			continue
-		}
-		if runGroup != nil && groups[0] != runGroup {
-			flush()
-		}
-		runGroup = groups[0]
-		runReqs = append(runReqs, &commitReq{tx: c.tx, admit: admit, ready: make(chan struct{})})
-		runCoords = append(runCoords, c)
-	}
 	flush()
-	return errs
+	if serialized {
+		p.serial.Unlock()
+	}
+}
+
+// admitAlone decides a coordinated transaction with no state entry: it
+// finishes right after its admission check.
+func (p *protocolBase) admitAlone(tx *Txn) error {
+	if p.admit != nil {
+		if err := p.admit(tx, commitOverlay{}); err != nil {
+			_ = p.abort(tx) // the verdict is the admission error
+			return err
+		}
+	}
+	p.finish(tx)
+	return nil
 }
 
 // groupCommitMany runs the group-commit pipeline for already-ordered
@@ -521,13 +650,14 @@ func sortedEntries(tx *Txn) []*stateEntry {
 	return out
 }
 
-// commitReq is one validated transaction parked on a group's commit
-// queue. err is written by the batch leader before it closes ready and
-// read by the owning goroutine only after ready is closed, so the channel
-// orders the accesses.
+// commitReq is one coordinated transaction parked on a group's commit
+// queue, with the admission check of the protocol that submitted it. err
+// is written by the batch leader before it closes ready and read by the
+// owning goroutine only after ready is closed, so the channel orders the
+// accesses.
 type commitReq struct {
 	tx      *Txn
-	admit   func(ov *commitOverlay) error
+	admit   func(tx *Txn, batch commitOverlay) error
 	entries []*stateEntry // filled by the leader once admitted
 	cts     Timestamp
 	err     error
@@ -539,9 +669,11 @@ type commitReq struct {
 }
 
 // commitOverlay exposes the writes admitted earlier in the same commit
-// batch. Admission checks (First-Committer-Wins) must see those writes
-// even though their versions are not installed yet — otherwise two
-// same-batch writers of one key would both pass.
+// batch. Admission checks must see those writes even though their
+// versions are not installed (nor, under BOCC, registered) yet —
+// otherwise two same-batch writers of one key would both pass
+// First-Committer-Wins, and a reader would validate clean against a
+// same-batch writer of what it read.
 type commitOverlay struct {
 	pending map[*Table]map[string]Timestamp
 }
@@ -558,41 +690,6 @@ func (ov *commitOverlay) record(tbl *Table, key string, cts Timestamp) {
 		ov.pending[tbl] = m
 	}
 	m[key] = cts
-}
-
-// installCommit is the coordinator's global commit, shared by all
-// protocols — the one dispatch on the transaction's latch set. There is
-// one commit pipeline (commitBatch); what varies is only how its latches
-// are taken: a transaction whose states all belong to one topology group
-// — the continuous-query common case — queues on that group's pipeline
-// and shares a leader's batch (groupCommitMany), while a transaction
-// spanning groups is a batch of one under the commit latch of every
-// involved group, taken in txGroups' canonical order (quiescing their
-// pipelines — a leader holds its group's latch for the whole batch). The
-// caller (via flagState/commitAll) has already established that it is
-// the coordinator.
-func (p *protocolBase) installCommit(tx *Txn, admit func(*commitOverlay) error) error {
-	groups := txGroups(tx)
-	if len(groups) == 0 {
-		// Nothing written (read-only or empty transaction).
-		p.finish(tx)
-		recycleTxn(tx, false)
-		return nil
-	}
-	reqs := []*commitReq{{tx: tx, admit: admit, ready: make(chan struct{})}}
-	if len(groups) == 1 {
-		p.groupCommitMany(groups[0], reqs)
-		return reqs[0].err
-	}
-	lockGroups(groups)
-	p.commitBatch(groups, reqs)
-	unlockGroups(groups)
-	// Threshold-driven sweeps run after the latches are released so they
-	// never extend the cross-group critical section.
-	for _, g := range groups {
-		g.maybeGC()
-	}
-	return reqs[0].err
 }
 
 // groupCommitLinger bounds how long a batch leader collects followers for
@@ -694,20 +791,20 @@ func (g *Group) maybeGC() {
 	}
 }
 
-// commitBatch is the commit pipeline: it commits one batch of validated
+// commitBatch is the commit pipeline: it commits one batch of coordinated
 // transactions under a latch set. Caller holds the commitMu of every group
 // in groups, and every state of every request belongs to one of them — a
 // leader's drained queue under its own group's latch (leadGroup), or one
-// spanning transaction under the latches of all its groups
-// (installCommit). The pipeline:
+// spanning transaction under the latches of all its groups, taken in
+// txGroups' canonical order (commitChain). The pipeline:
 //
 //  1. snapshot the GC horizon, then reserve a contiguous commit-timestamp
 //     range — one timestamp per request, assigned in arrival order. The
 //     horizon is taken BEFORE the range, so every version this batch
 //     terminates has dts greater than the horizon and can never be
 //     reclaimed by the batch's own installs (see Txn.pin).
-//  2. admit each request in arrival order against a batch overlay so
-//     First-Committer-Wins sees writes of earlier same-batch admissions;
+//  2. admit each request in arrival order against a batch overlay so the
+//     admission check sees writes of earlier same-batch admissions;
 //     a rejected request aborts immediately with no state modified.
 //  3. durability: ONE coalesced batch per distinct base store — all
 //     admitted rows plus one LastCTS watermark per touched table (and
@@ -748,7 +845,7 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 	)
 	for i, req := range batch {
 		if req.admit != nil {
-			if err := req.admit(&overlay); err != nil {
+			if err := req.admit(req.tx, overlay); err != nil {
 				req.err = err
 				_ = p.abort(req.tx) // verdict recorded above
 				close(req.ready)
@@ -784,10 +881,13 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 	// Phase 3: durability, one coalesced batch per distinct base store.
 	// The scratch batches (ops array, row-key arena) are cached on the
 	// table's group across tenures (that group's latch is held), so
-	// coalescing allocates nothing steady-state.
+	// coalescing allocates nothing steady-state; neither do the lists of
+	// the batch's stores and tables while they fit their stack buffers.
 	var (
-		batches []*storeBatch
-		tables  []*Table
+		sbBuf   [2]*storeBatch
+		tblBuf  [2]*Table
+		batches = sbBuf[:0]
+		tables  = tblBuf[:0]
 	)
 	getSB := func(tbl *Table) *storeBatch {
 		for _, sb := range batches {

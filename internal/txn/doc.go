@@ -15,11 +15,16 @@
 //	                logical clock), Group and the commit-watcher hooks
 //	txn.go          Txn handles, write sets, snapshot pins
 //	table.go        Table: the MVCC dictionary over a kv.Store base table
-//	consistency.go  the shared commit machinery: per-state flags,
-//	                commit pipeline (one, for any set of group latches)
-//	si.go           snapshot isolation (First-Committer-Wins)
-//	s2pl.go         strict two-phase locking (wait-die)
-//	bocc.go         backward-oriented optimistic validation
+//	consistency.go  the one protocol surface: every Protocol entry point
+//	                (Begin, Read, the write path, CommitState, Commit,
+//	                CommitChain, Abort), per-state flags, and the commit
+//	                pipeline (one, for any set of group latches)
+//	si.go           snapshot isolation's rules: the snapshot pin and
+//	                First-Committer-Wins admission
+//	s2pl.go         strict two-phase locking's rules: locks before reads
+//	                and writes (wait-die), released once decided
+//	bocc.go         backward-oriented optimistic validation's rules: the
+//	                read set, validation as admission, registration
 //	segment.go      per-lane write-set segments for parallel ingest
 //	feed.go         partitioned change-feed fan-out (WatchPartitioned)
 //	                and the feed's GC-horizon pin

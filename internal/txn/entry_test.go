@@ -1,0 +1,385 @@
+package txn
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"sistream/internal/kv"
+	"sistream/internal/leaktest"
+)
+
+// This file checks that a protocol's commit entry points are one path:
+// CommitState and Commit are chains of one, so per-table CommitState,
+// Commit and CommitChain windows must decide the same script the same way.
+
+// TestBOCCChainRegistersEveryCommittedMember: a chain member whose flag set
+// completes before the last listed table commits with verdicts [nil,
+// ErrFinished]. It must enter the validation history like any committed
+// writer — registration follows the coordinating column's verdict — or a
+// reader of what it wrote validates clean.
+func TestBOCCChainRegistersEveryCommittedMember(t *testing.T) {
+	leaktest.Check(t)
+	e := newEnv(t)
+	p := NewBOCC(e.ctx)
+	a, b := e.t1, e.t2
+
+	r, err := p.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := p.Read(r, a, "x"); err != nil {
+		t.Fatal(err)
+	}
+	w, err := p.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Write(w, a, "x", []byte("w")); err != nil {
+		t.Fatal(err)
+	}
+	errs := p.CommitChain([]*Txn{w}, []*Table{a, b})
+	if errs[0][0] != nil || !errors.Is(errs[0][1], ErrFinished) {
+		t.Fatalf("chain verdicts = %v, want [nil ErrFinished]", errs[0])
+	}
+	if n := e.ctx.recent.Len(); n != 1 {
+		t.Fatalf("validation history holds %d records after the chain committed a writer, want 1", n)
+	}
+	if err := p.Write(r, b, "y", []byte("r")); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Commit(r); !errors.Is(err, ErrValidation) {
+		t.Fatalf("reader of a chain-committed key: Commit = %v, want ErrValidation", err)
+	}
+}
+
+// entryTxn is one scripted transaction over tables 0 (a) and 1 (b). A
+// read-only one has no state entry, so admission is its whole commit; any
+// other declares its tables at Begin — the columns it is flagged on — and
+// writes only to them, or not at all (an empty transaction: entries, no
+// writes).
+type entryTxn struct {
+	readOnly bool
+	declare  []int
+	reads    []sweepOp
+	writes   []sweepOp
+}
+
+// entryStep is one unit of the script: its members begin and run in
+// order, each to completion before the next begins; then the interloper,
+// if any, begins, runs and commits; then the members commit. A
+// transaction runs its operations only while it is the youngest one begun,
+// so under S2PL a collision is a wait-die kill, never a wait a single
+// driver could not serve.
+type entryStep struct {
+	members    []entryTxn
+	interloper *entryTxn
+}
+
+func makeEntryScript(rng *rand.Rand, steps int) []entryStep {
+	op := func(tbl int) sweepOp { return sweepOp{tbl: tbl, key: fmt.Sprintf("k%d", rng.Intn(4))} }
+	txn := func() entryTxn {
+		var tx entryTxn
+		kind := rng.Intn(6) // 0: read-only, 1: empty, otherwise a writer
+		if kind == 0 {
+			tx.readOnly = true
+		} else {
+			tx.declare = [][]int{{0}, {1}, {0, 1}}[rng.Intn(3)]
+		}
+		for n := rng.Intn(3); n > 0; n-- {
+			tx.reads = append(tx.reads, op(rng.Intn(2)))
+		}
+		for n := 1 + rng.Intn(2); kind > 1 && n > 0; n-- {
+			w := op(tx.declare[rng.Intn(len(tx.declare))])
+			if rng.Intn(4) == 0 {
+				w.del = true
+			} else {
+				w.val = fmt.Sprintf("v%d", rng.Intn(100))
+			}
+			tx.writes = append(tx.writes, w)
+		}
+		return tx
+	}
+	script := make([]entryStep, steps)
+	for i := range script {
+		for n := 1 + rng.Intn(4); n > 0; n-- {
+			script[i].members = append(script[i].members, txn())
+		}
+		if rng.Intn(2) == 0 {
+			in := txn()
+			script[i].interloper = &in
+		}
+	}
+	return script
+}
+
+// entryResult is everything the entry points must agree on.
+type entryResult struct {
+	verdicts   []string
+	contents   map[string]string
+	published  []bool      // per step and group: the step moved the group's LastCTS
+	lastCTS    []Timestamp // per group, after the script
+	registered int         // BOCC validation-history registrations
+}
+
+// runEntryScript drives script under proto against tables a and b, in one
+// group or two, committing through one entry point: "CommitState" flags
+// each declared table in turn, "Commit" flags them all at once, and
+// "CommitChain" commits consecutive members with the same tables as one
+// window of 1–4 (sized by windows) over every table, declared ones first.
+// A transaction without tables commits with Commit in every mode.
+func runEntryScript(t *testing.T, proto string, split bool, mode string, windows *rand.Rand, script []entryStep) entryResult {
+	t.Helper()
+	store := kv.NewMem()
+	defer store.Close()
+	ctx := NewContext()
+	a, _ := ctx.CreateTable("a", store, TableOptions{})
+	b, _ := ctx.CreateTable("b", store, TableOptions{})
+	tbls := []*Table{a, b}
+	var groups []*Group
+	for _, members := range map[bool][][]*Table{false: {{a, b}}, true: {{a}, {b}}}[split] {
+		g, err := ctx.CreateGroup(GroupID(fmt.Sprintf("g%d", len(groups))), members...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups = append(groups, g)
+	}
+	p := sweepProtocol(proto, ctx)
+	var res entryResult
+	// pipelined counts, per group, the committed transactions with a state
+	// entry in it: exactly these must have passed its commit pipeline.
+	pipelined := make([]uint64, len(groups))
+
+	declared := func(s entryTxn) []*Table {
+		out := make([]*Table, len(s.declare))
+		for i, tbl := range s.declare {
+			out[i] = tbls[tbl]
+		}
+		return out
+	}
+	// chained lists a chain's columns for members declaring s's tables:
+	// those tables, then the others. A member's set completes at its last
+	// declared column, and the columns after it report ErrFinished.
+	chained := func(s entryTxn) []*Table {
+		cols := declared(s)
+		for _, tbl := range tbls {
+			if !slices.Contains(cols, tbl) {
+				cols = append(cols, tbl)
+			}
+		}
+		return cols
+	}
+	// start begins a transaction and runs its operations, stopping at the
+	// first that fails (and thereby decides the transaction).
+	start := func(s entryTxn) (*Txn, error) {
+		begin := p.Begin
+		if s.readOnly {
+			begin = p.BeginReadOnly
+		}
+		tx, err := begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Declare(declared(s)...); err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range s.reads {
+			if _, _, err := p.Read(tx, tbls[op.tbl], op.key); err != nil {
+				return tx, err
+			}
+		}
+		for _, op := range s.writes {
+			if op.del {
+				err = p.Delete(tx, tbls[op.tbl], op.key)
+			} else {
+				err = p.Write(tx, tbls[op.tbl], op.key, []byte(op.val))
+			}
+			if err != nil {
+				return tx, err
+			}
+		}
+		return tx, nil
+	}
+	record := func(s entryTxn, opErr, verdict error) {
+		res.verdicts = append(res.verdicts, verdictClass(opErr)+" / "+verdictClass(verdict))
+		if opErr != nil || verdict != nil {
+			return
+		}
+		for gi, g := range groups {
+			if slices.ContainsFunc(declared(s), func(tbl *Table) bool { return tbl.group == g }) {
+				pipelined[gi]++
+			}
+		}
+	}
+	// commit decides one transaction through the mode's entry point; the
+	// verdict is the result of the flag that completed its set.
+	commit := func(s entryTxn, tx *Txn) error {
+		cols := declared(s)
+		switch {
+		case len(cols) == 0 || mode == "Commit":
+			return p.Commit(tx)
+		case mode == "CommitState":
+			var err error
+			for _, tbl := range cols {
+				err = p.CommitState(tx, tbl)
+			}
+			return err
+		}
+		return p.CommitChain([]*Txn{tx}, chained(s))[0][len(cols)-1]
+	}
+
+	for si, st := range script {
+		before := make([]Timestamp, len(groups))
+		for gi, g := range groups {
+			before[gi] = g.LastCTS()
+		}
+		txs := make([]*Txn, len(st.members))
+		opErrs := make([]error, len(st.members))
+		for i, m := range st.members {
+			txs[i], opErrs[i] = start(m)
+		}
+		if in := st.interloper; in != nil {
+			tx, err := start(*in)
+			record(*in, err, commit(*in, tx))
+		}
+		for i := 0; i < len(st.members); {
+			j := i + 1
+			if cols := declared(st.members[i]); mode == "CommitChain" && len(cols) > 0 {
+				for w := 1 + windows.Intn(4); j < len(st.members) && j-i < w && slices.Equal(st.members[j].declare, st.members[i].declare); j++ {
+				}
+				errs := p.CommitChain(txs[i:j], chained(st.members[i]))
+				for k := i; k < j; k++ {
+					row := errs[k-i]
+					for _, err := range row[len(cols):] {
+						if !errors.Is(err, ErrFinished) {
+							t.Fatalf("step %d member %d: chain verdicts %v, want ErrFinished after its last table", si, k, row)
+						}
+					}
+					record(st.members[k], opErrs[k], row[len(cols)-1])
+				}
+			} else {
+				record(st.members[i], opErrs[i], commit(st.members[i], txs[i]))
+			}
+			i = j
+		}
+		if n := ctx.ActiveCount(); n != 0 {
+			t.Fatalf("%s, step %d: %d transactions left active", mode, si, n)
+		}
+		for gi, g := range groups {
+			res.published = append(res.published, g.LastCTS() != before[gi])
+		}
+	}
+
+	if s2, ok := p.(*S2PL); ok && s2.LockCount() != 0 {
+		t.Fatalf("%s: %d lock entries left after the script", mode, s2.LockCount())
+	}
+	// The empty-entry rule: a transaction with a state entry — even an
+	// empty one — commits through the pipeline, one without finishes right
+	// after its admission.
+	for gi, g := range groups {
+		if txns, _ := g.CommitStats(); txns != pipelined[gi] {
+			t.Fatalf("%s: group %s committed %d transactions through its pipeline, %d committed with a state entry in it", mode, g.ID(), txns, pipelined[gi])
+		}
+		res.lastCTS = append(res.lastCTS, g.LastCTS())
+	}
+	ctx.recent.mu.Lock()
+	res.registered = ctx.recent.commits
+	ctx.recent.mu.Unlock()
+	res.contents = map[string]string{}
+	for i, tbl := range tbls {
+		tbl.SnapshotScan(ctx.Now(), func(key string, value []byte) bool {
+			res.contents[sweepKey(i, key)] = string(value)
+			return true
+		})
+	}
+	return res
+}
+
+// TestPropertyProtocolEntryPoints runs each seeded script under every
+// protocol and both group layouts through the three commit entry points
+// and requires identical verdicts, contents, publishes and BOCC
+// registrations. LastCTS itself is compared too, except for BOCC windows:
+// a window registers its members after the whole run is installed, where
+// one-by-one commits interleave each registration's clock tick with the
+// next commit timestamp.
+func TestPropertyProtocolEntryPoints(t *testing.T) {
+	leaktest.Check(t)
+	for _, proto := range []string{"mvcc", "s2pl", "bocc"} {
+		for _, split := range []bool{false, true} {
+			for seed := int64(1); seed <= 4; seed++ {
+				t.Run(fmt.Sprintf("%s/split=%t/seed=%d", proto, split, seed), func(t *testing.T) {
+					script := makeEntryScript(rand.New(rand.NewSource(seed)), 30)
+					ref := runEntryScript(t, proto, split, "CommitState", nil, script)
+					for _, mode := range []string{"Commit", "CommitChain"} {
+						got := runEntryScript(t, proto, split, mode, rand.New(rand.NewSource(seed)), script)
+						if len(got.verdicts) != len(ref.verdicts) {
+							t.Fatalf("%d verdicts through %s, %d through CommitState", len(got.verdicts), mode, len(ref.verdicts))
+						}
+						for i, v := range ref.verdicts {
+							if got.verdicts[i] != v {
+								t.Fatalf("verdict %d of %d: %q through %s, %q through CommitState", i, len(ref.verdicts), got.verdicts[i], mode, v)
+							}
+						}
+						if !reflect.DeepEqual(got.contents, ref.contents) {
+							t.Fatalf("contents through %s:\n %v\nthrough CommitState:\n %v", mode, got.contents, ref.contents)
+						}
+						if !slices.Equal(got.published, ref.published) {
+							t.Fatalf("groups publishing per step through %s: %v, through CommitState: %v", mode, got.published, ref.published)
+						}
+						if got.registered != ref.registered {
+							t.Fatalf("%d BOCC registrations through %s, %d through CommitState", got.registered, mode, ref.registered)
+						}
+						if (proto != "bocc" || mode != "CommitChain") && !slices.Equal(got.lastCTS, ref.lastCTS) {
+							t.Fatalf("LastCTS through %s: %v, through CommitState: %v", mode, got.lastCTS, ref.lastCTS)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkCommitEntry commits one 100-row SI transaction per operation
+// through each commit entry point over mem — the allocation budget of the
+// one commit path (run with -benchmem): a one-member CommitChain costs
+// what CommitState costs, plus the verdict matrix it returns.
+func BenchmarkCommitEntry(b *testing.B) {
+	const rows = 100
+	val := []byte("a-payload-of-some-bytes")
+	ops := make([]WriteOp, rows)
+	for i := range ops {
+		ops[i] = WriteOp{Key: fmt.Sprintf("k%03d", i), Value: val}
+	}
+	entries := []struct {
+		name   string
+		commit func(p Protocol, txs []*Txn, tbls []*Table) error
+	}{
+		{"CommitState", func(p Protocol, txs []*Txn, tbls []*Table) error { return p.CommitState(txs[0], tbls[0]) }},
+		{"CommitChain1", func(p Protocol, txs []*Txn, tbls []*Table) error { return p.CommitChain(txs, tbls)[0][0] }},
+		{"Commit", func(p Protocol, txs []*Txn, _ []*Table) error { return p.Commit(txs[0]) }},
+	}
+	for _, en := range entries {
+		b.Run(en.name, func(b *testing.B) {
+			e := newEnv(b)
+			p := NewSI(e.ctx)
+			txs, tbls := make([]*Txn, 1), []*Table{e.t1}
+			b.ReportAllocs()
+			for b.Loop() {
+				tx, err := p.Begin()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := p.WriteBatch(tx, e.t1, ops); err != nil {
+					b.Fatal(err)
+				}
+				txs[0] = tx
+				if err := en.commit(p, txs, tbls); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

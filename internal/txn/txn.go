@@ -215,8 +215,10 @@ type Txn struct {
 	readCTS map[GroupID]Timestamp
 
 	// reads is the BOCC read set (keys per state); nil for other
-	// protocols.
-	reads map[StateID]map[string]struct{}
+	// protocols. writes is the BOCC write set, collected at admission —
+	// the install consumes the entries — for registration once the
+	// transaction committed; nil unless it wrote something.
+	reads, writes map[StateID]map[string]struct{}
 
 	// startTS is the counter value at Begin; BOCC validates against
 	// transactions committed after it.
