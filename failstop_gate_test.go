@@ -240,3 +240,54 @@ func TestLinkingOperatorsExistOnce(t *testing.T) {
 	// Underneath, one function appends to a transaction's write set.
 	check("write-set append (stateEntry.write)", methodCallSites(t, "internal/txn")["write"], "bufferWrites")
 }
+
+// TestTransactionsStageIsFused keeps the TRANSACTIONS operator a fused
+// stage. As a goroutine stage of its own it cost every serialized
+// transaction two park/wake hand-offs — the stage woken by the consumer's
+// decision, the consumer woken by the next transaction's elements. The
+// gate fails when a function of the Transactions family spawns an operator
+// (consume, spawn, a go statement) or declares a channel or sends on one —
+// its only wait is the receive on a decision — and when one of the three
+// forms does not reach transactionsPipeline, the one implementation.
+func TestTransactionsStageIsFused(t *testing.T) {
+	// Family member → the family members it calls.
+	family := map[string][]string{"Transactions": nil, "TransactionsWindow": nil, "TransactionsTuned": nil, "transactionsPipeline": nil}
+	_, files := parseNonTest(t, "internal/stream")
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			name := fd.Name.Name
+			if _, member := family[name]; !member {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.GoStmt, *ast.ChanType, *ast.SendStmt:
+					t.Errorf("%s has a goroutine or channel (%T): Transactions is a fused stage", name, n)
+				case *ast.SelectorExpr:
+					switch callee := n.Sel.Name; {
+					case callee == "consume" || callee == "spawn":
+						t.Errorf("%s calls %s: Transactions is a fused stage, not an operator goroutine", name, callee)
+					default:
+						if _, member := family[callee]; member {
+							family[name] = append(family[name], callee)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	var reaches func(name string) bool
+	reaches = func(name string) bool {
+		return name == "transactionsPipeline" || slices.ContainsFunc(family[name], reaches)
+	}
+	for name := range family {
+		if !reaches(name) {
+			t.Errorf("%s does not reach transactionsPipeline, the one implementation", name)
+		}
+	}
+}

@@ -56,10 +56,19 @@ func putBatch(b []Element) {
 // fusedStage is one stateless (or single-goroutine stateful) operator
 // fused into its consumer: apply transforms one element into zero or
 // more, and flush (optional) runs at end-of-stream, emitting into the
-// remainder of the chain.
+// remainder of the chain. hosted (optional) receives, when the consumer
+// starts, the host's cut: a call hands everything the chain has emitted
+// so far to the consumer's batch function at once, so a stage that is
+// about to wait on the consumer (Transactions) can let it catch up first.
+//
+// What such a wait relies on is the consumer contract: every consume
+// function forwards or decides each punctuation of a batch before it
+// returns. ToTable decides it inline, Parallelize broadcasts it to the
+// lanes at once, every other operator forwards it in its output batch.
 type fusedStage struct {
-	apply func(e Element, emit func(Element))
-	flush func(emit func(Element))
+	apply  func(e Element, emit func(Element))
+	flush  func(emit func(Element))
+	hosted func(cut func())
 }
 
 // fuse derives a stream with one more pending fused stage. The stage
@@ -93,40 +102,43 @@ func (s *Stream) consume(op string, fn func(batch []Element), fin func()) {
 			return
 		}
 		// sinks[i] runs the chain from stage i on; sinks[len] collects
-		// into the current output batch. Stage flushes at end-of-stream
-		// feed the chain suffix after their own stage, preserving
-		// operator order for flush-emitted elements.
-		var out []Element
+		// into the current output batch, which cut hands to fn — after
+		// every input batch, at end-of-stream, and whenever a hosted stage
+		// asks. Stage flushes at end-of-stream feed the chain suffix after
+		// their own stage, preserving operator order for flush-emitted
+		// elements.
+		out := getBatch()
+		cut := func() {
+			if len(out) > 0 {
+				fn(out)
+				out = getBatch()
+			}
+		}
 		sinks := make([]func(Element), len(s.stages)+1)
 		sinks[len(s.stages)] = func(e Element) { out = append(out, e) }
 		for i := len(s.stages) - 1; i >= 0; i-- {
 			st := s.stages[i]
 			next := sinks[i+1]
 			sinks[i] = func(e Element) { st.apply(e, next) }
-		}
-		head := sinks[0]
-		deliver := func() {
-			if len(out) > 0 {
-				fn(out)
-			} else {
-				putBatch(out)
+			if st.hosted != nil {
+				st.hosted(cut)
 			}
 		}
+		head := sinks[0]
 		for b := range s.ch {
-			out = getBatch()
 			for _, e := range b {
 				head(e)
 			}
 			putBatch(b)
-			deliver()
+			cut()
 		}
-		out = getBatch()
 		for i := range s.stages {
 			if fl := s.stages[i].flush; fl != nil {
 				fl(sinks[i+1])
 			}
 		}
-		deliver()
+		cut()
+		putBatch(out)
 		if fin != nil {
 			fin()
 		}

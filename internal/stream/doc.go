@@ -25,8 +25,13 @@
 // # Execution model
 //
 // Execution is vectorized: edges carry batches of elements and chains of
-// stateless operators fuse into a single goroutine (see batch.go). The
-// programming model is unchanged — sources emit and sinks observe one
+// stateless operators fuse into a single goroutine (see batch.go).
+// Transactions is fused the same way: it runs inside the operator that
+// consumes its stream and, before waiting for a transaction's decision,
+// hands that operator everything it has emitted — which holds because
+// every consumer forwards or decides each punctuation of a batch before
+// it returns. On the sequential spine tagging, Begin, writes and the
+// verdict share one goroutine. The programming model is unchanged — sources emit and sinks observe one
 // element at a time, and punctuations keep their exact in-band position.
 //
 // Queries parallelize on both sides of a table while preserving the

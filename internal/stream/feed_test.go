@@ -2,8 +2,10 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -347,10 +349,16 @@ func TestFeedPartitionedPerKeyOrder(t *testing.T) {
 	}
 }
 
-// TestChangeTupleNum: a feed tuple's Num is the row value read as a
-// number only when the ENTIRE value is a decimal literal; everything else
-// — binary payloads above all, the common case on a feed — leaves it 0
-// and the Value untouched.
+// benchValue is a row value shaped like the gated benchmark's: 28 bytes
+// of little-endian sequence number, timestamp and fill — binary, so its
+// first byte is rarely one a number can start with.
+var benchValue = "\x01\x02\x00\x00\x00\x00\x00\x00\x10\x27\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff\x00\x00\x00\x00\x00\x00\x00\x00"
+
+// TestChangeTupleNum: a feed tuple's Num is the row value read by
+// strconv.ParseFloat only when the ENTIRE value is a literal it accepts;
+// everything else — binary payloads above all, the common case on a feed
+// — leaves it 0 and the Value untouched. The guard in front of the parse
+// changes no Num, and a non-numeric row allocates only its value copy.
 func TestChangeTupleNum(t *testing.T) {
 	p, tbl := feedEnv(t)
 	cases := []struct {
@@ -360,10 +368,16 @@ func TestChangeTupleNum(t *testing.T) {
 		{"decimal", "42", 42},
 		{"fraction", "-1.5", -1.5},
 		{"exponent", "1e3", 1000},
+		{"leading dot", ".5", 0.5},
+		{"infinity", "+Inf", math.Inf(1)},
+		{"nan", "nan", math.NaN()},
+		{"hex float", "0x1p-2", 0.25},
+		{"underscore", "1_0", 10},
 		{"empty", "", 0},
 		{"binary", "\x00\x00\x00\x00\x00\x00\x45\x40", 0},
-		{"trailing junk", "12abc", 0},
-		{"leading space", " 7", 0},
+		{"benchmark value", benchValue, 0},
+		{"trailing junk", "42abc", 0},
+		{"leading space", " 1", 0},
 	}
 	for _, c := range cases {
 		tx, err := p.Begin()
@@ -377,19 +391,43 @@ func TestChangeTupleNum(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	same := func(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
 	cts := tbl.Group().LastCTS()
 	for _, c := range cases {
 		tp := changeTuple(tbl, c.name, cts)
 		if tp.Delete || string(tp.Value) != c.value {
 			t.Errorf("%s: tuple %+v, want value %q", c.name, tp, c.value)
 		}
-		if tp.Num != c.num {
+		if !same(tp.Num, c.num) {
 			t.Errorf("%s: Num = %v for value %q, want %v", c.name, tp.Num, c.value, c.num)
+		}
+		if n, err := strconv.ParseFloat(c.value, 64); err == nil && !same(n, tp.Num) || err != nil && tp.Num != 0 {
+			t.Errorf("%s: Num = %v for value %q, ParseFloat says %v, %v", c.name, tp.Num, c.value, n, err)
 		}
 	}
 	if tp := changeTuple(tbl, "never written", cts); !tp.Delete || tp.Num != 0 {
 		t.Errorf("missing row: tuple %+v, want Delete with Num 0", tp)
 	}
+	if n := testing.AllocsPerRun(100, func() { changeTuple(tbl, "benchmark value", cts) }); n != 1 {
+		t.Errorf("changeTuple of a non-numeric row: %v allocations, want 1 (the value copy)", n)
+	}
+}
+
+// FuzzChangeTupleNum: the first-byte guard of feedNum never changes what
+// strconv.ParseFloat alone would make of a value.
+func FuzzChangeTupleNum(f *testing.F) {
+	for _, v := range []string{"42", "-1.5", "1e3", ".5", "+Inf", "nan", "0x1p-2", "1_0", " 1", "42abc", "", benchValue} {
+		f.Add([]byte(v))
+	}
+	f.Fuzz(func(t *testing.T, v []byte) {
+		want, err := strconv.ParseFloat(string(v), 64)
+		if err != nil {
+			want = 0
+		}
+		if got := feedNum(v); got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("feedNum(%q) = %v, ParseFloat = %v", v, got, want)
+		}
+	})
 }
 
 // TestToStreamPinsGCHorizon: TO_STREAM reads every row at its commit's

@@ -121,12 +121,13 @@ func (s *Stream) Punctuate(n int) *Stream {
 //
 // If Begin fails the error is recorded and the affected batch is dropped.
 //
-// Transactions runs as its own operator stage (not fused): its wait for
-// the previous transaction's decision must overlap with the downstream
-// operators processing that transaction, which requires a goroutine
-// boundary. The query's transactions are strictly serialized — batch N+1
-// begins only after batch N is decided; TransactionsWindow relaxes this
-// to a bounded window for the fused commit spine.
+// The query's transactions are strictly serialized — batch N+1 begins
+// only after batch N is decided; TransactionsWindow relaxes this to a
+// bounded window for the fused commit spine. Transactions is a fused
+// stage (no goroutine, no channel hop): before it waits for a decision it
+// hands everything it has emitted to its consumer, which decides the
+// transaction (ToTable) or forwards its COMMIT toward the operator that
+// does — so on the sequential spine the wait returns at once.
 func (s *Stream) Transactions(p txn.Protocol, tables ...*txn.Table) *Stream {
 	return s.TransactionsWindow(p, 1, tables...)
 }
@@ -148,13 +149,17 @@ func (s *Stream) Transactions(p txn.Protocol, tables ...*txn.Table) *Stream {
 // window may observe the pre-window state. Use windows on blind-write
 // ingest spines (TO_TABLE pipelines); keep window == 1 for queries that
 // read the states they maintain.
+//
+// Like Transactions it is a fused stage: in front of a parallel region
+// the Parallelize router runs it, and a full window first makes the
+// router broadcast the awaited COMMIT to the lanes, then waits.
 func (s *Stream) TransactionsWindow(p txn.Protocol, window int, tables ...*txn.Table) *Stream {
 	if window < 1 {
 		panic("stream: TransactionsWindow needs window >= 1")
 	}
-	desc := fmt.Sprintf("protocol=%s window=%d (serialized)", p.Name(), window)
+	desc := fmt.Sprintf("protocol=%s window=%d (serialized, fused)", p.Name(), window)
 	if window > 1 {
-		desc = fmt.Sprintf("protocol=%s window=%d (chained)", p.Name(), window)
+		desc = fmt.Sprintf("protocol=%s window=%d (chained, fused)", p.Name(), window)
 	}
 	return s.transactionsPipeline(p, func() int { return window }, window > 1, desc, nil, tables...)
 }
@@ -174,24 +179,21 @@ func (s *Stream) TransactionsTuned(p txn.Protocol, tun *AutoTuner, tables ...*tx
 	if tun == nil {
 		panic("stream: TransactionsTuned needs a tuner")
 	}
-	desc := fmt.Sprintf("protocol=%s inflight<=%d (tuner, chained)", p.Name(), tun.cfg.MaxWindow)
+	desc := fmt.Sprintf("protocol=%s inflight<=%d (tuner, chained, fused)", p.Name(), tun.cfg.MaxWindow)
 	return s.transactionsPipeline(p, tun.Window, true, desc, tun, tables...)
 }
 
-// transactionsPipeline is the shared implementation of Transactions /
-// TransactionsWindow / TransactionsTuned: window yields the current
-// in-flight bound (constant or tuner-driven), chained attaches the
-// shared txn.Chain. desc and tun feed the recorded plan (explain.go):
-// desc states the window decision, tun (when non-nil) adds the live
-// in-flight bound to the step's runtime figures.
+// transactionsPipeline is the one implementation of Transactions /
+// TransactionsWindow / TransactionsTuned, a fused stage run by whichever
+// operator consumes the stream: window yields the current in-flight
+// bound (constant or tuner-driven), chained attaches the shared
+// txn.Chain. desc and tun feed the recorded plan (explain.go): desc
+// states the window decision, tun (when non-nil) adds the live in-flight
+// bound to the step's runtime figures.
 func (s *Stream) transactionsPipeline(p txn.Protocol, window func() int, chained bool, desc string, tun *AutoTuner, tables ...*txn.Table) *Stream {
-	out := s.t.newStream()
-	occ := occOf(out)
-	live := occ
+	var live func() string
 	if tun != nil {
-		live = func() string {
-			return fmt.Sprintf("%s, inflight<=%d", occ(), tun.Window())
-		}
+		live = func() string { return fmt.Sprintf("inflight<=%d", tun.Window()) }
 	}
 	s.t.note("operator", "transactions", desc, live)
 	var cur *txn.Txn
@@ -200,73 +202,59 @@ func (s *Stream) transactionsPipeline(p txn.Protocol, window func() int, chained
 	if chained {
 		chain = txn.NewChain()
 	}
-	ob := getBatch()
-	s.consume("transactions", func(b []Element) {
-		for _, e := range b {
-			switch e.Kind {
-			case KindBOT:
-				// Bound the query's undecided transactions: batch N+1
-				// begins only after batch N-window+1 is decided
-				// downstream. Without any bound, pipelined batches
-				// writing the same hot keys would be unboundedly many
-				// concurrent transactions; with the chain attached, the
-				// overlap within the window is conflict-exempt (see
-				// txn.Chain). A loop, not an if: a tuner may shrink the
-				// bound below the current in-flight count, and the excess
-				// must drain before the next transaction begins.
-				for len(inflight) >= window() {
-					// Ship everything accumulated so far FIRST: the
-					// awaited transaction's COMMIT must reach the
-					// downstream coordinator, or its decision — the very
-					// thing being awaited — could never happen.
-					if len(ob) > 0 {
-						out.ch <- ob
-						ob = getBatch()
-					}
-					<-inflight[0].Done()
-					inflight = inflight[1:]
-				}
-				tx, err := p.Begin()
-				if err != nil {
-					s.t.fail("transactions", fmt.Errorf("begin: %w", err))
-					cur = nil
-					continue
-				}
-				if chain != nil {
-					tx.SetChain(chain)
-				}
-				if err := tx.Declare(tables...); err != nil {
-					s.t.fail("transactions", fmt.Errorf("declare: %w", err))
-					_ = p.Abort(tx)
-					cur = nil
-					continue
-				}
-				cur = tx
-				e.Tx = cur
-			case KindCommit, KindRollback:
-				e.Tx = cur
-				if cur != nil {
-					inflight = append(inflight, cur)
-				}
-				cur = nil
-			default:
-				e.Tx = cur
+	var cut func()
+	out := s.fuse(func(e Element, emit func(Element)) {
+		if e.Kind == KindBOT {
+			// Bound the query's undecided transactions: batch N+1 begins
+			// only after batch N-window+1 is decided downstream. Without
+			// any bound, pipelined batches writing the same hot keys would
+			// be unboundedly many concurrent transactions; with the chain
+			// attached, the overlap within the window is conflict-exempt
+			// (see txn.Chain). A loop, not an if: a tuner may shrink the
+			// bound below the current in-flight count, and the excess must
+			// drain before the next transaction begins.
+			for len(inflight) >= window() {
+				// Hand the host everything emitted so far FIRST: the
+				// awaited transaction's COMMIT must reach the operator
+				// that decides it — the very thing being awaited. By the
+				// consumer contract (see fusedStage) the host has decided
+				// or forwarded it when the cut returns.
+				cut()
+				<-inflight[0].Done()
+				inflight = inflight[1:]
 			}
-			ob = append(ob, e)
+			tx, err := p.Begin()
+			if err != nil {
+				s.t.fail("transactions", fmt.Errorf("begin: %w", err))
+				cur = nil
+				return
+			}
+			if chain != nil {
+				tx.SetChain(chain)
+			}
+			if err := tx.Declare(tables...); err != nil {
+				s.t.fail("transactions", fmt.Errorf("declare: %w", err))
+				_ = p.Abort(tx)
+				cur = nil
+				return
+			}
+			cur = tx
 		}
-		putBatch(b)
-		if len(ob) > 0 {
-			out.ch <- ob
-			ob = getBatch()
+		e.Tx = cur
+		if e.Kind == KindCommit || e.Kind == KindRollback {
+			if cur != nil {
+				inflight = append(inflight, cur)
+			}
+			cur = nil
 		}
-	}, func() {
+		emit(e)
+	}, func(func(Element)) {
 		// Input ended mid-transaction: roll the dangling transaction back.
 		if cur != nil {
 			_ = p.Abort(cur)
 			cur = nil
 		}
-		putBatch(ob)
-		close(out.ch)
 	})
+	out.stages[len(out.stages)-1].hosted = func(c func()) { cut = c }
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -289,11 +290,24 @@ func changeTuple(tbl *txn.Table, key string, cts txn.Timestamp) Tuple {
 	tuple := Tuple{Key: key, Ts: int64(cts), Delete: !ok}
 	if ok {
 		tuple.Value = append([]byte(nil), v...)
-		if n, err := strconv.ParseFloat(string(v), 64); err == nil {
-			tuple.Num = n
-		}
+		tuple.Num = feedNum(v)
 	}
 	return tuple
+}
+
+// feedNum is a feed tuple's Num: v read by strconv.ParseFloat when the
+// whole value is a literal it accepts, 0 otherwise. Only a value whose
+// first byte can start such a literal is parsed — a failed parse
+// allocates its error, and most feed values are binary.
+func feedNum(v []byte) float64 {
+	if len(v) == 0 || strings.IndexByte("0123456789+-.iInN", v[0]) < 0 {
+		return 0
+	}
+	n, err := strconv.ParseFloat(string(v), 64)
+	if err != nil {
+		return 0
+	}
+	return n
 }
 
 // FromSnapshot is the analytical FROM(table) source: it scans tbl at the

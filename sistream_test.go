@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sistream"
+	"sistream/internal/leaktest"
 )
 
 // TestFacadeEndToEnd exercises the public API exactly as the README
@@ -21,6 +22,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		{"bocc", func(c *sistream.Context) sistream.Protocol { return sistream.NewBOCC(c) }},
 	} {
 		t.Run(mk.name, func(t *testing.T) {
+			leaktest.Check(t)
 			store := sistream.NewMemStore()
 			defer store.Close()
 			ctx := sistream.NewContext()
@@ -66,6 +68,25 @@ func TestFacadeEndToEnd(t *testing.T) {
 			if string(vals[0]) != "v3" {
 				t.Fatalf("k3 = %q", vals[0])
 			}
+
+			// A transaction the input leaves open is rolled back when the
+			// stream ends: nothing of it is visible, nothing stays active.
+			top = sistream.NewTopology("dangling")
+			q, stats = top.Source("src", func(emit func(sistream.Element)) error {
+				emit(sistream.Punctuation(sistream.KindBOT))
+				emit(sistream.DataElement(sistream.Tuple{Key: "dangling", Value: []byte("x")}))
+				return nil
+			}).Transactions(p).ToTable(p, tbl)
+			q.Discard()
+			if err := top.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if stats.Commits.Load() != 0 || ctx.ActiveCount() != 0 {
+				t.Fatalf("dangling transaction: commits=%d, %d active", stats.Commits.Load(), ctx.ActiveCount())
+			}
+			if vals, err := sistream.QueryKeys(p, []sistream.TableKey{{Table: tbl, Key: "dangling"}}); err != nil || vals[0] != nil {
+				t.Fatalf("dangling = %q, %v", vals, err)
+			}
 		})
 	}
 }
@@ -73,6 +94,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 // TestFacadePersistence round-trips states through the LSM store across
 // a reopen, via the façade only.
 func TestFacadePersistence(t *testing.T) {
+	leaktest.Check(t)
 	dir := t.TempDir()
 	open := func() (sistream.Store, *sistream.Context, *sistream.Table, sistream.Protocol) {
 		store, err := sistream.OpenLSM(dir, sistream.LSMOptions{})
