@@ -14,6 +14,27 @@ type Op struct {
 	Kind  OpKind
 	Key   []byte
 	Value []byte // nil for deletes
+	// Handle, when non-nil, is the caller's slot for this key (see
+	// Handle); nil means the store looks the key up.
+	Handle *Handle
+}
+
+// Handle is a caller-owned slot in which a store may remember where it
+// keeps one key, so that the next write of that key through the same slot
+// skips the store's own lookup. A caller that writes the same keys again
+// and again — the commit path writes every table row through the row's
+// handle — passes the same *Handle on every Op of that key
+// (Batch.PutHandle, Batch.DeleteHandle). The zero Handle is empty.
+//
+// The contract: a store writes a handle only inside Apply, so the caller
+// must not use one handle in two concurrent Applies; and a store trusts
+// only a handle it filled itself and has not revoked since — a delete of
+// the key revokes it, and so does Close. A store that keeps no per-key
+// entries (the LSM store) ignores handles, and a wrapper that rebuilds
+// batches (Fault, Cache) drops them: an empty, revoked or foreign handle
+// only means the key is looked up.
+type Handle struct {
+	mem *memEntry // issued by a Mem: the entry holding the key's value
 }
 
 // Batch accumulates operations to be applied atomically via Store.Apply.
@@ -52,6 +73,17 @@ func (b *Batch) PutOwned(key, value []byte) {
 // PutOwned for the aliasing contract).
 func (b *Batch) DeleteOwned(key []byte) {
 	b.ops = append(b.ops, Op{Kind: OpDelete, Key: key})
+}
+
+// PutHandle is PutOwned with the caller's handle for key (see Handle).
+func (b *Batch) PutHandle(key, value []byte, h *Handle) {
+	b.ops = append(b.ops, Op{Kind: OpPut, Key: key, Value: value, Handle: h})
+}
+
+// DeleteHandle is DeleteOwned with the caller's handle for key; the
+// delete revokes it.
+func (b *Batch) DeleteHandle(key []byte, h *Handle) {
+	b.ops = append(b.ops, Op{Kind: OpDelete, Key: key, Handle: h})
 }
 
 // Len returns the number of operations in the batch.

@@ -252,6 +252,45 @@ func TestBatchClonesInputs(t *testing.T) {
 	}
 }
 
+// TestMemIssuesAndRevokesHandles: a put fills its handle with the key's
+// entry and the next put through it writes that entry; a delete empties
+// it; another Mem never writes through it, and fills it with its own.
+func TestMemIssuesAndRevokesHandles(t *testing.T) {
+	s, other := NewMem(), NewMem()
+	defer s.Close()
+	defer other.Close()
+	apply := func(st *Mem, del bool, h *Handle, val string) {
+		t.Helper()
+		b := NewBatch(1)
+		if del {
+			b.DeleteHandle([]byte("k"), h)
+		} else {
+			b.PutHandle([]byte("k"), []byte(val), h)
+		}
+		if err := st.Apply(b, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var h Handle
+	apply(s, false, &h, "v1")
+	e := h.mem
+	if e == nil || e.owner != s {
+		t.Fatalf("put left handle %+v, want the store's entry", h)
+	}
+	apply(s, false, &h, "v2")
+	if h.mem != e || string(e.v) != "v2" {
+		t.Fatalf("overwrite through the handle: entry %p value %q, want %p \"v2\"", h.mem, e.v, e)
+	}
+	apply(other, false, &h, "x")
+	if string(e.v) != "v2" || h.mem == e || h.mem.owner != other {
+		t.Fatalf("a foreign store wrote through the handle (value %q) or did not reissue it", e.v)
+	}
+	apply(other, true, &h, "")
+	if h.mem != nil {
+		t.Fatal("delete left the handle filled")
+	}
+}
+
 func BenchmarkMemPut(b *testing.B) {
 	s := NewMem()
 	defer s.Close()

@@ -4,7 +4,8 @@
 // alike — is run through the same battery: no key/value aliasing after
 // calls return, Apply atomicity and in-batch ordering, Scan bounds,
 // ordering and early stop, Sync durability where the backend declares
-// Durable, and ErrClosed after Close.
+// Durable, ErrClosed after Close, and ops carrying kv.Handles behaving
+// exactly as ops without.
 //
 // New adapters get conformance coverage by adding one Harness to the
 // table in conformance_test.go.
@@ -42,6 +43,7 @@ func Run(t *testing.T, h Harness) {
 	t.Run("ScanEarlyStop", func(t *testing.T) { testScanEarlyStop(t, h) })
 	t.Run("SyncDurability", func(t *testing.T) { testSyncDurability(t, h) })
 	t.Run("ErrClosed", func(t *testing.T) { testErrClosed(t, h) })
+	t.Run("Handles", func(t *testing.T) { testHandles(t, h) })
 }
 
 // testAliasing: implementations copy what they retain — mutating a key
@@ -220,6 +222,88 @@ func testSyncDurability(t *testing.T, h Harness) {
 		}
 		_ = got
 	}
+}
+
+// testHandles: an op's kv.Handle never changes what a batch does. The
+// same handle carries one key through overwrites, a batch delete, a plain
+// Delete behind its back, a second store it was not issued by (which must
+// not write into the first), the first store's Close, and — where the
+// harness can — a crash and recovery.
+func testHandles(t *testing.T, h Harness) {
+	var hd kv.Handle
+	key := []byte("handle-key")
+	put := func(st kv.Store, val string) {
+		t.Helper()
+		b := kv.NewBatch(1)
+		b.PutHandle(key, []byte(val), &hd)
+		if err := st.Apply(b, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	del := func(st kv.Store) {
+		t.Helper()
+		b := kv.NewBatch(1)
+		b.DeleteHandle(key, &hd)
+		if err := st.Apply(b, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect := func(st kv.Store, what, want string) {
+		t.Helper()
+		got, found, err := st.Get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == "" && found {
+			t.Fatalf("%s: Get = %q, want no value", what, got)
+		}
+		if want != "" && (!found || string(got) != want) {
+			t.Fatalf("%s: Get = %q, %v; want %q", what, got, found, want)
+		}
+		n := 0
+		if err := st.Scan(key, append(key, 0), func(_, _ []byte) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		if want != "" && n != 1 || want == "" && n != 0 {
+			t.Fatalf("%s: Scan sees the key %d times", what, n)
+		}
+	}
+
+	first := h.Open(t)
+	put(first, "v1")
+	put(first, "v2")
+	expect(first, "overwrite through the handle", "v2")
+	del(first)
+	expect(first, "delete through the handle", "")
+	put(first, "v3")
+	expect(first, "put after a batch delete", "v3")
+	if err := first.Delete(key); err != nil {
+		t.Fatal(err)
+	}
+	put(first, "v4")
+	expect(first, "put after a plain Delete", "v4")
+
+	second := h.Open(t)
+	defer second.Close()
+	put(second, "other")
+	expect(second, "a handle issued by another store", "other")
+	expect(first, "the issuing store after another store used its handle", "v4")
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	put(second, "after-close")
+	expect(second, "a handle of a closed store", "after-close")
+
+	if h.Reopen == nil {
+		return
+	}
+	third := h.Open(t)
+	put(third, "durable")
+	re := h.Reopen(t, third)
+	defer re.Close()
+	expect(re, "after crash and recovery", "durable")
+	put(re, "recovered")
+	expect(re, "a handle used across a crash", "recovered")
 }
 
 // testErrClosed: every operation on a closed store reports kv.ErrClosed.

@@ -27,16 +27,43 @@ type memShard struct {
 // memEntry boxes a value so that overwriting an existing key — the steady
 // state of a table whose key set has settled — is a store through the
 // pointer found by an allocation-free m[string(key)] lookup; assigning
-// m[string(key)] = v would allocate the key string on every write.
-type memEntry struct{ v []byte }
+// m[string(key)] = v would allocate the key string on every write. The
+// entry is also what a Handle holds: owner and shard say who issued it and
+// where its lock is, dead that a delete removed it from the map. v and
+// dead are guarded by the shard's lock.
+type memEntry struct {
+	v     []byte
+	owner *Mem
+	shard uint8
+	dead  bool
+}
 
-// put stores value under key. Caller holds sh.mu.
-func (sh *memShard) put(key, value []byte) {
+// put stores value under key and returns its entry. Caller holds sh.mu.
+func (sh *memShard) put(s *Mem, i int, key, value []byte) *memEntry {
 	if e := sh.m[string(key)]; e != nil {
 		e.v = value
-		return
+		return e
 	}
-	sh.m[string(key)] = &memEntry{v: value}
+	e := &memEntry{v: value, owner: s, shard: uint8(i)}
+	sh.m[string(key)] = e
+	return e
+}
+
+// del removes key, revoking every handle of its entry. Caller holds sh.mu.
+func (sh *memShard) del(key []byte) {
+	if e := sh.m[string(key)]; e != nil {
+		e.dead = true
+		delete(sh.m, string(key))
+	}
+}
+
+// trusted returns the entry h holds when s issued it; the caller checks
+// dead under the entry's shard lock.
+func (s *Mem) trusted(h *Handle) *memEntry {
+	if h != nil && h.mem != nil && h.mem.owner == s {
+		return h.mem
+	}
+	return nil
 }
 
 // Capabilities: the memory store is volatile — nothing survives the
@@ -97,9 +124,10 @@ func (s *Mem) Put(key, value []byte) error {
 	if err := s.check(); err != nil {
 		return err
 	}
-	sh := &s.shards[shardFor(key)]
+	i := shardFor(key)
+	sh := &s.shards[i]
 	sh.mu.Lock()
-	sh.put(key, cloneBytes(value))
+	sh.put(s, i, key, cloneBytes(value))
 	sh.mu.Unlock()
 	return nil
 }
@@ -113,7 +141,7 @@ func (s *Mem) Delete(key []byte) error {
 	}
 	sh := &s.shards[shardFor(key)]
 	sh.mu.Lock()
-	delete(sh.m, string(key))
+	sh.del(key)
 	sh.mu.Unlock()
 	return nil
 }
@@ -126,6 +154,10 @@ var applyScratch = sync.Pool{New: func() any { return new([memShards][]Op) }}
 // shard order, so concurrent readers of a single key never observe a torn
 // batch for that key; cross-key atomicity for readers is provided a level
 // up by the MVCC table, which is the component responsible for isolation.
+//
+// An op whose Handle holds a live entry this store issued is a pointer
+// store: no key hash, no map probe. Any other put fills its handle with
+// the key's entry; a delete empties it.
 func (s *Mem) Apply(b *Batch, _ bool) error {
 	s.closed.RLock()
 	defer s.closed.RUnlock()
@@ -135,7 +167,12 @@ func (s *Mem) Apply(b *Batch, _ bool) error {
 	// Group ops per shard to take each lock once.
 	perShard := applyScratch.Get().(*[memShards][]Op)
 	for _, op := range b.Ops() {
-		i := shardFor(op.Key)
+		var i int
+		if e := s.trusted(op.Handle); e != nil {
+			i = int(e.shard)
+		} else {
+			i = shardFor(op.Key)
+		}
 		perShard[i] = append(perShard[i], op)
 	}
 	for i := range perShard {
@@ -145,10 +182,20 @@ func (s *Mem) Apply(b *Batch, _ bool) error {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for _, op := range perShard[i] {
-			if op.Kind == OpPut {
-				sh.put(op.Key, op.Value)
-			} else {
-				delete(sh.m, string(op.Key))
+			if op.Kind == OpDelete {
+				sh.del(op.Key)
+				if op.Handle != nil {
+					op.Handle.mem = nil
+				}
+				continue
+			}
+			if e := s.trusted(op.Handle); e != nil && !e.dead {
+				e.v = op.Value
+				continue
+			}
+			e := sh.put(s, i, op.Key, op.Value)
+			if op.Handle != nil {
+				op.Handle.mem = e
 			}
 		}
 		sh.mu.Unlock()

@@ -133,9 +133,10 @@ func TestSIAnomalyMatrix(t *testing.T) {
 		{
 			// Same-batch First-Committer-Wins: many writers of one key
 			// commit concurrently, so several of them land in the same
-			// group-commit batch and are admitted against the batch
-			// overlay, not just installed versions. Exactly one writer
-			// per round may win; every loser must see ErrConflict.
+			// group-commit batch and are admitted against the marks of
+			// earlier same-batch admissions, not just installed versions.
+			// Exactly one writer per round may win; every loser must see
+			// ErrConflict.
 			name: "concurrent single-key writers: one winner per round",
 			run: func(t *testing.T, p *SI, e *env) {
 				const writers = 8
@@ -144,8 +145,8 @@ func TestSIAnomalyMatrix(t *testing.T) {
 					// commit, so all eight transactions are pairwise
 					// concurrent: exactly one may win. The commits then
 					// race, so several land in one group-commit batch and
-					// are admitted against the batch overlay, not just
-					// installed versions.
+					// are admitted against the rows' same-batch marks, not
+					// just installed versions.
 					txns := make([]*Txn, writers)
 					for w := range txns {
 						tx, err := p.Begin()

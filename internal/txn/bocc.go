@@ -60,14 +60,18 @@ func (p *BOCC) Name() string { return "bocc" }
 // wrote read a pre-window value and must abort. Passing, tx's write set
 // is kept for register: the install phase consumes the entries before the
 // verdict reaches the submitter.
-func (p *BOCC) validate(tx *Txn, batch commitOverlay) error {
+func (p *BOCC) validate(tx *Txn, batch batchMarks) error {
 	if err := p.ctx.recent.validateLocked(tx); err != nil {
 		return err
 	}
-	for tbl, written := range batch.pending {
-		for k := range tx.reads[tbl.id] {
-			if _, hit := written[k]; hit {
-				return fmt.Errorf("%w: state %q key %q written earlier in the same commit batch", ErrValidation, tbl.id, k)
+	for st, keys := range tx.reads {
+		tbl, ok := p.ctx.Table(st)
+		if !ok {
+			continue
+		}
+		for k := range keys {
+			if batch.written(tbl, k) {
+				return fmt.Errorf("%w: state %q key %q written earlier in the same commit batch", ErrValidation, st, k)
 			}
 		}
 	}

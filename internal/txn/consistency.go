@@ -2,6 +2,7 @@ package txn
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync"
@@ -119,11 +120,12 @@ type protocolBase struct {
 	// read that reaches the table records its key for validation.
 	trackReads bool
 	// admit is the admission check of a coordinated transaction, run by
-	// the commit pipeline in arrival order under the group latch (SI:
-	// First-Committer-Wins; BOCC: backward validation). batch holds the
-	// writes admitted earlier in the same pipeline batch. nil admits every
+	// the commit pipeline in arrival order under the group latch, after
+	// its write set is resolved to rows (SI: First-Committer-Wins; BOCC:
+	// backward validation). batch tells which rows the requests admitted
+	// earlier in the same pipeline batch wrote. nil admits every
 	// transaction (S2PL: the locks already serialize).
-	admit func(tx *Txn, batch commitOverlay) error
+	admit func(tx *Txn, batch batchMarks) error
 	// settle is the post-verdict step, run once per decision: after each
 	// coordinated transaction's global commit with its verdict, after
 	// Abort and after a wait-die kill. S2PL releases its locks; BOCC
@@ -231,7 +233,7 @@ func (p *protocolBase) settled(tx *Txn, verdict error) {
 
 // requireGroup validates that tbl is usable transactionally.
 func requireGroup(tbl *Table) error {
-	if tbl.group == nil {
+	if tbl.Group() == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownState, tbl.id)
 	}
 	return nil
@@ -267,13 +269,14 @@ func (p *protocolBase) WriteSegment(tx *Txn, tbl *Table, seg *Segment) (int, err
 	return p.bufferWrites(tx, tbl, seg.ops, true)
 }
 
-// bufferWrites is the write path of every protocol: it records ops into
+// bufferWrites is the write path of every protocol: it appends ops to
 // tx's uncommitted write set — writes "are merely appended to the write
-// set" (Section 4.2) — after the protocol's exclusive locks, under ONE
-// latch acquisition however many operations the call carries. Values are
-// copied unless the caller hands over ownership (adopt: a segment's
-// values are private copies already). A lock that cannot be had has
-// aborted the transaction; the count of keys locked before it is
+// set" (Section 4.2), each with its key's hash, and deduplicated once, at
+// commit (stateEntry.resolve) — after the protocol's exclusive locks,
+// under ONE latch acquisition however many operations the call carries.
+// Values are copied unless the caller hands over ownership (adopt: a
+// segment's values are private copies already). A lock that cannot be had
+// has aborted the transaction; the count of keys locked before it is
 // reported, matching the per-operation sequence (writes before the
 // failure counted, the write set discarded by the abort either way).
 func (p *protocolBase) bufferWrites(tx *Txn, tbl *Table, ops []WriteOp, adopt bool) (int, error) {
@@ -305,7 +308,7 @@ func (p *protocolBase) bufferWrites(tx *Txn, tbl *Table, ops []WriteOp, adopt bo
 	e.grow(len(ops))
 	for i := range ops {
 		op := &ops[i]
-		w := writeOp{delete: op.Delete}
+		w := writeOp{hash: keyHash(op.Key), delete: op.Delete}
 		if !op.Delete {
 			w.value = op.Value
 			if !adopt {
@@ -328,6 +331,20 @@ type storeBatch struct {
 	batch *kv.Batch
 	sync  bool
 	arena []byte // backing for all row keys of this batch
+	// vals backs the batch's watermark values. A store may keep a value
+	// by reference (kv.Batch.PutOwned), so this arena is only ever carved,
+	// never rewound: a full chunk is left to the stores and the GC.
+	vals []byte
+}
+
+// watermark encodes ts into the batch's value arena.
+func (sb *storeBatch) watermark(ts Timestamp) []byte {
+	if cap(sb.vals)-len(sb.vals) < 8 {
+		sb.vals = make([]byte, 0, 512)
+	}
+	off := len(sb.vals)
+	sb.vals = binary.LittleEndian.AppendUint64(sb.vals, ts)
+	return sb.vals[off:len(sb.vals):len(sb.vals)]
 }
 
 // storeScratch returns the group's cached scratch batch for st, reset for
@@ -519,7 +536,7 @@ func (p *protocolBase) commitChain(txs []*Txn, tbls []*Table, errs [][]error) {
 // finishes right after its admission check.
 func (p *protocolBase) admitAlone(tx *Txn) error {
 	if p.admit != nil {
-		if err := p.admit(tx, commitOverlay{}); err != nil {
+		if err := p.admit(tx, batchMarks{}); err != nil {
 			_ = p.abort(tx) // the verdict is the admission error
 			return err
 		}
@@ -622,7 +639,7 @@ func (p *protocolBase) abort(tx *Txn) error {
 func txGroups(tx *Txn) []*Group {
 	var out []*Group
 	for _, e := range tx.states {
-		g := e.table.group
+		g := e.table.Group()
 		if out == nil {
 			out = g.solo
 		} else if !slices.Contains(out, g) {
@@ -637,17 +654,23 @@ func txGroups(tx *Txn) []*Group {
 	return out
 }
 
-// sortedEntries returns the transaction's state entries in StateID order
-// for deterministic install and batch layout.
-func sortedEntries(tx *Txn) []*stateEntry {
-	out := make([]*stateEntry, 0, len(tx.states))
-	for _, e := range tx.states {
+// sortEntries fills req.entries with the transaction's state entries in
+// StateID order for deterministic install and batch layout; the entry of
+// a one-state transaction goes in the request's own buffer.
+func (req *commitReq) sortEntries() {
+	if len(req.tx.states) == 1 {
+		for _, e := range req.tx.states {
+			req.entryBuf[0] = e
+		}
+		req.entries = req.entryBuf[:]
+		return
+	}
+	out := make([]*stateEntry, 0, len(req.tx.states))
+	for _, e := range req.tx.states {
 		out = append(out, e)
 	}
-	if len(out) > 1 {
-		slices.SortFunc(out, func(a, b *stateEntry) int { return cmp.Compare(a.table.id, b.table.id) })
-	}
-	return out
+	slices.SortFunc(out, func(a, b *stateEntry) int { return cmp.Compare(a.table.id, b.table.id) })
+	req.entries = out
 }
 
 // commitReq is one coordinated transaction parked on a group's commit
@@ -656,11 +679,12 @@ func sortedEntries(tx *Txn) []*stateEntry {
 // owning goroutine only after ready is closed, so the channel orders the
 // accesses.
 type commitReq struct {
-	tx      *Txn
-	admit   func(tx *Txn, batch commitOverlay) error
-	entries []*stateEntry // filled by the leader once admitted
-	cts     Timestamp
-	err     error
+	tx       *Txn
+	admit    func(tx *Txn, batch batchMarks) error
+	entries  []*stateEntry // filled by the leader, resolved before admission
+	entryBuf [1]*stateEntry
+	cts      Timestamp
+	err      error
 	// promoted marks a leadership handoff instead of a decision: the
 	// retiring leader closes ready with promoted set, and the owner —
 	// whose request is still pending — leads the next batch itself.
@@ -668,28 +692,29 @@ type commitReq struct {
 	ready    chan struct{}
 }
 
-// commitOverlay exposes the writes admitted earlier in the same commit
-// batch. Admission checks must see those writes even though their
-// versions are not installed (nor, under BOCC, registered) yet —
-// otherwise two same-batch writers of one key would both pass
+// batchMarks tells an admission check what the requests admitted earlier
+// in the same commit batch wrote. Their versions are not installed (nor,
+// under BOCC, registered) yet, but admission must see them — otherwise
+// two same-batch writers of one key would both pass
 // First-Committer-Wins, and a reader would validate clean against a
-// same-batch writer of what it read.
-type commitOverlay struct {
-	pending map[*Table]map[string]Timestamp
+// same-batch writer of what it read. Admission marks each written row
+// with the writer's commit timestamp (row.mark); a mark above base is
+// this batch's. Only rows of the latched groups' tables carry such marks,
+// and groups stays nil until the batch has marked a row.
+type batchMarks struct {
+	base   Timestamp
+	groups []*Group
 }
 
-// record notes an admitted write at cts for later admission checks in the
-// same batch.
-func (ov *commitOverlay) record(tbl *Table, key string, cts Timestamp) {
-	if ov.pending == nil {
-		ov.pending = make(map[*Table]map[string]Timestamp)
+// written reports whether a request admitted earlier in the batch wrote
+// key of tbl. The probe takes no lock: tbl's group latch is held.
+func (b batchMarks) written(tbl *Table, key string) bool {
+	if !slices.Contains(b.groups, tbl.Group()) {
+		return false
 	}
-	m := ov.pending[tbl]
-	if m == nil {
-		m = make(map[string]Timestamp)
-		ov.pending[tbl] = m
-	}
-	m[key] = cts
+	h := keyHash(key)
+	r := tbl.shard(h).find(h, key)
+	return r != nil && r.mark > b.base
 }
 
 // groupCommitLinger bounds how long a batch leader collects followers for
@@ -796,24 +821,30 @@ func (g *Group) maybeGC() {
 // in groups, and every state of every request belongs to one of them — a
 // leader's drained queue under its own group's latch (leadGroup), or one
 // spanning transaction under the latches of all its groups, taken in
-// txGroups' canonical order (commitChain). The pipeline:
+// txGroups' canonical order (commitChain). Its unit is the row
+// (row.go): each written key is probed once, when its request's write set
+// is resolved, and admission, durability, install and index maintenance
+// all work through the row found. The pipeline:
 //
 //  1. snapshot the GC horizon, then reserve a contiguous commit-timestamp
 //     range — one timestamp per request, assigned in arrival order. The
 //     horizon is taken BEFORE the range, so every version this batch
 //     terminates has dts greater than the horizon and can never be
 //     reclaimed by the batch's own installs (see Txn.pin).
-//  2. admit each request in arrival order against a batch overlay so the
-//     admission check sees writes of earlier same-batch admissions;
-//     a rejected request aborts immediately with no state modified.
+//  2. in arrival order, resolve each request's write set to rows
+//     (stateEntry.resolve: one probe per key, duplicates folded) and
+//     admit it; an admitted request that has successors in the batch
+//     marks its rows with its commit timestamp, so their admission checks
+//     see its writes (batchMarks). A rejected request aborts immediately
+//     with no version modified.
 //  3. durability: ONE coalesced batch per distinct base store — all
-//     admitted rows plus one LastCTS watermark per touched table (and
-//     nothing else: secondary indexes persist nothing) — with a
-//     single (optionally synchronous) Apply. This is where group commit
-//     pays: N transactions share one fsync. A failed store fails the
-//     whole batch fail-stop (poisonBatch); nothing was installed yet, so
-//     memory is untouched and partially persisted stores reconcile at
-//     recovery via the watermark (see CreateGroup).
+//     admitted rows, each through its store handle, plus one LastCTS
+//     watermark per touched table (and nothing else: secondary indexes
+//     persist nothing) — with a single (optionally synchronous) Apply.
+//     This is where group commit pays: N transactions share one fsync. A
+//     failed store fails the whole batch fail-stop (poisonBatch); nothing
+//     was installed yet, so memory is untouched and partially persisted
+//     stores reconcile at recovery via the watermark (see CreateGroup).
 //  4. install all versions in commit-timestamp order (cannot fail:
 //     version arrays grow on demand and installers of one group are
 //     serialized by the latch); each installed row image is then added to
@@ -837,15 +868,20 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 	n := uint64(len(batch))
 	base := p.ctx.counter.Add(n) - n
 
-	// Phase 2: admission in arrival order.
+	// Phase 2: resolution and admission in arrival order.
 	var (
-		admitted []*commitReq
-		overlay  commitOverlay
+		admBuf   [1]*commitReq
+		admitted = admBuf[:0]
+		marks    = batchMarks{base: base}
 		maxCTS   Timestamp
 	)
 	for i, req := range batch {
+		req.sortEntries()
+		for _, e := range req.entries {
+			e.resolve(req.tx.id)
+		}
 		if req.admit != nil {
-			if err := req.admit(req.tx, overlay); err != nil {
+			if err := req.admit(req.tx, marks); err != nil {
 				req.err = err
 				_ = p.abort(req.tx) // verdict recorded above
 				close(req.ready)
@@ -853,7 +889,6 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 			}
 		}
 		req.cts = base + uint64(i) + 1
-		req.entries = sortedEntries(req.tx)
 		if ch := req.tx.chain; ch != nil {
 			// Raise the chain's committed floor BEFORE later requests are
 			// admitted: a chain successor in this very batch must see its
@@ -863,12 +898,13 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 		if i+1 < len(batch) {
 			// Later requests in this batch must see these writes in
 			// their admission check; the final request has no successors,
-			// so recording its writes would be dead work.
+			// so marking its rows would be dead work.
 			for _, e := range req.entries {
-				for _, key := range e.order {
-					overlay.record(e.table, key, req.cts)
+				for k := range e.ops {
+					e.ops[k].row.mark = req.cts
 				}
 			}
+			marks.groups = groups
 		}
 		admitted = append(admitted, req)
 		maxCTS = req.cts
@@ -895,7 +931,7 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 				return sb
 			}
 		}
-		sb := tbl.group.storeScratch(tbl.store)
+		sb := tbl.Group().storeScratch(tbl.store)
 		batches = append(batches, sb)
 		return sb
 	}
@@ -908,11 +944,13 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 				sb.arena = e.table.appendRowKey(sb.arena, key)
 				rk := sb.arena[off:len(sb.arena):len(sb.arena)]
 				// Owned variants: the arena outlives the Apply, and the
-				// write-set values are immutable private copies.
+				// write-set values are immutable private copies. The row's
+				// handle lets a store that keeps per-key entries skip its
+				// own lookup.
 				if op.delete {
-					sb.batch.DeleteOwned(rk)
+					sb.batch.DeleteHandle(rk, &op.row.handle)
 				} else {
-					sb.batch.PutOwned(rk, op.value)
+					sb.batch.PutHandle(rk, op.value, &op.row.handle)
 				}
 			}
 			// The sync point is requested only where the backend declares
@@ -930,7 +968,8 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 	// One watermark per touched table: everything below maxCTS in this
 	// store is durable together with it.
 	for _, tbl := range tables {
-		getSB(tbl).batch.PutOwned(tbl.metaKey(), encodeTS(maxCTS))
+		sb := getSB(tbl)
+		sb.batch.PutOwned(tbl.metaKey(), sb.watermark(maxCTS))
 	}
 	for _, sb := range batches {
 		if err := sb.store.Apply(sb.batch, sb.sync); err != nil {
@@ -949,24 +988,19 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 	}
 	syncDone := time.Now()
 
-	// Phase 4: in-memory version install, ascending commit timestamps.
-	// Admission already resolved most objects (op.obj); only keys created
-	// by this very batch still need the registry. Install cannot fail in
-	// normal operation (version arrays grow on demand, installers are
-	// serialized by the latch); an invariant trip is handled fail-stop —
-	// the latched groups are poisoned with the diagnostic and the whole
-	// batch stays invisible (LastCTS is never published) — instead of
-	// killing the embedding process.
+	// Phase 4: in-memory version install, ascending commit timestamps,
+	// through the rows resolution found. Install cannot fail in normal
+	// operation (version arrays grow on demand, installers are serialized
+	// by the latch); an invariant trip is handled fail-stop — the latched
+	// groups are poisoned with the diagnostic and the whole batch stays
+	// invisible (LastCTS is never published) — instead of killing the
+	// embedding process.
 	for _, req := range admitted {
 		for _, e := range req.entries {
 			ixs := e.table.indexSet()
-			for i, key := range e.order {
+			for i := range e.ops {
 				op := &e.ops[i]
-				o := op.obj
-				if o == nil {
-					o = e.table.object(key, true)
-				}
-				if err := o.Install(req.cts, op.value, op.delete, horizon); err != nil {
+				if err := op.row.obj.Install(req.cts, op.value, op.delete, horizon); err != nil {
 					p.poisonBatch(groups, nil, admitted, fmt.Errorf("txn: install invariant violated: %w", err))
 					return
 				}
@@ -978,7 +1012,7 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 				// version is installed (the sweeper's race argument, see
 				// index.go), before LastCTS makes it readable.
 				for _, ix := range ixs {
-					ix.add(key, op.value, o)
+					ix.add(op.row, op.value)
 				}
 			}
 		}
@@ -1011,18 +1045,27 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 	for _, req := range admitted {
 		retained := false
 		for _, g := range groups {
+			// The written keys per state are built only for a group with
+			// watchers to read them.
+			ws := g.watching()
 			var writes map[StateID][]string
 			for _, e := range req.entries {
-				if e.table.group != g || len(e.order) == 0 {
+				if e.table.Group() != g || len(e.order) == 0 {
 					continue
 				}
 				e.table.commitsSinceGC.Add(1)
+				if ws == nil {
+					continue
+				}
 				if writes == nil {
 					writes = make(map[StateID][]string)
 				}
 				writes[e.table.id] = e.order
 			}
-			if writes != nil && g.notify(req.cts, writes) {
+			if writes != nil {
+				for _, w := range ws {
+					w(req.cts, writes)
+				}
 				retained = true
 			}
 		}

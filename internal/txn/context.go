@@ -3,6 +3,7 @@ package txn
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -281,9 +282,10 @@ type Group struct {
 	// watchers are commit listeners (TO_STREAM trigger policy
 	// "per transaction commit"); they run synchronously right after
 	// LastCTS is published, still under the commit latch, so they must
-	// be fast and must not call back into the protocol.
-	watcherMu sync.RWMutex
-	watchers  []CommitWatcher
+	// be fast and must not call back into the protocol. Copy-on-write
+	// under watcherMu; nil while there are none.
+	watcherMu sync.Mutex
+	watchers  atomic.Pointer[[]CommitWatcher]
 }
 
 // CommitStats reports the number of transactions globally committed
@@ -337,19 +339,16 @@ type CommitWatcher func(cts Timestamp, writes map[StateID][]string)
 func (g *Group) Watch(w CommitWatcher) {
 	g.watcherMu.Lock()
 	defer g.watcherMu.Unlock()
-	g.watchers = append(g.watchers, w)
+	next := append(slices.Clone(g.watching()), w)
+	g.watchers.Store(&next)
 }
 
-// notify invokes all watchers, reporting whether any ran (and may thus
-// retain the shared key slices).
-func (g *Group) notify(cts Timestamp, writes map[StateID][]string) bool {
-	g.watcherMu.RLock()
-	ws := g.watchers
-	g.watcherMu.RUnlock()
-	for _, w := range ws {
-		w(cts, writes)
+// watching returns the registered commit listeners, nil when none.
+func (g *Group) watching() []CommitWatcher {
+	if ws := g.watchers.Load(); ws != nil {
+		return *ws
 	}
-	return len(ws) > 0
+	return nil
 }
 
 // ID returns the group identifier.
@@ -388,18 +387,14 @@ func (c *Context) CreateGroup(id GroupID, tables ...*Table) (*Group, error) {
 	g := &Group{id: id, ctx: c, byID: make(map[StateID]bool), wake: make(chan struct{}, 1)}
 	g.solo = []*Group{g}
 	for _, t := range tables {
-		if t.group != nil {
-			return nil, fmt.Errorf("txn: table %q already in group %q", t.id, t.group.id)
+		if tg := t.Group(); tg != nil {
+			return nil, fmt.Errorf("txn: table %q already in group %q", t.id, tg.id)
 		}
 	}
 	for _, t := range tables {
-		t.group = g
 		g.tables = append(g.tables, t)
 		g.byID[t.id] = true
 	}
-	sh.mu.Lock()
-	sh.groups[id] = g
-	sh.mu.Unlock()
 
 	// Recovery: LastCTS is persisted in each member's base store; the
 	// group's recovered timestamp is the maximum across members (a crash
@@ -415,14 +410,29 @@ func (c *Context) CreateGroup(id GroupID, tables ...*Table) (*Group, error) {
 		}
 	}
 	if recovered > 0 {
-		g.lastCTS.Store(recovered)
-		c.advanceTo(recovered)
+		// The rows are loaded under the group's commit latch — its holder
+		// is the only goroutine that inserts rows — and before anything is
+		// published: a snapshot pinning the recovered LastCTS over a
+		// half-loaded table would see rows missing.
+		g.commitMu.Lock()
 		for _, t := range tables {
 			if err := t.loadCommitted(recovered); err != nil {
+				g.commitMu.Unlock()
 				return nil, fmt.Errorf("txn: load state %q: %w", t.id, err)
 			}
 		}
+		g.commitMu.Unlock()
+		c.advanceTo(recovered)
+		g.lastCTS.Store(recovered)
 	}
+	// Publish: from here a table is usable transactionally and a snapshot
+	// can pin the group's LastCTS.
+	for _, t := range tables {
+		t.group.Store(g)
+	}
+	sh.mu.Lock()
+	sh.groups[id] = g
+	sh.mu.Unlock()
 	// A grouped table can commit, so this is where its opt-in idle sweeper
 	// (TableOptions.GCIdleInterval) comes alive.
 	for _, t := range tables {

@@ -13,8 +13,10 @@
 //
 //	context.go      Context (registry shards, active-transaction table,
 //	                logical clock), Group and the commit-watcher hooks
-//	txn.go          Txn handles, write sets, snapshot pins
+//	txn.go          Txn handles, append-only write sets, snapshot pins
 //	table.go        Table: the MVCC dictionary over a kv.Store base table
+//	row.go          rows (key, version object, store handle, commit
+//	                marks) and the open-addressed row index
 //	consistency.go  the one protocol surface: every Protocol entry point
 //	                (Begin, Read, the write path, CommitState, Commit,
 //	                CommitChain, Abort), per-state flags, and the commit
@@ -35,9 +37,10 @@
 //
 // Four mechanisms lift the paper's single-latch design to multi-core
 // scale without changing its semantics: the registry and each table's
-// key dictionary are striped over 64 latch shards; commits of one group
-// flow through an adaptive leader/follower group-commit pipeline (one
-// coalesced durability batch and one LastCTS publish per batch);
+// row index are striped over 64 latch shards, and a commit probes each
+// written key once; commits of one group flow through an adaptive
+// leader/follower group-commit pipeline (one coalesced durability batch
+// and one LastCTS publish per batch);
 // parallel stream queries move per-tuple work off the shared transaction
 // latch with Segments on the write side and WatchPartitioned fan-out on
 // the change-feed side; and a windowed query's consecutive small

@@ -151,7 +151,7 @@ func TestMultiGroupCommitFailurePoisonsSpanOnInstall(t *testing.T) {
 		}
 		p := NewS2PL(ctx)
 
-		if err := b.object("k", true).Install(1<<40, []byte("future"), false, 0); err != nil {
+		if err := objectOf(b, "k", true).Install(1<<40, []byte("future"), false, 0); err != nil {
 			t.Fatal(err)
 		}
 		tx, _ := p.Begin()

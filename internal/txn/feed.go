@@ -213,7 +213,7 @@ func (t *Table) WatchPartitioned(parts, buf int, keyFn func(string) uint64) (*Pa
 	if parts < 1 {
 		return nil, fmt.Errorf("txn: WatchPartitioned needs parts >= 1, got %d", parts)
 	}
-	g := t.group
+	g := t.Group()
 	if g == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownState, t.id)
 	}

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"sistream/internal/kv"
-	"sistream/internal/mvcc"
 )
 
 // Transactional secondary indexes. An index maps a derived key (the
@@ -59,6 +58,9 @@ type Index struct {
 	name    string
 	tbl     *Table
 	extract IndexKeyFunc
+	// ord is the index's position among its table's indexes: the memo
+	// slot it uses in every row, when below rowMemos.
+	ord int
 
 	shards [indexShards]indexShard
 
@@ -67,13 +69,18 @@ type Index struct {
 	puts, deletes, lookups, hits atomic.Uint64
 }
 
-// indexShard is one latch-striped slice of the candidate map:
-// ikey -> row key -> the row's version object (row objects are never
-// removed from their table, so the pointer saves lookups and the sweeper
-// a trip through the table's key shards).
+// indexShard is one latch-striped slice of the candidate map: ikey -> its
+// candidate set (rows are never removed from their table, so a set holds
+// them by pointer and the sweeper never probes the table).
 type indexShard struct {
 	mu sync.RWMutex
-	m  map[string]map[string]*mvcc.Object
+	m  map[string]*candidates
+}
+
+// candidates is one index key's candidate set: row key -> row.
+type candidates struct {
+	ikey string
+	rows map[string]*row
 }
 
 // Name returns the index name.
@@ -113,33 +120,51 @@ func (ix *Index) shard(ikey string) *indexShard {
 	return &ix.shards[h&(indexShards-1)]
 }
 
-// add makes row pkey (version object o) a candidate of the index key its
-// image value extracts to. Idempotent; the steady state — the entry
-// exists — takes only the shard's read lock. Callers add AFTER the
-// version carrying value is installed in o (see the file comment).
-func (ix *Index) add(pkey string, value []byte, o *mvcc.Object) {
-	ikey, ok := ix.extract(pkey, value)
+// add makes row r a candidate of the index key its image value extracts
+// to. Idempotent. Callers add AFTER the version carrying value is
+// installed in r (see the file comment).
+//
+// The steady state — a rewrite that keeps its index key — is one compare:
+// r remembers the set it was last added to (for the first rowMemos
+// indexes of its table), and that memo holds only while r is in the set,
+// since the sweeper clears it in the step that drops r from the set. A
+// memo can be stored outside the shard lock: the sweeper cannot drop r
+// from the set of the image just installed until a later install — by the
+// same latch holder, after this add — has superseded it. Otherwise add
+// probes the set under the shard's read lock and takes the write lock
+// only to insert.
+func (ix *Index) add(r *row, value []byte) {
+	ikey, ok := ix.extract(r.key, value)
 	if !ok {
 		return
 	}
+	var memo *atomic.Pointer[candidates]
+	if ix.ord < rowMemos {
+		memo = &r.memo[ix.ord]
+		if c := memo.Load(); c != nil && c.ikey == ikey {
+			return
+		}
+	}
 	sh := ix.shard(ikey)
 	sh.mu.RLock()
-	_, ok = sh.m[ikey][pkey]
+	c := sh.m[ikey]
+	hit := c != nil && c.rows[r.key] == r
 	sh.mu.RUnlock()
-	if ok {
-		return
+	if !hit {
+		sh.mu.Lock()
+		if c = sh.m[ikey]; c == nil {
+			c = &candidates{ikey: ikey, rows: make(map[string]*row)}
+			sh.m[ikey] = c
+		}
+		if c.rows[r.key] == nil {
+			c.rows[r.key] = r
+			ix.puts.Add(1)
+		}
+		sh.mu.Unlock()
 	}
-	sh.mu.Lock()
-	set := sh.m[ikey]
-	if set == nil {
-		set = make(map[string]*mvcc.Object)
-		sh.m[ikey] = set
+	if memo != nil {
+		memo.Store(c)
 	}
-	if _, ok = set[pkey]; !ok {
-		set[pkey] = o
-		ix.puts.Add(1)
-	}
-	sh.mu.Unlock()
 }
 
 // Lookup calls fn for every row whose index key equals ikey at snapshot
@@ -151,25 +176,27 @@ func (ix *Index) add(pkey string, value []byte, o *mvcc.Object) {
 // entry per retained version. Iteration order is unspecified.
 func (ix *Index) Lookup(rts Timestamp, ikey string, fn func(key string, value []byte) bool) {
 	ix.lookups.Add(1)
-	buf := acquirePairs()
-	defer releasePairs(buf)
+	buf := acquireRows()
+	defer releaseRows(buf)
 	sh := ix.shard(ikey)
 	sh.mu.RLock()
-	for k, o := range sh.m[ikey] {
-		*buf = append(*buf, objPair{k, o})
+	if c := sh.m[ikey]; c != nil {
+		for _, r := range c.rows {
+			*buf = append(*buf, r)
+		}
 	}
 	sh.mu.RUnlock()
 	hits := uint64(0)
-	for _, p := range *buf {
-		v, ok := p.o.Read(rts)
+	for _, r := range *buf {
+		v, ok := r.obj.Read(rts)
 		if !ok {
 			continue
 		}
-		if ik, ok := ix.extract(p.k, v); !ok || ik != ikey {
+		if ik, ok := ix.extract(r.key, v); !ok || ik != ikey {
 			continue
 		}
 		hits++
-		if !fn(p.k, v) {
+		if !fn(r.key, v) {
 			break
 		}
 	}
@@ -183,8 +210,8 @@ func (ix *Index) ResidentPostings() int {
 	for i := range ix.shards {
 		sh := &ix.shards[i]
 		sh.mu.RLock()
-		for _, set := range sh.m {
-			n += len(set)
+		for _, c := range sh.m {
+			n += len(c.rows)
 		}
 		sh.mu.RUnlock()
 	}
@@ -196,55 +223,62 @@ func (ix *Index) ResidentPostings() int {
 // key, returning the number dropped. Invoked by the table sweeps (buf is
 // the sweep's pooled buffer) after they reclaimed row versions, so index
 // residency is bounded by the same policy as row residency.
-func (ix *Index) gc(count int, buf *[]objPair) int {
+func (ix *Index) gc(count int, buf *[]*row) int {
 	count = min(max(count, 1), indexShards)
 	from := int(ix.gcCursor.Load()) % indexShards
 	ix.gcCursor.Store(uint32((from + count) % indexShards))
+	var sets []*candidates
 	n := 0
 	for j := 0; j < count; j++ {
 		sh := &ix.shards[(from+j)%indexShards]
-		// One copy per shard: an entry without an object names the index
-		// key of the candidates that follow it.
-		*buf = (*buf)[:0]
+		// One copy per shard: a nil row starts the candidates of the next
+		// set in sets.
+		*buf, sets = (*buf)[:0], sets[:0]
 		sh.mu.RLock()
-		for ikey, set := range sh.m {
-			*buf = append(*buf, objPair{k: ikey})
-			for k, o := range set {
-				*buf = append(*buf, objPair{k, o})
+		for _, c := range sh.m {
+			sets = append(sets, c)
+			*buf = append(*buf, nil)
+			for _, r := range c.rows {
+				*buf = append(*buf, r)
 			}
 		}
 		sh.mu.RUnlock()
-		ikey := ""
-		for _, p := range *buf {
-			if p.o == nil {
-				ikey = p.k
-			} else if ix.dropUnseen(sh, ikey, p) {
+		k := -1
+		for _, r := range *buf {
+			if r == nil {
+				k++
+			} else if ix.dropUnseen(sh, sets[k], r) {
 				n++
 			}
 		}
 	}
+	clear(sets)
 	ix.deletes.Add(uint64(n))
 	return n
 }
 
-// dropUnseen removes candidate p of ikey from sh unless some retained
-// version of its row still extracts to ikey. Check and removal both
-// happen under the row's writer mutex (see the file comment for why no
-// racing commit can lose its entry that way).
-func (ix *Index) dropUnseen(sh *indexShard, ikey string, p objPair) (dropped bool) {
-	p.o.Retained(func(values iter.Seq[[]byte]) {
+// dropUnseen removes candidate r from set c of shard sh unless some
+// retained version of r still extracts to c's index key, clearing r's
+// memo of c in the same step. Check and removal both happen under the
+// row's writer mutex (see the file comment for why no racing commit can
+// lose its entry that way).
+func (ix *Index) dropUnseen(sh *indexShard, c *candidates, r *row) (dropped bool) {
+	r.obj.Retained(func(values iter.Seq[[]byte]) {
 		for v := range values {
-			if ik, ok := ix.extract(p.k, v); ok && ik == ikey {
+			if ik, ok := ix.extract(r.key, v); ok && ik == c.ikey {
 				return
 			}
 		}
 		sh.mu.Lock()
-		if set := sh.m[ikey]; set[p.k] != nil {
-			delete(set, p.k)
-			if len(set) == 0 {
-				delete(sh.m, ikey)
+		if c.rows[r.key] == r {
+			delete(c.rows, r.key)
+			if len(c.rows) == 0 && sh.m[c.ikey] == c {
+				delete(sh.m, c.ikey)
 			}
 			dropped = true
+		}
+		if ix.ord < rowMemos {
+			r.memo[ix.ord].CompareAndSwap(c, nil)
 		}
 		sh.mu.Unlock()
 	})
@@ -291,7 +325,7 @@ func (t *Table) CreateIndex(name string, extract IndexKeyFunc) (*Index, error) {
 	if name == "" || extract == nil {
 		return nil, fmt.Errorf("txn: CreateIndex needs a name and an extractor")
 	}
-	g := t.group
+	g := t.Group()
 	if g == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownState, t.id)
 	}
@@ -303,9 +337,9 @@ func (t *Table) CreateIndex(name string, extract IndexKeyFunc) (*Index, error) {
 	if t.Index(name) != nil {
 		return nil, fmt.Errorf("txn: table %q already has index %q", t.id, name)
 	}
-	ix := &Index{name: name, tbl: t, extract: extract}
+	ix := &Index{name: name, tbl: t, extract: extract, ord: len(t.indexSet())}
 	for i := range ix.shards {
-		ix.shards[i].m = make(map[string]map[string]*mvcc.Object)
+		ix.shards[i].m = make(map[string]*candidates)
 	}
 
 	stale := kv.NewBatch(0)
@@ -323,14 +357,14 @@ func (t *Table) CreateIndex(name string, extract IndexKeyFunc) (*Index, error) {
 		}
 	}
 
-	buf := acquirePairs()
-	defer releasePairs(buf)
+	buf := acquireRows()
+	defer releaseRows(buf)
 	for i := range t.shards {
-		*buf = t.shards[i].copyPairs(*buf)
-		for _, p := range *buf {
-			p.o.Retained(func(values iter.Seq[[]byte]) {
+		*buf = t.shards[i].appendRows((*buf)[:0])
+		for _, r := range *buf {
+			r.obj.Retained(func(values iter.Seq[[]byte]) {
 				for v := range values {
-					ix.add(p.k, v, p.o)
+					ix.add(r, v)
 				}
 			})
 		}

@@ -192,7 +192,7 @@ func runLayoutScript(t *testing.T, proto string, split bool, script []layoutStep
 	// publish: one timestamp, in every group it latched.
 	decided := func(spans bool, err error) {
 		res.verdicts = append(res.verdicts, verdictClass(err))
-		if ga, gb := a.group.LastCTS(), b.group.LastCTS(); err == nil && spans && ga != gb {
+		if ga, gb := a.Group().LastCTS(), b.Group().LastCTS(); err == nil && spans && ga != gb {
 			t.Fatalf("spanning commit left LastCTS %d on a's group, %d on b's", ga, gb)
 		}
 	}
@@ -241,7 +241,7 @@ func runLayoutScript(t *testing.T, proto string, split bool, script []layoutStep
 
 		// Index lookup ≡ filtered scan at every timestamp this step
 		// published on a's group (a superset of its commit timestamps).
-		for cts := checked + 1; cts <= a.group.LastCTS(); cts++ {
+		for cts := checked + 1; cts <= a.Group().LastCTS(); cts++ {
 			want := map[string]map[string]string{}
 			a.SnapshotScan(cts, func(key string, value []byte) bool {
 				if ikey, ok := valueBucket(key, value); ok {
@@ -258,7 +258,7 @@ func runLayoutScript(t *testing.T, proto string, split bool, script []layoutStep
 				}
 			}
 		}
-		checked = a.group.LastCTS()
+		checked = a.Group().LastCTS()
 	}
 
 	res.contents = map[string]string{}

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -70,6 +71,83 @@ func TestRecoveryFromLSM(t *testing.T) {
 	}
 	if a2.Keys() != 19 {
 		t.Fatalf("recovered key count %d", a2.Keys())
+	}
+}
+
+// TestSnapshotDuringRecoverySeesAllRows: a snapshot taken while
+// CreateGroup recovers a table either fails (the table has no group yet)
+// or sees every recovered row. The group used to be published, with the
+// recovered LastCTS, before the rows were loaded, so a snapshot pinned
+// that timestamp over a half-loaded table.
+func TestSnapshotDuringRecoverySeesAllRows(t *testing.T) {
+	const rows = 20_000
+	store := kv.NewMem()
+	defer store.Close()
+	{
+		ctx := NewContext()
+		tbl, _ := ctx.CreateTable("s", store, TableOptions{})
+		if _, err := ctx.CreateGroup("g", tbl); err != nil {
+			t.Fatal(err)
+		}
+		p := NewSI(ctx)
+		ops := make([]WriteOp, 0, 1000)
+		for lo := 0; lo < rows; lo += cap(ops) {
+			ops = ops[:0]
+			for k := lo; k < lo+cap(ops); k++ {
+				ops = append(ops, WriteOp{Key: fmt.Sprintf("k%06d", k), Value: []byte("v")})
+			}
+			tx, _ := p.Begin()
+			if _, err := p.WriteBatch(tx, tbl, ops); err != nil {
+				t.Fatal(err)
+			}
+			mustCommit(t, p, tx)
+		}
+	}
+	for round := 0; round < 5; round++ {
+		ctx := NewContext()
+		tbl, _ := ctx.CreateTable("s", store, TableOptions{})
+		var (
+			started = make(chan struct{})
+			stop    = make(chan struct{})
+			done    = make(chan struct{})
+			partial int // snapshots that saw fewer rows; fewest is the least
+			fewest  = rows
+		)
+		go func() {
+			defer close(done)
+			close(started)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap, err := ctx.Snapshot(tbl)
+				if errors.Is(err, ErrUnknownState) {
+					continue
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				n := 0
+				_ = snap.Scan(tbl, func(string, []byte) bool { n++; return true })
+				snap.Release()
+				if n != rows {
+					partial++
+					fewest = min(fewest, n)
+				}
+			}
+		}()
+		<-started
+		if _, err := ctx.CreateGroup("g", tbl); err != nil {
+			t.Fatal(err)
+		}
+		close(stop)
+		<-done
+		if partial > 0 {
+			t.Fatalf("round %d: %d snapshots during recovery saw a partial table, one only %d of %d rows", round, partial, fewest, rows)
+		}
 	}
 }
 
@@ -275,7 +353,7 @@ func TestTableGCExplicit(t *testing.T) {
 	if n := e.t1.GC(); n < 0 {
 		t.Fatalf("GC returned %d", n)
 	}
-	o := e.t1.object("k", false)
+	o := objectOf(e.t1, "k", false)
 	if o.LiveVersions() != 1 {
 		t.Fatalf("after GC with no pins: %d live versions", o.LiveVersions())
 	}

@@ -43,19 +43,19 @@ func (p *SI) Name() string { return "mvcc" }
 // the transaction, it must abort" (Section 4.2). The snapshot is the
 // ReadCTS pinned at the transaction's first access of the group (writes
 // pin it too, so it always exists for written states); the begin
-// timestamp is a defensive fallback. The batch overlay carries writes
-// admitted earlier in the same group-commit batch, whose versions are not
-// installed yet but must conflict all the same.
+// timestamp is a defensive fallback. The rows carry the writes admitted
+// earlier in the same group-commit batch as their mark: those versions
+// are not installed yet but must conflict all the same.
 //
 // A transaction on a commit chain raises its snapshot to the chain's
 // committed floor: its predecessors' writes are serial history, not
 // conflicts (it is admitted strictly after them — exactly as if it had
 // begun right after the predecessor's commit), while a foreign writer
 // that committed after the floor still conflicts. See chain.go.
-func (p *SI) admitFCW(tx *Txn, batch commitOverlay) error {
+func (p *SI) admitFCW(tx *Txn, _ batchMarks) error {
 	for _, e := range tx.states {
 		snapshot := tx.id
-		if pinned, ok := tx.readCTS[e.table.group.id]; ok {
+		if pinned, ok := tx.readCTS[e.table.Group().id]; ok {
 			snapshot = pinned
 		}
 		if ch := tx.chain; ch != nil {
@@ -63,21 +63,11 @@ func (p *SI) admitFCW(tx *Txn, batch commitOverlay) error {
 				snapshot = f
 			}
 		}
-		for i, key := range e.order {
-			// Resolve the MVCC object once here and cache it for the
-			// install phase (both run under the commit latch).
-			o := e.table.object(key, false)
-			e.ops[i].obj = o
-			var latest Timestamp
-			if o != nil {
-				latest = o.LatestCTS()
-			}
-			if ts := batch.pending[e.table][key]; ts > latest {
-				latest = ts
-			}
-			if latest > snapshot {
+		for i := range e.ops {
+			r := e.ops[i].row
+			if latest := max(r.obj.LatestCTS(), r.mark); latest > snapshot {
 				return fmt.Errorf("%w: state %q key %q (latest %d > snapshot %d)",
-					ErrConflict, e.table.id, key, latest, snapshot)
+					ErrConflict, e.table.id, e.order[i], latest, snapshot)
 			}
 		}
 	}

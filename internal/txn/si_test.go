@@ -440,7 +440,7 @@ func TestSIGarbageCollection(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		write(t, p, e.t1, "hot", fmt.Sprintf("v%d", i))
 	}
-	o := e.t1.object("hot", false)
+	o := objectOf(e.t1, "hot", false)
 	if o == nil {
 		t.Fatal("object missing")
 	}

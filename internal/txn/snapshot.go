@@ -2,6 +2,7 @@ package txn
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -41,19 +42,13 @@ func (c *Context) Snapshot(tables ...*Table) (*Snapshot, error) {
 	byID := make(map[StateID]*Table, len(tables))
 	var groups []*Group
 	for _, tbl := range tables {
-		if tbl.group == nil {
+		g := tbl.Group()
+		if g == nil {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownState, tbl.id)
 		}
 		byID[tbl.id] = tbl
-		seen := false
-		for _, g := range groups {
-			if g == tbl.group {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			groups = append(groups, tbl.group)
+		if !slices.Contains(groups, g) {
+			groups = append(groups, g)
 		}
 	}
 
@@ -227,16 +222,16 @@ func (s *Snapshot) Release() {
 
 // scanStripe iterates the visible keys of shard stripe `stripe` of
 // `stripes` at rts: the shards i with i % stripes == stripe. Each shard's
-// entries are copied under its read lock into the call's one pooled
+// rows are copied under its read lock into the call's one pooled
 // buffer; versions are read and fn runs outside the lock (RCU).
 func scanStripe(t *Table, rts Timestamp, stripe, stripes int, fn func(key string, value []byte) bool) {
-	buf := acquirePairs()
-	defer releasePairs(buf)
+	buf := acquireRows()
+	defer releaseRows(buf)
 	for i := stripe; i < tableShards; i += stripes {
-		*buf = t.shards[i].copyPairs(*buf)
-		for _, p := range *buf {
-			if v, ok := p.o.Read(rts); ok {
-				if !fn(p.k, v) {
+		*buf = t.shards[i].appendRows((*buf)[:0])
+		for _, r := range *buf {
+			if v, ok := r.obj.Read(rts); ok {
+				if !fn(r.key, v) {
 					return
 				}
 			}

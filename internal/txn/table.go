@@ -7,13 +7,16 @@ import (
 	"time"
 
 	"sistream/internal/kv"
-	"sistream/internal/mvcc"
 )
 
-// tableShards spreads the per-key MVCC objects over independently locked
-// maps so the continuous writer and many ad-hoc readers rarely contend on
-// the same shard. Must be a power of two.
-const tableShards = 64
+// tableShards spreads a table's rows over independently locked slices of
+// its row index so the continuous writer and many ad-hoc readers rarely
+// contend on the same shard; the top tableShardBits bits of a key's hash
+// pick its shard.
+const (
+	tableShardBits = 6
+	tableShards    = 1 << tableShardBits
+)
 
 // TableOptions configures a transactional table.
 type TableOptions struct {
@@ -62,12 +65,17 @@ type TableOptions struct {
 type Table struct {
 	id    StateID
 	ctx   *Context
-	group *Group
 	store kv.Store
 	caps  kv.Capabilities
 	opts  TableOptions
+	// group is published by CreateGroup once the table's rows are loaded.
+	group atomic.Pointer[Group]
+	// meta is the key of the group's LastCTS in the table's base store.
+	meta []byte
 
-	shards [tableShards]tableShard
+	// shards is the row index, the paper's dictionary from keys to MVCC
+	// objects (see rowShard).
+	shards [tableShards]rowShard
 
 	// Secondary indexes (Table.CreateIndex), copy-on-write so the
 	// group-commit leader reads the set with one atomic load per entry.
@@ -93,47 +101,6 @@ type Table struct {
 	idleStopOnce    sync.Once
 }
 
-type tableShard struct {
-	mu sync.RWMutex
-	m  map[string]*mvcc.Object
-}
-
-// objPair is one (key, version object) entry copied out of a shard under
-// its read lock, so that what runs per entry — a reader's callback, a
-// sweep — runs outside the lock.
-type objPair struct {
-	k string
-	o *mvcc.Object
-}
-
-// pairBufs recycles those copies. A scan, lookup or sweep takes ONE
-// buffer for the whole call and refills it shard by shard: a fresh slice
-// per shard made every reader's garbage a tax on the writer, whose cores
-// the collector shares.
-var pairBufs = sync.Pool{New: func() any { return new([]objPair) }}
-
-func acquirePairs() *[]objPair { return pairBufs.Get().(*[]objPair) }
-
-// releasePairs clears buf to its capacity — an idle pooled buffer must
-// not pin a table's keys and objects — and returns it to the pool.
-func releasePairs(buf *[]objPair) {
-	all := (*buf)[:cap(*buf)]
-	clear(all)
-	*buf = all[:0]
-	pairBufs.Put(buf)
-}
-
-// copyPairs refills buf with the shard's entries.
-func (sh *tableShard) copyPairs(buf []objPair) []objPair {
-	buf = buf[:0]
-	sh.mu.RLock()
-	for k, o := range sh.m {
-		buf = append(buf, objPair{k, o})
-	}
-	sh.mu.RUnlock()
-	return buf
-}
-
 // CreateTable registers a transactional table named id over the given
 // base store. The table is empty in memory until its group is created,
 // which performs recovery of persisted rows.
@@ -144,10 +111,8 @@ func (c *Context) CreateTable(id StateID, store kv.Store, opts TableOptions) (*T
 	if _, dup := sh.states[id]; dup {
 		return nil, fmt.Errorf("txn: table %q already exists", id)
 	}
-	t := &Table{id: id, ctx: c, store: store, caps: kv.CapabilitiesOf(store), opts: opts}
-	for i := range t.shards {
-		t.shards[i].m = make(map[string]*mvcc.Object)
-	}
+	t := &Table{id: id, ctx: c, store: store, caps: kv.CapabilitiesOf(store), opts: opts,
+		meta: []byte("m/" + string(id) + "/lastcts")}
 	sh.states[id] = t
 	return t, nil
 }
@@ -164,7 +129,7 @@ func (t *Table) Capabilities() kv.Capabilities { return t.caps }
 
 // Group returns the topology group the table belongs to (nil before
 // CreateGroup).
-func (t *Table) Group() *Group { return t.group }
+func (t *Table) Group() *Group { return t.group.Load() }
 
 // rowPrefix namespaces this table's rows in the shared base store.
 func (t *Table) rowKey(key string) []byte {
@@ -185,44 +150,44 @@ func (t *Table) appendRowKey(dst []byte, key string) []byte {
 // metaKey holds the group's LastCTS in this table's base store; written
 // as part of every commit batch so that durability of data and of the
 // visibility watermark are a single atomic unit per store.
-func (t *Table) metaKey() []byte {
-	return []byte("m/" + string(t.id) + "/lastcts")
-}
+func (t *Table) metaKey() []byte { return t.meta }
 
-func (t *Table) shard(key string) *tableShard {
-	var h uint32 = 2166136261
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return &t.shards[h&(tableShards-1)]
-}
+// shard returns the row-index shard of hash h.
+func (t *Table) shard(h uint64) *rowShard { return &t.shards[h>>(64-tableShardBits)] }
 
-// object returns the MVCC object for key, creating it when create is set.
-func (t *Table) object(key string, create bool) *mvcc.Object {
-	sh := t.shard(key)
+// lookup returns the row of key, nil when the table has none — the reader
+// side of the row index, one probe under the shard's read lock.
+func (t *Table) lookup(key string) *row {
+	h := keyHash(key)
+	sh := t.shard(h)
 	sh.mu.RLock()
-	o := sh.m[key]
+	r := sh.find(h, key)
 	sh.mu.RUnlock()
-	if o != nil || !create {
-		return o
+	return r
+}
+
+// row returns the row of key (hash h), inserting it when the table has
+// none. Only the holder of the group commit latch calls it, and rows are
+// inserted by nobody else, so the probe takes no lock.
+func (t *Table) row(h uint64, key string) *row {
+	sh := t.shard(h)
+	if r := sh.find(h, key); r != nil {
+		return r
 	}
+	r := newRow(key, t.opts.VersionSlots)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if o = sh.m[key]; o == nil {
-		o = mvcc.NewObject(t.opts.VersionSlots)
-		sh.m[key] = o
-	}
-	return o
+	sh.insert(h, r)
+	sh.mu.Unlock()
+	return r
 }
 
 // readVersion returns the value of key visible at rts.
 func (t *Table) readVersion(key string, rts Timestamp) ([]byte, bool) {
-	o := t.object(key, false)
-	if o == nil {
+	r := t.lookup(key)
+	if r == nil {
 		return nil, false
 	}
-	return o.Read(rts)
+	return r.obj.Read(rts)
 }
 
 // ReadAt returns the value of key visible at snapshot rts, bypassing any
@@ -233,14 +198,14 @@ func (t *Table) ReadAt(key string, rts Timestamp) ([]byte, bool) {
 	return t.readVersion(key, rts)
 }
 
-// Keys returns the number of keys with at least one live or dead version
-// (diagnostic).
+// Keys returns the number of rows: the keys recovered or written by a
+// commit that reached admission, live, deleted or aborted (diagnostic).
 func (t *Table) Keys() int {
 	n := 0
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.RLock()
-		n += len(sh.m)
+		n += sh.n
 		sh.mu.RUnlock()
 	}
 	return n
@@ -267,13 +232,13 @@ func (t *Table) GC() int {
 // (wrapping), recording one sweeper run.
 func (t *Table) sweep(from, count int) int {
 	horizon := t.ctx.OldestActiveVersion()
-	buf := acquirePairs()
-	defer releasePairs(buf)
+	buf := acquireRows()
+	defer releaseRows(buf)
 	n := 0
 	for j := 0; j < count; j++ {
-		*buf = t.shards[(from+j)%tableShards].copyPairs(*buf)
-		for _, p := range *buf {
-			n += p.o.GC(horizon)
+		*buf = t.shards[(from+j)%tableShards].appendRows((*buf)[:0])
+		for _, r := range *buf {
+			n += r.obj.GC(horizon)
 		}
 	}
 	// Index candidates age with their rows: each sweep also visits a
@@ -408,8 +373,10 @@ func (t *Table) ResidentVersions() int {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.RLock()
-		for _, o := range sh.m {
-			n += o.LiveVersions()
+		for _, s := range sh.slots {
+			if s.row != nil {
+				n += s.row.obj.LiveVersions()
+			}
 		}
 		sh.mu.RUnlock()
 	}
@@ -432,22 +399,15 @@ func (t *Table) readMetaCTS() (Timestamp, error) {
 	return ts, nil
 }
 
-func encodeTS(ts Timestamp) []byte {
-	out := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		out[i] = byte(ts >> (8 * i))
-	}
-	return out
-}
-
 // loadCommitted scans the table's rows in the base store and seeds the
 // in-memory version store with one committed version per key at cts.
+// Caller holds the group commit latch: it inserts rows.
 func (t *Table) loadCommitted(cts Timestamp) error {
 	prefix := t.rowKey("")
 	end := append(append([]byte(nil), prefix...), 0xff)
 	return t.store.Scan(prefix, end, func(k, v []byte) bool {
 		key := string(k[len(prefix):])
-		t.object(key, true).InstallRecovered(cts, v)
+		t.row(keyHash(key), key).obj.InstallRecovered(cts, v)
 		return true
 	})
 }

@@ -6,9 +6,27 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sistream/internal/mvcc"
 )
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// objectOf returns the version object of key in tbl, nil when the table
+// has no row for it. create inserts a missing row, under the group commit
+// latch as the row index requires.
+func objectOf(tbl *Table, key string, create bool) *mvcc.Object {
+	if !create {
+		if r := tbl.lookup(key); r != nil {
+			return r.obj
+		}
+		return nil
+	}
+	g := tbl.Group()
+	g.commitMu.Lock()
+	defer g.commitMu.Unlock()
+	return tbl.row(keyHash(key), key).obj
+}
 
 // hammer is the reusable concurrency-test harness: it runs worker loops
 // from many goroutines until stopped, funnels failures through t.Error

@@ -3,6 +3,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -80,15 +81,15 @@ var (
 // any reason) and should be retried by the caller.
 func IsAbort(err error) bool { return errors.Is(err, ErrAborted) }
 
-// writeOp is one buffered, uncommitted modification. obj caches the
-// key's MVCC object once a commit phase has resolved it (admission does,
-// under the commit latch), so the install phase skips a second registry
-// lookup; objects are never replaced once created, so the cache cannot
-// go stale.
+// writeOp is one buffered, uncommitted modification: the key's hash,
+// computed where the write is buffered, and — once the commit pipeline has
+// resolved the write set under the group latch — the key's row, which
+// admission, durability, install and index maintenance all work through.
 type writeOp struct {
+	hash   uint64
 	value  []byte
 	delete bool
-	obj    *mvcc.Object
+	row    *row
 }
 
 // WriteOp is one operation of a batched write (Protocol.WriteBatch): an
@@ -101,25 +102,29 @@ type WriteOp struct {
 
 // stateEntry is a transaction's per-state bookkeeping: the status flag of
 // the consistency protocol plus the uncommitted write set ("dirty array"
-// in the paper's Figure 3). The write set is laid out as parallel slices
-// in first-write order — the layout every commit phase iterates — with a
-// key index map used only for deduplication and read-your-own-writes
-// lookups, so the commit path never pays a map access per key.
+// in the paper's Figure 3). The write set is two parallel slices that
+// writes only append to — "writes are merely appended to the write set"
+// (Section 4.2) — so a key written twice is in it twice until the commit
+// pipeline resolves it (resolve): one probe per key finds its row, and
+// the row's transaction stamp deduplicates, keeping each key once, at its
+// first-write position, with its last value.
 type stateEntry struct {
 	table  *Table
 	status Status
-	// idx maps a key to its position in order/ops.
-	idx map[string]int
-	// order preserves first-write order for deterministic batch layout;
-	// ops is parallel to it.
+	// order holds the written keys in write order, ops their operations.
 	order []string
 	ops   []writeOp
+	// idx maps a key to the position of its latest write among the first
+	// indexed ops: the read-your-writes map, built only when the
+	// transaction reads this state, and only over the writes since.
+	idx     map[string]int
+	indexed int
 }
 
 // entryPool recycles write-set storage across transactions: a recycled
-// entry keeps its map buckets (clear() preserves them) and slice backing
-// arrays, so a steady-state stream query allocates no write-set storage
-// per transaction at all.
+// entry keeps its slice backing arrays (and the buckets of a
+// read-your-writes map), so a steady-state stream query allocates no
+// write-set storage per transaction at all.
 var entryPool = sync.Pool{New: func() any { return new(stateEntry) }}
 
 func newStateEntry(tbl *Table) *stateEntry {
@@ -136,6 +141,7 @@ func newStateEntry(tbl *Table) *stateEntry {
 // goroutine can reach the entry anymore.
 func (e *stateEntry) recycle(orderRetained bool) {
 	clear(e.idx) // keeps the buckets
+	e.indexed = 0
 	if orderRetained {
 		e.order = nil
 	} else {
@@ -149,37 +155,83 @@ func (e *stateEntry) recycle(orderRetained bool) {
 	entryPool.Put(e)
 }
 
-// grow presizes the write set for at least n upcoming writes, avoiding
-// incremental map/slice growth on the batched write path.
+// grow makes room for n more writes, avoiding incremental slice growth on
+// the batched write path.
 func (e *stateEntry) grow(n int) {
-	if e.idx == nil {
-		if n < 8 {
-			n = 8
-		}
-		e.idx = make(map[string]int, n)
-		e.order = make([]string, 0, n)
-		e.ops = make([]writeOp, 0, n)
-	}
+	e.order = slices.Grow(e.order, n)
+	e.ops = slices.Grow(e.ops, n)
 }
 
+// write appends one operation on key.
 func (e *stateEntry) write(key string, op writeOp) {
-	if i, seen := e.idx[key]; seen {
-		e.ops[i] = op
-		return
-	}
-	e.grow(0)
-	e.idx[key] = len(e.order)
 	e.order = append(e.order, key)
 	e.ops = append(e.ops, op)
 }
 
-// get returns the buffered operation for key, if any (read-your-writes).
+// get returns the latest buffered operation for key, if any
+// (read-your-writes), first indexing the writes appended since the last
+// call.
 func (e *stateEntry) get(key string) (writeOp, bool) {
+	if len(e.ops) == 0 {
+		return writeOp{}, false
+	}
+	if e.idx == nil {
+		e.idx = make(map[string]int, len(e.ops))
+	}
+	for ; e.indexed < len(e.ops); e.indexed++ {
+		e.idx[e.order[e.indexed]] = e.indexed
+	}
 	i, ok := e.idx[key]
 	if !ok {
 		return writeOp{}, false
 	}
 	return e.ops[i], true
+}
+
+// resolve turns the appended write set into the one the commit pipeline
+// carries: every key probed once — inserting the rows the table lacks —
+// and kept once, at its first-write position with its last operation.
+// The row's transaction stamp finds the duplicates; order and ops are
+// compacted in place. Caller holds the table's group commit latch.
+//
+// The probes run in two passes: the first touches the first slot of every
+// key, so their cache misses overlap instead of each waiting for the
+// previous probe; the second probes.
+func (e *stateEntry) resolve(id ID) {
+	t := e.table
+	touchSlots(t, e.ops)
+	n := 0
+	for i := range e.ops {
+		op := e.ops[i]
+		r := t.row(op.hash, e.order[i])
+		if r.txn == id {
+			first := &e.ops[r.pos]
+			first.value, first.delete = op.value, op.delete
+			continue
+		}
+		r.txn, r.pos = id, int32(n)
+		op.row = r
+		e.ops[n], e.order[n] = op, e.order[i]
+		n++
+	}
+	clear(e.ops[n:])
+	clear(e.order[n:])
+	e.ops, e.order = e.ops[:n], e.order[:n]
+}
+
+// touchSlots loads the first index slot of every op's key and returns a
+// value derived from them, so the loads are not optimised away.
+//
+//go:noinline
+func touchSlots(t *Table, ops []writeOp) uint64 {
+	var sum uint64
+	for i := range ops {
+		h := ops[i].hash
+		if sh := t.shard(h); len(sh.slots) > 0 {
+			sum += sh.slots[h&uint64(len(sh.slots)-1)].hash
+		}
+	}
+	return sum
 }
 
 // Txn is a transaction handle. A Txn is owned by the goroutines of one
@@ -279,7 +331,7 @@ func (t *Txn) Declare(tables ...*Table) error {
 		return ErrFinished
 	}
 	for _, tbl := range tables {
-		if tbl.group == nil {
+		if tbl.Group() == nil {
 			return fmt.Errorf("%w: %q", ErrUnknownState, tbl.id)
 		}
 		t.entry(tbl)
@@ -292,7 +344,7 @@ func (t *Txn) Declare(tables ...*Table) error {
 // multiple groups that share states, the oldest pinned snapshot wins
 // (the paper's overlap rule: "the older version must be read").
 func (t *Txn) pin(tbl *Table) Timestamp {
-	g := tbl.group
+	g := tbl.Group()
 	rts, ok := t.readCTS[g.id]
 	if !ok {
 		// Store-then-validate: publish the GC pin, then confirm no commit
