@@ -25,11 +25,13 @@
 //     Transactions spanning groups fall back to taking every involved
 //     group's commit latch in canonical order, so cross-group commits
 //     stay deadlock-free and atomic.
-//   - Per-key version arrays are append-in-place RCU: versions ascend by
-//     commit timestamp, a new version is published by one atomic store of
-//     the element count and readers scan lock-free — a snapshot read
-//     never contends with the commit apply path, however hot the key,
-//     and the install fast path allocates nothing but the value.
+//   - A key's versions live in its table row: two inline slots, reused in
+//     place once a version is dead below the GC horizon, spilling to a
+//     heap array only while a snapshot pins older versions. Readers check
+//     the slots lock-free, re-validating each slot's commit timestamp
+//     against a concurrent rewrite — a snapshot read never contends with
+//     the commit apply path, however hot the key, and an install
+//     allocates nothing but the value.
 //   - The dataflow engine is vectorized: edges carry element batches,
 //     chains of stateless operators fuse into their consumer's goroutine,
 //     and TO_TABLE — one table sink per ToTable call, sequential or per

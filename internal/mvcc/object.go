@@ -1,41 +1,103 @@
 // Package mvcc implements the multi-versioned state representation of the
-// paper's Section 4.1: each key of a transactional table maps to an MVCC
-// object holding an array of version slots. A slot is the classic MVCC
-// triple <[cts, dts], value> — the commit timestamp and deletion
-// timestamp delimit the version's lifetime. Garbage collection runs on
-// demand: only when a writer needs a slot and none can be reclaimed do
-// versions that no active transaction can see (dts <= OldestActiveVersion)
-// get dropped; if nothing is reclaimable the array grows, so long-pinned
-// snapshots trade memory for writer progress (the paper's single 64-bit
-// UsedSlots word caps a key at 64 live versions, which is unsound when a
-// reader can hold its pin across scheduler quanta — see the growth rule).
+// paper's Section 4.1: each key of a transactional table owns an array of
+// version slots, each the classic MVCC triple <[cts, dts], value> — the
+// commit and deletion timestamps delimit the version's lifetime
+// [cts, dts), and dts 0 marks the live version.
 //
-// Concurrency is read-copy-update with an append-in-place fast path.
-// Because commit timestamps are handed out monotonically per object (the
-// group-commit pipeline serializes installers), versions are stored in
-// ascending cts order and a new version is an APPEND: the writer fills
-// the next free slot and then publishes it with one atomic store of the
-// element count. Terminating the predecessor mutates only its atomic dts
-// word. Readers load the count, scan backward without any locks, and can
-// never observe a torn slot: the slot's contents happen-before the count
-// that exposes it. The array is cloned only when it is full (reclaim or
-// grow) — the steady-state install allocates nothing but the value copy,
-// where the original RCU design cloned the whole slot array on every
-// install.
+// # Slot layout
 //
-// A reader between the predecessor's termination and the count publish
-// could in principle see "deleted" at rts >= cts — but no snapshot reader
-// can hold rts >= cts before the commit publishes LastCTS (which happens
-// after all installs), S2PL readers are excluded by the row lock, and
-// BOCC's unsynchronized Infinity-readers already tolerate torn commits by
-// construction (their validation aborts them — see bocc.go).
+// An Object keeps DefaultSlots slots inline, so a table row that embeds
+// its Object by value holds the key's versions with no pointer between
+// them and the row. Only when more versions must be retained than fit does
+// the object spill to a heap array of further slots, which doubles each
+// time it fills again; capacity never shrinks. Slots are not kept in cts
+// order — a version lives wherever Install found room — so readers check
+// every slot. At most one is visible at any snapshot, because a key's
+// version lifetimes are disjoint.
+//
+// # Reuse in place
+//
+// Install puts a new version into a free slot (never used, or freed by
+// GC) and otherwise overwrites, in place, a dead one: a version ended at
+// or below the oldest snapshot any reader may still hold
+// (dts <= oldestActive). The array grows only when every slot holds a
+// version some reader may still see: under a long-pinned snapshot, or for
+// a key rewritten twice in one commit batch (the batch's horizon precedes
+// its own commit timestamps, so when the second rewrite arrives neither
+// the first one's version nor the one it replaced is dead). The paper's
+// single 64-bit UsedSlots word caps a key at 64
+// versions; growth removes that cap, so a pinned snapshot costs memory,
+// never writer progress. GC frees every dead slot at once, for
+// housekeeping sweeps.
+//
+// # Writers
+//
+// Install, InstallRecovered, GC and Retained must be serialized by the
+// caller — package txn runs all four under the table's group commit latch
+// — and take no lock of their own. The serialization is what keeps
+// Retained exact: between a Retained call's look at the versions and
+// whatever its callback does about them, no version is installed or
+// freed. The secondary-index sweeper relies on that (txn.Index): it drops
+// a row from a candidate set when no retained version carries the set's
+// index key, and the commit path installs a version and then adds its
+// candidate without releasing the latch, so a sweep step falls entirely
+// before an install and its add, or entirely after them.
+//
+// # Readers
+//
+// Read, LatestCTS, LiveVersions and Capacity take no lock and never wait,
+// and may run while a writer rewrites the very slot they read. Every slot
+// field is atomic; the value is held as its data pointer and its length,
+// two words loaded one at a time (a slice header is three), and rebuilt
+// with unsafe.Slice once the reader knows both belong to one version. The
+// slot's cts doubles as its sequence number: a reader loads cts, checks
+// the lifetime against its rts, loads the value and loads cts again, and
+// skips the slot if cts changed — the slot was rewritten under it. The
+// writer orders its stores so that a slot whose cts did not change was
+// whole:
+//
+//   - into a free slot, which readers skip while its cts is 0: the value
+//     and dts = 0 first, cts last;
+//   - over a dead slot: cts first — the slot then reads [new cts, old dts),
+//     an empty lifetime, because the old dts is at most the new cts —
+//     then the value, and dts = 0 last;
+//   - GC frees a slot by storing cts = 0 before it drops the value.
+//
+// Go's atomics are sequentially consistent, so a reader that saw any store
+// of a rewrite sees that rewrite's first store, to cts, when it re-loads
+// cts. A grown spill array is copied, published, and never written again;
+// a reader still scanning the old one sees the versions as they were when
+// it was copied.
+//
+// What a reader may take from that depends on its pin. A snapshot reader
+// (SI transactions, txn.Snapshot, change feeds) pins its rts into the
+// oldestActive of every later Install and GC before it reads, so a slot
+// reused or freed under it held a version invisible at rts (dts <=
+// oldestActive <= rts): skipping it loses nothing, and the version it
+// needs is never written while it reads. A stale copy in an old spill
+// array is right for it too: a version ended after the reader pinned was
+// ended by a commit above rts. Readers that hold no pin — BOCC reads at
+// Infinity, txn.Table.ReadAt, an unpinned txn.Index.Lookup — are exactly
+// as memory-safe: they never see a value torn between two versions, only,
+// like any RCU reader, a version that was current a moment ago; BOCC's
+// validation aborts a transaction that read one. So Read returns the
+// first visible version it finds: for a pinned reader the only one, for
+// an unpinned reader one that was current while it read.
+//
+// Between Install's termination of the live version and the publication
+// of its successor, a reader at rts >= cts could see the key deleted — but
+// no snapshot reader holds such an rts before the commit publishes LastCTS
+// (after all its installs), S2PL readers are excluded by the row lock, and
+// BOCC's Infinity readers tolerate torn commits by validation (bocc.go).
 package mvcc
 
 import (
+	"cmp"
 	"fmt"
 	"iter"
-	"sync"
+	"slices"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Timestamp is a logical commit timestamp drawn from the global atomic
@@ -49,78 +111,132 @@ type Timestamp = uint64
 // and optimistic protocols, which do not read from snapshots).
 const Infinity Timestamp = ^uint64(0)
 
-// DefaultSlots is the initial version-array capacity. Arrays grow on
-// demand (doubling) when garbage collection cannot reclaim a slot.
-const DefaultSlots = 8
+// DefaultSlots is the number of version slots an Object keeps inline: the
+// live version and the one it replaced, which is all a key needs while no
+// snapshot pins an older one. More spill to the heap (see the package
+// comment).
+const DefaultSlots = 2
 
-// slot is one version: the [cts, dts] header plus its value. cts and the
-// value are written before the slot is published (via versionSet.n) and
-// immutable afterwards; dts is atomic because termination mutates it in
-// place while lock-free readers scan.
+// slot is one version <[cts, dts], value>; cts 0 marks a free slot. The
+// value is kept as its data pointer (which keeps its array alive) and its
+// length: readers load them while the slot may be rewritten, and no
+// atomic operation covers a three-word slice header. unsafe.Slice
+// rebuilds the value once a reader has checked both belong to one version
+// (see Readers in the package comment).
 type slot struct {
-	cts Timestamp
+	cts atomic.Uint64
 	dts atomic.Uint64
-	val []byte
+	ptr atomic.Pointer[byte]
+	n   atomic.Uint64
 }
 
-// versionSet is one generation of an object's version array: slots[0:n)
-// hold versions in ascending cts order. The array itself is fixed-size;
-// appends publish a new n, and only reclaim/growth replaces the set.
-type versionSet struct {
-	slots []slot
-	n     atomic.Int64
-}
-
-// Object is the per-key version container. All methods are safe for
-// concurrent use; reads are wait-free (atomic loads only), writers
-// serialize on a short mutex.
+// Object is one key's versions. The zero value is an empty object with
+// DefaultSlots slots; Init sizes it otherwise. Which methods the caller
+// must serialize is in the package comment.
 type Object struct {
-	mu     sync.Mutex // writers only: Install, InstallRecovered, GC, Retained
-	snap   atomic.Pointer[versionSet]
 	latest atomic.Uint64 // newest installed cts, deletions included
+	inline [DefaultSlots]slot
+	spill  atomic.Pointer[spill] // nil: every inline slot in use, none beyond
 }
 
-func newVersionSet(slots int) *versionSet {
-	return &versionSet{slots: make([]slot, slots)}
+// spill is an object's layout beyond the default: how many inline slots
+// are in use (fewer than DefaultSlots only for an object made smaller) and
+// the heap slots after them.
+type spill struct {
+	inline int
+	slots  []slot
 }
 
-// NewObject creates an object with initial capacity for slots versions
-// (0 selects DefaultSlots; values are clamped to at least 1).
-func NewObject(slots int) *Object {
+func newSpill(capacity int) *spill {
+	in := min(capacity, DefaultSlots)
+	return &spill{inline: in, slots: make([]slot, capacity-in)}
+}
+
+// Init sets the capacity of o, which must hold no version yet, to slots
+// versions (0 selects DefaultSlots; values are clamped to at least 1). It
+// initializes an Object in place — embedded in a larger struct — where
+// NewObject would allocate one.
+func (o *Object) Init(slots int) {
 	if slots == 0 {
 		slots = DefaultSlots
 	}
-	if slots < 1 {
-		slots = 1
+	if slots = max(slots, 1); slots != DefaultSlots {
+		o.spill.Store(newSpill(slots))
 	}
-	o := &Object{}
-	o.snap.Store(newVersionSet(slots))
+}
+
+// NewObject creates an object with capacity for slots versions (see Init).
+func NewObject(slots int) *Object {
+	o := new(Object)
+	o.Init(slots)
 	return o
 }
 
+// layout returns the slots of o in use: the inline ones and the spilled.
+func (o *Object) layout() (inline, spilled []slot) {
+	if sp := o.spill.Load(); sp != nil {
+		return o.inline[:sp.inline], sp.slots
+	}
+	return o.inline[:], nil
+}
+
 // Read returns the version visible at read timestamp rts: the version
-// with the greatest cts satisfying cts <= rts and (dts == 0 or dts > rts).
-// ok is false when no version is visible (the key did not exist, or was
-// deleted, in that snapshot). The returned slice is owned by the object
-// and must not be modified. Read takes no locks.
-//
-// The backward scan is exact: versions ascend by cts, so the first slot
-// from the top with cts <= rts is the only candidate — every older
-// version was terminated at or before that slot's cts (dts chains), hence
-// is invisible at rts too.
+// with cts <= rts and (dts == 0 or dts > rts). ok is false when no version
+// is visible (the key did not exist, or was deleted, in that snapshot).
+// The returned slice is owned by the object and must not be modified.
+// Read takes no locks.
 func (o *Object) Read(rts Timestamp) (value []byte, ok bool) {
-	s := o.snap.Load()
-	for i := int(s.n.Load()) - 1; i >= 0; i-- {
-		sl := &s.slots[i]
-		if sl.cts > rts {
-			continue
+	inline, spilled := o.layout()
+	for _, part := range [...][]slot{inline, spilled} {
+		for i := range part {
+			if value, ok = part[i].read(rts); ok {
+				return value, true
+			}
 		}
-		if dts := sl.dts.Load(); dts == 0 || dts > rts {
-			return sl.val, true
-		}
-		return nil, false
 	}
 	return nil, false
+}
+
+// read returns the slot's version when it is visible at rts, skipping a
+// slot rewritten while it was read (see the package comment).
+func (s *slot) read(rts Timestamp) (value []byte, ok bool) {
+	cts := s.cts.Load()
+	if cts == 0 || cts > rts {
+		return nil, false
+	}
+	if dts := s.dts.Load(); dts != 0 && dts <= rts {
+		return nil, false
+	}
+	p, n := s.ptr.Load(), s.n.Load()
+	if s.cts.Load() != cts {
+		return nil, false
+	}
+	return unsafe.Slice(p, n), true
+}
+
+// put writes version <[cts, 0], value> into s, which is free or holds a
+// dead version, in the store order the package comment gives. A store
+// that would not change a word is skipped: each is a locked instruction.
+func (s *slot) put(cts Timestamp, value []byte) {
+	if s.cts.Load() == 0 {
+		s.setValue(value)
+		if s.dts.Load() != 0 {
+			s.dts.Store(0)
+		}
+		s.cts.Store(cts)
+		return
+	}
+	s.cts.Store(cts)
+	s.setValue(value)
+	s.dts.Store(0)
+}
+
+// setValue stores value's data pointer and length.
+func (s *slot) setValue(value []byte) {
+	s.ptr.Store(unsafe.SliceData(value))
+	if n := uint64(len(value)); s.n.Load() != n {
+		s.n.Store(n)
+	}
 }
 
 // LatestCTS returns the commit timestamp of the newest version, whether
@@ -130,171 +246,161 @@ func (o *Object) LatestCTS() Timestamp {
 	return o.latest.Load()
 }
 
-// Install makes a new version visible: the currently live version (if
-// any) gets dts = cts, and unless the write is a deletion a new slot
-// <[cts, 0], value> is appended. oldestActive drives on-demand garbage
-// collection when the array is full; if nothing is reclaimable the array
-// grows, so Install never fails for capacity reasons. Install takes
-// OWNERSHIP of value: the caller must not modify it afterwards (commit
-// paths hand over their private write-set copies, so the hot path pays
-// no extra copy). Concurrent readers observe the old or the new version
-// count, never a torn slot.
+// Install makes a new version visible: the live version (if any) gets
+// dts = cts, and unless the write is a deletion the version
+// <[cts, 0], value> goes into a free slot, else over a slot dead at
+// oldestActive, else into a grown array — Install never fails for
+// capacity reasons. Install takes OWNERSHIP of value: the caller must not
+// modify it afterwards (commit paths hand over their private write-set
+// copies, so the hot path pays no extra copy). Concurrent readers see the
+// old version or the new one, never a torn slot.
 //
 // Install must only be called by a committing transaction holding the
-// group commit latch, with cts greater than every previously installed
-// cts for this object.
+// group commit latch (see Writers in the package comment), with cts
+// greater than every previously installed cts for this object.
 func (o *Object) Install(cts Timestamp, value []byte, delete bool, oldestActive Timestamp) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if cts <= o.latest.Load() {
-		return fmt.Errorf("mvcc: non-monotonic install: cts %d <= latest %d", cts, o.latest.Load())
+	if latest := o.latest.Load(); cts <= latest {
+		return fmt.Errorf("mvcc: non-monotonic install: cts %d <= latest %d", cts, latest)
 	}
-	cur := o.snap.Load()
-	n := int(cur.n.Load())
-	// Terminate the currently live version — by cts order it can only be
-	// the newest slot.
-	if n > 0 {
-		if sl := &cur.slots[n-1]; sl.dts.Load() == 0 {
-			sl.dts.Store(cts)
+	// One pass finds the live version and the first free and dead slot —
+	// dead once the live version is ended at cts.
+	var live, free, dead *slot
+	inline, spilled := o.layout()
+	for _, part := range [...][]slot{inline, spilled} {
+		for i := range part {
+			s := &part[i]
+			if s.cts.Load() == 0 {
+				if free == nil {
+					free = s
+				}
+				continue
+			}
+			dts := s.dts.Load()
+			if dts == 0 {
+				live, dts = s, cts
+			}
+			if dead == nil && dts <= oldestActive {
+				dead = s
+			}
 		}
+	}
+	if live != nil {
+		live.dts.Store(cts)
 	}
 	o.latest.Store(cts)
 	// A deletion installs no new version: the terminated predecessor
 	// alone makes the key invisible to snapshots at or after cts.
-	if !delete {
-		next := cur
-		if n == len(cur.slots) {
-			next = cur.reclaimOrGrow(oldestActive)
-			n = int(next.n.Load())
-		}
-		sl := &next.slots[n]
-		sl.cts = cts
-		sl.dts.Store(0)
-		sl.val = value
-		next.n.Store(int64(n + 1)) // publish: slot contents happen-before this
-		if next != cur {
-			o.snap.Store(next)
-		}
+	if delete {
+		return nil
+	}
+	switch {
+	case free != nil:
+		free.put(cts, value)
+	case dead != nil:
+		dead.put(cts, value)
+	default:
+		o.grow(inline, spilled).put(cts, value)
 	}
 	return nil
 }
 
-// InstallRecovered seeds the object with one committed version during
-// recovery, bypassing the monotonicity bookkeeping of live commits.
-func (o *Object) InstallRecovered(cts Timestamp, value []byte) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	cur := o.snap.Load()
-	sl := &cur.slots[0]
-	sl.cts = cts
-	sl.dts.Store(0)
-	sl.val = append([]byte(nil), value...)
-	if cur.n.Load() < 1 {
-		cur.n.Store(1)
+// grow doubles the capacity of o, whose slots in use are inline and
+// spilled, and returns a free slot of the new layout. The spilled slots
+// are copied into a fresh array before it is published.
+func (o *Object) grow(inline, spilled []slot) *slot {
+	next := newSpill(2 * (len(inline) + len(spilled)))
+	for i := range spilled {
+		from, to := &spilled[i], &next.slots[i]
+		to.cts.Store(from.cts.Load())
+		to.dts.Store(from.dts.Load())
+		to.ptr.Store(from.ptr.Load())
+		to.n.Store(from.n.Load())
 	}
+	o.spill.Store(next)
+	if next.inline > len(inline) {
+		return &o.inline[len(inline)]
+	}
+	return &next.slots[len(spilled)]
+}
+
+// InstallRecovered seeds an object that holds no version yet with one
+// committed version during recovery, bypassing the monotonicity
+// bookkeeping of live commits. It copies value.
+func (o *Object) InstallRecovered(cts Timestamp, value []byte) {
+	o.inline[0].put(cts, append([]byte(nil), value...))
 	if cts > o.latest.Load() {
 		o.latest.Store(cts)
 	}
 }
 
-// reclaimOrGrow builds the successor of a full set: dead versions
-// (dts <= oldestActive) are dropped; if none are, the array doubles.
-// The caller publishes the result after appending into it.
-func (s *versionSet) reclaimOrGrow(oldestActive Timestamp) *versionSet {
-	n := int(s.n.Load())
-	live := 0
-	for i := 0; i < n; i++ {
-		if dts := s.slots[i].dts.Load(); dts == 0 || dts > oldestActive {
-			live++
-		}
-	}
-	size := len(s.slots)
-	if live == size {
-		// Nothing reclaimable: grow (see package comment).
-		size *= 2
-	}
-	next := newVersionSet(size)
-	j := 0
-	for i := 0; i < n; i++ {
-		sl := &s.slots[i]
-		dts := sl.dts.Load()
-		if dts != 0 && dts <= oldestActive {
-			continue
-		}
-		nsl := &next.slots[j]
-		nsl.cts = sl.cts
-		nsl.dts.Store(dts)
-		nsl.val = sl.val
-		j++
-	}
-	next.n.Store(int64(j))
-	return next
-}
-
 // LiveVersions returns the number of occupied slots (reclaimable ones
 // included); used by tests and the slot-size ablation.
 func (o *Object) LiveVersions() int {
-	return int(o.snap.Load().n.Load())
+	inline, spilled := o.layout()
+	n := 0
+	for _, part := range [...][]slot{inline, spilled} {
+		for i := range part {
+			if part[i].cts.Load() != 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// Capacity returns the number of versions o holds before it grows.
+func (o *Object) Capacity() int {
+	inline, spilled := o.layout()
+	return len(inline) + len(spilled)
 }
 
 // Retained calls fn once with the values of the retained versions, oldest
 // first — every occupied slot, reclaimable ones included: the values some
-// reader may still see. The writer mutex is held until fn returns, so no
-// Install or GC interleaves and whatever fn concludes from the versions
-// it may act on before the next one is installed (the secondary index
-// drops a candidate entry that way, see txn.Index). The sequence is
-// valid only inside fn, which must not call a writer method of o.
+// reader may still see. Callers serialize it with the writer methods (see
+// Writers in the package comment), so no version is installed or freed
+// until fn returns, and whatever fn concludes from the versions it may act
+// on before the next one is installed (the secondary index drops a
+// candidate entry that way, see txn.Index). The sequence is valid only
+// inside fn, which must not call a writer method of o.
 func (o *Object) Retained(fn func(values iter.Seq[[]byte])) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	s := o.snap.Load()
-	n := int(s.n.Load())
 	fn(func(yield func([]byte) bool) {
-		for i := 0; i < n; i++ {
-			if !yield(s.slots[i].val) {
+		inline, spilled := o.layout()
+		var buf [2 * DefaultSlots]*slot
+		held := buf[:0]
+		for _, part := range [...][]slot{inline, spilled} {
+			for i := range part {
+				if part[i].cts.Load() != 0 {
+					held = append(held, &part[i])
+				}
+			}
+		}
+		slices.SortFunc(held, func(a, b *slot) int { return cmp.Compare(a.cts.Load(), b.cts.Load()) })
+		for _, s := range held {
+			if !yield(unsafe.Slice(s.ptr.Load(), s.n.Load())) {
 				return
 			}
 		}
 	})
 }
 
-// Capacity returns the current version-array length.
-func (o *Object) Capacity() int {
-	return len(o.snap.Load().slots)
-}
-
-// GC reclaims all versions invisible at oldestActive and reports how many
-// slots were freed. The table wrapper exposes this for explicit
-// housekeeping; the normal path garbage-collects lazily inside Install.
+// GC frees every slot whose version is invisible at oldestActive and
+// reports how many it freed. The table wrapper's sweeps call it; Install
+// reuses dead slots on its own.
 func (o *Object) GC(oldestActive Timestamp) int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	cur := o.snap.Load()
-	n := int(cur.n.Load())
-	dead := 0
-	for i := 0; i < n; i++ {
-		if dts := cur.slots[i].dts.Load(); dts != 0 && dts <= oldestActive {
-			dead++
+	inline, spilled := o.layout()
+	freed := 0
+	for _, part := range [...][]slot{inline, spilled} {
+		for i := range part {
+			s := &part[i]
+			if s.cts.Load() == 0 {
+				continue
+			}
+			if dts := s.dts.Load(); dts != 0 && dts <= oldestActive {
+				s.cts.Store(0) // readers skip the slot from here on
+				s.ptr.Store(nil)
+				freed++
+			}
 		}
 	}
-	if dead == 0 {
-		return 0
-	}
-	next := newVersionSet(len(cur.slots))
-	j := 0
-	for i := 0; i < n; i++ {
-		sl := &cur.slots[i]
-		dts := sl.dts.Load()
-		if dts != 0 && dts <= oldestActive {
-			continue
-		}
-		nsl := &next.slots[j]
-		nsl.cts = sl.cts
-		nsl.dts.Store(dts)
-		nsl.val = sl.val
-		j++
-	}
-	next.n.Store(int64(j))
-	o.snap.Store(next)
-	return dead
+	return freed
 }

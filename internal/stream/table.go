@@ -351,8 +351,8 @@ type KV struct {
 // TableSnapshot is the paper's ad-hoc FROM(table) operator: it
 // materializes every visible row of tbl under one consistent snapshot
 // (txn.Snapshot over p's context). The read is wait-free under all three
-// protocols — an RCU version-store scan at the pinned commit timestamp
-// that takes no lock, records no read set and never aborts.
+// protocols — a lock-free version-store scan at the pinned commit
+// timestamp that records no read set and never aborts.
 func TableSnapshot(p txn.Protocol, tbl *txn.Table) ([]KV, error) {
 	snap, err := p.Context().Snapshot(tbl)
 	if err != nil {

@@ -337,3 +337,257 @@ func decodeU64(b []byte) uint64 {
 	}
 	return binary.LittleEndian.Uint64(b)
 }
+
+// slotValue is value number seq of TestStressInPlaceSlotReuse: n >= 12
+// bytes carrying seq, n itself and a filler derived from both, so a value
+// stitched from two versions — one's data, the other's length — shows.
+func slotValue(seq uint64, n int) []byte {
+	v := make([]byte, n)
+	binary.LittleEndian.PutUint64(v, seq)
+	binary.LittleEndian.PutUint32(v[8:], uint32(n))
+	for i := 12; i < n; i++ {
+		v[i] = byte(seq) ^ byte(i)
+	}
+	return v
+}
+
+// slotSeq returns the sequence number a slotValue carries; ok is false
+// when v is not one whole slotValue.
+func slotSeq(v []byte) (seq uint64, ok bool) {
+	if len(v) < 12 || binary.LittleEndian.Uint32(v[8:]) != uint32(len(v)) {
+		return 0, false
+	}
+	seq = binary.LittleEndian.Uint64(v)
+	for i := 12; i < len(v); i++ {
+		if v[i] != byte(seq)^byte(i) {
+			return 0, false
+		}
+	}
+	return seq, true
+}
+
+// TestStressInPlaceSlotReuse races every kind of reader against one
+// writer whose rewrites of 4 hot keys keep reusing those rows' version
+// slots in place — with values of varying length, each carrying its
+// sequence number and length — and against a Table.GC loop freeing slots.
+// Every value any reader returns must be whole. Pinned readers — SI
+// transactions, Snapshot.ScanStripe and Snapshot.Lookup — must return
+// exactly the version the writer's history says was current at their
+// snapshot; unpinned ones — BOCC reads at Infinity and Table.ReadAt at
+// an older commit — some whole version. Run it under -race (CI does).
+func TestStressInPlaceSlotReuse(t *testing.T) {
+	e := newEnv(t)
+	si, bocc := NewSI(e.ctx), NewBOCC(e.ctx)
+	keys := []string{"hot0", "hot1", "hot2", "hot3"}
+	parity := func(_ string, v []byte) (string, bool) {
+		seq, ok := slotSeq(v)
+		return [...]string{"even", "odd"}[seq%2], ok
+	}
+	ix, err := e.t1.CreateIndex("parity", parity)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// history[k] is key k's versions, (cts, seq) in commit order; a
+	// pinned reader's observation is checked against it at the end.
+	type version struct {
+		cts Timestamp
+		seq uint64
+	}
+	type seen struct {
+		key int
+		rts Timestamp
+		seq uint64
+		ok  bool
+	}
+	var (
+		mu      sync.Mutex
+		history = make([][]version, len(keys))
+		commits atomic.Uint64
+		reads   [5]atomic.Uint64 // per reader kind
+	)
+	const keep = 20_000 // observations kept per pinned reader
+	whole := func(kind int, v []byte, ok bool) (uint64, bool) {
+		reads[kind].Add(1)
+		if !ok {
+			return 0, false
+		}
+		seq, whole := slotSeq(v)
+		if !whole {
+			t.Errorf("reader %d returned a torn value: len %d, %x", kind, len(v), v[:min(len(v), 16)])
+		}
+		return seq, true
+	}
+
+	h := newHammer(t)
+	h.run(func() {
+		rng := newRand(1)
+		for seq := uint64(1); !h.stopped(); {
+			tx, err := si.Begin()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			first := seq
+			for _, k := range keys {
+				if err := si.Write(tx, e.t1, k, slotValue(seq, 12+rng.Intn(200))); err != nil {
+					t.Error(err)
+					return
+				}
+				seq++
+			}
+			if err := si.Commit(tx); err != nil {
+				t.Error(err)
+				return
+			}
+			mu.Lock()
+			for i, k := range keys {
+				history[i] = append(history[i], version{objectOf(e.t1, k, false).LatestCTS(), first + uint64(i)})
+			}
+			mu.Unlock()
+			commits.Add(1)
+		}
+	})
+	h.spawn(1, func(int) bool {
+		e.t1.GC()
+		return true
+	})
+
+	var pinnedSeen [3][]seen
+	observe := func(kind, key int, rts Timestamp, seq uint64, ok bool) {
+		if len(pinnedSeen[kind]) < keep {
+			pinnedSeen[kind] = append(pinnedSeen[kind], seen{key, rts, seq, ok})
+		}
+	}
+	// SI transactions read every key at their pinned snapshot.
+	h.spawn(1, func(int) bool {
+		tx, err := si.BeginReadOnly()
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		tx.mu.Lock()
+		rts := tx.pin(e.t1)
+		tx.mu.Unlock()
+		for i, k := range keys {
+			v, ok, err := si.Read(tx, e.t1, k)
+			if err != nil {
+				t.Error(err)
+				return false
+			}
+			seq, ok := whole(0, v, ok)
+			observe(0, i, rts, seq, ok)
+		}
+		return si.Commit(tx) == nil
+	})
+	// Two stripes and two index lookups under one snapshot each: each key
+	// present at the snapshot shows up exactly once.
+	index := map[string]int{}
+	for i, k := range keys {
+		index[k] = i
+	}
+	collect := func(kind int, read func(snap *Snapshot, i int, fn func(string, []byte) bool) error) func(int) bool {
+		return func(int) bool {
+			snap, err := e.ctx.Snapshot(e.t1)
+			if err != nil {
+				t.Error(err)
+				return false
+			}
+			defer snap.Release()
+			found := make([]bool, len(keys))
+			for i := range 2 {
+				if err := read(snap, i, func(k string, v []byte) bool {
+					seq, ok := whole(kind, v, true)
+					if found[index[k]] {
+						t.Errorf("reader %d saw %s twice at %d", kind, k, snap.CTS())
+					}
+					found[index[k]] = true
+					observe(kind, index[k], snap.CTS(), seq, ok)
+					return true
+				}); err != nil {
+					t.Error(err)
+					return false
+				}
+			}
+			for i, f := range found {
+				if !f {
+					observe(kind, i, snap.CTS(), 0, false)
+				}
+			}
+			return true
+		}
+	}
+	h.spawn(1, collect(1, func(snap *Snapshot, i int, fn func(string, []byte) bool) error {
+		return snap.ScanStripe(e.t1, i, 2, fn)
+	}))
+	h.spawn(1, collect(2, func(snap *Snapshot, i int, fn func(string, []byte) bool) error {
+		ikey := [...]string{"even", "odd"}[i]
+		return snap.Lookup(ix, ikey, func(k string, v []byte) bool {
+			if got, _ := parity(k, v); got != ikey {
+				t.Errorf("Lookup(%s) returned %s with a %s value", ikey, k, got)
+			}
+			return fn(k, v)
+		})
+	}))
+	// Unpinned: BOCC at Infinity, and ReadAt a few commits back — no pin
+	// protects what it reads there, so it races the slots' reuse head on.
+	h.spawn(1, func(int) bool {
+		tx, err := bocc.BeginReadOnly()
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		for _, k := range keys {
+			v, ok, err := bocc.Read(tx, e.t1, k)
+			if err != nil {
+				t.Error(err)
+				return false
+			}
+			whole(3, v, ok)
+		}
+		_ = bocc.Abort(tx)
+		return true
+	})
+	lag := newRand(2)
+	h.spawn(1, func(int) bool {
+		rts := e.group.LastCTS() - Timestamp(lag.Intn(3*len(keys)))
+		for _, k := range keys {
+			v, ok := e.t1.ReadAt(k, rts)
+			whole(4, v, ok)
+		}
+		return true
+	})
+
+	d := time.Second
+	if testing.Short() {
+		d = 200 * time.Millisecond
+	}
+	time.Sleep(d)
+	h.finish()
+
+	for kind, obs := range pinnedSeen {
+		for _, o := range obs {
+			var want version
+			for _, w := range history[o.key] {
+				if w.cts <= o.rts {
+					want = w
+				}
+			}
+			if o.ok != (want.cts != 0) || o.seq != want.seq {
+				t.Fatalf("reader %d at %d read %s as seq %d (present %v); the history has seq %d from cts %d",
+					kind, o.rts, keys[o.key], o.seq, o.ok, want.seq, want.cts)
+			}
+		}
+	}
+	for kind := range reads {
+		if reads[kind].Load() == 0 {
+			t.Fatalf("reader %d never read", kind)
+		}
+	}
+	if commits.Load() == 0 || e.t1.GCStats().ReclaimedSlots == 0 {
+		t.Fatalf("%d commits, %d slots reclaimed: the race never ran", commits.Load(), e.t1.GCStats().ReclaimedSlots)
+	}
+	t.Logf("%d commits, reads per kind %v, %d slots reclaimed by sweeps, hot-key capacity %d",
+		commits.Load(), []uint64{reads[0].Load(), reads[1].Load(), reads[2].Load(), reads[3].Load(), reads[4].Load()},
+		e.t1.GCStats().ReclaimedSlots, objectOf(e.t1, keys[0], false).Capacity())
+}

@@ -802,9 +802,8 @@ func (p *protocolBase) leadGroup(g *Group) {
 	g.qmu.Unlock()
 	g.commitMu.Unlock()
 
-	// Housekeeping off the latch: new commits proceed concurrently (the
-	// next leader holds commitMu; the sweep takes only per-object writer
-	// mutexes).
+	// Housekeeping after the tenure: the sweep takes the latch back only if
+	// no next leader has claimed it (see Table.maybeGC).
 	g.maybeGC()
 }
 
@@ -845,10 +844,10 @@ func (g *Group) maybeGC() {
 //     failed store fails the whole batch fail-stop (poisonBatch); nothing
 //     was installed yet, so memory is untouched and partially persisted
 //     stores reconcile at recovery via the watermark (see CreateGroup).
-//  4. install all versions in commit-timestamp order (cannot fail:
-//     version arrays grow on demand and installers of one group are
-//     serialized by the latch); each installed row image is then added to
-//     the candidate sets of the table's secondary indexes.
+//  4. install all versions in commit-timestamp order (cannot fail: a row
+//     reuses a dead slot in place or grows, and the latch serializes
+//     every writer of a row's versions); each installed row image is then
+//     added to the candidate sets of the table's secondary indexes.
 //  5. publish LastCTS once per latched group — under all the latches, so
 //     the batch becomes visible completely or not at all to snapshot
 //     readers of any involved group — then notify each group's watchers
@@ -990,8 +989,8 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 
 	// Phase 4: in-memory version install, ascending commit timestamps,
 	// through the rows resolution found. Install cannot fail in normal
-	// operation (version arrays grow on demand, installers are serialized
-	// by the latch); an invariant trip is handled fail-stop — the latched
+	// operation (rows grow on demand, installers are serialized by the
+	// latch); an invariant trip is handled fail-stop — the latched
 	// groups are poisoned with the diagnostic and the whole batch stays
 	// invisible (LastCTS is never published) — instead of killing the
 	// embedding process.

@@ -15,8 +15,8 @@
 //	                logical clock), Group and the commit-watcher hooks
 //	txn.go          Txn handles, append-only write sets, snapshot pins
 //	table.go        Table: the MVCC dictionary over a kv.Store base table
-//	row.go          rows (key, version object, store handle, commit
-//	                marks) and the open-addressed row index
+//	row.go          rows (key, versions, store handle, commit marks) and
+//	                the open-addressed row index
 //	consistency.go  the one protocol surface: every Protocol entry point
 //	                (Begin, Read, the write path, CommitState, Commit,
 //	                CommitChain, Abort), per-state flags, and the commit
@@ -48,4 +48,18 @@
 // (Protocol.CommitChain), raising fan-in without giving up serial-order
 // semantics. DESIGN.md walks through each with its correctness
 // invariants.
+//
+// # Who writes a row's versions
+//
+// A row holds its key's versions itself (an mvcc.Object by value), and
+// only the holder of the table's group commit latch writes them: the
+// commit pipeline's install, recovery, the GC sweeps (Table.GC and the
+// threshold and idle sweepers take the latch for a sweep) and the index
+// backfill and sweep. So a version slot is reused in place with no lock
+// of its own, and an index sweep's look at a row's versions cannot
+// interleave with an install and its index add. Readers — snapshots,
+// transactions, lookups, feeds — never take the latch: they read the
+// slots lock-free while they are rewritten, and a pinned reader's
+// versions are never the ones rewritten (internal/mvcc's package comment
+// has the argument).
 package txn

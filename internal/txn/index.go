@@ -29,12 +29,13 @@ import (
 //     a rewrite that keeps its index key is a read-locked hit.
 //   - the table sweep (Table.sweep -> Index.gc) removes a candidate when
 //     no retained version of the row extracts to the index key, checking
-//     and removing under the row object's writer mutex. Install takes the
-//     same mutex and the add follows the Install, so the sweeper's step is
-//     entirely before an install (the add re-inserts the entry) or
-//     entirely after it (it sees the version and keeps the entry).
+//     and removing under the group commit latch. The commit path holds
+//     the same latch from a row's install through its add, so the
+//     sweeper's step is entirely before an install and its add (the add
+//     re-inserts the entry) or entirely after them (it sees the version
+//     and keeps the entry).
 //
-// Lock order: row object writer mutex, then index shard lock. Nothing is
+// Lock order: group commit latch, then index shard lock. Nothing is
 // persisted: an index is rebuilt from the rows by CreateIndex.
 
 // indexShards spreads the candidate sets over independently locked maps,
@@ -46,14 +47,14 @@ const indexShards = 16
 // cheap, and must not retain key or value: it is evaluated on the commit
 // path for every written image, on the READ path for every candidate of a
 // lookup (the result of a lookup is whatever it says about the row
-// versions at the snapshot), and by the sweeper while it holds a row's
-// writer mutex.
+// versions at the snapshot), and by the sweeper while it holds the group
+// commit latch.
 type IndexKeyFunc func(key string, value []byte) (ikey string, ok bool)
 
 // Index is a transactionally maintained secondary index over one table
 // (Table.CreateIndex). All methods are safe for concurrent use; a lookup
 // takes one shard read lock to copy its candidates and reads row versions
-// wait-free (RCU).
+// wait-free.
 type Index struct {
 	name    string
 	tbl     *Table
@@ -127,21 +128,19 @@ func (ix *Index) shard(ikey string) *indexShard {
 // The steady state — a rewrite that keeps its index key — is one compare:
 // r remembers the set it was last added to (for the first rowMemos
 // indexes of its table), and that memo holds only while r is in the set,
-// since the sweeper clears it in the step that drops r from the set. A
-// memo can be stored outside the shard lock: the sweeper cannot drop r
-// from the set of the image just installed until a later install — by the
-// same latch holder, after this add — has superseded it. Otherwise add
-// probes the set under the shard's read lock and takes the write lock
-// only to insert.
+// since the sweeper clears it in the step that drops r from the set. The
+// memo, like the sweeper's step, belongs to the group commit latch holder.
+// Otherwise add probes the set under the shard's read lock and takes the
+// write lock only to insert.
 func (ix *Index) add(r *row, value []byte) {
 	ikey, ok := ix.extract(r.key, value)
 	if !ok {
 		return
 	}
-	var memo *atomic.Pointer[candidates]
+	var memo **candidates
 	if ix.ord < rowMemos {
 		memo = &r.memo[ix.ord]
-		if c := memo.Load(); c != nil && c.ikey == ikey {
+		if c := *memo; c != nil && c.ikey == ikey {
 			return
 		}
 	}
@@ -163,7 +162,7 @@ func (ix *Index) add(r *row, value []byte) {
 		sh.mu.Unlock()
 	}
 	if memo != nil {
-		memo.Store(c)
+		*memo = c
 	}
 }
 
@@ -221,8 +220,9 @@ func (ix *Index) ResidentPostings() int {
 // gc visits count index shards from the cursor (wrapping) and drops every
 // candidate whose row retains no version extracting to the entry's index
 // key, returning the number dropped. Invoked by the table sweeps (buf is
-// the sweep's pooled buffer) after they reclaimed row versions, so index
-// residency is bounded by the same policy as row residency.
+// the sweep's pooled buffer), under the group commit latch, after they
+// reclaimed row versions, so index residency is bounded by the same
+// policy as row residency.
 func (ix *Index) gc(count int, buf *[]*row) int {
 	count = min(max(count, 1), indexShards)
 	from := int(ix.gcCursor.Load()) % indexShards
@@ -260,8 +260,8 @@ func (ix *Index) gc(count int, buf *[]*row) int {
 // dropUnseen removes candidate r from set c of shard sh unless some
 // retained version of r still extracts to c's index key, clearing r's
 // memo of c in the same step. Check and removal both happen under the
-// row's writer mutex (see the file comment for why no racing commit can
-// lose its entry that way).
+// group commit latch, which the caller holds (see the file comment for why
+// no commit can lose its entry that way).
 func (ix *Index) dropUnseen(sh *indexShard, c *candidates, r *row) (dropped bool) {
 	r.obj.Retained(func(values iter.Seq[[]byte]) {
 		for v := range values {
@@ -277,8 +277,8 @@ func (ix *Index) dropUnseen(sh *indexShard, c *candidates, r *row) (dropped bool
 			}
 			dropped = true
 		}
-		if ix.ord < rowMemos {
-			r.memo[ix.ord].CompareAndSwap(c, nil)
+		if ix.ord < rowMemos && r.memo[ix.ord] == c {
+			r.memo[ix.ord] = nil
 		}
 		sh.mu.Unlock()
 	})

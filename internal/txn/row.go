@@ -3,24 +3,25 @@ package txn
 import (
 	"hash/maphash"
 	"sync"
-	"sync/atomic"
 
 	"sistream/internal/kv"
 	"sistream/internal/mvcc"
 )
 
 // A row is one key of one table: the unit the commit path carries from the
-// write set to publish. It holds the key's version object, the base-store
-// handle the key's writes go through, the marks the commit pipeline stamps
-// on it and, per index, the candidate set it was last added to. The
-// table's row index finds a row with one probe; a key of up to rowInline
-// bytes is compared against the copy kept in the row, so that probe
-// touches one slot line and the row.
+// write set to publish. It holds the key's versions (its mvcc.Object, by
+// value: the slots are in the row), the base-store handle the key's writes
+// go through, the marks the commit pipeline stamps on it and, per index,
+// the candidate set it was last added to. The table's row index finds a
+// row with one probe; a key of up to rowInline bytes is compared against
+// the copy kept in the row, so that probe touches one slot line and the
+// row, and a reader finds the versions in that same row.
 //
-// key, klen, inline and obj never change once the row is in the index.
-// handle, txn, pos and mark belong to the holder of the table's group
-// commit latch; memo is atomic because the sweeper clears it off the
-// latch.
+// key, klen and inline never change once the row is in the index.
+// Everything else belongs to the holder of the table's group commit latch
+// — obj's writer methods included (the commit pipeline installs, recovery
+// seeds, the sweeps and the index backfill all hold it) — except obj's
+// reader methods, which snapshot readers call lock-free.
 type row struct {
 	inline [rowInline]byte
 	klen   uint8 // len(key) when the key fits inline, else rowLong
@@ -33,10 +34,10 @@ type row struct {
 	// cover it, so a mark is never cleared: marks above a batch's base
 	// timestamp are that batch's earlier admissions.
 	mark   Timestamp
-	obj    *mvcc.Object
+	obj    mvcc.Object
 	handle kv.Handle
 	key    string
-	memo   [rowMemos]atomic.Pointer[candidates]
+	memo   [rowMemos]*candidates
 }
 
 const (
@@ -49,7 +50,8 @@ const (
 )
 
 func newRow(key string, slots int) *row {
-	r := &row{key: key, obj: mvcc.NewObject(slots), klen: rowLong}
+	r := &row{key: key, klen: rowLong}
+	r.obj.Init(slots)
 	if len(key) <= rowInline {
 		r.klen = uint8(copy(r.inline[:], key))
 	}

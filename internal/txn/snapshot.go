@@ -17,15 +17,21 @@ import (
 // long scans; Release the snapshot when done to unpin the horizon.
 //
 // Reads never block writers and writers never block reads: every method
-// is an RCU version-store read at the pinned timestamp. All methods are
-// safe for concurrent use, so one Snapshot may serve many query lanes.
+// is a lock-free version-store read at the pinned timestamp. All methods
+// are safe for concurrent use, so one Snapshot may serve many query lanes
+// — and with Release: a read already running when the snapshot is
+// released keeps the pin until it returns, so it completes against the
+// pinned cut; a read that starts after Release fails with ErrFinished.
 type Snapshot struct {
 	ctx    *Context
 	tx     *Txn
 	rts    Timestamp
 	tables map[StateID]*Table
 
-	released atomic.Bool
+	// state is twice the number of reads in flight, plus 1 once Release
+	// was called. The pin goes when state reaches exactly 1, which it does
+	// once: no read starts after Release.
+	state atomic.Int64
 }
 
 // Snapshot pins a consistent read timestamp across the given tables and
@@ -88,24 +94,41 @@ func (c *Context) Snapshot(tables ...*Table) (*Snapshot, error) {
 // CTS returns the snapshot's pinned commit timestamp.
 func (s *Snapshot) CTS() Timestamp { return s.rts }
 
-// table validates that tbl was declared when the snapshot was taken —
-// only declared tables are covered by the consistency argument (their
-// groups participated in the pinned cut).
-func (s *Snapshot) table(tbl *Table) error {
-	if s.released.Load() {
-		return ErrFinished
+// begin starts a read of tbl, which must have been declared when the
+// snapshot was taken — only declared tables are covered by the
+// consistency argument (their groups participated in the pinned cut). On
+// success the read holds the pin until the caller calls end.
+func (s *Snapshot) begin(tbl *Table) error {
+	for {
+		st := s.state.Load()
+		if st&1 != 0 {
+			return ErrFinished
+		}
+		if s.state.CompareAndSwap(st, st+2) {
+			break
+		}
 	}
 	if _, ok := s.tables[tbl.id]; !ok {
+		s.end()
 		return fmt.Errorf("txn: table %q not covered by this snapshot", tbl.id)
 	}
 	return nil
 }
 
+// end finishes a read begun by begin, unpinning a released snapshot when
+// it was the last one in flight.
+func (s *Snapshot) end() {
+	if s.state.Add(-2) == 1 {
+		s.unpin()
+	}
+}
+
 // Get returns the value of key in tbl at the snapshot.
 func (s *Snapshot) Get(tbl *Table, key string) ([]byte, bool, error) {
-	if err := s.table(tbl); err != nil {
+	if err := s.begin(tbl); err != nil {
 		return nil, false, err
 	}
+	defer s.end()
 	v, ok := tbl.readVersion(key, s.rts)
 	return v, ok, nil
 }
@@ -113,9 +136,10 @@ func (s *Snapshot) Get(tbl *Table, key string) ([]byte, bool, error) {
 // Scan iterates every key of tbl visible at the snapshot in unspecified
 // order, calling fn until it returns false.
 func (s *Snapshot) Scan(tbl *Table, fn func(key string, value []byte) bool) error {
-	if err := s.table(tbl); err != nil {
+	if err := s.begin(tbl); err != nil {
 		return err
 	}
+	defer s.end()
 	tbl.SnapshotScan(s.rts, fn)
 	return nil
 }
@@ -124,9 +148,10 @@ func (s *Snapshot) Scan(tbl *Table, fn func(key string, value []byte) bool) erro
 // snapshot (lexicographic bounds; end == "" means unbounded), in
 // unspecified order, calling fn until it returns false.
 func (s *Snapshot) ScanRange(tbl *Table, start, end string, fn func(key string, value []byte) bool) error {
-	if err := s.table(tbl); err != nil {
+	if err := s.begin(tbl); err != nil {
 		return err
 	}
+	defer s.end()
 	scanStripe(tbl, s.rts, 0, 1, func(key string, value []byte) bool {
 		if key < start || (end != "" && key >= end) {
 			return true
@@ -142,9 +167,10 @@ func (s *Snapshot) ScanRange(tbl *Table, start, end string, fn func(key string, 
 // one stripe cover every visible key exactly once (ParallelScan wires
 // exactly that).
 func (s *Snapshot) ScanStripe(tbl *Table, stripe, stripes int, fn func(key string, value []byte) bool) error {
-	if err := s.table(tbl); err != nil {
+	if err := s.begin(tbl); err != nil {
 		return err
 	}
+	defer s.end()
 	if stripes < 1 || stripe < 0 || stripe >= stripes {
 		return fmt.Errorf("txn: ScanStripe: invalid stripe %d of %d", stripe, stripes)
 	}
@@ -159,9 +185,10 @@ func (s *Snapshot) ScanStripe(tbl *Table, stripe, stripes int, fn func(key strin
 // same consistent cut as a sequential Scan — lanes share one pinned
 // timestamp.
 func (s *Snapshot) ParallelScan(tbl *Table, lanes int, fn func(key string, value []byte) bool) error {
-	if err := s.table(tbl); err != nil {
+	if err := s.begin(tbl); err != nil {
 		return err
 	}
+	defer s.end()
 	if lanes < 1 {
 		lanes = 1
 	}
@@ -201,20 +228,39 @@ func (s *Snapshot) ParallelScan(tbl *Table, lanes int, fn func(key string, value
 // version at the pinned timestamp, which makes this equal to a filtered
 // full scan of the table.
 func (s *Snapshot) Lookup(ix *Index, ikey string, fn func(key string, value []byte) bool) error {
-	if err := s.table(ix.tbl); err != nil {
+	if err := s.begin(ix.tbl); err != nil {
 		return err
 	}
+	defer s.end()
 	ix.Lookup(s.rts, ikey, fn)
 	return nil
 }
 
 // Release drops the snapshot's GC pin and transaction slot. Idempotent.
 // After Release every read method fails with ErrFinished; versions the
-// snapshot alone kept alive become reclaimable by the next sweep.
+// snapshot alone kept alive become reclaimable by the next sweep. Reads
+// still running — a scan whose callback called Release, or a read on
+// another lane — keep the pin until the last of them returns.
 func (s *Snapshot) Release() {
-	if s.released.Swap(true) {
-		return
+	// A CAS loop where state.Or(1) would do: Go 1.24.0 on amd64 clobbers a
+	// live register when Or's result is used, and s arrived in unpin as 0x1.
+	for {
+		st := s.state.Load()
+		if st&1 != 0 {
+			return
+		}
+		if s.state.CompareAndSwap(st, st|1) {
+			if st == 0 {
+				s.unpin()
+			}
+			return
+		}
 	}
+}
+
+// unpin drops the GC pin and the transaction slot; state decides that it
+// runs exactly once.
+func (s *Snapshot) unpin() {
 	s.tx.finished.Store(true)
 	close(s.tx.done)
 	s.ctx.unregister(s.tx)
@@ -223,7 +269,7 @@ func (s *Snapshot) Release() {
 // scanStripe iterates the visible keys of shard stripe `stripe` of
 // `stripes` at rts: the shards i with i % stripes == stripe. Each shard's
 // rows are copied under its read lock into the call's one pooled
-// buffer; versions are read and fn runs outside the lock (RCU).
+// buffer; versions are read lock-free and fn runs outside the lock.
 func scanStripe(t *Table, rts Timestamp, stripe, stripes int, fn func(key string, value []byte) bool) {
 	buf := acquireRows()
 	defer releaseRows(buf)

@@ -1,7 +1,10 @@
 package txn
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -255,5 +258,161 @@ func TestSnapshotReleaseBoundsResidentVersions(t *testing.T) {
 	tbl.GC()
 	if got := tbl.ResidentVersions(); got > keys {
 		t.Fatalf("resident versions %d after release+GC, want <= %d (one live version per key)", got, keys)
+	}
+}
+
+// TestSnapshotReleaseMidReadKeepsTheCut: a read running when its snapshot
+// is released must not outlive the snapshot's pin. Each read's callback
+// releases the snapshot on its first row, then commits a rewrite of every
+// key and runs a full sweep; the read must still return exactly the
+// pinned cut — never silently drop the rows whose pinned versions the
+// sweep would reclaim — and the pin must go once the read returns.
+func TestSnapshotReleaseMidReadKeepsTheCut(t *testing.T) {
+	reads := map[string]func(s *Snapshot, tbl *Table, ix *Index, fn func(string, []byte) bool) error{
+		"Scan": func(s *Snapshot, tbl *Table, _ *Index, fn func(string, []byte) bool) error {
+			return s.Scan(tbl, fn)
+		},
+		"ScanStripe": func(s *Snapshot, tbl *Table, _ *Index, fn func(string, []byte) bool) error {
+			return s.ScanStripe(tbl, 0, 1, fn)
+		},
+		"ParallelScan": func(s *Snapshot, tbl *Table, _ *Index, fn func(string, []byte) bool) error {
+			return s.ParallelScan(tbl, 4, fn)
+		},
+		"Lookup": func(s *Snapshot, _ *Table, ix *Index, fn func(string, []byte) bool) error {
+			return s.Lookup(ix, "a", fn)
+		},
+	}
+	for name, read := range reads {
+		t.Run(name, func(t *testing.T) {
+			e := newEnv(t)
+			p := NewSI(e.ctx)
+			ix, err := e.t1.CreateIndex("bucket", valueBucket)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const keys = 200
+			rewrite := func(round int) {
+				tx, err := p.Begin()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < keys; i++ {
+					if err := p.Write(tx, e.t1, fmt.Sprintf("k%03d", i), []byte(fmt.Sprintf("a-round-%d", round))); err != nil {
+						t.Error(err)
+					}
+				}
+				if err := p.Commit(tx); err != nil {
+					t.Error(err)
+				}
+			}
+			rewrite(0)
+			snap, err := e.ctx.Snapshot(e.t1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var (
+				once sync.Once
+				mu   sync.Mutex
+				got  = map[string]string{}
+			)
+			err = read(snap, e.t1, ix, func(k string, v []byte) bool {
+				once.Do(func() {
+					snap.Release()
+					rewrite(1)
+					e.t1.GC()
+				})
+				mu.Lock()
+				got[k] = string(v)
+				mu.Unlock()
+				return true
+			})
+			if errors.Is(err, ErrFinished) {
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != keys {
+				t.Errorf("the read returned %d rows, the pinned cut has %d", len(got), keys)
+			}
+			for k, v := range got {
+				if v != "a-round-0" {
+					t.Errorf("row %s = %q, want the pinned a-round-0", k, v)
+				}
+			}
+			if _, _, err := snap.Get(e.t1, "k000"); err != ErrFinished {
+				t.Errorf("Get after Release = %v, want ErrFinished", err)
+			}
+			if n := e.ctx.ActiveCount(); n != 0 {
+				t.Errorf("%d transactions still registered after the read returned: the pin outlived it", n)
+			}
+		})
+	}
+}
+
+// BenchmarkSnapshotScan scans a 100 000-row table over mem under a pinned
+// snapshot whose rows each retain 1, 2 or 3 versions: the pin keeps the
+// version it reads, and every rewrite after the pin adds one. It reports
+// ns per scanned row and, from runtime.MemStats after a collection, the
+// heap the loaded table occupies per row (rows, versions, the row index
+// and the store's own copy of each value).
+func BenchmarkSnapshotScan(b *testing.B) {
+	const rows, txnRows = 100_000, 1000
+	keys := make([]string, rows)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%07d", i)
+	}
+	for versions := 1; versions <= 3; versions++ {
+		b.Run(fmt.Sprintf("versions=%d", versions), func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			e := newEnv(b)
+			p := NewSI(e.ctx)
+			ops := make([]WriteOp, txnRows)
+			load := func(round int) {
+				val := []byte(fmt.Sprintf("value-of-round-%d", round))
+				for lo := 0; lo < rows; lo += txnRows {
+					for i := range ops {
+						ops[i] = WriteOp{Key: keys[lo+i], Value: val}
+					}
+					tx, err := p.Begin()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := p.WriteBatch(tx, e.t1, ops); err != nil {
+						b.Fatal(err)
+					}
+					mustCommit(b, p, tx)
+				}
+			}
+			load(0)
+			snap, err := e.ctx.Snapshot(e.t1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer snap.Release()
+			for r := 1; r < versions; r++ {
+				load(r)
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			b.ReportAllocs()
+			for b.Loop() {
+				n := 0
+				if err := snap.Scan(e.t1, func(string, []byte) bool { n++; return true }); err != nil {
+					b.Fatal(err)
+				}
+				if n != rows {
+					b.Fatalf("scan saw %d rows, want %d", n, rows)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+			b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/rows, "heap-B/row")
+			if resident := e.t1.ResidentVersions(); resident != versions*rows {
+				b.Fatalf("%d resident versions, want %d", resident, versions*rows)
+			}
+		})
 	}
 }

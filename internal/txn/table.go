@@ -20,24 +20,28 @@ const (
 
 // TableOptions configures a transactional table.
 type TableOptions struct {
-	// VersionSlots is the initial version-array capacity per key
-	// (default mvcc.DefaultSlots). The slot-size ablation (experiment A1)
-	// sweeps this.
+	// VersionSlots is the number of versions a row holds before Install
+	// reclaims in place: a new version takes a free slot while there is
+	// one, and overwrites a dead version only when there is none (default
+	// mvcc.DefaultSlots, 2, kept inline in the row; a row needing more
+	// keeps the rest in a heap array, which grows when nothing is dead).
+	// The slot-size ablation (experiment A1) sweeps this.
 	VersionSlots int
 	// SyncCommits makes commits durable (fsync) before they become
 	// visible. The paper's evaluation enables it ("we ... only set the
 	// sync option to true to guarantee failure atomicity").
 	SyncCommits bool
 	// GCEveryCommits opts into threshold-driven version reclamation: the
-	// table's version arrays are swept once per N transactions committed
-	// into it, by the retiring group-commit leaders (off the commit
-	// latch, concurrent with new commits). The sweep is INCREMENTAL: each
-	// retiring leader visits only the next 1/gcSweepSlices of the key
-	// shards, so the full table is covered once per threshold interval
-	// while no single commit path pays a whole-table pause. 0 disables
-	// the sweeper, leaving only the Install-time lazy GC — which only
-	// fires when a key's version array fills, so read-mostly keys would
-	// retain dead versions indefinitely. See Table.GCStats.
+	// table's rows are swept once per N transactions committed into it,
+	// by the retiring group-commit leaders, between commit batches (a
+	// sweep holds the commit latch; a leader that finds it taken leaves
+	// the sweep to the next one). The sweep is INCREMENTAL: each retiring
+	// leader visits only the next 1/gcSweepSlices of the key shards, so
+	// the full table is covered once per threshold interval while no
+	// single commit path pays a whole-table pause. 0 disables the
+	// sweeper, leaving only the Install-time lazy GC — which only fires
+	// when a row has no free slot, so read-mostly keys would retain dead
+	// versions indefinitely. See Table.GCStats.
 	GCEveryCommits int
 	// GCIdleInterval opts into time-based reclamation for tables that go
 	// QUIET: threshold sweeps run only on retiring commit leaders, so a
@@ -82,11 +86,10 @@ type Table struct {
 	indexes atomic.Pointer[[]*Index]
 
 	// Sweeper bookkeeping (see TableOptions.GCEveryCommits): commits into
-	// this table since the last sweep, a single-flight guard, the next
-	// shard the incremental sweeper visits, and the cumulative counters
-	// GCStats reports.
+	// this table since the last sweep, the next shard the incremental
+	// sweeper visits, and the cumulative counters GCStats reports. Sweeps
+	// hold the group commit latch, which also keeps them from stacking.
 	commitsSinceGC atomic.Uint64
-	gcActive       atomic.Bool
 	gcCursor       atomic.Uint32
 	gcRuns         atomic.Uint64
 	gcReclaimed    atomic.Uint64
@@ -220,16 +223,22 @@ func (t *Table) Keys() int {
 const gcSweepSlices = 8
 
 // GC reclaims versions invisible at the context's current
-// OldestActiveVersion across all keys, returning reclaimed slots. Safe
-// to run concurrently with commits (per-object GC synchronizes with
-// Install on the object's writer mutex; readers are RCU and never
-// blocked).
+// OldestActiveVersion across all keys, returning reclaimed slots. It
+// holds the group commit latch for the sweep, since reclaiming writes the
+// rows' version slots, which only the latch holder may: commits wait for
+// it, readers never do. So it must not be called from a commit watcher,
+// which runs under that latch.
 func (t *Table) GC() int {
+	if g := t.Group(); g != nil {
+		g.commitMu.Lock()
+		defer g.commitMu.Unlock()
+	}
 	return t.sweep(0, tableShards)
 }
 
 // sweep reclaims dead versions in count shards starting at shard `from`
-// (wrapping), recording one sweeper run.
+// (wrapping), recording one sweeper run. Caller holds the group commit
+// latch (or the table has no group, hence no rows).
 func (t *Table) sweep(from, count int) int {
 	horizon := t.ctx.OldestActiveVersion()
 	buf := acquireRows()
@@ -258,8 +267,10 @@ func (t *Table) sweep(from, count int) int {
 
 // maybeGC runs one sweep increment when the opt-in commit threshold has
 // been reached. It is called by the retiring group-commit leader after
-// the commit latch is released, so the sweep overlaps new commits; the
-// single-flight guard keeps back-to-back leaders from stacking sweeps.
+// it released the commit latch, and sweeps only if it can take the latch
+// back at once: a committer that already holds it — a new leader
+// collecting its batch may be waiting for this very goroutine's next
+// commit — goes first, and the next retiring leader sweeps instead.
 // The configured GCEveryCommits interval is divided across gcSweepSlices
 // increments — each crossing of the scaled threshold sweeps the next
 // slice of shards — so residency stays bounded by one full interval
@@ -276,15 +287,16 @@ func (t *Table) maybeGC() {
 	if t.commitsSinceGC.Load() < step {
 		return
 	}
-	if !t.gcActive.CompareAndSwap(false, true) {
+	g := t.Group()
+	if !g.commitMu.TryLock() {
 		return
 	}
+	defer g.commitMu.Unlock()
 	t.commitsSinceGC.Store(0)
 	from := int(t.gcCursor.Load())
 	chunk := tableShards / gcSweepSlices
 	t.gcCursor.Store(uint32((from + chunk) % tableShards))
 	t.sweep(from, chunk)
-	t.gcActive.Store(false)
 }
 
 // startIdleGC launches the idle sweeper when the table opted in via
@@ -302,9 +314,8 @@ func (t *Table) startIdleGC() {
 // idleGCLoop wakes every GCIdleInterval and runs one FULL sweep when the
 // table has been quiet — at least one commit happened since the last
 // reclamation, and the newest commit is older than the interval. The
-// single-flight guard shared with the threshold sweeper keeps it from
-// stacking onto a leader-driven slice; the unreclaimed-commit check keeps
-// a permanently idle table from rescanning forever.
+// unreclaimed-commit check keeps a permanently idle table from rescanning
+// forever.
 func (t *Table) idleGCLoop() {
 	tick := time.NewTicker(t.opts.GCIdleInterval)
 	defer tick.Stop()
@@ -320,12 +331,8 @@ func (t *Table) idleGCLoop() {
 			if now.UnixNano()-last < int64(t.opts.GCIdleInterval) {
 				continue
 			}
-			if !t.gcActive.CompareAndSwap(false, true) {
-				continue
-			}
 			t.commitsSinceGC.Store(0)
-			t.sweep(0, tableShards)
-			t.gcActive.Store(false)
+			t.GC()
 		}
 	}
 }

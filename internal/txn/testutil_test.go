@@ -18,14 +18,14 @@ func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 func objectOf(tbl *Table, key string, create bool) *mvcc.Object {
 	if !create {
 		if r := tbl.lookup(key); r != nil {
-			return r.obj
+			return &r.obj
 		}
 		return nil
 	}
 	g := tbl.Group()
 	g.commitMu.Lock()
 	defer g.commitMu.Unlock()
-	return tbl.row(keyHash(key), key).obj
+	return &tbl.row(keyHash(key), key).obj
 }
 
 // hammer is the reusable concurrency-test harness: it runs worker loops
