@@ -86,7 +86,7 @@
 // # Where to read more
 //
 //   - README.md — architecture overview, quickstart, benchmark numbers.
-//   - DESIGN.md — the full design: sharded registry, group commit,
+//   - DESIGN.md — the full design: state context, group commit,
 //     vectorized dataflow, parallel lanes, partitioned feed, MVCC store.
 //   - examples/ — complete runnable programs (quickstart, ad-hoc
 //     queries, crash recovery, the smart-meter scenario).

@@ -79,15 +79,23 @@ func main() {
 	fmt.Printf("ingest: %d raw writes / %d commits; %d aggregate writes / %d commits\n",
 		raw.Writes.Load(), raw.Commits.Load(), agg.Writes.Load(), agg.Commits.Load())
 
-	// Ad-hoc report: consistent snapshot across BOTH states.
-	rawRows, err := sistream.TableSnapshot(p, measurements)
+	// Ad-hoc report: one consistent snapshot across BOTH states.
+	snap, err := ctx.Snapshot(measurements, averages)
 	if err != nil {
 		log.Fatal(err)
 	}
-	avgRows, err := sistream.TableSnapshot(p, averages)
-	if err != nil {
-		log.Fatal(err)
+	defer snap.Release()
+	scan := func(tbl *sistream.Table) []sistream.KV {
+		var rows []sistream.KV
+		if err := snap.Scan(tbl, func(key string, value []byte) bool {
+			rows = append(rows, sistream.KV{Key: key, Value: value})
+			return true
+		}); err != nil {
+			log.Fatal(err)
+		}
+		return rows
 	}
+	rawRows, avgRows := scan(measurements), scan(averages)
 	sort.Slice(avgRows, func(i, j int) bool { return avgRows[i].Key < avgRows[j].Key })
 	fmt.Printf("report: %d meters with raw readings, %d with sliding averages\n", len(rawRows), len(avgRows))
 	for _, r := range avgRows {

@@ -291,3 +291,52 @@ func TestTransactionsStageIsFused(t *testing.T) {
 		}
 	}
 }
+
+// TestReadCutExistsOnce keeps the read cut a single rule. Snapshots once
+// read every group at the minimum LastCTS over their groups while SI
+// transactions read each group at its own; the minimum read a group below
+// its cut, where reused version slots had already been overwritten. The
+// gate fails when the GC pin — the value a read cut publishes — is stored
+// by more than one function of non-test internal/txn, and when that code
+// resolves a table by name (Context.Table) instead of using the *Table it
+// holds.
+func TestReadCutExistsOnce(t *testing.T) {
+	var pinners, lookups []string
+	_, files := parseNonTest(t, "internal/txn")
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				switch sel.Sel.Name {
+				case "Store":
+					if recv, ok := sel.X.(*ast.SelectorExpr); ok && recv.Sel.Name == "pinnedOldest" {
+						pinners = append(pinners, fd.Name.Name)
+					}
+				case "Table":
+					if len(call.Args) == 1 {
+						lookups = append(lookups, fd.Name.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	sort.Strings(pinners)
+	if fns := slices.Compact(pinners); len(fns) != 1 {
+		t.Errorf("pinnedOldest.Store appears in %d functions, want 1 (the one pin routine): %v", len(fns), fns)
+	}
+	if len(lookups) > 0 {
+		t.Errorf("Context.Table is called from %v: the transaction path holds the *Table it reads", lookups)
+	}
+}

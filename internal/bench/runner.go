@@ -38,53 +38,24 @@ func Run(cfg Config) (Result, error) {
 // are part of the measurement; any other protocol or store error stops
 // the cell and is returned instead of a Result.
 func runOn(cfg Config, store kv.Store) (Result, error) {
-	// --- preload ---------------------------------------------------------
-	// Rows are bulk-loaded straight into the base store (no per-row sync)
-	// together with the LastCTS watermark; CreateGroup then recovers them
-	// into the version store — the same code path a restart uses, and far
-	// faster than a million synchronous transactions.
 	value := make([]byte, cfg.ValueBytes)
 	for i := range value {
 		value[i] = byte('a' + i%26)
 	}
-	const preloadCTS = 1
-	batch := kv.NewBatch(4096)
-	for s := 0; s < cfg.States; s++ {
-		prefix := fmt.Sprintf("s/state%d/", s)
-		for k := 0; k < cfg.TableSize; k++ {
-			batch.Put([]byte(prefix+keyString(uint64(k), cfg.KeyBytes)), value)
-			if batch.Len() >= 4096 {
-				if err := store.Apply(batch, false); err != nil {
-					return Result{}, err
-				}
-				batch.Reset()
-			}
-		}
-		batch.Put([]byte(fmt.Sprintf("m/state%d/lastcts", s)), encodeTS(preloadCTS))
-	}
-	if err := store.Apply(batch, true); err != nil {
+	if err := preload(cfg, store, value); err != nil {
 		return Result{}, err
 	}
 
 	// --- transactional setup ----------------------------------------------
-	ctx := txn.NewContext()
-	var group *txn.Group
-	tables := make([]*txn.Table, cfg.States)
-	for s := 0; s < cfg.States; s++ {
-		t, err := ctx.CreateTable(txn.StateID(fmt.Sprintf("state%d", s)), store, txn.TableOptions{
-			SyncCommits:  cfg.Sync,
-			VersionSlots: cfg.VersionSlots,
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		tables[s] = t
-	}
-	g, err := ctx.CreateGroup("bench", tables...)
+	// CreateGroup recovers the preloaded rows into the version store — the
+	// same code path a restart uses.
+	ctx, tables, group, err := setup(cfg, store, txn.TableOptions{
+		SyncCommits:  cfg.Sync,
+		VersionSlots: cfg.VersionSlots,
+	})
 	if err != nil {
 		return Result{}, err
 	}
-	group = g
 	var p txn.Protocol
 	switch cfg.Protocol {
 	case "mvcc":
@@ -300,6 +271,56 @@ func runOn(cfg Config, store kv.Store) (Result, error) {
 	return res, nil
 }
 
+// setup registers cfg.States tables over store and groups them.
+func setup(cfg Config, store kv.Store, opts txn.TableOptions) (*txn.Context, []*txn.Table, *txn.Group, error) {
+	ctx := txn.NewContext()
+	tables := make([]*txn.Table, cfg.States)
+	for s := range tables {
+		t, err := ctx.CreateTable(txn.StateID(fmt.Sprintf("state%d", s)), store, opts)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		tables[s] = t
+	}
+	g, err := ctx.CreateGroup("bench", tables...)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return ctx, tables, g, nil
+}
+
+// preload writes every key of every state through a throw-away context:
+// unsynced 1 000-row SI transactions, then one Sync — far faster than
+// TableSize synchronous commits.
+func preload(cfg Config, store kv.Store, value []byte) error {
+	ctx, tables, _, err := setup(cfg, store, txn.TableOptions{})
+	if err != nil {
+		return err
+	}
+	p := txn.NewSI(ctx)
+	const batch = 1000
+	ops := make([]txn.WriteOp, 0, batch)
+	for lo := 0; lo < cfg.TableSize; lo += batch {
+		ops = ops[:0]
+		for k := lo; k < min(lo+batch, cfg.TableSize); k++ {
+			ops = append(ops, txn.WriteOp{Key: keyString(uint64(k), cfg.KeyBytes), Value: value})
+		}
+		tx, err := p.Begin()
+		if err != nil {
+			return err
+		}
+		for _, t := range tables {
+			if _, err := p.WriteBatch(tx, t, ops); err != nil {
+				return err
+			}
+		}
+		if err := p.Commit(tx); err != nil {
+			return err
+		}
+	}
+	return store.Sync()
+}
+
 // keyString renders rank k as a fixed-width key of n bytes.
 func keyString(k uint64, n int) string {
 	buf := make([]byte, n)
@@ -310,13 +331,7 @@ func keyString(k uint64, n int) string {
 	return string(buf)
 }
 
-func encodeTS(ts uint64) []byte {
-	out := make([]byte, 8)
-	binary.LittleEndian.PutUint64(out, ts)
-	return out
-}
-
-func encodeU64(v uint64) []byte { return encodeTS(v) }
+func encodeU64(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
 
 func decodeU64(b []byte) uint64 {
 	if len(b) < 8 {

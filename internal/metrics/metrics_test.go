@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestBucketRoundTrip(t *testing.T) {
@@ -155,36 +154,6 @@ func TestSnapshotAndString(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Fatal("empty String()")
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Load() != 5 {
-		t.Fatalf("load = %d", c.Load())
-	}
-	if prev := c.Reset(); prev != 5 || c.Load() != 0 {
-		t.Fatalf("reset returned %d, left %d", prev, c.Load())
-	}
-}
-
-func TestMeter(t *testing.T) {
-	var m Meter
-	m.Start()
-	m.Add(100)
-	time.Sleep(20 * time.Millisecond)
-	m.Stop()
-	if m.Count() != 100 {
-		t.Fatalf("count = %d", m.Count())
-	}
-	r := m.Rate()
-	if r <= 0 || r > 100/0.015 {
-		t.Fatalf("rate = %g, implausible for 100 events over >=20ms", r)
-	}
-	if m.Elapsed() < 20*time.Millisecond {
-		t.Fatalf("elapsed = %v", m.Elapsed())
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // of tbl split into parts key-hash partitions (keyFn is the routing
 // token, nil selecting FNV-1a of the key — the same default the ingest
 // lanes use, so matching partition and lane counts agree on key
-// placement; a custom token must set KeyFn.Key) and returns the
+// placement; a custom token is built by NewKeyFn) and returns the
 // partitions as the lanes of a ParallelRegion. The region records the
 // token, so a downstream Reparallelize with the SAME token (and count)
 // fuses partition-to-lane — see KeyFn.

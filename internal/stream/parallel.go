@@ -63,44 +63,27 @@ func laneKey(t Tuple) uint64 {
 // token equality exactly as it does for the shared default (nil, which
 // selects txn.DefaultKeyHash on both the tuple and the key side).
 //
-// Tuple routes ingest-side tuples; Key partitions feed-side row keys.
-// Setting only Key derives Tuple from it over Tuple.Key (NewKeyFn), which
-// also guarantees the two sides agree on placement. Setting only Tuple
-// leaves the token unusable for FromTablePartitioned.
+// The token holds one key-string hash: ingest-side tuples route by it over
+// Tuple.Key, feed-side row keys partition by it directly, so the two sides
+// agree on placement by construction. Build it with NewKeyFn.
 type KeyFn struct {
-	// Tuple maps a tuple to its routing hash (ingest-lane routing); nil
-	// derives it from Key applied to Tuple.Key.
-	Tuple func(Tuple) uint64
-	// Key maps a row key to its hash (feed partitioning); required when
-	// the token is used with FromTablePartitioned.
-	Key func(string) uint64
+	key func(string) uint64
 }
 
 // NewKeyFn builds a routing token from one key-string hash, usable on
 // both the ingest side (tuples route by Tuple.Key) and the feed side —
 // the construction that makes same-token fusion across the table seam
 // sound by definition.
-func NewKeyFn(key func(string) uint64) *KeyFn {
-	return &KeyFn{
-		Key:   key,
-		Tuple: func(t Tuple) uint64 { return key(t.Key) },
-	}
-}
+func NewKeyFn(key func(string) uint64) *KeyFn { return &KeyFn{key: key} }
 
-// tupleFn resolves the ingest-side routing function (nil token or fields
-// selects the default lane hash).
+// tupleFn resolves the ingest-side routing function (a nil token selects
+// the default lane hash).
 func (k *KeyFn) tupleFn() func(Tuple) uint64 {
-	switch {
-	case k == nil:
-		return laneKey
-	case k.Tuple != nil:
-		return k.Tuple
-	case k.Key != nil:
-		kf := k.Key
-		return func(t Tuple) uint64 { return kf(t.Key) }
-	default:
+	if k == nil {
 		return laneKey
 	}
+	kf := k.key
+	return func(t Tuple) uint64 { return kf(t.Key) }
 }
 
 // keyHash resolves the feed-side partitioning function (nil token selects
@@ -109,10 +92,7 @@ func (k *KeyFn) keyHash() func(string) uint64 {
 	if k == nil {
 		return nil
 	}
-	if k.Key == nil {
-		panic("stream: KeyFn used for feed partitioning must set Key")
-	}
-	return k.Key
+	return k.key
 }
 
 // ParallelRegion is a parallel section of a topology: P keyed lanes

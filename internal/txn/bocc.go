@@ -64,18 +64,14 @@ func (p *BOCC) validate(tx *Txn, batch batchMarks) error {
 	if err := p.ctx.recent.validateLocked(tx); err != nil {
 		return err
 	}
-	for st, keys := range tx.reads {
-		tbl, ok := p.ctx.Table(st)
-		if !ok {
-			continue
-		}
+	for tbl, keys := range tx.reads {
 		for k := range keys {
 			if batch.written(tbl, k) {
-				return fmt.Errorf("%w: state %q key %q written earlier in the same commit batch", ErrValidation, st, k)
+				return fmt.Errorf("%w: state %q key %q written earlier in the same commit batch", ErrValidation, tbl.id, k)
 			}
 		}
 	}
-	for id, e := range tx.states {
+	for tbl, e := range tx.states {
 		if len(e.order) == 0 {
 			continue
 		}
@@ -84,9 +80,9 @@ func (p *BOCC) validate(tx *Txn, batch batchMarks) error {
 			ks[k] = struct{}{}
 		}
 		if tx.writes == nil {
-			tx.writes = make(map[StateID]map[string]struct{}, len(tx.states))
+			tx.writes = make(map[*Table]map[string]struct{}, len(tx.states))
 		}
-		tx.writes[id] = ks
+		tx.writes[tbl] = ks
 	}
 	return nil
 }
@@ -111,7 +107,7 @@ func (p *BOCC) register(tx *Txn, verdict error) {
 // backward validation of its contemporaries.
 type commitRecord struct {
 	cts    Timestamp
-	writes map[StateID]map[string]struct{}
+	writes map[*Table]map[string]struct{}
 }
 
 // recentCommits is the pruned history of committed write sets, ascending
@@ -131,15 +127,15 @@ func (r *recentCommits) validateLocked(tx *Txn) error {
 		if rec.cts <= tx.startTS {
 			break // older records cannot conflict (list is cts-ascending)
 		}
-		for st, keys := range tx.reads {
-			wr, ok := rec.writes[st]
+		for tbl, keys := range tx.reads {
+			wr, ok := rec.writes[tbl]
 			if !ok {
 				continue
 			}
 			for k := range keys {
 				if _, hit := wr[k]; hit {
 					return fmt.Errorf("%w: state %q key %q written by txn committed at %d",
-						ErrValidation, st, k, rec.cts)
+						ErrValidation, tbl.id, k, rec.cts)
 				}
 			}
 		}
@@ -148,7 +144,7 @@ func (r *recentCommits) validateLocked(tx *Txn) error {
 }
 
 // registerLocked appends a commit record. Caller holds r.mu.
-func (r *recentCommits) registerLocked(cts Timestamp, writes map[StateID]map[string]struct{}) {
+func (r *recentCommits) registerLocked(cts Timestamp, writes map[*Table]map[string]struct{}) {
 	r.records = append(r.records, commitRecord{cts: cts, writes: writes})
 	r.commits++
 }

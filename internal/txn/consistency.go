@@ -154,13 +154,13 @@ func (p *protocolBase) begin(readOnly bool) (*Txn, error) {
 		id:       p.ctx.next(),
 		ctx:      p.ctx,
 		readOnly: readOnly,
-		states:   make(map[StateID]*stateEntry),
-		readCTS:  make(map[GroupID]Timestamp),
+		states:   make(map[*Table]*stateEntry),
+		readCTS:  make(map[*Group]Timestamp),
 		done:     make(chan struct{}),
 	}
 	t.startTS = t.id
 	if p.trackReads {
-		t.reads = make(map[StateID]map[string]struct{})
+		t.reads = make(map[*Table]map[string]struct{})
 	}
 	if err := p.ctx.register(t); err != nil {
 		return nil, err
@@ -181,7 +181,7 @@ func (p *protocolBase) Read(tx *Txn, tbl *Table, key string) ([]byte, bool, erro
 		tx.mu.Unlock()
 		return nil, false, ErrFinished
 	}
-	if e, ok := tx.states[tbl.id]; ok {
+	if e, ok := tx.states[tbl]; ok {
 		if op, dirty := e.get(key); dirty {
 			tx.mu.Unlock()
 			if op.delete {
@@ -194,7 +194,7 @@ func (p *protocolBase) Read(tx *Txn, tbl *Table, key string) ([]byte, bool, erro
 	if p.pinSnapshot {
 		rts = tx.pin(tbl)
 	}
-	tx.trackRead(tbl.id, key)
+	tx.trackRead(tbl, key)
 	tx.mu.Unlock()
 	if p.lockKey != nil {
 		if err := p.lock(tx, tbl.id, key, lockShared); err != nil {
@@ -848,10 +848,11 @@ func (g *Group) maybeGC() {
 //     reuses a dead slot in place or grows, and the latch serializes
 //     every writer of a row's versions); each installed row image is then
 //     added to the candidate sets of the table's secondary indexes.
-//  5. publish LastCTS once per latched group — under all the latches, so
-//     the batch becomes visible completely or not at all to snapshot
-//     readers of any involved group — then notify each group's watchers
-//     per transaction in commit order.
+//  5. publish LastCTS once per latched group — under all the latches and,
+//     for more than one group, with Context.spanning odd, so a reader
+//     pinning several of the groups (pinGroups) sees the batch in all of
+//     them or in none — then notify each group's watchers per transaction
+//     in commit order.
 func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 	// Fail-stop: a poisoned group anywhere in the latch set rejects the
 	// whole batch — requests that passed the enqueue fast path before the
@@ -1025,8 +1026,15 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 	// notifications are excluded too: they run downstream consumers' code
 	// and can block on feed backpressure, which is occupancy, not commit
 	// cost.
+	spans := len(groups) > 1
+	if spans {
+		p.ctx.spanning.Add(1)
+	}
 	for _, g := range groups {
 		g.lastCTS.Store(maxCTS)
+	}
+	if spans {
+		p.ctx.spanning.Add(1)
 	}
 	syncNs := syncDone.Sub(admitDone).Nanoseconds()
 	installNs := admitDone.Sub(tenureStart).Nanoseconds() + time.Since(syncDone).Nanoseconds()

@@ -17,49 +17,27 @@ import (
 // use several words.
 const maxActiveTxns = 1024
 
-// registryShards is the fixed arity of the state/group registry. Lookups
-// (Table, group) are on the transaction hot path — every snapshot pin of a
-// multi-group transaction resolves groups by ID — so the registry is
-// spread over independently latched shards keyed by FNV-1a of the
-// identifier. Must be a power of two.
-const registryShards = 64
-
-// registryShard is one latch-striped slice of the registry. States and
-// groups live in the shard their ID hashes to; creation takes the shard's
-// write latch, lookups only its read latch, so lookups of unrelated IDs
-// never serialize.
-type registryShard struct {
-	mu     sync.RWMutex
-	states map[StateID]*Table
-	groups map[GroupID]*Group
-}
-
-// registryIndex hashes an identifier to its registry shard (FNV-1a).
-func registryIndex(id string) int {
-	var h uint32 = 2166136261
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= 16777619
-	}
-	return int(h & (registryShards - 1))
-}
-
 // Context is the global state context of the paper's Figure 3: the
 // registry of states and topology groups, the table of active
 // transactions, and the global atomic timestamp counter. Slot management
-// is latch-free (CAS on bit-vector words); the registry is sharded so
-// Begin/lookup/Register scale with cores instead of funneling through one
-// context-wide mutex.
+// is latch-free (CAS on bit-vector words). The transaction path never
+// consults the registry: it holds the *Table and *Group it works on.
 type Context struct {
 	counter atomic.Uint64 // global logical clock: txn IDs and commit timestamps
 
-	// shards hold the state/group registry, striped by ID hash.
-	shards [registryShards]registryShard
+	// spanning is odd while a commit spanning groups publishes its LastCTS
+	// to them one group after another; pinGroups reads groups only while
+	// it is even (see commitBatch phase 5).
+	spanning atomic.Uint64
 
-	// setupMu serializes group creation only: CreateGroup validates and
-	// claims the member tables' group pointers, which spans registry
-	// shards. Setup is off the transaction hot path, so one mutex is fine;
-	// lookups never take it.
+	// mu guards the registry's two maps, and is held for map access only.
+	mu     sync.RWMutex
+	states map[StateID]*Table
+	groups map[GroupID]*Group
+
+	// setupMu serializes group creation: CreateGroup validates and claims
+	// the member tables' group pointers and recovers their rows. Lookups
+	// never take it.
 	setupMu sync.Mutex
 
 	// Active transaction table: a fixed slot array managed by CAS bit
@@ -79,12 +57,7 @@ type Context struct {
 
 // NewContext creates an empty state context.
 func NewContext() *Context {
-	c := &Context{}
-	for i := range c.shards {
-		c.shards[i].states = make(map[StateID]*Table)
-		c.shards[i].groups = make(map[GroupID]*Group)
-	}
-	return c
+	return &Context{states: make(map[StateID]*Table), groups: make(map[GroupID]*Group)}
 }
 
 // next returns the next logical timestamp.
@@ -191,21 +164,11 @@ func (c *Context) ActiveCount() int {
 	return n
 }
 
-// group resolves a group by ID through its registry shard.
-func (c *Context) group(id GroupID) (*Group, bool) {
-	sh := &c.shards[registryIndex(string(id))]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	g, ok := sh.groups[id]
-	return g, ok
-}
-
 // Table returns the registered table named id.
 func (c *Context) Table(id StateID) (*Table, bool) {
-	sh := &c.shards[registryIndex(string(id))]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	t, ok := sh.states[id]
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	t, ok := c.states[id]
 	return t, ok
 }
 
@@ -217,7 +180,6 @@ type Group struct {
 	id     GroupID
 	ctx    *Context
 	tables []*Table
-	byID   map[StateID]bool
 	// solo is []*Group{g}: the latch set of a commit confined to this
 	// group, built once so the commit hot path never allocates it.
 	solo []*Group
@@ -360,8 +322,6 @@ func (g *Group) LastCTS() Timestamp { return g.lastCTS.Load() }
 // Tables returns the member tables (do not modify).
 func (g *Group) Tables() []*Table { return g.tables }
 
-func (g *Group) contains(id StateID) bool { return g.byID[id] }
-
 // CreateGroup registers a topology group over the given tables, wiring
 // each table to the group and recovering persistent state: committed
 // rows are loaded back into the in-memory version store at the recovered
@@ -372,29 +332,23 @@ func (c *Context) CreateGroup(id GroupID, tables ...*Table) (*Group, error) {
 	if len(tables) == 0 {
 		return nil, fmt.Errorf("txn: group %q needs at least one table", id)
 	}
-	// Group creation validates and claims tables across registry shards;
-	// setupMu serializes creators while lookups keep flowing through the
-	// shard read latches.
+	// setupMu serializes creators; the registry's mu is taken for the map
+	// accesses only, so lookups never wait behind a recovery.
 	c.setupMu.Lock()
 	defer c.setupMu.Unlock()
-	sh := &c.shards[registryIndex(string(id))]
-	sh.mu.RLock()
-	_, dup := sh.groups[id]
-	sh.mu.RUnlock()
+	c.mu.RLock()
+	_, dup := c.groups[id]
+	c.mu.RUnlock()
 	if dup {
 		return nil, fmt.Errorf("txn: group %q already exists", id)
 	}
-	g := &Group{id: id, ctx: c, byID: make(map[StateID]bool), wake: make(chan struct{}, 1)}
-	g.solo = []*Group{g}
 	for _, t := range tables {
 		if tg := t.Group(); tg != nil {
 			return nil, fmt.Errorf("txn: table %q already in group %q", t.id, tg.id)
 		}
 	}
-	for _, t := range tables {
-		g.tables = append(g.tables, t)
-		g.byID[t.id] = true
-	}
+	g := &Group{id: id, ctx: c, tables: slices.Clone(tables), wake: make(chan struct{}, 1)}
+	g.solo = []*Group{g}
 
 	// Recovery: LastCTS is persisted in each member's base store; the
 	// group's recovered timestamp is the maximum across members (a crash
@@ -430,9 +384,9 @@ func (c *Context) CreateGroup(id GroupID, tables ...*Table) (*Group, error) {
 	for _, t := range tables {
 		t.group.Store(g)
 	}
-	sh.mu.Lock()
-	sh.groups[id] = g
-	sh.mu.Unlock()
+	c.mu.Lock()
+	c.groups[id] = g
+	c.mu.Unlock()
 	// A grouped table can commit, so this is where its opt-in idle sweeper
 	// (TableOptions.GCIdleInterval) comes alive.
 	for _, t := range tables {

@@ -11,9 +11,10 @@
 //
 // The package splits along the paper's Figure 3:
 //
-//	context.go      Context (registry shards, active-transaction table,
+//	context.go      Context (registry, active-transaction table,
 //	                logical clock), Group and the commit-watcher hooks
-//	txn.go          Txn handles, append-only write sets, snapshot pins
+//	txn.go          Txn handles, append-only write sets, the read-cut
+//	                rule (pinGroups) behind snapshots and SI pins
 //	table.go        Table: the MVCC dictionary over a kv.Store base table
 //	row.go          rows (key, versions, store handle, commit marks) and
 //	                the open-addressed row index
@@ -36,8 +37,8 @@
 // # Scaling machinery
 //
 // Four mechanisms lift the paper's single-latch design to multi-core
-// scale without changing its semantics: the registry and each table's
-// row index are striped over 64 latch shards, and a commit probes each
+// scale without changing its semantics: each table's row index is
+// striped over 64 latch shards, and a commit probes each
 // written key once; commits of one group flow through an adaptive
 // leader/follower group-commit pipeline (one coalesced durability batch
 // and one LastCTS publish per batch);

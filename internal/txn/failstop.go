@@ -59,9 +59,9 @@ func (g *Group) fail(cause error) {
 // commit batch spans stores and the Nth Apply fails, stores applied
 // earlier already hold the batch durably while the failed one does not —
 // any group sharing ANY touched store must stop committing, or a later
-// commit would re-diverge memory from disk. The registry shards are
-// scanned under their read latches; group membership is immutable after
-// CreateGroup, so the scan is race-free.
+// commit would re-diverge memory from disk. The registry is scanned under
+// its read latch; group membership is immutable after CreateGroup, so the
+// scan is race-free.
 func (c *Context) failGroupsOnStores(stores []kv.Store, cause error) {
 	touched := func(g *Group) bool {
 		for _, t := range g.tables {
@@ -73,15 +73,12 @@ func (c *Context) failGroupsOnStores(stores []kv.Store, cause error) {
 		}
 		return false
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		for _, g := range sh.groups {
-			if touched(g) {
-				g.fail(cause)
-			}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, g := range c.groups {
+		if touched(g) {
+			g.fail(cause)
 		}
-		sh.mu.RUnlock()
 	}
 }
 

@@ -374,7 +374,7 @@ func TestSnapshotScanConsistentUnderWrites(t *testing.T) {
 	if _, _, err := p.Read(reader, e.t1, "k0"); err != nil { // pin
 		t.Fatal(err)
 	}
-	rts := reader.readCTS[e.group.id]
+	rts := reader.readCTS[e.group]
 	for i := 0; i < 10; i++ {
 		write(t, p, e.t1, fmt.Sprintf("k%d", i), "new")
 	}

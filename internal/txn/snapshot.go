@@ -2,31 +2,31 @@ package txn
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// Snapshot is a consistent analytical read view: one commit timestamp
-// pinned across one or more tables (possibly of different topology
-// groups), under which every read — point lookups, full scans, striped
-// lane-parallel scans, and secondary-index lookups — observes whole
-// transactions or nothing. A Snapshot holds a transaction slot and a GC
-// pin (the same OldestActiveVersion machinery protecting feeds and
-// read-write transactions), so version reclamation respects even very
-// long scans; Release the snapshot when done to unpin the horizon.
+// Snapshot is a consistent analytical read view over one or more tables
+// (possibly of different topology groups): each group is read at its own
+// LastCTS, all of them pinned at once, so every read — point lookups,
+// full scans, striped lane-parallel scans, and secondary-index lookups —
+// observes whole transactions or nothing. A Snapshot holds a transaction
+// slot and a GC pin (the same OldestActiveVersion machinery protecting
+// feeds and read-write transactions), so version reclamation respects
+// even very long scans; Release the snapshot when done to unpin the
+// horizon.
 //
 // Reads never block writers and writers never block reads: every method
-// is a lock-free version-store read at the pinned timestamp. All methods
+// is a lock-free version-store read at the pinned cut. All methods
 // are safe for concurrent use, so one Snapshot may serve many query lanes
 // — and with Release: a read already running when the snapshot is
 // released keeps the pin until it returns, so it completes against the
 // pinned cut; a read that starts after Release fails with ErrFinished.
 type Snapshot struct {
-	ctx    *Context
 	tx     *Txn
-	rts    Timestamp
-	tables map[StateID]*Table
+	tables []*Table
 
 	// state is twice the number of reads in flight, plus 1 once Release
 	// was called. The pin goes when state reaches exactly 1, which it does
@@ -34,25 +34,25 @@ type Snapshot struct {
 	state atomic.Int64
 }
 
-// Snapshot pins a consistent read timestamp across the given tables and
-// returns the read view. Every table must already belong to a topology
-// group. The pinned timestamp is the minimum of the involved groups'
-// LastCTS — a consistent cross-group cut, because a multi-group commit
-// publishes its timestamp to every involved group under all their commit
-// latches: the minimum either precedes such a commit everywhere or
-// includes it everywhere.
+// Snapshot pins a consistent cut across the given tables and returns the
+// read view. Every table must already belong to a topology group. Each
+// group is read at its own LastCTS, all pinned together by pinGroups: a
+// commit spanning several of the groups is in every one of their cuts or
+// in none.
 func (c *Context) Snapshot(tables ...*Table) (*Snapshot, error) {
 	if len(tables) == 0 {
 		return nil, fmt.Errorf("txn: Snapshot needs at least one table")
 	}
-	byID := make(map[StateID]*Table, len(tables))
+	covered := make([]*Table, 0, len(tables))
 	var groups []*Group
 	for _, tbl := range tables {
 		g := tbl.Group()
 		if g == nil {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownState, tbl.id)
 		}
-		byID[tbl.id] = tbl
+		if !slices.Contains(covered, tbl) {
+			covered = append(covered, tbl)
+		}
 		if !slices.Contains(groups, g) {
 			groups = append(groups, g)
 		}
@@ -60,59 +60,44 @@ func (c *Context) Snapshot(tables ...*Table) (*Snapshot, error) {
 
 	// The snapshot occupies a transaction slot so the GC horizon scan
 	// (OldestActiveVersion) sees its pin; it never enters a commit path.
-	tx := &Txn{id: c.next(), ctx: c, readOnly: true, done: make(chan struct{})}
+	tx := &Txn{id: c.next(), ctx: c, readOnly: true, readCTS: make(map[*Group]Timestamp, len(groups)), done: make(chan struct{})}
 	if err := c.register(tx); err != nil {
 		return nil, err
 	}
-
-	minCTS := func() Timestamp {
-		rts := groups[0].LastCTS()
-		for _, g := range groups[1:] {
-			if cts := g.LastCTS(); cts < rts {
-				rts = cts
-			}
-		}
-		return rts
-	}
-	// Store-then-validate, exactly as Txn.pin: publish the GC pin, then
-	// confirm no commit raced past it. A racing commit raises some
-	// LastCTS, so re-reading the minimum detects it and we retry with the
-	// newer cut; on exit every version visible at rts is protected.
-	var rts Timestamp
-	for {
-		rts = minCTS()
-		if p := tx.pinnedOldest.Load(); p == 0 || rts < p {
-			tx.pinnedOldest.Store(rts)
-		}
-		if minCTS() == rts {
-			break
-		}
-	}
-	return &Snapshot{ctx: c, tx: tx, rts: rts, tables: byID}, nil
+	tx.pinGroups(groups)
+	return &Snapshot{tx: tx, tables: covered}, nil
 }
 
-// CTS returns the snapshot's pinned commit timestamp.
-func (s *Snapshot) CTS() Timestamp { return s.rts }
+// CTS returns the snapshot's oldest group cut: every group is read at or
+// after it.
+func (s *Snapshot) CTS() Timestamp {
+	oldest := Timestamp(math.MaxUint64)
+	for _, cts := range s.tx.readCTS {
+		oldest = min(oldest, cts)
+	}
+	return oldest
+}
 
 // begin starts a read of tbl, which must have been declared when the
 // snapshot was taken — only declared tables are covered by the
-// consistency argument (their groups participated in the pinned cut). On
-// success the read holds the pin until the caller calls end.
-func (s *Snapshot) begin(tbl *Table) error {
+// consistency argument (their groups participated in the pinned cut) —
+// and returns the cut to read it at. On success the read holds the pin
+// until the caller calls end.
+func (s *Snapshot) begin(tbl *Table) (Timestamp, error) {
 	for {
 		st := s.state.Load()
 		if st&1 != 0 {
-			return ErrFinished
+			return 0, ErrFinished
 		}
 		if s.state.CompareAndSwap(st, st+2) {
 			break
 		}
 	}
-	if _, ok := s.tables[tbl.id]; !ok {
+	if !slices.Contains(s.tables, tbl) {
 		s.end()
-		return fmt.Errorf("txn: table %q not covered by this snapshot", tbl.id)
+		return 0, fmt.Errorf("txn: table %q not covered by this snapshot", tbl.id)
 	}
-	return nil
+	return s.tx.readCTS[tbl.Group()], nil
 }
 
 // end finishes a read begun by begin, unpinning a released snapshot when
@@ -125,22 +110,24 @@ func (s *Snapshot) end() {
 
 // Get returns the value of key in tbl at the snapshot.
 func (s *Snapshot) Get(tbl *Table, key string) ([]byte, bool, error) {
-	if err := s.begin(tbl); err != nil {
+	rts, err := s.begin(tbl)
+	if err != nil {
 		return nil, false, err
 	}
 	defer s.end()
-	v, ok := tbl.readVersion(key, s.rts)
+	v, ok := tbl.readVersion(key, rts)
 	return v, ok, nil
 }
 
 // Scan iterates every key of tbl visible at the snapshot in unspecified
 // order, calling fn until it returns false.
 func (s *Snapshot) Scan(tbl *Table, fn func(key string, value []byte) bool) error {
-	if err := s.begin(tbl); err != nil {
+	rts, err := s.begin(tbl)
+	if err != nil {
 		return err
 	}
 	defer s.end()
-	tbl.SnapshotScan(s.rts, fn)
+	tbl.SnapshotScan(rts, fn)
 	return nil
 }
 
@@ -148,11 +135,12 @@ func (s *Snapshot) Scan(tbl *Table, fn func(key string, value []byte) bool) erro
 // snapshot (lexicographic bounds; end == "" means unbounded), in
 // unspecified order, calling fn until it returns false.
 func (s *Snapshot) ScanRange(tbl *Table, start, end string, fn func(key string, value []byte) bool) error {
-	if err := s.begin(tbl); err != nil {
+	rts, err := s.begin(tbl)
+	if err != nil {
 		return err
 	}
 	defer s.end()
-	scanStripe(tbl, s.rts, 0, 1, func(key string, value []byte) bool {
+	scanStripe(tbl, rts, 0, 1, func(key string, value []byte) bool {
 		if key < start || (end != "" && key >= end) {
 			return true
 		}
@@ -167,14 +155,15 @@ func (s *Snapshot) ScanRange(tbl *Table, start, end string, fn func(key string, 
 // one stripe cover every visible key exactly once (ParallelScan wires
 // exactly that).
 func (s *Snapshot) ScanStripe(tbl *Table, stripe, stripes int, fn func(key string, value []byte) bool) error {
-	if err := s.begin(tbl); err != nil {
+	rts, err := s.begin(tbl)
+	if err != nil {
 		return err
 	}
 	defer s.end()
 	if stripes < 1 || stripe < 0 || stripe >= stripes {
 		return fmt.Errorf("txn: ScanStripe: invalid stripe %d of %d", stripe, stripes)
 	}
-	scanStripe(tbl, s.rts, stripe, stripes, fn)
+	scanStripe(tbl, rts, stripe, stripes, fn)
 	return nil
 }
 
@@ -185,7 +174,8 @@ func (s *Snapshot) ScanStripe(tbl *Table, stripe, stripes int, fn func(key strin
 // same consistent cut as a sequential Scan — lanes share one pinned
 // timestamp.
 func (s *Snapshot) ParallelScan(tbl *Table, lanes int, fn func(key string, value []byte) bool) error {
-	if err := s.begin(tbl); err != nil {
+	rts, err := s.begin(tbl)
+	if err != nil {
 		return err
 	}
 	defer s.end()
@@ -196,7 +186,7 @@ func (s *Snapshot) ParallelScan(tbl *Table, lanes int, fn func(key string, value
 		lanes = tableShards
 	}
 	if lanes == 1 {
-		tbl.SnapshotScan(s.rts, fn)
+		tbl.SnapshotScan(rts, fn)
 		return nil
 	}
 	var stop atomic.Bool
@@ -205,7 +195,7 @@ func (s *Snapshot) ParallelScan(tbl *Table, lanes int, fn func(key string, value
 		wg.Add(1)
 		go func(stripe int) {
 			defer wg.Done()
-			scanStripe(tbl, s.rts, stripe, lanes, func(key string, value []byte) bool {
+			scanStripe(tbl, rts, stripe, lanes, func(key string, value []byte) bool {
 				if stop.Load() {
 					return false
 				}
@@ -223,16 +213,17 @@ func (s *Snapshot) ParallelScan(tbl *Table, lanes int, fn func(key string, value
 
 // Lookup reads rows of ix's table through the secondary index at the
 // snapshot: fn is called for every row whose index key equals ikey at
-// the pinned timestamp, with the row value at that same timestamp. The
+// the table's cut, with the row value at that same cut. The
 // index holds candidates only; each is re-checked against its row's own
 // version at the pinned timestamp, which makes this equal to a filtered
 // full scan of the table.
 func (s *Snapshot) Lookup(ix *Index, ikey string, fn func(key string, value []byte) bool) error {
-	if err := s.begin(ix.tbl); err != nil {
+	rts, err := s.begin(ix.tbl)
+	if err != nil {
 		return err
 	}
 	defer s.end()
-	ix.Lookup(s.rts, ikey, fn)
+	ix.Lookup(rts, ikey, fn)
 	return nil
 }
 
@@ -263,7 +254,7 @@ func (s *Snapshot) Release() {
 func (s *Snapshot) unpin() {
 	s.tx.finished.Store(true)
 	close(s.tx.done)
-	s.ctx.unregister(s.tx)
+	s.tx.ctx.unregister(s.tx)
 }
 
 // scanStripe iterates the visible keys of shard stripe `stripe` of

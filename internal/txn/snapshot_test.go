@@ -86,6 +86,42 @@ func TestSnapshotBasics(t *testing.T) {
 	}
 }
 
+// TestSnapshotAcrossGroupsReadsEachGroupAtItsCut: a snapshot over two
+// groups reads each group at that group's own LastCTS. Read at the older
+// group's cut instead, b's key would be looked for below versions that
+// later rewrites have already overwritten in place, and would read absent.
+func TestSnapshotAcrossGroupsReadsEachGroupAtItsCut(t *testing.T) {
+	ctx := NewContext()
+	store := kv.NewMem()
+	defer store.Close()
+	a, _ := ctx.CreateTable("a", store, TableOptions{})
+	b, _ := ctx.CreateTable("b", store, TableOptions{})
+	if _, err := ctx.CreateGroup("ga", a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctx.CreateGroup("gb", b); err != nil {
+		t.Fatal(err)
+	}
+	p := NewSI(ctx)
+	write(t, p, b, "k", "b1")
+	write(t, p, a, "x", "a1")
+	for i := 2; i <= 5; i++ {
+		write(t, p, b, "k", fmt.Sprintf("b%d", i))
+	}
+
+	snap, err := ctx.Snapshot(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	if v, ok, err := snap.Get(a, "x"); err != nil || !ok || string(v) != "a1" {
+		t.Fatalf("a:x = %q %v %v, want a1", v, ok, err)
+	}
+	if v, ok, err := snap.Get(b, "k"); err != nil || !ok || string(v) != "b5" {
+		t.Fatalf("b:k = %q %v %v at cut %d, want b5 (gb at %d)", v, ok, err, snap.CTS(), b.Group().LastCTS())
+	}
+}
+
 // TestStressSnapshotNoPartialTxn hammers multi-table snapshots against
 // concurrent writers: every writer transaction writes the SAME value to
 // both tables, so any snapshot — point reads or a lane-parallel scan —

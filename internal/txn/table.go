@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -108,15 +109,14 @@ type Table struct {
 // base store. The table is empty in memory until its group is created,
 // which performs recovery of persisted rows.
 func (c *Context) CreateTable(id StateID, store kv.Store, opts TableOptions) (*Table, error) {
-	sh := &c.shards[registryIndex(string(id))]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, dup := sh.states[id]; dup {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, dup := c.states[id]; dup {
 		return nil, fmt.Errorf("txn: table %q already exists", id)
 	}
 	t := &Table{id: id, ctx: c, store: store, caps: kv.CapabilitiesOf(store), opts: opts,
 		meta: []byte("m/" + string(id) + "/lastcts")}
-	sh.states[id] = t
+	c.states[id] = t
 	return t, nil
 }
 
@@ -399,11 +399,7 @@ func (t *Table) readMetaCTS() (Timestamp, error) {
 	if len(raw) != 8 {
 		return 0, fmt.Errorf("txn: state %q: malformed lastcts", t.id)
 	}
-	var ts Timestamp
-	for i := 0; i < 8; i++ {
-		ts |= Timestamp(raw[i]) << (8 * i)
-	}
-	return ts, nil
+	return binary.LittleEndian.Uint64(raw), nil
 }
 
 // loadCommitted scans the table's rows in the base store and seeds the

@@ -3,6 +3,8 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -260,17 +262,17 @@ type Txn struct {
 	finished atomic.Bool
 
 	// states tracks every state the transaction touched.
-	states map[StateID]*stateEntry
+	states map[*Table]*stateEntry
 
-	// readCTS pins the snapshot per topology group at first read
-	// (paper Section 4.2/4.3).
-	readCTS map[GroupID]Timestamp
+	// readCTS is the cut each topology group is read at: the group's
+	// LastCTS, pinned at first access (paper Section 4.2/4.3; pinGroups).
+	readCTS map[*Group]Timestamp
 
 	// reads is the BOCC read set (keys per state); nil for other
 	// protocols. writes is the BOCC write set, collected at admission —
 	// the install consumes the entries — for registration once the
 	// transaction committed; nil unless it wrote something.
-	reads, writes map[StateID]map[string]struct{}
+	reads, writes map[*Table]map[string]struct{}
 
 	// startTS is the counter value at Begin; BOCC validates against
 	// transactions committed after it.
@@ -285,7 +287,7 @@ type Txn struct {
 	chain *Chain
 
 	// pinnedOldest is what this transaction forces OldestActiveVersion
-	// to: the minimum snapshot it may still read. 0 = no pin yet. It is
+	// to: at or below the oldest cut in readCTS. 0 = no pin yet. It is
 	// read concurrently by the GC horizon scan, hence atomic.
 	pinnedOldest atomic.Uint64
 
@@ -308,10 +310,10 @@ func (t *Txn) ID() ID { return t.id }
 func (t *Txn) ReadOnly() bool { return t.readOnly }
 
 func (t *Txn) entry(tbl *Table) *stateEntry {
-	e, ok := t.states[tbl.id]
+	e, ok := t.states[tbl]
 	if !ok {
 		e = newStateEntry(tbl)
-		t.states[tbl.id] = e
+		t.states[tbl] = e
 	}
 	return e
 }
@@ -339,58 +341,72 @@ func (t *Txn) Declare(tables ...*Table) error {
 	return nil
 }
 
-// pin returns the snapshot timestamp to read table tbl at, pinning the
-// group's LastCTS on first contact. When the transaction has pinned
-// multiple groups that share states, the oldest pinned snapshot wins
-// (the paper's overlap rule: "the older version must be read").
+// pin returns the cut to read table tbl at: its group's LastCTS, pinned
+// on the transaction's first access of the group. Groups are pinned one
+// at a time, as they are reached, so a transaction reading two groups may
+// see one of them before a spanning commit and the other after it; a
+// Snapshot pins all its groups at once (Context.Snapshot).
 func (t *Txn) pin(tbl *Table) Timestamp {
 	g := tbl.Group()
-	rts, ok := t.readCTS[g.id]
+	rts, ok := t.readCTS[g]
 	if !ok {
-		// Store-then-validate: publish the GC pin, then confirm no commit
-		// slipped in between. A commit that computed its GC horizon before
-		// our pin became visible could reclaim versions still visible at
-		// rts — but any such commit publishes a LastCTS greater than rts,
-		// so re-reading LastCTS detects the race and we retry with the
-		// newer snapshot. On exit, every version with dts > rts is
-		// protected: commits whose horizon predates our pin have
-		// cts <= rts, and all later commits see the pin.
-		for {
-			rts = g.LastCTS()
-			if p := t.pinnedOldest.Load(); p == 0 || rts < p {
-				t.pinnedOldest.Store(rts)
-			}
-			if g.LastCTS() == rts {
-				break
-			}
-		}
-		t.readCTS[g.id] = rts
-	}
-	// Overlap rule: if any *other* pinned group contains this state, the
-	// effective snapshot is the minimum of the pins.
-	if len(t.readCTS) > 1 {
-		for gid, other := range t.readCTS {
-			if gid == g.id {
-				continue
-			}
-			og, found := t.ctx.group(gid)
-			if found && og.contains(tbl.id) && other < rts {
-				rts = other
-			}
-		}
+		gs := [1]*Group{g}
+		t.pinGroups(gs[:])
+		rts = t.readCTS[g]
 	}
 	return rts
 }
 
+// pinGroups is the one read-cut rule: it records each group of gs in
+// readCTS at that group's own published LastCTS, and holds the GC pin
+// (pinnedOldest) at or below the oldest cut the transaction reads.
+//
+// Two checks make the cut safe to read. The groups are read only while no
+// spanning commit is publishing (Context.spanning is even), so a commit
+// across several of them is seen in all or in none. And the pin is
+// stored before it is validated: if the spanning counter or any LastCTS
+// moved by then, a commit may have taken its GC horizon before the pin
+// was visible, so the cuts are read again. On exit, a commit of a group
+// that took its horizon before the pin is either published at or below
+// the group's cut or still holds the group's latch; either way it
+// reclaims only versions ended at or below the cut, which the cut does
+// not read. Every later commit sees the pin.
+func (t *Txn) pinGroups(gs []*Group) {
+	spanning := &t.ctx.spanning
+	for {
+		seq := spanning.Load()
+		if seq&1 != 0 {
+			runtime.Gosched()
+			continue
+		}
+		oldest := Timestamp(math.MaxUint64)
+		for _, g := range gs {
+			cts := g.LastCTS()
+			t.readCTS[g] = cts
+			oldest = min(oldest, cts)
+		}
+		if p := t.pinnedOldest.Load(); p == 0 || oldest < p {
+			t.pinnedOldest.Store(oldest)
+		}
+		stable := spanning.Load() == seq
+		for _, g := range gs {
+			stable = stable && g.LastCTS() == t.readCTS[g]
+		}
+		if stable {
+			return
+		}
+	}
+}
+
 // trackRead records key into the BOCC read set.
-func (t *Txn) trackRead(st StateID, key string) {
+func (t *Txn) trackRead(tbl *Table, key string) {
 	if t.reads == nil {
 		return
 	}
-	m, ok := t.reads[st]
+	m, ok := t.reads[tbl]
 	if !ok {
 		m = make(map[string]struct{})
-		t.reads[st] = m
+		t.reads[tbl] = m
 	}
 	m[key] = struct{}{}
 }

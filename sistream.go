@@ -49,8 +49,9 @@ type (
 	// per-batch sync and install latency summaries plus the batch-size
 	// EWMA the group-commit leader records (Group.CommitProfile).
 	CommitProfile = txn.CommitProfile
-	// Snapshot is a consistent analytical read view: one commit timestamp
-	// pinned across one or more tables (Context.Snapshot), serving point
+	// Snapshot is a consistent analytical read view: each table's group
+	// pinned at its own LastCTS across one or more tables, all at once
+	// (Context.Snapshot), serving point
 	// reads, full/range/lane-parallel scans and index lookups, all
 	// wait-free against writers and protected from GC until Release.
 	Snapshot = txn.Snapshot
