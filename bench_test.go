@@ -258,8 +258,8 @@ func BenchmarkCommitContended(b *testing.B) {
 			if secs := b.Elapsed().Seconds(); secs > 0 {
 				b.ReportMetric(float64(b.N)/secs, "commits/s")
 			}
-			if txns, batches := tbl.Group().CommitStats(); batches > 0 {
-				b.ReportMetric(float64(txns)/float64(batches), "txns/batch")
+			if prof := tbl.Group().CommitProfile(); prof.Batches > 0 {
+				b.ReportMetric(float64(prof.Txns)/float64(prof.Batches), "txns/batch")
 			}
 		})
 	}

@@ -60,7 +60,7 @@
 //     downstream parallel region (partition i → lane i) when the
 //     partitioning matches. See DESIGN.md "Fused commit spine".
 //
-// Group.CommitStats reports the pipeline's achieved batching;
+// Group.CommitProfile reports the pipeline's achieved batching;
 // cmd/sibench -scaling sweeps it against writer concurrency.
 //
 // The façade re-exports the user-facing API of the internal packages:

@@ -263,7 +263,8 @@ func runOn(cfg Config, store kv.Store) (Result, error) {
 		CommitP99:     commitLat.Quantile(0.99),
 		Violations:    violations.Load(),
 	}
-	res.CommitTxns, res.CommitBatches = group.CommitStats()
+	prof := group.CommitProfile()
+	res.CommitTxns, res.CommitBatches = prof.Txns, prof.Batches
 	secs := elapsed.Seconds()
 	res.ReaderTps = float64(res.ReaderCommits) / secs
 	res.WriterTps = float64(res.WriterCommits) / secs

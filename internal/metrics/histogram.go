@@ -1,6 +1,6 @@
 // Package metrics provides the lightweight measurement primitives used by
 // the benchmark harness: a log-bucketed latency histogram with quantile
-// estimation, and an exponentially weighted moving average.
+// estimation.
 //
 // Everything here is allocation-free on the hot path and safe for
 // concurrent use, so recording a sample costs a handful of atomic adds —

@@ -157,63 +157,6 @@ func TestSnapshotAndString(t *testing.T) {
 	}
 }
 
-func TestEWMASeedAndConverge(t *testing.T) {
-	var e EWMA
-	if e.Value() != 0 {
-		t.Fatalf("unseeded value = %g", e.Value())
-	}
-	e.Observe(100)
-	if e.Value() != 100 {
-		t.Fatalf("first sample must seed the average, got %g", e.Value())
-	}
-	// A level shift converges geometrically: after k samples the residual
-	// is (1-alpha)^k of the shift.
-	for i := 0; i < 32; i++ {
-		e.Observe(200)
-	}
-	if v := e.Value(); v < 199 || v > 200 {
-		t.Fatalf("EWMA did not converge to the new level: %g", v)
-	}
-	e.Reset()
-	if e.Value() != 0 {
-		t.Fatal("reset did not clear the average")
-	}
-	e.Observe(7)
-	if e.Value() != 7 {
-		t.Fatalf("re-seed after reset failed: %g", e.Value())
-	}
-}
-
-func TestEWMAAlpha(t *testing.T) {
-	e := NewEWMA(0.5)
-	e.Observe(0.5) // seeds (non-zero)
-	e.Observe(1.5)
-	if v := e.Value(); v != 1.0 {
-		t.Fatalf("alpha=0.5: want 1.0, got %g", v)
-	}
-}
-
-func TestEWMAConcurrent(t *testing.T) {
-	var e EWMA
-	var wg sync.WaitGroup
-	const workers, per = 8, 2000
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				e.Observe(50)
-			}
-		}()
-	}
-	wg.Wait()
-	// All samples equal: the average must be exactly their value
-	// regardless of interleaving.
-	if v := e.Value(); v != 50 {
-		t.Fatalf("concurrent constant samples: want 50, got %g", v)
-	}
-}
-
 func BenchmarkHistogramRecord(b *testing.B) {
 	var h Histogram
 	b.RunParallel(func(pb *testing.PB) {

@@ -71,7 +71,7 @@ func runSpineOn(t *testing.T, spec string, script []scriptItem, punctuateN, wind
 	for _, r := range kvs {
 		rows[r.Key] = string(r.Value)
 	}
-	txns, _ := group.CommitStats()
+	txns := group.CommitProfile().Txns
 	return rows, stats.Writes.Load(), stats.Commits.Load(), stats.Aborts.Load(), txns
 }
 

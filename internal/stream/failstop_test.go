@@ -114,7 +114,7 @@ func drainsCleanlyOnGroupFailure(t *testing.T, spec string, build func(*Stream, 
 	if commits+aborts != elements/commitEvery {
 		t.Fatalf("commits(%d)+aborts(%d) != %d transactions", commits, aborts, elements/commitEvery)
 	}
-	txns, _ := group.CommitStats()
+	txns := group.CommitProfile().Txns
 	if int64(txns) != commits {
 		t.Fatalf("group committed %d txns, stats acked %d", txns, commits)
 	}

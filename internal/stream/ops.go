@@ -161,45 +161,35 @@ func (s *Stream) TransactionsWindow(p txn.Protocol, window int, tables ...*txn.T
 	if window > 1 {
 		desc = fmt.Sprintf("protocol=%s window=%d (chained, fused)", p.Name(), window)
 	}
-	return s.transactionsPipeline(p, func() int { return window }, window > 1, desc, nil, tables...)
+	return s.transactionsPipeline(p, window, desc, tables...)
 }
 
 // TransactionsTuned is TransactionsWindow whose window is the in-flight
-// bound of an AutoTuner instead of a constant: MaxWindow, tightened only
-// by the tuner's latency guard. The bound is re-read at every transaction
-// begin, so a change applies from the next transaction on while in-flight
-// ones are never disturbed. It is backpressure, not a batch size — the
-// MergeTuned spine commits whatever has queued and never waits for the
-// window to fill. The transactions always ride one txn.Chain (a chain of
-// one is a plain transaction), so any bound has exactly the commit/abort
-// behavior of the same static window — only batching geometry moves. Pass
-// the SAME tuner to the region's MergeTuned. The visibility caveat of
-// TransactionsWindow applies: use on blind-write ingest spines.
+// bound of an AutoTuner, MaxWindow. It is backpressure, not a batch size —
+// the MergeTuned spine commits whatever has queued and never waits for the
+// window to fill. Pass the SAME tuner to the region's MergeTuned. The
+// visibility caveat of TransactionsWindow applies: use on blind-write
+// ingest spines.
 func (s *Stream) TransactionsTuned(p txn.Protocol, tun *AutoTuner, tables ...*txn.Table) *Stream {
 	if tun == nil {
 		panic("stream: TransactionsTuned needs a tuner")
 	}
-	desc := fmt.Sprintf("protocol=%s inflight<=%d (tuner, chained, fused)", p.Name(), tun.cfg.MaxWindow)
-	return s.transactionsPipeline(p, tun.Window, true, desc, tun, tables...)
+	desc := fmt.Sprintf("protocol=%s inflight<=%d (tuner, chained, fused)", p.Name(), tun.window)
+	return s.transactionsPipeline(p, tun.window, desc, tables...)
 }
 
 // transactionsPipeline is the one implementation of Transactions /
 // TransactionsWindow / TransactionsTuned, a fused stage run by whichever
-// operator consumes the stream: window yields the current in-flight
-// bound (constant or tuner-driven), chained attaches the shared
-// txn.Chain. desc and tun feed the recorded plan (explain.go): desc
-// states the window decision, tun (when non-nil) adds the live in-flight
-// bound to the step's runtime figures.
-func (s *Stream) transactionsPipeline(p txn.Protocol, window func() int, chained bool, desc string, tun *AutoTuner, tables ...*txn.Table) *Stream {
-	var live func() string
-	if tun != nil {
-		live = func() string { return fmt.Sprintf("inflight<=%d", tun.Window()) }
-	}
-	s.t.note("operator", "transactions", desc, live)
+// operator consumes the stream: window bounds the undecided transactions,
+// and a window above one attaches them to a shared txn.Chain (a chain of
+// one would be a plain transaction). desc states the window decision in
+// the recorded plan (explain.go).
+func (s *Stream) transactionsPipeline(p txn.Protocol, window int, desc string, tables ...*txn.Table) *Stream {
+	s.t.note("operator", "transactions", desc, nil)
 	var cur *txn.Txn
 	var inflight []*txn.Txn
 	var chain *txn.Chain
-	if chained {
+	if window > 1 {
 		chain = txn.NewChain()
 	}
 	var cut func()
@@ -210,10 +200,8 @@ func (s *Stream) transactionsPipeline(p txn.Protocol, window func() int, chained
 			// any bound, pipelined batches writing the same hot keys would
 			// be unboundedly many concurrent transactions; with the chain
 			// attached, the overlap within the window is conflict-exempt
-			// (see txn.Chain). A loop, not an if: a tuner may shrink the
-			// bound below the current in-flight count, and the excess must
-			// drain before the next transaction begins.
-			for len(inflight) >= window() {
+			// (see txn.Chain).
+			if len(inflight) >= window {
 				// Hand the host everything emitted so far FIRST: the
 				// awaited transaction's COMMIT must reach the operator
 				// that decides it — the very thing being awaited. By the

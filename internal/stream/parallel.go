@@ -398,7 +398,7 @@ func (r *ParallelRegion) MergeBatched(name string, maxBatch int) *Stream {
 	if maxBatch < 1 {
 		panic("stream: MergeBatched needs maxBatch >= 1")
 	}
-	out, _ := r.mergeSpine(name, "MergeBatched", maxBatch, nil)
+	out, _ := r.mergeSpine(name, "MergeBatched", maxBatch, true)
 	return out
 }
 
@@ -407,7 +407,6 @@ func (r *ParallelRegion) MergeBatched(name string, maxBatch int) *Stream {
 // company — each batch is whatever boundaries queued while the previous
 // batch was committing, at most the tuner's in-flight bound. Fan-in stays
 // near 1 while the store keeps up and rises by itself as commits lag.
-// Every commit run is timed and fed to the tuner's latency guard.
 // Pair it with a TransactionsTuned upstream sharing the SAME tuner, which
 // applies the same bound to the transactions in flight. All other
 // MergeBatched contracts (framing, early COMMIT emission, ToTable/
@@ -416,15 +415,17 @@ func (r *ParallelRegion) MergeTuned(name string, tun *AutoTuner) *Stream {
 	if tun == nil {
 		panic("stream: MergeTuned needs a tuner")
 	}
-	out, _ := r.mergeSpine(name, "MergeTuned", tun.cfg.MaxWindow, tun)
+	out, _ := r.mergeSpine(name, "MergeTuned", tun.window, false)
 	return out
 }
 
-// mergeSpine closes the region over a commit spine (tests inspect the
-// returned spine once the topology has run).
-func (r *ParallelRegion) mergeSpine(name, op string, maxBatch int, tun *AutoTuner) (*Stream, *commitSpine) {
+// mergeSpine closes the region over a commit spine whose batches carry at
+// most maxBatch transactions; holdOut selects MergeBatched's collection
+// policy over MergeTuned's work-conserving one (tests inspect the returned
+// spine once the topology has run).
+func (r *ParallelRegion) mergeSpine(name, op string, maxBatch int, holdOut bool) (*Stream, *commitSpine) {
 	sp := newCommitSpine(r.spineSinks(op), maxBatch)
-	sp.tun = tun
+	sp.holdOut = holdOut
 	return r.close(name, sp.enqueue, sp), sp
 }
 
@@ -446,18 +447,15 @@ func (r *ParallelRegion) close(name string, onPunct func(Element), sp *commitSpi
 	r.checkOpen("Merge")
 	r.merged = true
 	out := r.t.newStream()
-	switch {
-	case sp == nil:
+	if sp == nil {
 		r.t.note("spine", name, fmt.Sprintf("merge barrier, lanes=%d (synchronous commit at barrier)", len(r.lanes)), occOf(out))
-	case sp.tun != nil:
+	} else {
+		desc := fmt.Sprintf("commit spine, lanes=%d batch<=%d", len(r.lanes), sp.maxBatch)
+		if !sp.holdOut {
+			desc = fmt.Sprintf("commit spine, lanes=%d batch<=queued, inflight<=%d (work-conserving)", len(r.lanes), sp.maxBatch)
+		}
 		occ := occOf(out)
-		r.t.note("spine", name, fmt.Sprintf("commit spine, lanes=%d batch<=queued (work-conserving)", len(r.lanes)), func() string {
-			return fmt.Sprintf("%s, inflight<=%d, queue %d/%d, mean fan-in %.2f",
-				occ(), sp.tun.Window(), len(sp.q), cap(sp.q), sp.tun.meanFanIn())
-		})
-	default:
-		occ := occOf(out)
-		r.t.note("spine", name, fmt.Sprintf("commit spine, lanes=%d batch<=%d", len(r.lanes), sp.maxBatch), func() string {
+		r.t.note("spine", name, desc, func() string {
 			return fmt.Sprintf("%s, queue %d/%d", occ(), len(sp.q), cap(sp.q))
 		})
 	}
@@ -517,14 +515,13 @@ func (r *ParallelRegion) close(name string, onPunct func(Element), sp *commitSpi
 type commitSpine struct {
 	sinks    []*tableSink
 	maxBatch int
-	// tun, when set (MergeTuned), makes the worker work-conserving: no
-	// collection target and no linger, batches capped at the tuner's
-	// in-flight bound, every commit run timed for its latency guard.
-	tun *AutoTuner
-	q   chan spineEntry
+	// holdOut (MergeBatched) makes the worker collect toward the previous
+	// batch's size under a linger timer; without it (MergeTuned) the
+	// worker is work-conserving: no collection target and no linger.
+	holdOut bool
+	q       chan spineEntry
 	// Worker-owned scratch, reused across batches: process's run of
-	// transactions and the static path's linger timer (never armed under
-	// tun).
+	// transactions and the hold-out path's linger timer.
 	txs    []*txn.Txn
 	linger *time.Timer
 }
@@ -560,7 +557,7 @@ func (sp *commitSpine) enqueue(e Element) {
 const spineLinger = 200 * time.Microsecond
 
 // run drains the queue until it closes. Every batch ends by taking
-// whatever is already queued, up to the ceiling; the two closes differ in
+// whatever is already queued, up to maxBatch; the two closes differ in
 // whether the worker first holds out for more.
 //
 // MergeTuned never does: the boundaries that queued during the previous
@@ -584,11 +581,8 @@ func (sp *commitSpine) run() {
 			return
 		}
 		pend = append(pend[:0], e)
-		ceil := sp.maxBatch
 		closed := false
-		if sp.tun != nil {
-			ceil = sp.tun.Window()
-		} else if target > 1 {
+		if sp.holdOut && target > 1 {
 			if sp.linger == nil {
 				sp.linger = time.NewTimer(spineLinger)
 			} else {
@@ -617,7 +611,7 @@ func (sp *commitSpine) run() {
 		}
 		// Take whatever else is already queued.
 	drain:
-		for !closed && len(pend) < ceil {
+		for !closed && len(pend) < sp.maxBatch {
 			select {
 			case e2, ok := <-sp.q:
 				if !ok {
@@ -628,7 +622,7 @@ func (sp *commitSpine) run() {
 				break drain
 			}
 		}
-		target = len(pend) // <= maxBatch: collect stops at the old target, drain at ceil
+		target = len(pend) // <= maxBatch: collect stops at the old target, drain at maxBatch
 		sp.process(pend)
 		if closed {
 			// A closed receive means the queue is closed AND empty: every
@@ -651,12 +645,8 @@ func (sp *commitSpine) process(entries []spineEntry) {
 			sp.txs = append(sp.txs, entries[0].tx)
 			entries = entries[1:]
 		}
-		start := time.Now()
 		for _, sink := range sp.sinks {
 			sink.decide(kind, sp.txs)
-		}
-		if sp.tun != nil && kind == KindCommit {
-			sp.tun.observeBatch(len(sp.txs), time.Since(start))
 		}
 	}
 }

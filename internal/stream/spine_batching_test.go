@@ -42,11 +42,23 @@ func await(t *testing.T, ch <-chan struct{}, what string) {
 	}
 }
 
-// runGatedSpine drives one script through a 2-lane spine over a gated
-// store and returns the spine for inspection: a lone transaction; then,
-// while its Apply is blocked, three more; then a lone one again. It
-// checks after every Apply that the group committed the batches 1, 3, 1.
-func runGatedSpine(t *testing.T, tun *AutoTuner, window int) *commitSpine {
+// gatedSpine is a 2-lane spine over a gated store, running: the test feeds
+// steps (each a number of one-tuple transactions to emit) and reads each
+// boundary that has passed the barrier, which is after its spine enqueue,
+// on enqueued.
+type gatedSpine struct {
+	t        *testing.T
+	store    *gatedStore
+	g        *txn.Group
+	sp       *commitSpine
+	steps    chan int
+	enqueued chan struct{}
+	done     chan error
+}
+
+// startGatedSpine builds and runs the spine: TransactionsTuned + MergeTuned
+// with tun, or TransactionsWindow + MergeBatched with window when tun is nil.
+func startGatedSpine(t *testing.T, tun *AutoTuner, window int) *gatedSpine {
 	t.Helper()
 	ctx := txn.NewContext()
 	store := newGatedStore()
@@ -60,16 +72,16 @@ func runGatedSpine(t *testing.T, tun *AutoTuner, window int) *commitSpine {
 		t.Fatal(err)
 	}
 	p := txn.NewSI(ctx)
+	r := &gatedSpine{t: t, store: store, g: g,
+		steps:    make(chan int),
+		enqueued: make(chan struct{}, 16), // holds every boundary of a script
+		done:     make(chan error, 1),
+	}
 
-	// The source emits as many one-tuple transactions as each step asks for;
-	// the sink reports every boundary that has passed the barrier, which is
-	// after its spine enqueue.
-	steps := make(chan int)
-	enqueued := make(chan struct{}, 16) // holds every boundary of the script (5)
 	top := New("gated")
 	src := top.Source("script", func(emit func(Element)) error {
 		i := 0
-		for n := range steps {
+		for n := range r.steps {
 			for ; n > 0; n-- {
 				emit(Punctuation(KindBOT))
 				emit(DataElement(Tuple{Key: fmt.Sprintf("k%d", i), Value: []byte("v")}))
@@ -88,68 +100,88 @@ func runGatedSpine(t *testing.T, tun *AutoTuner, window int) *commitSpine {
 	region := s.Parallelize(2, nil)
 	region.ToTable(p, tbl)
 	var merged *Stream
-	var sp *commitSpine
 	if tun != nil {
-		merged, sp = region.mergeSpine("merge", "MergeTuned", tun.cfg.MaxWindow, tun)
+		merged, r.sp = region.mergeSpine("merge", "MergeTuned", tun.window, false)
 	} else {
-		merged, sp = region.mergeSpine("merge", "MergeBatched", window, nil)
+		merged, r.sp = region.mergeSpine("merge", "MergeBatched", window, true)
 	}
 	merged.Sink("sink", func(e Element) {
 		if e.Kind == KindCommit {
-			enqueued <- struct{}{}
+			r.enqueued <- struct{}{}
 		}
 	})
-	done := make(chan error, 1)
-	go func() { done <- top.Run() }()
+	go func() { r.done <- top.Run() }()
+	return r
+}
 
-	wantStats := func(txns, batches uint64) {
-		t.Helper()
-		if prof := g.CommitProfile(); prof.Txns != txns || prof.Batches != batches {
-			t.Fatalf("group committed %d transactions in %d batches, want %d in %d", prof.Txns, prof.Batches, txns, batches)
-		}
+// emit asks the source for n transactions and waits until all n boundaries
+// are enqueued on the spine.
+func (r *gatedSpine) emit(n int) {
+	r.t.Helper()
+	r.steps <- n
+	for i := 1; i <= n; i++ {
+		await(r.t, r.enqueued, fmt.Sprintf("boundary %d of %d", i, n))
 	}
+}
+
+// wantStats checks the group's committed transactions and batches.
+func (r *gatedSpine) wantStats(txns, batches uint64) {
+	r.t.Helper()
+	if prof := r.g.CommitProfile(); prof.Txns != txns || prof.Batches != batches {
+		r.t.Fatalf("group committed %d transactions in %d batches, want %d in %d", prof.Txns, prof.Batches, txns, batches)
+	}
+}
+
+// finish ends the script and waits for the topology.
+func (r *gatedSpine) finish() {
+	r.t.Helper()
+	close(r.steps)
+	select {
+	case err := <-r.done:
+		if err != nil {
+			r.t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		r.t.Fatal("topology did not finish")
+	}
+}
+
+// runGatedSpine drives one script through a gated spine and returns the
+// spine for inspection: a lone transaction; then, while its Apply is
+// blocked, three more; then a lone one again. It checks after every Apply
+// that the group committed the batches 1, 3, 1.
+func runGatedSpine(t *testing.T, tun *AutoTuner, window int) *commitSpine {
+	t.Helper()
+	r := startGatedSpine(t, tun, window)
 
 	// A lone transaction on an idle spine goes straight to Apply: nothing
 	// else is enqueued, so a spine waiting for company would sit here.
-	steps <- 1
-	await(t, enqueued, "boundary 1")
-	await(t, store.entered, "Apply 1")
+	r.emit(1)
+	await(t, r.store.entered, "Apply 1")
 	select {
-	case <-enqueued:
+	case <-r.enqueued:
 		t.Fatal("a second boundary was enqueued before the lone transaction reached Apply")
 	default:
 	}
 
 	// Three boundaries queue while Apply 1 is blocked; they are the next
 	// batch, whole.
-	steps <- 3
-	for i := 2; i <= 4; i++ {
-		await(t, enqueued, fmt.Sprintf("boundary %d", i))
-	}
-	store.release <- struct{}{}
-	await(t, store.entered, "Apply 2")
-	wantStats(1, 1)
+	r.emit(3)
+	r.store.release <- struct{}{}
+	await(t, r.store.entered, "Apply 2")
+	r.wantStats(1, 1)
 
 	// A lone transaction after a batch of three: Apply 3 cannot start
 	// before Apply 2 returns, so its arrival shows batch 2 was all three.
-	store.release <- struct{}{}
-	steps <- 1
-	await(t, enqueued, "boundary 5")
-	await(t, store.entered, "Apply 3")
-	wantStats(4, 2)
-	store.release <- struct{}{}
+	r.store.release <- struct{}{}
+	r.emit(1)
+	await(t, r.store.entered, "Apply 3")
+	r.wantStats(4, 2)
+	r.store.release <- struct{}{}
 
-	close(steps)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("topology did not finish")
-	}
-	wantStats(5, 3)
-	return sp
+	r.finish()
+	r.wantStats(5, 3)
+	return r.sp
 }
 
 // TestTunedSpineCommitsWhatQueued: the work-conserving spine forms the
@@ -161,9 +193,6 @@ func TestTunedSpineCommitsWhatQueued(t *testing.T) {
 	sp := runGatedSpine(t, tun, 0)
 	if sp.linger != nil {
 		t.Fatal("the tuned spine armed a linger timer")
-	}
-	if got := tun.meanFanIn(); got != 5.0/3 {
-		t.Fatalf("mean fan-in = %v, want 5/3", got)
 	}
 	if st := tun.Stats(); st.Window != DefaultMaxWindow || st.Grows != 0 || st.Shrinks != 0 {
 		t.Fatalf("in-flight bound moved on a fast store: %+v", st)
@@ -180,4 +209,41 @@ func TestStaticSpineStillHoldsOut(t *testing.T) {
 	if sp.linger == nil {
 		t.Fatal("the static spine never armed its linger timer; it should hold out after a batch of 3")
 	}
+}
+
+// TestTunedSpineBoundSurvivesSlowBatch: a slow commit does not move the
+// tuned spine's in-flight bound. With MaxWindow 4, the Apply of a batch of
+// three is held for 30 ms; the bound stays 4, so three more transactions
+// can be in flight behind the next lone one and commit as one batch.
+func TestTunedSpineBoundSurvivesSlowBatch(t *testing.T) {
+	tun := NewAutoTuner(AutoTune{MaxWindow: 4})
+	r := startGatedSpine(t, tun, 0)
+
+	r.emit(1)
+	await(t, r.store.entered, "Apply 1")
+	r.emit(3)
+	r.store.release <- struct{}{}
+	await(t, r.store.entered, "Apply 2 (the batch of three)")
+	r.wantStats(1, 1)
+	time.Sleep(30 * time.Millisecond)
+	r.store.release <- struct{}{}
+
+	// Apply 3 starts only after the spine has finished with batch 2.
+	r.emit(1)
+	await(t, r.store.entered, "Apply 3")
+	r.wantStats(4, 2)
+	if st := tun.Stats(); st.Window != 4 || st.Grows != 0 || st.Shrinks != 0 {
+		t.Fatalf("in-flight bound moved after a slow batch: %+v, want window 4", st)
+	}
+
+	// With the lone transaction undecided, three more fit under the bound
+	// of 4; they queue behind Apply 3 and commit together.
+	r.emit(3)
+	r.store.release <- struct{}{}
+	await(t, r.store.entered, "Apply 4")
+	r.wantStats(5, 3)
+	r.store.release <- struct{}{}
+
+	r.finish()
+	r.wantStats(8, 4)
 }

@@ -327,7 +327,8 @@ func TestSpineRaisesCommitFanIn(t *testing.T) {
 	if err := top.Run(); err != nil {
 		t.Fatal(err)
 	}
-	committed, batches := g.CommitStats()
+	prof := g.CommitProfile()
+	committed, batches := prof.Txns, prof.Batches
 	if committed != txns {
 		t.Fatalf("group committed %d transactions, want %d", committed, txns)
 	}

@@ -52,7 +52,8 @@ func TestCommitChainOneBatch(t *testing.T) {
 		txs[i] = beginChained(t, p, tbl, c, fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
 	}
 	g := tbl.Group()
-	txns0, batches0 := g.CommitStats()
+	prof0 := g.CommitProfile()
+	txns0, batches0 := prof0.Txns, prof0.Batches
 
 	errs := p.CommitChain(txs, []*Table{tbl})
 	for i := range errs {
@@ -62,7 +63,8 @@ func TestCommitChainOneBatch(t *testing.T) {
 			}
 		}
 	}
-	txns1, batches1 := g.CommitStats()
+	prof1 := g.CommitProfile()
+	txns1, batches1 := prof1.Txns, prof1.Batches
 	if txns1-txns0 != n {
 		t.Fatalf("committed %d transactions, want %d", txns1-txns0, n)
 	}
@@ -196,14 +198,14 @@ func TestCommitChainAllProtocols(t *testing.T) {
 				txs[i] = beginChained(t, p, tbl, c, fmt.Sprintf("k%d", i), "v")
 			}
 			g := tbl.Group()
-			_, b0 := g.CommitStats()
+			b0 := g.CommitProfile().Batches
 			errs := p.CommitChain(txs, []*Table{tbl})
 			for i := range errs {
 				if errs[i][0] != nil {
 					t.Fatalf("tx %d: %v", i, errs[i][0])
 				}
 			}
-			if _, b1 := g.CommitStats(); b1-b0 != 1 {
+			if b1 := g.CommitProfile().Batches; b1-b0 != 1 {
 				t.Fatalf("chain used %d batches, want 1", b1-b0)
 			}
 			if s2, ok := p.(*S2PL); ok {
@@ -388,8 +390,8 @@ func TestCommitChainUndeclaredTablesMatchCommitState(t *testing.T) {
 			if !errors.Is(got[0][1], ErrFinished) {
 				t.Errorf("member 0 completed at its first column; its second must be ErrFinished, got %v", got[0][1])
 			}
-			gotTxns, _ := tbls[0].Group().CommitStats()
-			wantTxns, _ := refTbls[0].Group().CommitStats()
+			gotTxns := tbls[0].Group().CommitProfile().Txns
+			wantTxns := refTbls[0].Group().CommitProfile().Txns
 			if gotTxns != wantTxns || gotTxns != 3 {
 				t.Errorf("chain committed %d transactions, CommitState %d, want 3", gotTxns, wantTxns)
 			}

@@ -1043,11 +1043,6 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 		g.commitBatches.Add(1)
 		g.syncHist.Record(syncNs)
 		g.installHist.Record(installNs)
-		g.batchEWMA.Observe(float64(len(admitted)))
-	}
-	nowNs := syncDone.UnixNano()
-	for _, tbl := range tables {
-		tbl.lastCommitNanos.Store(nowNs)
 	}
 	for _, req := range admitted {
 		retained := false

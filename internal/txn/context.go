@@ -232,14 +232,12 @@ type Group struct {
 
 	// Commit-profile instrumentation (CommitProfile): per-batch latency of
 	// the durability phase (the store Apply — the fsync when SyncCommits is
-	// set) and of the in-memory admission+install work around it, plus an
-	// EWMA of achieved batch sizes. Recording is a handful of atomic adds
-	// per BATCH (not per transaction), cheap enough to leave always on. It
-	// is a diagnostic for benchmarks and tests; nothing in the engine reads
-	// it.
+	// set) and of the in-memory admission+install work around it.
+	// Recording is a handful of atomic adds per BATCH (not per
+	// transaction), cheap enough to leave always on. It is a diagnostic for
+	// benchmarks and tests; nothing in the engine reads it.
 	syncHist    metrics.Histogram
 	installHist metrics.Histogram
-	batchEWMA   metrics.EWMA
 
 	// watchers are commit listeners (TO_STREAM trigger policy
 	// "per transaction commit"); they run synchronously right after
@@ -250,24 +248,14 @@ type Group struct {
 	watchers  atomic.Pointer[[]CommitWatcher]
 }
 
-// CommitStats reports the number of transactions globally committed
-// through the group and the number of group-commit batches that carried
-// them; txns/batches is the achieved commit fan-in (1.0 = no batching).
-func (g *Group) CommitStats() (txns, batches uint64) {
-	return g.commitTxns.Load(), g.commitBatches.Load()
-}
-
 // CommitProfile is a point-in-time digest of the group-commit pipeline's
 // observed behavior (Group.CommitProfile), a diagnostic for benchmarks
 // and tests. All latencies are per BATCH, in nanoseconds.
 type CommitProfile struct {
-	// Txns / Batches mirror CommitStats; Txns/Batches is the achieved
-	// cross-transaction commit fan-in.
+	// Txns is the number of transactions globally committed through the
+	// group, Batches the number of group-commit batches that carried them;
+	// Txns/Batches is the achieved commit fan-in (1.0 = no batching).
 	Txns, Batches uint64
-	// BatchSizeEWMA is the exponentially weighted average of recent batch
-	// sizes — unlike the lifetime ratio above, it tracks the CURRENT
-	// batching regime.
-	BatchSizeEWMA float64
 	// Sync summarizes the durability phase per batch: the coalesced store
 	// Apply, which is the fsync when the table opts into SyncCommits.
 	Sync metrics.Summary
@@ -277,15 +265,14 @@ type CommitProfile struct {
 }
 
 // CommitProfile snapshots the group's commit-pipeline instrumentation:
-// lifetime fan-in counters, the recent batch-size EWMA, and per-batch
-// durability (fsync) and install latency summaries.
+// lifetime fan-in counters and per-batch durability (fsync) and install
+// latency summaries.
 func (g *Group) CommitProfile() CommitProfile {
 	return CommitProfile{
-		Txns:          g.commitTxns.Load(),
-		Batches:       g.commitBatches.Load(),
-		BatchSizeEWMA: g.batchEWMA.Value(),
-		Sync:          g.syncHist.Snapshot(),
-		Install:       g.installHist.Snapshot(),
+		Txns:    g.commitTxns.Load(),
+		Batches: g.commitBatches.Load(),
+		Sync:    g.syncHist.Snapshot(),
+		Install: g.installHist.Snapshot(),
 	}
 }
 
@@ -387,11 +374,6 @@ func (c *Context) CreateGroup(id GroupID, tables ...*Table) (*Group, error) {
 	c.mu.Lock()
 	c.groups[id] = g
 	c.mu.Unlock()
-	// A grouped table can commit, so this is where its opt-in idle sweeper
-	// (TableOptions.GCIdleInterval) comes alive.
-	for _, t := range tables {
-		t.startIdleGC()
-	}
 	return g, nil
 }
 

@@ -55,7 +55,7 @@
 // A row holds its key's versions itself (an mvcc.Object by value), and
 // only the holder of the table's group commit latch writes them: the
 // commit pipeline's install, recovery, the GC sweeps (Table.GC and the
-// threshold and idle sweepers take the latch for a sweep) and the index
+// threshold sweeper take the latch for a sweep) and the index
 // backfill and sweep. So a version slot is reused in place with no lock
 // of its own, and an index sweep's look at a row's versions cannot
 // interleave with an install and its index add. Readers — snapshots,

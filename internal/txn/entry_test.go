@@ -280,7 +280,7 @@ func runEntryScript(t *testing.T, proto string, split bool, mode string, windows
 	// empty one — commits through the pipeline, one without finishes right
 	// after its admission.
 	for gi, g := range groups {
-		if txns, _ := g.CommitStats(); txns != pipelined[gi] {
+		if txns := g.CommitProfile().Txns; txns != pipelined[gi] {
 			t.Fatalf("%s: group %s committed %d transactions through its pipeline, %d committed with a state entry in it", mode, g.ID(), txns, pipelined[gi])
 		}
 		res.lastCTS = append(res.lastCTS, g.LastCTS())

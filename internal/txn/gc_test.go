@@ -3,7 +3,6 @@ package txn
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"sistream/internal/kv"
 )
@@ -157,68 +156,6 @@ func TestGCFeedPinProtectsLaggingFeed(t *testing.T) {
 	tbl.GC()
 	if rv := tbl.ResidentVersions(); rv != 1 {
 		t.Fatalf("resident versions = %d after unpinned GC, want 1", rv)
-	}
-}
-
-// TestGCIdleSweeperReclaimsAfterQuiesce is the regression for the
-// idle-table leak: threshold sweeps only run on retiring commit leaders,
-// so a table whose writer stops after a burst retains every dead version
-// until the NEXT commit — which may never come. With GCIdleInterval set,
-// the background sweeper must detect the stall and reclaim without any
-// further commit; and once reclaimed, a permanently idle table must not
-// be rescanned (no unreclaimed commits remain).
-func TestGCIdleSweeperReclaimsAfterQuiesce(t *testing.T) {
-	ctx := NewContext()
-	store := kv.NewMem()
-	defer store.Close()
-	const idle = 10 * time.Millisecond
-	// GCEveryCommits stays 0 and VersionSlots exceeds the write count:
-	// neither the threshold sweeper nor Install-time lazy GC can reclaim,
-	// isolating the idle trigger.
-	tbl, err := ctx.CreateTable("idle", store, TableOptions{
-		VersionSlots:   256,
-		GCIdleInterval: idle,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ctx.CreateGroup("g", tbl); err != nil {
-		t.Fatal(err)
-	}
-	defer tbl.StopIdleGC()
-	p := NewSI(ctx)
-	hammerKey(t, p, tbl, "hot", 100)
-
-	// The burst is over; within about two intervals the idle sweeper must
-	// fire a full sweep and collapse residency to the one live version.
-	deadline := time.Now().Add(100 * idle)
-	for tbl.ResidentVersions() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("resident versions = %d long after quiesce, want 1 (idle sweeper never fired)", tbl.ResidentVersions())
-		}
-		time.Sleep(idle / 2)
-	}
-	runsAfterSweep := tbl.GCStats().Runs
-	if runsAfterSweep == 0 {
-		t.Fatal("residency collapsed but no sweep was recorded")
-	}
-
-	// Idle steady state: with nothing newly committed, the ticker must not
-	// keep burning full-table scans.
-	time.Sleep(5 * idle)
-	if runs := tbl.GCStats().Runs; runs != runsAfterSweep {
-		t.Fatalf("idle sweeper kept running on a reclaimed table: %d runs, want %d", runs, runsAfterSweep)
-	}
-
-	// StopIdleGC is idempotent and ends the goroutine: a fresh burst after
-	// stopping must leak (proving the loop is gone, not just idle).
-	tbl.StopIdleGC()
-	tbl.StopIdleGC()
-	hammerKey(t, p, tbl, "hot", 50)
-	time.Sleep(5 * idle)
-	// The surviving pre-burst version plus 50 fresh installs, all retained.
-	if rv := tbl.ResidentVersions(); rv != 51 {
-		t.Fatalf("resident versions = %d after StopIdleGC burst, want 51 (stopped sweeper must not reclaim)", rv)
 	}
 }
 

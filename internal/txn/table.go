@@ -3,9 +3,7 @@ package txn
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"sistream/internal/kv"
 )
@@ -44,17 +42,6 @@ type TableOptions struct {
 	// when a row has no free slot, so read-mostly keys would retain dead
 	// versions indefinitely. See Table.GCStats.
 	GCEveryCommits int
-	// GCIdleInterval opts into time-based reclamation for tables that go
-	// QUIET: threshold sweeps run only on retiring commit leaders, so a
-	// table that stops committing after a write burst retains its dead
-	// versions until the next commit — forever, if none comes. With a
-	// non-zero interval, a background sweeper (one goroutine per table,
-	// started when the table's group is created) runs a FULL sweep once
-	// commits have stalled for at least the interval and unreclaimed
-	// commits remain, detected within about two intervals. 0 (the
-	// default) disables it. Long-lived processes that tear a topology
-	// down should call Table.StopIdleGC to end the goroutine.
-	GCIdleInterval time.Duration
 }
 
 // Table is the transactional table wrapper of the paper's Figure 3: a
@@ -95,14 +82,6 @@ type Table struct {
 	gcRuns         atomic.Uint64
 	gcReclaimed    atomic.Uint64
 	gcShards       atomic.Uint64
-
-	// Idle-sweeper bookkeeping (see TableOptions.GCIdleInterval): the
-	// UnixNano of the last commit that touched this table (stamped by the
-	// group-commit leader, 0 before the first), and the stop control of
-	// the per-table idle goroutine.
-	lastCommitNanos atomic.Int64
-	idleStop        chan struct{}
-	idleStopOnce    sync.Once
 }
 
 // CreateTable registers a transactional table named id over the given
@@ -228,6 +207,11 @@ const gcSweepSlices = 8
 // rows' version slots, which only the latch holder may: commits wait for
 // it, readers never do. So it must not be called from a commit watcher,
 // which runs under that latch.
+//
+// GC is how a caller reclaims a quiet table: threshold sweeps
+// (TableOptions.GCEveryCommits) run only on retiring commit leaders, so a
+// table that stops committing keeps its dead versions until it commits
+// again.
 func (t *Table) GC() int {
 	if g := t.Group(); g != nil {
 		g.commitMu.Lock()
@@ -299,53 +283,9 @@ func (t *Table) maybeGC() {
 	t.sweep(from, chunk)
 }
 
-// startIdleGC launches the idle sweeper when the table opted in via
-// GCIdleInterval. Called once per table by CreateGroup — before the group
-// exists the table cannot commit, so there is nothing to reclaim and no
-// goroutine to leak for tables that are registered but never grouped.
-func (t *Table) startIdleGC() {
-	if t.opts.GCIdleInterval <= 0 || t.idleStop != nil {
-		return
-	}
-	t.idleStop = make(chan struct{})
-	go t.idleGCLoop()
-}
-
-// idleGCLoop wakes every GCIdleInterval and runs one FULL sweep when the
-// table has been quiet — at least one commit happened since the last
-// reclamation, and the newest commit is older than the interval. The
-// unreclaimed-commit check keeps a permanently idle table from rescanning
-// forever.
-func (t *Table) idleGCLoop() {
-	tick := time.NewTicker(t.opts.GCIdleInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-t.idleStop:
-			return
-		case now := <-tick.C:
-			last := t.lastCommitNanos.Load()
-			if last == 0 || t.commitsSinceGC.Load() == 0 {
-				continue
-			}
-			if now.UnixNano()-last < int64(t.opts.GCIdleInterval) {
-				continue
-			}
-			t.commitsSinceGC.Store(0)
-			t.GC()
-		}
-	}
-}
-
-// StopIdleGC terminates the idle sweeper goroutine started for a table
-// with GCIdleInterval set. Idempotent; a no-op for tables without the
-// option. Call it when tearing down a long-lived topology.
-func (t *Table) StopIdleGC() {
-	if t.idleStop == nil {
-		return
-	}
-	t.idleStopOnce.Do(func() { close(t.idleStop) })
-}
+// StopIdleGC does nothing: tables run no background sweeper. It remains
+// for callers that tear a topology down; Table.GC reclaims a quiet table.
+func (t *Table) StopIdleGC() {}
 
 // GCTableStats reports explicit sweep activity (Table.GCStats).
 type GCTableStats struct {

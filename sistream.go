@@ -46,8 +46,9 @@ type (
 	// reclaimed version slots and swept shards (Table.GCStats).
 	GCTableStats = txn.GCTableStats
 	// CommitProfile is a topology group's observed commit-path profile:
-	// per-batch sync and install latency summaries plus the batch-size
-	// EWMA the group-commit leader records (Group.CommitProfile).
+	// committed transactions and batches (their ratio is the achieved
+	// fan-in) and per-batch sync and install latency summaries
+	// (Group.CommitProfile).
 	CommitProfile = txn.CommitProfile
 	// Snapshot is a consistent analytical read view: each table's group
 	// pinned at its own LastCTS across one or more tables, all at once
@@ -104,18 +105,18 @@ type (
 	// instead of inserting a merge barrier and a fresh router.
 	KeyFn = stream.KeyFn
 	// AutoTune configures the self-tuning commit spine (NewAutoTuner):
-	// the in-flight transaction bound and the per-batch latency ceiling
-	// that tightens it. The zero value of every field selects its default.
+	// its one field, MaxWindow, is the in-flight transaction bound (0
+	// selects 64).
 	AutoTune = stream.AutoTune
-	// AutoTuner is the shared state of one self-tuning pipeline: pass it
-	// to both Stream.TransactionsTuned and ParallelRegion.MergeTuned. The
-	// spine then commits whatever transactions queued while the previous
-	// batch was committing, up to the tuner's in-flight bound, and never
-	// holds a decided transaction back to fill a batch.
+	// AutoTuner is the fixed in-flight bound of one self-tuning pipeline:
+	// pass it to both Stream.TransactionsTuned and ParallelRegion.MergeTuned.
+	// The spine then commits whatever transactions queued while the
+	// previous batch was committing, up to that bound, and never holds a
+	// decided transaction back to fill a batch.
 	AutoTuner = stream.AutoTuner
 	// AutoTunerStats is a point-in-time snapshot of a tuner
-	// (AutoTuner.Stats): the current in-flight bound and how often the
-	// latency guard halved it and doubled it back.
+	// (AutoTuner.Stats): the in-flight bound; Grows and Shrinks are
+	// always 0.
 	AutoTunerStats = stream.AutoTunerStats
 	// PlanStep is one step of a topology's recorded query plan
 	// (Topology.Plan, rendered by Explain): its kind, name, construction
@@ -213,8 +214,8 @@ var (
 	// NewKeyFn builds a shareable partitioning token from one key-string
 	// hash, usable on both the ingest side and the feed side.
 	NewKeyFn = stream.NewKeyFn
-	// NewAutoTuner creates the shared state of a self-tuning commit spine,
-	// with the in-flight bound at AutoTune.MaxWindow.
+	// NewAutoTuner creates the fixed in-flight bound of a self-tuning commit
+	// spine, AutoTune.MaxWindow.
 	NewAutoTuner = stream.NewAutoTuner
 
 	// NewMemStore creates a volatile in-memory base table.
