@@ -136,22 +136,28 @@ func main() {
 	})
 
 	// --- ad-hoc analytics alongside the streams ------------------------------
+	// Both states are read under one snapshot: one cut across the groups.
 	done := make(chan struct{})
 	var snapshots int
+	count := func(snap *sistream.Snapshot, tbl *sistream.Table) int {
+		n := 0
+		if err := snap.Scan(tbl, func(string, []byte) bool { n++; return true }); err != nil {
+			fatal(err)
+		}
+		return n
+	}
 	go func() {
 		defer close(done)
 		for {
 			time.Sleep(50 * time.Millisecond)
-			rows1, err := sistream.TableSnapshot(p, meas1)
+			snap, err := ctx.Snapshot(meas1, local)
 			if err != nil {
 				fatal(err)
 			}
-			rows2, err := sistream.TableSnapshot(p, local)
-			if err != nil {
-				fatal(err)
-			}
+			rows1, rows2 := count(snap, meas1), count(snap, local)
+			snap.Release()
 			snapshots++
-			if len(rows1) >= *meters && len(rows2) >= *meters {
+			if rows1 >= *meters && rows2 >= *meters {
 				return
 			}
 		}

@@ -20,8 +20,9 @@
 //     batch leader assigns a contiguous timestamp range, admits each
 //     transaction under First-Committer-Wins (against installed versions
 //     plus earlier same-batch admissions), persists one coalesced batch
-//     per base store — a single fsync amortized over the whole batch —
-//     installs all versions and publishes the group's LastCTS once.
+//     to the context's one base store — a single fsync amortized over
+//     the whole batch — installs all versions and publishes the group's
+//     LastCTS once.
 //     Transactions spanning groups fall back to taking every involved
 //     group's commit latch in canonical order, so cross-group commits
 //     stay deadlock-free and atomic.

@@ -94,16 +94,21 @@ func TestNoPanicsInFailStopLayers(t *testing.T) {
 // carried a second copy of the commit sequence for transactions spanning
 // groups, and BOCC's chain path registered its history by a rule of its
 // own. The gate counts, over non-test internal/txn, the three calls only
-// a commit pipeline makes — poisoning groups by store, publishing
-// LastCTS, and the durability Apply — and fails, naming the functions,
-// when any of them has more homes than the one pipeline (plus recovery,
-// which restores LastCTS in CreateGroup, and the index backfill, whose
-// Apply in CreateIndex is not a commit). One level up, every Protocol
-// entry method is declared once, on protocolBase: SI, S2PL and BOCC
-// contribute rules to that one path, not entry points of their own.
+// a commit pipeline makes — poisoning every group after a failed store
+// Apply, publishing LastCTS, and the durability Apply — and fails, naming
+// the functions, when any of them has more homes than the one pipeline
+// (plus recovery, which restores LastCTS in CreateGroup, and the index
+// backfill, whose Apply in CreateIndex is not a commit). The pipeline's
+// Apply sits in no for or range statement: a commit batch is one store
+// Apply, the structural half of the one-store rule (Context.CreateTable
+// is the other). One level up, every Protocol entry method is declared
+// once, on protocolBase: SI, S2PL and BOCC contribute rules to that one
+// path, not entry points of their own.
 func TestCommitProtocolExistsOnce(t *testing.T) {
 	// One entry per call site, naming the enclosing function.
 	var poisoners, publishers, appliers []string
+	// commitBatch's Apply call sites, and those inside a loop.
+	var batchApplies, loopedApplies int
 	// Entry method name → receiver types declaring it.
 	entries := map[string][]string{}
 	for _, name := range []string{"Begin", "BeginReadOnly", "Read", "CommitState", "Commit", "CommitChain", "Abort"} {
@@ -130,7 +135,14 @@ func TestCommitProtocolExistsOnce(t *testing.T) {
 					}
 				}
 			}
+			// stack holds the enclosing nodes of the one being visited.
+			var stack []ast.Node
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if n == nil {
+					stack = stack[:len(stack)-1]
+					return true
+				}
+				stack = append(stack, n)
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
@@ -140,7 +152,7 @@ func TestCommitProtocolExistsOnce(t *testing.T) {
 					return true
 				}
 				switch sel.Sel.Name {
-				case "failGroupsOnStores":
+				case "failAllGroups":
 					poisoners = append(poisoners, fd.Name.Name)
 				case "Store":
 					if recv, ok := sel.X.(*ast.SelectorExpr); ok && recv.Sel.Name == "lastCTS" {
@@ -149,6 +161,16 @@ func TestCommitProtocolExistsOnce(t *testing.T) {
 				case "Apply":
 					if len(call.Args) == 2 && fd.Name.Name != "CreateIndex" {
 						appliers = append(appliers, fd.Name.Name)
+					}
+					if fd.Name.Name == "commitBatch" {
+						batchApplies++
+						if slices.ContainsFunc(stack, func(n ast.Node) bool {
+							_, isFor := n.(*ast.ForStmt)
+							_, isRange := n.(*ast.RangeStmt)
+							return isFor || isRange
+						}) {
+							loopedApplies++
+						}
 					}
 				}
 				return true
@@ -160,7 +182,10 @@ func TestCommitProtocolExistsOnce(t *testing.T) {
 		return slices.Compact(sites)
 	}
 	if len(poisoners) != 1 {
-		t.Errorf("failGroupsOnStores has %d call sites, want 1 (the pipeline's error exit): %v", len(poisoners), poisoners)
+		t.Errorf("failAllGroups has %d call sites, want 1 (the pipeline's durability error exit): %v", len(poisoners), poisoners)
+	}
+	if batchApplies != 1 || loopedApplies != 0 {
+		t.Errorf("commitBatch calls Apply at %d sites, %d of them in a for or range statement; want 1 and 0 (one store Apply per commit batch)", batchApplies, loopedApplies)
 	}
 	if fns := functions(publishers); len(fns) != 2 {
 		t.Errorf("lastCTS.Store appears in %d functions, want 2 (recovery in CreateGroup, the commit pipeline): %v", len(fns), fns)

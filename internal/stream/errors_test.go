@@ -69,7 +69,9 @@ func TestOperatorPanicsOnBadArguments(t *testing.T) {
 
 func TestToStreamPanicsWithoutGroup(t *testing.T) {
 	e := newStreamEnv(t)
-	orphan, err := e.ctx.CreateTable("orphan", kv.NewMem(), txn.TableOptions{})
+	store := kv.NewMem()
+	defer store.Close()
+	orphan, err := txn.NewContext().CreateTable("orphan", store, txn.TableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

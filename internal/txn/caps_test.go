@@ -95,10 +95,10 @@ func TestSyncCommitsGatedOnCapabilities(t *testing.T) {
 }
 
 // TestTableCapabilities: CreateTable captures the store's flags, with
-// the conservative default for stores that do not declare any.
+// the conservative default for stores that do not declare any. A context
+// keeps one store, so each store gets a context of its own.
 func TestTableCapabilities(t *testing.T) {
-	ctx := NewContext()
-	memTbl, err := ctx.CreateTable("m", kv.NewMem(), TableOptions{})
+	memTbl, err := NewContext().CreateTable("m", kv.NewMem(), TableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestTableCapabilities(t *testing.T) {
 		t.Errorf("mem table caps = %+v, want zero", got)
 	}
 	anon := struct{ kv.Store }{kv.NewMem()}
-	anonTbl, err := ctx.CreateTable("a", anon, TableOptions{})
+	anonTbl, err := NewContext().CreateTable("a", anon, TableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,9 +23,9 @@ import (
 // (transaction, state) pair with StatusCommit when its part of the
 // transaction is done. The caller that flips the LAST flag becomes the
 // coordinator and performs the global commit: installing all versions,
-// persisting one batch per base store, and finally publishing the
-// group's LastCTS in a single atomic store — the instant the whole
-// multi-state commit becomes visible. An abort anywhere (Abort, or a
+// persisting one batch to the context's base store, and finally
+// publishing the group's LastCTS in a single atomic store — the instant
+// the whole multi-state commit becomes visible. An abort anywhere (Abort, or a
 // rejected admission) aborts the transaction globally; later flags of it
 // report ErrFinished.
 
@@ -320,16 +320,14 @@ func (p *protocolBase) bufferWrites(tx *Txn, tbl *Table, ops []WriteOp, adopt bo
 	return len(ops), nil
 }
 
-// storeBatch is the per-base-store coalesced durability batch built by a
-// commit: all row writes plus the LastCTS watermark, applied with one
-// (optionally synchronous) Apply. The group-commit leader caches one per
-// store on the Group (leader-owned under commitMu), so the ops array and
-// the row-key arena are reused across tenures instead of reallocated per
-// batch.
+// storeBatch is the coalesced durability batch built by a commit: all
+// row writes plus the LastCTS watermarks, applied to the context's base
+// store with one (optionally synchronous) Apply. The group-commit leader
+// caches one on the Group (leader-owned under commitMu), so the ops array
+// and the row-key arena are reused across tenures instead of reallocated
+// per batch.
 type storeBatch struct {
-	store kv.Store
 	batch *kv.Batch
-	sync  bool
 	arena []byte // backing for all row keys of this batch
 	// vals backs the batch's watermark values. A store may keep a value
 	// by reference (kv.Batch.PutOwned), so this arena is only ever carved,
@@ -347,20 +345,12 @@ func (sb *storeBatch) watermark(ts Timestamp) []byte {
 	return sb.vals[off:len(sb.vals):len(sb.vals)]
 }
 
-// storeScratch returns the group's cached scratch batch for st, reset for
-// a new tenure. Caller holds g.commitMu.
-func (g *Group) storeScratch(st kv.Store) *storeBatch {
-	if g.sbCache == nil {
-		g.sbCache = make(map[kv.Store]*storeBatch, 1)
-	}
-	sb := g.sbCache[st]
-	if sb == nil {
-		sb = &storeBatch{store: st, batch: kv.NewBatch(0)}
-		g.sbCache[st] = sb
-	}
+// storeScratch returns the group's cached scratch batch, reset for a new
+// tenure. Caller holds g.commitMu.
+func (g *Group) storeScratch() *storeBatch {
+	sb := g.scratch
 	sb.batch.Reset()
 	sb.arena = sb.arena[:0]
-	sb.sync = false
 	return sb
 }
 
@@ -836,14 +826,15 @@ func (g *Group) maybeGC() {
 //     marks its rows with its commit timestamp, so their admission checks
 //     see its writes (batchMarks). A rejected request aborts immediately
 //     with no version modified.
-//  3. durability: ONE coalesced batch per distinct base store — all
-//     admitted rows, each through its store handle, plus one LastCTS
+//  3. durability: ONE coalesced batch for the context's one base store —
+//     all admitted rows, each through its store handle, plus one LastCTS
 //     watermark per touched table (and nothing else: secondary indexes
-//     persist nothing) — with a single (optionally synchronous) Apply.
-//     This is where group commit pays: N transactions share one fsync. A
-//     failed store fails the whole batch fail-stop (poisonBatch); nothing
-//     was installed yet, so memory is untouched and partially persisted
-//     stores reconcile at recovery via the watermark (see CreateGroup).
+//     persist nothing) — with a single (optionally synchronous) Apply,
+//     so the store's failure atomicity is the whole batch's. This is
+//     where group commit pays: N transactions share one fsync. A failed
+//     Apply fails the batch fail-stop and poisons every group of the
+//     context (poisonBatch); nothing was installed yet, so memory is
+//     untouched and recovery reads whatever the store made durable.
 //  4. install all versions in commit-timestamp order (cannot fail: a row
 //     reuses a dead slot in place or grows, and the latch serializes
 //     every writer of a row's versions); each installed row image is then
@@ -914,30 +905,19 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 	}
 	admitDone := time.Now()
 
-	// Phase 3: durability, one coalesced batch per distinct base store.
-	// The scratch batches (ops array, row-key arena) are cached on the
-	// table's group across tenures (that group's latch is held), so
-	// coalescing allocates nothing steady-state; neither do the lists of
-	// the batch's stores and tables while they fit their stack buffers.
+	// Phase 3: durability, one coalesced batch for the context's one base
+	// store (see CreateTable). The scratch batch (ops array, row-key arena)
+	// is cached on the first latched group across tenures, so coalescing
+	// allocates nothing steady-state; neither does the list of the batch's
+	// tables while it fits its stack buffer.
 	var (
-		sbBuf   [2]*storeBatch
-		tblBuf  [2]*Table
-		batches = sbBuf[:0]
-		tables  = tblBuf[:0]
+		sb     = groups[0].storeScratch()
+		synced bool
+		tblBuf [2]*Table
+		tables = tblBuf[:0]
 	)
-	getSB := func(tbl *Table) *storeBatch {
-		for _, sb := range batches {
-			if sb.store == tbl.store {
-				return sb
-			}
-		}
-		sb := tbl.Group().storeScratch(tbl.store)
-		batches = append(batches, sb)
-		return sb
-	}
 	for _, req := range admitted {
 		for _, e := range req.entries {
-			sb := getSB(e.table)
 			for i, key := range e.order {
 				op := &e.ops[i]
 				off := len(sb.arena)
@@ -953,38 +933,30 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 					sb.batch.PutHandle(rk, op.value, &op.row.handle)
 				}
 			}
-			// The sync point is requested only where the backend declares
-			// SupportsSync: a volatile backend has nothing to fsync, so
-			// the leader skips the request instead of issuing one the
-			// store would silently ignore.
-			if e.table.opts.SyncCommits && e.table.caps.SupportsSync {
-				sb.sync = true
-			}
+			synced = synced || e.table.opts.SyncCommits
 			if !slices.Contains(tables, e.table) {
 				tables = append(tables, e.table)
 			}
 		}
 	}
-	// One watermark per touched table: everything below maxCTS in this
-	// store is durable together with it.
+	// One watermark per touched table: everything below maxCTS is durable
+	// together with it.
 	for _, tbl := range tables {
-		sb := getSB(tbl)
 		sb.batch.PutOwned(tbl.metaKey(), sb.watermark(maxCTS))
 	}
-	for _, sb := range batches {
-		if err := sb.store.Apply(sb.batch, sb.sync); err != nil {
-			// After a durability error the batch's persistence is
-			// unknowable (stores applied earlier in this loop already hold
-			// it durably, the failed one may hold any prefix). No version
-			// was installed yet, so memory is clean — but ONLY a restart
-			// can reconcile disk (see poisonBatch).
-			stores := make([]kv.Store, len(batches))
-			for i, b := range batches {
-				stores[i] = b.store
-			}
-			p.poisonBatch(groups, stores, admitted, fmt.Errorf("txn: commit durability: %w", err))
-			return
-		}
+	// The sync point is requested only where the backend declares
+	// SupportsSync: a volatile backend has nothing to fsync, so the leader
+	// skips the request instead of issuing one the store would silently
+	// ignore.
+	if err := p.ctx.store.Apply(sb.batch, synced && p.ctx.caps.SupportsSync); err != nil {
+		// After a durability error the store's state is unknowable (it may
+		// hold any prefix of the batch). No version was installed yet, so
+		// memory is clean — but ONLY a restart can reconcile disk, and
+		// every group of the context commits into this store.
+		cause := fmt.Errorf("txn: commit durability: %w", err)
+		p.ctx.failAllGroups(cause)
+		p.poisonBatch(groups, admitted, cause)
+		return
 	}
 	syncDone := time.Now()
 
@@ -1001,7 +973,7 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 			for i := range e.ops {
 				op := &e.ops[i]
 				if err := op.row.obj.Install(req.cts, op.value, op.delete, horizon); err != nil {
-					p.poisonBatch(groups, nil, admitted, fmt.Errorf("txn: install invariant violated: %w", err))
+					p.poisonBatch(groups, admitted, fmt.Errorf("txn: install invariant violated: %w", err))
 					return
 				}
 				if op.delete {

@@ -22,8 +22,19 @@ const maxActiveTxns = 1024
 // transactions, and the global atomic timestamp counter. Slot management
 // is latch-free (CAS on bit-vector words). The transaction path never
 // consults the registry: it holds the *Table and *Group it works on.
+//
+// A context keeps all its tables on one base store, so every commit
+// batch — plain, chained or spanning groups — is one atomic store Apply:
+// the store's own failure atomicity is the transaction's. States on
+// separate stores need separate contexts.
 type Context struct {
 	counter atomic.Uint64 // global logical clock: txn IDs and commit timestamps
+
+	// store is the base store of every table, recorded by the first
+	// CreateTable (under mu, before any table exists), and caps its
+	// capability flags.
+	store kv.Store
+	caps  kv.Capabilities
 
 	// spanning is odd while a commit spanning groups publishes its LastCTS
 	// to them one group after another; pinGroups reads groups only while
@@ -198,8 +209,8 @@ type Group struct {
 	// to find no leader active claims leadership and commits one drained
 	// batch: it admits each transaction in arrival order against a batch
 	// overlay, assigns a contiguous commit-timestamp range, persists ONE
-	// coalesced batch per base store (one fsync amortized over the whole
-	// batch), installs all versions, and publishes LastCTS once. Followers
+	// coalesced store batch (one fsync amortized over the whole batch),
+	// installs all versions, and publishes LastCTS once. Followers
 	// park on their request's ready channel and are woken with the
 	// recorded verdict — or with the leadership baton, when the retiring
 	// leader leaves pending requests behind (one-batch tenures keep any
@@ -218,10 +229,9 @@ type Group struct {
 	batchTarget  int           // previous batch's submitter count; leader-owned under commitMu
 	linger       *time.Timer   // the collecting leader's timer; leader-owned under commitMu
 
-	// sbCache holds the leader's per-store durability-batch scratch,
-	// reused across tenures; leader-owned under commitMu (see
-	// storeScratch).
-	sbCache map[kv.Store]*storeBatch
+	// scratch is the leader's durability-batch scratch, reused across
+	// tenures; leader-owned under commitMu (see storeScratch).
+	scratch *storeBatch
 
 	// Pipeline counters (diagnostics and bench reporting): transactions
 	// globally committed through this group and the number of leader
@@ -314,7 +324,10 @@ func (g *Group) Tables() []*Table { return g.tables }
 // rows are loaded back into the in-memory version store at the recovered
 // LastCTS, exactly reproducing the visibility they had before shutdown.
 // A table may belong to only one group (its writing query); additional
-// readers access it through the group of the query that owns it.
+// readers access it through the group of the query that owns it. All
+// members live on the context's one base store (see CreateTable), so a
+// commit over any set of groups is one atomic store batch; states on
+// separate stores need separate contexts.
 func (c *Context) CreateGroup(id GroupID, tables ...*Table) (*Group, error) {
 	if len(tables) == 0 {
 		return nil, fmt.Errorf("txn: group %q needs at least one table", id)
@@ -334,12 +347,13 @@ func (c *Context) CreateGroup(id GroupID, tables ...*Table) (*Group, error) {
 			return nil, fmt.Errorf("txn: table %q already in group %q", t.id, tg.id)
 		}
 	}
-	g := &Group{id: id, ctx: c, tables: slices.Clone(tables), wake: make(chan struct{}, 1)}
+	g := &Group{id: id, ctx: c, tables: slices.Clone(tables), wake: make(chan struct{}, 1),
+		scratch: &storeBatch{batch: kv.NewBatch(0)}}
 	g.solo = []*Group{g}
 
-	// Recovery: LastCTS is persisted in each member's base store; the
-	// group's recovered timestamp is the maximum across members (a crash
-	// between per-store batches can leave laggards, see Table.metaKey).
+	// Recovery: every commit batch writes the watermark of each table it
+	// touched, so a member the last batches did not touch carries an older
+	// one; the group's recovered timestamp is the maximum across members.
 	var recovered Timestamp
 	for _, t := range tables {
 		ts, err := t.readMetaCTS()

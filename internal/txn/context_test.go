@@ -164,6 +164,127 @@ func TestDuplicateRegistration(t *testing.T) {
 	}
 }
 
+// TestContextKeepsOneStore: the first CreateTable fixes the context's base
+// store. A table naming any other store is refused and registers nothing
+// — not even its name — and the context's own tables keep committing and
+// recovering.
+func TestContextKeepsOneStore(t *testing.T) {
+	store := kv.NewMem()
+	defer store.Close()
+	other := kv.NewMem()
+	defer other.Close()
+	ctx := NewContext()
+	a, err := ctx.CreateTable("a", store, TableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctx.CreateTable("b", other, TableOptions{}); err == nil {
+		t.Fatal("a table on a second store was accepted")
+	}
+	if _, ok := ctx.Table("b"); ok {
+		t.Fatal("the refused table was registered")
+	}
+	b, err := ctx.CreateTable("b", store, TableOptions{})
+	if err != nil {
+		t.Fatalf("the refused name was kept: %v", err)
+	}
+	g, err := ctx.CreateGroup("g", a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewSI(ctx)
+	for _, v := range []string{"1", "2"} {
+		tx, _ := p.Begin()
+		p.Write(tx, a, "k", []byte(v))
+		p.Write(tx, b, "k", []byte(v))
+		mustCommit(t, p, tx)
+	}
+	if n, _ := kv.Len(other); n != 0 {
+		t.Fatalf("the refused store holds %d keys", n)
+	}
+
+	ctx2 := NewContext()
+	a2, _ := ctx2.CreateTable("a", store, TableOptions{})
+	b2, _ := ctx2.CreateTable("b", store, TableOptions{})
+	g2, err := ctx2.CreateGroup("g", a2, b2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g2.LastCTS() != g.LastCTS() {
+		t.Fatalf("recovered LastCTS %d, want %d", g2.LastCTS(), g.LastCTS())
+	}
+	p2 := NewSI(ctx2)
+	for _, tbl := range []*Table{a2, b2} {
+		if v, ok := readOne(t, p2, tbl, "k"); !ok || v != "2" {
+			t.Fatalf("recovered %s.k = %q %v, want 2", tbl.ID(), v, ok)
+		}
+	}
+}
+
+// TestCommitBatchIsOneStoreApply: every commit batch is exactly one store
+// Apply — a plain commit over two tables of one group, a chain of 8 on one
+// group, and a commit spanning two groups alike — with one sync point
+// under SyncCommits and none without.
+func TestCommitBatchIsOneStoreApply(t *testing.T) {
+	for _, syncCommits := range []bool{false, true} {
+		store := kv.NewFault(kv.NewMem())
+		opts := TableOptions{SyncCommits: syncCommits}
+		ctx := NewContext()
+		a, _ := ctx.CreateTable("a", store, opts)
+		b, _ := ctx.CreateTable("b", store, opts)
+		c, _ := ctx.CreateTable("c", store, opts)
+		if _, err := ctx.CreateGroup("g1", a, b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ctx.CreateGroup("g2", c); err != nil {
+			t.Fatal(err)
+		}
+		p := NewSI(ctx)
+		var wantSyncs uint64
+		if syncCommits {
+			wantSyncs = 1
+		}
+		step := func(name string, commit func()) {
+			t.Helper()
+			before := store.Stats()
+			commit()
+			after := store.Stats()
+			applies, syncs := after.Applies-before.Applies, after.SyncPoints-before.SyncPoints
+			if applies != 1 || syncs != wantSyncs {
+				t.Errorf("SyncCommits=%v, %s: %d applies, %d sync points; want 1, %d",
+					syncCommits, name, applies, syncs, wantSyncs)
+			}
+		}
+		step("plain commit over two tables", func() {
+			tx, _ := p.Begin()
+			p.Write(tx, a, "k", []byte("v"))
+			p.Write(tx, b, "k", []byte("v"))
+			mustCommit(t, p, tx)
+		})
+		step("chain of 8", func() {
+			ch := NewChain()
+			txs := make([]*Txn, 8)
+			for i := range txs {
+				txs[i], _ = p.Begin()
+				txs[i].SetChain(ch)
+				p.Write(txs[i], a, fmt.Sprint("k", i), []byte("v"))
+			}
+			for i, row := range p.CommitChain(txs, []*Table{a}) {
+				if row[0] != nil {
+					t.Fatalf("chain member %d: %v", i, row[0])
+				}
+			}
+		})
+		step("commit spanning two groups", func() {
+			tx, _ := p.Begin()
+			p.Write(tx, a, "k", []byte("w"))
+			p.Write(tx, c, "k", []byte("w"))
+			mustCommit(t, p, tx)
+		})
+		store.Close()
+	}
+}
+
 // TestOverlapRuleOlderVersionWins: a query reading tables from two groups
 // takes the OLDER pinned snapshot for states both groups cover.
 func TestOverlapRuleAcrossGroups(t *testing.T) {

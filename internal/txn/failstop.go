@@ -3,8 +3,6 @@ package txn
 import (
 	"errors"
 	"fmt"
-
-	"sistream/internal/kv"
 )
 
 // This file implements the engine's fail-stop failure model. The commit
@@ -54,45 +52,30 @@ func (g *Group) fail(cause error) {
 	})
 }
 
-// failGroupsOnStores poisons every group with a member table on any of
-// the given base stores. It closes the multi-store tear window: when a
-// commit batch spans stores and the Nth Apply fails, stores applied
-// earlier already hold the batch durably while the failed one does not —
-// any group sharing ANY touched store must stop committing, or a later
-// commit would re-diverge memory from disk. The registry is scanned under
-// its read latch; group membership is immutable after CreateGroup, so the
-// scan is race-free.
-func (c *Context) failGroupsOnStores(stores []kv.Store, cause error) {
-	touched := func(g *Group) bool {
-		for _, t := range g.tables {
-			for _, st := range stores {
-				if t.store == st {
-					return true
-				}
-			}
-		}
-		return false
-	}
+// failAllGroups poisons every group of the context. A failed durability
+// Apply leaves the one base store in an unknowable state, and every group
+// of the context commits into that store: any of them committing on would
+// re-diverge memory from disk. The registry is scanned under its read
+// latch; group membership is immutable after CreateGroup, so the scan is
+// race-free.
+func (c *Context) failAllGroups(cause error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for _, g := range c.groups {
-		if touched(g) {
-			g.fail(cause)
-		}
+		g.fail(cause)
 	}
 }
 
 // poisonBatch is the commit pipeline's one error exit (see commitBatch):
-// cause poisons every latched group and every group with a table on one
-// of stores — the base stores a failed durability phase touched, nil for
-// an install-invariant trip, which no store saw — BEFORE the batch's
-// requests are decided with the sticky error, which wraps ErrGroupFailed
-// and cause alike.
-func (p *protocolBase) poisonBatch(groups []*Group, stores []kv.Store, reqs []*commitReq, cause error) {
+// cause poisons every latched group BEFORE the batch's requests are
+// decided with the sticky error, which wraps ErrGroupFailed and cause
+// alike. A failed durability Apply poisons the rest of the context first
+// (failAllGroups); an install-invariant trip, which no store saw, stays
+// with the latched groups.
+func (p *protocolBase) poisonBatch(groups []*Group, reqs []*commitReq, cause error) {
 	for _, g := range groups {
 		g.fail(cause)
 	}
-	p.ctx.failGroupsOnStores(stores, cause)
 	p.failReqs(reqs, groups[0].Err())
 }
 

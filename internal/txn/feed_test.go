@@ -210,7 +210,7 @@ func TestWatchPartitionedValidation(t *testing.T) {
 	if _, err := tbl.WatchPartitioned(0, 0, nil); err == nil {
 		t.Fatal("parts=0 accepted")
 	}
-	orphan, err := ctx.CreateTable("orphan", kv.NewMem(), TableOptions{})
+	orphan, err := ctx.CreateTable("orphan", ctx.store, TableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -345,14 +345,14 @@ func (t *Table) CreateIndex(name string, extract IndexKeyFunc) (*Index, error) {
 	stale := kv.NewBatch(0)
 	prefix := []byte("i/" + string(t.id) + "/" + name + "/")
 	end := append(append([]byte(nil), prefix...), 0xff)
-	if err := t.store.Scan(prefix, end, func(k, _ []byte) bool {
+	if err := t.ctx.store.Scan(prefix, end, func(k, _ []byte) bool {
 		stale.Delete(k)
 		return true
 	}); err != nil {
 		return nil, fmt.Errorf("txn: index %q: clear postings: %w", name, err)
 	}
 	if stale.Len() > 0 {
-		if err := t.store.Apply(stale, t.opts.SyncCommits && t.caps.SupportsSync); err != nil {
+		if err := t.ctx.store.Apply(stale, t.opts.SyncCommits && t.ctx.caps.SupportsSync); err != nil {
 			return nil, fmt.Errorf("txn: index %q: clear postings: %w", name, err)
 		}
 	}

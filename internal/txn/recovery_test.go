@@ -151,64 +151,58 @@ func TestSnapshotDuringRecoverySeesAllRows(t *testing.T) {
 	}
 }
 
-// TestRecoveryLaggingStore: states of one group on DIFFERENT stores,
-// where one store missed the final commit (simulating a crash between
-// per-store batches). Recovery must settle on the max watermark and both
-// tables must load what their stores hold — the documented reconciliation
-// semantics of CreateGroup.
-func TestRecoveryLaggingStore(t *testing.T) {
-	s1 := kv.NewMem()
-	s2 := kv.NewMem()
-	defer s1.Close()
-	defer s2.Close()
+// TestRecoveryTakesNewestMemberWatermark: a commit writes the watermark
+// of each table it touched only, so a group member the last commit did
+// not touch carries an older one. Recovery must settle on the newest
+// member watermark — the group's real LastCTS — load every member's rows,
+// and hand the next commit a larger timestamp.
+func TestRecoveryTakesNewestMemberWatermark(t *testing.T) {
+	store := kv.NewMem()
+	defer store.Close()
 
 	ctx := NewContext()
-	a, _ := ctx.CreateTable("a", s1, TableOptions{})
-	b, _ := ctx.CreateTable("b", s2, TableOptions{})
-	if _, err := ctx.CreateGroup("g", a, b); err != nil {
+	a, _ := ctx.CreateTable("a", store, TableOptions{})
+	b, _ := ctx.CreateTable("b", store, TableOptions{})
+	g, err := ctx.CreateGroup("g", a, b)
+	if err != nil {
 		t.Fatal(err)
 	}
 	p := NewSI(ctx)
 	tx, _ := p.Begin()
-	p.Write(tx, a, "k", []byte("va"))
-	p.Write(tx, b, "k", []byte("vb"))
+	p.Write(tx, a, "k", []byte("a1"))
+	p.Write(tx, b, "k", []byte("b1"))
 	mustCommit(t, p, tx)
-	cts := a.Group().LastCTS()
-
-	// Simulate store s2 lagging: wipe its rows and watermark as if the
-	// final batch never reached it.
-	if err := s2.Delete([]byte("s/b/k")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Delete([]byte("m/b/lastcts")); err != nil {
-		t.Fatal(err)
+	first := g.LastCTS()
+	tx, _ = p.Begin()
+	p.Write(tx, a, "k", []byte("a2"))
+	mustCommit(t, p, tx)
+	last := g.LastCTS()
+	if last <= first {
+		t.Fatalf("second commit at %d, first at %d", last, first)
 	}
 
 	ctx2 := NewContext()
-	a2, _ := ctx2.CreateTable("a", s1, TableOptions{})
-	b2, _ := ctx2.CreateTable("b", s2, TableOptions{})
+	a2, _ := ctx2.CreateTable("a", store, TableOptions{})
+	b2, _ := ctx2.CreateTable("b", store, TableOptions{})
 	g2, err := ctx2.CreateGroup("g", a2, b2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Watermark reconciles to the max across members.
-	if g2.LastCTS() != cts {
-		t.Fatalf("reconciled LastCTS %d, want %d", g2.LastCTS(), cts)
+	if g2.LastCTS() != last {
+		t.Fatalf("recovered LastCTS %d, want the last commit's %d", g2.LastCTS(), last)
 	}
 	p2 := NewSI(ctx2)
-	if v, ok := readOne(t, p2, a2, "k"); !ok || v != "va" {
-		t.Fatalf("a after reconciliation: %q %v", v, ok)
+	if v, ok := readOne(t, p2, a2, "k"); !ok || v != "a2" {
+		t.Fatalf("recovered a.k = %q %v, want a2", v, ok)
 	}
-	// b lost its row (the store that missed the batch); the group is
-	// usable and new commits repair it.
-	if _, ok := readOne(t, p2, b2, "k"); ok {
-		t.Fatal("lagging store magically has the row")
+	if v, ok := readOne(t, p2, b2, "k"); !ok || v != "b1" {
+		t.Fatalf("recovered b.k = %q %v, want b1", v, ok)
 	}
 	tx2, _ := p2.Begin()
-	p2.Write(tx2, b2, "k", []byte("vb-repaired"))
+	p2.Write(tx2, b2, "k", []byte("b2"))
 	mustCommit(t, p2, tx2)
-	if v, ok := readOne(t, p2, b2, "k"); !ok || v != "vb-repaired" {
-		t.Fatalf("repair failed: %q %v", v, ok)
+	if g2.LastCTS() <= last {
+		t.Fatalf("next commit at %d, not after the recovered %d", g2.LastCTS(), last)
 	}
 }
 

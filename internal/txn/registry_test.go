@@ -56,10 +56,10 @@ func TestRegistryNeverWaitsForRecovery(t *testing.T) {
 		if got, ok := ctx.Table("s"); !ok || got != tbl {
 			t.Error("lookup during recovery failed")
 		}
-		if _, err := ctx.CreateTable("other", store, TableOptions{}); err != nil {
+		if _, err := ctx.CreateTable("other", held, TableOptions{}); err != nil {
 			t.Error(err)
 		}
-		ctx.failGroupsOnStores([]kv.Store{store}, errors.New("no group is on this store"))
+		ctx.failAllGroups(errors.New("no group is registered yet"))
 	}()
 	select {
 	case <-done:

@@ -50,16 +50,14 @@ type TableOptions struct {
 // latest committed version of every key).
 //
 // Tables must be registered in a topology group before transactional use.
-// Several tables may share one base store — keys are namespaced by state
-// ID — and states of one group sharing a store get atomic multi-state
-// durability for free (a single batch); states on different stores rely
-// on recovery reconciliation via the per-store LastCTS (see CreateGroup).
+// All tables of a context share its one base store — keys are namespaced
+// by state ID — so every commit, over one group or several, persists as a
+// single atomic store batch. States on separate stores need separate
+// contexts.
 type Table struct {
-	id    StateID
-	ctx   *Context
-	store kv.Store
-	caps  kv.Capabilities
-	opts  TableOptions
+	id   StateID
+	ctx  *Context
+	opts TableOptions
 	// group is published by CreateGroup once the table's rows are loaded.
 	group atomic.Pointer[Group]
 	// meta is the key of the group's LastCTS in the table's base store.
@@ -86,15 +84,21 @@ type Table struct {
 
 // CreateTable registers a transactional table named id over the given
 // base store. The table is empty in memory until its group is created,
-// which performs recovery of persisted rows.
+// which performs recovery of persisted rows. The first table fixes the
+// context's base store; a table naming any other store is refused and
+// not registered — states on separate stores need separate contexts.
 func (c *Context) CreateTable(id StateID, store kv.Store, opts TableOptions) (*Table, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.states[id]; dup {
 		return nil, fmt.Errorf("txn: table %q already exists", id)
 	}
-	t := &Table{id: id, ctx: c, store: store, caps: kv.CapabilitiesOf(store), opts: opts,
-		meta: []byte("m/" + string(id) + "/lastcts")}
+	if c.store == nil {
+		c.store, c.caps = store, kv.CapabilitiesOf(store)
+	} else if store != c.store {
+		return nil, fmt.Errorf("txn: table %q is on a second base store; a context keeps all its tables on one", id)
+	}
+	t := &Table{id: id, ctx: c, opts: opts, meta: []byte("m/" + string(id) + "/lastcts")}
 	c.states[id] = t
 	return t, nil
 }
@@ -102,12 +106,13 @@ func (c *Context) CreateTable(id StateID, store kv.Store, opts TableOptions) (*T
 // ID returns the table's state identifier.
 func (t *Table) ID() StateID { return t.id }
 
-// Capabilities returns the capability flags of the table's base store,
-// captured at CreateTable. The group-commit leader consults them:
+// Capabilities returns the capability flags of the table's base store —
+// the context's, captured at its first CreateTable. The group-commit
+// leader consults them:
 // SyncCommits requests a sync point only where the backend declares
 // SupportsSync — over a volatile backend the fsync is skipped honestly
 // instead of requested and silently ignored.
-func (t *Table) Capabilities() kv.Capabilities { return t.caps }
+func (t *Table) Capabilities() kv.Capabilities { return t.ctx.caps }
 
 // Group returns the topology group the table belongs to (nil before
 // CreateGroup).
@@ -129,9 +134,9 @@ func (t *Table) appendRowKey(dst []byte, key string) []byte {
 	return append(dst, key...)
 }
 
-// metaKey holds the group's LastCTS in this table's base store; written
-// as part of every commit batch so that durability of data and of the
-// visibility watermark are a single atomic unit per store.
+// metaKey holds the group's LastCTS in the base store; written as part of
+// every commit batch that touches the table, so that durability of data
+// and of the visibility watermark are a single atomic unit.
 func (t *Table) metaKey() []byte { return t.meta }
 
 // shard returns the row-index shard of hash h.
@@ -332,7 +337,7 @@ func (t *Table) ResidentVersions() int {
 
 // readMetaCTS reads the persisted LastCTS watermark, 0 when absent.
 func (t *Table) readMetaCTS() (Timestamp, error) {
-	raw, found, err := t.store.Get(t.metaKey())
+	raw, found, err := t.ctx.store.Get(t.metaKey())
 	if err != nil || !found {
 		return 0, err
 	}
@@ -348,7 +353,7 @@ func (t *Table) readMetaCTS() (Timestamp, error) {
 func (t *Table) loadCommitted(cts Timestamp) error {
 	prefix := t.rowKey("")
 	end := append(append([]byte(nil), prefix...), 0xff)
-	return t.store.Scan(prefix, end, func(k, v []byte) bool {
+	return t.ctx.store.Scan(prefix, end, func(k, v []byte) bool {
 		key := string(k[len(prefix):])
 		t.row(keyHash(key), key).obj.InstallRecovered(cts, v)
 		return true

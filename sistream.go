@@ -10,7 +10,9 @@ import (
 // Transactional state management (the paper's Section 4).
 type (
 	// Context is the global state context: registry of states, topology
-	// groups and active transactions, plus the logical clock.
+	// groups and active transactions, plus the logical clock. All its
+	// tables live on one base store, so every commit is one atomic store
+	// batch; states on separate stores need separate contexts.
 	Context = txn.Context
 	// Table is a transactional, multi-versioned, queryable state.
 	Table = txn.Table
