@@ -35,8 +35,10 @@
 //     allocates nothing but the value.
 //   - The dataflow engine is vectorized: edges carry element batches,
 //     chains of stateless operators fuse into their consumer's goroutine,
-//     and TO_TABLE — one table sink per ToTable call, sequential or per
-//     lane — applies each transaction's tuples as segments
+//     and so do Transactions and TO_TABLE — a sequential spine of a
+//     source, Transactions, any number of ToTables and a sink runs in two
+//     goroutines. TO_TABLE — one table sink per ToTable call, sequential or
+//     per lane — applies each transaction's tuples as segments
 //     (Protocol.WriteSegment): one value copy per tuple, one snapshot pin
 //     and one latch acquisition per run. See DESIGN.md "Vectorized
 //     dataflow".

@@ -266,6 +266,88 @@ func TestLinkingOperatorsExistOnce(t *testing.T) {
 	check("write-set append (stateEntry.write)", methodCallSites(t, "internal/txn")["write"], "bufferWrites")
 }
 
+// fusedFuncs inspects the functions of non-test internal/stream that
+// members names — "Recv.Method" for a method — and fails, naming the
+// function, on a go statement, a channel type, a channel send or a call of
+// consume or spawn: a fused stage runs in the goroutine of whichever
+// operator consumes its stream, and owns none. It returns the selector
+// names each member uses, for reachesVia.
+func fusedFuncs(t *testing.T, what string, members ...string) map[string][]string {
+	t.Helper()
+	calls := make(map[string][]string, len(members))
+	for _, m := range members {
+		calls[m] = nil
+	}
+	found := map[string]bool{}
+	_, files := parseNonTest(t, "internal/stream")
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			name := fd.Name.Name
+			if fd.Recv != nil && len(fd.Recv.List) == 1 {
+				typ := fd.Recv.List[0].Type
+				if star, ok := typ.(*ast.StarExpr); ok {
+					typ = star.X
+				}
+				if id, ok := typ.(*ast.Ident); ok {
+					name = id.Name + "." + name
+				}
+			}
+			if _, member := calls[name]; !member {
+				continue
+			}
+			found[name] = true
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.GoStmt, *ast.ChanType, *ast.SendStmt:
+					t.Errorf("%s has a goroutine or channel (%T): %s is a fused stage", name, n, what)
+				case *ast.SelectorExpr:
+					if callee := n.Sel.Name; callee == "consume" || callee == "spawn" {
+						t.Errorf("%s calls %s: %s is a fused stage, not an operator goroutine", name, callee, what)
+					} else {
+						calls[name] = append(calls[name], callee)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, m := range members {
+		if !found[m] {
+			t.Errorf("%s is not declared in internal/stream", m)
+		}
+	}
+	return calls
+}
+
+// reachesVia reports whether member name is, or calls, the method named
+// target — directly or through other members of calls.
+func reachesVia(calls map[string][]string, name, target string) bool {
+	seen := map[string]bool{}
+	var reaches func(name string) bool
+	reaches = func(name string) bool {
+		if seen[name] {
+			return false
+		}
+		seen[name] = true
+		if name == target || strings.HasSuffix(name, "."+target) {
+			return true
+		}
+		for _, callee := range calls[name] {
+			for m := range calls {
+				if (m == callee || strings.HasSuffix(m, "."+callee)) && reaches(m) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	return reaches(name)
+}
+
 // TestTransactionsStageIsFused keeps the TRANSACTIONS operator a fused
 // stage. As a goroutine stage of its own it cost every serialized
 // transaction two park/wake hand-offs — the stage woken by the consumer's
@@ -275,44 +357,28 @@ func TestLinkingOperatorsExistOnce(t *testing.T) {
 // its only wait is the receive on a decision — and when one of the three
 // forms does not reach transactionsPipeline, the one implementation.
 func TestTransactionsStageIsFused(t *testing.T) {
-	// Family member → the family members it calls.
-	family := map[string][]string{"Transactions": nil, "TransactionsWindow": nil, "TransactionsTuned": nil, "transactionsPipeline": nil}
-	_, files := parseNonTest(t, "internal/stream")
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			name := fd.Name.Name
-			if _, member := family[name]; !member {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.GoStmt, *ast.ChanType, *ast.SendStmt:
-					t.Errorf("%s has a goroutine or channel (%T): Transactions is a fused stage", name, n)
-				case *ast.SelectorExpr:
-					switch callee := n.Sel.Name; {
-					case callee == "consume" || callee == "spawn":
-						t.Errorf("%s calls %s: Transactions is a fused stage, not an operator goroutine", name, callee)
-					default:
-						if _, member := family[callee]; member {
-							family[name] = append(family[name], callee)
-						}
-					}
-				}
-				return true
-			})
+	calls := fusedFuncs(t, "Transactions", "Stream.Transactions", "Stream.TransactionsWindow", "Stream.TransactionsTuned", "Stream.transactionsPipeline")
+	for name := range calls {
+		if !reachesVia(calls, name, "transactionsPipeline") {
+			t.Errorf("%s does not reach transactionsPipeline, the one implementation", name)
 		}
 	}
-	var reaches func(name string) bool
-	reaches = func(name string) bool {
-		return name == "transactionsPipeline" || slices.ContainsFunc(family[name], reaches)
-	}
-	for name := range family {
-		if !reaches(name) {
-			t.Errorf("%s does not reach transactionsPipeline, the one implementation", name)
+}
+
+// TestToTableStageIsFused keeps the TO_TABLE operator a fused stage. As an
+// operator goroutine the sequential ToTable cost every transaction one
+// more hop into its consumer, and two chained ToTables passed every
+// transaction back and forth: the second one's decision woke the first
+// one's Transactions wait. The gate fails when Stream.ToTable,
+// ParallelRegion.ToTable or tableSink.stage spawns an operator (consume,
+// spawn, a go statement) or declares a channel or sends on one, and when
+// either ToTable does not build its stage with tableSink.stage, the one
+// stage constructor.
+func TestToTableStageIsFused(t *testing.T) {
+	calls := fusedFuncs(t, "ToTable", "Stream.ToTable", "ParallelRegion.ToTable", "tableSink.stage")
+	for _, name := range []string{"Stream.ToTable", "ParallelRegion.ToTable"} {
+		if !reachesVia(calls, name, "stage") {
+			t.Errorf("%s does not reach tableSink.stage, the one stage constructor", name)
 		}
 	}
 }

@@ -4,11 +4,12 @@ import "sync"
 
 // The dataflow engine is vectorized: edges carry []Element batches, so
 // one channel send/receive is amortized over up to batchCap elements, and
-// chains of stateless operators (Map, Filter, FlatMap, Punctuate, KeyBy,
-// FormatValue) fuse into the consuming operator's goroutine instead of
-// costing one goroutine and one channel hop each. Punctuations stay
-// in-band: a batch may contain BOT/COMMIT/ROLLBACK anywhere, and
-// operators that care (ToTable, Transactions) split on them.
+// chains of operators that need no goroutine of their own (Map, Filter,
+// FlatMap, Punctuate, KeyBy, FormatValue, Transactions, ToTable) fuse into
+// the consuming operator's goroutine instead of costing one goroutine and
+// one channel hop each. Punctuations stay in-band: a batch may contain
+// BOT/COMMIT/ROLLBACK anywhere, and stages that care (ToTable,
+// Transactions) act on them where they sit.
 //
 // Batch ownership is linear: whoever receives a batch owns it and either
 // forwards it (possibly mutated in place — batches are single-reader) or
@@ -56,18 +57,26 @@ func putBatch(b []Element) {
 // fusedStage is one stateless (or single-goroutine stateful) operator
 // fused into its consumer: apply transforms one element into zero or
 // more, and flush (optional) runs at end-of-stream, emitting into the
-// remainder of the chain. hosted (optional) receives, when the consumer
-// starts, the host's cut: a call hands everything the chain has emitted
-// so far to the consumer's batch function at once, so a stage that is
-// about to wait on the consumer (Transactions) can let it catch up first.
+// remainder of the chain. end (optional) runs before every cut — after
+// each input batch, before a hosted stage's mid-batch cut and before
+// end-of-stream delivery — so work a stage holds for a batch is done
+// before the stage's elements leave the chain: ToTable applies its
+// pending write run there, and a TableJoin consuming its output under the
+// same transaction reads those writes. hosted (optional) receives, when
+// the consumer starts, the host's cut: a call hands everything the chain
+// has emitted so far to the consumer's batch function at once, so a stage
+// that is about to wait on the consumer (Transactions) can let it catch
+// up first.
 //
 // What such a wait relies on is the consumer contract: every consume
 // function forwards or decides each punctuation of a batch before it
-// returns. ToTable decides it inline, Parallelize broadcasts it to the
-// lanes at once, every other operator forwards it in its output batch.
+// returns. A ToTable stage decides it inline, before the consumer sees
+// it; Parallelize broadcasts it to the lanes at once; every other operator
+// forwards it in its output batch.
 type fusedStage struct {
 	apply  func(e Element, emit func(Element))
 	flush  func(emit func(Element))
+	end    func()
 	hosted func(cut func())
 }
 
@@ -78,7 +87,9 @@ func (s *Stream) fuse(apply func(Element, func(Element)), flush func(func(Elemen
 	stages := make([]fusedStage, len(s.stages)+1)
 	copy(stages, s.stages)
 	stages[len(s.stages)] = fusedStage{apply: apply, flush: flush}
-	return &Stream{t: s.t, ch: s.ch, stages: stages}
+	out := &Stream{t: s.t, ch: s.ch, stages: stages}
+	s.t.derive(s, out)
+	return out
 }
 
 // consume spawns op's goroutine: it drains s batch-at-a-time, applies
@@ -87,6 +98,7 @@ func (s *Stream) fuse(apply func(Element, func(Element)), flush func(func(Elemen
 // exhausted and every fused flush hook has fired — operators close their
 // output edges there.
 func (s *Stream) consume(op string, fn func(batch []Element), fin func()) {
+	s.t.derive(s, nil)
 	s.t.spawn(op, func() {
 		if len(s.stages) == 0 {
 			for b := range s.ch {
@@ -104,11 +116,20 @@ func (s *Stream) consume(op string, fn func(batch []Element), fin func()) {
 		// sinks[i] runs the chain from stage i on; sinks[len] collects
 		// into the current output batch, which cut hands to fn — after
 		// every input batch, at end-of-stream, and whenever a hosted stage
-		// asks. Stage flushes at end-of-stream feed the chain suffix after
-		// their own stage, preserving operator order for flush-emitted
-		// elements.
+		// asks — once the stages' end hooks have run. Stage flushes at
+		// end-of-stream feed the chain suffix after their own stage,
+		// preserving operator order for flush-emitted elements.
+		var ends []func()
+		for _, st := range s.stages {
+			if st.end != nil {
+				ends = append(ends, st.end)
+			}
+		}
 		out := getBatch()
 		cut := func() {
+			for _, end := range ends {
+				end()
+			}
 			if len(out) > 0 {
 				fn(out)
 				out = getBatch()

@@ -28,10 +28,13 @@ type Joined struct {
 // Punctuations pass through. Batches are filtered and rewritten in place.
 //
 // Placement: when joining under the query's transaction, TableJoin must
-// sit UPSTREAM of the query's final ToTable — the operator that flips the
-// last consistency-protocol flag commits the transaction, and operator
-// stages run concurrently, so a join placed after it may find the
-// transaction already finished (such elements are dropped).
+// sit UPSTREAM of the query's final ToTable. That ToTable commits the
+// transaction as the COMMIT passes through it, and as a fused stage it
+// runs before the join sees the batch it emitted: a join placed after it
+// finds the transaction already finished for every element that shares
+// a batch with the COMMIT (such elements are dropped). A join after an
+// earlier ToTable of the same transaction reads that ToTable's writes —
+// they are applied before its elements leave it.
 func (s *Stream) TableJoin(name string, p txn.Protocol, tbl *txn.Table, fn func(Joined) (Tuple, bool)) *Stream {
 	out := s.t.newStream()
 	s.consume(name, func(b []Element) {

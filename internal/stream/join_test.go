@@ -122,3 +122,62 @@ func TestTableJoinPunctuationsPass(t *testing.T) {
 		t.Fatalf("punctuations mangled: %q", k)
 	}
 }
+
+// TestTableJoinReadsUpstreamToTableWrites: a ToTable applies a
+// transaction's writes before the transaction's elements leave the
+// operator, so a TableJoin consuming its output under the same transaction
+// reads the transaction's own new values, never the committed ones they
+// replace. Punctuate(100) over the source's 128-tuple batches makes every
+// other transaction span two input batches: its first elements reach the
+// join before its COMMIT has passed the ToTable, so only the end-of-batch
+// flush puts their writes in the write set in time.
+func TestTableJoinReadsUpstreamToTableWrites(t *testing.T) {
+	e := newStreamEnv(t)
+	const n = 1000
+	committed := make(map[string]string, n)
+	in := make([]Tuple, n)
+	for i := range in {
+		k := fmt.Sprintf("k%04d", i)
+		committed[k] = "old-" + k
+		in[i] = Tuple{Key: k, Value: []byte("new-" + k)}
+	}
+	seedTable(t, e, e.t1, committed)
+
+	top := New("t")
+	s, _ := top.SliceSource("src", in).
+		Punctuate(100).
+		Transactions(e.p, e.t1, e.t2).
+		ToTable(e.p, e.t1)
+	var stale []string // the join's goroutine appends; read after Run
+	s = s.TableJoin("join", e.p, e.t1, func(j Joined) (Tuple, bool) {
+		if string(j.TableValue) != string(j.Stream.Value) {
+			stale = append(stale, fmt.Sprintf("%s=%s", j.Stream.Key, j.TableValue))
+		}
+		tp := j.Stream
+		tp.Value = j.TableValue
+		return tp, j.Matched
+	})
+	s, stats := s.ToTable(e.p, e.t2)
+	s.Discard()
+	if err := top.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(stale) > 0 {
+		t.Fatalf("the join read %d values other than its transaction's own writes, first %v", len(stale), stale[0])
+	}
+	if c, w := stats.Commits.Load(), stats.Writes.Load(); c != n/100 || w != n {
+		t.Fatalf("downstream table: commits=%d writes=%d, want %d and %d", c, w, n/100, n)
+	}
+	rows, err := TableSnapshot(e.p, e.t2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if string(r.Value) != "new-"+r.Key {
+			t.Fatalf("%s joined %q into the second table, want new-%s", r.Key, r.Value, r.Key)
+		}
+	}
+	if len(rows) != n {
+		t.Fatalf("second table holds %d rows, want %d", len(rows), n)
+	}
+}

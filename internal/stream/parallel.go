@@ -9,11 +9,12 @@ import (
 )
 
 // Parallel keyed regions: the multiplier after vectorization. A single
-// continuous query's dataflow spine — one fused operator chain, one
-// TO_TABLE goroutine — is inherently single-writer; Parallelize splits it
-// into P independent lanes by hashing each tuple's key, so the per-element
-// work (operator stages, write-set building, value copies) runs on P
-// cores, while the transaction model of the paper is preserved exactly:
+// continuous query's dataflow spine — one fused operator chain, TO_TABLE
+// included, run by one goroutine — is inherently single-writer;
+// Parallelize splits it into P independent lanes by hashing each tuple's
+// key, so the per-element work (operator stages, write-set building,
+// value copies) runs on P cores, while the transaction model of the paper
+// is preserved exactly:
 //
 //   - Routing is KEYED: a key is always processed by the same lane, so
 //     per-key order is preserved and the lanes' write sets are disjoint.
@@ -296,15 +297,7 @@ func (r *ParallelRegion) ToTable(p txn.Protocol, tbl *txn.Table) *ToTableStats {
 	r.checkOpen("ToTable")
 	sink := newTableSink(r.t, p, tbl, fmt.Sprintf("%d (per-lane segments)", len(r.lanes)))
 	for i := range r.lanes {
-		w := sink.writer()
-		r.lanes[i] = r.lanes[i].fuse(func(e Element, emit func(Element)) {
-			w.step(&e)
-			emit(e)
-		}, func(func(Element)) {
-			// Input ended mid-transaction: apply the dangling segment; the
-			// transaction itself is rolled back upstream.
-			w.flush(true)
-		})
+		r.lanes[i] = sink.stage(r.lanes[i], false)
 	}
 	r.sinks = append(r.sinks, sink)
 	return sink.stats

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"sistream/internal/kv"
+	"sistream/internal/leaktest"
 	"sistream/internal/txn"
 )
 
@@ -270,6 +272,58 @@ func newStreamEnv(t *testing.T) *streamEnv {
 		t.Fatal(err)
 	}
 	return &streamEnv{ctx: ctx, p: txn.NewSI(ctx), t1: t1, t2: t2}
+}
+
+// TestToTableRunsWithoutConsumer: a ToTable writes whether or not its
+// output is used — Start discards a stream that carries a ToTable and
+// that nothing consumes, also when a further stage was derived from it.
+// An operator goroutine would block on its full output edge after a few
+// batches and hang Run; a fused stage that nothing runs would write
+// nothing.
+func TestToTableRunsWithoutConsumer(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		n      int
+		derive bool
+	}{
+		{"10 tuples", 10, false},
+		{"40 batches", 40 * batchCap, false},
+		{"40 batches, derived stream ignored", 40 * batchCap, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			leaktest.Check(t)
+			e := newStreamEnv(t)
+			in := make([]Tuple, c.n)
+			for i := range in {
+				in[i] = Tuple{Key: fmt.Sprintf("k%05d", i), Value: []byte("v")}
+			}
+			top := New("unconsumed")
+			out, stats := top.SliceSource("src", in).Punctuate(5).Transactions(e.p).ToTable(e.p, e.t1)
+			if c.derive {
+				out.Map("ignored", func(tp Tuple) Tuple { return tp })
+			}
+			done := make(chan error, 1)
+			go func() { done <- top.Run() }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatalf("Run did not return: commits stopped at %d", stats.Commits.Load())
+			}
+			if cm, w := stats.Commits.Load(), stats.Writes.Load(); cm != int64(c.n/5) || w != int64(c.n) {
+				t.Fatalf("commits=%d writes=%d, want %d and %d", cm, w, c.n/5, c.n)
+			}
+			rows, err := TableSnapshot(e.p, e.t1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != c.n {
+				t.Fatalf("table holds %d rows, want %d", len(rows), c.n)
+			}
+		})
+	}
 }
 
 func TestToTableCommitsBatches(t *testing.T) {

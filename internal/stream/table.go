@@ -226,6 +226,30 @@ func (w *sinkWriter) flush(eos bool) {
 	}
 }
 
+// stage derives s through one writer of the sink, a fused stage: every
+// element steps the writer and passes on, and the end-of-stream flush
+// applies a dangling run (the transaction itself is rolled back upstream).
+// The sequential operator (inline) also decides each transaction's final
+// punctuation as it passes and applies the pending run at the end of every
+// input batch; a region lane cuts runs only at punctuations and leaves the
+// verdict to its closing barrier.
+func (sink *tableSink) stage(s *Stream, inline bool) *Stream {
+	w := sink.writer()
+	one := make([]*txn.Txn, 1)
+	out := s.fuse(func(e Element, emit func(Element)) {
+		w.step(&e)
+		if inline && endsTxn(&e) {
+			one[0] = e.Tx
+			sink.decide(e.Kind, one)
+		}
+		emit(e)
+	}, func(func(Element)) { w.flush(true) })
+	if inline {
+		out.stages[len(out.stages)-1].end = func() { w.flush(false) }
+	}
+	return out
+}
+
 // ToTable is the paper's TO_TABLE linking operator: it applies data
 // tuples to tbl inside the transaction attached to the elements
 // (inserted/updated when Tuple.Delete is false, deleted otherwise) and
@@ -235,33 +259,23 @@ func (w *sinkWriter) flush(eos bool) {
 // within the same transaction.
 //
 // It is the one-writer case of the table sink ParallelRegion.ToTable
-// runs per lane (see tableSink): the same vectorized write path, with
-// the verdict decided inline. Runs are additionally cut at the end of
-// every input batch, so writes are always applied before their elements
-// are forwarded downstream — a TableJoin or second ToTable under the
-// same transaction reads them.
+// runs per lane (see tableSink), and like Transactions a fused stage: it
+// runs in whichever operator consumes the returned stream, with the
+// verdict decided inline as the punctuation passes. Runs are additionally
+// cut at the end of every input batch (and before any other cut of the
+// consumer's chain), so writes are always applied before their elements
+// leave the chain — a TableJoin or second ToTable under the same
+// transaction reads them. The operator writes whether or not the returned
+// stream is used: Start discards it when nothing consumes it.
 //
 // A conflict abort from the protocol (e.g. First-Committer-Wins) poisons
 // the transaction: its remaining writes are skipped, its COMMIT becomes a
 // global abort, and it counts once into stats.Aborts. The returned stats
 // object is live.
 func (s *Stream) ToTable(p txn.Protocol, tbl *txn.Table) (*Stream, *ToTableStats) {
-	out := s.t.newStream()
-	sink := newTableSink(s.t, p, tbl, "1 (sequential, vectorized runs)")
-	w := sink.writer()
-	one := make([]*txn.Txn, 1)
-	s.consume(sink.name, func(b []Element) {
-		for i := range b {
-			e := &b[i]
-			w.step(e)
-			if endsTxn(e) {
-				one[0] = e.Tx
-				sink.decide(e.Kind, one)
-			}
-		}
-		w.flush(false)
-		out.ch <- b
-	}, func() { close(out.ch) })
+	sink := newTableSink(s.t, p, tbl, "1 (sequential, fused)")
+	out := sink.stage(s, true)
+	s.t.mustDrain(out)
 	return out, sink.stats
 }
 

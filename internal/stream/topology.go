@@ -6,8 +6,9 @@ import (
 )
 
 // Topology is a dataflow graph under construction and, after Start, in
-// execution. Operators are goroutines; edges are channels of Element
-// batches (see batch.go for the vectorized execution model). Build the
+// execution. Operators are goroutines or stages fused into the goroutine
+// of their consumer; edges are channels of Element batches (see batch.go
+// for the vectorized execution model). Build the
 // graph with Source and the Stream methods, then call Start and Wait.
 // The first operator error aborts bookkeeping and is returned by Wait.
 type Topology struct {
@@ -18,6 +19,10 @@ type Topology struct {
 	mu      sync.Mutex
 	errs    []error
 	started bool
+	// undrained holds the streams that carry a sequential TO_TABLE stage
+	// and that no operator consumes or derives from yet. Start drains
+	// each, so a ToTable writes whether or not its output is used.
+	undrained map[*Stream]bool
 
 	// Recorded plan (see explain.go): construction-time notes plus live
 	// samplers, append-only under its own mutex so Explain can run while
@@ -41,13 +46,45 @@ func (t *Topology) fail(op string, err error) {
 	t.errs = append(t.errs, fmt.Errorf("%s/%s: %w", t.name, op, err))
 }
 
-// Start releases the sources. Idempotent.
+// Start releases the sources. Idempotent. A stream carrying a ToTable
+// that nothing consumes is discarded, so the ToTable still runs.
 func (t *Topology) Start() {
 	t.mu.Lock()
+	if t.started {
+		t.mu.Unlock()
+		return
+	}
+	t.started = true
+	drains := t.undrained
+	t.undrained = nil
+	t.mu.Unlock()
+	for s := range drains {
+		s.Discard()
+	}
+	close(t.start)
+}
+
+// mustDrain records that s carries a sequential TO_TABLE stage: unless an
+// operator consumes s or a derivation of it, Start drains it.
+func (t *Topology) mustDrain(s *Stream) {
+	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.started {
-		t.started = true
-		close(t.start)
+	if t.undrained == nil {
+		t.undrained = make(map[*Stream]bool)
+	}
+	t.undrained[s] = true
+}
+
+// derive records that from is consumed (to == nil) or derived into to by
+// one more fused stage, which carries from's stages and so its drain.
+func (t *Topology) derive(from, to *Stream) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.undrained[from] {
+		delete(t.undrained, from)
+		if to != nil {
+			t.undrained[to] = true
+		}
 	}
 }
 

@@ -186,47 +186,71 @@ func TestTransactionsFusedIntoEveryConsumer(t *testing.T) {
 	}
 }
 
-// TestTransactionsOwnNoGoroutine: Transactions is a fused stage, so a
-// Source→Punctuate→Transactions→ToTable→Sink topology runs one goroutine
-// each for Source, ToTable and Sink — three, where an operator stage of
-// its own would make four.
+// TestTransactionsOwnNoGoroutine: Transactions and ToTable are fused
+// stages, so a blocked sequential spine runs one goroutine for its source
+// and one per operator that keeps one — the Sink, a TableJoin. Each shape
+// has a budget: a ToTable run as an operator goroutine would add one per
+// ToTable (3 and 4 before it was fused), a Transactions goroutine one
+// more. A budget may only fall.
 func TestTransactionsOwnNoGoroutine(t *testing.T) {
-	leaktest.Check(t)
-	e := newStreamEnv(t)
-	base := runtime.NumGoroutine()
-	release := make(chan struct{})
-	seen := make(chan struct{}, 1)
-	top := New("blocked")
-	s, _ := top.Source("src", func(emit func(Element)) error {
-		for i := 0; i < 10; i++ {
-			emit(DataElement(Tuple{Key: fmt.Sprint(i), Value: []byte("v")}))
-		}
-		<-release
-		return nil
-	}).Punctuate(5).Transactions(e.p).ToTable(e.p, e.t1)
-	s.Sink("sink", func(el Element) {
-		if el.Kind == KindCommit {
-			select {
-			case seen <- struct{}{}:
-			default:
+	for _, c := range []struct {
+		name   string
+		budget int
+		build  func(s *Stream, e *streamEnv) *Stream
+	}{
+		{"one ToTable", 2, func(s *Stream, e *streamEnv) *Stream {
+			s, _ = s.Transactions(e.p).ToTable(e.p, e.t1)
+			return s
+		}},
+		{"two ToTables", 2, func(s *Stream, e *streamEnv) *Stream {
+			s, _ = s.Transactions(e.p, e.t1, e.t2).ToTable(e.p, e.t1)
+			s, _ = s.ToTable(e.p, e.t2)
+			return s
+		}},
+		{"ToTable then TableJoin", 3, func(s *Stream, e *streamEnv) *Stream {
+			s, _ = s.Transactions(e.p).ToTable(e.p, e.t1)
+			return s.TableJoin("join", e.p, e.t2, func(j Joined) (Tuple, bool) { return j.Stream, true })
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			leaktest.Check(t)
+			e := newStreamEnv(t)
+			base := runtime.NumGoroutine()
+			release := make(chan struct{})
+			seen := make(chan struct{}, 1)
+			top := New("blocked")
+			src := top.Source("src", func(emit func(Element)) error {
+				for i := 0; i < 10; i++ {
+					emit(DataElement(Tuple{Key: fmt.Sprint(i), Value: []byte("v")}))
+				}
+				<-release
+				return nil
+			}).Punctuate(5)
+			c.build(src, e).Sink("sink", func(el Element) {
+				if el.Kind == KindCommit {
+					select {
+					case seen <- struct{}{}:
+					default:
+					}
+				}
+			})
+			top.Start()
+			<-seen
+			// Every operator is parked now: the source on release, the
+			// others on their input edges.
+			deadline := time.Now().Add(2 * time.Second)
+			n := runtime.NumGoroutine() - base
+			for n != c.budget && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+				n = runtime.NumGoroutine() - base
 			}
-		}
-	})
-	top.Start()
-	<-seen
-	// Every operator is parked now: the source on release, ToTable and
-	// the sink on their input edges.
-	deadline := time.Now().Add(2 * time.Second)
-	n := runtime.NumGoroutine() - base
-	for n != 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-		n = runtime.NumGoroutine() - base
-	}
-	close(release)
-	if err := top.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("blocked topology runs %d goroutines, want 3 (source, ToTable, sink)", n)
+			close(release)
+			if err := top.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if n != c.budget {
+				t.Fatalf("blocked topology runs %d goroutines, want %d", n, c.budget)
+			}
+		})
 	}
 }
