@@ -2,7 +2,8 @@ package kv
 
 import (
 	"bytes"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -224,7 +225,14 @@ func (s *Mem) Scan(start, end []byte, fn func(key, value []byte) bool) error {
 		k string
 		v []byte
 	}
-	var pairs []pair
+	n := 0
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		n += len(sh.m)
+		sh.mu.RUnlock()
+	}
+	pairs := make([]pair, 0, n)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
@@ -240,7 +248,7 @@ func (s *Mem) Scan(start, end []byte, fn func(key, value []byte) bool) error {
 		sh.mu.RUnlock()
 	}
 	s.closed.RUnlock()
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
+	slices.SortFunc(pairs, func(a, b pair) int { return strings.Compare(a.k, b.k) })
 	for _, p := range pairs {
 		if !fn([]byte(p.k), p.v) {
 			break

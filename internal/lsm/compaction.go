@@ -213,6 +213,7 @@ func (d *DB) writeCompactionOutputs(merge *mergingIterator, dropTombstones bool)
 			return nil
 		}
 		count, smallest, largest, size, err := b.finish()
+		d.tableHashes = b.hashes[:0]
 		if err != nil {
 			return err
 		}
@@ -249,6 +250,7 @@ func (d *DB) writeCompactionOutputs(merge *mergingIterator, dropTombstones bool)
 			if err != nil {
 				return nil, err
 			}
+			b.hashes = d.tableHashes
 		}
 		b.add(merge.key(), merge.value(), merge.kind())
 		if b.offset+uint64(len(b.block)) >= d.opts.MaxOutputBytes {

@@ -130,6 +130,14 @@ type DB struct {
 	// cache is the shared data-block LRU (nil when disabled).
 	cache *blockCache
 
+	// Table-building scratch, kept empty between uses: flushOrder is the
+	// array flushImm sorts a memtable's entries in, tableHashes the one a
+	// table builder collects its keys' bloom hashes in. Only one table is
+	// built at a time — by the flush worker, or by Compact while the
+	// worker is idle.
+	flushOrder  []memEntry
+	tableHashes []uint32
+
 	// stats
 	flushes         int
 	compactions     int
@@ -541,10 +549,11 @@ func (d *DB) Apply(b *kv.Batch, sync bool) error {
 }
 
 // orderedIter returns an iterator over m, which puts its keys in order
-// first; Stats reports how often that happened and how long it took.
-func (d *DB) orderedIter(m *memtable) *memIterator {
+// first, into buf's storage; Stats reports how often that happened and
+// how long it took.
+func (d *DB) orderedIter(m *memtable, buf []memEntry) *memIterator {
 	start := time.Now()
-	it := m.iterator()
+	it := m.iterator(buf)
 	d.memOrderings.Add(1)
 	d.memOrderNanos.Add(int64(time.Since(start)))
 	return it
@@ -596,11 +605,17 @@ func (d *DB) flushImm() error {
 	if err != nil {
 		return err
 	}
-	it := d.orderedIter(imm)
+	b.hashes = d.tableHashes
+	it := d.orderedIter(imm, d.flushOrder)
 	for it.seekToFirst(); it.valid(); it.next() {
 		b.add(it.key(), it.value(), it.kind())
 	}
+	// Keep the array for the next flush, not the entries: they point into
+	// this memtable's storage.
+	clear(it.sorted)
+	d.flushOrder = it.sorted[:0]
 	count, smallest, largest, size, err := b.finish()
+	d.tableHashes = b.hashes[:0]
 	if err != nil {
 		return err
 	}
@@ -743,10 +758,10 @@ func (d *DB) Scan(start, end []byte, fn func(key, value []byte) bool) error {
 	}
 	var sources []*mergeSource
 	age := 0
-	sources = append(sources, &mergeSource{it: &memIterAdapter{it: d.orderedIter(d.mem)}, age: age})
+	sources = append(sources, &mergeSource{it: &memIterAdapter{it: d.orderedIter(d.mem, nil)}, age: age})
 	age++
 	if d.imm != nil {
-		sources = append(sources, &mergeSource{it: &memIterAdapter{it: d.orderedIter(d.imm)}, age: age})
+		sources = append(sources, &mergeSource{it: &memIterAdapter{it: d.orderedIter(d.imm, nil)}, age: age})
 		age++
 	}
 	for _, f := range d.cur.levels[0] {

@@ -663,7 +663,7 @@ func TestMemtableOrderAndOverwrite(t *testing.T) {
 	if m.len() != 4 {
 		t.Fatalf("len = %d", m.len())
 	}
-	it := m.iterator()
+	it := m.iterator(nil)
 	var keys []string
 	for it.seekToFirst(); it.valid(); it.next() {
 		keys = append(keys, string(it.key()))
@@ -704,7 +704,7 @@ func TestPropertyMemtableMatchesModel(t *testing.T) {
 			}
 		}
 		// Iterator sorted and complete (tombstones included).
-		it := m.iterator()
+		it := m.iterator(nil)
 		var prev []byte
 		for it.seekToFirst(); it.valid(); it.next() {
 			if prev != nil && bytes.Compare(prev, it.key()) >= 0 {

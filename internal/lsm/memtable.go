@@ -174,9 +174,10 @@ type memIterator struct {
 }
 
 // iterator puts the entries in key order: the n·log n comparisons no set
-// ever pays are paid here, once per flush or Scan.
-func (m *memtable) iterator() *memIterator {
-	sorted := slices.Clone(m.entries)
+// ever pays are paid here, once per flush or Scan. The sorted copy goes
+// into buf's storage (nil: a fresh array), which the iterator then owns.
+func (m *memtable) iterator(buf []memEntry) *memIterator {
+	sorted := append(buf[:0], m.entries...)
 	slices.SortFunc(sorted, func(a, b memEntry) int { return bytes.Compare(a.key(), b.key()) })
 	return &memIterator{sorted: sorted, pos: len(sorted)}
 }

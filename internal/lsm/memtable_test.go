@@ -54,7 +54,7 @@ func BenchmarkMemtableOrder40k(b *testing.B) {
 	b.ResetTimer()
 	walked := 0
 	for i := 0; i < b.N; i++ {
-		it := m.iterator()
+		it := m.iterator(nil)
 		for it.seekToFirst(); it.valid(); it.next() {
 			walked += len(it.key())
 		}
@@ -141,7 +141,7 @@ func checkMemtableAgainstModel(t *testing.T, m *memtable, model memModel, probe 
 	if _, _, found := m.get([]byte(probe + "\x00absent")); found {
 		t.Fatalf("get finds a key that was never set")
 	}
-	it := m.iterator()
+	it := m.iterator(nil)
 	if it.valid() {
 		t.Fatal("a new iterator is positioned before any seek")
 	}
@@ -197,7 +197,7 @@ func runMemtableScript(t *testing.T, script []byte) {
 			set(k, "", kindDelete)
 			set(k, fmt.Sprintf("back%d", arg), kindPut)
 		case 7:
-			m.iterator().seekToFirst() // must leave nothing behind that the next iterator trusts
+			m.iterator(nil).seekToFirst() // must leave nothing behind that the next iterator trusts
 			set(k, "set-under-an-iterator", kindPut)
 			set(key(arg), "", kindDelete)
 			checkMemtableAgainstModel(t, m, model, key(arg))

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
 	"sort"
 )
 
@@ -325,18 +326,26 @@ func (r *tableReader) blockFor(key []byte) int {
 	return i - 1
 }
 
-// readBlock fetches one data block and verifies its CRC trailer, so disk
-// bit rot surfaces as errCorrupt instead of a silently wrong block.
+// readBlock fetches one data block into a fresh buffer and verifies its
+// CRC trailer, so disk bit rot surfaces as errCorrupt instead of a
+// silently wrong block.
 func (r *tableReader) readBlock(i int) ([]byte, error) {
+	b, err := r.readBlockInto(nil, i)
+	return b[:len(b):len(b)], err
+}
+
+// readBlockInto is readBlock reading into buf's storage, grown when it is
+// too small; the block returned aliases it and keeps its capacity.
+func (r *tableReader) readBlockInto(buf []byte, i int) ([]byte, error) {
 	n := r.indexLens[i]
-	buf := make([]byte, n+blockTrailerLen)
+	buf = slices.Grow(buf[:0], int(n+blockTrailerLen))[:n+blockTrailerLen]
 	if _, err := r.f.ReadAt(buf, int64(r.indexOffs[i])); err != nil {
 		return nil, err
 	}
 	if crc32.Checksum(buf[:n], crcTable) != binary.LittleEndian.Uint32(buf[n:]) {
 		return nil, fmt.Errorf("%w: sstable %06d block %d checksum", errCorrupt, r.num, i)
 	}
-	return buf[:n:n], nil
+	return buf[:n], nil
 }
 
 // readBlockCached serves a data block through the DB's block cache.
@@ -430,9 +439,13 @@ func (it *blockIterator) next() bool {
 	return true
 }
 
-// tableIterator iterates a whole SSTable in key order.
+// tableIterator iterates a whole SSTable in key order. Every block it
+// reads goes into its one buffer, so an entry's key and value are valid
+// only until the next call to next — the contract of internalIterator;
+// mergingIterator copies what it yields.
 type tableIterator struct {
 	r        *tableReader
+	buf      []byte
 	blockIdx int
 	blk      blockIterator
 	pending  *pendingEntry // one buffered entry produced by seek
@@ -465,7 +478,7 @@ func (it *tableIterator) seek(k []byte) {
 		it.exhaust = true
 		return
 	}
-	block, err := it.r.readBlock(bi)
+	block, err := it.readBlock(bi)
 	if err != nil {
 		it.err = err
 		return
@@ -519,13 +532,22 @@ func (it *tableIterator) next() bool {
 			it.exhaust = true
 			return false
 		}
-		block, err := it.r.readBlock(it.blockIdx)
+		block, err := it.readBlock(it.blockIdx)
 		if err != nil {
 			it.err = err
 			return false
 		}
 		it.blk = blockIterator{data: block}
 	}
+}
+
+// readBlock reads block i into the iterator's buffer.
+func (it *tableIterator) readBlock(i int) ([]byte, error) {
+	block, err := it.r.readBlockInto(it.buf, i)
+	if err == nil {
+		it.buf = block
+	}
+	return block, err
 }
 
 func (it *tableIterator) key() []byte     { return it.cur.key }

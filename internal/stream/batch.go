@@ -30,15 +30,25 @@ const (
 
 // batchPool recycles batch backing arrays so the steady-state hot path
 // allocates nothing per element. Pooled as *[]Element to avoid an
-// interface allocation per slice header on Put.
-var batchPool = sync.Pool{New: func() any {
-	b := make([]Element, 0, batchCap)
-	return &b
-}}
+// interface allocation per slice header on Put; the boxes themselves
+// circulate through holderPool — getBatch empties the box it took a
+// batch from, putBatch refills one — so a batch's round trip through the
+// pool allocates nothing either.
+var (
+	batchPool = sync.Pool{New: func() any {
+		b := make([]Element, 0, batchCap)
+		return &b
+	}}
+	holderPool sync.Pool
+)
 
 // getBatch returns an empty batch with at least batchCap capacity.
 func getBatch() []Element {
-	return (*batchPool.Get().(*[]Element))[:0]
+	h := batchPool.Get().(*[]Element)
+	b := (*h)[:0]
+	*h = nil
+	holderPool.Put(h)
+	return b
 }
 
 // putBatch recycles a batch. Stale element contents are NOT cleared: the
@@ -50,8 +60,12 @@ func putBatch(b []Element) {
 	if cap(b) < batchCap {
 		return
 	}
-	b = b[:0]
-	batchPool.Put(&b)
+	h, _ := holderPool.Get().(*[]Element)
+	if h == nil {
+		h = new([]Element)
+	}
+	*h = b[:0]
+	batchPool.Put(h)
 }
 
 // fusedStage is one stateless (or single-goroutine stateful) operator

@@ -354,6 +354,10 @@ func TestFeedPartitionedPerKeyOrder(t *testing.T) {
 // first byte is rarely one a number can start with.
 var benchValue = "\x01\x02\x00\x00\x00\x00\x00\x00\x10\x27\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff\x00\x00\x00\x00\x00\x00\x00\x00"
 
+// benchValueDigit is a benchmark-shaped value whose first byte — the low
+// byte of the sequence number — happens to be the digit '1'.
+var benchValueDigit = "1" + benchValue[1:]
+
 // TestChangeTupleNum: a feed tuple's Num is the row value read by
 // strconv.ParseFloat only when the ENTIRE value is a literal it accepts;
 // everything else — binary payloads above all, the common case on a feed
@@ -376,6 +380,7 @@ func TestChangeTupleNum(t *testing.T) {
 		{"empty", "", 0},
 		{"binary", "\x00\x00\x00\x00\x00\x00\x45\x40", 0},
 		{"benchmark value", benchValue, 0},
+		{"benchmark value starting with a digit", benchValueDigit, 0},
 		{"trailing junk", "42abc", 0},
 		{"leading space", " 1", 0},
 	}
@@ -408,15 +413,17 @@ func TestChangeTupleNum(t *testing.T) {
 	if tp := changeTuple(tbl, "never written", cts); !tp.Delete || tp.Num != 0 {
 		t.Errorf("missing row: tuple %+v, want Delete with Num 0", tp)
 	}
-	if n := testing.AllocsPerRun(100, func() { changeTuple(tbl, "benchmark value", cts) }); n != 1 {
-		t.Errorf("changeTuple of a non-numeric row: %v allocations, want 1 (the value copy)", n)
+	for _, key := range []string{"benchmark value", "benchmark value starting with a digit"} {
+		if n := testing.AllocsPerRun(100, func() { changeTuple(tbl, key, cts) }); n != 1 {
+			t.Errorf("changeTuple of the non-numeric row %q: %v allocations, want 1 (the value copy)", key, n)
+		}
 	}
 }
 
-// FuzzChangeTupleNum: the first-byte guard of feedNum never changes what
+// FuzzChangeTupleNum: the byte guards of feedNum never change what
 // strconv.ParseFloat alone would make of a value.
 func FuzzChangeTupleNum(f *testing.F) {
-	for _, v := range []string{"42", "-1.5", "1e3", ".5", "+Inf", "nan", "0x1p-2", "1_0", " 1", "42abc", "", benchValue} {
+	for _, v := range []string{"42", "-1.5", "1e3", ".5", "+Inf", "nan", "0x1p-2", "1_0", " 1", "42abc", "", benchValue, benchValueDigit} {
 		f.Add([]byte(v))
 	}
 	f.Fuzz(func(t *testing.T, v []byte) {

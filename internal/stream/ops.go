@@ -209,7 +209,10 @@ func (s *Stream) transactionsPipeline(p txn.Protocol, window int, desc string, t
 				// or forwarded it when the cut returns.
 				cut()
 				<-inflight[0].Done()
-				inflight = inflight[1:]
+				// Shift rather than reslice, so the queue keeps its array.
+				n := copy(inflight, inflight[1:])
+				inflight[n] = nil
+				inflight = inflight[:n]
 			}
 			tx, err := p.Begin()
 			if err != nil {

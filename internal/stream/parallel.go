@@ -309,15 +309,24 @@ func (r *ParallelRegion) ToTable(p txn.Protocol, tbl *txn.Table) *ToTableStats {
 // and the LAST lane to arrive becomes the coordinator for that boundary —
 // it runs the region's commit work (onPunct: the sinks' verdict under
 // Merge, a spine enqueue under MergeBatched), emits the punctuation into
-// the merged stream exactly once, and releases the parked lanes.
+// the merged stream exactly once, and releases the parked lanes. Parked
+// lanes wait on released for gen — the number of boundaries released so
+// far — to move past the value it had when they arrived.
 type laneBarrier struct {
 	n   int
 	out *Stream
 
-	mu      sync.Mutex
-	arrived int
-	resume  chan struct{}
-	onPunct func(Element)
+	mu       sync.Mutex
+	released sync.Cond // over mu
+	arrived  int
+	gen      uint64
+	onPunct  func(Element)
+}
+
+func newLaneBarrier(n int, out *Stream, onPunct func(Element)) *laneBarrier {
+	b := &laneBarrier{n: n, out: out, onPunct: onPunct}
+	b.released.L = &b.mu
+	return b
 }
 
 // sync is called by a lane collector holding a punctuation element. It
@@ -326,11 +335,12 @@ type laneBarrier struct {
 // (MergeBatched).
 func (b *laneBarrier) sync(e Element) {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	b.arrived++
 	if b.arrived < b.n {
-		ch := b.resume
-		b.mu.Unlock()
-		<-ch
+		for gen := b.gen; b.gen == gen; {
+			b.released.Wait()
+		}
 		return
 	}
 	// Coordinator: every lane has acknowledged the boundary (and, per
@@ -342,9 +352,8 @@ func (b *laneBarrier) sync(e Element) {
 	pb := getBatch()
 	pb = append(pb, e)
 	b.out.ch <- pb
-	close(b.resume)
-	b.resume = make(chan struct{})
-	b.mu.Unlock()
+	b.gen++
+	b.released.Broadcast()
 }
 
 // Merge closes the region: it re-serializes the lanes into one output
@@ -452,7 +461,7 @@ func (r *ParallelRegion) close(name string, onPunct func(Element), sp *commitSpi
 			return fmt.Sprintf("%s, queue %d/%d", occ(), len(sp.q), cap(sp.q))
 		})
 	}
-	b := &laneBarrier{n: len(r.lanes), out: out, resume: make(chan struct{}), onPunct: onPunct}
+	b := newLaneBarrier(len(r.lanes), out, onPunct)
 	var wg sync.WaitGroup
 	wg.Add(len(r.lanes))
 	for i, lane := range r.lanes {

@@ -311,11 +311,17 @@ func changeTuple(tbl *txn.Table, key string, cts txn.Timestamp) Tuple {
 
 // feedNum is a feed tuple's Num: v read by strconv.ParseFloat when the
 // whole value is a literal it accepts, 0 otherwise. Only a value whose
-// first byte can start such a literal is parsed — a failed parse
-// allocates its error, and most feed values are binary.
+// first byte can start such a literal, and whose every byte can appear
+// in one, is parsed — a failed parse allocates its error, and most feed
+// values are binary.
 func feedNum(v []byte) float64 {
 	if len(v) == 0 || strings.IndexByte("0123456789+-.iInN", v[0]) < 0 {
 		return 0
+	}
+	for _, c := range v {
+		if !floatByte[c] {
+			return 0
+		}
 	}
 	n, err := strconv.ParseFloat(string(v), 64)
 	if err != nil {
@@ -323,6 +329,16 @@ func feedNum(v []byte) float64 {
 	}
 	return n
 }
+
+// floatByte marks the bytes a literal strconv.ParseFloat accepts can
+// hold: decimal and hex digits, signs, the point, underscores, the base
+// and exponent letters, and the letters of "inf", "infinity" and "nan".
+var floatByte = func() (set [256]bool) {
+	for _, c := range []byte("0123456789abcdefABCDEF+-._xXpPiInNtTyY") {
+		set[c] = true
+	}
+	return set
+}()
 
 // FromSnapshot is the analytical FROM(table) source: it scans tbl at the
 // given pinned snapshot with `lanes` concurrent stripe scanners (see

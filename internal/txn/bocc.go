@@ -71,7 +71,7 @@ func (p *BOCC) validate(tx *Txn, batch batchMarks) error {
 			}
 		}
 	}
-	for tbl, e := range tx.states {
+	for _, e := range tx.states {
 		if len(e.order) == 0 {
 			continue
 		}
@@ -82,7 +82,7 @@ func (p *BOCC) validate(tx *Txn, batch batchMarks) error {
 		if tx.writes == nil {
 			tx.writes = make(map[*Table]map[string]struct{}, len(tx.states))
 		}
-		tx.writes[tbl] = ks
+		tx.writes[e.table] = ks
 	}
 	return nil
 }

@@ -154,8 +154,6 @@ func (p *protocolBase) begin(readOnly bool) (*Txn, error) {
 		id:       p.ctx.next(),
 		ctx:      p.ctx,
 		readOnly: readOnly,
-		states:   make(map[*Table]*stateEntry),
-		readCTS:  make(map[*Group]Timestamp),
 		done:     make(chan struct{}),
 	}
 	t.startTS = t.id
@@ -181,7 +179,7 @@ func (p *protocolBase) Read(tx *Txn, tbl *Table, key string) ([]byte, bool, erro
 		tx.mu.Unlock()
 		return nil, false, ErrFinished
 	}
-	if e, ok := tx.states[tbl]; ok {
+	if e := tx.stateOf(tbl); e != nil {
 		if op, dirty := e.get(key); dirty {
 			tx.mu.Unlock()
 			if op.delete {
@@ -355,16 +353,12 @@ func (g *Group) storeScratch() *storeBatch {
 }
 
 // recycleTxn returns a finished transaction's write-set storage to the
-// entry pool. orderRetained marks entries whose key order escaped to a
-// commit watcher (TO_STREAM holds those slices asynchronously). Safe only
-// once the transaction is finished: the finished flag (checked under
-// tx.mu by every accessor) guarantees no goroutine reaches the entries.
-func recycleTxn(tx *Txn, orderRetained bool) {
+// entry pool. Safe only once the transaction is finished: the finished
+// flag (checked under tx.mu by every accessor) guarantees no goroutine
+// reaches the entries.
+func recycleTxn(tx *Txn) {
 	tx.mu.Lock()
-	for _, e := range tx.states {
-		e.recycle(orderRetained && len(e.order) > 0)
-	}
-	tx.states = nil
+	tx.dropStates()
 	tx.mu.Unlock()
 }
 
@@ -452,12 +446,12 @@ func flag(tx *Txn, tbl *Table) (coordinator bool, err error) {
 // across a later run's durability.
 func (p *protocolBase) commitChain(txs []*Txn, tbls []*Table, errs [][]error) {
 	// The current run: its latch set, its requests and the errs cell each
-	// verdict goes to. The buffers keep a chain of one off the heap.
+	// verdict goes to. The buffers keep a run of up to eight off the heap.
 	type cell struct{ i, j int }
 	var (
 		groups     []*Group
-		reqBuf     [1]*commitReq
-		dstBuf     [1]cell
+		reqBuf     [8]*commitReq
+		dstBuf     [8]cell
 		reqs       = reqBuf[:0]
 		dsts       = dstBuf[:0]
 		serialized bool
@@ -511,7 +505,8 @@ func (p *protocolBase) commitChain(txs []*Txn, tbls []*Table, errs [][]error) {
 				break
 			}
 			groups = gs
-			reqs = append(reqs, &commitReq{tx: tx, admit: p.admit, ready: make(chan struct{})})
+			tx.req = commitReq{tx: tx, admit: p.admit}
+			reqs = append(reqs, &tx.req)
 			dsts = append(dsts, cell{i, j})
 			break
 		}
@@ -541,13 +536,15 @@ func (p *protocolBase) admitAlone(tx *Txn) error {
 // append, so one leader tenure drains them together (the whole point of
 // cross-transaction batching — one coalesced store batch and one fsync
 // for the run). If a batch leader is already active the committer nudges
-// it (wake) and parks on its requests' ready channels — either the leader
-// commits a request in its batch, or it hands the parked committer the
-// leadership baton on retirement (promoted). Otherwise the committer
-// claims leadership itself. A leader's tenure is exactly ONE batch
-// (leadGroup), so a committer is never conscripted into serving other
-// transactions indefinitely — in particular an S2PL committer's row locks
-// are released after one batch, as with the original per-commit latch.
+// it (wake) and parks on its requests' ready channels, made for the wait
+// — either the leader commits a request in its batch, or it hands the
+// parked committer the leadership baton on retirement (promoted).
+// Otherwise the committer claims leadership itself and needs no channel:
+// the batch it leads drains all its requests. A leader's tenure is
+// exactly ONE batch (leadGroup), so a committer is never conscripted into
+// serving other transactions indefinitely — in particular an S2PL
+// committer's row locks are released after one batch, as with the
+// original per-commit latch.
 func (p *protocolBase) groupCommitMany(g *Group, reqs []*commitReq) {
 	if err := g.Err(); err != nil {
 		// Fail-stop fast path: the group is poisoned, nothing may be
@@ -557,33 +554,37 @@ func (p *protocolBase) groupCommitMany(g *Group, reqs []*commitReq) {
 		return
 	}
 	g.qmu.Lock()
-	g.pending = append(g.pending, reqs...)
-	g.pendingSubs++
 	lead := !g.leaderActive
 	if lead {
 		g.leaderActive = true
+	} else {
+		for _, req := range reqs {
+			req.ready = make(chan struct{})
+		}
 	}
+	g.pending = append(g.pending, reqs...)
+	g.pendingSubs++
 	g.qmu.Unlock()
 	if lead {
 		p.leadGroup(g)
-	} else {
-		// Nudge a collecting leader. The send never blocks (capacity 1);
-		// a stale token at worst costs the leader one extra queue check.
-		select {
-		case g.wake <- struct{}{}:
-		default:
-		}
+		return
+	}
+	// Nudge a collecting leader. The send never blocks (capacity 1); a
+	// stale token at worst costs the leader one extra queue check.
+	select {
+	case g.wake <- struct{}{}:
+	default:
 	}
 	for _, req := range reqs {
 		<-req.ready
 		if req.promoted {
 			// Retiring leader handed us the baton with this request (and
-			// therefore every later one of ours) still pending: lead the
-			// batch containing it; commitBatch decides it synchronously.
+			// therefore every later one of ours) still pending: the batch
+			// we lead drains and decides them all synchronously.
 			req.promoted = false
-			req.ready = make(chan struct{})
+			req.ready = nil
 			p.leadGroup(g)
-			<-req.ready
+			return
 		}
 	}
 }
@@ -611,10 +612,7 @@ func (p *protocolBase) abort(tx *Txn) error {
 		tx.mu.Unlock()
 		return ErrFinished
 	}
-	for _, e := range tx.states {
-		e.recycle(false)
-	}
-	tx.states = nil
+	tx.dropStates()
 	tx.mu.Unlock()
 	close(tx.done)
 	p.ctx.unregister(tx)
@@ -644,42 +642,30 @@ func txGroups(tx *Txn) []*Group {
 	return out
 }
 
-// sortEntries fills req.entries with the transaction's state entries in
-// StateID order for deterministic install and batch layout; the entry of
-// a one-state transaction goes in the request's own buffer.
-func (req *commitReq) sortEntries() {
-	if len(req.tx.states) == 1 {
-		for _, e := range req.tx.states {
-			req.entryBuf[0] = e
-		}
-		req.entries = req.entryBuf[:]
-		return
-	}
-	out := make([]*stateEntry, 0, len(req.tx.states))
-	for _, e := range req.tx.states {
-		out = append(out, e)
-	}
-	slices.SortFunc(out, func(a, b *stateEntry) int { return cmp.Compare(a.table.id, b.table.id) })
-	req.entries = out
-}
-
 // commitReq is one coordinated transaction parked on a group's commit
-// queue, with the admission check of the protocol that submitted it. err
-// is written by the batch leader before it closes ready and read by the
-// owning goroutine only after ready is closed, so the channel orders the
-// accesses.
+// queue, with the admission check of the protocol that submitted it; it
+// lives in its transaction (Txn.req). err is written by the batch leader
+// before it closes ready and read by the owning goroutine only after
+// ready is closed, so the channel orders the accesses. A request its
+// owner decides itself — as the leader of the batch carrying it, or in a
+// spanning commit — has no ready channel.
 type commitReq struct {
-	tx       *Txn
-	admit    func(tx *Txn, batch batchMarks) error
-	entries  []*stateEntry // filled by the leader, resolved before admission
-	entryBuf [1]*stateEntry
-	cts      Timestamp
-	err      error
+	tx    *Txn
+	admit func(tx *Txn, batch batchMarks) error
+	cts   Timestamp
+	err   error
 	// promoted marks a leadership handoff instead of a decision: the
 	// retiring leader closes ready with promoted set, and the owner —
 	// whose request is still pending — leads the next batch itself.
 	promoted bool
 	ready    chan struct{}
+}
+
+// decided hands a decided request back to its owner.
+func (req *commitReq) decided() {
+	if req.ready != nil {
+		close(req.ready)
+	}
 }
 
 // batchMarks tells an admission check what the requests admitted earlier
@@ -769,7 +755,7 @@ func (p *protocolBase) leadGroup(g *Group) {
 	}
 	g.qmu.Lock()
 	batch, subs := g.pending, g.pendingSubs
-	g.pending, g.pendingSubs = nil, 0
+	g.pending, g.pendingSubs = g.spare, 0
 	g.qmu.Unlock()
 	// Drain a stale wake token so the next tenure's collection starts
 	// clean.
@@ -779,6 +765,8 @@ func (p *protocolBase) leadGroup(g *Group) {
 	}
 	g.batchTarget = subs
 	p.commitBatch(g.solo, batch)
+	clear(batch)
+	g.spare = batch[:0]
 
 	// Retire: pass the baton to a parked committer, or release.
 	g.qmu.Lock()
@@ -861,21 +849,20 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 
 	// Phase 2: resolution and admission in arrival order.
 	var (
-		admBuf   [1]*commitReq
+		admBuf   [8]*commitReq
 		admitted = admBuf[:0]
 		marks    = batchMarks{base: base}
 		maxCTS   Timestamp
 	)
 	for i, req := range batch {
-		req.sortEntries()
-		for _, e := range req.entries {
+		for _, e := range req.tx.states {
 			e.resolve(req.tx.id)
 		}
 		if req.admit != nil {
 			if err := req.admit(req.tx, marks); err != nil {
 				req.err = err
 				_ = p.abort(req.tx) // verdict recorded above
-				close(req.ready)
+				req.decided()
 				continue
 			}
 		}
@@ -890,7 +877,7 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 			// Later requests in this batch must see these writes in
 			// their admission check; the final request has no successors,
 			// so marking its rows would be dead work.
-			for _, e := range req.entries {
+			for _, e := range req.tx.states {
 				for k := range e.ops {
 					e.ops[k].row.mark = req.cts
 				}
@@ -917,7 +904,7 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 		tables = tblBuf[:0]
 	)
 	for _, req := range admitted {
-		for _, e := range req.entries {
+		for _, e := range req.tx.states {
 			for i, key := range e.order {
 				op := &e.ops[i]
 				off := len(sb.arena)
@@ -968,7 +955,7 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 	// invisible (LastCTS is never published) — instead of killing the
 	// embedding process.
 	for _, req := range admitted {
-		for _, e := range req.entries {
+		for _, e := range req.tx.states {
 			ixs := e.table.indexSet()
 			for i := range e.ops {
 				op := &e.ops[i]
@@ -1017,13 +1004,13 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 		g.installHist.Record(installNs)
 	}
 	for _, req := range admitted {
-		retained := false
 		for _, g := range groups {
-			// The written keys per state are built only for a group with
-			// watchers to read them.
+			// The written keys per state are gathered only for a group with
+			// watchers to read them, into the group's one map.
 			ws := g.watching()
-			var writes map[StateID][]string
-			for _, e := range req.entries {
+			writes := g.writes
+			clear(writes)
+			for _, e := range req.tx.states {
 				if e.table.Group() != g || len(e.order) == 0 {
 					continue
 				}
@@ -1033,18 +1020,18 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 				}
 				if writes == nil {
 					writes = make(map[StateID][]string)
+					g.writes = writes
 				}
 				writes[e.table.id] = e.order
 			}
-			if writes != nil {
+			if len(writes) > 0 {
 				for _, w := range ws {
 					w(req.cts, writes)
 				}
-				retained = true
 			}
 		}
 		p.finish(req.tx)
-		recycleTxn(req.tx, retained)
-		close(req.ready)
+		recycleTxn(req.tx)
+		req.decided()
 	}
 }

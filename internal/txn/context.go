@@ -228,6 +228,9 @@ type Group struct {
 	wake         chan struct{} // nudges a leader collecting its next batch
 	batchTarget  int           // previous batch's submitter count; leader-owned under commitMu
 	linger       *time.Timer   // the collecting leader's timer; leader-owned under commitMu
+	// spare is the emptied array of the last drained batch, which the
+	// next drain hands to pending; leader-owned under commitMu.
+	spare []*commitReq
 
 	// scratch is the leader's durability-batch scratch, reused across
 	// tenures; leader-owned under commitMu (see storeScratch).
@@ -256,6 +259,9 @@ type Group struct {
 	// under watcherMu; nil while there are none.
 	watcherMu sync.Mutex
 	watchers  atomic.Pointer[[]CommitWatcher]
+	// writes is the map handed to the watchers, refilled per commit;
+	// owned under commitMu.
+	writes map[StateID][]string
 }
 
 // CommitProfile is a point-in-time digest of the group-commit pipeline's
@@ -287,8 +293,11 @@ func (g *Group) CommitProfile() CommitProfile {
 }
 
 // CommitWatcher observes global commits of a group: the commit timestamp
-// and, per state, the keys written (deletes included). The slices are
-// shared; watchers must not modify them.
+// and, per state, the keys written (deletes included). The map and its
+// slices are valid only during the call: the map is reused for the
+// group's next commit, and the slices are shared — the write set's own,
+// handed to every watcher and recycled with the transaction. Watchers
+// must not modify either and copy the keys they keep.
 type CommitWatcher func(cts Timestamp, writes map[StateID][]string)
 
 // Watch registers a commit listener. Listeners run on the committing

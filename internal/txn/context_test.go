@@ -102,7 +102,7 @@ func TestOldestActiveVersionHorizon(t *testing.T) {
 	if _, _, err := p.Read(r, e.t1, "k"); err != nil {
 		t.Fatal(err)
 	}
-	pinned := r.readCTS[e.group]
+	pinned, _ := r.cut(e.group)
 	write(t, p, e.t1, "k", "v2")
 	if got := e.ctx.OldestActiveVersion(); got != pinned {
 		t.Fatalf("horizon %d, want pinned %d", got, pinned)

@@ -88,6 +88,6 @@ func (p *protocolBase) failReqs(reqs []*commitReq, err error) {
 	for _, req := range reqs {
 		req.err = err
 		_ = p.abort(req.tx) // ErrFinished only; the verdict is err
-		close(req.ready)
+		req.decided()
 	}
 }

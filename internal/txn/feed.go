@@ -22,6 +22,7 @@ package txn
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -41,7 +42,9 @@ const DefaultFeedBuf = 4096
 // receives an event for every commit that touched the table, including
 // commits whose writes all hashed elsewhere, because the consumers'
 // merge barrier needs an aligned commit sequence on every partition. The
-// slice is private to the receiving partition and may be retained.
+// slice is the feed's own copy and may be retained; the partitions of one
+// commit share its array, each slice capped at its own end, so an append
+// to one reallocates rather than overwrite another partition's keys.
 type FeedEvent struct {
 	// CTS is the commit timestamp of the transaction.
 	CTS Timestamp
@@ -77,9 +80,12 @@ func DefaultKeyHash(key string) uint64 {
 // partition acknowledges.
 type feedPin struct {
 	mu sync.Mutex
-	// pending holds the enqueued, not-yet-fully-acknowledged commit
-	// timestamps in ascending order; pending[0] is the pinned horizon.
+	// pending[head:] holds the enqueued, not-yet-fully-acknowledged commit
+	// timestamps in ascending order; pending[head] is the pinned horizon.
+	// Acknowledged commits advance head, and add moves the live tail to
+	// the front before it would grow the array.
 	pending []Timestamp
+	head    int
 	// acked[i] counts partition i's acknowledged events; popped counts
 	// commits fully acknowledged by every partition and removed from
 	// pending. min(acked) - popped is the head's remaining partitions.
@@ -93,8 +99,12 @@ type feedPin struct {
 // add pins cts (called on the committing thread, in commit order).
 func (p *feedPin) add(cts Timestamp) {
 	p.mu.Lock()
+	if p.head > 0 && len(p.pending) == cap(p.pending) {
+		p.pending = p.pending[:copy(p.pending, p.pending[p.head:])]
+		p.head = 0
+	}
 	p.pending = append(p.pending, cts)
-	if len(p.pending) == 1 {
+	if len(p.pending)-p.head == 1 {
 		p.oldest.Store(cts)
 	}
 	p.mu.Unlock()
@@ -108,7 +118,7 @@ func (p *feedPin) add(cts Timestamp) {
 func (p *feedPin) dropLast() {
 	p.mu.Lock()
 	p.pending = p.pending[:len(p.pending)-1]
-	if len(p.pending) == 0 {
+	if len(p.pending) == p.head {
 		p.oldest.Store(0)
 	}
 	p.mu.Unlock()
@@ -125,20 +135,22 @@ func (p *feedPin) ack(part int) {
 			min = a
 		}
 	}
-	for p.popped < min && len(p.pending) > 0 {
-		p.pending = p.pending[1:]
+	for p.popped < min && p.head < len(p.pending) {
+		p.head++
 		p.popped++
 	}
-	if len(p.pending) == 0 {
+	if p.head == len(p.pending) {
+		p.pending, p.head = p.pending[:0], 0
 		p.oldest.Store(0)
 	} else {
-		p.oldest.Store(p.pending[0])
+		p.oldest.Store(p.pending[p.head])
 	}
 	p.mu.Unlock()
 }
 
 // rawEvent is the commit-latch side's enqueue unit: the commit timestamp
-// and the SHARED write-set order key slice (routers must not modify it).
+// and the feed's own copy of the table's written keys, which the router
+// groups by partition in place.
 type rawEvent struct {
 	cts  Timestamp
 	keys []string
@@ -194,8 +206,8 @@ func (f *PartitionedFeed) Stop() { f.stop() }
 //   - A key always hashes to the same partition, so per-key update order
 //     is preserved within its partition channel.
 //   - The fan-out runs on a dedicated router goroutine, off the group's
-//     commit latch: the committing thread only enqueues (commit
-//     timestamp, shared key slice) into a buffer of buf commits
+//     commit latch: the committing thread only copies the written keys
+//     and enqueues (commit timestamp, keys) into a buffer of buf commits
 //     (DefaultFeedBuf when buf <= 0) and blocks only when the feed falls
 //     that far behind — the same backpressure discipline as Group.Watch
 //     based feeds.
@@ -251,14 +263,16 @@ func (t *Table) WatchPartitioned(parts, buf int, keyFn func(string) uint64) (*Pa
 	}
 
 	// The commit-latch side: one plain watcher (serialized by the group's
-	// commit latch) that pins, enqueues and returns. Pinning precedes the
-	// enqueue so no sweep can run between the commit becoming visible and
-	// its snapshot being protected. The pin and the in-flight
-	// registration are atomic with respect to stop (stopMu, held only for
-	// the non-blocking part); the send itself blocks on backpressure but
-	// stays interruptible by stop — an interrupted send unpins, so every
-	// pinned commit is either delivered (the router waits out in-flight
-	// senders before its final drain) or unpinned, never stranded.
+	// commit latch) that pins, copies the keys — the write set's own
+	// slice is recycled once the watchers return — enqueues and returns.
+	// Pinning precedes the enqueue so no sweep can run between the commit
+	// becoming visible and its snapshot being protected. The pin and the
+	// in-flight registration are atomic with respect to stop (stopMu, held
+	// only for the non-blocking part); the send itself blocks on
+	// backpressure but stays interruptible by stop — an interrupted send
+	// unpins, so every pinned commit is either delivered (the router waits
+	// out in-flight senders before its final drain) or unpinned, never
+	// stranded.
 	g.Watch(func(cts Timestamp, writes map[StateID][]string) {
 		keys, ok := writes[t.id]
 		if !ok {
@@ -279,7 +293,7 @@ func (t *Table) WatchPartitioned(parts, buf int, keyFn func(string) uint64) (*Pa
 			// with both cases ready): if the event went undelivered it
 			// must not stay pinned.
 			pin.dropLast()
-		case in <- rawEvent{cts: cts, keys: keys}:
+		case in <- rawEvent{cts: cts, keys: slices.Clone(keys)}:
 		}
 	})
 
@@ -290,28 +304,50 @@ func (t *Table) WatchPartitioned(parts, buf int, keyFn func(string) uint64) (*Pa
 		feeds[i] = chans[i]
 	}
 
-	// The router: splits each commit's write-set order into per-partition
-	// key slices and delivers the event to every partition. Delivery is
-	// blocking — a slow partition backpressures the router and, once the
-	// in buffer fills, the committing thread — and strictly in commit
-	// order, so all partitions observe the same aligned event sequence.
+	// The router: groups each commit's keys by partition, in place, and
+	// delivers every partition its run of the array. Delivery is blocking
+	// — a slow partition backpressures the router and, once the in buffer
+	// fills, the committing thread — and strictly in commit order, so all
+	// partitions observe the same aligned event sequence. The grouping is
+	// a counting sort through router-owned scratch: each key's partition,
+	// the partitions' ends, and the keys in partition order, stable within
+	// a partition (write-set order).
+	var (
+		keyPart []int
+		ends    = make([]int, parts)
+		grouped []string
+	)
 	deliver := func(ev rawEvent) {
-		// Every partition gets a PRIVATE key slice — also at parts == 1,
-		// where handing the shared write-set order slice through would
-		// break FeedEvent's may-retain/may-modify contract for any other
-		// watcher (a Group.Watch listener, a second feed) holding the same
-		// slice.
-		buckets := make([][]string, parts)
+		keys := ev.keys
 		if parts == 1 {
-			buckets[0] = append(make([]string, 0, len(ev.keys)), ev.keys...)
-		} else {
-			for _, k := range ev.keys {
-				p := int(keyFn(k) % uint64(parts))
-				buckets[p] = append(buckets[p], k)
-			}
+			chans[0] <- FeedEvent{CTS: ev.cts, Keys: keys}
+			return
 		}
+		clear(ends)
+		keyPart = keyPart[:0]
+		for _, k := range keys {
+			p := int(keyFn(k) % uint64(parts))
+			keyPart = append(keyPart, p)
+			ends[p]++
+		}
+		for i := 1; i < parts; i++ {
+			ends[i] += ends[i-1]
+		}
+		grouped = slices.Grow(grouped[:0], len(keys))[:len(keys)]
+		for i := len(keys) - 1; i >= 0; i-- {
+			p := keyPart[i]
+			ends[p]--
+			grouped[ends[p]] = keys[i]
+		}
+		copy(keys, grouped)
+		clear(grouped)
+		// ends[i] is now partition i's start.
 		for i := range chans {
-			chans[i] <- FeedEvent{CTS: ev.cts, Keys: buckets[i]}
+			lo, hi := ends[i], len(keys)
+			if i+1 < parts {
+				hi = ends[i+1]
+			}
+			chans[i] <- FeedEvent{CTS: ev.cts, Keys: keys[lo:hi:hi]}
 		}
 	}
 	go func() {

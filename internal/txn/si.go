@@ -55,7 +55,7 @@ func (p *SI) Name() string { return "mvcc" }
 func (p *SI) admitFCW(tx *Txn, _ batchMarks) error {
 	for _, e := range tx.states {
 		snapshot := tx.id
-		if pinned, ok := tx.readCTS[e.table.Group()]; ok {
+		if pinned, ok := tx.cut(e.table.Group()); ok {
 			snapshot = pinned
 		}
 		if ch := tx.chain; ch != nil {

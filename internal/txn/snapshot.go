@@ -60,7 +60,7 @@ func (c *Context) Snapshot(tables ...*Table) (*Snapshot, error) {
 
 	// The snapshot occupies a transaction slot so the GC horizon scan
 	// (OldestActiveVersion) sees its pin; it never enters a commit path.
-	tx := &Txn{id: c.next(), ctx: c, readOnly: true, readCTS: make(map[*Group]Timestamp, len(groups)), done: make(chan struct{})}
+	tx := &Txn{id: c.next(), ctx: c, readOnly: true, readCTS: make([]groupCut, 0, len(groups)), done: make(chan struct{})}
 	if err := c.register(tx); err != nil {
 		return nil, err
 	}
@@ -72,8 +72,8 @@ func (c *Context) Snapshot(tables ...*Table) (*Snapshot, error) {
 // after it.
 func (s *Snapshot) CTS() Timestamp {
 	oldest := Timestamp(math.MaxUint64)
-	for _, cts := range s.tx.readCTS {
-		oldest = min(oldest, cts)
+	for _, c := range s.tx.readCTS {
+		oldest = min(oldest, c.cts)
 	}
 	return oldest
 }
@@ -97,7 +97,8 @@ func (s *Snapshot) begin(tbl *Table) (Timestamp, error) {
 		s.end()
 		return 0, fmt.Errorf("txn: table %q not covered by this snapshot", tbl.id)
 	}
-	return s.tx.readCTS[tbl.Group()], nil
+	cts, _ := s.tx.cut(tbl.Group())
+	return cts, nil
 }
 
 // end finishes a read begun by begin, unpinning a released snapshot when

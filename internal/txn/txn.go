@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -136,20 +137,15 @@ func newStateEntry(tbl *Table) *stateEntry {
 	return e
 }
 
-// recycle returns the entry's storage to the pool. orderRetained marks
-// entries whose order slice escaped through a commit watcher (TO_STREAM
-// holds it asynchronously); those lose the slice instead of reusing it.
-// Callers must guarantee the owning transaction is finished and no other
-// goroutine can reach the entry anymore.
-func (e *stateEntry) recycle(orderRetained bool) {
+// recycle returns the entry's storage to the pool. Callers must guarantee
+// the owning transaction is finished and no other goroutine can reach the
+// entry anymore (commit watchers use the order slice only during their
+// call).
+func (e *stateEntry) recycle() {
 	clear(e.idx) // keeps the buckets
 	e.indexed = 0
-	if orderRetained {
-		e.order = nil
-	} else {
-		clear(e.order)
-		e.order = e.order[:0]
-	}
+	clear(e.order)
+	e.order = e.order[:0]
 	clear(e.ops) // drop value references
 	e.ops = e.ops[:0]
 	e.table = nil
@@ -261,12 +257,17 @@ type Txn struct {
 	// with dependent state).
 	finished atomic.Bool
 
-	// states tracks every state the transaction touched.
-	states map[*Table]*stateEntry
+	// states holds an entry for every state the transaction touched, in
+	// StateID order — the order commits install and persist them in.
+	// stateBuf backs it for the one or two states of a stream transaction.
+	states   []*stateEntry
+	stateBuf [2]*stateEntry
 
 	// readCTS is the cut each topology group is read at: the group's
 	// LastCTS, pinned at first access (paper Section 4.2/4.3; pinGroups).
-	readCTS map[*Group]Timestamp
+	// cutBuf backs it for a transaction reading one group.
+	readCTS []groupCut
+	cutBuf  [1]groupCut
 
 	// reads is the BOCC read set (keys per state); nil for other
 	// protocols. writes is the BOCC write set, collected at admission —
@@ -297,6 +298,17 @@ type Txn struct {
 	// decided, because the paper's model treats a stream query as a
 	// SEQUENCE of transactions, not a set of concurrent ones.
 	done chan struct{}
+
+	// req is the transaction's request to the commit pipeline, filled
+	// when its flag set completes: a transaction is coordinated at most
+	// once.
+	req commitReq
+}
+
+// groupCut is the cut a transaction reads one topology group at.
+type groupCut struct {
+	g   *Group
+	cts Timestamp
 }
 
 // Done returns a channel closed when the transaction has committed or
@@ -309,13 +321,64 @@ func (t *Txn) ID() ID { return t.id }
 // ReadOnly reports whether the transaction was started read-only.
 func (t *Txn) ReadOnly() bool { return t.readOnly }
 
+// entry returns the transaction's entry for tbl, adding one at its
+// StateID position on first use.
 func (t *Txn) entry(tbl *Table) *stateEntry {
-	e, ok := t.states[tbl]
-	if !ok {
-		e = newStateEntry(tbl)
-		t.states[tbl] = e
+	if e := t.stateOf(tbl); e != nil {
+		return e
 	}
+	if t.states == nil {
+		t.states = t.stateBuf[:0]
+	}
+	i, _ := slices.BinarySearchFunc(t.states, tbl.id, func(e *stateEntry, id StateID) int {
+		return cmp.Compare(e.table.id, id)
+	})
+	e := newStateEntry(tbl)
+	t.states = slices.Insert(t.states, i, e)
 	return e
+}
+
+// stateOf returns the transaction's entry for tbl, nil if it has none.
+func (t *Txn) stateOf(tbl *Table) *stateEntry {
+	for _, e := range t.states {
+		if e.table == tbl {
+			return e
+		}
+	}
+	return nil
+}
+
+// dropStates recycles the transaction's state entries.
+func (t *Txn) dropStates() {
+	for _, e := range t.states {
+		e.recycle()
+	}
+	clear(t.states)
+	t.states = nil
+}
+
+// cut returns the cut g is read at, if the transaction pinned one.
+func (t *Txn) cut(g *Group) (Timestamp, bool) {
+	for _, c := range t.readCTS {
+		if c.g == g {
+			return c.cts, true
+		}
+	}
+	return 0, false
+}
+
+// setCut records cts as the cut g is read at.
+func (t *Txn) setCut(g *Group, cts Timestamp) {
+	for i := range t.readCTS {
+		if t.readCTS[i].g == g {
+			t.readCTS[i].cts = cts
+			return
+		}
+	}
+	if t.readCTS == nil {
+		t.readCTS = t.cutBuf[:0]
+	}
+	t.readCTS = append(t.readCTS, groupCut{g, cts})
 }
 
 // Declare registers tables this transaction is going to access before it
@@ -348,11 +411,10 @@ func (t *Txn) Declare(tables ...*Table) error {
 // Snapshot pins all its groups at once (Context.Snapshot).
 func (t *Txn) pin(tbl *Table) Timestamp {
 	g := tbl.Group()
-	rts, ok := t.readCTS[g]
+	rts, ok := t.cut(g)
 	if !ok {
-		gs := [1]*Group{g}
-		t.pinGroups(gs[:])
-		rts = t.readCTS[g]
+		t.pinGroups(g.solo)
+		rts, _ = t.cut(g)
 	}
 	return rts
 }
@@ -382,7 +444,7 @@ func (t *Txn) pinGroups(gs []*Group) {
 		oldest := Timestamp(math.MaxUint64)
 		for _, g := range gs {
 			cts := g.LastCTS()
-			t.readCTS[g] = cts
+			t.setCut(g, cts)
 			oldest = min(oldest, cts)
 		}
 		if p := t.pinnedOldest.Load(); p == 0 || oldest < p {
@@ -390,7 +452,8 @@ func (t *Txn) pinGroups(gs []*Group) {
 		}
 		stable := spanning.Load() == seq
 		for _, g := range gs {
-			stable = stable && g.LastCTS() == t.readCTS[g]
+			cts, _ := t.cut(g)
+			stable = stable && g.LastCTS() == cts
 		}
 		if stable {
 			return
