@@ -91,10 +91,13 @@ func main() {
 		fatal(err)
 	}
 	defer store.Close()
-	db, _ := store.FindLayer(func(s kv.Store) bool {
-		_, ok := s.(*lsm.DB)
-		return ok
-	}).(*lsm.DB)
+	var db *lsm.DB
+	for _, s := range store.Layers() {
+		if d, ok := s.(*lsm.DB); ok {
+			db = d
+			break
+		}
+	}
 
 	switch cmd {
 	case "stats":

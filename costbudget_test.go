@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"sistream"
+	"sistream/internal/kv"
 	"sistream/internal/lsm"
 )
 
@@ -67,6 +68,30 @@ func TestCostBudgets(t *testing.T) {
 			allocs: 24, bytes: 16 << 10,
 			measure: sstableScanCost,
 		},
+		{
+			// One SI transaction rewriting 1 hot row of a mem table, Begin
+			// to Commit: 3 allocations, 400 B — the transaction and its
+			// Done channel (begin) and the written value's copy. The write
+			// set's entry and mem's Apply scratch are pooled.
+			name: "si commit 1 row", unit: "txn",
+			allocs: 3, bytes: 448, pooled: true,
+			measure: func(t *testing.T) (float64, float64) { return commitCost(t, 1) },
+		},
+		{
+			// The same rewriting 8 hot rows: 10 allocations, 568 B — one
+			// value copy per row.
+			name: "si commit 8 rows", unit: "txn",
+			allocs: 10, bytes: 640, pooled: true,
+			measure: func(t *testing.T) (float64, float64) { return commitCost(t, 8) },
+		},
+		{
+			// A Snapshot over two tables of two groups, 20 Gets (10 per
+			// table) and its Release: 7 allocations, 488 B, all of them
+			// Context.Snapshot's; a Get allocates nothing.
+			name: "snapshot 20 gets", unit: "snapshot",
+			allocs: 7, bytes: 512,
+			measure: snapshotGetCost,
+		},
 	}
 	race := raceDetector()
 	for _, row := range rows {
@@ -109,6 +134,97 @@ func heapDelta(fn func()) (mallocs, bytes uint64) {
 	fn()
 	runtime.ReadMemStats(&after)
 	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// perRun returns fn's allocations per call by testing.AllocsPerRun and
+// its bytes per call by a heapDelta over as many calls.
+func perRun(runs int, fn func()) (allocs, bytes float64) {
+	allocs = testing.AllocsPerRun(runs, fn)
+	_, total := heapDelta(func() {
+		for range runs {
+			fn()
+		}
+	})
+	return allocs, float64(total) / float64(runs)
+}
+
+// budgetTable creates table id in a group of its own on ctx over store,
+// commits one row per key, and returns the table and an SI protocol.
+func budgetTable(t *testing.T, ctx *sistream.Context, store sistream.Store, id string, keys []string) (*sistream.Table, sistream.Protocol) {
+	tbl, err := ctx.CreateTable(sistream.StateID(id), store, sistream.TableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctx.CreateGroup(sistream.GroupID("g-"+id), tbl); err != nil {
+		t.Fatal(err)
+	}
+	p := sistream.NewSI(ctx)
+	tx, _ := p.Begin()
+	for _, k := range keys {
+		if err := p.Write(tx, tbl, k, []byte("value-"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+	return tbl, p
+}
+
+// commitCost returns the allocations and bytes per SI transaction that
+// rewrites the same rows hot rows of a mem table.
+func commitCost(t *testing.T, rows int) (allocs, bytes float64) {
+	store := sistream.NewMemStore()
+	defer store.Close()
+	keys := make([]string, rows)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("hot%02d", i)
+	}
+	tbl, p := budgetTable(t, sistream.NewContext(), store, "hot", keys)
+	value := []byte("value-of-a-hot-row")
+	return perRun(2000, func() {
+		tx, err := p.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			if err := p.Write(tx, tbl, k, value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// snapshotGetCost returns the allocations and bytes of a Snapshot over two
+// tables in two groups, 10 Gets on each and the Release.
+func snapshotGetCost(t *testing.T) (allocs, bytes float64) {
+	store := sistream.NewMemStore()
+	defer store.Close()
+	keys := make([]string, 10)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%02d", i)
+	}
+	ctx := sistream.NewContext()
+	a, _ := budgetTable(t, ctx, store, "a", keys)
+	b, _ := budgetTable(t, ctx, store, "b", keys)
+	tables := []*sistream.Table{a, b}
+	return perRun(2000, func() {
+		snap, err := ctx.Snapshot(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			for _, tbl := range tables {
+				if _, found, err := snap.Get(tbl, k); err != nil || !found {
+					t.Fatalf("Get(%s) = %v, %v", k, found, err)
+				}
+			}
+		}
+		snap.Release()
+	})
 }
 
 // pipelineCost drives 8-tuple transactions through the 2-lane ingest
@@ -212,10 +328,12 @@ func sstableScanCost(t *testing.T) (allocs, bytes float64) {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	b := kv.NewBatch(rows)
 	for i := 0; i < rows; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("key%08d", i)), []byte(fmt.Sprintf("value-%043d", i))); err != nil {
-			t.Fatal(err)
-		}
+		b.Put([]byte(fmt.Sprintf("key%08d", i)), []byte(fmt.Sprintf("value-%043d", i)))
+	}
+	if err := db.Apply(b, false); err != nil {
+		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)

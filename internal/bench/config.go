@@ -88,7 +88,7 @@ func (c *Config) validate() error {
 	}
 	// The spec is checked against the registry without opening it;
 	// directory problems surface when Run opens the store.
-	if _, err := kv.SpecCaps(c.Backend); err != nil {
+	if err := kv.CheckSpec(c.Backend); err != nil {
 		return fmt.Errorf("bench: backend %w", err)
 	}
 	if c.States < 1 || c.TableSize < 1 || c.TxnOps < 1 || c.Writers < 0 || c.Readers < 0 {

@@ -59,29 +59,19 @@ func (b *Batch) Delete(key []byte) {
 	b.ops = append(b.ops, Op{Kind: OpDelete, Key: cloneBytes(key)})
 }
 
-// PutOwned appends a put operation WITHOUT copying key or value: the
+// PutHandle appends a put operation WITHOUT copying key or value: the
 // caller hands both over and must never modify them again — a store may
-// retain the slices beyond Apply (the in-memory store keeps the value by
-// reference). The group-commit path uses this to coalesce whole
-// transaction batches with zero per-operation allocation; its values are
-// immutable private write-set copies.
-func (b *Batch) PutOwned(key, value []byte) {
-	b.ops = append(b.ops, Op{Kind: OpPut, Key: key, Value: value})
-}
-
-// DeleteOwned appends a delete operation without copying the key (see
-// PutOwned for the aliasing contract).
-func (b *Batch) DeleteOwned(key []byte) {
-	b.ops = append(b.ops, Op{Kind: OpDelete, Key: key})
-}
-
-// PutHandle is PutOwned with the caller's handle for key (see Handle).
+// retain the value beyond Apply (the in-memory store keeps it by
+// reference). h is the caller's handle for key (see Handle), or nil. The
+// group-commit path uses this to coalesce whole transaction batches with
+// zero per-operation allocation; its values are immutable private
+// write-set copies.
 func (b *Batch) PutHandle(key, value []byte, h *Handle) {
 	b.ops = append(b.ops, Op{Kind: OpPut, Key: key, Value: value, Handle: h})
 }
 
-// DeleteHandle is DeleteOwned with the caller's handle for key; the
-// delete revokes it.
+// DeleteHandle appends a delete operation without copying the key (see
+// PutHandle); the delete revokes h when it is non-nil.
 func (b *Batch) DeleteHandle(key []byte, h *Handle) {
 	b.ops = append(b.ops, Op{Kind: OpDelete, Key: key, Handle: h})
 }

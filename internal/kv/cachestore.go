@@ -117,29 +117,6 @@ func (c *Cache) Get(key []byte) ([]byte, bool, error) {
 	return val, true, nil
 }
 
-// Put stages the write in the cache; the inner store sees it at the
-// next durability point, scan, or eviction.
-func (c *Cache) Put(key, value []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClosed
-	}
-	c.insertLocked(string(key), cloneBytes(value), false, true)
-	return c.evictLocked()
-}
-
-// Delete stages a delete (see Put).
-func (c *Cache) Delete(key []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClosed
-	}
-	c.insertLocked(string(key), nil, true, true)
-	return c.evictLocked()
-}
-
 // Apply stages the batch. With sync=false the ops stay write-behind;
 // with sync=true the whole dirty set — the batch included — is pushed
 // to the inner store in one synchronous inner Apply, preserving the
@@ -152,8 +129,8 @@ func (c *Cache) Apply(b *Batch, sync bool) error {
 	}
 	for _, op := range b.Ops() {
 		// Keys are copied (the group-commit path reuses its key arena
-		// across batches); Owned values are immutable and retained by
-		// reference, matching the in-memory store.
+		// across batches); values are immutable once handed over and
+		// retained by reference, matching the in-memory store.
 		if op.Kind == OpDelete {
 			c.insertLocked(string(op.Key), nil, true, true)
 		} else {
@@ -252,9 +229,9 @@ func (c *Cache) evictLocked() error {
 		if e.dirty {
 			var b Batch
 			if e.del {
-				b.DeleteOwned([]byte(e.key))
+				b.DeleteHandle([]byte(e.key), nil)
 			} else {
-				b.PutOwned([]byte(e.key), e.val)
+				b.PutHandle([]byte(e.key), e.val, nil)
 			}
 			if err := c.inner.Apply(&b, false); err != nil {
 				return err
@@ -291,9 +268,9 @@ func (c *Cache) flushLocked(sync bool) error {
 		// map); values are immutable once staged, so handing them over
 		// by reference is safe.
 		if e.del {
-			b.DeleteOwned([]byte(e.key))
+			b.DeleteHandle([]byte(e.key), nil)
 		} else {
-			b.PutOwned([]byte(e.key), e.val)
+			b.PutHandle([]byte(e.key), e.val, nil)
 		}
 		flushed = append(flushed, el)
 	}

@@ -10,6 +10,20 @@ import (
 	"sistream/internal/kv"
 )
 
+// putKey writes one key through Apply, the store's one write.
+func putKey(s kv.Store, key, value []byte) error {
+	b := kv.NewBatch(1)
+	b.Put(key, value)
+	return s.Apply(b, false)
+}
+
+// deleteKey deletes one key through Apply.
+func deleteKey(s kv.Store, key []byte) error {
+	b := kv.NewBatch(1)
+	b.Delete(key)
+	return s.Apply(b, false)
+}
+
 // countingStore wraps a Store to record how Apply/Sync are invoked, so
 // the cache tests can pin down the write-behind flushing rules.
 type countingStore struct {
@@ -51,7 +65,7 @@ func TestCacheWriteBehind(t *testing.T) {
 	defer c.Close()
 
 	// Puts and non-sync Applies stage only: the inner store sees nothing.
-	if err := c.Put([]byte("a"), []byte("1")); err != nil {
+	if err := putKey(c, []byte("a"), []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	b := kv.NewBatch(2)
@@ -103,7 +117,7 @@ func TestCacheWriteBehind(t *testing.T) {
 
 func TestCacheReadThroughAndCounters(t *testing.T) {
 	inner := kv.NewMem()
-	if err := inner.Put([]byte("k"), []byte("v")); err != nil {
+	if err := putKey(inner, []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	c := kv.NewCache(inner, 8)
@@ -119,7 +133,7 @@ func TestCacheReadThroughAndCounters(t *testing.T) {
 		t.Fatalf("Get(missing) = %v, %v", found, err)
 	}
 	// A staged delete is a resident not-found, served as a hit.
-	if err := c.Delete([]byte("k")); err != nil {
+	if err := deleteKey(c, []byte("k")); err != nil {
 		t.Fatal(err)
 	}
 	if _, found, err := c.Get([]byte("k")); err != nil || found {
@@ -153,7 +167,7 @@ func TestCacheEviction(t *testing.T) {
 	c := kv.NewCache(inner, 4)
 	defer c.Close()
 	for i := 0; i < 10; i++ {
-		if err := c.Put([]byte(fmt.Sprintf("k%02d", i)), []byte{byte(i)}); err != nil {
+		if err := putKey(c, []byte(fmt.Sprintf("k%02d", i)), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,7 +222,7 @@ func TestCacheAliasing(t *testing.T) {
 	defer c.Close()
 	k := []byte("key")
 	v := []byte("value")
-	if err := c.Put(k, v); err != nil {
+	if err := putKey(c, k, v); err != nil {
 		t.Fatal(err)
 	}
 	v[0] = 'X' // the cache must have copied
@@ -221,7 +235,7 @@ func TestCacheAliasing(t *testing.T) {
 func TestCacheClose(t *testing.T) {
 	inner := kv.NewMem()
 	c := kv.NewCache(inner, 16)
-	if err := c.Put([]byte("k"), []byte("v")); err != nil {
+	if err := putKey(c, []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
@@ -234,7 +248,7 @@ func TestCacheClose(t *testing.T) {
 			t.Error("inner store still open after cache Close")
 		}
 	}
-	if err := c.Put([]byte("x"), []byte("y")); !errors.Is(err, kv.ErrClosed) {
+	if err := putKey(c, []byte("x"), []byte("y")); !errors.Is(err, kv.ErrClosed) {
 		t.Errorf("Put after Close = %v, want ErrClosed", err)
 	}
 	if err := c.Close(); !errors.Is(err, kv.ErrClosed) {

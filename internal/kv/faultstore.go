@@ -110,12 +110,9 @@ func NewFault(inner Store) *Fault {
 
 // Capabilities: the wrapper simulates durability over ANY inner store —
 // the durable image + volatile overlay make sync points meaningful, and
-// Crash/Reopen simulate the process loss — so Durable and SupportsSync
-// hold even over the memory store (that is the point of the
-// simulation). Persistence follows the inner store.
-func (f *Fault) Capabilities() Capabilities {
-	return Capabilities{Durable: true, Persistent: CapabilitiesOf(f.inner).Persistent, SupportsSync: true}
-}
+// Crash/Reopen simulate the process loss — so it is Durable even over
+// the memory store (that is the point of the simulation).
+func (f *Fault) Capabilities() Capabilities { return Capabilities{Durable: true} }
 
 // FailApplyAt scripts the nth Apply call from now (1-based) to fail with
 // err, persisting nothing of that batch. Later Applies succeed again —
@@ -252,29 +249,6 @@ func (f *Fault) Get(key []byte) ([]byte, bool, error) {
 	return f.inner.Get(key)
 }
 
-// Put stores value under key. Like the wrapped stores' Put, the write is
-// volatile until the next successful durability point.
-func (f *Fault) Put(key, value []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.checkLocked(); err != nil {
-		return err
-	}
-	f.overlay[string(key)] = faultVal{val: cloneBytes(value)}
-	return nil
-}
-
-// Delete removes key (volatile until the next durability point).
-func (f *Fault) Delete(key []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.checkLocked(); err != nil {
-		return err
-	}
-	f.overlay[string(key)] = faultVal{del: true}
-	return nil
-}
-
 // Apply atomically applies the batch, honoring any scripted fault. With
 // sync=false the batch lands in the volatile overlay; with sync=true the
 // overlay and the batch are flushed to the durable image and synced.
@@ -359,8 +333,9 @@ func (f *Fault) Scan(start, end []byte, fn func(key, value []byte) bool) error {
 	type pair struct{ k, v []byte }
 	var merged []pair
 	err := f.inner.Scan(start, end, func(k, v []byte) bool {
+		// The inner store may reuse k and v for its next pair.
 		if _, shadowed := f.overlay[string(k)]; !shadowed {
-			merged = append(merged, pair{k, v})
+			merged = append(merged, pair{bytes.Clone(k), bytes.Clone(v)})
 		}
 		return true
 	})
@@ -409,7 +384,7 @@ func (f *Fault) bufferLocked(b *Batch) {
 		if op.Kind == OpDelete {
 			f.overlay[string(op.Key)] = faultVal{del: true}
 		} else {
-			// Values follow the Owned contract (immutable after hand-off)
+			// Values follow PutHandle's contract (immutable after hand-off)
 			// and may be retained by reference; keys are copied by the
 			// string conversion because the commit path reuses its key
 			// arena across batches.
@@ -430,7 +405,7 @@ func (f *Fault) flushLocked() error {
 		if ov.del {
 			out.Delete([]byte(k))
 		} else {
-			out.PutOwned([]byte(k), ov.val)
+			out.PutHandle([]byte(k), ov.val, nil)
 		}
 	}
 	if err := f.inner.Apply(out, true); err != nil {

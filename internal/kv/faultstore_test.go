@@ -36,10 +36,10 @@ func TestFaultPassthrough(t *testing.T) {
 	if err := applyPut(t, f, true, "a", "1", "b", "2"); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
-	if err := f.Put([]byte("c"), []byte("3")); err != nil {
+	if err := putKey(f, []byte("c"), []byte("3")); err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	if err := f.Delete([]byte("b")); err != nil {
+	if err := deleteKey(f, []byte("b")); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
 	want := map[string]string{"a": "1", "c": "3"}

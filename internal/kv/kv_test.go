@@ -9,6 +9,20 @@ import (
 	"testing/quick"
 )
 
+// putKey writes one key through Apply, the store's one write.
+func putKey(s Store, key, value []byte) error {
+	b := NewBatch(1)
+	b.Put(key, value)
+	return s.Apply(b, false)
+}
+
+// deleteKey deletes one key through Apply.
+func deleteKey(s Store, key []byte) error {
+	b := NewBatch(1)
+	b.Delete(key)
+	return s.Apply(b, false)
+}
+
 func TestMemBasicCRUD(t *testing.T) {
 	s := NewMem()
 	defer s.Close()
@@ -16,26 +30,26 @@ func TestMemBasicCRUD(t *testing.T) {
 	if _, ok, err := s.Get([]byte("a")); err != nil || ok {
 		t.Fatalf("get on empty store: ok=%v err=%v", ok, err)
 	}
-	if err := s.Put([]byte("a"), []byte("1")); err != nil {
+	if err := putKey(s, []byte("a"), []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	v, ok, err := s.Get([]byte("a"))
 	if err != nil || !ok || string(v) != "1" {
 		t.Fatalf("get: %q %v %v", v, ok, err)
 	}
-	if err := s.Put([]byte("a"), []byte("2")); err != nil {
+	if err := putKey(s, []byte("a"), []byte("2")); err != nil {
 		t.Fatal(err)
 	}
 	if v, _, _ := s.Get([]byte("a")); string(v) != "2" {
 		t.Fatalf("overwrite failed: %q", v)
 	}
-	if err := s.Delete([]byte("a")); err != nil {
+	if err := deleteKey(s, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, _ := s.Get([]byte("a")); ok {
 		t.Fatal("delete failed")
 	}
-	if err := s.Delete([]byte("missing")); err != nil {
+	if err := deleteKey(s, []byte("missing")); err != nil {
 		t.Fatal("delete of missing key must not error")
 	}
 }
@@ -44,7 +58,7 @@ func TestMemValueIsolation(t *testing.T) {
 	s := NewMem()
 	defer s.Close()
 	val := []byte("hello")
-	if err := s.Put([]byte("k"), val); err != nil {
+	if err := putKey(s, []byte("k"), val); err != nil {
 		t.Fatal(err)
 	}
 	val[0] = 'X' // caller mutates its buffer after Put
@@ -84,7 +98,7 @@ func TestMemScanOrderAndBounds(t *testing.T) {
 	defer s.Close()
 	keys := []string{"b", "a", "d", "c", "e"}
 	for _, k := range keys {
-		if err := s.Put([]byte(k), []byte("v"+k)); err != nil {
+		if err := putKey(s, []byte(k), []byte("v"+k)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,7 +131,7 @@ func TestMemLenHelper(t *testing.T) {
 	s := NewMem()
 	defer s.Close()
 	for i := 0; i < 10; i++ {
-		if err := s.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
+		if err := putKey(s, []byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,10 +152,10 @@ func TestMemClosed(t *testing.T) {
 	if _, _, err := s.Get([]byte("a")); err != ErrClosed {
 		t.Fatalf("get after close: %v", err)
 	}
-	if err := s.Put([]byte("a"), nil); err != ErrClosed {
+	if err := putKey(s, []byte("a"), nil); err != ErrClosed {
 		t.Fatalf("put after close: %v", err)
 	}
-	if err := s.Delete([]byte("a")); err != ErrClosed {
+	if err := deleteKey(s, []byte("a")); err != ErrClosed {
 		t.Fatalf("delete after close: %v", err)
 	}
 	if err := s.Apply(NewBatch(0), false); err != ErrClosed {
@@ -169,7 +183,7 @@ func TestMemConcurrent(t *testing.T) {
 				k := []byte(fmt.Sprintf("key-%d", rng.Intn(500)))
 				switch rng.Intn(3) {
 				case 0:
-					if err := s.Put(k, []byte(fmt.Sprintf("v%d", i))); err != nil {
+					if err := putKey(s, k, []byte(fmt.Sprintf("v%d", i))); err != nil {
 						t.Error(err)
 						return
 					}
@@ -179,7 +193,7 @@ func TestMemConcurrent(t *testing.T) {
 						return
 					}
 				default:
-					if err := s.Delete(k); err != nil {
+					if err := deleteKey(s, k); err != nil {
 						t.Error(err)
 						return
 					}
@@ -203,12 +217,12 @@ func TestPropertyMemMatchesModel(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0, 1:
 				v := fmt.Sprintf("v%d", rng.Int())
-				if err := s.Put([]byte(k), []byte(v)); err != nil {
+				if err := putKey(s, []byte(k), []byte(v)); err != nil {
 					return false
 				}
 				model[k] = v
 			case 2:
-				if err := s.Delete([]byte(k)); err != nil {
+				if err := deleteKey(s, []byte(k)); err != nil {
 					return false
 				}
 				delete(model, k)
@@ -300,7 +314,7 @@ func BenchmarkMemPut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		key[0] = byte(i)
 		key[1] = byte(i >> 8)
-		if err := s.Put(key, val); err != nil {
+		if err := putKey(s, key, val); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -310,7 +324,7 @@ func BenchmarkMemGet(b *testing.B) {
 	s := NewMem()
 	defer s.Close()
 	for i := 0; i < 1000; i++ {
-		if err := s.Put([]byte(fmt.Sprintf("key-%d", i)), make([]byte, 20)); err != nil {
+		if err := putKey(s, []byte(fmt.Sprintf("key-%d", i)), make([]byte, 20)); err != nil {
 			b.Fatal(err)
 		}
 	}

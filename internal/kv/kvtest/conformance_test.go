@@ -51,12 +51,13 @@ func TestConformance(t *testing.T) {
 	// image + volatile overlay), so crash-and-recover is Fault.Reopen.
 	// cache(4)+fault+mem additionally proves the write-behind tier
 	// flushes INTO the durability point: a synced Apply through the
-	// cache must survive the simulated crash below it.
-	for _, spec := range []string{"fault+mem", "cache(4)+fault+mem"} {
+	// cache must survive the simulated crash below it. fault+lsm puts
+	// synced data where the LSM store's Scan hands out reused buffers.
+	for _, spec := range []string{"fault+mem", "cache(4)+fault+mem", "fault+lsm"} {
 		t.Run(spec, func(t *testing.T) {
 			Run(t, Harness{
 				Spec: spec,
-				Open: func(t *testing.T) *kv.OpenedStore { return mustOpen(t, spec, "") },
+				Open: func(t *testing.T) *kv.OpenedStore { return mustOpen(t, spec, t.TempDir()) },
 				Reopen: func(t *testing.T, prev *kv.OpenedStore) kv.Store {
 					f := prev.FaultLayer()
 					if f == nil {

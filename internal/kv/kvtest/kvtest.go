@@ -3,7 +3,8 @@
 // Every registered backend spec — terminal stores and chained adapters
 // alike — is run through the same battery: no key/value aliasing after
 // calls return, Apply atomicity and in-batch ordering, Scan bounds,
-// ordering and early stop, Sync durability where the backend declares
+// ordering and early stop, a Scan over synced keys returning each key
+// once with its own value, Sync durability where the backend declares
 // Durable, ErrClosed after Close, and ops carrying kv.Handles behaving
 // exactly as ops without.
 //
@@ -41,9 +42,24 @@ func Run(t *testing.T, h Harness) {
 	t.Run("ApplyAtomicity", func(t *testing.T) { testApplyAtomicity(t, h) })
 	t.Run("ScanOrder", func(t *testing.T) { testScanOrder(t, h) })
 	t.Run("ScanEarlyStop", func(t *testing.T) { testScanEarlyStop(t, h) })
+	t.Run("SyncedScan", func(t *testing.T) { testSyncedScan(t, h) })
 	t.Run("SyncDurability", func(t *testing.T) { testSyncDurability(t, h) })
 	t.Run("ErrClosed", func(t *testing.T) { testErrClosed(t, h) })
 	t.Run("Handles", func(t *testing.T) { testHandles(t, h) })
+}
+
+// putKey writes one key through Apply with the copying Batch.Put.
+func putKey(st kv.Store, key, value []byte) error {
+	b := kv.NewBatch(1)
+	b.Put(key, value)
+	return st.Apply(b, false)
+}
+
+// deleteKey deletes one key through Apply with the copying Batch.Delete.
+func deleteKey(st kv.Store, key []byte) error {
+	b := kv.NewBatch(1)
+	b.Delete(key)
+	return st.Apply(b, false)
 }
 
 // testAliasing: implementations copy what they retain — mutating a key
@@ -56,7 +72,7 @@ func testAliasing(t *testing.T, h Harness) {
 
 	key := []byte("alias-key")
 	val := []byte("alias-val")
-	if err := st.Put(key, val); err != nil {
+	if err := putKey(st, key, val); err != nil {
 		t.Fatal(err)
 	}
 	key[0], val[0] = 'X', 'X'
@@ -88,7 +104,7 @@ func testAliasing(t *testing.T, h Harness) {
 		t.Fatal(err)
 	}
 	snapshot := append([]byte(nil), held...)
-	if err := st.Put([]byte("alias-key"), []byte("overwritten")); err != nil {
+	if err := putKey(st, []byte("alias-key"), []byte("overwritten")); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(held, snapshot) {
@@ -102,7 +118,7 @@ func testApplyAtomicity(t *testing.T, h Harness) {
 	st := h.Open(t)
 	defer st.Close()
 
-	if err := st.Put([]byte("pre"), []byte("old")); err != nil {
+	if err := putKey(st, []byte("pre"), []byte("old")); err != nil {
 		t.Fatal(err)
 	}
 	b := kv.NewBatch(6)
@@ -140,7 +156,7 @@ func testScanOrder(t *testing.T, h Harness) {
 	st := h.Open(t)
 	defer st.Close()
 	for i := 9; i >= 0; i-- { // inserted out of order on purpose
-		if err := st.Put([]byte(fmt.Sprintf("k%d", i)), []byte{byte('0' + i)}); err != nil {
+		if err := putKey(st, []byte(fmt.Sprintf("k%d", i)), []byte{byte('0' + i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,7 +192,7 @@ func testScanEarlyStop(t *testing.T, h Harness) {
 	st := h.Open(t)
 	defer st.Close()
 	for i := 0; i < 10; i++ {
-		if err := st.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+		if err := putKey(st, []byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,21 +208,48 @@ func testScanEarlyStop(t *testing.T, h Harness) {
 	}
 }
 
-// testSyncDurability: data covered by Apply(sync=true) survives a
-// crash-and-recover cycle; runs only where the spec declares Durable
-// and the harness can simulate the crash.
-func testSyncDurability(t *testing.T, h Harness) {
-	caps, err := kv.SpecCaps(h.Spec)
-	if err != nil {
+// testSyncedScan: a Scan over keys a synced Apply wrote — below any
+// wrapper's volatile overlay — returns each key once, with its own value:
+// a layer that keeps the pairs an inner Scan handed it must copy them,
+// because the inner store may reuse the slices for its next pair.
+func testSyncedScan(t *testing.T, h Harness) {
+	st := h.Open(t)
+	defer st.Close()
+	b := kv.NewBatch(3)
+	b.Put([]byte("a"), []byte("1"))
+	b.Put([]byte("b"), []byte("2"))
+	b.Put([]byte("c"), []byte("3"))
+	if err := st.Apply(b, true); err != nil {
 		t.Fatal(err)
 	}
-	if !caps.Durable {
+	if err := putKey(st, []byte("d"), []byte("4")); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	if err := st.Scan(nil, nil, func(k, v []byte) bool {
+		got = append(got, string(k)+"="+string(v))
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != "[a=1 b=2 c=3 d=4]" {
+		t.Errorf("scan = %v, want [a=1 b=2 c=3 d=4]", got)
+	}
+}
+
+// testSyncDurability: data covered by Apply(sync=true) survives a
+// crash-and-recover cycle; runs only where the store declares Durable
+// and the harness can simulate the crash.
+func testSyncDurability(t *testing.T, h Harness) {
+	st := h.Open(t)
+	if !st.Capabilities().Durable {
+		st.Close()
 		t.Skipf("spec %q is not durable", h.Spec)
 	}
 	if h.Reopen == nil {
+		st.Close()
 		t.Skipf("harness for %q cannot simulate a crash", h.Spec)
 	}
-	st := h.Open(t)
 	b := kv.NewBatch(2)
 	b.Put([]byte("durable-a"), []byte("1"))
 	b.Put([]byte("durable-b"), []byte("2"))
@@ -225,8 +268,8 @@ func testSyncDurability(t *testing.T, h Harness) {
 }
 
 // testHandles: an op's kv.Handle never changes what a batch does. The
-// same handle carries one key through overwrites, a batch delete, a plain
-// Delete behind its back, a second store it was not issued by (which must
+// same handle carries one key through overwrites, a batch delete, a
+// delete without the handle behind its back, a second store it was not issued by (which must
 // not write into the first), the first store's Close, and — where the
 // harness can — a crash and recovery.
 func testHandles(t *testing.T, h Harness) {
@@ -277,11 +320,11 @@ func testHandles(t *testing.T, h Harness) {
 	expect(first, "delete through the handle", "")
 	put(first, "v3")
 	expect(first, "put after a batch delete", "v3")
-	if err := first.Delete(key); err != nil {
+	if err := deleteKey(first, key); err != nil {
 		t.Fatal(err)
 	}
 	put(first, "v4")
-	expect(first, "put after a plain Delete", "v4")
+	expect(first, "put after a delete without the handle", "v4")
 
 	second := h.Open(t)
 	defer second.Close()
@@ -309,7 +352,7 @@ func testHandles(t *testing.T, h Harness) {
 // testErrClosed: every operation on a closed store reports kv.ErrClosed.
 func testErrClosed(t *testing.T, h Harness) {
 	st := h.Open(t)
-	if err := st.Put([]byte("k"), []byte("v")); err != nil {
+	if err := putKey(st, []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -322,11 +365,8 @@ func testErrClosed(t *testing.T, h Harness) {
 	}
 	_, _, err := st.Get([]byte("k"))
 	check("Get", err)
-	check("Put", st.Put([]byte("k"), []byte("v")))
-	check("Delete", st.Delete([]byte("k")))
-	b := kv.NewBatch(1)
-	b.Put([]byte("k"), []byte("v"))
-	check("Apply", st.Apply(b, false))
+	check("Apply put", putKey(st, []byte("k"), []byte("v")))
+	check("Apply delete", deleteKey(st, []byte("k")))
 	check("Scan", st.Scan(nil, nil, func(_, _ []byte) bool { return true }))
 	check("Sync", st.Sync())
 }

@@ -68,13 +68,11 @@ func (s *Mem) trusted(h *Handle) *memEntry {
 }
 
 // Capabilities: the memory store is volatile — nothing survives the
-// process, there is no data directory, and a sync request has nothing
-// to sync (Apply's sync flag and Sync are no-ops). Declaring
-// SupportsSync false lets the group-commit leader skip the sync point
-// instead of requesting one the store would ignore.
-func (s *Mem) Capabilities() Capabilities {
-	return Capabilities{}
-}
+// process, and a sync request has nothing to sync (Apply's sync flag and
+// Sync are no-ops). Declaring it not Durable lets the group-commit
+// leader skip the sync point instead of requesting one the store would
+// ignore.
+func (s *Mem) Capabilities() Capabilities { return Capabilities{} }
 
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem {
@@ -116,35 +114,6 @@ func (s *Mem) Get(key []byte) ([]byte, bool, error) {
 		return e.v, true, nil
 	}
 	return nil, false, nil
-}
-
-// Put implements Store.
-func (s *Mem) Put(key, value []byte) error {
-	s.closed.RLock()
-	defer s.closed.RUnlock()
-	if err := s.check(); err != nil {
-		return err
-	}
-	i := shardFor(key)
-	sh := &s.shards[i]
-	sh.mu.Lock()
-	sh.put(s, i, key, cloneBytes(value))
-	sh.mu.Unlock()
-	return nil
-}
-
-// Delete implements Store.
-func (s *Mem) Delete(key []byte) error {
-	s.closed.RLock()
-	defer s.closed.RUnlock()
-	if err := s.check(); err != nil {
-		return err
-	}
-	sh := &s.shards[shardFor(key)]
-	sh.mu.Lock()
-	sh.del(key)
-	sh.mu.Unlock()
-	return nil
 }
 
 // applyScratch recycles the per-shard grouping buffers of Apply so the

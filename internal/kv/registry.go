@@ -11,9 +11,9 @@ import (
 // Section 4.1 design decision that "any existing backend structure with a
 // key-value mapping can be used" as the base table. Backends register
 // themselves by name (the LSM store self-registers as "lsm"; this package
-// registers "mem", "fault" and "cache"), declare capability flags, and
-// are resolved purely by spec string — a chain of adapters from the
-// outermost wrapper to the terminal store:
+// registers "mem", "fault" and "cache") and are resolved purely by spec
+// string — a chain of adapters from the outermost wrapper to the terminal
+// store:
 //
 //	mem                    volatile in-memory store
 //	lsm:<dir>              persistent LSM store rooted at <dir>
@@ -28,41 +28,32 @@ import (
 // the driver name ends at the layer's first ':' or '(', whichever comes
 // first.
 
-// Capabilities are the per-driver capability flags a backend declares at
-// registration. The flags of a chained spec compose outward: each
-// wrapper derives its flags from the layer it wraps (Driver.Caps).
+// Capabilities are what a store declares about itself (Capable). A
+// wrapper declares its own from the store it wraps, so the outermost store
+// of a chain speaks for the chain.
 type Capabilities struct {
-	// Durable: data covered by a successful durability point (an Apply
-	// with sync=true, or Sync) survives a process crash — for the fault
-	// wrapper, a simulated one.
+	// Durable: Apply(sync=true) and Sync are real durability points —
+	// data they cover survives a process crash (for the fault wrapper, a
+	// simulated one). The group-commit leader consults this flag: a
+	// backend without it (the memory store) never gets a sync point
+	// requested — the commit path skips the fsync honestly instead of
+	// asking for one the backend would silently ignore.
 	Durable bool
-	// Persistent: the backend is rooted in a data directory (its spec
-	// takes a path argument, or OpenOptions.Dir supplies one).
-	Persistent bool
-	// SupportsSync: Apply(sync=true) and Sync are real durability points.
-	// The group-commit leader consults this flag: a backend without it
-	// (the memory store) never gets a sync point requested — the commit
-	// path skips the fsync honestly instead of asking for one the
-	// backend would silently ignore.
-	SupportsSync bool
 }
 
 // Capable is implemented by stores that declare their capability flags.
-// Wrappers derive theirs from the wrapped store, so CapabilitiesOf on
-// the outermost store of a hand-built chain reports the chain's flags.
 type Capable interface {
 	Capabilities() Capabilities
 }
 
 // CapabilitiesOf returns the store's declared capability flags. Stores
-// that do not implement Capable get the conservative default — durable,
-// persistent, sync-supporting — so an unknown third-party store keeps
-// the pre-registry behavior of having sync requests passed through.
+// that do not implement Capable get the conservative default — durable —
+// so an unknown third-party store has its sync requests passed through.
 func CapabilitiesOf(s Store) Capabilities {
 	if c, ok := s.(Capable); ok {
 		return c.Capabilities()
 	}
-	return Capabilities{Durable: true, Persistent: true, SupportsSync: true}
+	return Capabilities{Durable: true}
 }
 
 // Driver is one registered backend adapter.
@@ -76,10 +67,6 @@ type Driver struct {
 	Open func(arg string, opt OpenOptions, inner Store) (Store, error)
 	// Wrapper marks chainable drivers that require an inner store.
 	Wrapper bool
-	// Caps derives the driver's capability flags. Terminal drivers are
-	// called with the zero Capabilities; wrappers with the flags of the
-	// chain they wrap.
-	Caps func(inner Capabilities) Capabilities
 }
 
 var (
@@ -96,8 +83,8 @@ func Register(name string, d Driver) {
 	if name == "" || strings.ContainsAny(name, "+():") {
 		panic(fmt.Sprintf("kv: invalid driver name %q", name))
 	}
-	if d.Open == nil || d.Caps == nil {
-		panic(fmt.Sprintf("kv: driver %q missing Open or Caps", name))
+	if d.Open == nil {
+		panic(fmt.Sprintf("kv: driver %q missing Open", name))
 	}
 	if _, dup := drivers[name]; dup {
 		panic(fmt.Sprintf("kv: driver %q registered twice", name))
@@ -196,20 +183,12 @@ func resolveSpec(spec string) ([]specLayer, []Driver, error) {
 	return layers, ds, nil
 }
 
-// SpecCaps validates a backend spec against the registry — every layer's
+// CheckSpec validates a backend spec against the registry — every layer's
 // driver exists, wrappers wrap and the chain ends in a terminal store —
-// and returns the chain's composed capability flags without opening
-// anything.
-func SpecCaps(spec string) (Capabilities, error) {
-	_, ds, err := resolveSpec(spec)
-	if err != nil {
-		return Capabilities{}, err
-	}
-	var caps Capabilities
-	for i := len(ds) - 1; i >= 0; i-- {
-		caps = ds[i].Caps(caps)
-	}
-	return caps, nil
+// without opening anything.
+func CheckSpec(spec string) error {
+	_, _, err := resolveSpec(spec)
+	return err
 }
 
 // OpenOptions carries chain-wide defaults for Open.
@@ -220,21 +199,21 @@ type OpenOptions struct {
 }
 
 // OpenedStore is the store resolved from a backend spec: the outermost
-// store of the chain, its composed capability flags, and access to the
-// individual layers for callers that read per-tier counters (the cache
-// tier's hit/miss statistics, the fault wrapper's scripting surface).
+// store of the chain, and access to the individual layers for callers
+// that read per-tier counters (the cache tier's hit/miss statistics, the
+// fault wrapper's scripting surface).
 type OpenedStore struct {
 	Store
 	spec   string
-	caps   Capabilities
 	layers []Store
 }
 
 // Spec returns the spec string the store was opened from.
 func (o *OpenedStore) Spec() string { return o.spec }
 
-// Capabilities returns the chain's composed capability flags.
-func (o *OpenedStore) Capabilities() Capabilities { return o.caps }
+// Capabilities returns the chain's capability flags: the outermost
+// store's.
+func (o *OpenedStore) Capabilities() Capabilities { return CapabilitiesOf(o.Store) }
 
 // Layers returns the chain's stores, outermost first. Closing the
 // OpenedStore closes the whole chain (each wrapper owns its inner
@@ -251,7 +230,6 @@ func Open(spec string, opt OpenOptions) (*OpenedStore, error) {
 	}
 	var (
 		inner  Store
-		caps   Capabilities
 		opened = make([]Store, len(layers))
 	)
 	for i := len(layers) - 1; i >= 0; i-- {
@@ -267,26 +245,8 @@ func Open(spec string, opt OpenOptions) (*OpenedStore, error) {
 		}
 		inner = s
 		opened[i] = s
-		caps = ds[i].Caps(caps)
 	}
-	return &OpenedStore{Store: inner, spec: spec, caps: caps, layers: opened}, nil
-}
-
-// FindLayer returns the first layer of the chain (outermost first) that
-// satisfies the probe, or nil. It is how callers reach a tier's extra
-// surface through the Store interface — the cache tier's counters, the
-// fault wrapper's scripting methods:
-//
-//	if c, ok := kv.FindLayer(st, func(s kv.Store) bool { _, ok := s.(*kv.Cache); return ok }).(*kv.Cache); ok { ... }
-//
-// Prefer the typed helpers CacheLayer and FaultLayer for those two.
-func (o *OpenedStore) FindLayer(probe func(Store) bool) Store {
-	for _, s := range o.layers {
-		if probe(s) {
-			return s
-		}
-	}
-	return nil
+	return &OpenedStore{Store: inner, spec: spec, layers: opened}, nil
 }
 
 // CacheLayer returns the chain's outermost cache tier, or nil.
@@ -321,7 +281,6 @@ func init() {
 			}
 			return NewMem(), nil
 		},
-		Caps: func(Capabilities) Capabilities { return Capabilities{} },
 	})
 	Register("fault", Driver{
 		Wrapper: true,
@@ -330,13 +289,6 @@ func init() {
 				return nil, fmt.Errorf("fault driver takes no argument (got %q)", arg)
 			}
 			return NewFault(inner), nil
-		},
-		Caps: func(inner Capabilities) Capabilities {
-			// The wrapper's durable image + volatile overlay make
-			// durability points meaningful over ANY inner store — that is
-			// the point of the simulation: crashes are simulated too, so
-			// "survives a (simulated) crash" holds even over mem.
-			return Capabilities{Durable: true, Persistent: inner.Persistent, SupportsSync: true}
 		},
 	})
 	Register("cache", Driver{
@@ -352,9 +304,6 @@ func init() {
 			}
 			return NewCache(inner, capacity), nil
 		},
-		// Read-through/write-behind is flushed at every durability point,
-		// so the tier changes no capability of the chain below it.
-		Caps: func(inner Capabilities) Capabilities { return inner },
 	})
 }
 

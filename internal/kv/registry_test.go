@@ -31,16 +31,16 @@ func TestSpecParsingErrors(t *testing.T) {
 			t.Errorf("Open(%q) unexpectedly succeeded", spec)
 		}
 	}
-	// SpecCaps must reject the structural errors without opening anything.
-	if _, err := kv.SpecCaps("cache"); err == nil {
-		t.Error("SpecCaps accepted a wrapper-terminated spec")
+	// CheckSpec must reject the structural errors without opening anything.
+	if err := kv.CheckSpec("cache"); err == nil {
+		t.Error("CheckSpec accepted a wrapper-terminated spec")
 	}
-	if _, err := kv.SpecCaps("nosuch"); err == nil {
-		t.Error("SpecCaps accepted an unknown driver")
+	if err := kv.CheckSpec("nosuch"); err == nil {
+		t.Error("CheckSpec accepted an unknown driver")
 	}
 	// lsm without any directory fails at Open time, not parse time.
-	if _, err := kv.SpecCaps("lsm"); err != nil {
-		t.Errorf("SpecCaps(lsm) = %v, want nil", err)
+	if err := kv.CheckSpec("lsm"); err != nil {
+		t.Errorf("CheckSpec(lsm) = %v, want nil", err)
 	}
 	if _, err := kv.Open("lsm", kv.OpenOptions{}); err == nil {
 		t.Error("Open(lsm) without a directory unexpectedly succeeded")
@@ -53,33 +53,28 @@ func TestSpecCapabilities(t *testing.T) {
 		want kv.Capabilities
 	}{
 		{"mem", kv.Capabilities{}},
-		{"lsm", kv.Capabilities{Durable: true, Persistent: true, SupportsSync: true}},
+		{"lsm", kv.Capabilities{Durable: true}},
 		{"cache(8)+mem", kv.Capabilities{}},
-		{"cache(8)+lsm", kv.Capabilities{Durable: true, Persistent: true, SupportsSync: true}},
-		{"fault+mem", kv.Capabilities{Durable: true, SupportsSync: true}},
-		{"fault+lsm", kv.Capabilities{Durable: true, Persistent: true, SupportsSync: true}},
-		{"cache(8)+fault+mem", kv.Capabilities{Durable: true, SupportsSync: true}},
+		{"cache(8)+lsm", kv.Capabilities{Durable: true}},
+		{"fault+mem", kv.Capabilities{Durable: true}},
+		{"fault+lsm", kv.Capabilities{Durable: true}},
+		{"cache(8)+fault+mem", kv.Capabilities{Durable: true}},
 	}
 	for _, c := range cases {
-		got, err := kv.SpecCaps(c.spec)
+		st, err := kv.Open(c.spec, kv.OpenOptions{Dir: t.TempDir()})
 		if err != nil {
-			t.Fatalf("SpecCaps(%q): %v", c.spec, err)
+			t.Fatalf("Open(%q): %v", c.spec, err)
 		}
-		if got != c.want {
-			t.Errorf("SpecCaps(%q) = %+v, want %+v", c.spec, got, c.want)
+		if got := st.Capabilities(); got != c.want {
+			t.Errorf("Open(%q).Capabilities() = %+v, want %+v", c.spec, got, c.want)
 		}
-	}
-	// The composed caps must match what the opened chain itself reports.
-	st, err := kv.Open("cache(8)+fault+mem", kv.OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if got := st.Capabilities(); got != (kv.Capabilities{Durable: true, SupportsSync: true}) {
-		t.Errorf("opened caps = %+v", got)
-	}
-	if got := kv.CapabilitiesOf(st); got != st.Capabilities() {
-		t.Errorf("CapabilitiesOf disagrees with OpenedStore: %+v", got)
+		// The chain's flags are its outermost store's.
+		if got := kv.CapabilitiesOf(st); got != st.Capabilities() {
+			t.Errorf("CapabilitiesOf disagrees with OpenedStore for %q: %+v", c.spec, got)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -89,7 +84,7 @@ func TestCapabilitiesOfDefaults(t *testing.T) {
 	}
 	// An unknown store keeps the pre-registry pass-through behavior.
 	unknown := struct{ kv.Store }{kv.NewMem()}
-	want := kv.Capabilities{Durable: true, Persistent: true, SupportsSync: true}
+	want := kv.Capabilities{Durable: true}
 	if got := kv.CapabilitiesOf(unknown); got != want {
 		t.Errorf("unknown-store caps = %+v, want %+v", got, want)
 	}
@@ -117,8 +112,8 @@ func TestOpenChainLayers(t *testing.T) {
 	if st.FaultLayer() == nil {
 		t.Error("FaultLayer() = nil")
 	}
-	if st.FindLayer(func(s kv.Store) bool { _, ok := s.(*kv.Mem); return ok }) == nil {
-		t.Error("FindLayer found no *kv.Mem terminal")
+	if _, ok := layers[2].(*kv.Mem); !ok {
+		t.Errorf("terminal layer is %T, want *kv.Mem", layers[2])
 	}
 	// A plain spec has no cache or fault layer to find.
 	plain, err := kv.Open("mem", kv.OpenOptions{})

@@ -6,6 +6,11 @@
 // implementations shipped with the repository are the in-memory Store in
 // this package and the persistent LSM store in internal/lsm (the
 // stand-in for RocksDB, which the paper's evaluation used).
+//
+// The contract a backend meets is Store — Get, Apply (the only write),
+// Scan, Sync and Close — plus, optionally, the one capability flag it
+// declares through Capable. The conformance suite in internal/kv/kvtest
+// is its executable form.
 package kv
 
 import "errors"
@@ -13,33 +18,33 @@ import "errors"
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("kv: store is closed")
 
-// Store is an ordered key-value map with batched, optionally synchronous
-// (durable) writes. Implementations must be safe for concurrent use.
+// Store is an ordered key-value map whose one write is a batch, applied
+// atomically and optionally synchronously (durably). Implementations must
+// be safe for concurrent use.
 //
-// Keys and values passed in are never aliased after the call returns;
-// implementations copy what they retain. Values handed out by Get/Scan
-// must not be modified by callers.
+// Batch keys are never aliased after Apply returns; batch values follow
+// the ownership rule of the Batch method that appended them. A value
+// handed out by Get must not be modified by callers and stays valid
+// after later writes of its key; a key and value handed to a Scan
+// callback are valid only until the callback returns.
 type Store interface {
 	// Get returns the value stored under key, with found reporting
 	// whether the key exists.
 	Get(key []byte) (value []byte, found bool, err error)
 
-	// Put stores value under key, replacing any existing value.
-	Put(key, value []byte) error
-
-	// Delete removes key. Deleting a missing key is not an error.
-	Delete(key []byte) error
-
-	// Apply atomically applies all operations in the batch. If sync is
-	// true, the batch is durable when Apply returns (for persistent
-	// stores this means an fsync'd log record — the paper's evaluation
-	// runs its base table with the sync option enabled to "guarantee
-	// failure atomicity").
+	// Apply atomically applies all operations in the batch, in order (a
+	// later op on the same key wins). If sync is true, the batch is
+	// durable when Apply returns (for persistent stores this means an
+	// fsync'd log record — the paper's evaluation runs its base table
+	// with the sync option enabled to "guarantee failure atomicity").
 	Apply(b *Batch, sync bool) error
 
 	// Scan calls fn for every key-value pair with start <= key < end in
-	// ascending key order. A nil start means the beginning; a nil end
-	// means the end. Scanning stops early when fn returns false.
+	// ascending key order, each key once. A nil start means the
+	// beginning; a nil end means the end. Scanning stops early when fn
+	// returns false. The key and value slices are valid only until fn
+	// returns — a store may reuse them for the next pair — so a caller
+	// that keeps either copies it.
 	Scan(start, end []byte, fn func(key, value []byte) bool) error
 
 	// Sync flushes all previously written data to stable storage.

@@ -15,7 +15,7 @@ func TestBlockCacheHitsOnRepeatedGets(t *testing.T) {
 	}
 	defer db.Close()
 	for i := 0; i < 64; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("key-%03d", i)), []byte("value")); err != nil {
+		if err := applyPut(db, []byte(fmt.Sprintf("key-%03d", i)), []byte("value"), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -78,7 +78,7 @@ func TestBlockCacheDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if err := db.Put([]byte("k"), []byte("v")); err != nil {
+	if err := applyPut(db, []byte("k"), []byte("v"), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {

@@ -21,12 +21,12 @@ import (
 // state for the scenarios below.
 func crashPut(t *testing.T, dir string, kvs map[string]string) {
 	t.Helper()
-	d, err := Open(dir, Options{SyncWrites: true})
+	d, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k, v := range kvs {
-		if err := d.Put([]byte(k), []byte(v)); err != nil {
+		if err := applyPut(d, []byte(k), []byte(v), true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -100,11 +100,11 @@ func TestCrashBetweenSSTableWriteAndManifest(t *testing.T) {
 func TestCrashBeforeOldWALRemoval(t *testing.T) {
 	leaktest.Check(t)
 	dir := t.TempDir()
-	d, err := Open(dir, Options{SyncWrites: true})
+	d, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Put([]byte("k"), []byte("old")); err != nil {
+	if err := applyPut(d, []byte("k"), []byte("old"), true); err != nil {
 		t.Fatal(err)
 	}
 	// Flush moves "k"="old" into an SSTable, rotates the WAL and unlinks
@@ -112,7 +112,7 @@ func TestCrashBeforeOldWALRemoval(t *testing.T) {
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Put([]byte("k"), []byte("new")); err != nil {
+	if err := applyPut(d, []byte("k"), []byte("new"), true); err != nil {
 		t.Fatal(err)
 	}
 	d.mu.RLock()
@@ -158,17 +158,17 @@ func TestCrashBeforeOldWALRemoval(t *testing.T) {
 func TestCrashTornWALAfterFlush(t *testing.T) {
 	leaktest.Check(t)
 	dir := t.TempDir()
-	d, err := Open(dir, Options{SyncWrites: true})
+	d, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Put([]byte("flushed"), []byte("1")); err != nil {
+	if err := applyPut(d, []byte("flushed"), []byte("1"), true); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Put([]byte("walled"), []byte("2")); err != nil {
+	if err := applyPut(d, []byte("walled"), []byte("2"), true); err != nil {
 		t.Fatal(err)
 	}
 	d.mu.RLock()
@@ -218,14 +218,14 @@ func TestCrashDuringCompactionLeavesOrphans(t *testing.T) {
 	leaktest.Check(t)
 	dir := t.TempDir()
 	want := map[string]string{}
-	d, err := Open(dir, Options{SyncWrites: true, DisableAutoCompaction: true})
+	d, err := Open(dir, Options{DisableAutoCompaction: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
 		k, v := string(rune('a'+i)), string(rune('0'+i))
 		want[k] = v
-		if err := d.Put([]byte(k), []byte(v)); err != nil {
+		if err := applyPut(d, []byte(k), []byte(v), true); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.Flush(); err != nil { // three L0 tables
@@ -271,11 +271,11 @@ func TestCrashDuringCompactionLeavesOrphans(t *testing.T) {
 // like a real latent sector error).
 func TestBlockCorruptionSurfacesOnRead(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(dir, Options{SyncWrites: true})
+	d, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Put([]byte("key"), []byte("value")); err != nil {
+	if err := applyPut(d, []byte("key"), []byte("value"), true); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Flush(); err != nil {
@@ -315,19 +315,19 @@ func TestBlockCorruptionSurfacesOnRead(t *testing.T) {
 // an orphaned table and mid-WAL corruption without ever opening the DB.
 func TestVerifyDirCleanAndCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(dir, Options{SyncWrites: true})
+	d, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if err := d.Put([]byte{byte('a' + i%26), byte(i)}, []byte{byte(i)}); err != nil {
+		if err := applyPut(d, []byte{byte('a' + i%26), byte(i)}, []byte{byte(i)}, true); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Put([]byte("in-wal"), []byte("x")); err != nil {
+	if err := applyPut(d, []byte("in-wal"), []byte("x"), true); err != nil {
 		t.Fatal(err)
 	}
 	var sstNum uint64

@@ -29,10 +29,6 @@ type dbFailure struct {
 // Options configures a DB. The zero value is usable; unset fields take the
 // defaults below.
 type Options struct {
-	// SyncWrites makes single-op Put/Delete durable before returning.
-	// Batched Apply takes an explicit per-call sync flag, matching the
-	// paper's setup where transactional commits are the synchronous unit.
-	SyncWrites bool
 	// MemtableBytes is the flush threshold (default 4 MiB).
 	MemtableBytes int
 	// BlockBytes is the SSTable data-block size (default 4 KiB).
@@ -490,20 +486,6 @@ func (d *DB) Get(key []byte) ([]byte, bool, error) {
 	return value, true, nil
 }
 
-// Put implements kv.Store.
-func (d *DB) Put(key, value []byte) error {
-	b := kv.NewBatch(1)
-	b.Put(key, value)
-	return d.Apply(b, d.opts.SyncWrites)
-}
-
-// Delete implements kv.Store.
-func (d *DB) Delete(key []byte) error {
-	b := kv.NewBatch(1)
-	b.Delete(key)
-	return d.Apply(b, d.opts.SyncWrites)
-}
-
 // Apply implements kv.Store: one WAL record, with sync one data-only sync
 // that makes the batch durable, then the memtable — a hash probe and a
 // copy per operation, on the caller's goroutine whatever the batch size.
@@ -744,7 +726,8 @@ func (d *DB) Compact() error {
 // Scan implements kv.Store. It merges the memtable, the immutable memtable
 // and all table levels and yields live (non-tombstone) entries in
 // ascending key order. The memtables are unordered, so each Scan first
-// sorts a private copy of their entries (Stats.MemOrderings).
+// sorts a private copy of their entries (Stats.MemOrderings). The key and
+// value passed to fn live in buffers the merge reuses for every row.
 //
 // The scan holds the database read lock for its whole duration, so fn must
 // not call back into the DB. Transactional reads in this repository are

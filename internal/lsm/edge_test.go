@@ -14,7 +14,7 @@ import (
 
 func TestEmptyAndLargeValues(t *testing.T) {
 	d := testDB(t, Options{})
-	if err := d.Put([]byte("empty"), []byte{}); err != nil {
+	if err := applyPut(d, []byte("empty"), []byte{}, false); err != nil {
 		t.Fatal(err)
 	}
 	v, ok, err := d.Get([]byte("empty"))
@@ -22,7 +22,7 @@ func TestEmptyAndLargeValues(t *testing.T) {
 		t.Fatalf("empty value: %v %v %v", v, ok, err)
 	}
 	big := bytes.Repeat([]byte("x"), 1<<20) // 1 MiB value, spans many blocks
-	if err := d.Put([]byte("big"), big); err != nil {
+	if err := applyPut(d, []byte("big"), big, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Flush(); err != nil {
@@ -45,7 +45,7 @@ func TestBinaryKeys(t *testing.T) {
 		[]byte("mixed\x00key"),
 	}
 	for i, k := range keys {
-		if err := d.Put(k, []byte{byte(i)}); err != nil {
+		if err := applyPut(d, k, []byte{byte(i)}, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,7 +80,7 @@ func TestManifestRotationOnReopen(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		for i := 0; i < 300; i++ {
-			if err := d.Put([]byte(fmt.Sprintf("r%d-k%03d", round, i)), []byte("v")); err != nil {
+			if err := applyPut(d, []byte(fmt.Sprintf("r%d-k%03d", round, i)), []byte("v"), false); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -113,7 +113,7 @@ func TestCurrentFileCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Put([]byte("k"), []byte("v"))
+	applyPut(d, []byte("k"), []byte("v"), false)
 	d.Close()
 	if err := os.WriteFile(currentPath(dir), []byte("GARBAGE\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestOrphanFilesCleanedOnOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Put([]byte("k"), []byte("v"))
+	applyPut(d, []byte("k"), []byte("v"), false)
 	d.Flush()
 	d.Close()
 	// Drop an orphan SSTable and WAL that no manifest references.
@@ -233,7 +233,7 @@ func sortStrings(s []string) {
 func TestDeleteHeavyCompaction(t *testing.T) {
 	d := testDB(t, smallOpts())
 	for i := 0; i < 2000; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), bytes.Repeat([]byte("v"), 32)); err != nil {
+		if err := applyPut(d, []byte(fmt.Sprintf("k%05d", i)), bytes.Repeat([]byte("v"), 32), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,7 +241,7 @@ func TestDeleteHeavyCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2000; i++ {
-		if err := d.Delete([]byte(fmt.Sprintf("k%05d", i))); err != nil {
+		if err := applyDelete(d, []byte(fmt.Sprintf("k%05d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -271,7 +271,7 @@ func TestWALSyncDurabilityBoundary(t *testing.T) {
 	}
 	// Unsynced write followed by synced write: both must be in the WAL
 	// (sync flushes everything before it).
-	if err := d.Put([]byte("unsynced"), []byte("1")); err != nil {
+	if err := applyPut(d, []byte("unsynced"), []byte("1"), false); err != nil {
 		t.Fatal(err)
 	}
 	b := kv.NewBatch(1)

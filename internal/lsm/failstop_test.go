@@ -82,7 +82,7 @@ func TestDBFailStopOnWALError(t *testing.T) {
 	}
 	defer d.Close()
 
-	if err := d.Put([]byte("k"), []byte("v")); err != nil {
+	if err := applyPut(d, []byte("k"), []byte("v"), false); err != nil {
 		t.Fatal(err)
 	}
 	// Kill the WAL fd underneath the DB: the next write must fail and
@@ -91,7 +91,7 @@ func TestDBFailStopOnWALError(t *testing.T) {
 	d.wal.f.Close()
 	d.mu.Unlock()
 
-	first := d.Put([]byte("k2"), []byte("v2"))
+	first := applyPut(d, []byte("k2"), []byte("v2"), false)
 	if first == nil {
 		t.Fatal("write on dead WAL succeeded")
 	}
@@ -103,7 +103,7 @@ func TestDBFailStopOnWALError(t *testing.T) {
 	}
 
 	// Subsequent writes fail fast with the wrapped sticky error.
-	if err := d.Put([]byte("k3"), []byte("v3")); !errors.Is(err, ErrDBFailed) {
+	if err := applyPut(d, []byte("k3"), []byte("v3"), false); !errors.Is(err, ErrDBFailed) {
 		t.Fatalf("write on failed DB = %v, want ErrDBFailed", err)
 	}
 	if err := d.Sync(); !errors.Is(err, ErrDBFailed) {

@@ -36,25 +36,39 @@ func smallOpts() Options {
 	}
 }
 
+// applyPut writes one key through Apply, synchronously when sync is set.
+func applyPut(d *DB, key, value []byte, sync bool) error {
+	b := kv.NewBatch(1)
+	b.Put(key, value)
+	return d.Apply(b, sync)
+}
+
+// applyDelete deletes one key through Apply.
+func applyDelete(d *DB, key []byte) error {
+	b := kv.NewBatch(1)
+	b.Delete(key)
+	return d.Apply(b, false)
+}
+
 func TestBasicCRUD(t *testing.T) {
 	d := testDB(t, Options{})
 	if _, ok, err := d.Get([]byte("a")); err != nil || ok {
 		t.Fatalf("empty get: %v %v", ok, err)
 	}
-	if err := d.Put([]byte("a"), []byte("1")); err != nil {
+	if err := applyPut(d, []byte("a"), []byte("1"), false); err != nil {
 		t.Fatal(err)
 	}
 	v, ok, err := d.Get([]byte("a"))
 	if err != nil || !ok || string(v) != "1" {
 		t.Fatalf("get: %q %v %v", v, ok, err)
 	}
-	if err := d.Put([]byte("a"), []byte("2")); err != nil {
+	if err := applyPut(d, []byte("a"), []byte("2"), false); err != nil {
 		t.Fatal(err)
 	}
 	if v, _, _ := d.Get([]byte("a")); string(v) != "2" {
 		t.Fatalf("overwrite: %q", v)
 	}
-	if err := d.Delete([]byte("a")); err != nil {
+	if err := applyDelete(d, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, _ := d.Get([]byte("a")); ok {
@@ -65,7 +79,7 @@ func TestBasicCRUD(t *testing.T) {
 func TestGetAfterFlush(t *testing.T) {
 	d := testDB(t, smallOpts())
 	for i := 0; i < 500; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte(fmt.Sprintf("val-%d", i))); err != nil {
+		if err := applyPut(d, []byte(fmt.Sprintf("key-%04d", i)), []byte(fmt.Sprintf("val-%d", i)), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,13 +99,13 @@ func TestGetAfterFlush(t *testing.T) {
 
 func TestDeleteShadowsFlushedValue(t *testing.T) {
 	d := testDB(t, smallOpts())
-	if err := d.Put([]byte("k"), []byte("v")); err != nil {
+	if err := applyPut(d, []byte("k"), []byte("v"), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Delete([]byte("k")); err != nil {
+	if err := applyDelete(d, []byte("k")); err != nil {
 		t.Fatal(err)
 	}
 	// Tombstone in memtable must shadow the SSTable value.
@@ -141,14 +155,14 @@ func TestReopenAfterCleanClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
+		if err := applyPut(d, []byte(fmt.Sprintf("k%03d", i)), []byte("v"), false); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Put([]byte("post-flush"), []byte("wal-only")); err != nil {
+	if err := applyPut(d, []byte("post-flush"), []byte("wal-only"), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
@@ -175,7 +189,7 @@ func TestTornWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+		if err := applyPut(d, []byte(fmt.Sprintf("k%d", i)), []byte("v"), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,7 +228,7 @@ func TestCorruptWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+		if err := applyPut(d, []byte(fmt.Sprintf("k%d", i)), []byte("v"), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -250,7 +264,7 @@ func TestCompactionReducesL0(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 5000; i++ {
 		k := []byte(fmt.Sprintf("key-%05d", rng.Intn(2000)))
-		if err := d.Put(k, bytes.Repeat([]byte{byte(i)}, 20)); err != nil {
+		if err := applyPut(d, k, bytes.Repeat([]byte{byte(i)}, 20), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -277,7 +291,7 @@ func TestCompactionReducesL0(t *testing.T) {
 func TestLevel1KeyRangesDisjoint(t *testing.T) {
 	d := testDB(t, smallOpts())
 	for i := 0; i < 8000; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("key-%06d", i)), bytes.Repeat([]byte("v"), 16)); err != nil {
+		if err := applyPut(d, []byte(fmt.Sprintf("key-%06d", i)), bytes.Repeat([]byte("v"), 16), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -301,7 +315,7 @@ func TestScanMergedAcrossLevels(t *testing.T) {
 	// Three generations of the same key range to exercise shadowing.
 	for gen := 0; gen < 3; gen++ {
 		for i := 0; i < 300; i++ {
-			if err := d.Put([]byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("g%d", gen))); err != nil {
+			if err := applyPut(d, []byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("g%d", gen)), false); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -309,7 +323,7 @@ func TestScanMergedAcrossLevels(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Delete([]byte("k0000")); err != nil {
+	if err := applyDelete(d, []byte("k0000")); err != nil {
 		t.Fatal(err)
 	}
 	var keys []string
@@ -337,7 +351,7 @@ func TestScanMergedAcrossLevels(t *testing.T) {
 func TestScanEarlyStop(t *testing.T) {
 	d := testDB(t, Options{})
 	for i := 0; i < 20; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
+		if err := applyPut(d, []byte(fmt.Sprintf("k%02d", i)), []byte("v"), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -364,7 +378,7 @@ func TestClosedErrors(t *testing.T) {
 	if _, _, err := d.Get([]byte("k")); err != kv.ErrClosed {
 		t.Fatalf("get: %v", err)
 	}
-	if err := d.Put([]byte("k"), nil); err != kv.ErrClosed {
+	if err := applyPut(d, []byte("k"), nil, false); err != kv.ErrClosed {
 		t.Fatalf("put: %v", err)
 	}
 	if err := d.Scan(nil, nil, nil); err != kv.ErrClosed {
@@ -378,7 +392,7 @@ func TestClosedErrors(t *testing.T) {
 func TestConcurrentReadersOneWriter(t *testing.T) {
 	d := testDB(t, smallOpts())
 	for i := 0; i < 1000; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("init")); err != nil {
+		if err := applyPut(d, []byte(fmt.Sprintf("k%04d", i)), []byte("init"), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -405,7 +419,7 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 	}
 	for i := 0; i < 5000; i++ {
 		k := []byte(fmt.Sprintf("k%04d", i%1000))
-		if err := d.Put(k, []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if err := applyPut(d, k, []byte(fmt.Sprintf("v%d", i)), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -431,13 +445,13 @@ func TestPropertyDBMatchesModel(t *testing.T) {
 			switch rng.Intn(10) {
 			case 0, 1, 2, 3:
 				v := fmt.Sprintf("v-%d", rng.Int())
-				if err := d.Put([]byte(k), []byte(v)); err != nil {
+				if err := applyPut(d, []byte(k), []byte(v), false); err != nil {
 					t.Log(err)
 					return false
 				}
 				model[k] = v
 			case 4, 5:
-				if err := d.Delete([]byte(k)); err != nil {
+				if err := applyDelete(d, []byte(k)); err != nil {
 					t.Log(err)
 					return false
 				}
@@ -772,7 +786,7 @@ func TestApplyBatchAtomicityAcrossReopen(t *testing.T) {
 func TestStatsShape(t *testing.T) {
 	d := testDB(t, smallOpts())
 	for i := 0; i < 2000; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("key-%05d", i)), bytes.Repeat([]byte("x"), 20)); err != nil {
+		if err := applyPut(d, []byte(fmt.Sprintf("key-%05d", i)), bytes.Repeat([]byte("x"), 20), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -802,7 +816,7 @@ func BenchmarkPutAsync(b *testing.B) {
 		for j := 0; j < 8; j++ {
 			key[j] = byte(i >> (8 * j))
 		}
-		if err := d.Put(key, val); err != nil {
+		if err := applyPut(d, key, val, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -834,7 +848,7 @@ func BenchmarkGetHot(b *testing.B) {
 	}
 	defer d.Close()
 	for i := 0; i < 10000; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("key-%05d", i)), bytes.Repeat([]byte("v"), 20)); err != nil {
+		if err := applyPut(d, []byte(fmt.Sprintf("key-%05d", i)), bytes.Repeat([]byte("v"), 20), false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -91,7 +91,7 @@ func BenchmarkApplySynced64(b *testing.B) {
 				k[at] = '0' + byte(n%10)
 				n /= 10
 			}
-			batch.PutOwned(k, val)
+			batch.PutHandle(k, val, nil)
 		}
 		if err := d.Apply(batch, sync); err != nil {
 			b.Fatal(err)

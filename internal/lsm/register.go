@@ -9,9 +9,7 @@ import (
 // Capabilities: the LSM store is the repository's durable backend — a
 // WAL + leveled SSTables rooted in a data directory, with Apply(sync)
 // and Sync as real fsync points.
-func (db *DB) Capabilities() kv.Capabilities {
-	return kv.Capabilities{Durable: true, Persistent: true, SupportsSync: true}
-}
+func (db *DB) Capabilities() kv.Capabilities { return kv.Capabilities{Durable: true} }
 
 // The LSM store self-registers as the "lsm" backend driver: specs are
 // "lsm:<dir>", or a bare "lsm" rooted at OpenOptions.Dir. Importing
@@ -28,9 +26,6 @@ func init() {
 				return nil, fmt.Errorf("lsm driver needs a data directory (spec \"lsm:<dir>\" or OpenOptions.Dir)")
 			}
 			return Open(dir, Options{})
-		},
-		Caps: func(kv.Capabilities) kv.Capabilities {
-			return kv.Capabilities{Durable: true, Persistent: true, SupportsSync: true}
 		},
 	})
 }

@@ -331,7 +331,7 @@ func TestOpenSurfacesWALRecoveryCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+		if err := applyPut(db, []byte(fmt.Sprintf("k%d", i)), []byte("v"), false); err != nil {
 			t.Fatal(err)
 		}
 	}

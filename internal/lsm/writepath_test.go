@@ -323,7 +323,7 @@ func TestFailStopSyncFailureLeavesMemtableUntouched(t *testing.T) {
 }
 
 // TestApplyNeverAliasesBatchKeys: the commit path hands Apply keys it
-// "owns" (Batch.PutOwned) yet rebuilds them in one reused arena every
+// "owns" (Batch.PutHandle) yet rebuilds them in one reused arena every
 // tenure, so the memtable must hold copies. Every batch here is built in
 // the same arena, which is scribbled over as soon as Apply returns; an
 // aliased key would change under the memtable, which the flush worker
@@ -351,7 +351,7 @@ func TestApplyNeverAliasesBatchKeys(t *testing.T) {
 			arena = key(arena, i)
 			v := len(arena)
 			arena = value(arena, i)
-			batch.PutOwned(arena[k:v:v], arena[v:len(arena):len(arena)])
+			batch.PutHandle(arena[k:v:v], arena[v:len(arena):len(arena)], nil)
 		}
 		if err := d.Apply(batch, b%64 == 0); err != nil {
 			t.Fatalf("batch %d: %v", b, err)

@@ -72,12 +72,12 @@ func commitThrough(t *testing.T, store kv.Store, opts TableOptions) {
 
 // TestSyncCommitsGatedOnCapabilities: with SyncCommits requested, the
 // group-commit leader asks the store for a sync point only when the
-// store declares SupportsSync.
+// store declares itself Durable.
 func TestSyncCommitsGatedOnCapabilities(t *testing.T) {
-	supports := newSyncRecorder(kv.Capabilities{Durable: true, SupportsSync: true})
+	supports := newSyncRecorder(kv.Capabilities{Durable: true})
 	commitThrough(t, supports, TableOptions{SyncCommits: true})
 	if applies, anySync := supports.observed(); applies == 0 || !anySync {
-		t.Errorf("SupportsSync store: applies=%d anySync=%v, want synced applies", applies, anySync)
+		t.Errorf("durable store: applies=%d anySync=%v, want synced applies", applies, anySync)
 	}
 
 	volatileStore := newSyncRecorder(kv.Capabilities{})
@@ -87,7 +87,7 @@ func TestSyncCommitsGatedOnCapabilities(t *testing.T) {
 	}
 
 	// Without SyncCommits no sync point is requested either way.
-	quiet := newSyncRecorder(kv.Capabilities{Durable: true, SupportsSync: true})
+	quiet := newSyncRecorder(kv.Capabilities{Durable: true})
 	commitThrough(t, quiet, TableOptions{})
 	if _, anySync := quiet.observed(); anySync {
 		t.Error("sync point requested without SyncCommits")
@@ -110,7 +110,7 @@ func TestTableCapabilities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := kv.Capabilities{Durable: true, Persistent: true, SupportsSync: true}
+	want := kv.Capabilities{Durable: true}
 	if got := anonTbl.Capabilities(); got != want {
 		t.Errorf("undeclared table caps = %+v, want %+v", got, want)
 	}

@@ -328,7 +328,7 @@ type storeBatch struct {
 	batch *kv.Batch
 	arena []byte // backing for all row keys of this batch
 	// vals backs the batch's watermark values. A store may keep a value
-	// by reference (kv.Batch.PutOwned), so this arena is only ever carved,
+	// by reference (kv.Batch.PutHandle), so this arena is only ever carved,
 	// never rewound: a full chunk is left to the stores and the GC.
 	vals []byte
 }
@@ -910,8 +910,8 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 				off := len(sb.arena)
 				sb.arena = e.table.appendRowKey(sb.arena, key)
 				rk := sb.arena[off:len(sb.arena):len(sb.arena)]
-				// Owned variants: the arena outlives the Apply, and the
-				// write-set values are immutable private copies. The row's
+				// Non-copying appends: the arena outlives the Apply, and
+				// the write-set values are immutable private copies. The row's
 				// handle lets a store that keeps per-key entries skip its
 				// own lookup.
 				if op.delete {
@@ -929,13 +929,13 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 	// One watermark per touched table: everything below maxCTS is durable
 	// together with it.
 	for _, tbl := range tables {
-		sb.batch.PutOwned(tbl.metaKey(), sb.watermark(maxCTS))
+		sb.batch.PutHandle(tbl.metaKey(), sb.watermark(maxCTS), nil)
 	}
-	// The sync point is requested only where the backend declares
-	// SupportsSync: a volatile backend has nothing to fsync, so the leader
+	// The sync point is requested only where the backend declares itself
+	// Durable: a volatile backend has nothing to fsync, so the leader
 	// skips the request instead of issuing one the store would silently
 	// ignore.
-	if err := p.ctx.store.Apply(sb.batch, synced && p.ctx.caps.SupportsSync); err != nil {
+	if err := p.ctx.store.Apply(sb.batch, synced && p.ctx.caps.Durable); err != nil {
 		// After a durability error the store's state is unknowable (it may
 		// hold any prefix of the batch). No version was installed yet, so
 		// memory is clean — but ONLY a restart can reconcile disk, and

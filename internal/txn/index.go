@@ -352,7 +352,7 @@ func (t *Table) CreateIndex(name string, extract IndexKeyFunc) (*Index, error) {
 		return nil, fmt.Errorf("txn: index %q: clear postings: %w", name, err)
 	}
 	if stale.Len() > 0 {
-		if err := t.ctx.store.Apply(stale, t.opts.SyncCommits && t.ctx.caps.SupportsSync); err != nil {
+		if err := t.ctx.store.Apply(stale, t.opts.SyncCommits && t.ctx.caps.Durable); err != nil {
 			return nil, fmt.Errorf("txn: index %q: clear postings: %w", name, err)
 		}
 	}

@@ -206,10 +206,12 @@ func TestIndexWritesNoStoreRows(t *testing.T) {
 	t.Cleanup(func() { mem.Close() })
 	// Stale posting rows of the index about to be created, and one of
 	// another index that must be left alone.
+	stale := kv.NewBatch(3)
 	for _, k := range []string{"i/rows/bucket/a\x00k1", "i/rows/bucket/b\x00k2", "i/rows/other/a\x00k1"} {
-		if err := mem.Put([]byte(k), nil); err != nil {
-			t.Fatal(err)
-		}
+		stale.Put([]byte(k), nil)
+	}
+	if err := mem.Apply(stale, false); err != nil {
+		t.Fatal(err)
 	}
 	store := &recordingStore{Store: mem}
 	tbl, err := ctx.CreateTable("rows", store, TableOptions{})

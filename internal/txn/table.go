@@ -110,7 +110,7 @@ func (t *Table) ID() StateID { return t.id }
 // the context's, captured at its first CreateTable. The group-commit
 // leader consults them:
 // SyncCommits requests a sync point only where the backend declares
-// SupportsSync — over a volatile backend the fsync is skipped honestly
+// itself Durable — over a volatile backend the fsync is skipped honestly
 // instead of requested and silently ignored.
 func (t *Table) Capabilities() kv.Capabilities { return t.ctx.caps }
 

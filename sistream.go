@@ -132,10 +132,9 @@ type (
 	Store = kv.Store
 	// LSMOptions configures the persistent store.
 	LSMOptions = lsm.Options
-	// StoreCapabilities are the per-backend capability flags a storage
-	// adapter declares (Durable, Persistent, SupportsSync); the
-	// group-commit leader consults them to skip sync points over
-	// backends that have none.
+	// StoreCapabilities are the capability flags a store declares about
+	// itself — one, Durable; the group-commit leader consults it to skip
+	// sync points over backends that have none.
 	StoreCapabilities = kv.Capabilities
 	// StoreDriver is one registered storage adapter (RegisterStore).
 	StoreDriver = kv.Driver
@@ -234,12 +233,8 @@ var (
 	RegisterStore = kv.Register
 	// StoreDrivers lists the registered storage adapter names.
 	StoreDrivers = kv.Drivers
-	// StoreSpecCaps validates a backend spec and returns its composed
-	// capability flags without opening anything.
-	StoreSpecCaps = kv.SpecCaps
 	// StoreCapabilitiesOf returns a store's declared capability flags
-	// (the conservative durable/persistent/sync default for stores that
-	// declare none).
+	// (the conservative durable default for stores that declare none).
 	StoreCapabilitiesOf = kv.CapabilitiesOf
 	// NewCacheStore wraps a store in the cache tier directly (the
 	// "cache(n)+..." spec layer does the same through OpenStore).
