@@ -14,6 +14,7 @@ package sistream_test
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sync/atomic"
@@ -23,6 +24,7 @@ import (
 	"sistream"
 	"sistream/internal/kv"
 	"sistream/internal/lsm"
+	"sistream/internal/txn"
 )
 
 // costBudget is one row: measure runs the work and returns the objects
@@ -83,6 +85,27 @@ func TestCostBudgets(t *testing.T) {
 			name: "si commit 8 rows", unit: "txn",
 			allocs: 10, bytes: 640, pooled: true,
 			measure: func(t *testing.T) (float64, float64) { return commitCost(t, 8) },
+		},
+		{
+			// One SI transaction rewriting 100 cold rows of a 100 000-row
+			// mem table whose keys are visited in one shuffled cycle, the
+			// shape of BenchmarkCommitColdRows: 102 allocations,
+			// 2 780–2 810 B — one value copy per row, the transaction and
+			// its Done channel.
+			name: "si commit 100 cold rows", unit: "txn",
+			allocs: 102, bytes: 3072, pooled: true,
+			measure: coldCommitCost,
+		},
+		{
+			// One SI transaction rewriting 10 of 1 000 rows of a mem table
+			// with a bucket index (the first byte of the value), every
+			// row's bucket flipping once per pass over the keys, the shape
+			// of BenchmarkIndexedCommit: 12 allocations, 616 B, of the same
+			// three kinds; moving a row back into a set it was a candidate
+			// of allocates nothing.
+			name: "indexed commit 10 rows", unit: "txn",
+			allocs: 12, bytes: 704, pooled: true,
+			measure: indexedCommitCost,
 		},
 		{
 			// A Snapshot over two tables of two groups, 20 Gets (10 per
@@ -196,6 +219,79 @@ func commitCost(t *testing.T, rows int) (allocs, bytes float64) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// coldCommitCost returns the allocations and bytes per SI transaction that
+// rewrites 100 rows of a 100 000-row mem table, taking the keys in one
+// shuffled cycle so that every row is out of cache when it is written.
+func coldCommitCost(t *testing.T) (allocs, bytes float64) {
+	const tableRows, txnRows = 100_000, 100
+	store := sistream.NewMemStore()
+	defer store.Close()
+	keys := make([]string, tableRows)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%07d", i)
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	tbl, p := budgetTable(t, sistream.NewContext(), store, "cold", keys)
+	value := []byte("a-payload-of-some-bytes")
+	ops := make([]txn.WriteOp, txnRows)
+	next := 0
+	return perRun(1000, func() {
+		for i := range ops {
+			ops[i] = txn.WriteOp{Key: keys[next], Value: value}
+			next = (next + 1) % tableRows
+		}
+		commitOps(t, p, tbl, ops)
+	})
+}
+
+// indexedCommitCost returns the allocations and bytes per SI transaction
+// that rewrites 10 of 1 000 rows of a mem table with one bucket index. The
+// value, and with it every row's bucket, changes once per pass over the
+// keys, so each pass moves every row into the other bucket's candidates.
+func indexedCommitCost(t *testing.T) (allocs, bytes float64) {
+	const tableRows, txnRows = 1000, 10
+	store := sistream.NewMemStore()
+	defer store.Close()
+	keys := make([]string, tableRows)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%04d", i)
+	}
+	tbl, p := budgetTable(t, sistream.NewContext(), store, "indexed", keys)
+	bucket := func(_ string, v []byte) (string, bool) {
+		if len(v) == 0 {
+			return "", false
+		}
+		return string(v[:1]), true
+	}
+	if _, err := tbl.CreateIndex("bucket", bucket); err != nil {
+		t.Fatal(err)
+	}
+	values := [2][]byte{[]byte("a-payload-of-some-bytes"), []byte("b-payload-of-some-bytes")}
+	ops := make([]txn.WriteOp, txnRows)
+	n := 0
+	return perRun(2000, func() {
+		for i := range ops {
+			ops[i] = txn.WriteOp{Key: keys[(n*txnRows+i)%tableRows], Value: values[(n*txnRows/tableRows)%2]}
+		}
+		n++
+		commitOps(t, p, tbl, ops)
+	})
+}
+
+// commitOps commits ops on tbl as one SI transaction.
+func commitOps(t *testing.T, p sistream.Protocol, tbl *sistream.Table, ops []txn.WriteOp) {
+	tx, err := p.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.WriteBatch(tx, tbl, ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // snapshotGetCost returns the allocations and bytes of a Snapshot over two

@@ -117,8 +117,9 @@ func (s *Mem) Get(key []byte) ([]byte, bool, error) {
 }
 
 // applyScratch recycles the per-shard grouping buffers of Apply so the
-// write hot path does not regrow 16 op slices on every batch.
-var applyScratch = sync.Pool{New: func() any { return new([memShards][]Op) }}
+// write hot path does not regrow 16 slices on every batch. A shard's
+// buffer holds the positions of its ops in the batch, not copies of them.
+var applyScratch = sync.Pool{New: func() any { return new([memShards][]int32) }}
 
 // Apply implements Store. The batch is applied under per-shard locks in
 // shard order, so concurrent readers of a single key never observe a torn
@@ -134,16 +135,18 @@ func (s *Mem) Apply(b *Batch, _ bool) error {
 	if err := s.check(); err != nil {
 		return err
 	}
+	ops := b.Ops()
+	s.touchEntries(ops)
 	// Group ops per shard to take each lock once.
-	perShard := applyScratch.Get().(*[memShards][]Op)
-	for _, op := range b.Ops() {
+	perShard := applyScratch.Get().(*[memShards][]int32)
+	for k := range ops {
 		var i int
-		if e := s.trusted(op.Handle); e != nil {
+		if e := s.trusted(ops[k].Handle); e != nil {
 			i = int(e.shard)
 		} else {
-			i = shardFor(op.Key)
+			i = shardFor(ops[k].Key)
 		}
-		perShard[i] = append(perShard[i], op)
+		perShard[i] = append(perShard[i], int32(k))
 	}
 	for i := range perShard {
 		if len(perShard[i]) == 0 {
@@ -151,7 +154,8 @@ func (s *Mem) Apply(b *Batch, _ bool) error {
 		}
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for _, op := range perShard[i] {
+		for _, k := range perShard[i] {
+			op := &ops[k]
 			if op.Kind == OpDelete {
 				sh.del(op.Key)
 				if op.Handle != nil {
@@ -169,15 +173,26 @@ func (s *Mem) Apply(b *Batch, _ bool) error {
 			}
 		}
 		sh.mu.Unlock()
-	}
-	for i := range perShard {
-		// Drop the op references (they pin key/value buffers) but keep
-		// the grown backing arrays for the next batch.
-		clear(perShard[i])
+		// Keep the grown backing array for the next batch.
 		perShard[i] = perShard[i][:0]
 	}
 	applyScratch.Put(perShard)
 	return nil
+}
+
+// touchEntries loads the entry of every trusted handle among ops, a
+// gather pass in the form txn's touchSlots documents: the grouping and
+// the stores that follow find the entries in cache.
+//
+//go:noinline
+func (s *Mem) touchEntries(ops []Op) uint64 {
+	var sum uint64
+	for i := range ops {
+		if e := s.trusted(ops[i].Handle); e != nil {
+			sum += uint64(e.shard)
+		}
+	}
+	return sum
 }
 
 // Scan implements Store. It snapshots the matching keys under shard read

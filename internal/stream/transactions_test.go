@@ -197,20 +197,37 @@ func TestTransactionsOwnNoGoroutine(t *testing.T) {
 		name   string
 		budget int
 		build  func(s *Stream, e *streamEnv) *Stream
+		// feed adds a 2-partition change feed of t1 to the topology:
+		// FromTablePartitioned→Reparallelize(2)→Merge→Sink.
+		feed bool
 	}{
 		{"one ToTable", 2, func(s *Stream, e *streamEnv) *Stream {
 			s, _ = s.Transactions(e.p).ToTable(e.p, e.t1)
 			return s
-		}},
+		}, false},
 		{"two ToTables", 2, func(s *Stream, e *streamEnv) *Stream {
 			s, _ = s.Transactions(e.p, e.t1, e.t2).ToTable(e.p, e.t1)
 			s, _ = s.ToTable(e.p, e.t2)
 			return s
-		}},
+		}, false},
 		{"ToTable then TableJoin", 3, func(s *Stream, e *streamEnv) *Stream {
 			s, _ = s.Transactions(e.p).ToTable(e.p, e.t1)
 			return s.TableJoin("join", e.p, e.t2, func(j Joined) (Tuple, bool) { return j.Stream, true })
-		}},
+		}, false},
+		// The source, the router, two lanes, the merge's closer and spine
+		// worker, the Sink.
+		{"Parallelize(2) ToTable MergeBatched(8)", 7, func(s *Stream, e *streamEnv) *Stream {
+			r := s.Transactions(e.p).Parallelize(2, nil)
+			r.ToTable(e.p, e.t1)
+			return r.MergeBatched("merge", 8)
+		}, false},
+		// The source and Sink; the feed's dispatcher, its two partitions,
+		// the Merge's two lanes and closer (Reparallelize fuses lane for
+		// lane), its Sink.
+		{"one ToTable and a 2-partition feed", 9, func(s *Stream, e *streamEnv) *Stream {
+			s, _ = s.Transactions(e.p).ToTable(e.p, e.t1)
+			return s
+		}, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			leaktest.Check(t)
@@ -226,6 +243,12 @@ func TestTransactionsOwnNoGoroutine(t *testing.T) {
 				<-release
 				return nil
 			}).Punctuate(5)
+			stopFeed := func() {}
+			if c.feed {
+				var region *ParallelRegion
+				region, stopFeed = FromTablePartitioned(top, e.t1, 2, nil)
+				region.Reparallelize("repart", 2, nil).Merge("feedmerge").Sink("feedsink", func(Element) {})
+			}
 			c.build(src, e).Sink("sink", func(el Element) {
 				if el.Kind == KindCommit {
 					select {
@@ -245,6 +268,7 @@ func TestTransactionsOwnNoGoroutine(t *testing.T) {
 				n = runtime.NumGoroutine() - base
 			}
 			close(release)
+			stopFeed()
 			if err := top.Wait(); err != nil {
 				t.Fatal(err)
 			}

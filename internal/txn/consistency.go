@@ -304,6 +304,7 @@ func (p *protocolBase) bufferWrites(tx *Txn, tbl *Table, ops []WriteOp, adopt bo
 	}
 	e := tx.entry(tbl)
 	e.grow(len(ops))
+	touchKeys(ops)
 	for i := range ops {
 		op := &ops[i]
 		w := writeOp{hash: keyHash(op.Key), delete: op.Delete}

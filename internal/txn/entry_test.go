@@ -389,23 +389,38 @@ func BenchmarkCommitEntry(b *testing.B) {
 // a row is written again only after every other row was — its index slot,
 // row, version object and store entry are out of cache by then, as on a
 // large table under a stream. BenchmarkCommitEntry's 100 hot keys never
-// miss. Reports ns per written row.
+// miss. Reports ns per written row. The indexed case adds one bucket
+// index (valueBucket) and flips the value's bucket on every pass over the
+// keys, so every write moves its row between two cold candidate sets, as
+// mixed-index-mem's writes do about every second time.
 func BenchmarkCommitColdRows(b *testing.B) {
+	b.Run("plain", func(b *testing.B) { benchCommitColdRows(b, false) })
+	b.Run("indexed", func(b *testing.B) { benchCommitColdRows(b, true) })
+}
+
+func benchCommitColdRows(b *testing.B, indexed bool) {
 	const tableRows, txnRows = 100_000, 100
 	keys := make([]string, tableRows)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k%07d", i)
 	}
 	rand.New(rand.NewSource(1)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-	val := []byte("a-payload-of-some-bytes")
+	vals := [2][]byte{[]byte("a-payload-of-some-bytes"), []byte("b-payload-of-some-bytes")}
 	e := newEnv(b)
 	p := NewSI(e.ctx)
+	if indexed {
+		if _, err := e.t1.CreateIndex("bucket", valueBucket); err != nil {
+			b.Fatal(err)
+		}
+	}
 	ops := make([]WriteOp, txnRows)
-	next := 0
+	next, pass := 0, 0
 	commit := func() {
 		for i := range ops {
-			ops[i] = WriteOp{Key: keys[next], Value: val}
-			next = (next + 1) % tableRows
+			ops[i] = WriteOp{Key: keys[next], Value: vals[pass%2]}
+			if next = (next + 1) % tableRows; next == 0 && indexed {
+				pass++
+			}
 		}
 		tx, err := p.Begin()
 		if err != nil {

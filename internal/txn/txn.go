@@ -192,9 +192,8 @@ func (e *stateEntry) get(key string) (writeOp, bool) {
 // The row's transaction stamp finds the duplicates; order and ops are
 // compacted in place. Caller holds the table's group commit latch.
 //
-// The probes run in two passes: the first touches the first slot of every
-// key, so their cache misses overlap instead of each waiting for the
-// previous probe; the second probes.
+// A gather pass (touchSlots) first loads every key's first slot and the
+// row it holds; the probes that follow find them in cache.
 func (e *stateEntry) resolve(id ID) {
 	t := e.table
 	touchSlots(t, e.ops)
@@ -217,8 +216,26 @@ func (e *stateEntry) resolve(id ID) {
 	e.ops, e.order = e.ops[:n], e.order[:n]
 }
 
-// touchSlots loads the first index slot of every op's key and returns a
-// value derived from them, so the loads are not optimised away.
+// touchSlots is the gather pass of resolve: for every op's key it loads
+// the key's first index slot and, when the slot's stored hash is the
+// key's, the first line of the row the slot holds — the line of the key
+// compare, the row's stamps and admission's marks. Loading the row's
+// other lines too (its version slots, store handle and index memo) did
+// not pay (DESIGN.md, "Gather passes").
+//
+// A gather pass is how the commit path takes the cache misses of a
+// batch's keys: a phase that follows, key by key, a pointer to memory a
+// cold key has out of cache — the key's bytes, its slot and row, its
+// store entry — is preceded by a tight loop that only loads what the
+// phase will follow. The loads of one iteration do not wait for the
+// previous iteration's, and an iteration is a few instructions, so the
+// CPU keeps the misses of many keys in flight at once; a probe, an append
+// or a hash between two keys' loads keeps only one or two. Every pass has
+// one form: a //go:noinline function that returns a value derived from
+// what it loaded, so that the compiler can neither drop the loads nor
+// merge the pass into the loop after it. Callers ignore the value. The
+// passes are touchKeys (bufferWrites), touchSlots (resolve) and
+// kv.Mem's touchEntries (Apply).
 //
 //go:noinline
 func touchSlots(t *Table, ops []writeOp) uint64 {
@@ -226,7 +243,23 @@ func touchSlots(t *Table, ops []writeOp) uint64 {
 	for i := range ops {
 		h := ops[i].hash
 		if sh := t.shard(h); len(sh.slots) > 0 {
-			sum += sh.slots[h&uint64(len(sh.slots)-1)].hash
+			if s := &sh.slots[h&uint64(len(sh.slots)-1)]; s.hash == h && s.row != nil {
+				sum += uint64(s.row.klen)
+			}
+		}
+	}
+	return sum
+}
+
+// touchKeys is the gather pass of bufferWrites (see touchSlots): it loads
+// the first byte of every op's key, which the key's hash then reads.
+//
+//go:noinline
+func touchKeys(ops []WriteOp) uint64 {
+	var sum uint64
+	for i := range ops {
+		if k := ops[i].Key; len(k) > 0 {
+			sum += uint64(k[0])
 		}
 	}
 	return sum
