@@ -58,22 +58,33 @@ const (
 	pinned          // a snapshot held at one commit while the key moves on
 )
 
-// FuzzObjectModel runs fuzzed scripts of installs, deletes, GC, Retained
-// and reads against a replayed history. The first byte picks the slot
-// count (1–4); each following byte pair is an op and its argument. Reader
-// modes move the horizon: no reader, one trailing the latest commit, or a
-// snapshot pinned at one commit. After every op, a read at any rts at or
-// above the horizon matches the history; Capacity never shrinks; while no
-// reader has ever held the horizon back the object never grows, so
-// LiveVersions stays within the slot count, and with no reader a GC leaves
-// at most the live version; and Retained yields the retained values oldest
-// first — a subsequence of the history holding every version the horizon
-// still protects, exactly those right after a GC, as many as LiveVersions.
+// FuzzObjectModel runs fuzzed scripts of installs, deletes, recovery
+// seeds, GC, Retained and reads against a replayed history. The first
+// byte picks the slot count (1–4); each following byte pair is an op and
+// its argument. Reader modes move the horizon: no reader, one trailing the
+// latest commit, or a snapshot pinned at one commit. After every op, a
+// read at any rts at or above the horizon matches the history, and every
+// version the horizon still protects is read at the first rts at or above
+// the horizon where it is visible — also right after a return to the
+// inline layout; the writer's order is the occupied slots in cts order and
+// its free tail exactly the unoccupied ones (checkOrder); capacity only
+// shrinks back to DefaultSlots, by an install on a default-sized object;
+// while no reader has ever held the horizon back the object never grows,
+// so LiveVersions stays within the slot count, and with no reader a GC
+// leaves at most the live version; and Retained yields the retained values
+// oldest first — a subsequence of the history holding every version the
+// horizon still protects, exactly those right after a GC, as many as
+// LiveVersions.
 func FuzzObjectModel(f *testing.F) {
 	f.Add([]byte{0, 0, 5, 0, 9, 4, 0, 0, 3})
 	f.Add([]byte{1, 3, 2, 0, 1, 0, 30, 0, 2, 1, 0, 0, 7, 5, 0, 3, 0, 4, 0, 0, 1})
 	f.Add([]byte{3, 3, 1, 0, 0, 0, 1, 2, 0, 0, 2, 0, 3, 4, 0, 5, 9, 3, 2, 0, 4})
 	f.Add([]byte{2, 3, 2, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 3, 0, 0, 6, 4, 0, 5, 1})
+	// Default-sized: grow to 4 slots under a pin, return inline after 32
+	// installs trailing the latest commit.
+	f.Add(append([]byte{1, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 0, 1}, bytes.Repeat([]byte{0, 0}, 33)...))
+	// Delete, sweep the tombstone away, seed the empty object by recovery.
+	f.Add([]byte{3, 0, 0, 0, 0, 1, 0, 3, 0, 6, 0, 0, 0, 5, 3})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) == 0 {
 			return
@@ -105,16 +116,19 @@ func FuzzObjectModel(f *testing.F) {
 			t.Fatalf("NewObject(%d).Capacity() = %d", slots, capacity)
 		}
 		for i := 1; i+1 < len(script); i += 2 {
-			op, arg := script[i]%6, script[i+1]
-			afterGC := false
+			op, arg := script[i]%7, script[i+1]
+			afterGC, installed := false, false
+			var oldestActive Timestamp
 			switch op {
 			case 0, 1: // install a value, or delete
 				cts := m.latest + Timestamp(arg%3) + 1
 				value := strconv.FormatUint(cts, 10) + ":" + string(bytes.Repeat([]byte{'x'}, int(arg)%24))
-				if err := o.Install(cts, []byte(value), op == 1, horizonFor(cts)); err != nil {
+				oldestActive = horizonFor(cts)
+				if err := o.Install(cts, []byte(value), op == 1, oldestActive); err != nil {
 					t.Fatal(err)
 				}
 				m.install(cts, value, op == 1)
+				installed = true
 				if mode != unpinned {
 					heldBack = true
 				}
@@ -131,9 +145,18 @@ func FuzzObjectModel(f *testing.F) {
 			case 4: // Retained, checked below after every op
 			case 5: // a probe at a chosen offset above the horizon
 				rtsProbe = Timestamp(arg)
+			case 6: // recovery seeds an object that holds no version
+				if o.LiveVersions() != 0 {
+					break
+				}
+				cts := m.latest + Timestamp(arg%3) + 1
+				value := strconv.FormatUint(cts, 10) + ":r"
+				o.InstallRecovered(cts, []byte(value))
+				m.install(cts, value, false)
 			}
 
-			if c := o.Capacity(); c < capacity {
+			checkOrder(t, o)
+			if c := o.Capacity(); c < capacity && (!installed || slots != DefaultSlots || c != DefaultSlots) {
 				t.Fatalf("op %d: capacity shrank from %d to %d", i, capacity, c)
 			} else {
 				capacity = c
@@ -143,13 +166,28 @@ func FuzzObjectModel(f *testing.F) {
 				t.Fatalf("op %d: %d live versions, capacity %d, in %d slots with no reader holding the horizon", i, live, capacity, slots)
 			}
 
+			// A reader the last install protected may still read at its
+			// horizon.
 			horizon := horizonFor(m.latest)
+			if installed {
+				horizon = min(horizon, oldestActive)
+			}
 			probes := []Timestamp{horizon, m.latest, m.latest + 1, Infinity, horizon + rtsProbe%(m.latest-horizon+2)}
 			for _, rts := range probes {
 				want, wantOK := m.read(rts)
 				got, ok := o.Read(rts)
 				if ok != wantOK || string(got) != want {
 					t.Fatalf("op %d: Read(%d) = %q,%v; history says %q,%v (horizon %d)", i, rts, got, ok, want, wantOK, horizon)
+				}
+			}
+
+			for _, v := range m.versions {
+				if v.dts != 0 && v.dts <= horizon {
+					continue
+				}
+				rts := max(v.cts, horizon)
+				if got, ok := o.Read(rts); !ok || string(got) != v.value {
+					t.Fatalf("op %d: Read(%d) = %q,%v; the horizon %d protects %q", i, rts, got, ok, horizon, v.value)
 				}
 			}
 
@@ -172,6 +210,39 @@ func FuzzObjectModel(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkOrder checks the writer's view of a spilled object against its
+// slots: order holds every slot index once, its first n entries from head
+// are the occupied slots in ascending cts order, and the rest are exactly
+// the free ones.
+func checkOrder(t *testing.T, o *Object) {
+	t.Helper()
+	sp := o.spill.Load()
+	if sp == nil {
+		return
+	}
+	capacity := sp.inline + len(sp.slots)
+	if len(sp.order) != capacity || sp.head < 0 || sp.head >= capacity || sp.n < 0 || sp.n > capacity {
+		t.Fatalf("order of %d entries, head %d, n %d, for %d slots", len(sp.order), sp.head, sp.n, capacity)
+	}
+	seen := make([]bool, capacity)
+	var prev Timestamp
+	for i := range capacity {
+		j := sp.index(i)
+		if j < 0 || j >= capacity || seen[j] {
+			t.Fatalf("order %v (head %d) is not a permutation of the %d slots", sp.order, sp.head, capacity)
+		}
+		seen[j] = true
+		cts := o.at(sp, i).cts.Load()
+		switch {
+		case i < sp.n && cts <= prev:
+			t.Fatalf("order position %d: slot %d has cts %d after cts %d", i, j, cts, prev)
+		case i >= sp.n && cts != 0:
+			t.Fatalf("order position %d of the free tail: slot %d holds cts %d", i, j, cts)
+		}
+		prev = cts
+	}
 }
 
 // isSubsequence reports whether sub is a subsequence of seq.

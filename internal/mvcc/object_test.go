@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"iter"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -166,6 +167,84 @@ func TestGrowthBeyondOneBitVectorWord(t *testing.T) {
 	}
 }
 
+// TestSpillReturnsInline: a default-sized object that spilled under a pin
+// returns to the inline layout once it has gone calmRounds times as many
+// installs as it has slots needing no more than the inline ones, keeping
+// the live version and the one a reader at the previous commit still
+// reads; an object sized by Init keeps its size.
+func TestSpillReturnsInline(t *testing.T) {
+	for _, slots := range []int{DefaultSlots, 3} {
+		o := NewObject(slots)
+		cts := Timestamp(0)
+		install := func(oldestActive Timestamp) {
+			t.Helper()
+			cts++
+			if err := o.Install(cts, []byte(fmt.Sprintf("v%d", cts)), false, oldestActive); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 6 { // a snapshot pinned at 0 holds every version
+			install(0)
+		}
+		grown := o.Capacity()
+		if grown < 6 {
+			t.Fatalf("slots %d: capacity %d after 6 pinned installs", slots, grown)
+		}
+		for i := range calmRounds*grown - 1 { // a reader trailing the latest commit
+			install(cts)
+			if o.Capacity() != grown {
+				t.Fatalf("slots %d: capacity %d after %d calm installs, want %d until %d", slots, o.Capacity(), i+1, grown, calmRounds*grown)
+			}
+		}
+		install(cts)
+		want := grown
+		if slots == DefaultSlots {
+			want = DefaultSlots
+		}
+		if o.Capacity() != want {
+			t.Fatalf("slots %d: capacity %d after %d calm installs, want %d", slots, o.Capacity(), calmRounds*grown, want)
+		}
+		for rts, v := range map[Timestamp]string{cts - 1: fmt.Sprintf("v%d", cts-1), cts: fmt.Sprintf("v%d", cts)} {
+			if got, ok := o.Read(rts); !ok || string(got) != v {
+				t.Fatalf("slots %d: Read(%d) = %q,%v after the return, want %q", slots, rts, got, ok, v)
+			}
+		}
+		if slots == DefaultSlots && o.LiveVersions() != DefaultSlots {
+			t.Fatalf("%d versions after the return, want the %d kept", o.LiveVersions(), DefaultSlots)
+		}
+	}
+}
+
+// TestRecurringPinsKeepTheSpill: a key rewritten under a snapshot pin
+// that recurs after a few calm installs keeps its array — no grow and
+// return per pin. Here the first two pins grow the object to 8 slots, and
+// the 4 calm installs between pins never return it inline.
+func TestRecurringPinsKeepTheSpill(t *testing.T) {
+	o := NewObject(0)
+	cts := Timestamp(0)
+	for round := range 50 {
+		pin := cts
+		grows := 0
+		for i := range 8 {
+			oldestActive := cts
+			if i < 4 { // four installs under the pin, four calm ones
+				oldestActive = pin
+			}
+			before := o.Capacity()
+			cts++
+			if err := o.Install(cts, []byte("v"), false, oldestActive); err != nil {
+				t.Fatal(err)
+			}
+			if o.Capacity() > before {
+				grows++
+			}
+		}
+		if round > 1 && (grows > 0 || o.Capacity() != 8) {
+			t.Fatalf("round %d: %d grows under a recurring pin, capacity %d, want none and 8", round, grows, o.Capacity())
+		}
+	}
+}
+
 func TestExplicitGC(t *testing.T) {
 	o := NewObject(8)
 	for cts := Timestamp(1); cts <= 5; cts++ {
@@ -290,16 +369,32 @@ func TestPropertyVisibility(t *testing.T) {
 	}
 }
 
-// TestConcurrentReadersDuringInstalls hammers an object with concurrent
-// snapshot reads while versions are installed, asserting that each reader
-// observes internally consistent values (value matches the snapshot).
+// TestConcurrentReadersDuringInstalls hammers a default-sized object with
+// concurrent reads while versions are installed: unpinned readers at the
+// latest commit must never see a version from the future, and pinned
+// readers — a snapshot at the latest commit, held in the writer's horizon
+// — must read exactly their version, also while the object spills and
+// returns to the inline layout under them. The writer alternates a few
+// installs under a pin of its own, which spill the object, with calm ones,
+// before each of which it waits until every pinned reader holds the latest
+// commit and one does, so the object returns inline while a reader holds
+// the version the return may move.
 func TestConcurrentReadersDuringInstalls(t *testing.T) {
-	o := NewObject(8)
+	const readers, installs = 4, 12000
+	o := NewObject(0)
+	var (
+		mu   sync.Mutex
+		pins [readers]Timestamp // 0: not pinned
+	)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for r := 0; r < readers; r++ {
+		wg.Add(2)
+		go func() { // unpinned
 			defer wg.Done()
 			for {
 				select {
@@ -307,6 +402,7 @@ func TestConcurrentReadersDuringInstalls(t *testing.T) {
 					return
 				default:
 				}
+				runtime.Gosched() // the writer waits on the pinned readers
 				latest := o.LatestCTS()
 				if v, ok := o.Read(latest); ok {
 					// Value encodes its cts; it must be <= our snapshot.
@@ -319,19 +415,76 @@ func TestConcurrentReadersDuringInstalls(t *testing.T) {
 				}
 			}
 		}()
+		go func() { // pinned
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				mu.Lock()
+				rts := o.LatestCTS()
+				pins[r] = rts
+				mu.Unlock()
+				for range 1 + i%8 {
+					if v, ok := o.Read(rts); rts > 0 && (!ok || string(v) != fmt.Sprintf("v%d", rts)) {
+						t.Errorf("pinned at %d: Read = %q,%v, want v%d (capacity %d)", rts, v, ok, rts, o.Capacity())
+						return
+					}
+				}
+				mu.Lock()
+				pins[r] = 0
+				mu.Unlock()
+				runtime.Gosched()
+			}
+		}()
 	}
-	for cts := Timestamp(1); cts <= 3000; cts++ {
-		// oldestActive tracks closely so GC constantly runs.
-		old := Timestamp(0)
-		if cts > 4 {
-			old = cts - 4
+	returns, pinnedAcross := 0, 0
+	var held Timestamp // the writer's own pin; 0: none
+	for cts := Timestamp(1); cts <= installs && !t.Failed(); cts++ {
+		// Three installs under the writer's pin spill the object to at
+		// most 8 slots; the 77 calm ones after it return it inline. A calm
+		// install waits until a reader pins the latest commit and none an
+		// older one.
+		phase := cts % 80
+		if phase == 1 {
+			held = cts - 1
 		}
-		if err := o.Install(cts, []byte(fmt.Sprintf("v%d", cts)), false, old); err != nil {
+		calm := phase > 3 || phase == 0
+		if calm {
+			held = 0
+		}
+		mu.Lock()
+		for calm && !t.Failed() && (!slices.Contains(pins[:], cts-1) ||
+			slices.ContainsFunc(pins[:], func(p Timestamp) bool { return p != 0 && p < cts-1 })) {
+			mu.Unlock()
+			runtime.Gosched()
+			mu.Lock()
+		}
+		oldestActive := cts - 1 // a reader may hold the latest commit
+		for _, p := range append(pins[:], held) {
+			if p != 0 {
+				oldestActive = min(oldestActive, p)
+			}
+		}
+		spilled := o.Capacity() > DefaultSlots
+		if err := o.Install(cts, []byte(fmt.Sprintf("v%d", cts)), false, oldestActive); err != nil {
+			mu.Unlock()
 			t.Fatal(err)
 		}
+		if spilled && o.Capacity() == DefaultSlots {
+			returns++
+			if slices.Contains(pins[:], cts-1) {
+				pinnedAcross++
+			}
+		}
+		mu.Unlock()
 	}
-	close(stop)
-	wg.Wait()
+	t.Logf("%d returns to the inline layout, %d of them with a reader pinned at the version they moved", returns, pinnedAcross)
+	if returns < installs/80/2 || pinnedAcross != returns {
+		t.Fatalf("%d returns, %d with a reader pinned across one: the race never ran", returns, pinnedAcross)
+	}
 }
 
 func BenchmarkObjectRead(b *testing.B) {
@@ -348,18 +501,34 @@ func BenchmarkObjectRead(b *testing.B) {
 	})
 }
 
+// BenchmarkObjectInstall installs into an object of 8, 64 and 512 slots
+// that stays at its size: under a trailing horizon (a reader at the latest
+// commit: the oldest version is dead at every install) and under a pinned
+// one (a snapshot held for half the slots' worth of commits, then moved to
+// the latest). Install finds its slot from the writer's order, so ns/op
+// does not depend on the slot count.
 func BenchmarkObjectInstall(b *testing.B) {
-	o := NewObject(8)
 	val := []byte("value-of-20-bytes!!")
-	b.ResetTimer()
-	for i := 1; i <= b.N; i++ {
-		cts := Timestamp(i)
-		old := Timestamp(0)
-		if cts > 2 {
-			old = cts - 2
-		}
-		if err := o.Install(cts, val, false, old); err != nil {
-			b.Fatal(err)
+	for _, slots := range []int{8, 64, 512} {
+		for _, horizon := range []string{"trailing", "pinned"} {
+			b.Run(fmt.Sprintf("slots=%d/%s", slots, horizon), func(b *testing.B) {
+				o := NewObject(slots)
+				held := Timestamp(slots / 2)
+				var cts Timestamp
+				for b.Loop() {
+					cts++
+					oldestActive := cts - 1
+					if horizon == "pinned" {
+						oldestActive -= oldestActive % held
+					}
+					if err := o.Install(cts, val, false, oldestActive); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if o.Capacity() != slots {
+					b.Fatalf("capacity %d, want %d", o.Capacity(), slots)
+				}
+			})
 		}
 	}
 }

@@ -392,23 +392,36 @@ func BenchmarkCommitEntry(b *testing.B) {
 // miss. Reports ns per written row. The indexed case adds one bucket
 // index (valueBucket) and flips the value's bucket on every pass over the
 // keys, so every write moves its row between two cold candidate sets, as
-// mixed-index-mem's writes do about every second time.
+// mixed-index-mem's writes do about every second time. The
+// indexed-roaming case moves each write's row to a random one of 64
+// buckets instead, so a row's memo of its two most recent candidate sets
+// (Index.add) rarely names the next one; with no sweeper, a row stays a
+// candidate of every bucket it visited, and that probe is a read-locked
+// map hit.
 func BenchmarkCommitColdRows(b *testing.B) {
-	b.Run("plain", func(b *testing.B) { benchCommitColdRows(b, false) })
-	b.Run("indexed", func(b *testing.B) { benchCommitColdRows(b, true) })
+	b.Run("plain", func(b *testing.B) { benchCommitColdRows(b, 0) })
+	b.Run("indexed", func(b *testing.B) { benchCommitColdRows(b, 2) })
+	b.Run("indexed-roaming", func(b *testing.B) { benchCommitColdRows(b, 64) })
 }
 
-func benchCommitColdRows(b *testing.B, indexed bool) {
+// benchCommitColdRows runs BenchmarkCommitColdRows with the values in
+// buckets buckets: 0 is the plain table, 2 flips every row's bucket once
+// per pass, more draw each write's bucket at random.
+func benchCommitColdRows(b *testing.B, buckets int) {
 	const tableRows, txnRows = 100_000, 100
 	keys := make([]string, tableRows)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k%07d", i)
 	}
-	rand.New(rand.NewSource(1)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-	vals := [2][]byte{[]byte("a-payload-of-some-bytes"), []byte("b-payload-of-some-bytes")}
+	rng := rand.New(rand.NewSource(1))
+	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	vals := make([][]byte, max(buckets, 1))
+	for i := range vals {
+		vals[i] = []byte(fmt.Sprintf("%c-payload-of-some-bytes", '0'+i))
+	}
 	e := newEnv(b)
 	p := NewSI(e.ctx)
-	if indexed {
+	if buckets > 0 {
 		if _, err := e.t1.CreateIndex("bucket", valueBucket); err != nil {
 			b.Fatal(err)
 		}
@@ -417,8 +430,15 @@ func benchCommitColdRows(b *testing.B, indexed bool) {
 	next, pass := 0, 0
 	commit := func() {
 		for i := range ops {
-			ops[i] = WriteOp{Key: keys[next], Value: vals[pass%2]}
-			if next = (next + 1) % tableRows; next == 0 && indexed {
+			v := vals[0]
+			switch {
+			case buckets == 2:
+				v = vals[pass%2]
+			case buckets > 2:
+				v = vals[rng.Intn(buckets)]
+			}
+			ops[i] = WriteOp{Key: keys[next], Value: v}
+			if next = (next + 1) % tableRows; next == 0 {
 				pass++
 			}
 		}

@@ -59,9 +59,6 @@ type Index struct {
 	name    string
 	tbl     *Table
 	extract IndexKeyFunc
-	// ord is the index's position among its table's indexes: the memo
-	// slot it uses in every row, when below rowMemos.
-	ord int
 
 	shards [indexShards]indexShard
 
@@ -80,6 +77,7 @@ type indexShard struct {
 
 // candidates is one index key's candidate set: row key -> row.
 type candidates struct {
+	ix   *Index
 	ikey string
 	rows map[string]*row
 }
@@ -125,22 +123,24 @@ func (ix *Index) shard(ikey string) *indexShard {
 // to. Idempotent. Callers add AFTER the version carrying value is
 // installed in r (see the file comment).
 //
-// The steady state — a rewrite that keeps its index key — is one compare:
-// r remembers the set it was last added to (for the first rowMemos
-// indexes of its table), and that memo holds only while r is in the set,
-// since the sweeper clears it in the step that drops r from the set. The
-// memo, like the sweeper's step, belongs to the group commit latch holder.
-// Otherwise add probes the set under the shard's read lock and takes the
-// write lock only to insert.
+// The steady state — a rewrite that keeps its index key, or moves the row
+// back to a set it recently left — is a few compares: r remembers the
+// rowMemos candidate sets, of any of its table's indexes, it was most
+// recently added to, and a memo holds only while r is in its set, since
+// the sweeper drops the memo in the step that drops r from the set. The
+// memos, like the sweeper's step, belong to the group commit latch holder.
+// Otherwise add probes the set under the shard's read lock, takes the
+// write lock only to insert, and remembers the set in place of the least
+// recently used memo.
 func (ix *Index) add(r *row, value []byte) {
 	ikey, ok := ix.extract(r.key, value)
 	if !ok {
 		return
 	}
-	var memo **candidates
-	if ix.ord < rowMemos {
-		memo = &r.memo[ix.ord]
-		if c := *memo; c != nil && c.ikey == ikey {
+	for i, c := range r.memo {
+		if c != nil && c.ix == ix && c.ikey == ikey {
+			copy(r.memo[1:i+1], r.memo[:i])
+			r.memo[0] = c
 			return
 		}
 	}
@@ -152,7 +152,7 @@ func (ix *Index) add(r *row, value []byte) {
 	if !hit {
 		sh.mu.Lock()
 		if c = sh.m[ikey]; c == nil {
-			c = &candidates{ikey: ikey, rows: make(map[string]*row)}
+			c = &candidates{ix: ix, ikey: ikey, rows: make(map[string]*row)}
 			sh.m[ikey] = c
 		}
 		if c.rows[r.key] == nil {
@@ -161,9 +161,8 @@ func (ix *Index) add(r *row, value []byte) {
 		}
 		sh.mu.Unlock()
 	}
-	if memo != nil {
-		*memo = c
-	}
+	copy(r.memo[1:], r.memo[:])
+	r.memo[0] = c
 }
 
 // Lookup calls fn for every row whose index key equals ikey at snapshot
@@ -258,7 +257,7 @@ func (ix *Index) gc(count int, buf *[]*row) int {
 }
 
 // dropUnseen removes candidate r from set c of shard sh unless some
-// retained version of r still extracts to c's index key, clearing r's
+// retained version of r still extracts to c's index key, dropping r's
 // memo of c in the same step. Check and removal both happen under the
 // group commit latch, which the caller holds (see the file comment for why
 // no commit can lose its entry that way).
@@ -277,9 +276,7 @@ func (ix *Index) dropUnseen(sh *indexShard, c *candidates, r *row) (dropped bool
 			}
 			dropped = true
 		}
-		if ix.ord < rowMemos && r.memo[ix.ord] == c {
-			r.memo[ix.ord] = nil
-		}
+		r.forget(c)
 		sh.mu.Unlock()
 	})
 	return dropped
@@ -337,7 +334,7 @@ func (t *Table) CreateIndex(name string, extract IndexKeyFunc) (*Index, error) {
 	if t.Index(name) != nil {
 		return nil, fmt.Errorf("txn: table %q already has index %q", t.id, name)
 	}
-	ix := &Index{name: name, tbl: t, extract: extract, ord: len(t.indexSet())}
+	ix := &Index{name: name, tbl: t, extract: extract}
 	for i := range ix.shards {
 		ix.shards[i].m = make(map[string]*candidates)
 	}

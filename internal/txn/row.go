@@ -11,11 +11,12 @@ import (
 // A row is one key of one table: the unit the commit path carries from the
 // write set to publish. It holds the key's versions (its mvcc.Object, by
 // value: the slots are in the row), the base-store handle the key's writes
-// go through, the marks the commit pipeline stamps on it and, per index,
-// the candidate set it was last added to. The table's row index finds a
-// row with one probe; a key of up to rowInline bytes is compared against
-// the copy kept in the row, so that probe touches one slot line and the
-// row, and a reader finds the versions in that same row.
+// go through, the marks the commit pipeline stamps on it and the candidate
+// sets, across the table's indexes, it was most recently added to. The
+// table's row index finds a row with one probe; a key of up to rowInline
+// bytes is compared against the copy kept in the row, so that probe
+// touches one slot line and the row, and a reader finds the versions in
+// that same row.
 //
 // key, klen and inline never change once the row is in the index.
 // Everything else belongs to the holder of the table's group commit latch
@@ -37,15 +38,18 @@ type row struct {
 	obj    mvcc.Object
 	handle kv.Handle
 	key    string
-	memo   [rowMemos]*candidates
+	// memo holds the candidate sets r was most recently added to, newest
+	// first, of any of the table's indexes; nil entries trail. r is in
+	// each (see Index.add).
+	memo [rowMemos]*candidates
 }
 
 const (
 	// rowInline is the longest key kept inline in its row.
 	rowInline = 16
 	rowLong   = 0xff
-	// rowMemos is the number of a table's indexes — the first ones created
-	// — whose candidate set each row remembers (see Index.add).
+	// rowMemos is the number of candidate sets a row remembers: with one
+	// index, both sets of a row that moves between two buckets and back.
 	rowMemos = 2
 )
 
@@ -56,6 +60,18 @@ func newRow(key string, slots int) *row {
 		r.klen = uint8(copy(r.inline[:], key))
 	}
 	return r
+}
+
+// forget drops r's memo of candidate set c, if it has one, keeping the
+// order of the others. Caller holds the group commit latch.
+func (r *row) forget(c *candidates) {
+	for i, m := range r.memo {
+		if m == c {
+			copy(r.memo[i:], r.memo[i+1:])
+			r.memo[len(r.memo)-1] = nil
+			return
+		}
+	}
 }
 
 // is reports whether the row's key is key.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // checkRowShard compares sh against model, the rows it must hold by key,
@@ -126,4 +127,75 @@ func FuzzRowIndex(f *testing.F) {
 		}
 		checkRowShard(t, &sh, model, hash)
 	})
+}
+
+// TestRowSize pins the row at 160 bytes, one Go size class: rows of 128,
+// 176 and 192 bytes each read a slower ingest-mem p50 (DESIGN.md "Row
+// size and GC probes"). A field added to the row must find its room in
+// the ones it has.
+func TestRowSize(t *testing.T) {
+	if got := unsafe.Sizeof(row{}); got != 160 {
+		t.Fatalf("row is %d bytes, want 160", got)
+	}
+}
+
+// TestRowMemoIsRecentCandidateSets: a row's memo names the candidate sets
+// it was most recently added to, newest first and across the table's
+// indexes; a row moving between two buckets and back adds nothing once
+// both are remembered, and a sweep that drops the row from a set drops
+// its memo of that set too.
+func TestRowMemoIsRecentCandidateSets(t *testing.T) {
+	e := newEnv(t)
+	p := NewSI(e.ctx)
+	ix, err := e.t1.CreateIndex("bucket", valueBucket)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := func() *row { return e.t1.row(keyHash("k"), "k") }
+	memo := func() string {
+		var out []string
+		for _, c := range r().memo {
+			if c != nil {
+				out = append(out, c.ix.name+":"+c.ikey)
+			}
+		}
+		return strings.Join(out, " ")
+	}
+	write(t, p, e.t1, "k", "a1")
+	write(t, p, e.t1, "k", "b1")
+	if got := memo(); got != "bucket:b bucket:a" {
+		t.Fatalf("memo %q after a then b, want b then a", got)
+	}
+	puts := ix.Stats().Puts
+	for i := range 6 {
+		write(t, p, e.t1, "k", fmt.Sprintf("%c%d", "ab"[i%2], i))
+	}
+	if got := ix.Stats().Puts; got != puts {
+		t.Fatalf("%d puts moving between two remembered buckets, want none", got-puts)
+	}
+	if got := memo(); got != "bucket:b bucket:a" {
+		t.Fatalf("memo %q after ending on b, want b then a", got)
+	}
+
+	// With no reader a sweep reclaims every version but the live one, b5,
+	// and drops the row from bucket a — and the memo of a with it.
+	e.t1.GC()
+	if got := memo(); got != "bucket:b" {
+		t.Fatalf("memo %q after the sweep dropped the row from bucket a, want bucket:b alone", got)
+	}
+
+	// A second index shares the row's memo: both of its sets are
+	// remembered, newest first.
+	if _, err := e.t1.CreateIndex("second", func(_ string, v []byte) (string, bool) { return "all", len(v) > 0 }); err != nil {
+		t.Fatal(err)
+	}
+	write(t, p, e.t1, "k", "a7")
+	if got := memo(); got != "second:all bucket:a" {
+		t.Fatalf("memo %q with two indexes, want second:all then bucket:a", got)
+	}
+	for _, c := range r().memo {
+		if c.rows["k"] != r() {
+			t.Fatalf("memo names %s:%s, which does not hold the row", c.ix.name, c.ikey)
+		}
+	}
 }
