@@ -24,6 +24,7 @@ import (
 	"sistream"
 	"sistream/internal/kv"
 	"sistream/internal/lsm"
+	"sistream/internal/stream"
 	"sistream/internal/txn"
 )
 
@@ -43,24 +44,49 @@ func TestCostBudgets(t *testing.T) {
 	rows := []costBudget{
 		{
 			// Punctuate(8)→TransactionsWindow(8)→Parallelize(2)→ToTable→
-			// MergeBatched(8)→Discard over mem: 10.3 allocations, 670 B
-			// (35.1, 1 812 B at a4e685f). 8 are the written values' copies
-			// (Segment.Put), 2 the transaction and its Done channel, and
-			// the rest CommitChain's verdict matrix, 2 per batch.
+			// MergeBatched(8)→Discard over mem: 9.4 allocations, 570 B
+			// (10.3, 670 B at e3d23fd; 35.1, 1 812 B at a4e685f). 8 are the
+			// written values' copies (Segment.Put), 1 the transaction, and
+			// the rest CommitChain's verdict matrix, 2 per batch, and the
+			// Done channels of the window waits that find their
+			// transaction still undecided.
 			name: "pipeline", unit: "8-tuple txn",
-			allocs: 11, bytes: 800, pooled: true,
+			allocs: 10, bytes: 704, pooled: true,
 			measure: func(t *testing.T) (float64, float64) { return pipelineCost(t, false) },
 		},
 		{
 			// The same with a 2-partition change feed behind the table,
-			// FromTablePartitioned→Reparallelize→Merge→Sink: 19.4–20.0
-			// allocations, 1 070–1 130 B (62.6, 3 379 B at a4e685f); the
-			// spread is the batch size the spine achieves. Another 8 are the
-			// feed rows' value copies (changeTuple), 1 the feed's copy of the
-			// written keys.
+			// FromTablePartitioned→Reparallelize→Merge→Sink: 18.5–18.8
+			// allocations, 990–1 030 B (19.4–20.0, 1 070–1 130 B at
+			// e3d23fd; 62.6, 3 379 B at a4e685f); the spread is the batch
+			// size the spine achieves. Another 8 are the feed rows' value
+			// copies (changeTuple), 1 the feed's copy of the written keys.
 			name: "pipeline+feed", unit: "8-tuple txn",
-			allocs: 21, bytes: 1250, pooled: true,
+			allocs: 20, bytes: 1152, pooled: true,
 			measure: func(t *testing.T) (float64, float64) { return pipelineCost(t, true) },
+		},
+		{
+			// Punctuate(100)→Transactions→ToTable→Sink over mem, the
+			// writer of ingest-mem: 103.1 allocations, 3 530 B (104.1,
+			// 3 630 B at e3d23fd, whose Begin made every transaction's
+			// Done channel). 100 are the written values' copies, 1 the
+			// transaction and 2 CommitChain's verdict matrix. The stream
+			// layer allocates nothing per element: its batches are pooled,
+			// and the window wait finds the previous transaction decided.
+			name: "sequential spine", unit: "100-tuple txn",
+			allocs: 103.5, bytes: 3712, pooled: true,
+			measure: func(t *testing.T) (float64, float64) { return spineCost(t, 1, 100) },
+		},
+		{
+			// Punctuate(10)→Transactions(a, b)→ToTable(a)→ToTable(b)→Sink
+			// over mem, the writer of mixed-index-mem: 25.05 allocations,
+			// 1 000 B (26.05, 1 106 B at e3d23fd). 20 are the written
+			// values' copies, the rest the transaction and its commit over
+			// two states. The stream layer allocates nothing per element
+			// here either.
+			name: "two-state spine", unit: "10-tuple txn",
+			allocs: 25.5, bytes: 1088, pooled: true,
+			measure: func(t *testing.T) (float64, float64) { return spineCost(t, 2, 10) },
 		},
 		{
 			// A full Scan of one 64-block SSTable reads every block into
@@ -72,60 +98,60 @@ func TestCostBudgets(t *testing.T) {
 		},
 		{
 			// One SI transaction rewriting 1 hot row of a mem table, Begin
-			// to Commit: 3 allocations, 400 B — the transaction and its
-			// Done channel (begin) and the written value's copy. The write
-			// set's entry and mem's Apply scratch are pooled.
+			// to Commit: 2 allocations, 288 B — the transaction and the
+			// written value's copy (3, 400 B at e3d23fd, whose Begin made
+			// the Done channel too). The write set's entry and mem's Apply
+			// scratch are pooled.
 			name: "si commit 1 row", unit: "txn",
-			allocs: 3, bytes: 448, pooled: true,
+			allocs: 2, bytes: 320, pooled: true,
 			measure: func(t *testing.T) (float64, float64) { return commitCost(t, 1) },
 		},
 		{
-			// The same rewriting 8 hot rows: 10 allocations, 568 B — one
+			// The same rewriting 8 hot rows: 9 allocations, 457 B — one
 			// value copy per row.
 			name: "si commit 8 rows", unit: "txn",
-			allocs: 10, bytes: 640, pooled: true,
+			allocs: 9, bytes: 512, pooled: true,
 			measure: func(t *testing.T) (float64, float64) { return commitCost(t, 8) },
 		},
 		{
 			// One SI transaction rewriting 1 hot row, 8 times while a
 			// Snapshot of the table is held and 24 times after its
-			// Release, over and over: 3.19 allocations, 410 B per commit —
-			// the commit's 3 and a 32nd of the Snapshot's 6. The held
+			// Release, over and over: 2.16 allocations, 300 B per commit —
+			// the commit's 2 and a 32nd of the Snapshot's 5. The held
 			// snapshot spills the row's versions to 16 slots, and 24 calm
 			// commits are too few to return them inline, so the cycle
 			// grows nothing; a return after 16 calm commits would grow
 			// three arrays per cycle, 0.28 allocations per commit more.
 			name: "hot row under a held snapshot", unit: "txn",
-			allocs: 3.25, bytes: 440, pooled: true,
+			allocs: 2.25, bytes: 320, pooled: true,
 			measure: pinnedHotRowCost,
 		},
 		{
 			// One SI transaction rewriting 100 cold rows of a 100 000-row
 			// mem table whose keys are visited in one shuffled cycle, the
-			// shape of BenchmarkCommitColdRows: 102 allocations,
-			// 2 780–2 810 B — one value copy per row, the transaction and
-			// its Done channel.
+			// shape of BenchmarkCommitColdRows: 101 allocations,
+			// 2 665–2 675 B — one value copy per row and the transaction.
 			name: "si commit 100 cold rows", unit: "txn",
-			allocs: 102, bytes: 3072, pooled: true,
+			allocs: 101, bytes: 2816, pooled: true,
 			measure: coldCommitCost,
 		},
 		{
 			// One SI transaction rewriting 10 of 1 000 rows of a mem table
 			// with a bucket index (the first byte of the value), every
 			// row's bucket flipping once per pass over the keys, the shape
-			// of BenchmarkIndexedCommit: 12 allocations, 616 B, of the same
-			// three kinds; moving a row back into a set it was a candidate
+			// of BenchmarkIndexedCommit: 11 allocations, 505 B, of the same
+			// two kinds; moving a row back into a set it was a candidate
 			// of allocates nothing.
 			name: "indexed commit 10 rows", unit: "txn",
-			allocs: 12, bytes: 704, pooled: true,
+			allocs: 11, bytes: 576, pooled: true,
 			measure: indexedCommitCost,
 		},
 		{
 			// A Snapshot over two tables of two groups, 20 Gets (10 per
-			// table) and its Release: 7 allocations, 488 B, all of them
+			// table) and its Release: 6 allocations, 376 B, all of them
 			// Context.Snapshot's; a Get allocates nothing.
 			name: "snapshot 20 gets", unit: "snapshot",
-			allocs: 7, bytes: 512,
+			allocs: 6, bytes: 416,
 			measure: snapshotGetCost,
 		},
 	}
@@ -449,6 +475,73 @@ func pipelineCost(t *testing.T, feed bool) (allocs, bytes float64) {
 			t.Fatalf("feed delivered %d rows, want %d", got, delivered)
 		}
 	}
+	return float64(mallocs) / txns, float64(total) / txns
+}
+
+// spineCost drives txnSize-tuple transactions through the sequential
+// spine Punctuate(txnSize)→Transactions→one ToTable per state→Sink over
+// mem, all states in one group, and returns the allocations and bytes per
+// transaction of a measured run that follows a warm-up run over the same
+// keys.
+func spineCost(t *testing.T, states, txnSize int) (allocs, bytes float64) {
+	const (
+		warmElems = 100_000
+		elems     = 500_000
+		keyCount  = 4096
+	)
+	ctx := sistream.NewContext()
+	store := sistream.NewMemStore()
+	defer store.Close()
+	tables := make([]*sistream.Table, states)
+	for i := range tables {
+		tbl, err := ctx.CreateTable(sistream.StateID(fmt.Sprintf("spine%d", i)), store, sistream.TableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables[i] = tbl
+	}
+	if _, err := ctx.CreateGroup("g", tables...); err != nil {
+		t.Fatal(err)
+	}
+	p := sistream.NewSI(ctx)
+	keys := make([]string, keyCount)
+	values := make([][]byte, keyCount)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%07d", i)
+		values[i] = []byte(fmt.Sprintf("value-%021d", i))
+	}
+	run := func(n int) {
+		top := sistream.NewTopology("budget-spine")
+		s := top.Source("gen", func(emit func(sistream.Element)) error {
+			for i := range n {
+				k := i % keyCount
+				emit(sistream.DataElement(sistream.Tuple{Key: keys[k], Value: values[k]}))
+			}
+			return nil
+		}).Punctuate(txnSize).Transactions(p, tables...)
+		stats := make([]*stream.ToTableStats, states)
+		for i, tbl := range tables {
+			s, stats[i] = s.ToTable(p, tbl)
+		}
+		seen := 0
+		s.Sink("sink", func(e sistream.Element) {
+			if e.Kind == sistream.KindData {
+				seen++
+			}
+		})
+		if err := top.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if seen != n {
+			t.Fatalf("sink saw %d tuples, want %d", seen, n)
+		}
+		if got := stats[states-1].Commits.Load(); got != int64(n/txnSize) {
+			t.Fatalf("%d commits, want %d", got, n/txnSize)
+		}
+	}
+	run(warmElems)
+	mallocs, total := heapDelta(func() { run(elems) })
+	txns := float64(elems / txnSize)
 	return float64(mallocs) / txns, float64(total) / txns
 }
 

@@ -62,30 +62,58 @@ func TestNoPanicsInFailStopLayers(t *testing.T) {
 	for _, dir := range []string{"internal/txn", "internal/lsm"} {
 		fset, files := parseNonTest(t, dir)
 		for _, f := range files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				fn, ok := call.Fun.(*ast.Ident)
-				if !ok || fn.Name != "panic" {
-					return true
-				}
-				pos := fset.Position(call.Pos())
+			for _, pos := range panicCalls(fset, f) {
 				base := filepath.Base(pos.Filename)
 				counts[base]++
 				if counts[base] > panicAllowlist[base] {
 					violations = append(violations,
 						pos.Filename+":"+strconv.Itoa(pos.Line))
 				}
-				return true
-			})
+			}
 		}
 	}
 	if len(violations) > 0 {
 		t.Fatalf("panic() in fail-stop layers (poison the group/DB instead, see internal/txn/failstop.go):\n  %s",
 			strings.Join(violations, "\n  "))
 	}
+}
+
+// TestNoPanicsInFusedStages keeps the fused stages and their consumer
+// loop free of panics: an invalid argument to Punctuate,
+// TransactionsWindow or TransactionsTuned is a construction error that
+// Topology.fail records and Run returns, with no element emitted. The
+// gate walks internal/stream's ops.go and batch.go; the construction
+// panics in its other files are still to go the same way.
+func TestNoPanicsInFusedStages(t *testing.T) {
+	fset, files := parseNonTest(t, "internal/stream")
+	var violations []string
+	for _, f := range files {
+		base := filepath.Base(fset.Position(f.Pos()).Filename)
+		if base != "ops.go" && base != "batch.go" {
+			continue
+		}
+		for _, pos := range panicCalls(fset, f) {
+			violations = append(violations, pos.Filename+":"+strconv.Itoa(pos.Line))
+		}
+	}
+	if len(violations) > 0 {
+		t.Fatalf("panic() in a fused stage (record a construction error with Topology.fail instead):\n  %s",
+			strings.Join(violations, "\n  "))
+	}
+}
+
+// panicCalls returns the positions of the panic calls in f.
+func panicCalls(fset *token.FileSet, f *ast.File) []token.Position {
+	var sites []token.Position
+	ast.Inspect(f, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if fn, ok := call.Fun.(*ast.Ident); ok && fn.Name == "panic" {
+				sites = append(sites, fset.Position(call.Pos()))
+			}
+		}
+		return true
+	})
+	return sites
 }
 
 // TestCommitProtocolExistsOnce keeps the consistency protocol (paper

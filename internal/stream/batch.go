@@ -68,19 +68,30 @@ func putBatch(b []Element) {
 	batchPool.Put(h)
 }
 
-// fusedStage is one stateless (or single-goroutine stateful) operator
-// fused into its consumer: apply transforms one element into zero or
-// more, and flush (optional) runs at end-of-stream, emitting into the
-// remainder of the chain. end (optional) runs before every cut — after
-// each input batch, before a hosted stage's mid-batch cut and before
-// end-of-stream delivery — so work a stage holds for a batch is done
-// before the stage's elements leave the chain: ToTable applies its
-// pending write run there, and a TableJoin consuming its output under the
-// same transaction reads those writes. hosted (optional) receives, when
-// the consumer starts, the host's cut: a call hands everything the chain
-// has emitted so far to the consumer's batch function at once, so a stage
-// that is about to wait on the consumer (Transactions) can let it catch
-// up first.
+// fusedStage is one operator fused into its consumer and run there a
+// batch at a time. run takes a batch it owns and returns the batch the
+// rest of the chain gets, which it then owns: a 1:1 stage rewrites b in
+// place (Map, Transactions' tagging, ToTable), a stage that drops
+// elements compacts b (Filter), and a stage that adds elements fills one
+// pooled output batch and recycles b (FlatMap; Punctuate when the batch
+// needs a punctuation inserted, copying the runs between insertions as
+// blocks). No closure runs per element and stage, and no element is
+// copied from one stage to the next.
+// flush (optional) runs at end-of-stream and appends what the stage still
+// holds to out, which the stages after it then run over, preserving
+// operator order for flush-emitted elements.
+//
+// A stage completes within run whatever it defers within a batch, so that
+// work is done before the batch leaves the chain: ToTable applies its
+// pending write run last thing in run, and a TableJoin consuming its
+// output under the same transaction reads those writes.
+//
+// hosted (optional) receives, when the consumer starts, the host's cut:
+// cut(prefix) runs the stages after this one over prefix and hands the
+// result to the consumer's batch function, so a stage that is about to
+// wait on the consumer (Transactions, on a full window) can let it catch
+// up first. The prefix passes with ownership: it must not share a backing
+// array with the part of the batch the stage still processes.
 //
 // What such a wait relies on is the consumer contract: every consume
 // function forwards or decides each punctuation of a batch before it
@@ -88,92 +99,62 @@ func putBatch(b []Element) {
 // it; Parallelize broadcasts it to the lanes at once; every other operator
 // forwards it in its output batch.
 type fusedStage struct {
-	apply  func(e Element, emit func(Element))
-	flush  func(emit func(Element))
-	end    func()
-	hosted func(cut func())
+	run    func(b []Element) []Element
+	flush  func(out []Element) []Element
+	hosted func(cut func(prefix []Element))
 }
 
 // fuse derives a stream with one more pending fused stage. The stage
 // runs inside whatever goroutine eventually consumes the stream, so a
 // chain of fused operators costs zero goroutines and zero channel hops.
-func (s *Stream) fuse(apply func(Element, func(Element)), flush func(func(Element))) *Stream {
+func (s *Stream) fuse(st fusedStage) *Stream {
 	stages := make([]fusedStage, len(s.stages)+1)
 	copy(stages, s.stages)
-	stages[len(s.stages)] = fusedStage{apply: apply, flush: flush}
+	stages[len(s.stages)] = st
 	out := &Stream{t: s.t, ch: s.ch, stages: stages}
 	s.t.derive(s, out)
 	return out
 }
 
-// consume spawns op's goroutine: it drains s batch-at-a-time, applies
-// the stream's fused stages, and hands each processed non-empty batch to
-// fn, which takes ownership. fin (optional) runs once after the input is
-// exhausted and every fused flush hook has fired — operators close their
-// output edges there.
+// consume spawns op's goroutine: it drains s batch-at-a-time, runs the
+// stream's fused stages over each batch in order, and hands the last
+// stage's non-empty batch to fn, which takes ownership. A hosted stage's
+// cut hands fn a prefix of a batch the same way, and at end-of-stream each
+// stage's flush output runs through the stages after it. fin (optional)
+// runs once after the input is exhausted and every fused flush hook has
+// fired — operators close their output edges there.
 func (s *Stream) consume(op string, fn func(batch []Element), fin func()) {
 	s.t.derive(s, nil)
+	stages := s.stages
 	s.t.spawn(op, func() {
-		if len(s.stages) == 0 {
-			for b := range s.ch {
-				if len(b) == 0 {
-					putBatch(b)
-					continue
-				}
-				fn(b)
+		hand := func(b []Element) {
+			if len(b) == 0 {
+				putBatch(b)
+				return
 			}
-			if fin != nil {
-				fin()
-			}
-			return
+			fn(b)
 		}
-		// sinks[i] runs the chain from stage i on; sinks[len] collects
-		// into the current output batch, which cut hands to fn — after
-		// every input batch, at end-of-stream, and whenever a hosted stage
-		// asks — once the stages' end hooks have run. Stage flushes at
-		// end-of-stream feed the chain suffix after their own stage,
-		// preserving operator order for flush-emitted elements.
-		var ends []func()
-		for _, st := range s.stages {
-			if st.end != nil {
-				ends = append(ends, st.end)
+		// from runs stages i.. over b; an emptied batch skips the rest,
+		// which holds nothing for it.
+		from := func(i int, b []Element) []Element {
+			for ; i < len(stages) && len(b) > 0; i++ {
+				b = stages[i].run(b)
 			}
+			return b
 		}
-		out := getBatch()
-		cut := func() {
-			for _, end := range ends {
-				end()
-			}
-			if len(out) > 0 {
-				fn(out)
-				out = getBatch()
-			}
-		}
-		sinks := make([]func(Element), len(s.stages)+1)
-		sinks[len(s.stages)] = func(e Element) { out = append(out, e) }
-		for i := len(s.stages) - 1; i >= 0; i-- {
-			st := s.stages[i]
-			next := sinks[i+1]
-			sinks[i] = func(e Element) { st.apply(e, next) }
+		for i, st := range stages {
 			if st.hosted != nil {
-				st.hosted(cut)
+				st.hosted(func(prefix []Element) { hand(from(i+1, prefix)) })
 			}
 		}
-		head := sinks[0]
 		for b := range s.ch {
-			for _, e := range b {
-				head(e)
-			}
-			putBatch(b)
-			cut()
+			hand(from(0, b))
 		}
-		for i := range s.stages {
-			if fl := s.stages[i].flush; fl != nil {
-				fl(sinks[i+1])
+		for i, st := range stages {
+			if st.flush != nil {
+				hand(from(i+1, st.flush(getBatch())))
 			}
 		}
-		cut()
-		putBatch(out)
 		if fin != nil {
 			fin()
 		}

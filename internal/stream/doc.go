@@ -25,18 +25,20 @@
 // # Execution model
 //
 // Execution is vectorized: edges carry batches of elements and chains of
-// stateless operators fuse into a single goroutine (see batch.go).
-// Transactions and ToTable are fused the same way: they run inside the
-// operator that consumes their stream. Before waiting for a transaction's
-// decision, Transactions hands that operator everything it has emitted —
-// which holds because every consumer forwards or decides each punctuation
-// of a batch before it returns. ToTable decides a transaction as its final
-// punctuation passes, and applies its pending writes before every cut of
-// the chain, so they are in the write set before its elements leave. On
-// the sequential spine tagging, Begin, writes and the verdict of every
-// state share the goroutine of the spine's sink. The programming model is
-// unchanged — sources emit and sinks observe one element at a time, and
-// punctuations keep their exact in-band position.
+// stateless operators fuse into a single goroutine (see batch.go), each
+// stage a transform over a whole batch. Transactions and ToTable are
+// fused the same way: they run inside the operator that consumes their
+// stream. Before waiting for a transaction's decision, Transactions runs
+// the rest of the chain over the batch's prefix it has tagged and hands
+// that to the operator — which holds because every consumer forwards or
+// decides each punctuation of a batch before it returns. ToTable decides a
+// transaction as its final punctuation passes, and applies its pending
+// writes at the end of every batch it runs over, so they are in the write
+// set before its elements leave. On the sequential spine tagging, Begin,
+// writes and the verdict of every state share the goroutine of the
+// spine's sink. The programming model is unchanged — sources emit and
+// sinks observe one element at a time, and punctuations keep their exact
+// in-band position.
 //
 // Queries parallelize on both sides of a table while preserving the
 // paper's transaction model. Stream.Parallelize splits the ingest spine

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sistream/internal/kv"
+	"sistream/internal/leaktest"
 	"sistream/internal/txn"
 )
 
@@ -59,12 +60,66 @@ func TestOperatorPanicsOnBadArguments(t *testing.T) {
 	}
 	top := New("t")
 	s := top.SliceSource("src", nil)
-	mustPanic("punctuate-0", func() { s.Punctuate(0) })
 	mustPanic("sliding-0", func() { s.SlidingWindow("w", 0, Sum) })
 	mustPanic("tumbling-0", func() { s.TumblingWindow("w", 0, Sum) })
 	mustPanic("merge-empty", func() { Merge("m") })
 	s.Discard()
 	_ = top.Run()
+}
+
+// runsNothing builds Source→build→ToTable(t1)→Sink over a fresh
+// environment, where build makes one invalid fused-stage construction,
+// and checks that Run returns that construction error (want names it),
+// that no element reaches the sink, that nothing is written or committed,
+// and that no goroutine is left behind.
+func runsNothing(t *testing.T, want string, build func(s *Stream, p txn.Protocol, tables ...*txn.Table) *Stream) {
+	t.Helper()
+	leaktest.Check(t)
+	e := newStreamEnv(t)
+	top := New("t")
+	s := top.Source("src", func(emit func(Element)) error {
+		for _, tp := range tuples("a", "b", "c", "d") {
+			emit(DataElement(tp))
+		}
+		return nil
+	})
+	s, stats := build(s, e.p, e.t1).ToTable(e.p, e.t1)
+	seen := 0
+	s.Sink("sink", func(Element) { seen++ })
+	err := top.Run()
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run returned %v, want the construction error naming %q", err, want)
+	}
+	if seen != 0 || stats.Writes.Load() != 0 || stats.Commits.Load() != 0 {
+		t.Fatalf("an invalid topology ran: %d elements, %d writes, %d commits", seen, stats.Writes.Load(), stats.Commits.Load())
+	}
+	if rows, err := TableSnapshot(e.p, e.t1); err != nil || len(rows) != 0 {
+		t.Fatalf("table after an invalid topology: %v, %v", rows, err)
+	}
+}
+
+// TestPunctuateRejectsNonPositiveN: Punctuate(n < 1) is a construction
+// error that Run returns, not a panic.
+func TestPunctuateRejectsNonPositiveN(t *testing.T) {
+	runsNothing(t, "Punctuate needs n >= 1", func(s *Stream, p txn.Protocol, tables ...*txn.Table) *Stream {
+		return s.Punctuate(0).Transactions(p, tables...)
+	})
+}
+
+// TestTransactionsWindowRejectsNonPositiveWindow: TransactionsWindow with
+// a window below one is a construction error that Run returns.
+func TestTransactionsWindowRejectsNonPositiveWindow(t *testing.T) {
+	runsNothing(t, "TransactionsWindow needs window >= 1", func(s *Stream, p txn.Protocol, tables ...*txn.Table) *Stream {
+		return s.Punctuate(2).TransactionsWindow(p, 0, tables...)
+	})
+}
+
+// TestTransactionsTunedRejectsNilTuner: TransactionsTuned without a tuner
+// is a construction error that Run returns.
+func TestTransactionsTunedRejectsNilTuner(t *testing.T) {
+	runsNothing(t, "TransactionsTuned needs a tuner", func(s *Stream, p txn.Protocol, tables ...*txn.Table) *Stream {
+		return s.Punctuate(2).TransactionsTuned(p, nil, tables...)
+	})
 }
 
 func TestToStreamPanicsWithoutGroup(t *testing.T) {

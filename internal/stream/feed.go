@@ -76,7 +76,14 @@ func FromTablePartitioned(t *Topology, tbl *txn.Table, parts int, keyFn *KeyFn) 
 		events := feed.Partitions()[i]
 		t.spawn(fmt.Sprintf("from_table/%s/p%d", tbl.ID(), i), func() {
 			defer close(lane.ch)
-			<-t.start
+			if !t.released() {
+				// Acknowledge without emitting, so committers never
+				// wait on a feed nothing will read.
+				for range events {
+					feed.Ack(part)
+				}
+				return
+			}
 			for ev := range events {
 				emitFeedCommit(lane, tbl, ev)
 				// The rows are read (and copied) — release the GC pin for

@@ -227,27 +227,32 @@ func (w *sinkWriter) flush(eos bool) {
 }
 
 // stage derives s through one writer of the sink, a fused stage: every
-// element steps the writer and passes on, and the end-of-stream flush
-// applies a dangling run (the transaction itself is rolled back upstream).
-// The sequential operator (inline) also decides each transaction's final
-// punctuation as it passes and applies the pending run at the end of every
-// input batch; a region lane cuts runs only at punctuations and leaves the
-// verdict to its closing barrier.
+// element of a batch steps the writer and stays where it is, and the
+// end-of-stream flush applies a dangling run (the transaction itself is
+// rolled back upstream). The sequential operator (inline) also decides
+// each transaction's final punctuation as it passes and applies the
+// pending run at the end of every batch it runs over; a region lane cuts
+// runs only at punctuations and leaves the verdict to its closing barrier.
 func (sink *tableSink) stage(s *Stream, inline bool) *Stream {
 	w := sink.writer()
 	one := make([]*txn.Txn, 1)
-	out := s.fuse(func(e Element, emit func(Element)) {
-		w.step(&e)
-		if inline && endsTxn(&e) {
-			one[0] = e.Tx
-			sink.decide(e.Kind, one)
+	return s.fuse(fusedStage{run: func(b []Element) []Element {
+		for i := range b {
+			e := &b[i]
+			w.step(e)
+			if inline && endsTxn(e) {
+				one[0] = e.Tx
+				sink.decide(e.Kind, one)
+			}
 		}
-		emit(e)
-	}, func(func(Element)) { w.flush(true) })
-	if inline {
-		out.stages[len(out.stages)-1].end = func() { w.flush(false) }
-	}
-	return out
+		if inline {
+			w.flush(false)
+		}
+		return b
+	}, flush: func(out []Element) []Element {
+		w.flush(true)
+		return out
+	}})
 }
 
 // ToTable is the paper's TO_TABLE linking operator: it applies data
@@ -262,11 +267,12 @@ func (sink *tableSink) stage(s *Stream, inline bool) *Stream {
 // runs per lane (see tableSink), and like Transactions a fused stage: it
 // runs in whichever operator consumes the returned stream, with the
 // verdict decided inline as the punctuation passes. Runs are additionally
-// cut at the end of every input batch (and before any other cut of the
-// consumer's chain), so writes are always applied before their elements
-// leave the chain — a TableJoin or second ToTable under the same
-// transaction reads them. The operator writes whether or not the returned
-// stream is used: Start discards it when nothing consumes it.
+// cut at the end of every batch the stage runs over (a whole input batch,
+// or the prefix a hosted cut hands on), so writes are always applied
+// before their elements leave the chain — a TableJoin or second ToTable
+// under the same transaction reads them. The operator writes whether or
+// not the returned stream is used: Start discards it when nothing
+// consumes it.
 //
 // A conflict abort from the protocol (e.g. First-Committer-Wins) poisons
 // the transaction: its remaining writes are skipped, its COMMIT becomes a

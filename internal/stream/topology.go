@@ -19,6 +19,10 @@ type Topology struct {
 	mu      sync.Mutex
 	errs    []error
 	started bool
+	// invalid is set by Start when construction recorded an error: the
+	// sources then emit nothing, so Run returns the error with no
+	// element having flowed. Read after <-start.
+	invalid bool
 	// undrained holds the streams that carry a sequential TO_TABLE stage
 	// and that no operator consumes or derives from yet. Start drains
 	// each, so a ToTable writes whether or not its output is used.
@@ -47,7 +51,10 @@ func (t *Topology) fail(op string, err error) {
 }
 
 // Start releases the sources. Idempotent. A stream carrying a ToTable
-// that nothing consumes is discarded, so the ToTable still runs.
+// that nothing consumes is discarded, so the ToTable still runs. When
+// building the topology recorded an error (an operator given an invalid
+// argument), the sources close their streams without emitting, every
+// operator drains, and Wait returns that error.
 func (t *Topology) Start() {
 	t.mu.Lock()
 	if t.started {
@@ -55,6 +62,7 @@ func (t *Topology) Start() {
 		return
 	}
 	t.started = true
+	t.invalid = len(t.errs) > 0
 	drains := t.undrained
 	t.undrained = nil
 	t.mu.Unlock()
@@ -86,6 +94,13 @@ func (t *Topology) derive(from, to *Stream) {
 			t.undrained[to] = true
 		}
 	}
+}
+
+// released blocks until Start and reports whether the sources may emit:
+// false when construction recorded an error.
+func (t *Topology) released() bool {
+	<-t.start
+	return !t.invalid
 }
 
 // Wait blocks until every operator has finished (sources exhausted and
@@ -141,7 +156,10 @@ func (t *Topology) Source(name string, gen func(emit func(Element)) error) *Stre
 	out := t.newStream()
 	t.note("source", name, "", occOf(out))
 	t.spawn(name, func() {
-		<-t.start
+		if !t.released() {
+			close(out.ch)
+			return
+		}
 		em := newEmitter(out)
 		err := gen(em.emit)
 		em.close()
@@ -159,7 +177,9 @@ func (t *Topology) SliceSource(name string, tuples []Tuple) *Stream {
 	t.note("source", name, fmt.Sprintf("%d tuples", len(tuples)), occOf(out))
 	t.spawn(name, func() {
 		defer close(out.ch)
-		<-t.start
+		if !t.released() {
+			return
+		}
 		for len(tuples) > 0 {
 			n := batchCap
 			if n > len(tuples) {

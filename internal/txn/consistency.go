@@ -154,7 +154,6 @@ func (p *protocolBase) begin(readOnly bool) (*Txn, error) {
 		id:       p.ctx.next(),
 		ctx:      p.ctx,
 		readOnly: readOnly,
-		done:     make(chan struct{}),
 	}
 	t.startTS = t.id
 	if p.trackReads {
@@ -594,9 +593,12 @@ func (p *protocolBase) groupCommitMany(g *Group, reqs []*commitReq) {
 func (p *protocolBase) finish(tx *Txn) {
 	tx.mu.Lock()
 	already := tx.finished.Swap(true)
+	done := tx.done
 	tx.mu.Unlock()
 	if !already {
-		close(tx.done)
+		if done != nil {
+			close(done)
+		}
 		p.ctx.unregister(tx)
 	}
 }
@@ -614,8 +616,11 @@ func (p *protocolBase) abort(tx *Txn) error {
 		return ErrFinished
 	}
 	tx.dropStates()
+	done := tx.done
 	tx.mu.Unlock()
-	close(tx.done)
+	if done != nil {
+		close(done)
+	}
 	p.ctx.unregister(tx)
 	return nil
 }

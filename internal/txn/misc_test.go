@@ -2,7 +2,9 @@ package txn
 
 import (
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 func TestStatusString(t *testing.T) {
@@ -74,6 +76,65 @@ func TestTxnAccessors(t *testing.T) {
 	case <-r.Done():
 	default:
 		t.Fatal("done not closed after abort")
+	}
+}
+
+// TestDoneRacesDecision: Done makes its channel only when asked, so the
+// first Done call races the commit or abort that closes it. Whichever
+// wins, every channel Done returns must close — a channel made after the
+// decision looked for one would never be closed, and its waiter would
+// hang. One waiter asks before the race, one during it, one after it.
+func TestDoneRacesDecision(t *testing.T) {
+	e := newEnv(t)
+	p := NewSI(e.ctx)
+	closed := func(ch <-chan struct{}, what string, i int) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: the %s Done channel never closed", i, what)
+		}
+	}
+	for i := range 2000 {
+		tx, err := p.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Write(tx, e.t1, "k", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		var early <-chan struct{}
+		if i%3 == 0 {
+			early = tx.Done()
+		}
+		var racing <-chan struct{}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			racing = tx.Done()
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			if i%2 == 0 {
+				err = p.Commit(tx)
+			} else {
+				err = p.Abort(tx)
+			}
+		}()
+		close(start)
+		wg.Wait()
+		if err != nil {
+			t.Fatalf("round %d: decision: %v", i, err)
+		}
+		if early != nil {
+			closed(early, "early", i)
+		}
+		closed(racing, "racing", i)
+		closed(tx.Done(), "late", i)
 	}
 }
 

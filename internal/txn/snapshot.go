@@ -60,7 +60,7 @@ func (c *Context) Snapshot(tables ...*Table) (*Snapshot, error) {
 
 	// The snapshot occupies a transaction slot so the GC horizon scan
 	// (OldestActiveVersion) sees its pin; it never enters a commit path.
-	tx := &Txn{id: c.next(), ctx: c, readOnly: true, readCTS: make([]groupCut, 0, len(groups)), done: make(chan struct{})}
+	tx := &Txn{id: c.next(), ctx: c, readOnly: true, readCTS: make([]groupCut, 0, len(groups))}
 	if err := c.register(tx); err != nil {
 		return nil, err
 	}
@@ -253,9 +253,15 @@ func (s *Snapshot) Release() {
 // unpin drops the GC pin and the transaction slot; state decides that it
 // runs exactly once.
 func (s *Snapshot) unpin() {
-	s.tx.finished.Store(true)
-	close(s.tx.done)
-	s.tx.ctx.unregister(s.tx)
+	tx := s.tx
+	tx.mu.Lock()
+	tx.finished.Store(true)
+	done := tx.done
+	tx.mu.Unlock()
+	if done != nil {
+		close(done)
+	}
+	tx.ctx.unregister(tx)
 }
 
 // scanStripe iterates the visible keys of shard stripe `stripe` of

@@ -329,7 +329,10 @@ type Txn struct {
 	// stream layer uses it to serialize the consecutive transactions of
 	// one continuous query: batch N+1 must not begin until batch N is
 	// decided, because the paper's model treats a stream query as a
-	// SEQUENCE of transactions, not a set of concurrent ones.
+	// SEQUENCE of transactions, not a set of concurrent ones. It is made
+	// only when someone waits on an open transaction (Done), under mu, and
+	// closed, if made, where finished is set under mu (finish, abort,
+	// Snapshot.unpin).
 	done chan struct{}
 
 	// req is the transaction's request to the commit pipeline, filled
@@ -345,8 +348,28 @@ type groupCut struct {
 }
 
 // Done returns a channel closed when the transaction has committed or
-// aborted.
-func (t *Txn) Done() <-chan struct{} { return t.done }
+// aborted. The channel is made on the first call while the transaction is
+// open; a finished transaction returns one shared closed channel, so a
+// wait on a decided transaction allocates nothing.
+func (t *Txn) Done() <-chan struct{} {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.done == nil {
+		if t.finished.Load() {
+			return closedDone
+		}
+		t.done = make(chan struct{})
+	}
+	return t.done
+}
+
+// closedDone is what Done returns for a transaction that finished before
+// anyone waited on it.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // ID returns the transaction's logical timestamp identifier.
 func (t *Txn) ID() ID { return t.id }
