@@ -228,6 +228,51 @@ func TestCommitProtocolExistsOnce(t *testing.T) {
 	}
 }
 
+// TestReclamationIsExplicit keeps version reclamation to its two
+// places: Install reuses a written row's dead slots on demand, and
+// Table.GC sweeps every row when its caller asks. A third trigger — a
+// sweep the commit path runs by itself after some number of commits — was
+// removed with no program setting it while every commit paid for its
+// bookkeeping. The gate fails when the table sweep has a call site other
+// than Table.GC, and when any function of consistency.go, the commit
+// pipeline, calls GC or sweep.
+func TestReclamationIsExplicit(t *testing.T) {
+	var sweepers, pipeline []string
+	fset, files := parseNonTest(t, "internal/txn")
+	for _, f := range files {
+		file := filepath.Base(fset.Position(f.Pos()).Filename)
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || (sel.Sel.Name != "sweep" && sel.Sel.Name != "GC") {
+					return true
+				}
+				if sel.Sel.Name == "sweep" {
+					sweepers = append(sweepers, fd.Name.Name)
+				}
+				if file == "consistency.go" {
+					pipeline = append(pipeline, fd.Name.Name+" calls "+sel.Sel.Name)
+				}
+				return true
+			})
+		}
+	}
+	if !slices.Equal(sweepers, []string{"GC"}) {
+		t.Errorf("the table sweep is called from %v, want exactly [GC] (Table.GC): reclamation is Install's on demand and Table.GC's on request", sweepers)
+	}
+	if len(pipeline) > 0 {
+		t.Errorf("the commit pipeline (consistency.go) sweeps: %v", pipeline)
+	}
+}
+
 // methodCallSites maps each method name called (x.Name(...)) in the
 // non-test files of dir to the functions containing the calls, one entry
 // per call site.

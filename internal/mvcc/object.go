@@ -53,7 +53,7 @@
 // — and take no lock of their own. The serialization is what keeps
 // Retained exact: between a Retained call's look at the versions and
 // whatever its callback does about them, no version is installed or
-// freed. The secondary-index sweeper relies on that (txn.Index): it drops
+// freed. The secondary-index sweep relies on that (txn.Index): it drops
 // a row from a candidate set when no retained version carries the set's
 // index key, and the commit path installs a version and then adds its
 // candidate without releasing the latch, so a sweep step falls entirely
@@ -567,8 +567,8 @@ func (o *Object) Retained(fn func(values iter.Seq[[]byte])) {
 }
 
 // GC frees every slot whose version is invisible at oldestActive and
-// reports how many it freed. The table wrapper's sweeps call it; Install
-// reuses dead slots on its own.
+// reports how many it freed. The table wrapper's sweep (txn.Table.GC)
+// calls it; Install reuses dead slots on its own.
 func (o *Object) GC(oldestActive Timestamp) int {
 	sp := o.spill.Load()
 	if sp == nil {

@@ -57,9 +57,9 @@ import (
 // The feed participates in garbage collection: every undelivered commit
 // is pinned into the context's GC horizon (txn.PartitionedFeed), and each
 // partition acknowledges a commit only after emitting its rows — read at
-// the commit's snapshot — so an aggressively collected table
-// (TableOptions.GCEveryCommits, a hot key's version array turning over)
-// can never reclaim a version a lagging partition still needs. A stalled
+// the commit's snapshot — so an aggressively collected table (Table.GC
+// after every commit, a hot key's version array turning over) can never
+// reclaim a version a lagging partition still needs. A stalled
 // consumer therefore pins the horizon until it resumes or the feed is
 // stopped and drained.
 func FromTablePartitioned(t *Topology, tbl *txn.Table, parts int, keyFn *KeyFn) (*ParallelRegion, func()) {

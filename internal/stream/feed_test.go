@@ -439,8 +439,8 @@ func FuzzChangeTupleNum(f *testing.F) {
 
 // TestToStreamPinsGCHorizon: TO_STREAM reads every row at its commit's
 // own snapshot, so a lagging consumer must keep those snapshots alive. A
-// hot key is overwritten a few hundred times under the most aggressive
-// sweeping while the ToStream consumer is stalled; once released, every
+// hot key is overwritten a few hundred times, with a Table.GC after every
+// commit, while the ToStream consumer is stalled; once released, every
 // emitted row must carry the value its own commit installed — a reclaimed
 // version would surface as a spurious Delete — and after stop and drain
 // the feed pins nothing.
@@ -449,7 +449,7 @@ func TestToStreamPinsGCHorizon(t *testing.T) {
 	ctx := txn.NewContext()
 	store := kv.NewMem()
 	defer store.Close()
-	tbl, err := ctx.CreateTable("hot", store, txn.TableOptions{VersionSlots: 4, GCEveryCommits: 1})
+	tbl, err := ctx.CreateTable("hot", store, txn.TableOptions{VersionSlots: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,9 +482,7 @@ func TestToStreamPinsGCHorizon(t *testing.T) {
 		if err := p.Commit(tx); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if tbl.GCStats().Runs == 0 {
-		t.Fatal("sweeper never ran (the test needs active sweeping to prove the pin)")
+		tbl.GC()
 	}
 
 	close(release)

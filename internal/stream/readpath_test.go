@@ -103,12 +103,12 @@ func equivScript(rng *rand.Rand, txns int) []Element {
 	return script
 }
 
-func runEquivProperty(t *testing.T, protocol string, lanes int, seed int64, gcEvery int) {
+func runEquivProperty(t *testing.T, protocol string, lanes int, seed int64, sweep bool) {
 	t.Helper()
 	ctx := txn.NewContext()
 	store := kv.NewMem()
 	t.Cleanup(func() { store.Close() })
-	tbl, err := ctx.CreateTable("rows", store, txn.TableOptions{GCEveryCommits: gcEvery})
+	tbl, err := ctx.CreateTable("rows", store, txn.TableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,6 +145,7 @@ func runEquivProperty(t *testing.T, protocol string, lanes int, seed int64, gcEv
 		checkMu   sync.Mutex
 		checkErrs []error
 		checked   int
+		committed = make(chan struct{}, 1)
 	)
 	group.Watch(func(cts txn.Timestamp, _ map[txn.StateID][]string) {
 		err := equivCheck(tbl, ix, cts)
@@ -154,6 +155,10 @@ func runEquivProperty(t *testing.T, protocol string, lanes int, seed int64, gcEv
 		}
 		checked++
 		checkMu.Unlock()
+		select {
+		case committed <- struct{}{}:
+		default:
+		}
 	})
 
 	top := New("equiv")
@@ -166,7 +171,33 @@ func runEquivProperty(t *testing.T, protocol string, lanes int, seed int64, gcEv
 	region := src.Transactions(p).Parallelize(lanes, nil)
 	stats := region.ToTable(p, tbl)
 	region.Merge("merge").Discard()
-	if err := top.Run(); err != nil {
+	// With sweep set, a loop beside the topology sweeps the table after
+	// the commits the watcher signals, for as long as the script runs, so
+	// commits and their boundary checks cross sweeps dropping index
+	// candidates. Table.GC takes the commit latch, so it runs here and
+	// never from the watcher.
+	var (
+		stopSweeps = make(chan struct{})
+		sweeps     sync.WaitGroup
+	)
+	if sweep {
+		sweeps.Add(1)
+		go func() {
+			defer sweeps.Done()
+			for {
+				select {
+				case <-stopSweeps:
+					return
+				case <-committed:
+					tbl.GC()
+				}
+			}
+		}()
+	}
+	err = top.Run()
+	close(stopSweeps)
+	sweeps.Wait()
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -186,15 +217,15 @@ func runEquivProperty(t *testing.T, protocol string, lanes int, seed int64, gcEv
 	if err := equivCheck(tbl, ix, group.LastCTS()); err != nil {
 		t.Error(err)
 	}
-	if gcEvery > 0 && tbl.GCStats().Runs == 0 {
-		t.Error("GCEveryCommits set, yet the script crossed no sweep")
+	if sweep && ix.Stats().Deletes == 0 {
+		t.Error("the sweep loop ran, yet no sweep dropped an index candidate")
 	}
 }
 
 // TestPropertyIndexTableEquivalence sweeps the property over the three
 // protocols × {1, 4} lanes × several seeds (fewer under -short), without
-// sweeps and with one after every commit (GCEveryCommits: 1), so that
-// every script also crosses the sweeper dropping index candidates.
+// sweeps (gc=0) and with a Table.GC loop beside the topology (gc=1), so
+// that every script also crosses sweeps dropping index candidates.
 func TestPropertyIndexTableEquivalence(t *testing.T) {
 	seeds := 6
 	if testing.Short() {
@@ -202,10 +233,10 @@ func TestPropertyIndexTableEquivalence(t *testing.T) {
 	}
 	for _, protocol := range []string{"mvcc", "s2pl", "bocc"} {
 		for _, lanes := range []int{1, 4} {
-			for _, gcEvery := range []int{0, 1} {
+			for _, gc := range []int{0, 1} {
 				for seed := int64(0); seed < int64(seeds); seed++ {
-					t.Run(fmt.Sprintf("%s/lanes=%d/gc=%d/seed=%d", protocol, lanes, gcEvery, seed), func(t *testing.T) {
-						runEquivProperty(t, protocol, lanes, seed, gcEvery)
+					t.Run(fmt.Sprintf("%s/lanes=%d/gc=%d/seed=%d", protocol, lanes, gc, seed), func(t *testing.T) {
+						runEquivProperty(t, protocol, lanes, seed, gc == 1)
 					})
 				}
 			}

@@ -116,8 +116,9 @@ func (s *tableSink) takePoison(tx *txn.Txn) bool {
 // abort splits a batch exactly where it sits and never delays or poisons
 // its neighbors. A poisoned COMMIT — some writer already gave up on the
 // transaction, and counted it — is made a global abort. ROLLBACK aborts
-// and counts one abort (on top of any poisoning abort the transaction
-// already recorded).
+// and counts one abort unless a writer's poisoning abort already counted
+// the transaction, so each transaction counts at most one abort per
+// ToTable wherever the batches are cut.
 func (s *tableSink) decide(kind Kind, txs []*txn.Txn) {
 	for len(txs) > 0 {
 		n := 0
@@ -135,8 +136,7 @@ func (s *tableSink) decide(kind Kind, txs []*txn.Txn) {
 		if err := s.p.Abort(txs[0]); err != nil && err != txn.ErrFinished {
 			s.t.fail(s.name, err)
 		}
-		if kind == KindRollback {
-			s.takePoison(txs[0])
+		if kind == KindRollback && !s.takePoison(txs[0]) {
 			s.stats.Aborts.Add(1)
 		}
 		txs = txs[1:]

@@ -201,10 +201,12 @@ func runRef(script []scriptItem, punctuateN int, failAt int64) *refModel {
 				continue
 			}
 			inTxn = false
-			// A rollback always counts one abort — on top of any poisoning
-			// abort the same transaction already recorded (the engine has
-			// always counted both).
-			m.aborts++
+			// A rollback counts one abort unless a poisoning abort of the
+			// same transaction already counted it: one abort per
+			// transaction, wherever batches are cut.
+			if !poisoned {
+				m.aborts++
+			}
 		}
 	}
 	return m

@@ -466,11 +466,6 @@ func (p *protocolBase) commitChain(txs []*Txn, tbls []*Table, errs [][]error) {
 			lockGroups(groups)
 			p.commitBatch(groups, reqs)
 			unlockGroups(groups)
-			// Threshold-driven sweeps run after the latches are released so
-			// they never extend the cross-group critical section.
-			for _, g := range groups {
-				g.maybeGC()
-			}
 		}
 		for k, req := range reqs {
 			errs[dsts[k].i][dsts[k].j] = req.err
@@ -785,18 +780,6 @@ func (p *protocolBase) leadGroup(g *Group) {
 	}
 	g.qmu.Unlock()
 	g.commitMu.Unlock()
-
-	// Housekeeping after the tenure: the sweep takes the latch back only if
-	// no next leader has claimed it (see Table.maybeGC).
-	g.maybeGC()
-}
-
-// maybeGC sweeps any member table whose opt-in GC threshold was reached.
-// Committers call it after releasing the group's latch.
-func (g *Group) maybeGC() {
-	for _, tbl := range g.tables {
-		tbl.maybeGC()
-	}
 }
 
 // commitBatch is the commit pipeline: it commits one batch of coordinated
@@ -974,7 +957,7 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 				}
 				// Secondary indexes: the row becomes a candidate of the
 				// index key its NEW image carries — strictly after the
-				// version is installed (the sweeper's race argument, see
+				// version is installed (the sweep's race argument, see
 				// index.go), before LastCTS makes it readable.
 				for _, ix := range ixs {
 					ix.add(op.row, op.value)
@@ -1014,14 +997,13 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 			// The written keys per state are gathered only for a group with
 			// watchers to read them, into the group's one map.
 			ws := g.watching()
+			if ws == nil {
+				continue
+			}
 			writes := g.writes
 			clear(writes)
 			for _, e := range req.tx.states {
 				if e.table.Group() != g || len(e.order) == 0 {
-					continue
-				}
-				e.table.commitsSinceGC.Add(1)
-				if ws == nil {
 					continue
 				}
 				if writes == nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sistream/internal/kv"
+	"sistream/internal/mvcc"
 )
 
 // hammerKey commits n sequential single-key blind writes through p.
@@ -24,20 +25,15 @@ func hammerKey(t *testing.T, p Protocol, tbl *Table, key string, n int) {
 	}
 }
 
-// TestGCSweeperReclaimsDeadVersions: with the opt-in threshold sweeper, a
-// read-mostly overwritten key does not retain dead versions until its
-// array fills — the retiring group-commit leader sweeps every
-// GCEveryCommits commits, and the counters report it.
+// TestGCSweeperReclaimsDeadVersions: with a version array far larger
+// than the write count, Install always finds a free slot and reclaims
+// nothing, so a read-mostly overwritten key keeps every dead version until
+// a caller sweeps; one Table.GC then reclaims them all, and reports it.
 func TestGCSweeperReclaimsDeadVersions(t *testing.T) {
 	ctx := NewContext()
 	store := kv.NewMem()
 	defer store.Close()
-	// VersionSlots far above the write count: Install-time lazy GC (which
-	// only fires on a full array) never runs, isolating the sweeper.
-	tbl, err := ctx.CreateTable("swept", store, TableOptions{
-		VersionSlots:   256,
-		GCEveryCommits: 10,
-	})
+	tbl, err := ctx.CreateTable("swept", store, TableOptions{VersionSlots: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,45 +43,78 @@ func TestGCSweeperReclaimsDeadVersions(t *testing.T) {
 	p := NewSI(ctx)
 	hammerKey(t, p, tbl, "hot", 100)
 
-	stats := tbl.GCStats()
-	if stats.Runs == 0 {
-		t.Fatal("sweeper never ran despite GCEveryCommits=10 over 100 commits")
+	if rv := tbl.ResidentVersions(); rv != 100 {
+		t.Fatalf("resident versions = %d before any sweep, want 100 (Install reclaims only a full array)", rv)
 	}
-	if stats.ReclaimedSlots == 0 {
-		t.Fatal("sweeper ran but reclaimed nothing")
+	if n := tbl.GC(); n != 99 {
+		t.Fatalf("GC reclaimed %d slots, want 99", n)
 	}
-	if stats.SweptShards == 0 {
-		t.Fatal("sweeper reported no swept shards")
+	if rv := tbl.ResidentVersions(); rv != 1 {
+		t.Fatalf("resident versions = %d after GC, want 1", rv)
 	}
-	// Incremental sweeps: threshold-driven slices must visit fewer shards
-	// per run than a whole-table scan.
-	if perRun := stats.SweptShards / stats.Runs; perRun >= tableShards {
-		t.Fatalf("per-sweep shard count %d, want < %d (incremental slices)", perRun, tableShards)
+	if n := tbl.GC(); n != 0 {
+		t.Fatalf("a second GC reclaimed %d slots, want 0", n)
 	}
-	// 100 installs, one live version; the sweeper bounds residency to at
-	// most one threshold interval of dead versions.
-	if rv := tbl.ResidentVersions(); rv > 11 {
-		t.Fatalf("resident versions = %d after sweeps, want <= 11", rv)
+}
+
+// TestInstallBoundsResidentVersionsWithoutSweep pins what the default
+// path bounds with no sweep at all — the property that lets reclamation
+// be Install's on demand and Table.GC's only on request: one writer
+// rewriting every key of a table a thousand times, with no snapshot held
+// and no GC call, leaves at most two versions per key, and every row
+// still in its inline slots.
+func TestInstallBoundsResidentVersionsWithoutSweep(t *testing.T) {
+	ctx := NewContext()
+	store := kv.NewMem()
+	defer store.Close()
+	tbl, err := ctx.CreateTable("rows", store, TableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctx.CreateGroup("g", tbl); err != nil {
+		t.Fatal(err)
+	}
+	p := NewSI(ctx)
+	const keys, rounds = 64, 1000
+	key := func(i int) string { return fmt.Sprintf("k%02d", i) }
+	for r := 0; r < rounds; r++ {
+		tx, err := p.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < keys; i++ {
+			if err := p.Write(tx, tbl, key(i), []byte(fmt.Sprintf("v%d", r))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rv := tbl.ResidentVersions(); rv > 2*keys {
+		t.Fatalf("resident versions = %d after %d unswept rounds, want <= %d", rv, rounds, 2*keys)
+	}
+	for i := 0; i < keys; i++ {
+		if c := objectOf(tbl, key(i), false).Capacity(); c != mvcc.DefaultSlots {
+			t.Fatalf("%s holds %d slots, want its %d inline ones", key(i), c, mvcc.DefaultSlots)
+		}
 	}
 }
 
 // TestGCFeedPinProtectsLaggingFeed is the regression for the GC vs. feed
 // ReadAt race: a partitioned feed reads rows at HISTORICAL commit
-// snapshots, and with GCEveryCommits=1 every retiring leader sweeps —
-// so without the feed's horizon pin, the versions a stalled consumer
-// still needs would be reclaimed and the drain would report wrong
-// values. The feed's oldest undelivered CTS must pin the horizon while
-// the consumer stalls, every drained event must read exactly the value
-// its commit installed, and once drained and acknowledged the pin must
-// release and the sweeper reclaim.
+// snapshots, and the committing goroutine sweeps (Table.GC) after every
+// commit — so without the feed's horizon pin, the versions a stalled
+// consumer still needs would be reclaimed and the drain would report
+// wrong values. The feed's oldest undelivered CTS must pin the horizon
+// while the consumer stalls, every drained event must read exactly the
+// value its commit installed, and once drained and acknowledged the pin
+// must release and a sweep reclaim.
 func TestGCFeedPinProtectsLaggingFeed(t *testing.T) {
 	ctx := NewContext()
 	store := kv.NewMem()
 	defer store.Close()
-	tbl, err := ctx.CreateTable("pinned", store, TableOptions{
-		VersionSlots:   256,
-		GCEveryCommits: 1, // most aggressive threshold sweeping
-	})
+	tbl, err := ctx.CreateTable("pinned", store, TableOptions{VersionSlots: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +144,10 @@ func TestGCFeedPinProtectsLaggingFeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantCTS = append(wantCTS, tbl.Group().LastCTS())
+		tbl.GC()
 	}
 	if pinned := feed.PinnedCTS(); pinned == 0 || pinned > wantCTS[0] {
 		t.Fatalf("stalled feed pins %d, want <= first undelivered cts %d (and non-zero)", pinned, wantCTS[0])
-	}
-	if stats := tbl.GCStats(); stats.Runs == 0 {
-		t.Fatal("sweeper never ran (test needs active sweeping to prove the pin)")
 	}
 	// The hot key's dead versions are above the pinned horizon: retained.
 	if rv := tbl.ResidentVersions(); rv != commits {
@@ -156,30 +183,5 @@ func TestGCFeedPinProtectsLaggingFeed(t *testing.T) {
 	tbl.GC()
 	if rv := tbl.ResidentVersions(); rv != 1 {
 		t.Fatalf("resident versions = %d after unpinned GC, want 1", rv)
-	}
-}
-
-// TestGCSweeperDisabledRetainsVersions is the control: without the
-// sweeper (and with a version array large enough that lazy GC never
-// fires), every dead version stays resident — the leak the sweeper fixes.
-func TestGCSweeperDisabledRetainsVersions(t *testing.T) {
-	ctx := NewContext()
-	store := kv.NewMem()
-	defer store.Close()
-	tbl, err := ctx.CreateTable("unswept", store, TableOptions{VersionSlots: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ctx.CreateGroup("g", tbl); err != nil {
-		t.Fatal(err)
-	}
-	p := NewSI(ctx)
-	hammerKey(t, p, tbl, "hot", 100)
-
-	if stats := tbl.GCStats(); stats.Runs != 0 {
-		t.Fatalf("sweeper ran %d times with GCEveryCommits=0", stats.Runs)
-	}
-	if rv := tbl.ResidentVersions(); rv != 100 {
-		t.Fatalf("resident versions = %d, want 100 (all versions retained without the sweeper)", rv)
 	}
 }

@@ -27,11 +27,11 @@ import (
 //     published, so every version a snapshot can read has its candidate;
 //     aborted transactions never reach phase 4. Deletes cost nothing, and
 //     a rewrite that keeps its index key is a read-locked hit.
-//   - the table sweep (Table.sweep -> Index.gc) removes a candidate when
+//   - the table sweep (Table.GC -> Index.gc) removes a candidate when
 //     no retained version of the row extracts to the index key, checking
 //     and removing under the group commit latch. The commit path holds
 //     the same latch from a row's install through its add, so the
-//     sweeper's step is entirely before an install and its add (the add
+//     sweep's step is entirely before an install and its add (the add
 //     re-inserts the entry) or entirely after them (it sees the version
 //     and keeps the entry).
 //
@@ -47,7 +47,7 @@ const indexShards = 16
 // cheap, and must not retain key or value: it is evaluated on the commit
 // path for every written image, on the READ path for every candidate of a
 // lookup (the result of a lookup is whatever it says about the row
-// versions at the snapshot), and by the sweeper while it holds the group
+// versions at the snapshot), and by Table.GC while it holds the group
 // commit latch.
 type IndexKeyFunc func(key string, value []byte) (ikey string, ok bool)
 
@@ -62,14 +62,12 @@ type Index struct {
 
 	shards [indexShards]indexShard
 
-	gcCursor atomic.Uint32
-
 	puts, deletes, lookups, hits atomic.Uint64
 }
 
 // indexShard is one latch-striped slice of the candidate map: ikey -> its
 // candidate set (rows are never removed from their table, so a set holds
-// them by pointer and the sweeper never probes the table).
+// them by pointer and the sweep never probes the table).
 type indexShard struct {
 	mu sync.RWMutex
 	m  map[string]*candidates
@@ -93,7 +91,7 @@ type IndexStats struct {
 	// Puts counts candidate entries added — by the backfill (one per
 	// distinct index key among a row's retained versions) and by commits
 	// that gave a row an index key it had no entry for; a rewrite that
-	// keeps its key adds nothing. Deletes counts entries the sweeper
+	// keeps its key adds nothing. Deletes counts entries Table.GC
 	// dropped. Puts - Deletes is ResidentPostings.
 	Puts, Deletes uint64
 	// Lookups counts Lookup calls; Hits the rows they returned.
@@ -127,8 +125,8 @@ func (ix *Index) shard(ikey string) *indexShard {
 // back to a set it recently left — is a few compares: r remembers the
 // rowMemos candidate sets, of any of its table's indexes, it was most
 // recently added to, and a memo holds only while r is in its set, since
-// the sweeper drops the memo in the step that drops r from the set. The
-// memos, like the sweeper's step, belong to the group commit latch holder.
+// the sweep drops the memo in the step that drops r from the set. The
+// memos, like the sweep's step, belong to the group commit latch holder.
 // Otherwise add probes the set under the shard's read lock, takes the
 // write lock only to insert, and remembers the set in place of the least
 // recently used memo.
@@ -216,20 +214,16 @@ func (ix *Index) ResidentPostings() int {
 	return n
 }
 
-// gc visits count index shards from the cursor (wrapping) and drops every
-// candidate whose row retains no version extracting to the entry's index
-// key, returning the number dropped. Invoked by the table sweeps (buf is
-// the sweep's pooled buffer), under the group commit latch, after they
-// reclaimed row versions, so index residency is bounded by the same
-// policy as row residency.
-func (ix *Index) gc(count int, buf *[]*row) int {
-	count = min(max(count, 1), indexShards)
-	from := int(ix.gcCursor.Load()) % indexShards
-	ix.gcCursor.Store(uint32((from + count) % indexShards))
+// gc drops every candidate whose row retains no version extracting to
+// the entry's index key, returning the number dropped. Invoked by
+// Table.GC (buf is the sweep's pooled buffer), under the group commit
+// latch, after it reclaimed row versions, so index residency is bounded
+// by the same sweep as row residency.
+func (ix *Index) gc(buf *[]*row) int {
 	var sets []*candidates
 	n := 0
-	for j := 0; j < count; j++ {
-		sh := &ix.shards[(from+j)%indexShards]
+	for i := range ix.shards {
+		sh := &ix.shards[i]
 		// One copy per shard: a nil row starts the candidates of the next
 		// set in sets.
 		*buf, sets = (*buf)[:0], sets[:0]

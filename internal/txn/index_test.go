@@ -437,7 +437,7 @@ func TestStressIndexSweepNeverLosesCandidate(t *testing.T) {
 	}
 	const writers, keysPerWriter = 3, 12
 	h := newHammer(t)
-	var commits, checks atomic.Uint64
+	var commits, checks, sweeps atomic.Uint64
 	// Committers own disjoint keys, so nothing aborts; every transaction
 	// flips some of its keys to the other bucket.
 	for w := 0; w < writers; w++ {
@@ -469,6 +469,7 @@ func TestStressIndexSweepNeverLosesCandidate(t *testing.T) {
 	}
 	h.spawn(1, func(int) bool {
 		e.t1.GC()
+		sweeps.Add(1)
 		return true
 	})
 	h.spawn(2, func(int) bool {
@@ -492,7 +493,7 @@ func TestStressIndexSweepNeverLosesCandidate(t *testing.T) {
 		t.Fatalf("%d commits, %d checks: the race never ran", commits.Load(), checks.Load())
 	}
 	checkLookupEqualsScan(t, e.t1, ix, e.group.LastCTS(), "ab")
-	t.Logf("%d commits, %d snapshot checks, %d sweeps, %d entries dropped", commits.Load(), checks.Load(), e.t1.GCStats().Runs, ix.Stats().Deletes)
+	t.Logf("%d commits, %d snapshot checks, %d sweeps, %d entries dropped", commits.Load(), checks.Load(), sweeps.Load(), ix.Stats().Deletes)
 }
 
 // BenchmarkIndexedCommit is the indexed write path on its own: 10-row

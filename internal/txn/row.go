@@ -21,7 +21,7 @@ import (
 // key, klen and inline never change once the row is in the index.
 // Everything else belongs to the holder of the table's group commit latch
 // — obj's writer methods included (the commit pipeline installs, recovery
-// seeds, the sweeps and the index backfill all hold it) — except obj's
+// seeds, Table.GC and the index backfill all hold it) — except obj's
 // reader methods, which snapshot readers call lock-free.
 type row struct {
 	inline [rowInline]byte

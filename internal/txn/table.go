@@ -17,7 +17,9 @@ const (
 	tableShards    = 1 << tableShardBits
 )
 
-// TableOptions configures a transactional table.
+// TableOptions configures a transactional table. Version reclamation
+// takes no option: Install reuses a row's dead slots when it writes the
+// row, and Table.GC sweeps every row when the caller asks.
 type TableOptions struct {
 	// VersionSlots is the number of versions a row holds before Install
 	// reclaims in place: a new version takes a free slot while there is
@@ -30,18 +32,6 @@ type TableOptions struct {
 	// visible. The paper's evaluation enables it ("we ... only set the
 	// sync option to true to guarantee failure atomicity").
 	SyncCommits bool
-	// GCEveryCommits opts into threshold-driven version reclamation: the
-	// table's rows are swept once per N transactions committed into it,
-	// by the retiring group-commit leaders, between commit batches (a
-	// sweep holds the commit latch; a leader that finds it taken leaves
-	// the sweep to the next one). The sweep is INCREMENTAL: each retiring
-	// leader visits only the next 1/gcSweepSlices of the key shards, so
-	// the full table is covered once per threshold interval while no
-	// single commit path pays a whole-table pause. 0 disables the
-	// sweeper, leaving only the Install-time lazy GC — which only fires
-	// when a row has no free slot, so read-mostly keys would retain dead
-	// versions indefinitely. See Table.GCStats.
-	GCEveryCommits int
 }
 
 // Table is the transactional table wrapper of the paper's Figure 3: a
@@ -70,16 +60,6 @@ type Table struct {
 	// Secondary indexes (Table.CreateIndex), copy-on-write so the
 	// group-commit leader reads the set with one atomic load per entry.
 	indexes atomic.Pointer[[]*Index]
-
-	// Sweeper bookkeeping (see TableOptions.GCEveryCommits): commits into
-	// this table since the last sweep, the next shard the incremental
-	// sweeper visits, and the cumulative counters GCStats reports. Sweeps
-	// hold the group commit latch, which also keeps them from stacking.
-	commitsSinceGC atomic.Uint64
-	gcCursor       atomic.Uint32
-	gcRuns         atomic.Uint64
-	gcReclaimed    atomic.Uint64
-	gcShards       atomic.Uint64
 }
 
 // CreateTable registers a transactional table named id over the given
@@ -198,127 +178,52 @@ func (t *Table) Keys() int {
 	return n
 }
 
-// gcSweepSlices is the number of increments a full threshold-driven
-// table sweep is split into: each retiring group-commit leader that
-// crosses the (scaled) threshold sweeps tableShards/gcSweepSlices shards
-// from the cursor, so the commit-path housekeeping pause is 1/8 of a
-// whole-table scan while full coverage still completes once per
-// GCEveryCommits interval.
-const gcSweepSlices = 8
-
 // GC reclaims versions invisible at the context's current
-// OldestActiveVersion across all keys, returning reclaimed slots. It
+// OldestActiveVersion across all keys, and drops the index candidates
+// whose rows no longer retain a version carrying their index key,
+// returning the slots and entries it reclaimed. It is the one sweep:
+// Install reclaims a written row's dead slots on demand, and only GC
+// reaches rows nobody writes any more, so a program that wants a quiet
+// table or roaming index keys bounded calls it on its own schedule. It
 // holds the group commit latch for the sweep, since reclaiming writes the
 // rows' version slots, which only the latch holder may: commits wait for
 // it, readers never do. So it must not be called from a commit watcher,
 // which runs under that latch.
-//
-// GC is how a caller reclaims a quiet table: threshold sweeps
-// (TableOptions.GCEveryCommits) run only on retiring commit leaders, so a
-// table that stops committing keeps its dead versions until it commits
-// again.
 func (t *Table) GC() int {
 	if g := t.Group(); g != nil {
 		g.commitMu.Lock()
 		defer g.commitMu.Unlock()
 	}
-	return t.sweep(0, tableShards)
+	return t.sweep()
 }
 
-// sweep reclaims dead versions in count shards starting at shard `from`
-// (wrapping), recording one sweeper run. Caller holds the group commit
+// sweep is GC's pass over every shard. Caller holds the group commit
 // latch (or the table has no group, hence no rows).
-func (t *Table) sweep(from, count int) int {
+func (t *Table) sweep() int {
 	horizon := t.ctx.OldestActiveVersion()
 	buf := acquireRows()
 	defer releaseRows(buf)
 	n := 0
-	for j := 0; j < count; j++ {
-		*buf = t.shards[(from+j)%tableShards].appendRows((*buf)[:0])
+	for i := range t.shards {
+		*buf = t.shards[i].appendRows((*buf)[:0])
 		for _, r := range *buf {
 			n += r.obj.GC(horizon)
 		}
 	}
-	// Index candidates age with their rows: each sweep also visits a
-	// proportional slice of every secondary index and drops the entries
-	// whose row no longer retains a version carrying the index key.
-	if ixs := t.indexSet(); len(ixs) > 0 {
-		ic := count * indexShards / tableShards
-		for _, ix := range ixs {
-			n += ix.gc(ic, buf)
-		}
+	// Index candidates age with their rows: the sweep also drops the
+	// entries whose row no longer retains a version carrying the index key.
+	for _, ix := range t.indexSet() {
+		n += ix.gc(buf)
 	}
-	t.gcRuns.Add(1)
-	t.gcReclaimed.Add(uint64(n))
-	t.gcShards.Add(uint64(count))
 	return n
-}
-
-// maybeGC runs one sweep increment when the opt-in commit threshold has
-// been reached. It is called by the retiring group-commit leader after
-// it released the commit latch, and sweeps only if it can take the latch
-// back at once: a committer that already holds it — a new leader
-// collecting its batch may be waiting for this very goroutine's next
-// commit — goes first, and the next retiring leader sweeps instead.
-// The configured GCEveryCommits interval is divided across gcSweepSlices
-// increments — each crossing of the scaled threshold sweeps the next
-// slice of shards — so residency stays bounded by one full interval
-// while each leader pays only a fraction of the scan.
-func (t *Table) maybeGC() {
-	n := t.opts.GCEveryCommits
-	if n <= 0 {
-		return
-	}
-	step := uint64(n / gcSweepSlices)
-	if step < 1 {
-		step = 1
-	}
-	if t.commitsSinceGC.Load() < step {
-		return
-	}
-	g := t.Group()
-	if !g.commitMu.TryLock() {
-		return
-	}
-	defer g.commitMu.Unlock()
-	t.commitsSinceGC.Store(0)
-	from := int(t.gcCursor.Load())
-	chunk := tableShards / gcSweepSlices
-	t.gcCursor.Store(uint32((from + chunk) % tableShards))
-	t.sweep(from, chunk)
 }
 
 // StopIdleGC does nothing: tables run no background sweeper. It remains
 // for callers that tear a topology down; Table.GC reclaims a quiet table.
 func (t *Table) StopIdleGC() {}
 
-// GCTableStats reports explicit sweep activity (Table.GCStats).
-type GCTableStats struct {
-	// Runs counts completed sweeps: incremental threshold-driven slices
-	// and manual GC calls (Install-time lazy reclamation is not
-	// included).
-	Runs uint64
-	// ReclaimedSlots is the total version slots those sweeps reclaimed.
-	ReclaimedSlots uint64
-	// SweptShards is the total shards those sweeps visited;
-	// SweptShards/Runs is the per-sweep shard count (a full manual GC
-	// counts all shards, an incremental slice tableShards/gcSweepSlices).
-	SweptShards uint64
-}
-
-// GCStats reports explicit sweep activity — threshold-driven incremental
-// sweeps and manual GC calls: completed sweeps, the version slots they
-// reclaimed, and the shards they visited.
-func (t *Table) GCStats() GCTableStats {
-	return GCTableStats{
-		Runs:           t.gcRuns.Load(),
-		ReclaimedSlots: t.gcReclaimed.Load(),
-		SweptShards:    t.gcShards.Load(),
-	}
-}
-
 // ResidentVersions counts the currently occupied version slots across all
-// keys of the table — the live-version footprint the sweeper bounds.
+// keys of the table — the live-version footprint Install and GC bound.
 // O(keys); a diagnostic, not a hot-path call.
 func (t *Table) ResidentVersions() int {
 	n := 0

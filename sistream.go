@@ -44,9 +44,6 @@ type (
 	// while committing strictly in order, with conflicts between chain
 	// members exempted as serial history (see TransactionsWindow).
 	Chain = txn.Chain
-	// GCTableStats reports a table's explicit sweep activity: runs,
-	// reclaimed version slots and swept shards (Table.GCStats).
-	GCTableStats = txn.GCTableStats
 	// CommitProfile is a topology group's observed commit-path profile:
 	// committed transactions and batches (their ratio is the achieved
 	// fan-in) and per-batch sync and install latency summaries
@@ -70,7 +67,7 @@ type (
 	IndexKeyFunc = txn.IndexKeyFunc
 	// IndexStats are an index's lifetime counters (Index.Stats): Puts
 	// counts candidate entries added (backfill included), Deletes the
-	// entries the version sweeper dropped, Lookups and Hits the reads.
+	// entries Table.GC dropped, Lookups and Hits the reads.
 	IndexStats = txn.IndexStats
 )
 
