@@ -81,15 +81,17 @@ func TestNoPanicsInFailStopLayers(t *testing.T) {
 // TestNoPanicsInFusedStages keeps the fused stages and their consumer
 // loop free of panics: an invalid argument to Punctuate,
 // TransactionsWindow or TransactionsTuned is a construction error that
-// Topology.fail records and Run returns, with no element emitted. The
-// gate walks internal/stream's ops.go and batch.go; the construction
-// panics in its other files are still to go the same way.
+// Topology.fail records and Run returns, with no element emitted; so is
+// a change feed (FromTablePartitioned) over an invalid partition count or
+// a table in no group. The gate walks internal/stream's ops.go, batch.go
+// and feed.go; the construction panics in its other files are still to go
+// the same way.
 func TestNoPanicsInFusedStages(t *testing.T) {
 	fset, files := parseNonTest(t, "internal/stream")
 	var violations []string
 	for _, f := range files {
 		base := filepath.Base(fset.Position(f.Pos()).Filename)
-		if base != "ops.go" && base != "batch.go" {
+		if base != "ops.go" && base != "batch.go" && base != "feed.go" {
 			continue
 		}
 		for _, pos := range panicCalls(fset, f) {
@@ -273,6 +275,50 @@ func TestReclamationIsExplicit(t *testing.T) {
 	}
 }
 
+// TestGCHorizonHasOneInput keeps the garbage-collection horizon to one
+// input, the active transactions' read cuts. A change feed once read
+// every row it delivered back at its commit's snapshot, and to keep that
+// read safe pinned its oldest undelivered commit into the horizon of the
+// whole context — a second reclamation input that a stalled consumer held
+// for every table. The feed now carries the committed values. The gate
+// fails when Context.OldestActiveVersion reads a receiver field other
+// than the clock and the transaction slots, and when a non-test file of
+// internal/stream calls ReadAt, naming the function.
+func TestGCHorizonHasOneInput(t *testing.T) {
+	_, files := parseNonTest(t, "internal/txn")
+	found := false
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || fd.Name.Name != "OldestActiveVersion" || fd.Recv == nil || len(fd.Recv.List[0].Names) == 0 {
+				continue
+			}
+			found = true
+			recv := fd.Recv.List[0].Names[0].Name
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if id, ok := sel.X.(*ast.Ident); ok && id.Name == recv {
+					switch sel.Sel.Name {
+					case "counter", "slotWords", "slots":
+					default:
+						t.Errorf("OldestActiveVersion folds in %s.%s: the GC horizon reads the clock and the transaction slots only", recv, sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	if !found {
+		t.Fatal("OldestActiveVersion is not declared in internal/txn")
+	}
+	if readers := methodCallSites(t, "internal/stream")["ReadAt"]; len(readers) > 0 {
+		t.Errorf("internal/stream reads rows back with ReadAt in %v: a feed emits the committed ops it is handed", readers)
+	}
+}
+
 // methodCallSites maps each method name called (x.Name(...)) in the
 // non-test files of dir to the functions containing the calls, one entry
 // per call site.
@@ -332,7 +378,7 @@ func TestLinkingOperatorsExistOnce(t *testing.T) {
 	// TO_TABLE's write path: one function flushes a write set.
 	check("TO_TABLE flush (WriteSegment/WriteBatch)",
 		slices.Concat(stream["WriteSegment"], stream["WriteBatch"]), "flush")
-	// TO_STREAM: one watcher, the GC-pinned partitioned feed.
+	// TO_STREAM: one watcher, the partitioned feed.
 	check("TO_STREAM watcher (WatchPartitioned)", stream["WatchPartitioned"], "FromTablePartitioned")
 	check("TO_STREAM watcher (Group.Watch)", stream["Watch"])
 	// Underneath, one function appends to a transaction's write set.

@@ -42,7 +42,10 @@ func (k Kind) String() string {
 // and aggregations; Ts is the event timestamp (logical or wall-clock,
 // chosen by the source); Delete marks an explicit deletion tuple for
 // TO_TABLE ("a delete occurs if the tuple is ... explicitly removed by a
-// delete tuple", Section 3).
+// delete tuple", Section 3). A Value that a table source emits —
+// FromTablePartitioned, ToStream, FromSnapshot — is the committed
+// version's own bytes, shared with the table and with every other reader
+// of that version: read-only. A stage that changes a value copies it.
 type Tuple struct {
 	Key    string
 	Value  []byte

@@ -122,7 +122,11 @@ func TestTransactionsTunedRejectsNilTuner(t *testing.T) {
 	})
 }
 
-func TestToStreamPanicsWithoutGroup(t *testing.T) {
+// TestFeedRejectsInvalidSource: FromTablePartitioned with parts < 1, and
+// ToStream over a table in no group, are construction errors that Run
+// returns, not panics: no element reaches the sink and no goroutine is
+// left behind.
+func TestFeedRejectsInvalidSource(t *testing.T) {
 	e := newStreamEnv(t)
 	store := kv.NewMem()
 	defer store.Close()
@@ -130,12 +134,34 @@ func TestToStreamPanicsWithoutGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ToStream on a group-less table must panic")
-		}
-	}()
-	ToStream(New("t"), orphan, e.p)
+	cases := []struct {
+		name, want string
+		build      func(top *Topology) *Stream
+	}{
+		{"parts=0", "needs parts >= 1", func(top *Topology) *Stream {
+			r, _ := FromTablePartitioned(top, e.t1, 0, nil)
+			return r.Merge("merge")
+		}},
+		{"no group", `"orphan"`, func(top *Topology) *Stream {
+			s, _ := ToStream(top, orphan, e.p)
+			return s
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			leaktest.Check(t)
+			top := New("t")
+			seen := 0
+			c.build(top).Sink("sink", func(Element) { seen++ })
+			err := top.Run()
+			if err == nil || !strings.Contains(err.Error(), "t/from_table/") || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Run returned %v, want the feed's construction error naming %s", err, c.want)
+			}
+			if seen != 0 {
+				t.Fatalf("an invalid feed emitted %d elements", seen)
+			}
+		})
+	}
 }
 
 // KindString covers the Kind stringer including the unknown branch.

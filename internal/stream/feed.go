@@ -30,14 +30,15 @@ import (
 // Each committed transaction that wrote tbl appears on every lane as a
 // BOT punctuation, the lane's share of the changed rows as data elements,
 // and a COMMIT punctuation; both punctuations carry the commit timestamp
-// in Tuple.Ts. Data elements are shaped by changeTuple: Key is the row
-// key, Value the committed value as of that commit's own snapshot (Num
-// set only when the ENTIRE value is a decimal literal — "42", "-1.5",
-// "1e3", as strconv.ParseFloat reads it — and 0 for anything else, a
-// literal followed by other bytes included), Ts the commit timestamp,
-// Delete set when the change removed the row. Reading at the commit's
-// snapshot means the emitted value is exactly what that transaction
-// installed, even if later commits already overwrote it.
+// in Tuple.Ts. Data elements are shaped by changeTuple from the committed
+// op itself: Key is the row key, Value the value that transaction
+// installed — the committed version's own bytes, read-only (see Tuple) —
+// with Num set only when the ENTIRE value is a decimal literal ("42",
+// "-1.5", "1e3", as strconv.ParseFloat reads it) and 0 for anything else,
+// a literal followed by other bytes included; Ts is the commit timestamp,
+// Delete set when the change removed the row. The feed never reads the
+// table back, so a later commit or a Table.GC cannot change what it
+// emits, and it holds back no reclamation.
 //
 // The region must be closed with Merge (directly, or after deriving
 // per-partition operator chains with Apply — the lane-to-lane hookup that
@@ -50,45 +51,39 @@ import (
 //
 // The feed buffers up to txn.DefaultFeedBuf commits; if consumers fall
 // that far behind, the committing thread blocks (backpressure) rather
-// than dropping committed changes. stop ends the feed: queued commits are
-// still delivered, then the lanes close. Punctuation-only transactions
-// (commits not writing tbl) do not appear on the feed.
-//
-// The feed participates in garbage collection: every undelivered commit
-// is pinned into the context's GC horizon (txn.PartitionedFeed), and each
-// partition acknowledges a commit only after emitting its rows — read at
-// the commit's snapshot — so an aggressively collected table (Table.GC
-// after every commit, a hot key's version array turning over) can never
-// reclaim a version a lagging partition still needs. A stalled
-// consumer therefore pins the horizon until it resumes or the feed is
-// stopped and drained.
+// than dropping committed changes, and a stalled consumer holds at most
+// that many commits' values. stop ends the feed: a commit whose Commit
+// returned before stop is still delivered, then the lanes close.
+// Punctuation-only transactions (commits not writing tbl) do not appear
+// on the feed. parts < 1, or a table in no group, is a construction error
+// that Run returns; the region's lanes then close without emitting.
 func FromTablePartitioned(t *Topology, tbl *txn.Table, parts int, keyFn *KeyFn) (*ParallelRegion, func()) {
+	r := &ParallelRegion{t: t, key: keyFn}
 	feed, err := tbl.WatchPartitioned(parts, 0, keyFn.keyHash())
 	if err != nil {
-		panic(fmt.Sprintf("stream: FromTablePartitioned: %v", err))
+		t.fail("from_table/"+string(tbl.ID()), err)
+		r.lanes = make([]*Stream, max(parts, 1))
+		for i := range r.lanes {
+			r.lanes[i] = t.newStream()
+			close(r.lanes[i].ch)
+		}
+		return r, func() {}
 	}
-	r := &ParallelRegion{t: t, key: keyFn}
 	r.lanes = make([]*Stream, parts)
-	for i := range r.lanes {
+	for i, events := range feed.Partitions() {
 		lane := t.newStream()
 		r.lanes[i] = lane
-		part := i
-		events := feed.Partitions()[i]
 		t.spawn(fmt.Sprintf("from_table/%s/p%d", tbl.ID(), i), func() {
 			defer close(lane.ch)
 			if !t.released() {
-				// Acknowledge without emitting, so committers never
-				// wait on a feed nothing will read.
+				// Drain without emitting, so committers never wait on a
+				// feed nothing will read.
 				for range events {
-					feed.Ack(part)
 				}
 				return
 			}
 			for ev := range events {
-				emitFeedCommit(lane, tbl, ev)
-				// The rows are read (and copied) — release the GC pin for
-				// this partition's share of the commit.
-				feed.Ack(part)
+				emitFeedCommit(lane, ev)
 			}
 		})
 	}
@@ -98,14 +93,14 @@ func FromTablePartitioned(t *Topology, tbl *txn.Table, parts int, keyFn *KeyFn) 
 // emitFeedCommit ships one commit's changes on a feed lane as an in-band
 // [BOT, rows..., COMMIT] run, split at batchCap so a large commit never
 // delays delivery of its first rows.
-func emitFeedCommit(lane *Stream, tbl *txn.Table, ev txn.FeedEvent) {
+func emitFeedCommit(lane *Stream, ev txn.FeedEvent) {
 	punct := func(k Kind) Element {
 		return Element{Kind: k, Tuple: Tuple{Ts: int64(ev.CTS)}}
 	}
 	b := getBatch()
 	b = append(b, punct(KindBOT))
-	for _, key := range ev.Keys {
-		b = append(b, Element{Kind: KindData, Tuple: changeTuple(tbl, key, ev.CTS)})
+	for _, op := range ev.Changes {
+		b = append(b, Element{Kind: KindData, Tuple: changeTuple(op, ev.CTS)})
 		if len(b) >= batchCap {
 			lane.ch <- b
 			b = getBatch()

@@ -290,29 +290,24 @@ func (s *Stream) ToTable(p txn.Protocol, tbl *txn.Table) (*Stream, *ToTableStats
 // Every commit that wrote tbl appears as a BOT punctuation, one data
 // element per changed row, and a COMMIT punctuation, in commit order;
 // all three carry the commit timestamp in Tuple.Ts (see
-// FromTablePartitioned for the row shape, the backpressure rule and the
-// GC pin a lagging consumer holds). stop ends the feed: queued commits
-// are still delivered, then the stream closes.
+// FromTablePartitioned for the row shape and the backpressure rule).
+// stop ends the feed: a commit whose Commit returned before stop is still
+// delivered, then the stream closes.
 func ToStream(t *Topology, tbl *txn.Table, p txn.Protocol) (*Stream, func()) {
 	r, stop := FromTablePartitioned(t, tbl, 1, nil)
 	return r.Merge("to_stream/" + string(tbl.ID())), stop
 }
 
 // changeTuple shapes one committed row change as a feed tuple: Key is the
-// row key, Ts the commit timestamp, Delete set when the row is gone at
-// that snapshot, Value a private copy of the committed value (Num set
-// when the whole value is a decimal literal, see FromTablePartitioned).
-// The row is read at the commit's own snapshot so the value is exactly
-// what that transaction installed, even if later commits already
-// overwrote it.
-func changeTuple(tbl *txn.Table, key string, cts txn.Timestamp) Tuple {
-	v, ok := tbl.ReadAt(key, cts)
-	tuple := Tuple{Key: key, Ts: int64(cts), Delete: !ok}
-	if ok {
-		tuple.Value = append([]byte(nil), v...)
-		tuple.Num = feedNum(v)
+// row key, Ts the commit timestamp, Delete set when the change removed
+// the row, Value otherwise the committed value itself, shared read-only
+// (Num set when the whole value is a decimal literal, see
+// FromTablePartitioned).
+func changeTuple(op txn.WriteOp, cts txn.Timestamp) Tuple {
+	if op.Delete {
+		return Tuple{Key: op.Key, Ts: int64(cts), Delete: true}
 	}
-	return tuple
+	return Tuple{Key: op.Key, Value: op.Value, Num: feedNum(op.Value), Ts: int64(cts)}
 }
 
 // feedNum is a feed tuple's Num: v read by strconv.ParseFloat when the

@@ -819,7 +819,7 @@ func (p *protocolBase) leadGroup(g *Group) {
 //  5. publish LastCTS once per latched group — under all the latches and,
 //     for more than one group, with Context.spanning odd, so a reader
 //     pinning several of the groups (pinGroups) sees the batch in all of
-//     them or in none — then notify each group's watchers per transaction
+//     them or in none — then call each group's commit hooks per transaction
 //     in commit order.
 func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 	// Fail-stop: a poisoned group anywhere in the latch set rejects the
@@ -966,14 +966,13 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 		}
 	}
 
-	// Phase 5: atomic visibility for the whole batch, then per-commit
-	// watcher notifications (TO_STREAM triggers) in commit order. Every
+	// Phase 5: atomic visibility for the whole batch, then the commit
+	// hooks (TO_STREAM triggers), per transaction in commit order. Every
 	// latched group records the batch under its own profile. Install
 	// latency excludes the durability Apply — it is the in-memory half of
-	// the batch (admission + version install + publish). Watcher
-	// notifications are excluded too: they run downstream consumers' code
-	// and can block on feed backpressure, which is occupancy, not commit
-	// cost.
+	// the batch (admission + version install + publish). The hooks are
+	// excluded too: they run downstream consumers' code and can block on
+	// feed backpressure, which is occupancy, not commit cost.
 	spans := len(groups) > 1
 	if spans {
 		p.ctx.spanning.Add(1)
@@ -994,28 +993,8 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 	}
 	for _, req := range admitted {
 		for _, g := range groups {
-			// The written keys per state are gathered only for a group with
-			// watchers to read them, into the group's one map.
-			ws := g.watching()
-			if ws == nil {
-				continue
-			}
-			writes := g.writes
-			clear(writes)
-			for _, e := range req.tx.states {
-				if e.table.Group() != g || len(e.order) == 0 {
-					continue
-				}
-				if writes == nil {
-					writes = make(map[StateID][]string)
-					g.writes = writes
-				}
-				writes[e.table.id] = e.order
-			}
-			if len(writes) > 0 {
-				for _, w := range ws {
-					w(req.cts, writes)
-				}
+			for _, h := range g.hooked() {
+				h(req.cts, req.tx.states)
 			}
 		}
 		p.finish(req.tx)

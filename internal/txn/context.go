@@ -56,12 +56,6 @@ type Context struct {
 	slotWords [maxActiveTxns / 64]atomic.Uint64
 	slots     [maxActiveTxns]atomic.Pointer[Txn]
 
-	// feedPins are the partitioned change feeds' GC-horizon contributors
-	// (see feed.go): a copy-on-write slice so the horizon scan reads it
-	// without locking. Registration is append-only — a stopped, drained
-	// feed's pin holds nothing and costs one atomic load per scan.
-	feedPins atomic.Pointer[[]*feedPin]
-
 	// recent is the BOCC history of committed write sets (see bocc.go).
 	recent recentCommits
 }
@@ -123,11 +117,9 @@ func (c *Context) unregister(t *Txn) {
 }
 
 // OldestActiveVersion returns the garbage-collection horizon: the minimum
-// snapshot any active transaction — or any partitioned change feed with
-// undelivered commits (see feed.go) — may still read. Versions whose
+// snapshot any active transaction may still read. Versions whose
 // deletion timestamp is at or below it are invisible to everyone and
-// reclaimable. With no active readers and no feed backlog the horizon is
-// the current clock.
+// reclaimable. With no active readers the horizon is the current clock.
 func (c *Context) OldestActiveVersion() Timestamp {
 	oldest := c.counter.Load()
 	for w := range c.slotWords {
@@ -143,27 +135,7 @@ func (c *Context) OldestActiveVersion() Timestamp {
 			}
 		}
 	}
-	if pins := c.feedPins.Load(); pins != nil {
-		for _, fp := range *pins {
-			if o := fp.oldest.Load(); o != 0 && o < oldest {
-				oldest = o
-			}
-		}
-	}
 	return oldest
-}
-
-// addFeedPin registers a partitioned feed's GC-horizon contributor
-// (copy-on-write under setupMu; the scan side is lock-free).
-func (c *Context) addFeedPin(p *feedPin) {
-	c.setupMu.Lock()
-	defer c.setupMu.Unlock()
-	var next []*feedPin
-	if cur := c.feedPins.Load(); cur != nil {
-		next = append(next, *cur...)
-	}
-	next = append(next, p)
-	c.feedPins.Store(&next)
 }
 
 // ActiveCount returns the number of registered transactions (diagnostic).
@@ -252,14 +224,14 @@ type Group struct {
 	syncHist    metrics.Histogram
 	installHist metrics.Histogram
 
-	// watchers are commit listeners (TO_STREAM trigger policy
-	// "per transaction commit"); they run synchronously right after
-	// LastCTS is published, still under the commit latch, so they must
-	// be fast and must not call back into the protocol. Copy-on-write
-	// under watcherMu; nil while there are none.
-	watcherMu sync.Mutex
-	watchers  atomic.Pointer[[]CommitWatcher]
-	// writes is the map handed to the watchers, refilled per commit;
+	// hooks are the commit listeners (TO_STREAM trigger policy "per
+	// transaction commit"); they run synchronously right after LastCTS is
+	// published, still under the commit latch, so they must be fast and
+	// must not call back into the protocol. Copy-on-write under hookMu;
+	// nil while there are none.
+	hookMu sync.Mutex
+	hooks  atomic.Pointer[[]commitHook]
+	// writes is the map Watch hands its watchers, refilled per commit;
 	// owned under commitMu.
 	writes map[StateID][]string
 }
@@ -295,26 +267,55 @@ func (g *Group) CommitProfile() CommitProfile {
 // CommitWatcher observes global commits of a group: the commit timestamp
 // and, per state, the keys written (deletes included). The map and its
 // slices are valid only during the call: the map is reused for the
-// group's next commit, and the slices are shared — the write set's own,
-// handed to every watcher and recycled with the transaction. Watchers
-// must not modify either and copy the keys they keep.
+// group's next commit, and the slices are the write set's own, recycled
+// with the transaction. Watchers must not modify either and copy the
+// keys they keep. A watcher that needs the written values too is a
+// partitioned feed (Table.WatchPartitioned), whose events carry them.
 type CommitWatcher func(cts Timestamp, writes map[StateID][]string)
+
+// commitHook observes one transaction's global commit on a group: its
+// commit timestamp and its state entries — every state it touched, of
+// any group, deduplicated write sets included; a hook picks its own.
+// The entries are valid only during the call.
+type commitHook func(cts Timestamp, states []*stateEntry)
 
 // Watch registers a commit listener. Listeners run on the committing
 // goroutine under the group's commit latch — the hook for TO_STREAM's
 // per-commit trigger policy (Section 3, "trigger policy ... to rely on
-// transaction commits").
+// transaction commits"). A commit that wrote none of the group's states
+// is not reported.
 func (g *Group) Watch(w CommitWatcher) {
-	g.watcherMu.Lock()
-	defer g.watcherMu.Unlock()
-	next := append(slices.Clone(g.watching()), w)
-	g.watchers.Store(&next)
+	g.hook(func(cts Timestamp, states []*stateEntry) {
+		writes := g.writes
+		clear(writes)
+		for _, e := range states {
+			if e.table.Group() != g || len(e.order) == 0 {
+				continue
+			}
+			if writes == nil {
+				writes = make(map[StateID][]string)
+				g.writes = writes
+			}
+			writes[e.table.id] = e.order
+		}
+		if len(writes) > 0 {
+			w(cts, writes)
+		}
+	})
 }
 
-// watching returns the registered commit listeners, nil when none.
-func (g *Group) watching() []CommitWatcher {
-	if ws := g.watchers.Load(); ws != nil {
-		return *ws
+// hook registers a commit hook.
+func (g *Group) hook(h commitHook) {
+	g.hookMu.Lock()
+	defer g.hookMu.Unlock()
+	next := append(slices.Clone(g.hooked()), h)
+	g.hooks.Store(&next)
+}
+
+// hooked returns the registered commit hooks, nil when none.
+func (g *Group) hooked() []commitHook {
+	if hs := g.hooks.Load(); hs != nil {
+		return *hs
 	}
 	return nil
 }

@@ -30,7 +30,7 @@
 //	                read set, validation as admission, registration
 //	segment.go      per-lane write-set segments for parallel ingest
 //	feed.go         partitioned change-feed fan-out (WatchPartitioned)
-//	                and the feed's GC-horizon pin
+//	                of each commit's written keys and values
 //	chain.go        cross-transaction commit chains (the fused spine)
 //	lockmgr.go      the S2PL lock table (chain-aware wait-die)
 //

@@ -158,9 +158,9 @@ func (t *Table) readVersion(key string, rts Timestamp) ([]byte, bool) {
 }
 
 // ReadAt returns the value of key visible at snapshot rts, bypassing any
-// protocol bookkeeping. It serves change feeds (TO_STREAM) that must
-// report a row exactly as a given commit installed it, and diagnostics.
-// The returned slice must not be modified.
+// protocol bookkeeping: a diagnostic read, which nothing pins — a
+// version below the GC horizon may already be reclaimed. The returned
+// slice must not be modified.
 func (t *Table) ReadAt(key string, rts Timestamp) ([]byte, bool) {
 	return t.readVersion(key, rts)
 }

@@ -139,7 +139,7 @@ func newStateEntry(tbl *Table) *stateEntry {
 
 // recycle returns the entry's storage to the pool. Callers must guarantee
 // the owning transaction is finished and no other goroutine can reach the
-// entry anymore (commit watchers use the order slice only during their
+// entry anymore (commit hooks use the order and ops slices only during their
 // call).
 func (e *stateEntry) recycle() {
 	clear(e.idx) // keeps the buckets

@@ -183,8 +183,11 @@ func runDedupeScript(t *testing.T, proto string, window int, fed bool, script []
 		feed.Stop()
 		var gotFeed [][]string
 		for ev := range feed.Partitions()[0] {
-			gotFeed = append(gotFeed, ev.Keys)
-			feed.Ack(0)
+			keys := make([]string, len(ev.Changes))
+			for i, c := range ev.Changes {
+				keys[i] = c.Key
+			}
+			gotFeed = append(gotFeed, keys)
 		}
 		if !slices.EqualFunc(gotFeed, wantFeed, slices.Equal) {
 			t.Fatalf("feed delivered %v, want %v", gotFeed, wantFeed)

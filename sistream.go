@@ -31,13 +31,13 @@ type (
 	GroupID = txn.GroupID
 	// Timestamp is the logical commit timestamp.
 	Timestamp = txn.Timestamp
-	// FeedEvent is one committed transaction's changes to a table,
-	// restricted to one partition of a partitioned change feed
-	// (Table.WatchPartitioned).
+	// FeedEvent is one committed transaction's changes to a table —
+	// each written key with its committed value (shared, read-only) and
+	// delete flag — restricted to one partition of a partitioned change
+	// feed (Table.WatchPartitioned).
 	FeedEvent = txn.FeedEvent
 	// PartitionedFeed is the handle of a partitioned change feed:
-	// per-partition event channels, stop control, and the delivery
-	// acknowledgements that advance the feed's GC-horizon pin.
+	// per-partition event channels and stop control.
 	PartitionedFeed = txn.PartitionedFeed
 	// Chain is the serial-commit token of one windowed stream query:
 	// transactions attached to a chain may overlap inside the window
@@ -189,8 +189,8 @@ var (
 	ToStream = stream.ToStream
 	// FromTablePartitioned is the partitioned TO_STREAM linking operator:
 	// per-partition commit sources exposed as the lanes of a
-	// ParallelRegion, re-serialized by its Merge barrier; undelivered
-	// commits pin the GC horizon.
+	// ParallelRegion, re-serialized by its Merge barrier; each row
+	// carries the value its commit installed, shared read-only.
 	FromTablePartitioned = stream.FromTablePartitioned
 	// TableSnapshot is the ad-hoc FROM(table) snapshot query: a scan of a
 	// pinned Snapshot, wait-free under all three protocols.
