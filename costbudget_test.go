@@ -158,6 +158,28 @@ func TestCostBudgets(t *testing.T) {
 			allocs: 6, bytes: 416,
 			measure: snapshotGetCost,
 		},
+		{
+			// CreateGroup recovering one 10 000-row mem table (8-byte
+			// keys, 14-byte values) into a new context, with the store's
+			// Scan: 1.01 allocations, 326 B per row — the row (160 B) and
+			// its share of the key and value arenas and of its shard's slot
+			// array, which stay, and the loader's row list and the Scan's
+			// pairs and sort positions, which go when CreateGroup returns
+			// (4.03 allocations, 306 B at 59aaedf: a key, a row, a value
+			// copy and a Scan key per row, shards grown by doubling).
+			name: "recover 10k rows", unit: "row",
+			allocs: 1.05, bytes: 344,
+			measure: recoverCost,
+		},
+		{
+			// CreateIndex backfilling a 16-bucket index over a recovered
+			// 10 000-row mem table: 0.02 allocations, 56 B per row, the
+			// candidate sets built whole and the grouping lists (0.03,
+			// 150 B at 59aaedf, whose sets grew entry by entry).
+			name: "create index over 10k rows", unit: "row",
+			allocs: 0.03, bytes: 64,
+			measure: createIndexCost,
+		},
 	}
 	race := raceDetector()
 	for _, row := range rows {
@@ -584,3 +606,71 @@ func sstableScanCost(t *testing.T) (allocs, bytes float64) {
 	}
 	return float64(mallocs), float64(total)
 }
+
+// recoveredStore commits rows rows to table "rec" of a fresh mem store
+// and returns the store: what a restart recovers.
+func recoveredStore(t *testing.T, rows int) sistream.Store {
+	store := sistream.NewMemStore()
+	keys := make([]string, rows)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("row%05d", i)
+	}
+	budgetTable(t, sistream.NewContext(), store, "rec", keys)
+	return store
+}
+
+// recoverTable recovers table "rec" of store in a new context.
+func recoverTable(t *testing.T, store sistream.Store) *sistream.Table {
+	ctx := sistream.NewContext()
+	tbl, err := ctx.CreateTable("rec", store, sistream.TableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctx.CreateGroup("g-rec", tbl); err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// recoverCost returns the allocations and bytes per row of recovering a
+// 10 000-row mem table, CreateGroup included.
+func recoverCost(t *testing.T) (allocs, bytes float64) {
+	const rows, runs = 10_000, 5
+	store := recoveredStore(t, rows)
+	defer store.Close()
+	mallocs, total := heapDelta(func() {
+		for range runs {
+			if tbl := recoverTable(t, store); tbl.Keys() != rows {
+				t.Fatalf("recovered %d rows, want %d", tbl.Keys(), rows)
+			}
+		}
+	})
+	return float64(mallocs) / (runs * rows), float64(total) / (runs * rows)
+}
+
+// createIndexCost returns the allocations and bytes per row of
+// CreateIndex over a recovered 10 000-row mem table.
+func createIndexCost(t *testing.T) (allocs, bytes float64) {
+	const rows, runs = 10_000, 5
+	store := recoveredStore(t, rows)
+	defer store.Close()
+	var mallocs, total uint64
+	for range runs {
+		tbl := recoverTable(t, store)
+		m, b := heapDelta(func() {
+			ix, err := tbl.CreateIndex("bucket", func(key string, _ []byte) (string, bool) { return budgetBuckets[key[len(key)-1]%16], true })
+			if err != nil || ix.ResidentPostings() != rows {
+				t.Fatalf("index over %d rows: %v", rows, err)
+			}
+		})
+		mallocs, total = mallocs+m, total+b
+	}
+	return float64(mallocs) / (runs * rows), float64(total) / (runs * rows)
+}
+
+var budgetBuckets = func() (out [16]string) {
+	for i := range out {
+		out[i] = fmt.Sprintf("b%02d", i)
+	}
+	return out
+}()

@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"slices"
 	"strings"
 	"sync"
@@ -195,50 +196,155 @@ func (s *Mem) touchEntries(ops []Op) uint64 {
 	return sum
 }
 
-// Scan implements Store. It snapshots the matching keys under shard read
-// locks, sorts them, and then yields; mutations concurrent with Scan may
-// or may not be observed, which matches the interface contract for a
-// non-transactional base table.
+// Scan implements Store. It copies the pairs in range under the shard
+// read locks, sorts them and yields them with no lock held; mutations
+// concurrent with Scan may or may not be observed, which matches the
+// interface contract for a non-transactional base table. The pair buffer
+// holds the keys in range, not the whole store, and the key handed
+// to fn is one buffer refilled for every pair, as the contract allows.
 func (s *Mem) Scan(start, end []byte, fn func(key, value []byte) bool) error {
 	s.closed.RLock()
 	if err := s.check(); err != nil {
 		s.closed.RUnlock()
 		return err
 	}
-	type pair struct {
-		k string
-		v []byte
+	// Every key in [start, end) begins with the prefix the two bounds
+	// share: a key without it is rejected by one short compare, and start
+	// itself needs no compare when it is that prefix (a table's range).
+	lo, hi := string(start), string(end)
+	pre := ""
+	if start != nil && end != nil {
+		n := 0
+		for n < len(lo) && n < len(hi) && lo[n] == hi[n] {
+			n++
+		}
+		pre = lo[:n]
 	}
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
+	in := func(k string) bool {
+		return strings.HasPrefix(k, pre) && (len(lo) == len(pre) || k >= lo) && (end == nil || k < hi)
 	}
-	pairs := make([]pair, 0, n)
+	var pairs memPairs
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for k, e := range sh.m {
-			if start != nil && k < string(start) {
-				continue
+			if in(k) {
+				pairs.add(k, e.v)
 			}
-			if end != nil && k >= string(end) {
-				continue
-			}
-			pairs = append(pairs, pair{k, e.v})
 		}
 		sh.mu.RUnlock()
 	}
 	s.closed.RUnlock()
-	slices.SortFunc(pairs, func(a, b pair) int { return strings.Compare(a.k, b.k) })
-	for _, p := range pairs {
-		if !fn([]byte(p.k), p.v) {
+	var key []byte
+	for _, pos := range pairs.sorted() {
+		p := pairs.at(pos.i)
+		key = append(key[:0], p.k...)
+		if !fn(key, p.v) {
 			break
 		}
 	}
 	return nil
+}
+
+// memPair is one pair a Scan copied out of the store.
+type memPair struct {
+	k string
+	v []byte
+}
+
+// memPairs holds a Scan's pairs in chunks of 1 << memPairBits, so that
+// collecting them allocates about what the keys in range need, never
+// copies a pair twice and never sizes a buffer by the whole store.
+type memPairs struct {
+	chunks [][]memPair
+	n      int
+}
+
+const memPairBits = 12
+
+func (ps *memPairs) add(k string, v []byte) {
+	if ps.n>>memPairBits == len(ps.chunks) {
+		ps.chunks = append(ps.chunks, make([]memPair, 0, 1<<memPairBits))
+	}
+	c := &ps.chunks[len(ps.chunks)-1]
+	*c = append(*c, memPair{k, v})
+	ps.n++
+}
+
+func (ps *memPairs) at(i uint32) *memPair {
+	return &ps.chunks[i>>memPairBits][i&(1<<memPairBits-1)]
+}
+
+// sorted returns the positions of the pairs in ascending key order. Keys in
+// one range mostly share a prefix (a table's "s/<state>/"), so it sorts
+// each key's 8-byte window after the prefix all of them share, read big
+// endian and zero padded, with a least-significant-byte-first radix sort —
+// a pass whose byte is equal in every window is skipped — and compares
+// whole keys only within a run of equal windows. A window orders two keys
+// as they are ordered unless it ties; a tie (keys equal in those 8 bytes,
+// or a key that is a prefix of the other within them, padded with zeros)
+// is what the runs resolve.
+func (ps *memPairs) sorted() []pairPos {
+	n := ps.n
+	byKey := func(a, b pairPos) int { return strings.Compare(ps.at(a.i).k, ps.at(b.i).k) }
+	pos := make([]pairPos, n)
+	if n == 0 {
+		return pos
+	}
+	first := ps.at(0).k
+	shared := len(first)
+	for i := 1; i < n && shared > 0; i++ {
+		k := ps.at(uint32(i)).k
+		j := 0
+		for j < shared && j < len(k) && k[j] == first[j] {
+			j++
+		}
+		shared = j
+	}
+	var counts [8][256]uint32
+	for i := range pos {
+		var b [8]byte
+		copy(b[:], ps.at(uint32(i)).k[shared:])
+		w := binary.BigEndian.Uint64(b[:])
+		pos[i] = pairPos{w, uint32(i)}
+		for d := range counts {
+			counts[d][byte(w>>(8*d))]++
+		}
+	}
+	spare := make([]pairPos, n)
+	for d := range counts {
+		c := &counts[d]
+		if c[byte(pos[0].w>>(8*d))] == uint32(n) {
+			continue // every window has the same byte here
+		}
+		var at uint32
+		for x := range c {
+			at, c[x] = at+c[x], at
+		}
+		for _, p := range pos {
+			x := byte(p.w >> (8 * d))
+			spare[c[x]] = p
+			c[x]++
+		}
+		pos, spare = spare, pos
+	}
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && pos[hi].w == pos[lo].w {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(pos[lo:hi], byKey)
+		}
+		lo = hi
+	}
+	return pos
+}
+
+// pairPos is a pair's position i in a Scan's memPairs and its sort window w.
+type pairPos struct {
+	w uint64
+	i uint32
 }
 
 // Sync implements Store; the memory store has nothing to flush.

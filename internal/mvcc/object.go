@@ -49,8 +49,9 @@
 // # Writers
 //
 // Install, InstallRecovered, GC and Retained must be serialized by the
-// caller — package txn runs all four under the table's group commit latch
-// — and take no lock of their own. The serialization is what keeps
+// caller — package txn runs all four under the table's group commit latch,
+// or seeds rows that no other goroutine can reach yet (recovery) — and
+// take no lock of their own. The serialization is what keeps
 // Retained exact: between a Retained call's look at the versions and
 // whatever its callback does about them, no version is installed or
 // freed. The secondary-index sweep relies on that (txn.Index): it drops
@@ -499,9 +500,10 @@ func (o *Object) settle(sp *spill, oldestActive Timestamp) {
 
 // InstallRecovered seeds an object that holds no version yet with one
 // committed version during recovery, bypassing the monotonicity
-// bookkeeping of live commits. It copies value.
+// bookkeeping of live commits. Like Install it takes OWNERSHIP of value:
+// the caller must not modify it afterwards (recovery hands over its own
+// copy of the base table's image, so seeding pays no second copy).
 func (o *Object) InstallRecovered(cts Timestamp, value []byte) {
-	value = append([]byte(nil), value...)
 	if sp := o.spill.Load(); sp != nil {
 		o.at(sp, sp.n).put(cts, value)
 		sp.n++

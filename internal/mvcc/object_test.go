@@ -283,9 +283,12 @@ func TestInstallTakesOwnership(t *testing.T) {
 
 func TestInstallRecovered(t *testing.T) {
 	o := NewObject(4)
-	o.InstallRecovered(7, []byte("r"))
+	seed := []byte("r")
+	o.InstallRecovered(7, seed)
 	if v, ok := o.Read(7); !ok || string(v) != "r" {
 		t.Fatal("recovered version not visible")
+	} else if &v[0] != &seed[0] {
+		t.Fatal("InstallRecovered copied the value; expected ownership transfer")
 	}
 	if _, ok := o.Read(6); ok {
 		t.Fatal("recovered version visible too early")

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"sistream/internal/kv"
 	"sistream/internal/txn"
@@ -161,25 +162,61 @@ func runEquivProperty(t *testing.T, protocol string, lanes int, seed int64, swee
 		}
 	})
 
+	// With sweep set, a loop beside the topology sweeps the table after
+	// the commits the watcher signals, for as long as the script runs, so
+	// commits and their boundary checks cross sweeps dropping index
+	// candidates. Table.GC takes the commit latch, so it runs here and
+	// never from the watcher. Whether those sweeps win the latch while
+	// commits still run depends on the scheduler, so the source also
+	// holds the final transaction back until every earlier one is
+	// decided and the loop has finished one more sweep: that sweep starts
+	// after the script's last roaming write, with no transaction open, so
+	// it drops the row from the set the write left unless an earlier
+	// sweep already did, and the final commit's check crosses it.
+	var (
+		stopSweeps = make(chan struct{})
+		sweepNow   = make(chan chan struct{})
+		sweeps     sync.WaitGroup
+		stats      *ToTableStats
+	)
+	final := 0 // the final transaction's BOT
+	for i, e := range script {
+		if e.Kind == KindBOT {
+			final = i
+		}
+	}
+
 	top := New("equiv")
-	src := top.Source("script", func(emit func(Element)) error {
-		for _, e := range script {
+	var src *Stream
+	src = top.Source("script", func(emit func(Element)) error {
+		for i, e := range script {
+			if sweep && i == final-1 {
+				// The emitter ships a partial batch only while the edge
+				// has room: with room, this element ships every one
+				// emitted before it.
+				for len(src.ch) == cap(src.ch) {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			if sweep && i == final {
+				deadline := time.Now().Add(time.Minute)
+				for stats.Commits.Load()+stats.Aborts.Load() < int64(txns-1) {
+					if time.Now().After(deadline) {
+						return fmt.Errorf("%d of %d transactions decided before the final one", stats.Commits.Load()+stats.Aborts.Load(), txns-1)
+					}
+					time.Sleep(time.Millisecond)
+				}
+				swept := make(chan struct{})
+				sweepNow <- swept
+				<-swept
+			}
 			emit(e)
 		}
 		return nil
 	})
 	region := src.Transactions(p).Parallelize(lanes, nil)
-	stats := region.ToTable(p, tbl)
+	stats = region.ToTable(p, tbl)
 	region.Merge("merge").Discard()
-	// With sweep set, a loop beside the topology sweeps the table after
-	// the commits the watcher signals, for as long as the script runs, so
-	// commits and their boundary checks cross sweeps dropping index
-	// candidates. Table.GC takes the commit latch, so it runs here and
-	// never from the watcher.
-	var (
-		stopSweeps = make(chan struct{})
-		sweeps     sync.WaitGroup
-	)
 	if sweep {
 		sweeps.Add(1)
 		go func() {
@@ -190,6 +227,9 @@ func runEquivProperty(t *testing.T, protocol string, lanes int, seed int64, swee
 					return
 				case <-committed:
 					tbl.GC()
+				case done := <-sweepNow:
+					tbl.GC()
+					close(done)
 				}
 			}
 		}()
@@ -217,7 +257,7 @@ func runEquivProperty(t *testing.T, protocol string, lanes int, seed int64, swee
 	if err := equivCheck(tbl, ix, group.LastCTS()); err != nil {
 		t.Error(err)
 	}
-	if sweep && ix.Stats().Deletes == 0 {
+	if sweep && ix.Stats().Swept == 0 {
 		t.Error("the sweep loop ran, yet no sweep dropped an index candidate")
 	}
 }

@@ -333,6 +333,9 @@ func (g *Group) Tables() []*Table { return g.tables }
 // each table to the group and recovering persistent state: committed
 // rows are loaded back into the in-memory version store at the recovered
 // LastCTS, exactly reproducing the visibility they had before shutdown.
+// The member tables load in parallel, one loader per table and at most
+// GOMAXPROCS at once (see loadTables); if one fails, CreateGroup returns
+// its error, naming the table, and no table gets a row or the group.
 // A table may belong to only one group (its writing query); additional
 // readers access it through the group of the query that owns it. All
 // members live on the context's one base store (see CreateTable), so a
@@ -375,15 +378,23 @@ func (c *Context) CreateGroup(id GroupID, tables ...*Table) (*Group, error) {
 		}
 	}
 	if recovered > 0 {
-		// The rows are loaded under the group's commit latch — its holder
-		// is the only goroutine that inserts rows — and before anything is
-		// published: a snapshot pinning the recovered LastCTS over a
-		// half-loaded table would see rows missing.
+		// The tables load in parallel, each into shards of its own, and
+		// every loader finishes before anything is published: the rows
+		// then enter their tables under the group's commit latch — its
+		// holder is the only goroutine that inserts rows — and before the
+		// group is published, since a snapshot pinning the recovered
+		// LastCTS over a half-loaded table would see rows missing.
+		built, err := loadTables(tables, recovered)
+		if err != nil {
+			return nil, err
+		}
 		g.commitMu.Lock()
-		for _, t := range tables {
-			if err := t.loadCommitted(recovered); err != nil {
-				g.commitMu.Unlock()
-				return nil, fmt.Errorf("txn: load state %q: %w", t.id, err)
+		for i, t := range tables {
+			for j := range t.shards {
+				sh := &t.shards[j]
+				sh.mu.Lock()
+				sh.slots, sh.n = built[i][j].slots, built[i][j].n
+				sh.mu.Unlock()
 			}
 		}
 		g.commitMu.Unlock()

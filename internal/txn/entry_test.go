@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
 	"sistream/internal/kv"
 	"sistream/internal/leaktest"
+	"sistream/internal/lsm"
 )
 
 // This file checks that a protocol's commit entry points are one path:
@@ -395,9 +397,8 @@ func BenchmarkCommitEntry(b *testing.B) {
 // mixed-index-mem's writes do about every second time. The
 // indexed-roaming case moves each write's row to a random one of 64
 // buckets instead, so a row's memo of its two most recent candidate sets
-// (Index.add) rarely names the next one; with no sweeper, a row stays a
-// candidate of every bucket it visited, and that probe is a read-locked
-// map hit.
+// (Index.add) rarely names the next one: the write then probes and joins
+// the new set and takes the row out of the set its memo forgot.
 func BenchmarkCommitColdRows(b *testing.B) {
 	b.Run("plain", func(b *testing.B) { benchCommitColdRows(b, 0) })
 	b.Run("indexed", func(b *testing.B) { benchCommitColdRows(b, 2) })
@@ -462,3 +463,150 @@ func benchCommitColdRows(b *testing.B, buckets int) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*txnRows), "ns/row")
 }
+
+// BenchmarkRecovery times the restart path: CreateGroup rebuilding rows
+// from the base table, and CreateIndex backfilling an index over them.
+// /mem-2x100k recovers a group of two 100 000-row tables from one mem
+// store, the shape of mixed-index-mem's set-up; /lsm-100k one such table
+// from an LSM store reopened after the preload; /index-100k builds a
+// 64-bucket index over a freshly recovered 100 000-row table (only
+// CreateIndex is timed). The rows are 8-byte keys with 28-byte values.
+// Reports ns and allocations per recovered (or indexed) row.
+func BenchmarkRecovery(b *testing.B) {
+	const rows = 100_000
+	b.Run("mem-2x100k", func(b *testing.B) {
+		store := kv.NewMem()
+		defer store.Close()
+		preloadRecovery(b, store, rows, "a", "b")
+		benchRecovery(b, 2*rows, func() {
+			recoverTables(b, store, "a", "b")
+		}, nil)
+	})
+	b.Run("lsm-100k", func(b *testing.B) {
+		dir := b.TempDir()
+		db, err := lsm.Open(dir, lsm.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		preloadRecovery(b, db, rows, "a")
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if db, err = lsm.Open(dir, lsm.Options{}); err != nil {
+			b.Fatal(err)
+		}
+		defer db.Close()
+		benchRecovery(b, rows, func() { recoverTables(b, db, "a") }, nil)
+	})
+	b.Run("index-100k", func(b *testing.B) {
+		store := kv.NewMem()
+		defer store.Close()
+		preloadRecovery(b, store, rows, "a")
+		var tbl *Table
+		benchRecovery(b, rows, func() {
+			if _, err := tbl.CreateIndex("bucket", recoveryBucket); err != nil {
+				b.Fatal(err)
+			}
+		}, func() { tbl = recoverTables(b, store, "a")[0] })
+	})
+}
+
+// benchRecovery runs op b.N times, each after an untimed setup when one
+// is given, and reports ns and allocations per row.
+func benchRecovery(b *testing.B, rows int, op, setup func()) {
+	var ms runtime.MemStats
+	var mallocs uint64
+	b.ResetTimer()
+	for range b.N {
+		if setup != nil {
+			b.StopTimer()
+			setup()
+			runtime.GC()
+			b.StartTimer()
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		op()
+		runtime.ReadMemStats(&ms)
+		mallocs += ms.Mallocs - before
+	}
+	b.StopTimer()
+	n := float64(b.N) * float64(rows)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/row")
+	b.ReportMetric(float64(mallocs)/n, "allocs/row")
+}
+
+// preloadRecovery commits rows rows into each named table of store, a
+// thousand per SI transaction, and syncs the store.
+func preloadRecovery(b *testing.B, store kv.Store, rows int, tables ...StateID) {
+	ctx := NewContext()
+	var tbls []*Table
+	for _, id := range tables {
+		t, err := ctx.CreateTable(id, store, TableOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		tbls = append(tbls, t)
+	}
+	if _, err := ctx.CreateGroup("g", tbls...); err != nil {
+		b.Fatal(err)
+	}
+	p := NewSI(ctx)
+	ops := make([]WriteOp, 0, 1000)
+	for lo := 0; lo < rows; lo += cap(ops) {
+		ops = ops[:0]
+		for k := lo; k < min(lo+cap(ops), rows); k++ {
+			v := make([]byte, 28)
+			v[0] = byte(k)
+			ops = append(ops, WriteOp{Key: fmt.Sprintf("k%07d", k), Value: v})
+		}
+		tx, err := p.Begin()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, t := range tbls {
+			if _, err := p.WriteBatch(tx, t, ops); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := p.Commit(tx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := store.Sync(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// recoverTables recovers the named tables of store as one group of a new
+// context.
+func recoverTables(b *testing.B, store kv.Store, tables ...StateID) []*Table {
+	ctx := NewContext()
+	var tbls []*Table
+	for _, id := range tables {
+		t, err := ctx.CreateTable(id, store, TableOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		tbls = append(tbls, t)
+	}
+	if _, err := ctx.CreateGroup("g", tbls...); err != nil {
+		b.Fatal(err)
+	}
+	return tbls
+}
+
+// recoveryBucket indexes a row by its value's first byte, 64 buckets.
+func recoveryBucket(_ string, v []byte) (string, bool) {
+	if len(v) == 0 {
+		return "", false
+	}
+	return recoveryBuckets[v[0]%64], true
+}
+
+var recoveryBuckets = func() (out [64]string) {
+	for i := range out {
+		out[i] = fmt.Sprintf("b%02d", i)
+	}
+	return out
+}()

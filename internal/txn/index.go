@@ -33,7 +33,9 @@ import (
 //     the same latch from a row's install through its add, so the
 //     sweep's step is entirely before an install and its add (the add
 //     re-inserts the entry) or entirely after them (it sees the version
-//     and keeps the entry).
+//     and keeps the entry). A commit's add takes the same step for one
+//     row and one set, the set the row's memo forgets (see add), after
+//     the row's install: it keeps the entry if that version carries it.
 //
 // Lock order: group commit latch, then index shard lock. Nothing is
 // persisted: an index is rebuilt from the rows by CreateIndex.
@@ -62,7 +64,7 @@ type Index struct {
 
 	shards [indexShards]indexShard
 
-	puts, deletes, lookups, hits atomic.Uint64
+	puts, deletes, swept, lookups, hits atomic.Uint64
 }
 
 // indexShard is one latch-striped slice of the candidate map: ikey -> its
@@ -73,11 +75,13 @@ type indexShard struct {
 	m  map[string]*candidates
 }
 
-// candidates is one index key's candidate set: row key -> row.
+// candidates is one index key's candidate set. A table holds one row per
+// key, so the set holds rows by pointer, and a probe hashes a pointer,
+// never the row's key.
 type candidates struct {
 	ix   *Index
 	ikey string
-	rows map[string]*row
+	rows map[*row]struct{}
 }
 
 // Name returns the index name.
@@ -91,9 +95,11 @@ type IndexStats struct {
 	// Puts counts candidate entries added — by the backfill (one per
 	// distinct index key among a row's retained versions) and by commits
 	// that gave a row an index key it had no entry for; a rewrite that
-	// keeps its key adds nothing. Deletes counts entries Table.GC
-	// dropped. Puts - Deletes is ResidentPostings.
-	Puts, Deletes uint64
+	// keeps its key adds nothing. Deletes counts entries dropped: by
+	// commits that moved a row out of a set its memos forgot (see
+	// Lookup), and by Table.GC, whose share is Swept. Puts - Deletes is
+	// ResidentPostings.
+	Puts, Deletes, Swept uint64
 	// Lookups counts Lookup calls; Hits the rows they returned.
 	Lookups, Hits uint64
 }
@@ -103,6 +109,7 @@ func (ix *Index) Stats() IndexStats {
 	return IndexStats{
 		Puts:    ix.puts.Load(),
 		Deletes: ix.deletes.Load(),
+		Swept:   ix.swept.Load(),
 		Lookups: ix.lookups.Load(),
 		Hits:    ix.hits.Load(),
 	}
@@ -129,38 +136,67 @@ func (ix *Index) shard(ikey string) *indexShard {
 // memos, like the sweep's step, belong to the group commit latch holder.
 // Otherwise add probes the set under the shard's read lock, takes the
 // write lock only to insert, and remembers the set in place of the least
-// recently used memo.
+// recently used memo. The set that memo named is then checked as the
+// sweep would check it, for r alone: r leaves it unless a version r
+// retains still extracts to its key. So a row stays in a set its memos
+// no longer name only while a version it retained when the memo went
+// carries the set's key (see Lookup for the bound that gives).
 func (ix *Index) add(r *row, value []byte) {
 	ikey, ok := ix.extract(r.key, value)
 	if !ok {
 		return
 	}
-	for i, c := range r.memo {
+	for _, c := range r.memo {
 		if c != nil && c.ix == ix && c.ikey == ikey {
-			copy(r.memo[1:i+1], r.memo[:i])
-			r.memo[0] = c
+			r.remember(c)
 			return
 		}
 	}
 	sh := ix.shard(ikey)
 	sh.mu.RLock()
-	c := sh.m[ikey]
-	hit := c != nil && c.rows[r.key] == r
+	c, hit := sh.m[ikey], false
+	if c != nil {
+		_, hit = c.rows[r]
+	}
 	sh.mu.RUnlock()
 	if !hit {
 		sh.mu.Lock()
 		if c = sh.m[ikey]; c == nil {
-			c = &candidates{ix: ix, ikey: ikey, rows: make(map[string]*row)}
+			c = &candidates{ix: ix, ikey: ikey, rows: make(map[*row]struct{})}
 			sh.m[ikey] = c
 		}
-		if c.rows[r.key] == nil {
-			c.rows[r.key] = r
+		if c.join(r) {
 			ix.puts.Add(1)
 		}
 		sh.mu.Unlock()
 	}
-	copy(r.memo[1:], r.memo[:])
+	if gone := r.remember(c); gone != nil {
+		gone.ix.dropUnseen(gone.ix.shard(gone.ikey), gone, r, false)
+	}
+}
+
+// join makes r a member of c, reporting whether it was not one already.
+// Caller holds the write lock of c's shard and the group commit latch.
+func (c *candidates) join(r *row) bool {
+	n := len(c.rows)
+	c.rows[r] = struct{}{}
+	return len(c.rows) > n
+}
+
+// remember moves c to the front of r's memo, or puts it there, and
+// returns the set whose memo that pushed out, nil when none did. Caller
+// holds the group commit latch.
+func (r *row) remember(c *candidates) (gone *candidates) {
+	i := 0
+	for i < len(r.memo)-1 && r.memo[i] != c {
+		i++
+	}
+	if gone = r.memo[i]; gone == c {
+		gone = nil
+	}
+	copy(r.memo[1:i+1], r.memo[:i])
 	r.memo[0] = c
+	return gone
 }
 
 // Lookup calls fn for every row whose index key equals ikey at snapshot
@@ -168,8 +204,17 @@ func (ix *Index) add(r *row, value []byte) {
 // false. Each candidate's row is read at rts and kept iff the extractor
 // maps that version to ikey, so the result equals a full-table scan at
 // rts filtered by the same extractor; the cost is one version read and
-// one extractor call per candidate, and a row has at most one candidate
-// entry per retained version. Iteration order is unspecified.
+// one extractor call per candidate. Iteration order is unspecified.
+//
+// How many candidates that is: a row is in the sets its rowMemos memos
+// name, across the table's indexes, and in a set they no longer name only
+// if a version it retained when that memo went carried the set's key
+// (Index.add checks as the memo goes). So with one index, where all of a
+// row's versions but the newest two are dead whenever it is written again
+// (no snapshot pins an older one), a row is a candidate of at most
+// rowMemos sets, with no Table.GC. An entry kept past a pin, or past a
+// memo another index's set pushed out, stays until the row rejoins and
+// leaves its set again, or until a Table.GC drops it.
 func (ix *Index) Lookup(rts Timestamp, ikey string, fn func(key string, value []byte) bool) {
 	ix.lookups.Add(1)
 	buf := acquireRows()
@@ -177,7 +222,7 @@ func (ix *Index) Lookup(rts Timestamp, ikey string, fn func(key string, value []
 	sh := ix.shard(ikey)
 	sh.mu.RLock()
 	if c := sh.m[ikey]; c != nil {
-		for _, r := range c.rows {
+		for r := range c.rows {
 			*buf = append(*buf, r)
 		}
 	}
@@ -231,7 +276,7 @@ func (ix *Index) gc(buf *[]*row) int {
 		for _, c := range sh.m {
 			sets = append(sets, c)
 			*buf = append(*buf, nil)
-			for _, r := range c.rows {
+			for r := range c.rows {
 				*buf = append(*buf, r)
 			}
 		}
@@ -240,22 +285,22 @@ func (ix *Index) gc(buf *[]*row) int {
 		for _, r := range *buf {
 			if r == nil {
 				k++
-			} else if ix.dropUnseen(sh, sets[k], r) {
+			} else if ix.dropUnseen(sh, sets[k], r, true) {
 				n++
 			}
 		}
 	}
 	clear(sets)
-	ix.deletes.Add(uint64(n))
 	return n
 }
 
 // dropUnseen removes candidate r from set c of shard sh unless some
 // retained version of r still extracts to c's index key, dropping r's
-// memo of c in the same step. Check and removal both happen under the
-// group commit latch, which the caller holds (see the file comment for why
-// no commit can lose its entry that way).
-func (ix *Index) dropUnseen(sh *indexShard, c *candidates, r *row) (dropped bool) {
+// memo of c in the same step, and counts the removal (swept: as
+// Table.GC's). Check and removal both happen under the group commit
+// latch, which the caller holds (see the file comment for why no commit
+// can lose its entry that way).
+func (ix *Index) dropUnseen(sh *indexShard, c *candidates, r *row, swept bool) (dropped bool) {
 	r.obj.Retained(func(values iter.Seq[[]byte]) {
 		for v := range values {
 			if ik, ok := ix.extract(r.key, v); ok && ik == c.ikey {
@@ -263,8 +308,8 @@ func (ix *Index) dropUnseen(sh *indexShard, c *candidates, r *row) (dropped bool
 			}
 		}
 		sh.mu.Lock()
-		if c.rows[r.key] == r {
-			delete(c.rows, r.key)
+		if _, in := c.rows[r]; in {
+			delete(c.rows, r)
 			if len(c.rows) == 0 && sh.m[c.ikey] == c {
 				delete(sh.m, c.ikey)
 			}
@@ -273,7 +318,81 @@ func (ix *Index) dropUnseen(sh *indexShard, c *candidates, r *row) (dropped bool
 		r.forget(c)
 		sh.mu.Unlock()
 	})
+	if dropped {
+		ix.deletes.Add(1)
+		if swept {
+			ix.swept.Add(1)
+		}
+	}
 	return dropped
+}
+
+// backfill fills the new, unpublished index from every retained version
+// of every row of its table. It groups the rows by index key first, so
+// each candidate set is made once, sized for its rows, and filled under
+// one hold of its shard's lock, through the join Index.add uses. Each row
+// remembers its sets as add would have left them, newest version's first;
+// a set of another index that this pushes out of a row's memo is checked
+// as add checks it, and one of this index always holds a retained version
+// of the row. Caller holds the group commit latch.
+func (ix *Index) backfill() {
+	type group struct {
+		c    *candidates
+		rows []*row
+	}
+	var (
+		groups []group
+		at     = make(map[string]int)
+		gone   []*candidates
+	)
+	buf := acquireRows()
+	defer releaseRows(buf)
+	for i := range ix.tbl.shards {
+		*buf = ix.tbl.shards[i].appendRows((*buf)[:0])
+		for _, r := range *buf {
+			gone = gone[:0]
+			r.obj.Retained(func(values iter.Seq[[]byte]) {
+				for v := range values {
+					ikey, ok := ix.extract(r.key, v)
+					if !ok {
+						continue
+					}
+					k, seen := at[ikey]
+					if !seen {
+						k = len(groups)
+						at[ikey] = k
+						groups = append(groups, group{c: &candidates{ix: ix, ikey: ikey}})
+					}
+					// A row's versions come one after another, so a row
+					// already in the group is its last member.
+					g := &groups[k]
+					if len(g.rows) == 0 || g.rows[len(g.rows)-1] != r {
+						g.rows = append(g.rows, r)
+					}
+					if c := r.remember(g.c); c != nil && c.ix != ix {
+						gone = append(gone, c)
+					}
+				}
+			})
+			for _, c := range gone {
+				c.ix.dropUnseen(c.ix.shard(c.ikey), c, r, false)
+			}
+		}
+	}
+	n := 0
+	for _, g := range groups {
+		sh := ix.shard(g.c.ikey)
+		sh.mu.Lock()
+		g.c.rows = make(map[*row]struct{}, len(g.rows))
+		sh.m[g.c.ikey] = g.c
+		for _, r := range g.rows {
+			g.c.join(r)
+		}
+		sh.mu.Unlock()
+		n += len(g.rows)
+	}
+	clear(gone)
+	ix.puts.Add(uint64(n))
 }
 
 // indexSet returns the table's registered indexes (nil when none) — one
@@ -303,11 +422,15 @@ func (t *Table) Indexes() []*Index { return t.indexSet() }
 // derived by extract, and backfills it from the table's version store.
 // The table must already belong to a group (CreateIndex after CreateGroup
 // — recovery has run, so the backfill sees recovered rows too). Creation
-// quiesces the group's commit pipeline for the duration of the backfill;
-// from the first commit after it returns, the index is maintained in the
-// write path. The backfill adds a candidate for EVERY retained version of
-// every row, so a snapshot pinned before the index existed reads it as
-// consistently as one taken afterwards.
+// holds the group's commit latch for the whole backfill, so every commit
+// of the group waits for it; from the first commit after it returns, the
+// index is maintained in the write path. The backfill adds a candidate for
+// EVERY retained version of every row, so a snapshot pinned before the
+// index existed reads it as consistently as one taken afterwards. It
+// costs one extractor call per retained version and one set insert per
+// candidate, into sets built whole (see Index.backfill): over a
+// 100 000-row mem table ≈ 0.4–0.5 µs a row, so the group commits nothing
+// for ≈ 40–50 ms (DESIGN.md "Recovery and index backfill").
 //
 // The index lives in memory only. Directories written by older versions
 // hold persisted posting rows ("i/<table>/<index>/..."); they are cleared
@@ -348,18 +471,7 @@ func (t *Table) CreateIndex(name string, extract IndexKeyFunc) (*Index, error) {
 		}
 	}
 
-	buf := acquireRows()
-	defer releaseRows(buf)
-	for i := range t.shards {
-		*buf = t.shards[i].appendRows((*buf)[:0])
-		for _, r := range *buf {
-			r.obj.Retained(func(values iter.Seq[[]byte]) {
-				for v := range values {
-					ix.add(r, v)
-				}
-			})
-		}
-	}
+	ix.backfill()
 
 	// Publish (copy-on-write): the NEXT leader tenure sees the index and
 	// maintains it from the first post-backfill commit on.

@@ -3,6 +3,8 @@ package txn
 import (
 	"bytes"
 	"fmt"
+	"iter"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -421,6 +423,145 @@ func TestIndexRoamingKeysLeaveNothingBehind(t *testing.T) {
 	if st := ix.Stats(); int(st.Puts-st.Deletes) != keys {
 		t.Fatalf("stats %+v: puts - deletes should be the %d resident entries", st, keys)
 	}
+}
+
+// TestIndexCandidatesBoundedWithoutGC: a write that moves a row out of a
+// set its memos forgot takes it out of that set, so an index whose rows
+// roam holds at most rowMemos entries per row with no Table.GC at all —
+// the bound Lookup's doc states. 1 000 rows take one of 64 index keys at
+// random every round, all in one SI commit, and nothing sweeps. Without
+// the drop on write the entries grew with every key a row had ever held:
+// 35 374 after 50 rounds.
+func TestIndexCandidatesBoundedWithoutGC(t *testing.T) {
+	e := newEnv(t)
+	p := NewSI(e.ctx)
+	ix, err := e.t1.CreateIndex("value", func(_ string, v []byte) (string, bool) { return string(v), true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows, values, rounds = 1000, 64, 60
+	rng := newRand(1)
+	ops := make([]WriteOp, rows)
+	for round := 0; round < rounds; round++ {
+		for i := range ops {
+			ops[i] = WriteOp{Key: fmt.Sprintf("r%04d", i), Value: []byte(fmt.Sprintf("v%02d", rng.Intn(values)))}
+		}
+		tx, _ := p.Begin()
+		if _, err := p.WriteBatch(tx, e.t1, ops); err != nil {
+			t.Fatal(err)
+		}
+		mustCommit(t, p, tx)
+		if got := ix.ResidentPostings(); got > rowMemos*rows {
+			t.Fatalf("round %d: %d index entries without GC, want <= %d (%d per row)", round, got, rowMemos*rows, rowMemos)
+		}
+	}
+	if st := ix.Stats(); st.Swept != 0 || int(st.Puts-st.Deletes) != ix.ResidentPostings() {
+		t.Fatalf("stats %+v: no sweep ran, and puts - deletes must be the %d resident entries", st, ix.ResidentPostings())
+	}
+	cts := e.group.LastCTS()
+	n := 0
+	for v := range values {
+		n += len(lookupAll(t, ix, cts, fmt.Sprintf("v%02d", v)))
+	}
+	if n != rows {
+		t.Fatalf("lookups over all %d values found %d rows, want %d", values, n, rows)
+	}
+}
+
+// TestIndexBackfillMatchesPerVersionAdds: the backfill groups rows by
+// index key and builds each set whole, and must end where adding every
+// retained version one at a time ends. Snapshots held between rounds of
+// roaming writes keep several versions per row; CreateIndex then runs,
+// and a reference index is filled by Index.add over every retained
+// version. Per index key both must hold the same candidate rows, the two
+// must hold as many entries, and Lookup must equal the filtered scan at
+// every cut still pinned.
+func TestIndexBackfillMatchesPerVersionAdds(t *testing.T) {
+	e := newEnv(t)
+	p := NewSI(e.ctx)
+	const rows, buckets = 300, "abcdefg"
+	rng := newRand(3)
+	var snaps []*Snapshot
+	for round := 0; round < 6; round++ {
+		ops := make([]WriteOp, 0, rows)
+		for i := 0; i < rows; i++ {
+			if rng.Intn(3) == 0 {
+				continue
+			}
+			v := fmt.Sprintf("%c%d", buckets[rng.Intn(len(buckets))], round)
+			if rng.Intn(10) == 0 {
+				v = "x" // unindexed
+			}
+			ops = append(ops, WriteOp{Key: fmt.Sprintf("k%03d", i), Value: []byte(v), Delete: rng.Intn(12) == 0})
+		}
+		tx, _ := p.Begin()
+		if _, err := p.WriteBatch(tx, e.t1, ops); err != nil {
+			t.Fatal(err)
+		}
+		mustCommit(t, p, tx)
+		if round%2 == 0 {
+			snap, err := e.ctx.Snapshot(e.t1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snaps = append(snaps, snap)
+		}
+	}
+	defer func() {
+		for _, s := range snaps {
+			s.Release()
+		}
+	}()
+	ix, err := e.t1.CreateIndex("bucket", valueBucket)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &Index{name: "ref", tbl: e.t1, extract: valueBucket}
+	for i := range ref.shards {
+		ref.shards[i].m = make(map[string]*candidates)
+	}
+	e.group.commitMu.Lock()
+	for i := range e.t1.shards {
+		for _, r := range e.t1.shards[i].appendRows(nil) {
+			r.obj.Retained(func(values iter.Seq[[]byte]) {
+				for v := range values {
+					ref.add(r, v)
+				}
+			})
+		}
+	}
+	e.group.commitMu.Unlock()
+	sets := func(ix *Index) map[string][]string {
+		out := map[string][]string{}
+		for i := range ix.shards {
+			for ikey, c := range ix.shards[i].m {
+				for r := range c.rows {
+					out[ikey] = append(out[ikey], r.key)
+				}
+				slices.Sort(out[ikey])
+			}
+		}
+		return out
+	}
+	got, want := sets(ix), sets(ref)
+	if len(got) != len(want) {
+		t.Fatalf("backfill made %d sets, per-version adds %d", len(got), len(want))
+	}
+	for ikey, w := range want {
+		if !slices.Equal(got[ikey], w) {
+			t.Fatalf("index key %q: backfill holds %d rows, per-version adds %d", ikey, len(got[ikey]), len(w))
+		}
+	}
+	if g, w := ix.ResidentPostings(), ref.ResidentPostings(); g != w {
+		t.Fatalf("backfill holds %d entries, per-version adds %d", g, w)
+	}
+	if st := ix.Stats(); int(st.Puts) != ix.ResidentPostings() {
+		t.Fatalf("backfill counted %d puts for %d entries", st.Puts, ix.ResidentPostings())
+	}
+	for _, s := range snaps {
+		checkLookupEqualsScan(t, e.t1, ix, s.CTS(), buckets+"x")
+	}
+	checkLookupEqualsScan(t, e.t1, ix, e.group.LastCTS(), buckets+"x")
 }
 
 // TestStressIndexSweepNeverLosesCandidate races the three parties of the

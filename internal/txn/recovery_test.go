@@ -1,11 +1,14 @@
 package txn
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"sistream/internal/kv"
+	"sistream/internal/leaktest"
 	"sistream/internal/lsm"
 )
 
@@ -440,5 +443,223 @@ func TestSnapshotScanConsistentUnderWrites(t *testing.T) {
 	mustCommit(t, p, reader)
 	if old != 10 || new_ != 0 {
 		t.Fatalf("pinned scan saw %d old / %d new", old, new_)
+	}
+}
+
+// TestPropertyRecoveryMatchesCommittedModel: random SI histories over a
+// group of 1–3 tables — puts and deletes, keys shorter and longer than
+// rowInline, values of 0–200 bytes — then a restart, over mem (a new
+// context on the same store), lsm (closed and reopened) and fault+mem
+// (crashed and reopened over its durable image). The recovered group must
+// match a model of the committed writes: each table's Keys(), every key's
+// value at the recovered LastCTS (and every deleted key absent), one
+// resident version per row, and LastCTS itself.
+func TestPropertyRecoveryMatchesCommittedModel(t *testing.T) {
+	seeds := 8
+	if testing.Short() {
+		seeds = 3
+	}
+	for _, backend := range []string{"mem", "lsm", "fault+mem"} {
+		for seed := int64(0); seed < int64(seeds); seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", backend, seed), func(t *testing.T) {
+				runRecoveryProperty(t, backend, seed)
+			})
+		}
+	}
+}
+
+func runRecoveryProperty(t *testing.T, backend string, seed int64) {
+	rng := newRand(seed)
+	dir := t.TempDir()
+	st, err := kv.Open(backend, kv.OpenOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []StateID{"t0", "t1", "t2"}[:1+rng.Intn(3)]
+	open := func(store kv.Store) (*Context, []*Table, *Group) {
+		t.Helper()
+		ctx := NewContext()
+		var tables []*Table
+		for _, id := range ids {
+			tbl, err := ctx.CreateTable(id, store, TableOptions{SyncCommits: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables = append(tables, tbl)
+		}
+		g, err := ctx.CreateGroup("g", tables...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ctx, tables, g
+	}
+	keys := make([]string, 48)
+	for i := range keys {
+		k := make([]byte, 1+rng.Intn(2*rowInline))
+		for j := range k {
+			k[j] = 'a' + byte(rng.Intn(26))
+		}
+		keys[i] = fmt.Sprintf("%s%d", k, i) // unique
+	}
+
+	ctx, tables, g := open(st)
+	p := NewSI(ctx)
+	model := make([]map[string]string, len(ids))
+	for i := range model {
+		model[i] = map[string]string{}
+	}
+	for c := 20 + rng.Intn(30); c > 0; c-- {
+		tx, err := p.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		staged := make([]map[string]*string, len(ids))
+		for i, tbl := range tables {
+			staged[i] = map[string]*string{}
+			for n := rng.Intn(8); n > 0; n-- {
+				k := keys[rng.Intn(len(keys))]
+				if rng.Intn(5) == 0 {
+					if err := p.Delete(tx, tbl, k); err != nil {
+						t.Fatal(err)
+					}
+					staged[i][k] = nil
+					continue
+				}
+				v := make([]byte, rng.Intn(201))
+				rng.Read(v)
+				if err := p.Write(tx, tbl, k, v); err != nil {
+					t.Fatal(err)
+				}
+				s := string(v)
+				staged[i][k] = &s
+			}
+		}
+		mustCommit(t, p, tx)
+		for i, writes := range staged {
+			for k, v := range writes {
+				if v == nil {
+					delete(model[i], k)
+				} else {
+					model[i][k] = *v
+				}
+			}
+		}
+	}
+	want := g.LastCTS()
+
+	var recovered kv.Store = st
+	switch backend {
+	case "lsm":
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st, err = kv.Open(backend, kv.OpenOptions{Dir: dir}); err != nil {
+			t.Fatal(err)
+		}
+		recovered = st
+	case "fault+mem":
+		f := st.Layers()[0].(*kv.Fault)
+		f.Crash()
+		if recovered, err = f.Reopen(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer recovered.Close()
+	_, tables, g = open(recovered)
+	if got := g.LastCTS(); got != want {
+		t.Fatalf("recovered LastCTS %d, want %d", got, want)
+	}
+	for i, tbl := range tables {
+		if got := tbl.Keys(); got != len(model[i]) {
+			t.Fatalf("table %s: %d rows recovered, want %d", tbl.id, got, len(model[i]))
+		}
+		if got := tbl.ResidentVersions(); got != len(model[i]) {
+			t.Fatalf("table %s: %d resident versions, want one per row (%d)", tbl.id, got, len(model[i]))
+		}
+		for _, k := range keys {
+			v, found := tbl.ReadAt(k, want)
+			w, live := model[i][k]
+			if found != live || string(v) != w {
+				t.Fatalf("table %s key %q at %d: %q found=%v, want %q found=%v", tbl.id, k, want, v, found, w, live)
+			}
+		}
+	}
+}
+
+// scanFailStore fails every Scan whose range starts under prefix.
+type scanFailStore struct {
+	kv.Store
+	prefix []byte
+	err    error
+}
+
+func (s *scanFailStore) Scan(start, end []byte, fn func(key, value []byte) bool) error {
+	if s.err != nil && bytes.HasPrefix(start, s.prefix) {
+		return s.err
+	}
+	return s.Store.Scan(start, end, fn)
+}
+
+// TestRecoveryScanFailurePublishesNothing: when the Scan of the second of
+// three tables fails, CreateGroup returns that error naming the table,
+// joins every loader (no goroutine is left), and publishes nothing: no
+// table has a group or a row, and a snapshot finds no group. Once the
+// store reads again, the same tables recover every row exactly once.
+func TestRecoveryScanFailurePublishesNothing(t *testing.T) {
+	leaktest.Check(t)
+	mem := kv.NewMem()
+	defer mem.Close()
+	ids := []StateID{"a", "b", "c"}
+	{
+		ctx := NewContext()
+		var tables []*Table
+		for _, id := range ids {
+			tbl, _ := ctx.CreateTable(id, mem, TableOptions{})
+			tables = append(tables, tbl)
+		}
+		if _, err := ctx.CreateGroup("g", tables...); err != nil {
+			t.Fatal(err)
+		}
+		p := NewSI(ctx)
+		for i := 0; i < 500; i++ {
+			tx, _ := p.Begin()
+			for _, tbl := range tables {
+				p.Write(tx, tbl, fmt.Sprintf("k%03d", i), []byte("v"))
+			}
+			mustCommit(t, p, tx)
+		}
+	}
+	injected := errors.New("injected scan failure")
+	store := &scanFailStore{Store: mem, prefix: []byte("s/b/"), err: injected}
+	ctx := NewContext()
+	var tables []*Table
+	for _, id := range ids {
+		tbl, err := ctx.CreateTable(id, store, TableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables = append(tables, tbl)
+	}
+	g, err := ctx.CreateGroup("g", tables...)
+	if !errors.Is(err, injected) || !strings.Contains(err.Error(), `"b"`) || g != nil {
+		t.Fatalf("CreateGroup = %v, %v; want the injected error naming table \"b\" and no group", g, err)
+	}
+	for _, tbl := range tables {
+		if tbl.Group() != nil || tbl.Keys() != 0 {
+			t.Fatalf("table %s after the failed recovery: group %v, %d rows; want none", tbl.id, tbl.Group(), tbl.Keys())
+		}
+	}
+	if _, err := ctx.Snapshot(tables[0]); !errors.Is(err, ErrUnknownState) {
+		t.Fatalf("snapshot after the failed recovery: %v, want ErrUnknownState", err)
+	}
+
+	store.err = nil
+	if _, err := ctx.CreateGroup("g", tables...); err != nil {
+		t.Fatal(err)
+	}
+	for _, tbl := range tables {
+		if n := tbl.Keys(); n != 500 {
+			t.Fatalf("table %s recovered %d rows on the second try, want 500", tbl.id, n)
+		}
 	}
 }

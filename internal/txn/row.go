@@ -20,9 +20,10 @@ import (
 //
 // key, klen and inline never change once the row is in the index.
 // Everything else belongs to the holder of the table's group commit latch
-// — obj's writer methods included (the commit pipeline installs, recovery
-// seeds, Table.GC and the index backfill all hold it) — except obj's
-// reader methods, which snapshot readers call lock-free.
+// — obj's writer methods included (the commit pipeline installs, Table.GC
+// and the index backfill all hold it; recovery seeds rows before any table
+// holds them) — except obj's reader methods, which snapshot readers call
+// lock-free.
 type row struct {
 	inline [rowInline]byte
 	klen   uint8 // len(key) when the key fits inline, else rowLong
@@ -138,6 +139,19 @@ func (sh *rowShard) insert(h uint64, r *row) {
 	}
 	sh.slots[i] = rowSlot{h, r}
 	sh.n++
+}
+
+// reserve sizes the slot array of the empty shard for n rows, so that
+// inserting them never grows it (recovery knows its counts up front).
+func (sh *rowShard) reserve(n int) {
+	if n == 0 {
+		return
+	}
+	size := 16
+	for 3*size < 4*n {
+		size *= 2
+	}
+	sh.slots = make([]rowSlot, size)
 }
 
 // grow doubles the slot array (or creates it) and re-seats every row by

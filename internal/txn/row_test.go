@@ -194,7 +194,7 @@ func TestRowMemoIsRecentCandidateSets(t *testing.T) {
 		t.Fatalf("memo %q with two indexes, want second:all then bucket:a", got)
 	}
 	for _, c := range r().memo {
-		if c.rows["k"] != r() {
+		if _, in := c.rows[r()]; !in {
 			t.Fatalf("memo names %s:%s, which does not hold the row", c.ix.name, c.ikey)
 		}
 	}

@@ -252,19 +252,6 @@ func (t *Table) readMetaCTS() (Timestamp, error) {
 	return binary.LittleEndian.Uint64(raw), nil
 }
 
-// loadCommitted scans the table's rows in the base store and seeds the
-// in-memory version store with one committed version per key at cts.
-// Caller holds the group commit latch: it inserts rows.
-func (t *Table) loadCommitted(cts Timestamp) error {
-	prefix := t.rowKey("")
-	end := append(append([]byte(nil), prefix...), 0xff)
-	return t.ctx.store.Scan(prefix, end, func(k, v []byte) bool {
-		key := string(k[len(prefix):])
-		t.row(keyHash(key), key).obj.InstallRecovered(cts, v)
-		return true
-	})
-}
-
 // SnapshotScan iterates all keys visible at snapshot rts in unspecified
 // order, calling fn until it returns false. It is the building block of
 // ad-hoc full-table queries (FROM on a table).

@@ -67,7 +67,8 @@ type (
 	IndexKeyFunc = txn.IndexKeyFunc
 	// IndexStats are an index's lifetime counters (Index.Stats): Puts
 	// counts candidate entries added (backfill included), Deletes the
-	// entries Table.GC dropped, Lookups and Hits the reads.
+	// entries dropped — by commits that moved a row out of a set, and by
+	// Table.GC, whose share is Swept — Lookups and Hits the reads.
 	IndexStats = txn.IndexStats
 )
 
