@@ -180,6 +180,18 @@ func TestCostBudgets(t *testing.T) {
 			allocs: 0.03, bytes: 64,
 			measure: createIndexCost,
 		},
+		{
+			// Loading 2 × 100 000 new keys into an empty kv.Mem in 1 000-op
+			// PutHandle batches, the shape of BenchmarkMemBulkLoad: 0.011
+			// allocations, 131 B per key — the key's share of its shard's
+			// entry chunks (64 B an entry), slot array and key arena
+			// (2.007, 134 B at d4f1108, whose shards were Go maps of boxed
+			// entries: an entry and a key string per key). Apply's
+			// grouping scratch is pooled.
+			name: "mem bulk load", unit: "key",
+			allocs: 0.02, bytes: 144, pooled: true,
+			measure: memBulkLoadCost,
+		},
 	}
 	race := raceDetector()
 	for _, row := range rows {
@@ -674,3 +686,37 @@ var budgetBuckets = func() (out [16]string) {
 	}
 	return out
 }()
+
+// memBulkLoadCost returns the allocations and bytes per key of loading
+// two tables of 100 000 new keys into an empty mem store in 1 000-op
+// PutHandle batches.
+func memBulkLoadCost(t *testing.T) (allocs, bytes float64) {
+	const rows, batchOps = 100_000, 1000
+	var keys [][]byte
+	for _, tbl := range []string{"a", "b"} {
+		for i := range rows {
+			keys = append(keys, fmt.Appendf(nil, "s/%s/key%07d", tbl, (i*7919)%rows))
+		}
+	}
+	value := make([]byte, 28)
+	handles := make([]kv.Handle, len(keys))
+	batch := kv.NewBatch(batchOps)
+	var s *kv.Mem
+	mallocs, total := heapDelta(func() {
+		s = kv.NewMem()
+		for lo := 0; lo < len(keys); lo += batchOps {
+			batch.Reset()
+			for k := lo; k < lo+batchOps; k++ {
+				batch.PutHandle(keys[k], value, &handles[k])
+			}
+			if err := s.Apply(batch, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	defer s.Close()
+	if n, err := kv.Len(s); err != nil || n != len(keys) {
+		t.Fatalf("store holds %d keys (%v), want %d", n, err, len(keys))
+	}
+	return float64(mallocs) / float64(len(keys)), float64(total) / float64(len(keys))
+}

@@ -78,28 +78,24 @@ func TestNoPanicsInFailStopLayers(t *testing.T) {
 	}
 }
 
-// TestNoPanicsInFusedStages keeps the fused stages and their consumer
-// loop free of panics: an invalid argument to Punctuate,
-// TransactionsWindow or TransactionsTuned is a construction error that
-// Topology.fail records and Run returns, with no element emitted; so is
-// a change feed (FromTablePartitioned) over an invalid partition count or
-// a table in no group. The gate walks internal/stream's ops.go, batch.go
-// and feed.go; the construction panics in its other files are still to go
-// the same way.
+// TestNoPanicsInFusedStages keeps every non-test file of internal/stream
+// free of panics — the fused stages, their consumer loop, the feed, the
+// parallel regions and the window operators: an invalid construction
+// argument (Punctuate, TransactionsWindow or TransactionsTuned, a change
+// feed over an invalid partition count or a table in no group,
+// Parallelize, Reparallelize, Apply, an operator on a merged region,
+// MergeBatched, MergeTuned, the window sizes) is a construction error
+// that Topology.fail records and Run returns, with no element emitted.
 func TestNoPanicsInFusedStages(t *testing.T) {
 	fset, files := parseNonTest(t, "internal/stream")
 	var violations []string
 	for _, f := range files {
-		base := filepath.Base(fset.Position(f.Pos()).Filename)
-		if base != "ops.go" && base != "batch.go" && base != "feed.go" {
-			continue
-		}
 		for _, pos := range panicCalls(fset, f) {
 			violations = append(violations, pos.Filename+":"+strconv.Itoa(pos.Line))
 		}
 	}
 	if len(violations) > 0 {
-		t.Fatalf("panic() in a fused stage (record a construction error with Topology.fail instead):\n  %s",
+		t.Fatalf("panic() in internal/stream (record a construction error with Topology.fail instead):\n  %s",
 			strings.Join(violations, "\n  "))
 	}
 }

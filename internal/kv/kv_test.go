@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -421,4 +422,42 @@ func BenchmarkMemScanRange(b *testing.B) {
 			b.Fatal(n, err)
 		}
 	}
+}
+
+// BenchmarkMemBulkLoad loads two tables of 100 000 new keys each into an
+// empty store in 1 000-op PutHandle batches, the shape of a benchmark
+// workload's preload, and reports the time, allocations and bytes per key.
+func BenchmarkMemBulkLoad(b *testing.B) {
+	const rows, batchOps = 100_000, 1000
+	var keys [][]byte
+	for _, tbl := range []string{"a", "b"} {
+		for i := range rows {
+			keys = append(keys, fmt.Appendf(nil, "s/%s/key%07d", tbl, (i*7919)%rows))
+		}
+	}
+	value := make([]byte, 28)
+	handles := make([]Handle, len(keys))
+	batch := NewBatch(batchOps)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for b.Loop() {
+		s := NewMem()
+		clear(handles)
+		for lo := 0; lo < len(keys); lo += batchOps {
+			batch.Reset()
+			for k := lo; k < lo+batchOps; k++ {
+				batch.PutHandle(keys[k], value, &handles[k])
+			}
+			if err := s.Apply(batch, false); err != nil {
+				b.Fatal(err)
+			}
+		}
+		s.Close()
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(b.N * len(keys))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/key")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/key")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/key")
 }

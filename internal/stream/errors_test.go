@@ -2,6 +2,7 @@ package stream
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -48,23 +49,117 @@ func TestStartIdempotent(t *testing.T) {
 	}
 }
 
-func TestOperatorPanicsOnBadArguments(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
+// TestOperatorBadArgumentsFailRun: every invalid construction argument
+// outside the fused stages is an error that Run returns naming the
+// operator, not a panic: no element reaches the sink, nothing is written
+// and no goroutine is left behind.
+func TestOperatorBadArgumentsFailRun(t *testing.T) {
+	lanes := func(s *Stream, e *streamEnv) *ParallelRegion {
+		return s.Punctuate(2).TransactionsWindow(e.p, 2).Parallelize(2, nil)
+	}
+	cases := []struct {
+		name, want string
+		build      func(s *Stream, e *streamEnv) *Stream
+	}{
+		{"sliding window size 0", "t/w: SlidingWindow needs size >= 1", func(s *Stream, _ *streamEnv) *Stream {
+			return s.SlidingWindow("w", 0, Sum)
+		}},
+		{"tumbling window size 0", "t/w: TumblingWindow needs size >= 1", func(s *Stream, _ *streamEnv) *Stream {
+			return s.TumblingWindow("w", 0, Sum)
+		}},
+		{"parallelize 0 lanes", "t/parallelize: Parallelize needs p >= 1", func(s *Stream, _ *streamEnv) *Stream {
+			return s.Parallelize(0, nil).Merge("m")
+		}},
+		{"apply returns nil", "t/apply: ParallelRegion.Apply must return a stream of the same topology", func(s *Stream, _ *streamEnv) *Stream {
+			return s.Parallelize(2, nil).Apply(func(int, *Stream) *Stream { return nil }).Merge("m")
+		}},
+		{"reparallelize 0 lanes", "t/re: Reparallelize needs p >= 1", func(s *Stream, _ *streamEnv) *Stream {
+			return s.Parallelize(2, nil).Reparallelize("re", 0, nil).Merge("m")
+		}},
+		{"table after merge", "t/ToTable: ParallelRegion.ToTable after Merge", func(s *Stream, e *streamEnv) *Stream {
+			r := lanes(s, e)
+			out := r.Merge("m")
+			r.ToTable(e.p, e.t1)
+			return out
+		}},
+		{"apply after merge", "t/Apply: ParallelRegion.Apply after Merge", func(s *Stream, e *streamEnv) *Stream {
+			r := lanes(s, e)
+			out := r.Merge("m")
+			r.Apply(func(_ int, l *Stream) *Stream { return l })
+			return out
+		}},
+		{"reparallelize after merge", "t/Reparallelize: ParallelRegion.Reparallelize after Merge", func(s *Stream, e *streamEnv) *Stream {
+			r := lanes(s, e)
+			r.Merge("m").Discard()
+			return r.Reparallelize("re", 2, nil).Merge("m2")
+		}},
+		{"merge after merge", "t/Merge: ParallelRegion.Merge after Merge", func(s *Stream, e *streamEnv) *Stream {
+			r := lanes(s, e)
+			r.Merge("m").Discard()
+			return r.MergeBatched("m2", 4)
+		}},
+		{"merge batched 0", "t/mb: MergeBatched needs maxBatch >= 1", func(s *Stream, e *streamEnv) *Stream {
+			r := lanes(s, e)
+			r.ToTable(e.p, e.t1)
+			return r.MergeBatched("mb", 0)
+		}},
+		{"merge tuned without a tuner", "t/mt: MergeTuned needs a tuner", func(s *Stream, e *streamEnv) *Stream {
+			r := lanes(s, e)
+			r.ToTable(e.p, e.t1)
+			return r.MergeTuned("mt", nil)
+		}},
+		{"two protocols on one spine", "t/mb: MergeBatched requires all region ToTable calls to share one protocol", func(s *Stream, e *streamEnv) *Stream {
+			r := s.Punctuate(2).TransactionsWindow(e.p, 2, e.t1, e.t2).Parallelize(2, nil)
+			r.ToTable(e.p, e.t1)
+			r.ToTable(txn.NewSI(e.ctx), e.t2)
+			return r.MergeBatched("mb", 4)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			leaktest.Check(t)
+			e := newStreamEnv(t)
+			top := New("t")
+			s := top.Source("src", func(emit func(Element)) error {
+				for _, tp := range tuples("a", "b", "c", "d") {
+					emit(DataElement(tp))
+				}
+				return nil
+			})
+			seen := 0
+			c.build(s, e).Sink("sink", func(Element) { seen++ })
+			err := top.Run()
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Run returned %v, want the construction error %q", err, c.want)
 			}
-		}()
-		f()
+			if seen != 0 {
+				t.Fatalf("an invalid topology emitted %d elements", seen)
+			}
+			for _, tbl := range []*txn.Table{e.t1, e.t2} {
+				if rows, err := TableSnapshot(e.p, tbl); err != nil || len(rows) != 0 {
+					t.Fatalf("table %s after an invalid topology: %v, %v", tbl.ID(), rows, err)
+				}
+			}
+		})
+	}
+}
+
+// TestMergeTakesAnInput: Merge's first input is a parameter of its own,
+// so a Merge of no streams — which would have no topology to report its
+// error to — does not compile; a Merge of one stream passes it through.
+func TestMergeTakesAnInput(t *testing.T) {
+	typ := reflect.TypeOf(Merge)
+	if typ.NumIn() != 3 || typ.In(1) != reflect.TypeOf((*Stream)(nil)) || !typ.IsVariadic() {
+		t.Fatalf("Merge is %v, want func(string, *Stream, ...*Stream) *Stream", typ)
 	}
 	top := New("t")
-	s := top.SliceSource("src", nil)
-	mustPanic("sliding-0", func() { s.SlidingWindow("w", 0, Sum) })
-	mustPanic("tumbling-0", func() { s.TumblingWindow("w", 0, Sum) })
-	mustPanic("merge-empty", func() { Merge("m") })
-	s.Discard()
-	_ = top.Run()
+	got := Merge("m", top.SliceSource("src", tuples("a", "b", "c"))).Collect()
+	if err := top.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(<-got); n != 3 {
+		t.Fatalf("Merge of one input passed %d elements, want 3", n)
+	}
 }
 
 // runsNothing builds Source→build→ToTable(t1)→Sink over a fresh

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -124,10 +125,12 @@ type ParallelRegion struct {
 // construct partitioning by the same function — token identity is what
 // lets Reparallelize fuse regions (see KeyFn). p == 1 is the identity:
 // the stream itself becomes the single lane and no router goroutine is
-// spawned.
+// spawned. p < 1 is a construction error that Run returns; the region
+// then has one lane.
 func (s *Stream) Parallelize(p int, keyFn *KeyFn) *ParallelRegion {
 	if p < 1 {
-		panic("stream: Parallelize needs p >= 1")
+		s.t.fail("parallelize", fmt.Errorf("Parallelize needs p >= 1, got %d", p))
+		p = 1
 	}
 	r := &ParallelRegion{t: s.t, key: keyFn}
 	keyDesc := "default"
@@ -207,13 +210,17 @@ func (s *Stream) Parallelize(p int, keyFn *KeyFn) *ParallelRegion {
 // Apply derives each lane through fn (lane index, lane stream) — the hook
 // for per-lane fused operator chains (Map/Filter/FlatMap run inside the
 // lane's consumer, so a chain still costs zero goroutines per lane). fn
-// must return a stream of the same topology.
+// must return a stream of the same topology; any other result is a
+// construction error that Run returns, and the lane is left as it was.
 func (r *ParallelRegion) Apply(fn func(lane int, s *Stream) *Stream) *ParallelRegion {
-	r.checkOpen("Apply")
+	if !r.checkOpen("Apply") {
+		return r
+	}
 	for i, l := range r.lanes {
 		nl := fn(i, l)
 		if nl == nil || nl.t != r.t {
-			panic("stream: ParallelRegion.Apply must return a stream of the same topology")
+			r.t.fail("apply", fmt.Errorf("ParallelRegion.Apply must return a stream of the same topology (lane %d)", i))
+			nl = l
 		}
 		r.lanes[i] = nl
 	}
@@ -238,11 +245,15 @@ func (r *ParallelRegion) Apply(fn func(lane int, s *Stream) *Stream) *ParallelRe
 // why the token exists), the region is closed with a Merge barrier and
 // re-routed through a fresh Parallelize — correct, just not fused. Either
 // way the caller continues on the returned region and must close it with
-// Merge or MergeBatched.
+// Merge or MergeBatched. p < 1 is a construction error that Run returns;
+// the region then re-partitions into one lane.
 func (r *ParallelRegion) Reparallelize(name string, p int, keyFn *KeyFn) *ParallelRegion {
-	r.checkOpen("Reparallelize")
+	if !r.checkOpen("Reparallelize") {
+		return &ParallelRegion{t: r.t, lanes: []*Stream{r.t.empty(name)}, key: keyFn}
+	}
 	if p < 1 {
-		panic("stream: Reparallelize needs p >= 1")
+		r.t.fail(name, fmt.Errorf("Reparallelize needs p >= 1, got %d", p))
+		p = 1
 	}
 	if p == len(r.lanes) && (p == 1 || keyFn == r.key) {
 		r.merged = true
@@ -258,10 +269,13 @@ func (r *ParallelRegion) Reparallelize(name string, p int, keyFn *KeyFn) *Parall
 	return r.Merge(name).Parallelize(p, keyFn)
 }
 
-func (r *ParallelRegion) checkOpen(op string) {
+// checkOpen reports whether the region is still open; an operator added
+// to a merged region is a construction error that Run returns.
+func (r *ParallelRegion) checkOpen(op string) bool {
 	if r.merged {
-		panic("stream: ParallelRegion." + op + " after Merge")
+		r.t.fail(op, fmt.Errorf("ParallelRegion.%s after Merge", op))
 	}
+	return !r.merged
 }
 
 // ToTable adds a TO_TABLE to the region, maintaining tbl inside the
@@ -294,7 +308,9 @@ func (r *ParallelRegion) checkOpen(op string) {
 // the transaction (stream.Transactions' tables parameter) so the LAST
 // state's commit flag fires the global commit.
 func (r *ParallelRegion) ToTable(p txn.Protocol, tbl *txn.Table) *ToTableStats {
-	r.checkOpen("ToTable")
+	if !r.checkOpen("ToTable") {
+		return &ToTableStats{}
+	}
 	sink := newTableSink(r.t, p, tbl, fmt.Sprintf("%d (per-lane segments)", len(r.lanes)))
 	for i := range r.lanes {
 		r.lanes[i] = sink.stage(r.lanes[i], false)
@@ -396,9 +412,11 @@ func (r *ParallelRegion) Merge(name string) *Stream {
 // downstream BEFORE its transaction is globally committed (durable and
 // visible); the transaction's Done channel still closes only at the real
 // commit. All ToTable calls of the region must share one protocol.
+// maxBatch < 1 is a construction error that Run returns.
 func (r *ParallelRegion) MergeBatched(name string, maxBatch int) *Stream {
 	if maxBatch < 1 {
-		panic("stream: MergeBatched needs maxBatch >= 1")
+		r.t.fail(name, fmt.Errorf("MergeBatched needs maxBatch >= 1, got %d", maxBatch))
+		maxBatch = 1
 	}
 	out, _ := r.mergeSpine(name, "MergeBatched", maxBatch, true)
 	return out
@@ -412,12 +430,16 @@ func (r *ParallelRegion) MergeBatched(name string, maxBatch int) *Stream {
 // Pair it with a TransactionsTuned upstream sharing the SAME tuner, which
 // applies the same bound to the transactions in flight. All other
 // MergeBatched contracts (framing, early COMMIT emission, ToTable/
-// one-protocol requirements) apply unchanged.
+// one-protocol requirements) apply unchanged. A nil tuner is a
+// construction error that Run returns.
 func (r *ParallelRegion) MergeTuned(name string, tun *AutoTuner) *Stream {
+	window := 1
 	if tun == nil {
-		panic("stream: MergeTuned needs a tuner")
+		r.t.fail(name, errors.New("MergeTuned needs a tuner"))
+	} else {
+		window = tun.window
 	}
-	out, _ := r.mergeSpine(name, "MergeTuned", tun.window, false)
+	out, _ := r.mergeSpine(name, "MergeTuned", window, false)
 	return out
 }
 
@@ -426,17 +448,19 @@ func (r *ParallelRegion) MergeTuned(name string, tun *AutoTuner) *Stream {
 // policy over MergeTuned's work-conserving one (tests inspect the returned
 // spine once the topology has run).
 func (r *ParallelRegion) mergeSpine(name, op string, maxBatch int, holdOut bool) (*Stream, *commitSpine) {
-	sp := newCommitSpine(r.spineSinks(op), maxBatch)
+	sp := newCommitSpine(r.spineSinks(name, op), maxBatch)
 	sp.holdOut = holdOut
 	return r.close(name, sp.enqueue, sp), sp
 }
 
 // spineSinks validates the region's table sinks for a batched close: one
-// chain of transactions is committed through one protocol.
-func (r *ParallelRegion) spineSinks(op string) []*tableSink {
+// chain of transactions is committed through one protocol. Sinks of two
+// protocols are a construction error that Run returns.
+func (r *ParallelRegion) spineSinks(name, op string) []*tableSink {
 	for _, sink := range r.sinks {
 		if sink.p != r.sinks[0].p {
-			panic("stream: " + op + " requires all region ToTable calls to share one protocol")
+			r.t.fail(name, fmt.Errorf("%s requires all region ToTable calls to share one protocol", op))
+			break
 		}
 	}
 	return r.sinks
@@ -446,7 +470,9 @@ func (r *ParallelRegion) spineSinks(op string) []*tableSink {
 // barrier with the given coordinator hook, and (for the batched variant)
 // the spine worker whose queue is closed once every lane is done.
 func (r *ParallelRegion) close(name string, onPunct func(Element), sp *commitSpine) *Stream {
-	r.checkOpen("Merge")
+	if !r.checkOpen("Merge") {
+		return r.t.empty(name)
+	}
 	r.merged = true
 	out := r.t.newStream()
 	if sp == nil {

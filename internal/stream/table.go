@@ -370,7 +370,7 @@ func FromSnapshot(t *Topology, snap *txn.Snapshot, tbl *txn.Table, lanes int) *S
 	for i := range parts {
 		parts[i] = mk(i)
 	}
-	return Merge(name+"/merge", parts...)
+	return Merge(name+"/merge", parts[0], parts[1:]...)
 }
 
 // KV is one row of a snapshot query result.

@@ -136,6 +136,17 @@ func (t *Topology) newStream() *Stream {
 	return &Stream{t: t, ch: make(chan []Element, chanBuf)}
 }
 
+// empty returns a stream that closes, with no element, once the topology
+// starts: what an operator whose construction recorded an error hands on.
+func (t *Topology) empty(name string) *Stream {
+	out := t.newStream()
+	t.spawn(name, func() {
+		<-t.start
+		close(out.ch)
+	})
+	return out
+}
+
 // spawn registers and launches one operator goroutine.
 func (t *Topology) spawn(op string, body func()) {
 	t.wg.Add(1)
@@ -224,14 +235,14 @@ func (s *Stream) Discard() {
 	s.consume("discard", func(b []Element) { putBatch(b) }, nil)
 }
 
-// Merge fans several streams into one; element order across inputs is
-// arbitrary, order within an input is preserved. Batches are forwarded
-// whole — no copying.
-func Merge(name string, streams ...*Stream) *Stream {
-	if len(streams) == 0 {
-		panic("stream: Merge needs at least one input")
-	}
-	t := streams[0].t
+// Merge fans one or more streams into one; element order across inputs
+// is arbitrary, order within an input is preserved. Batches are forwarded
+// whole — no copying. The first input is a parameter of its own: a Merge
+// of nothing would have no topology to report its error to, so it does
+// not compile.
+func Merge(name string, first *Stream, more ...*Stream) *Stream {
+	streams := append([]*Stream{first}, more...)
+	t := first.t
 	out := t.newStream()
 	var wg sync.WaitGroup
 	wg.Add(len(streams))

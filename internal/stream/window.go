@@ -59,9 +59,11 @@ var (
 // paper's Figure 1; combined with ToTable its state becomes queryable.
 // Punctuations pass through. The operator is one-to-one, so batches are
 // aggregated in place and forwarded without copying.
+// A size below one is a construction error that Run returns.
 func (s *Stream) SlidingWindow(name string, size int, agg AggFunc) *Stream {
 	if size <= 0 {
-		panic("stream: SlidingWindow needs size >= 1")
+		s.t.fail(name, fmt.Errorf("SlidingWindow needs size >= 1, got %d", size))
+		size = 1
 	}
 	out := s.t.newStream()
 	windows := map[string][]float64{}
@@ -87,10 +89,12 @@ func (s *Stream) SlidingWindow(name string, size int, agg AggFunc) *Stream {
 // of `size` event-time units (based on Tuple.Ts) and emits one aggregated
 // tuple per key when its window closes (a later-window tuple for that key
 // arrives). Remaining windows are flushed when the stream ends.
-// Punctuations pass through unchanged.
+// Punctuations pass through unchanged. A size below one is a construction
+// error that Run returns.
 func (s *Stream) TumblingWindow(name string, size int64, agg AggFunc) *Stream {
 	if size <= 0 {
-		panic("stream: TumblingWindow needs size >= 1")
+		s.t.fail(name, fmt.Errorf("TumblingWindow needs size >= 1, got %d", size))
+		size = 1
 	}
 	out := s.t.newStream()
 	type win struct {
