@@ -5,7 +5,7 @@
 //	BenchmarkClaimC1/*        BOCC vs MVCC at low contention, 24 readers
 //	BenchmarkClaimC2/*        reader-dominated throughput split
 //	BenchmarkClaimC3/*        consistency under extreme contention
-//	BenchmarkAblation*        design-choice ablations A1–A5
+//	BenchmarkAblation*        design-choice ablations A2–A5 (A1 retired)
 //	BenchmarkCommitContended  the contended SI commit path
 //
 // The dataflow spine (ingest, feed, pipeline, mixed read/write) is
@@ -129,19 +129,6 @@ func BenchmarkClaimC3(b *testing.B) {
 			cfg.Readers = 24
 			cfg.Theta = 2.9
 			cfg.CheckConsistency = true
-			cell(b, cfg)
-		})
-	}
-}
-
-// BenchmarkAblationSlots (A1): initial version-array size vs. GC
-// pressure under contention.
-func BenchmarkAblationSlots(b *testing.B) {
-	for _, slots := range []int{2, 4, 8, 16} {
-		b.Run("slots="+itoa(slots), func(b *testing.B) {
-			cfg := benchCfg()
-			cfg.Theta = 2.0
-			cfg.VersionSlots = slots
 			cell(b, cfg)
 		})
 	}

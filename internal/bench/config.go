@@ -47,9 +47,6 @@ type Config struct {
 	Duration time.Duration
 	// Sync makes commits durable before visible (paper: sync = true).
 	Sync bool
-	// VersionSlots overrides the MVCC version-array size (0 = default);
-	// ablation A1.
-	VersionSlots int
 	// CheckConsistency interleaves a multi-state invariant token into the
 	// workload and verifies reader snapshots (claim C3). Slightly reduces
 	// raw throughput.

@@ -49,10 +49,7 @@ func runOn(cfg Config, store kv.Store) (Result, error) {
 	// --- transactional setup ----------------------------------------------
 	// CreateGroup recovers the preloaded rows into the version store — the
 	// same code path a restart uses.
-	ctx, tables, group, err := setup(cfg, store, txn.TableOptions{
-		SyncCommits:  cfg.Sync,
-		VersionSlots: cfg.VersionSlots,
-	})
+	ctx, tables, group, err := setup(cfg, store, txn.TableOptions{SyncCommits: cfg.Sync})
 	if err != nil {
 		return Result{}, err
 	}

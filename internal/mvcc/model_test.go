@@ -59,38 +59,36 @@ const (
 )
 
 // FuzzObjectModel runs fuzzed scripts of installs, deletes, recovery
-// seeds, GC, Retained and reads against a replayed history. The first
-// byte picks the slot count (1–4); each following byte pair is an op and
-// its argument. Reader modes move the horizon: no reader, one trailing the
-// latest commit, or a snapshot pinned at one commit. After every op, a
-// read at any rts at or above the horizon matches the history, and every
-// version the horizon still protects is read at the first rts at or above
-// the horizon where it is visible — also right after a return to the
-// inline layout; the writer's order is the occupied slots in cts order and
-// its free tail exactly the unoccupied ones (checkOrder); capacity only
-// shrinks back to DefaultSlots, by an install on a default-sized object;
-// while no reader has ever held the horizon back the object never grows,
-// so LiveVersions stays within the slot count, and with no reader a GC
-// leaves at most the live version; and Retained yields the retained values
-// oldest first — a subsequence of the history holding every version the
-// horizon still protects, exactly those right after a GC, as many as
-// LiveVersions.
+// seeds, GC, Retained and reads against a replayed history. Each byte
+// pair of the script is an op and its argument. Reader modes move the
+// horizon: no reader, one trailing the latest commit, or a snapshot
+// pinned at one commit. After every op, a read at any rts at or above the
+// horizon matches the history, and every version the horizon still
+// protects is read at the first rts at or above the horizon where it is
+// visible — also right after a return to the inline layout; the writer's
+// order is the occupied slots in cts order and its free tail exactly the
+// unoccupied ones (checkOrder); capacity only shrinks back to
+// DefaultSlots, by an install; while no reader has ever held the horizon
+// back the object never grows, so LiveVersions stays within the inline
+// slots, and with no reader a GC leaves at most the live version; and
+// Retained yields the retained values oldest first — a subsequence of the
+// history holding every version the horizon still protects, exactly those
+// right after a GC, as many as LiveVersions.
 func FuzzObjectModel(f *testing.F) {
-	f.Add([]byte{0, 0, 5, 0, 9, 4, 0, 0, 3})
-	f.Add([]byte{1, 3, 2, 0, 1, 0, 30, 0, 2, 1, 0, 0, 7, 5, 0, 3, 0, 4, 0, 0, 1})
-	f.Add([]byte{3, 3, 1, 0, 0, 0, 1, 2, 0, 0, 2, 0, 3, 4, 0, 5, 9, 3, 2, 0, 4})
-	f.Add([]byte{2, 3, 2, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 3, 0, 0, 6, 4, 0, 5, 1})
-	// Default-sized: grow to 4 slots under a pin, return inline after 32
-	// installs trailing the latest commit.
-	f.Add(append([]byte{1, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 0, 1}, bytes.Repeat([]byte{0, 0}, 33)...))
+	f.Add([]byte{0, 5, 0, 9, 4, 0, 0, 3})
+	f.Add([]byte{3, 2, 0, 1, 0, 30, 0, 2, 1, 0, 0, 7, 5, 0, 3, 0, 4, 0, 0, 1})
+	f.Add([]byte{3, 1, 0, 0, 0, 1, 2, 0, 0, 2, 0, 3, 4, 0, 5, 9, 3, 2, 0, 4})
+	f.Add([]byte{3, 2, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 3, 0, 0, 6, 4, 0, 5, 1})
+	// Grow to 4 slots under a pin, return inline after 32 installs
+	// trailing the latest commit.
+	f.Add(append([]byte{2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 0, 1}, bytes.Repeat([]byte{0, 0}, 33)...))
 	// Delete, sweep the tombstone away, seed the empty object by recovery.
-	f.Add([]byte{3, 0, 0, 0, 0, 1, 0, 3, 0, 6, 0, 0, 0, 5, 3})
+	f.Add([]byte{0, 0, 0, 1, 0, 3, 0, 6, 0, 0, 0, 5, 3})
+	// Recover a version, spill it under a pin, return inline after 32
+	// installs trailing the latest commit.
+	f.Add(append([]byte{6, 0, 2, 2, 0, 0, 0, 0, 2, 1}, bytes.Repeat([]byte{0, 0}, 33)...))
 	f.Fuzz(func(t *testing.T, script []byte) {
-		if len(script) == 0 {
-			return
-		}
-		slots := int(script[0]%4) + 1
-		o := NewObject(slots)
+		o := new(Object)
 		var (
 			m     objectModel
 			mode  = unpinned
@@ -112,10 +110,10 @@ func FuzzObjectModel(f *testing.F) {
 			}
 			return cts
 		}
-		if capacity != slots {
-			t.Fatalf("NewObject(%d).Capacity() = %d", slots, capacity)
+		if capacity != DefaultSlots {
+			t.Fatalf("new(Object).Capacity() = %d", capacity)
 		}
-		for i := 1; i+1 < len(script); i += 2 {
+		for i := 0; i+1 < len(script); i += 2 {
 			op, arg := script[i]%7, script[i+1]
 			afterGC, installed := false, false
 			var oldestActive Timestamp
@@ -145,8 +143,8 @@ func FuzzObjectModel(f *testing.F) {
 			case 4: // Retained, checked below after every op
 			case 5: // a probe at a chosen offset above the horizon
 				rtsProbe = Timestamp(arg)
-			case 6: // recovery seeds an object that holds no version
-				if o.LiveVersions() != 0 {
+			case 6: // recovery seeds an object that holds no version and is not spilled
+				if o.LiveVersions() != 0 || o.spill.Load() != nil {
 					break
 				}
 				cts := m.latest + Timestamp(arg%3) + 1
@@ -156,14 +154,14 @@ func FuzzObjectModel(f *testing.F) {
 			}
 
 			checkOrder(t, o)
-			if c := o.Capacity(); c < capacity && (!installed || slots != DefaultSlots || c != DefaultSlots) {
+			if c := o.Capacity(); c < capacity && (!installed || c != DefaultSlots) {
 				t.Fatalf("op %d: capacity shrank from %d to %d", i, capacity, c)
 			} else {
 				capacity = c
 			}
 			live := o.LiveVersions()
-			if !heldBack && (capacity != slots || live > slots) {
-				t.Fatalf("op %d: %d live versions, capacity %d, in %d slots with no reader holding the horizon", i, live, capacity, slots)
+			if !heldBack && (capacity != DefaultSlots || live > DefaultSlots) {
+				t.Fatalf("op %d: %d live versions, capacity %d, with no reader holding the horizon", i, live, capacity)
 			}
 
 			// A reader the last install protected may still read at its
@@ -222,7 +220,7 @@ func checkOrder(t *testing.T, o *Object) {
 	if sp == nil {
 		return
 	}
-	capacity := sp.inline + len(sp.slots)
+	capacity := DefaultSlots + len(sp.slots)
 	if len(sp.order) != capacity || sp.head < 0 || sp.head >= capacity || sp.n < 0 || sp.n > capacity {
 		t.Fatalf("order of %d entries, head %d, n %d, for %d slots", len(sp.order), sp.head, sp.n, capacity)
 	}

@@ -25,13 +25,12 @@
 // slot in one step but capped a key at 64 versions; the order keeps the
 // one step without the cap.
 //
-// A default-sized object returns to the inline layout once it has gone
+// A spilled object returns to the inline layout once it has gone
 // calmRounds times its capacity in installs in a row with every version
 // but the newest DefaultSlots dead: the kept versions are copied into
 // inline slots before the inline layout is published, the protocol grow
 // uses. A key pinned again within that many installs keeps its array, so
-// recurring pins do not make it grow and shrink on every pin. An object
-// sized by Init never shrinks.
+// recurring pins do not make it grow and shrink on every pin.
 //
 // # Reuse in place
 //
@@ -91,16 +90,16 @@
 // versions into the inline slots before it publishes the inline layout.
 //
 // What a reader may take from that depends on its pin. A snapshot reader
-// (SI transactions, txn.Snapshot, change feeds) pins its rts into the
+// (SI transactions, txn.Snapshot) pins its rts into the
 // oldestActive of every later Install and GC before it reads, so a slot
 // reused or freed under it held a version invisible at rts (dts <=
 // oldestActive <= rts): skipping it loses nothing, and the version it
 // needs is never written while it reads. A stale copy in an old spill
 // array is right for it too: a version ended after the reader pinned was
 // ended by a commit above rts. Readers that hold no pin — BOCC reads at
-// Infinity, txn.Table.ReadAt, an unpinned txn.Index.Lookup — are exactly
-// as memory-safe: they never see a value torn between two versions, only,
-// like any RCU reader, a version that was current a moment ago; BOCC's
+// Infinity, an unpinned txn.Index.Lookup — are exactly as memory-safe:
+// they never see a value torn between two versions, only, like any RCU
+// reader, a version that was current a moment ago; BOCC's
 // validation aborts a transaction that read one. So Read returns the
 // first visible version it finds: for a pinned reader the only one, for
 // an unpinned reader one that was current while it read.
@@ -150,43 +149,30 @@ type slot struct {
 }
 
 // Object is one key's versions. The zero value is an empty object with
-// DefaultSlots slots; Init sizes it otherwise. Which methods the caller
-// must serialize is in the package comment.
+// its DefaultSlots inline slots. Which methods the caller must serialize
+// is in the package comment.
 type Object struct {
 	latest atomic.Uint64 // newest installed cts, deletions included
 	inline [DefaultSlots]slot
 	spill  atomic.Pointer[spill] // nil: every inline slot in use, none beyond
 }
 
-// spill is an object's layout beyond the default: how many inline slots
-// are in use (fewer than DefaultSlots only for an object made smaller) and
-// the heap slots after them. Slot index i names inline slot i below inline
-// and heap slot i-inline from there.
+// spill is an object's layout beyond the inline slots: the heap slots
+// after them. Slot index i names inline slot i below DefaultSlots and heap
+// slot i-DefaultSlots from there.
 //
 // The rest is the writer's view of the slots (see Slot layout and Writers
 // in the package comment), which readers never look at: order holds every
 // slot index once — from head, wrapping, the n occupied slots in cts
 // order, then the free ones.
 type spill struct {
-	inline int
-	slots  []slot
-	order  []int32
-	head   int
-	n      int
-	// shrinks marks a default-sized object, which returns to the inline
-	// layout after enough installs in a row — calm counts them — whose
-	// retained versions some reader may still see fit inline (see settle).
-	shrinks bool
-	calm    int
-}
-
-func newSpill(capacity int) *spill {
-	in := min(capacity, DefaultSlots)
-	sp := &spill{inline: in, slots: make([]slot, capacity-in), order: make([]int32, capacity)}
-	for i := range sp.order {
-		sp.order[i] = int32(i)
-	}
-	return sp
+	slots []slot
+	order []int32
+	head  int
+	n     int
+	// calm counts the installs in a row whose retained versions some
+	// reader may still see fit inline (see settle).
+	calm int
 }
 
 // index returns the slot index at position i of sp's order (0: the
@@ -200,39 +186,26 @@ func (sp *spill) index(i int) int {
 
 // at returns the slot at position i of sp's order.
 func (o *Object) at(sp *spill, i int) *slot {
-	if j := sp.index(i); j >= sp.inline {
-		return &sp.slots[j-sp.inline]
+	if j := sp.index(i); j >= DefaultSlots {
+		return &sp.slots[j-DefaultSlots]
 	} else {
 		return &o.inline[j]
 	}
 }
 
-// Init sets the capacity of o, which must hold no version yet, to slots
-// versions (0 selects DefaultSlots; values are clamped to at least 1). It
-// initializes an Object in place — embedded in a larger struct — where
-// NewObject would allocate one.
-func (o *Object) Init(slots int) {
-	if slots == 0 {
-		slots = DefaultSlots
-	}
-	if slots = max(slots, 1); slots != DefaultSlots {
-		o.spill.Store(newSpill(slots))
-	}
-}
-
-// NewObject creates an object with capacity for slots versions (see Init).
+// NewObject returns a new empty object, as new(Object) does. The argument
+// is ignored: it remains only because the gated benchmark's probe calls
+// NewObject(DefaultSlots).
 func NewObject(slots int) *Object {
-	o := new(Object)
-	o.Init(slots)
-	return o
+	return new(Object)
 }
 
-// layout returns the slots of o in use: the inline ones and the spilled.
-func (o *Object) layout() (inline, spilled []slot) {
+// spilled returns the heap slots of o, nil while its versions are inline.
+func (o *Object) spilled() []slot {
 	if sp := o.spill.Load(); sp != nil {
-		return o.inline[:sp.inline], sp.slots
+		return sp.slots
 	}
-	return o.inline[:], nil
+	return nil
 }
 
 // Read returns the version visible at read timestamp rts: the version
@@ -241,8 +214,7 @@ func (o *Object) layout() (inline, spilled []slot) {
 // The returned slice is owned by the object and must not be modified.
 // Read takes no locks.
 func (o *Object) Read(rts Timestamp) (value []byte, ok bool) {
-	inline, spilled := o.layout()
-	for _, part := range [...][]slot{inline, spilled} {
+	for _, part := range [...][]slot{o.inline[:], o.spilled()} {
 		for i := range part {
 			if value, ok = part[i].read(rts); ok {
 				return value, true
@@ -405,11 +377,9 @@ func (o *Object) installInline(cts Timestamp, value []byte, delete bool, oldestA
 			older = 1
 		}
 		sp := &spill{
-			inline:  DefaultSlots,
-			slots:   make([]slot, DefaultSlots),
-			order:   []int32{older, 1 - older, 2, 3},
-			n:       DefaultSlots + 1,
-			shrinks: true,
+			slots: make([]slot, DefaultSlots),
+			order: []int32{older, 1 - older, 2, 3},
+			n:     DefaultSlots + 1,
 		}
 		sp.slots[0].put(cts, value)
 		o.spill.Store(sp)
@@ -422,11 +392,9 @@ func (o *Object) installInline(cts Timestamp, value []byte, delete bool, oldestA
 func (o *Object) grow(sp *spill) *spill {
 	capacity := len(sp.order)
 	next := &spill{
-		inline:  sp.inline,
-		slots:   make([]slot, 2*capacity-sp.inline),
-		order:   make([]int32, 2*capacity),
-		n:       sp.n,
-		shrinks: sp.shrinks,
+		slots: make([]slot, 2*capacity-DefaultSlots),
+		order: make([]int32, 2*capacity),
+		n:     sp.n,
 	}
 	for i := range sp.slots {
 		from, to := &sp.slots[i], &next.slots[i]
@@ -446,11 +414,11 @@ func (o *Object) grow(sp *spill) *spill {
 }
 
 // calmRounds is how many times its capacity in calm installs in a row a
-// spilled default-sized object waits before it returns to the inline
-// layout (see settle).
+// spilled object waits before it returns to the inline layout (see
+// settle).
 const calmRounds = 8
 
-// settle returns a default-sized spilled object to the inline layout once
+// settle returns a spilled object to the inline layout once
 // it has gone calmRounds times as many installs in a row as it has slots
 // with its retained versions fitting inline: every one but the newest
 // DefaultSlots dead at oldestActive. Waiting that long bounds the churn of
@@ -459,9 +427,6 @@ const calmRounds = 8
 // installs — under one allocation per ten installs at any C — and a key
 // pinned more often than that never returns at all.
 func (o *Object) settle(sp *spill, oldestActive Timestamp) {
-	if !sp.shrinks {
-		return
-	}
 	if sp.n > DefaultSlots && !o.at(sp, sp.n-DefaultSlots-1).deadAt(oldestActive) {
 		sp.calm = 0
 		return
@@ -498,29 +463,24 @@ func (o *Object) settle(sp *spill, oldestActive Timestamp) {
 	o.spill.Store(nil)
 }
 
-// InstallRecovered seeds an object that holds no version yet with one
-// committed version during recovery, bypassing the monotonicity
-// bookkeeping of live commits. Like Install it takes OWNERSHIP of value:
-// the caller must not modify it afterwards (recovery hands over its own
-// copy of the base table's image, so seeding pays no second copy).
+// InstallRecovered seeds an object that holds no version and is not
+// spilled — a fresh one, as recovery makes — with one committed version,
+// bypassing the monotonicity bookkeeping of live commits. Like Install it
+// takes OWNERSHIP of value: the caller must not modify it afterwards
+// (recovery hands over its own copy of the base table's image, so seeding
+// pays no second copy).
 func (o *Object) InstallRecovered(cts Timestamp, value []byte) {
-	if sp := o.spill.Load(); sp != nil {
-		o.at(sp, sp.n).put(cts, value)
-		sp.n++
-	} else {
-		o.inline[0].put(cts, value)
-	}
+	o.inline[0].put(cts, value)
 	if cts > o.latest.Load() {
 		o.latest.Store(cts)
 	}
 }
 
 // LiveVersions returns the number of occupied slots (reclaimable ones
-// included); used by tests and the slot-size ablation.
+// included); a diagnostic.
 func (o *Object) LiveVersions() int {
-	inline, spilled := o.layout()
 	n := 0
-	for _, part := range [...][]slot{inline, spilled} {
+	for _, part := range [...][]slot{o.inline[:], o.spilled()} {
 		for i := range part {
 			if part[i].cts.Load() != 0 {
 				n++
@@ -532,8 +492,7 @@ func (o *Object) LiveVersions() int {
 
 // Capacity returns the number of versions o holds before it grows.
 func (o *Object) Capacity() int {
-	inline, spilled := o.layout()
-	return len(inline) + len(spilled)
+	return DefaultSlots + len(o.spilled())
 }
 
 // Retained calls fn once with the values of the retained versions, oldest

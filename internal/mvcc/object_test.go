@@ -12,7 +12,7 @@ import (
 )
 
 func TestEmptyObjectInvisible(t *testing.T) {
-	o := NewObject(4)
+	o := new(Object)
 	if _, ok := o.Read(100); ok {
 		t.Fatal("empty object returned a version")
 	}
@@ -22,7 +22,7 @@ func TestEmptyObjectInvisible(t *testing.T) {
 }
 
 func TestVisibilityWindow(t *testing.T) {
-	o := NewObject(4)
+	o := new(Object)
 	if err := o.Install(10, []byte("v10"), false, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestVisibilityWindow(t *testing.T) {
 }
 
 func TestDeleteTerminatesVisibility(t *testing.T) {
-	o := NewObject(4)
+	o := new(Object)
 	if err := o.Install(10, []byte("v"), false, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestDeleteTerminatesVisibility(t *testing.T) {
 }
 
 func TestNonMonotonicInstallRejected(t *testing.T) {
-	o := NewObject(4)
+	o := new(Object)
 	if err := o.Install(10, []byte("a"), false, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestNonMonotonicInstallRejected(t *testing.T) {
 }
 
 func TestGCOnDemand(t *testing.T) {
-	o := NewObject(2)
+	o := new(Object)
 	if err := o.Install(1, []byte("a"), false, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestGCOnDemand(t *testing.T) {
 }
 
 func TestGrowthWhenNothingReclaimable(t *testing.T) {
-	o := NewObject(2)
+	o := new(Object)
 	// oldestActive=0 pins everything.
 	for cts := Timestamp(1); cts <= 5; cts++ {
 		if err := o.Install(cts, []byte{byte(cts)}, false, 0); err != nil {
@@ -141,7 +141,7 @@ func TestGrowthWhenNothingReclaimable(t *testing.T) {
 func TestGrowthBeyondOneBitVectorWord(t *testing.T) {
 	// More than 64 pinned versions must be supported: the multi-word
 	// UsedSlots vector grows with the array (see package comment).
-	o := NewObject(4)
+	o := new(Object)
 	const n = 200
 	for cts := Timestamp(1); cts <= n; cts++ {
 		if err := o.Install(cts, []byte{byte(cts)}, false, 0); err != nil {
@@ -167,51 +167,44 @@ func TestGrowthBeyondOneBitVectorWord(t *testing.T) {
 	}
 }
 
-// TestSpillReturnsInline: a default-sized object that spilled under a pin
-// returns to the inline layout once it has gone calmRounds times as many
-// installs as it has slots needing no more than the inline ones, keeping
-// the live version and the one a reader at the previous commit still
-// reads; an object sized by Init keeps its size.
+// TestSpillReturnsInline: an object that spilled under a pin returns to
+// the inline layout once it has gone calmRounds times as many installs as
+// it has slots needing no more than the inline ones, keeping the live
+// version and the one a reader at the previous commit still reads.
 func TestSpillReturnsInline(t *testing.T) {
-	for _, slots := range []int{DefaultSlots, 3} {
-		o := NewObject(slots)
-		cts := Timestamp(0)
-		install := func(oldestActive Timestamp) {
-			t.Helper()
-			cts++
-			if err := o.Install(cts, []byte(fmt.Sprintf("v%d", cts)), false, oldestActive); err != nil {
-				t.Fatal(err)
-			}
+	o := new(Object)
+	cts := Timestamp(0)
+	install := func(oldestActive Timestamp) {
+		t.Helper()
+		cts++
+		if err := o.Install(cts, []byte(fmt.Sprintf("v%d", cts)), false, oldestActive); err != nil {
+			t.Fatal(err)
 		}
-		for range 6 { // a snapshot pinned at 0 holds every version
-			install(0)
-		}
-		grown := o.Capacity()
-		if grown < 6 {
-			t.Fatalf("slots %d: capacity %d after 6 pinned installs", slots, grown)
-		}
-		for i := range calmRounds*grown - 1 { // a reader trailing the latest commit
-			install(cts)
-			if o.Capacity() != grown {
-				t.Fatalf("slots %d: capacity %d after %d calm installs, want %d until %d", slots, o.Capacity(), i+1, grown, calmRounds*grown)
-			}
-		}
+	}
+	for range 6 { // a snapshot pinned at 0 holds every version
+		install(0)
+	}
+	grown := o.Capacity()
+	if grown < 6 {
+		t.Fatalf("capacity %d after 6 pinned installs", grown)
+	}
+	for i := range calmRounds*grown - 1 { // a reader trailing the latest commit
 		install(cts)
-		want := grown
-		if slots == DefaultSlots {
-			want = DefaultSlots
+		if o.Capacity() != grown {
+			t.Fatalf("capacity %d after %d calm installs, want %d until %d", o.Capacity(), i+1, grown, calmRounds*grown)
 		}
-		if o.Capacity() != want {
-			t.Fatalf("slots %d: capacity %d after %d calm installs, want %d", slots, o.Capacity(), calmRounds*grown, want)
+	}
+	install(cts)
+	if o.Capacity() != DefaultSlots {
+		t.Fatalf("capacity %d after %d calm installs, want %d", o.Capacity(), calmRounds*grown, DefaultSlots)
+	}
+	for rts, v := range map[Timestamp]string{cts - 1: fmt.Sprintf("v%d", cts-1), cts: fmt.Sprintf("v%d", cts)} {
+		if got, ok := o.Read(rts); !ok || string(got) != v {
+			t.Fatalf("Read(%d) = %q,%v after the return, want %q", rts, got, ok, v)
 		}
-		for rts, v := range map[Timestamp]string{cts - 1: fmt.Sprintf("v%d", cts-1), cts: fmt.Sprintf("v%d", cts)} {
-			if got, ok := o.Read(rts); !ok || string(got) != v {
-				t.Fatalf("slots %d: Read(%d) = %q,%v after the return, want %q", slots, rts, got, ok, v)
-			}
-		}
-		if slots == DefaultSlots && o.LiveVersions() != DefaultSlots {
-			t.Fatalf("%d versions after the return, want the %d kept", o.LiveVersions(), DefaultSlots)
-		}
+	}
+	if o.LiveVersions() != DefaultSlots {
+		t.Fatalf("%d versions after the return, want the %d kept", o.LiveVersions(), DefaultSlots)
 	}
 }
 
@@ -220,7 +213,7 @@ func TestSpillReturnsInline(t *testing.T) {
 // return per pin. Here the first two pins grow the object to 8 slots, and
 // the 4 calm installs between pins never return it inline.
 func TestRecurringPinsKeepTheSpill(t *testing.T) {
-	o := NewObject(0)
+	o := new(Object)
 	cts := Timestamp(0)
 	for round := range 50 {
 		pin := cts
@@ -246,7 +239,7 @@ func TestRecurringPinsKeepTheSpill(t *testing.T) {
 }
 
 func TestExplicitGC(t *testing.T) {
-	o := NewObject(8)
+	o := new(Object)
 	for cts := Timestamp(1); cts <= 5; cts++ {
 		if err := o.Install(cts, []byte("v"), false, 0); err != nil {
 			t.Fatal(err)
@@ -271,7 +264,7 @@ func TestExplicitGC(t *testing.T) {
 // so the commit paths hand over their private write-set copies and the
 // caller must not touch the buffer afterwards.
 func TestInstallTakesOwnership(t *testing.T) {
-	o := NewObject(4)
+	o := new(Object)
 	buf := []byte("orig")
 	if err := o.Install(1, buf, false, 0); err != nil {
 		t.Fatal(err)
@@ -282,7 +275,7 @@ func TestInstallTakesOwnership(t *testing.T) {
 }
 
 func TestInstallRecovered(t *testing.T) {
-	o := NewObject(4)
+	o := new(Object)
 	seed := []byte("r")
 	o.InstallRecovered(7, seed)
 	if v, ok := o.Read(7); !ok || string(v) != "r" {
@@ -304,25 +297,13 @@ func TestInstallRecovered(t *testing.T) {
 	}
 }
 
-func TestSlotClamping(t *testing.T) {
-	if NewObject(0).Capacity() != DefaultSlots {
-		t.Fatal("0 should select DefaultSlots")
-	}
-	if NewObject(-3).Capacity() != 1 {
-		t.Fatal("negative should clamp to 1")
-	}
-	if NewObject(1000).Capacity() != 1000 {
-		t.Fatal("large initial capacity should be honored")
-	}
-}
-
 // TestPropertyVisibility builds a random committed history and checks the
 // fundamental snapshot-isolation invariant on the object level: a read at
 // rts sees exactly the version whose [cts, dts) interval contains rts.
 func TestPropertyVisibility(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		o := NewObject(4)
+		o := new(Object)
 		type event struct {
 			cts    Timestamp
 			val    string
@@ -384,7 +365,7 @@ func TestPropertyVisibility(t *testing.T) {
 // the version the return may move.
 func TestConcurrentReadersDuringInstalls(t *testing.T) {
 	const readers, installs = 4, 12000
-	o := NewObject(0)
+	o := new(Object)
 	var (
 		mu   sync.Mutex
 		pins [readers]Timestamp // 0: not pinned
@@ -490,10 +471,11 @@ func TestConcurrentReadersDuringInstalls(t *testing.T) {
 	}
 }
 
+// BenchmarkObjectRead reads the fifth of 8 versions a pin at 0 retains.
 func BenchmarkObjectRead(b *testing.B) {
-	o := NewObject(8)
+	o := new(Object)
 	for cts := Timestamp(1); cts <= 8; cts++ {
-		if err := o.Install(cts, []byte("value-of-20-bytes!!"), false, cts-1); err != nil {
+		if err := o.Install(cts, []byte("value-of-20-bytes!!"), false, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -504,43 +486,63 @@ func BenchmarkObjectRead(b *testing.B) {
 	})
 }
 
-// BenchmarkObjectInstall installs into an object of 8, 64 and 512 slots
-// that stays at its size: under a trailing horizon (a reader at the latest
-// commit: the oldest version is dead at every install) and under a pinned
-// one (a snapshot held for half the slots' worth of commits, then moved to
-// the latest). Install finds its slot from the writer's order, so ns/op
+// BenchmarkObjectInstall installs into an object under a pinned horizon —
+// a snapshot held for half the slots' worth of commits, then moved to the
+// latest — at 8, 64 and 512 slots, which the object grows to under the
+// pin before the timed loop and keeps, since a pin that recurs that often
+// never lets it return inline; and into an inline object under a trailing
+// horizon (a reader at the latest commit: the oldest version is dead at
+// every install). Install finds its slot from the writer's order, so ns/op
 // does not depend on the slot count.
 func BenchmarkObjectInstall(b *testing.B) {
 	val := []byte("value-of-20-bytes!!")
 	for _, slots := range []int{8, 64, 512} {
-		for _, horizon := range []string{"trailing", "pinned"} {
-			b.Run(fmt.Sprintf("slots=%d/%s", slots, horizon), func(b *testing.B) {
-				o := NewObject(slots)
-				held := Timestamp(slots / 2)
-				var cts Timestamp
-				for b.Loop() {
-					cts++
-					oldestActive := cts - 1
-					if horizon == "pinned" {
-						oldestActive -= oldestActive % held
-					}
-					if err := o.Install(cts, val, false, oldestActive); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("slots=%d/pinned", slots), func(b *testing.B) {
+			o := new(Object)
+			held := Timestamp(slots / 2)
+			var cts Timestamp
+			install := func() {
+				cts++
+				oldestActive := cts - 1
+				oldestActive -= oldestActive % held
+				if err := o.Install(cts, val, false, oldestActive); err != nil {
+					b.Fatal(err)
 				}
-				if o.Capacity() != slots {
-					b.Fatalf("capacity %d, want %d", o.Capacity(), slots)
-				}
-			})
-		}
+			}
+			for range 2 * slots {
+				install()
+			}
+			if o.Capacity() != slots {
+				b.Fatalf("capacity %d after growing under the pin, want %d", o.Capacity(), slots)
+			}
+			for b.Loop() {
+				install()
+			}
+			if o.Capacity() != slots {
+				b.Fatalf("capacity %d, want %d", o.Capacity(), slots)
+			}
+		})
 	}
+	b.Run("inline/trailing", func(b *testing.B) {
+		o := new(Object)
+		var cts Timestamp
+		for b.Loop() {
+			cts++
+			if err := o.Install(cts, val, false, cts-1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if o.Capacity() != DefaultSlots {
+			b.Fatalf("capacity %d, want %d", o.Capacity(), DefaultSlots)
+		}
+	})
 }
 
 // TestRetainedSeesEveryOccupiedSlot: the iteration hook yields the value
 // of every retained version, dead-but-unreclaimed ones included, oldest
 // first, and stops when the caller stops ranging.
 func TestRetainedSeesEveryOccupiedSlot(t *testing.T) {
-	o := NewObject(0)
+	o := new(Object)
 	for i, v := range []string{"a", "b", "c"} {
 		if err := o.Install(Timestamp(10*(i+1)), []byte(v), false, 0); err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,14 +33,13 @@ func rowSig(tp Tuple) string {
 	return tp.Key + "=" + string(tp.Value)
 }
 
-// feedEnv creates a one-table SI group over a mem store, with room for
-// 4 096 versions a row.
+// feedEnv creates a one-table SI group over a mem store.
 func feedEnv(t *testing.T) (txn.Protocol, *txn.Table) {
 	t.Helper()
 	ctx := txn.NewContext()
 	store := kv.NewMem()
 	t.Cleanup(func() { store.Close() })
-	tbl, err := ctx.CreateTable("feedprop", store, txn.TableOptions{VersionSlots: 4096})
+	tbl, err := ctx.CreateTable("feedprop", store, txn.TableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,30 +94,41 @@ func runScriptIngest(t *testing.T, p txn.Protocol, tbl *txn.Table, script []scri
 // sequentialFeedSigs runs the script with the sequential spine and
 // returns the reference commit signatures, in commit order. The reference
 // is INDEPENDENT of the feed under test (ToStream shares its code): a
-// plain Group.Watch listener records each commit on the committing
-// goroutine, reading the rows at the commit's timestamp straight from the
-// table.
+// plain Group.Watch listener records each commit's timestamp and keys on
+// the committing goroutine, and the rows are the script model's (runRef)
+// for the committed transactions that wrote a row, in commit order — the
+// keys the engine reports must be the model's. A read at the commit would
+// need a snapshot, which draws a timestamp and so shifts every later
+// commit's.
 func sequentialFeedSigs(t *testing.T, script []scriptItem, punctuateN int) []commitSig {
 	t.Helper()
 	p, tbl := feedEnv(t)
 	var sigs []commitSig
+	var keys []string
 	tbl.Group().Watch(func(cts txn.Timestamp, writes map[txn.StateID][]string) {
-		keys, ok := writes[tbl.ID()]
+		written, ok := writes[tbl.ID()]
 		if !ok {
 			return
 		}
-		rows := make([]string, 0, len(keys))
-		for _, k := range keys {
-			if v, ok := tbl.ReadAt(k, cts); ok {
-				rows = append(rows, k+"="+string(v))
-			} else {
-				rows = append(rows, k+"=DEL")
-			}
-		}
-		sort.Strings(rows)
-		sigs = append(sigs, commitSig{cts: int64(cts), rows: strings.Join(rows, ",")})
+		sigs = append(sigs, commitSig{cts: int64(cts)})
+		keys = append(keys, strings.Join(slices.Sorted(slices.Values(written)), ","))
 	})
 	runScriptIngest(t, p, tbl, script, punctuateN, 1, 1, New("no-feed"), func() {})
+	model := runRef(script, punctuateN, 0).feed
+	if len(model) != len(sigs) {
+		t.Fatalf("the sequential spine committed %d transactions writing a row, the model %d", len(sigs), len(model))
+	}
+	for i, rows := range model {
+		var modelKeys []string
+		for _, r := range strings.Split(rows, ",") {
+			modelKeys = append(modelKeys, r[:strings.IndexByte(r, '=')])
+		}
+		slices.Sort(modelKeys)
+		if got := strings.Join(modelKeys, ","); got != keys[i] {
+			t.Fatalf("commit %d wrote keys %s, the model %s", i, keys[i], got)
+		}
+		sigs[i].rows = rows
+	}
 	return sigs
 }
 
@@ -434,7 +445,7 @@ func TestToStreamDeliversCommittedValuesUnderGC(t *testing.T) {
 	ctx := txn.NewContext()
 	store := kv.NewMem()
 	defer store.Close()
-	tbl, err := ctx.CreateTable("hot", store, txn.TableOptions{VersionSlots: 4})
+	tbl, err := ctx.CreateTable("hot", store, txn.TableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,12 +35,18 @@ func equivExtract(_ string, value []byte) (string, bool) {
 	return equivBuckets[int(value[0]-'0')%len(equivBuckets)], true
 }
 
-// equivCheck compares, at snapshot cts, the index's view of every bucket
-// against a full scan of the table filtered through the same extractor —
-// keys and values both.
-func equivCheck(tbl *txn.Table, ix *txn.Index, cts txn.Timestamp) error {
+// equivCheck compares, at a snapshot of tbl's latest cut, the index's
+// view of every bucket against a full scan of the table filtered through
+// the same extractor — keys and values both.
+func equivCheck(ctx *txn.Context, tbl *txn.Table, ix *txn.Index) error {
+	snap, err := ctx.Snapshot(tbl)
+	if err != nil {
+		return err
+	}
+	defer snap.Release()
+	cts := snap.CTS()
 	want := map[string]map[string][]byte{} // bucket -> key -> value
-	tbl.SnapshotScan(cts, func(key string, value []byte) bool {
+	err = snap.Scan(tbl, func(key string, value []byte) bool {
 		if b, ok := equivExtract(key, value); ok {
 			if want[b] == nil {
 				want[b] = map[string][]byte{}
@@ -49,15 +55,21 @@ func equivCheck(tbl *txn.Table, ix *txn.Index, cts txn.Timestamp) error {
 		}
 		return true
 	})
+	if err != nil {
+		return err
+	}
 	for _, b := range equivBuckets {
 		got := map[string][]byte{}
-		ix.Lookup(cts, b, func(key string, value []byte) bool {
+		err := snap.Lookup(ix, b, func(key string, value []byte) bool {
 			if _, dup := got[key]; dup {
 				return true // flagged below by count mismatch
 			}
 			got[key] = append([]byte(nil), value...)
 			return true
 		})
+		if err != nil {
+			return err
+		}
 		if len(got) != len(want[b]) {
 			return fmt.Errorf("cts %d bucket %s: index has %d rows, scan has %d", cts, b, len(got), len(want[b]))
 		}
@@ -140,16 +152,17 @@ func runEquivProperty(t *testing.T, protocol string, lanes int, seed int64, swee
 	script := equivScript(rand.New(rand.NewSource(seed)), txns)
 
 	// The watcher runs on the committing goroutine under the group's
-	// commit latch, right after the commit's versions installed — the
-	// exact boundary the property quantifies over.
+	// commit latch, right after the commit's versions installed and its
+	// batch's cut was published: the boundaries the property quantifies
+	// over, each a cut a snapshot can pin.
 	var (
 		checkMu   sync.Mutex
 		checkErrs []error
 		checked   int
 		committed = make(chan struct{}, 1)
 	)
-	group.Watch(func(cts txn.Timestamp, _ map[txn.StateID][]string) {
-		err := equivCheck(tbl, ix, cts)
+	group.Watch(func(txn.Timestamp, map[txn.StateID][]string) {
+		err := equivCheck(ctx, tbl, ix)
 		checkMu.Lock()
 		if err != nil && len(checkErrs) < 5 {
 			checkErrs = append(checkErrs, err)
@@ -254,7 +267,7 @@ func runEquivProperty(t *testing.T, protocol string, lanes int, seed int64, swee
 	}
 	// And once more at the final horizon, plus the released-world check:
 	// everything the scripts left behind must still be equivalent.
-	if err := equivCheck(tbl, ix, group.LastCTS()); err != nil {
+	if err := equivCheck(ctx, tbl, ix); err != nil {
 		t.Error(err)
 	}
 	if sweep && ix.Stats().Swept == 0 {

@@ -109,6 +109,10 @@ type refModel struct {
 	table map[string]string
 	// writes/commits/aborts are the expected ToTableStats.
 	writes, commits, aborts int64
+	// feed is, for each committed transaction that wrote a row, in commit
+	// order, the rows a change feed carries for it: each key's last
+	// write as rowSig renders it, sorted and joined by commas.
+	feed []string
 }
 
 func runRef(script []scriptItem, punctuateN int, failAt int64) *refModel {
@@ -188,12 +192,22 @@ func runRef(script []scriptItem, punctuateN int, failAt int64) *refModel {
 				continue
 			}
 			m.commits++
+			last := map[string]scriptItem{}
 			for _, w := range buffered {
+				last[w.key] = w
 				if w.del {
 					delete(m.table, w.key)
 				} else {
 					m.table[w.key] = w.val
 				}
+			}
+			if len(last) > 0 {
+				rows := make([]string, 0, len(last))
+				for _, w := range last {
+					rows = append(rows, rowSig(Tuple{Key: w.key, Value: []byte(w.val), Delete: w.del}))
+				}
+				sort.Strings(rows)
+				m.feed = append(m.feed, strings.Join(rows, ","))
 			}
 		case KindRollback:
 			m.sequence = append(m.sequence, "R")

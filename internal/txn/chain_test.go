@@ -72,7 +72,7 @@ func TestCommitChainOneBatch(t *testing.T) {
 		t.Fatalf("chain used %d group-commit batches, want 1", batches1-batches0)
 	}
 	for i := 0; i < n; i++ {
-		v, ok := tbl.ReadAt(fmt.Sprintf("k%d", i), g.LastCTS())
+		v, ok := tbl.readVersion(fmt.Sprintf("k%d", i), g.LastCTS())
 		if !ok || string(v) != fmt.Sprintf("v%d", i) {
 			t.Fatalf("k%d = %q (ok=%t) after chain commit", i, v, ok)
 		}
@@ -93,7 +93,7 @@ func TestCommitChainSerialOverwrite(t *testing.T) {
 	if errs[0][0] != nil || errs[1][0] != nil {
 		t.Fatalf("chained same-key commits: %v / %v", errs[0][0], errs[1][0])
 	}
-	if v, ok := tbl.ReadAt("hot", tbl.Group().LastCTS()); !ok || string(v) != "second" {
+	if v, ok := tbl.readVersion("hot", tbl.Group().LastCTS()); !ok || string(v) != "second" {
 		t.Fatalf("hot = %q (ok=%t), want successor's value", v, ok)
 	}
 
@@ -160,13 +160,13 @@ func TestCommitChainAbortSplitsBatch(t *testing.T) {
 		t.Fatalf("t2 must not be poisoned by its neighbor's abort: %v", errs[2][0])
 	}
 	cts := tbl.Group().LastCTS()
-	if v, _ := tbl.ReadAt("x", cts); string(v) != "foreign" {
+	if v, _ := tbl.readVersion("x", cts); string(v) != "foreign" {
 		t.Fatalf("x = %q, want the foreign writer's value", v)
 	}
-	if v, _ := tbl.ReadAt("a", cts); string(v) != "v1" {
+	if v, _ := tbl.readVersion("a", cts); string(v) != "v1" {
 		t.Fatalf("a = %q", v)
 	}
-	if v, _ := tbl.ReadAt("b", cts); string(v) != "v2" {
+	if v, _ := tbl.readVersion("b", cts); string(v) != "v2" {
 		t.Fatalf("b = %q", v)
 	}
 }
@@ -256,7 +256,7 @@ func TestS2PLWriteSegmentLaneSideLocks(t *testing.T) {
 	if got := p.LockCount(); got != 0 {
 		t.Fatalf("%d live lock entries after commit", got)
 	}
-	if v, ok := tbl.ReadAt("a", tbl.Group().LastCTS()); !ok || string(v) != "1" {
+	if v, ok := tbl.readVersion("a", tbl.Group().LastCTS()); !ok || string(v) != "1" {
 		t.Fatalf("a = %q (ok=%t) after commit", v, ok)
 	}
 }
@@ -314,7 +314,7 @@ func TestS2PLChainSuccessorWaitsOutPredecessor(t *testing.T) {
 	if err := p.Commit(t2); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := tbl.ReadAt("k", tbl.Group().LastCTS()); string(v) != "new" {
+	if v, _ := tbl.readVersion("k", tbl.Group().LastCTS()); string(v) != "new" {
 		t.Fatalf("k = %q, want successor's value", v)
 	}
 }
@@ -367,7 +367,7 @@ func TestCommitChainUndeclaredTablesMatchCommitState(t *testing.T) {
 		out := ""
 		for _, tbl := range tbls {
 			for _, k := range []string{"a", "b", "c"} {
-				v, ok := tbl.ReadAt(k, tbl.Group().LastCTS())
+				v, ok := tbl.readVersion(k, tbl.Group().LastCTS())
 				out += fmt.Sprintf("%s/%s=%q,%t ", tbl.ID(), k, v, ok)
 			}
 		}

@@ -373,7 +373,7 @@ func slotSeq(v []byte) (seq uint64, ok bool) {
 // Every value any reader returns must be whole. Pinned readers — SI
 // transactions, Snapshot.ScanStripe and Snapshot.Lookup — must return
 // exactly the version the writer's history says was current at their
-// snapshot; unpinned ones — BOCC reads at Infinity and Table.ReadAt at
+// snapshot; unpinned ones — BOCC reads at Infinity and readVersion at
 // an older commit — some whole version. Run it under -race (CI does).
 func TestStressInPlaceSlotReuse(t *testing.T) {
 	e := newEnv(t)
@@ -530,7 +530,7 @@ func TestStressInPlaceSlotReuse(t *testing.T) {
 			return fn(k, v)
 		})
 	}))
-	// Unpinned: BOCC at Infinity, and ReadAt a few commits back — no pin
+	// Unpinned: BOCC at Infinity, and readVersion a few commits back — no pin
 	// protects what it reads there, so it races the slots' reuse head on.
 	h.spawn(1, func(int) bool {
 		tx, err := bocc.BeginReadOnly()
@@ -553,7 +553,7 @@ func TestStressInPlaceSlotReuse(t *testing.T) {
 	h.spawn(1, func(int) bool {
 		rts := e.group.LastCTS() - Timestamp(lag.Intn(3*len(keys)))
 		for _, k := range keys {
-			v, ok := e.t1.ReadAt(k, rts)
+			v, ok := e.t1.readVersion(k, rts)
 			whole(4, v, ok)
 		}
 		return true

@@ -994,7 +994,7 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 	for _, req := range admitted {
 		for _, g := range groups {
 			for _, h := range g.hooked() {
-				h(req.cts, req.tx.states)
+				(*h)(req.cts, req.tx.states)
 			}
 		}
 		p.finish(req.tx)

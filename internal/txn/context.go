@@ -228,9 +228,10 @@ type Group struct {
 	// transaction commit"); they run synchronously right after LastCTS is
 	// published, still under the commit latch, so they must be fast and
 	// must not call back into the protocol. Copy-on-write under hookMu;
-	// nil while there are none.
+	// nil until the first is added. Each is held by its own pointer, which
+	// its remover looks for.
 	hookMu sync.Mutex
-	hooks  atomic.Pointer[[]commitHook]
+	hooks  atomic.Pointer[[]*commitHook]
 	// writes is the map Watch hands its watchers, refilled per commit;
 	// owned under commitMu.
 	writes map[StateID][]string
@@ -304,16 +305,25 @@ func (g *Group) Watch(w CommitWatcher) {
 	})
 }
 
-// hook registers a commit hook.
-func (g *Group) hook(h commitHook) {
+// hook registers a commit hook and returns its remover, which may be
+// called any number of times. A commit batch that loaded the hook list
+// before the removal may still call the hook once.
+func (g *Group) hook(h commitHook) (remove func()) {
+	p := &h
 	g.hookMu.Lock()
 	defer g.hookMu.Unlock()
-	next := append(slices.Clone(g.hooked()), h)
+	next := append(slices.Clone(g.hooked()), p)
 	g.hooks.Store(&next)
+	return func() {
+		g.hookMu.Lock()
+		defer g.hookMu.Unlock()
+		next := slices.DeleteFunc(slices.Clone(g.hooked()), func(q *commitHook) bool { return q == p })
+		g.hooks.Store(&next)
+	}
 }
 
-// hooked returns the registered commit hooks, nil when none.
-func (g *Group) hooked() []commitHook {
+// hooked returns the registered commit hooks.
+func (g *Group) hooked() []*commitHook {
 	if hs := g.hooks.Load(); hs != nil {
 		return *hs
 	}

@@ -217,7 +217,7 @@ func recoverSweep(t *testing.T, fault *kv.Fault, tables int) (Timestamp, map[str
 		if cts := groups[i].LastCTS(); cts > recovered {
 			recovered = cts
 		}
-		tbl.SnapshotScan(ctx.Now(), func(key string, value []byte) bool {
+		scanStripe(tbl, ctx.Now(), 0, 1, func(key string, value []byte) bool {
 			got[sweepKey(i, key)] = string(value)
 			return true
 		})

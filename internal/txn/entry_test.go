@@ -292,7 +292,7 @@ func runEntryScript(t *testing.T, proto string, split bool, mode string, windows
 	ctx.recent.mu.Unlock()
 	res.contents = map[string]string{}
 	for i, tbl := range tbls {
-		tbl.SnapshotScan(ctx.Now(), func(key string, value []byte) bool {
+		scanStripe(tbl, ctx.Now(), 0, 1, func(key string, value []byte) bool {
 			res.contents[sweepKey(i, key)] = string(value)
 			return true
 		})

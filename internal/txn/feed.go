@@ -91,9 +91,9 @@ func (f *PartitionedFeed) Partitions() []<-chan FeedEvent { return f.feeds }
 func (f *PartitionedFeed) Ack(part int) {}
 
 // Stop shuts the feed down: a commit whose Commit returned before Stop is
-// still delivered (drain), commits after Stop are dropped, and all
-// partition channels are closed once the queue is empty. Stop is
-// idempotent.
+// still delivered (drain), commits after Stop are dropped, the feed's
+// commit hook leaves the group, and all partition channels are closed
+// once the queue is empty. Stop is idempotent.
 func (f *PartitionedFeed) Stop() { f.stop() }
 
 // WatchPartitioned registers a partitioned change feed on the table: it
@@ -117,9 +117,10 @@ func (f *PartitionedFeed) Stop() { f.stop() }
 //     commits (DefaultFeedBuf when buf <= 0), and blocks only when the
 //     feed falls that far behind (backpressure).
 //
-// The registration itself cannot be removed from the group (hooks are
-// permanent, as with Watch); a stopped feed's hook reduces to a
-// channel-closed check.
+// Stop removes the registration from the group: later commits no longer
+// call the feed's hook, and nothing of the feed stays reachable from the
+// group. A commit batch already running may call it once more, which
+// returns at once.
 func (t *Table) WatchPartitioned(parts, buf int, keyFn func(string) uint64) (*PartitionedFeed, error) {
 	if parts < 1 {
 		return nil, fmt.Errorf("txn: WatchPartitioned needs parts >= 1, got %d", parts)
@@ -139,15 +140,14 @@ func (t *Table) WatchPartitioned(parts, buf int, keyFn func(string) uint64) (*Pa
 	// router, which groups them by partition in place.
 	in := make(chan FeedEvent, buf)
 	stopCh := make(chan struct{})
-	stop := sync.OnceFunc(func() { close(stopCh) })
 
 	// The commit-latch side: one hook (serialized by the group's commit
 	// latch) that copies the table's ops — the write set's own arrays are
 	// recycled once the hooks return; the values are the installed
 	// versions' and are shared — enqueues and returns. A commit after Stop
 	// is dropped before it is copied; a send blocked on backpressure stays
-	// interruptible by Stop.
-	g.hook(func(cts Timestamp, states []*stateEntry) {
+	// interruptible by Stop, which also removes the hook.
+	unhook := g.hook(func(cts Timestamp, states []*stateEntry) {
 		i := slices.IndexFunc(states, func(e *stateEntry) bool { return e.table == t })
 		if i < 0 || len(states[i].ops) == 0 {
 			return
@@ -166,6 +166,10 @@ func (t *Table) WatchPartitioned(parts, buf int, keyFn func(string) uint64) (*Pa
 		case <-stopCh:
 		case in <- FeedEvent{CTS: cts, Changes: ops}:
 		}
+	})
+	stop := sync.OnceFunc(func() {
+		close(stopCh)
+		unhook()
 	})
 
 	chans := make([]chan FeedEvent, parts)

@@ -212,3 +212,48 @@ func TestWatchPartitionedValidation(t *testing.T) {
 		t.Fatal("group-less table accepted")
 	}
 }
+
+// TestStoppedFeedsLeaveNoHook: a stopped partitioned feed takes its commit
+// hook off the group. 100 feeds, each started, handed one commit and
+// stopped beside a Watch listener, leave the group's hook list as it was,
+// and the listener still sees every commit.
+func TestStoppedFeedsLeaveNoHook(t *testing.T) {
+	_, p, tbl := feedEnv(t)
+	g := tbl.Group()
+	watched := 0
+	g.Watch(func(Timestamp, map[StateID][]string) { watched++ })
+	before := len(g.hooked())
+	const feeds = 100
+	for i := range feeds {
+		feed, err := tbl.WatchPartitioned(2, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx, err := p.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Write(tx, tbl, "k", []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+		feed.Stop()
+		events := 0
+		for _, part := range feed.Partitions() {
+			for range part {
+				events++
+			}
+		}
+		if events != 2 {
+			t.Fatalf("feed %d delivered %d events, want its commit on each of 2 partitions", i, events)
+		}
+	}
+	if got := len(g.hooked()); got != before {
+		t.Fatalf("%d commit hooks after %d feeds were started and stopped, want the %d from before", got, feeds, before)
+	}
+	if watched != feeds {
+		t.Fatalf("the listener saw %d commits, want %d", watched, feeds)
+	}
+}

@@ -25,15 +25,16 @@ func hammerKey(t *testing.T, p Protocol, tbl *Table, key string, n int) {
 	}
 }
 
-// TestGCSweeperReclaimsDeadVersions: with a version array far larger
-// than the write count, Install always finds a free slot and reclaims
-// nothing, so a read-mostly overwritten key keeps every dead version until
-// a caller sweeps; one Table.GC then reclaims them all, and reports it.
+// TestGCSweeperReclaimsDeadVersions: while a snapshot is held, Install
+// reclaims none of an overwritten key's versions, so the key keeps every
+// one of them; once the snapshot is released and the key is no longer
+// written, they stay until a caller sweeps, and one Table.GC reclaims
+// them all, and reports it.
 func TestGCSweeperReclaimsDeadVersions(t *testing.T) {
 	ctx := NewContext()
 	store := kv.NewMem()
 	defer store.Close()
-	tbl, err := ctx.CreateTable("swept", store, TableOptions{VersionSlots: 256})
+	tbl, err := ctx.CreateTable("swept", store, TableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +42,16 @@ func TestGCSweeperReclaimsDeadVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewSI(ctx)
-	hammerKey(t, p, tbl, "hot", 100)
+	hammerKey(t, p, tbl, "hot", 1)
+	snap, err := ctx.Snapshot(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hammerKey(t, p, tbl, "hot", 99)
+	snap.Release()
 
 	if rv := tbl.ResidentVersions(); rv != 100 {
-		t.Fatalf("resident versions = %d before any sweep, want 100 (Install reclaims only a full array)", rv)
+		t.Fatalf("resident versions = %d before any sweep, want 100 (the snapshot held them all)", rv)
 	}
 	if n := tbl.GC(); n != 99 {
 		t.Fatalf("GC reclaimed %d slots, want 99", n)
@@ -110,7 +117,7 @@ func TestGCLaggingFeedDeliversCommittedValues(t *testing.T) {
 	ctx := NewContext()
 	store := kv.NewMem()
 	defer store.Close()
-	tbl, err := ctx.CreateTable("pinned", store, TableOptions{VersionSlots: 256})
+	tbl, err := ctx.CreateTable("pinned", store, TableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +182,7 @@ func TestGCUnderStalledFeedReclaimsAsWithoutFeed(t *testing.T) {
 	defer store.Close()
 	var tbls [2]*Table
 	for i, id := range []StateID{"fed", "bare"} {
-		tbl, err := ctx.CreateTable(id, store, TableOptions{VersionSlots: 256})
+		tbl, err := ctx.CreateTable(id, store, TableOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,7 +43,7 @@ func lookupAll(t *testing.T, ix *Index, rts Timestamp, ikey string) map[string]s
 func checkLookupEqualsScan(t testing.TB, tbl *Table, ix *Index, rts Timestamp, buckets string) {
 	t.Helper()
 	want := map[string]map[string]string{}
-	tbl.SnapshotScan(rts, func(k string, v []byte) bool {
+	scanStripe(tbl, rts, 0, 1, func(k string, v []byte) bool {
 		if b, ok := ix.extract(k, v); ok {
 			if want[b] == nil {
 				want[b] = map[string]string{}

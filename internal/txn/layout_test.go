@@ -243,7 +243,7 @@ func runLayoutScript(t *testing.T, proto string, split bool, script []layoutStep
 		// published on a's group (a superset of its commit timestamps).
 		for cts := checked + 1; cts <= a.Group().LastCTS(); cts++ {
 			want := map[string]map[string]string{}
-			a.SnapshotScan(cts, func(key string, value []byte) bool {
+			scanStripe(a, cts, 0, 1, func(key string, value []byte) bool {
 				if ikey, ok := valueBucket(key, value); ok {
 					if want[ikey] == nil {
 						want[ikey] = map[string]string{}
@@ -263,7 +263,7 @@ func runLayoutScript(t *testing.T, proto string, split bool, script []layoutStep
 
 	res.contents = map[string]string{}
 	for i, tbl := range tbls {
-		tbl.SnapshotScan(ctx.Now(), func(key string, value []byte) bool {
+		scanStripe(tbl, ctx.Now(), 0, 1, func(key string, value []byte) bool {
 			res.contents[sweepKey(i, key)] = string(value)
 			return true
 		})

@@ -195,7 +195,9 @@ func TestCommitStateOnUntouchedTable(t *testing.T) {
 	}
 }
 
-// TestReadAtSnapshots: the exported snapshot reader used by TO_STREAM.
+// TestReadAt: readVersion, the version read under every pinned reader,
+// returns the version visible at each commit — here unpinned, while no
+// later commit can reuse a slot.
 func TestReadAt(t *testing.T) {
 	e := newEnv(t)
 	p := NewSI(e.ctx)
@@ -203,16 +205,16 @@ func TestReadAt(t *testing.T) {
 	cts1 := e.group.LastCTS()
 	write(t, p, e.t1, "k", "v2")
 	cts2 := e.group.LastCTS()
-	if v, ok := e.t1.ReadAt("k", cts1); !ok || string(v) != "v1" {
-		t.Fatalf("ReadAt(cts1) = %q %v", v, ok)
+	if v, ok := e.t1.readVersion("k", cts1); !ok || string(v) != "v1" {
+		t.Fatalf("readVersion(cts1) = %q %v", v, ok)
 	}
-	if v, ok := e.t1.ReadAt("k", cts2); !ok || string(v) != "v2" {
-		t.Fatalf("ReadAt(cts2) = %q %v", v, ok)
+	if v, ok := e.t1.readVersion("k", cts2); !ok || string(v) != "v2" {
+		t.Fatalf("readVersion(cts2) = %q %v", v, ok)
 	}
-	if _, ok := e.t1.ReadAt("k", cts1-1); ok {
-		t.Fatal("ReadAt before first commit returned a version")
+	if _, ok := e.t1.readVersion("k", cts1-1); ok {
+		t.Fatal("readVersion before the first commit returned a version")
 	}
-	if _, ok := e.t1.ReadAt("absent", cts2); ok {
-		t.Fatal("ReadAt on absent key returned a version")
+	if _, ok := e.t1.readVersion("absent", cts2); ok {
+		t.Fatal("readVersion of an absent key returned a version")
 	}
 }

@@ -124,7 +124,7 @@ func (t *Table) loadCommitted(cts Timestamp, stop *atomic.Bool) (*[tableShards]r
 		}
 		key := keys.string(k[len(prefix):])
 		h := keyHash(key)
-		r := newRow(key, t.opts.VersionSlots)
+		r := newRow(key)
 		r.obj.InstallRecovered(cts, values.copy(v))
 		counts[h>>(64-tableShardBits)]++
 		if len(rows) == 0 || len(rows[len(rows)-1]) == loadChunk {

@@ -431,7 +431,7 @@ func TestSnapshotScanConsistentUnderWrites(t *testing.T) {
 		write(t, p, e.t1, fmt.Sprintf("k%d", i), "new")
 	}
 	old, new_ := 0, 0
-	e.t1.SnapshotScan(rts, func(_ string, v []byte) bool {
+	scanStripe(e.t1, rts, 0, 1, func(_ string, v []byte) bool {
 		switch string(v) {
 		case "old":
 			old++
@@ -577,7 +577,7 @@ func runRecoveryProperty(t *testing.T, backend string, seed int64) {
 			t.Fatalf("table %s: %d resident versions, want one per row (%d)", tbl.id, got, len(model[i]))
 		}
 		for _, k := range keys {
-			v, found := tbl.ReadAt(k, want)
+			v, found := tbl.readVersion(k, want)
 			w, live := model[i][k]
 			if found != live || string(v) != w {
 				t.Fatalf("table %s key %q at %d: %q found=%v, want %q found=%v", tbl.id, k, want, v, found, w, live)

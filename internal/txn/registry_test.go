@@ -70,7 +70,7 @@ func TestRegistryNeverWaitsForRecovery(t *testing.T) {
 	if err := <-created; err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := tbl.ReadAt("k", tbl.Group().LastCTS()); !ok || string(v) != "v" {
+	if v, ok := tbl.readVersion("k", tbl.Group().LastCTS()); !ok || string(v) != "v" {
 		t.Fatalf("recovered k = %q %v, want v", v, ok)
 	}
 }

@@ -54,9 +54,8 @@ const (
 	rowMemos = 2
 )
 
-func newRow(key string, slots int) *row {
+func newRow(key string) *row {
 	r := &row{key: key, klen: rowLong}
-	r.obj.Init(slots)
 	if len(key) <= rowInline {
 		r.klen = uint8(copy(r.inline[:], key))
 	}

@@ -71,7 +71,7 @@ func TestRowIndexModel(t *testing.T) {
 					t.Fatalf("op %d: find(%q) = %p, want %p", i, k, got, model[k])
 				}
 				if model[k] == nil {
-					r := newRow(k, 0)
+					r := newRow(k)
 					sh.insert(h, r)
 					model[k] = r
 				}
@@ -120,7 +120,7 @@ func FuzzRowIndex(f *testing.F) {
 				t.Fatalf("find(%q) = %p, want %p", k, got, model[k])
 			}
 			if model[k] == nil {
-				r := newRow(k, 0)
+				r := newRow(k)
 				sh.insert(h, r)
 				model[k] = r
 			}

@@ -480,13 +480,13 @@ func TestSnapshotScan(t *testing.T) {
 	tx, _ := p.BeginReadOnly()
 	rts := tx.pin(e.t1)
 	n := 0
-	e.t1.SnapshotScan(rts, func(_ string, _ []byte) bool { n++; return true })
+	scanStripe(e.t1, rts, 0, 1, func(_ string, _ []byte) bool { n++; return true })
 	if n != 10 {
 		t.Fatalf("scan saw %d keys", n)
 	}
 	// Early stop.
 	n = 0
-	e.t1.SnapshotScan(rts, func(_ string, _ []byte) bool { n++; return n < 3 })
+	scanStripe(e.t1, rts, 0, 1, func(_ string, _ []byte) bool { n++; return n < 3 })
 	if n != 3 {
 		t.Fatalf("early stop visited %d", n)
 	}

@@ -128,7 +128,7 @@ func (s *Snapshot) Scan(tbl *Table, fn func(key string, value []byte) bool) erro
 		return err
 	}
 	defer s.end()
-	tbl.SnapshotScan(rts, fn)
+	scanStripe(tbl, rts, 0, 1, fn)
 	return nil
 }
 
@@ -180,14 +180,8 @@ func (s *Snapshot) ParallelScan(tbl *Table, lanes int, fn func(key string, value
 		return err
 	}
 	defer s.end()
-	if lanes < 1 {
-		lanes = 1
-	}
-	if lanes > tableShards {
-		lanes = tableShards
-	}
-	if lanes == 1 {
-		tbl.SnapshotScan(rts, fn)
+	if lanes = min(max(lanes, 1), tableShards); lanes == 1 {
+		scanStripe(tbl, rts, 0, 1, fn)
 		return nil
 	}
 	var stop atomic.Bool

@@ -17,17 +17,12 @@ const (
 	tableShards    = 1 << tableShardBits
 )
 
-// TableOptions configures a transactional table. Version reclamation
-// takes no option: Install reuses a row's dead slots when it writes the
+// TableOptions configures a transactional table: its commit durability.
+// The version store takes no option. A row keeps mvcc.DefaultSlots
+// versions inline and spills more to a heap array only while a reader
+// still needs them; Install reuses a row's dead slots when it writes the
 // row, and Table.GC sweeps every row when the caller asks.
 type TableOptions struct {
-	// VersionSlots is the number of versions a row holds before Install
-	// reclaims in place: a new version takes a free slot while there is
-	// one, and overwrites a dead version only when there is none (default
-	// mvcc.DefaultSlots, 2, kept inline in the row; a row needing more
-	// keeps the rest in a heap array, which grows when nothing is dead).
-	// The slot-size ablation (experiment A1) sweeps this.
-	VersionSlots int
 	// SyncCommits makes commits durable (fsync) before they become
 	// visible. The paper's evaluation enables it ("we ... only set the
 	// sync option to true to guarantee failure atomicity").
@@ -141,28 +136,22 @@ func (t *Table) row(h uint64, key string) *row {
 	if r := sh.find(h, key); r != nil {
 		return r
 	}
-	r := newRow(key, t.opts.VersionSlots)
+	r := newRow(key)
 	sh.mu.Lock()
 	sh.insert(h, r)
 	sh.mu.Unlock()
 	return r
 }
 
-// readVersion returns the value of key visible at rts.
+// readVersion returns the value of key visible at rts: a cut the caller
+// pinned (SI transactions, Snapshot) or Infinity (S2PL under its row
+// lock, BOCC, whose validation catches a stale read).
 func (t *Table) readVersion(key string, rts Timestamp) ([]byte, bool) {
 	r := t.lookup(key)
 	if r == nil {
 		return nil, false
 	}
 	return r.obj.Read(rts)
-}
-
-// ReadAt returns the value of key visible at snapshot rts, bypassing any
-// protocol bookkeeping: a diagnostic read, which nothing pins — a
-// version below the GC horizon may already be reclaimed. The returned
-// slice must not be modified.
-func (t *Table) ReadAt(key string, rts Timestamp) ([]byte, bool) {
-	return t.readVersion(key, rts)
 }
 
 // Keys returns the number of rows: the keys recovered or written by a
@@ -250,11 +239,4 @@ func (t *Table) readMetaCTS() (Timestamp, error) {
 		return 0, fmt.Errorf("txn: state %q: malformed lastcts", t.id)
 	}
 	return binary.LittleEndian.Uint64(raw), nil
-}
-
-// SnapshotScan iterates all keys visible at snapshot rts in unspecified
-// order, calling fn until it returns false. It is the building block of
-// ad-hoc full-table queries (FROM on a table).
-func (t *Table) SnapshotScan(rts Timestamp, fn func(key string, value []byte) bool) {
-	scanStripe(t, rts, 0, 1, fn)
 }

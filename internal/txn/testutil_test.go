@@ -103,7 +103,7 @@ func stressWorkers() int {
 	return w
 }
 
-// TestStressCommitPipeline hammers Begin/Write/Commit/SnapshotScan from
+// TestStressCommitPipeline hammers Begin/Write/Commit/scanStripe from
 // oversubscribed goroutines for ~2 seconds, checking SI's invariants the
 // whole time:
 //
@@ -217,13 +217,13 @@ func TestStressCommitPipeline(t *testing.T) {
 		rts := tx.pin(e.t1)
 		tx.mu.Unlock()
 		var seqSeen []byte
-		e.t1.SnapshotScan(rts, func(key string, value []byte) bool {
+		scanStripe(e.t1, rts, 0, 1, func(key string, value []byte) bool {
 			if key == "seq" {
 				seqSeen = append([]byte(nil), value...)
 			}
 			return true
 		})
-		if v2, ok := e.t2.ReadAt("seq", rts); ok && seqSeen != nil {
+		if v2, ok := e.t2.readVersion("seq", rts); ok && seqSeen != nil {
 			if decodeU64(seqSeen) != decodeU64(v2) {
 				h.t.Errorf("scan saw torn pair: %d vs %d", decodeU64(seqSeen), decodeU64(v2))
 				return false

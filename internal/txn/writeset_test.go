@@ -171,7 +171,7 @@ func runDedupeScript(t *testing.T, proto string, window int, fed bool, script []
 
 	for ti, tbl := range tbls {
 		got := map[string]string{}
-		tbl.SnapshotScan(ctx.Now(), func(k string, v []byte) bool {
+		scanStripe(tbl, ctx.Now(), 0, 1, func(k string, v []byte) bool {
 			got[k] = string(v)
 			return true
 		})

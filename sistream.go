@@ -16,7 +16,7 @@ type (
 	Context = txn.Context
 	// Table is a transactional, multi-versioned, queryable state.
 	Table = txn.Table
-	// TableOptions configures version slots and commit durability.
+	// TableOptions configures a table's commit durability.
 	TableOptions = txn.TableOptions
 	// Group is a topology group whose states commit atomically together.
 	Group = txn.Group
