@@ -163,10 +163,9 @@ func BenchmarkAblationSync(b *testing.B) {
 }
 
 // BenchmarkAblationBackend (A4): persistent LSM base table vs. the
-// in-memory map backend vs. the cache tier chained over the LSM store
-// (all resolved by kv-registry spec).
+// in-memory backend (both resolved by kv-registry spec).
 func BenchmarkAblationBackend(b *testing.B) {
-	for _, backend := range []string{"lsm", "mem", "cache(256)+lsm"} {
+	for _, backend := range []string{"lsm", "mem"} {
 		b.Run(backend, func(b *testing.B) {
 			cfg := benchCfg()
 			cfg.Backend = backend

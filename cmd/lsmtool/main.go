@@ -12,7 +12,7 @@
 //	lsmtool -dir data wal-dump       # decode the write-ahead logs (read-only)
 //	lsmtool -dir data wal-dump -skip-corrupt   # salvage: resync past corruption
 //	lsmtool -wal data/000007.wal wal-dump      # one specific log file
-//	lsmtool -dir data -store 'cache(256)+lsm' scan   # scan through a chained spec
+//	lsmtool -dir data -store 'fault+lsm' scan   # scan through a chained spec
 //
 // The online commands resolve the store through the kv adapter registry:
 // -store takes any registered backend spec with an lsm layer (default

@@ -16,7 +16,7 @@
 // Scale knobs: -tablesize (paper: 1000000), -duration per cell, -backend
 // for the base table, -dir for persistent data directories. Backends
 // resolve through the kv adapter registry, so any registered spec works:
-// mem, lsm, cache(256)+lsm, fault+mem, ...
+// mem, lsm, fault+lsm, fault+mem, ...
 package main
 
 import (
@@ -59,7 +59,7 @@ func newFlags() *flags {
 	f.StringVar(&f.dir, "dir", "", "data directory for persistent backends (default: temp)")
 	b := &f.base
 	f.StringVar(&b.Protocol, "protocol", b.Protocol, "mvcc | s2pl | bocc")
-	f.StringVar(&b.Backend, "backend", b.Backend, "backend spec through the kv registry: mem | lsm | cache(256)+lsm | ...")
+	f.StringVar(&b.Backend, "backend", b.Backend, "backend spec through the kv registry: mem | lsm | fault+lsm | ...")
 	f.IntVar(&b.TableSize, "tablesize", b.TableSize, "keys per state (paper: 1000000)")
 	f.IntVar(&b.Readers, "readers", b.Readers, "concurrent ad-hoc queries")
 	f.IntVar(&b.Writers, "writers", b.Writers, "continuous writer queries")

@@ -43,7 +43,7 @@ func bucketOf(key string, _ []byte) (string, bool) {
 
 func main() {
 	roundsFlag := flag.Uint64("rounds", 5000, "writer transactions to run")
-	specFlag := flag.String("store", "mem", "backend spec (mem, lsm:<dir>, cache(256)+lsm:<dir>, ...)")
+	specFlag := flag.String("store", "mem", "backend spec (mem, lsm:<dir>, fault+lsm:<dir>, ...)")
 	flag.Parse()
 	rounds := *roundsFlag
 

@@ -14,8 +14,8 @@ import (
 func main() {
 	// Backends resolve by spec through the storage adapter registry: a
 	// volatile "mem" store keeps the example self-contained; swap the
-	// spec for "lsm:<dir>" (persistent) or "cache(256)+lsm:<dir>" (the
-	// cache tier chained over it).
+	// spec for "lsm:<dir>" (persistent) or "fault+lsm:<dir>" (the
+	// fault-injection wrapper chained over it).
 	store, err := sistream.OpenStore("mem", sistream.StoreOpenOptions{})
 	if err != nil {
 		log.Fatal(err)

@@ -278,8 +278,11 @@ func TestReclamationIsExplicit(t *testing.T) {
 // whole context — a second reclamation input that a stalled consumer held
 // for every table. The feed now carries the committed values. The gate
 // fails when Context.OldestActiveVersion reads a receiver field other
-// than the clock and the transaction slots, and when a non-test file of
-// internal/stream calls ReadAt, naming the function.
+// than the clock and the transaction slots, and when an exported function
+// or method of non-test internal/txn takes a Timestamp parameter, naming
+// it: a caller that picks its own read timestamp reads at a cut no
+// transaction slot pins, so the horizon may already have reclaimed what
+// it asks for. Reads at a cut go through a Snapshot or a transaction.
 func TestGCHorizonHasOneInput(t *testing.T) {
 	_, files := parseNonTest(t, "internal/txn")
 	found := false
@@ -310,9 +313,33 @@ func TestGCHorizonHasOneInput(t *testing.T) {
 	if !found {
 		t.Fatal("OldestActiveVersion is not declared in internal/txn")
 	}
-	if readers := methodCallSites(t, "internal/stream")["ReadAt"]; len(readers) > 0 {
-		t.Errorf("internal/stream reads rows back with ReadAt in %v: a feed emits the committed ops it is handed", readers)
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || !fd.Name.IsExported() {
+				continue
+			}
+			for _, p := range fd.Type.Params.List {
+				if id, ok := p.Type.(*ast.Ident); ok && id.Name == "Timestamp" {
+					t.Errorf("%s takes a Timestamp parameter: an exported read at a caller's timestamp is unpinned; read through a Snapshot", qualifiedName(fd))
+				}
+			}
+		}
 	}
+}
+
+// qualifiedName names a declared function, a method as Type.Method.
+func qualifiedName(fd *ast.FuncDecl) string {
+	if fd.Recv != nil && len(fd.Recv.List) == 1 {
+		typ := fd.Recv.List[0].Type
+		if star, ok := typ.(*ast.StarExpr); ok {
+			typ = star.X
+		}
+		if id, ok := typ.(*ast.Ident); ok {
+			return id.Name + "." + fd.Name.Name
+		}
+	}
+	return fd.Name.Name
 }
 
 // methodCallSites maps each method name called (x.Name(...)) in the
@@ -401,16 +428,7 @@ func fusedFuncs(t *testing.T, what string, members ...string) map[string][]strin
 			if !ok || fd.Body == nil {
 				continue
 			}
-			name := fd.Name.Name
-			if fd.Recv != nil && len(fd.Recv.List) == 1 {
-				typ := fd.Recv.List[0].Type
-				if star, ok := typ.(*ast.StarExpr); ok {
-					typ = star.X
-				}
-				if id, ok := typ.(*ast.Ident); ok {
-					name = id.Name + "." + name
-				}
-			}
+			name := qualifiedName(fd)
 			if _, member := calls[name]; !member {
 				continue
 			}

@@ -181,10 +181,10 @@ func TestSweepAndReports(t *testing.T) {
 }
 
 // TestSweepFreshDirPerPersistentCell: every cell of a sweep over a
-// chained persistent spec gets its own data directory — a second cell
-// reopening the first one's directory would replay its data.
+// persistent spec gets its own data directory — a second cell reopening
+// the first one's directory would replay its data.
 func TestSweepFreshDirPerPersistentCell(t *testing.T) {
-	base := quickCfg(t, "mvcc", "cache(8)+lsm")
+	base := quickCfg(t, "mvcc", "lsm")
 	base.Duration = 50 * time.Millisecond
 	root := t.TempDir()
 	dirFor := func(proto string, theta float64) string {

@@ -22,7 +22,7 @@ type Config struct {
 	Protocol string
 	// Backend selects the base table by kv registry spec: "mem", "lsm"
 	// (the paper uses a persistent LSM store, RocksDB), or a chained
-	// spec such as "cache(256)+lsm".
+	// spec such as "fault+lsm".
 	Backend string
 	// Dir is the default data directory for persistent backend layers
 	// whose spec carries no inline path.

@@ -21,7 +21,7 @@ const chkKey = "\x00chk"
 
 // Run executes one benchmark cell and returns its result. cfg.Backend
 // resolves through the kv adapter registry, so any registered spec works
-// ("mem", "lsm", "cache(256)+lsm", ...).
+// ("mem", "lsm", "fault+lsm", ...).
 func Run(cfg Config) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err

@@ -31,7 +31,7 @@ type Op struct {
 // only a handle it filled itself and has not revoked since — a delete of
 // the key revokes it, and so does Close. A store that keeps no per-key
 // entries (the LSM store) ignores handles, and a wrapper that rebuilds
-// batches (Fault, Cache) drops them: an empty, revoked or foreign handle
+// batches (Fault) drops them: an empty, revoked or foreign handle
 // only means the key is looked up.
 type Handle struct {
 	mem *memEntry // issued by a Mem: the entry holding the key's value

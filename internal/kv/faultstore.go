@@ -42,10 +42,6 @@ type FaultStats struct {
 	SyncFailures uint64
 	// InjectedApplyFailures counts Apply calls failed by FailApplyAt.
 	InjectedApplyFailures uint64
-	// FirstSyncFailure is the wall-clock time of the first scripted sync
-	// failure (zero if none happened yet), the start of a
-	// time-to-fail-stop measurement.
-	FirstSyncFailure time.Time
 }
 
 // Fault wraps a Store with programmable fault injection and crash
@@ -300,7 +296,7 @@ func (f *Fault) Apply(b *Batch, sync bool) error {
 	if f.failSyncAt != 0 && f.syncPoints >= f.failSyncAt {
 		// Durability failed after the write hit the page cache; callers
 		// must treat the batch as not persisted.
-		f.noteSyncFailure()
+		f.stats.SyncFailures++
 		return f.syncErr
 	}
 	return f.flushLocked()
@@ -316,7 +312,7 @@ func (f *Fault) Sync() error {
 	}
 	f.syncPoints++
 	if f.failSyncAt != 0 && f.syncPoints >= f.failSyncAt {
-		f.noteSyncFailure()
+		f.stats.SyncFailures++
 		return f.syncErr
 	}
 	return f.flushLocked()
@@ -413,11 +409,4 @@ func (f *Fault) flushLocked() error {
 	}
 	f.overlay = make(map[string]faultVal)
 	return nil
-}
-
-func (f *Fault) noteSyncFailure() {
-	f.stats.SyncFailures++
-	if f.stats.FirstSyncFailure.IsZero() {
-		f.stats.FirstSyncFailure = time.Now()
-	}
 }

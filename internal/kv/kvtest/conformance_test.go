@@ -18,42 +18,30 @@ func TestConformance(t *testing.T) {
 		})
 	})
 
-	// Persistent chains: crash simulation is close + reopen of the same
-	// data directory (the LSM WAL replays the synced suffix).
-	for _, spec := range []string{"lsm", "cache(4)+lsm"} {
-		t.Run(spec, func(t *testing.T) {
-			var dir string
-			Run(t, Harness{
-				Spec: spec,
-				Open: func(t *testing.T) *kv.OpenedStore {
-					dir = t.TempDir()
-					return mustOpen(t, spec, dir)
-				},
-				Reopen: func(t *testing.T, prev *kv.OpenedStore) kv.Store {
-					if err := prev.Close(); err != nil {
-						t.Fatalf("close before reopen: %v", err)
-					}
-					return mustOpen(t, spec, dir)
-				},
-			})
-		})
-	}
-
-	// Volatile chains with no crash to simulate.
-	t.Run("cache(4)+mem", func(t *testing.T) {
+	// The persistent store: crash simulation is close + reopen of the
+	// same data directory (the LSM WAL replays the synced suffix).
+	t.Run("lsm", func(t *testing.T) {
+		var dir string
 		Run(t, Harness{
-			Spec: "cache(4)+mem",
-			Open: func(t *testing.T) *kv.OpenedStore { return mustOpen(t, "cache(4)+mem", "") },
+			Spec: "lsm",
+			Open: func(t *testing.T) *kv.OpenedStore {
+				dir = t.TempDir()
+				return mustOpen(t, "lsm", dir)
+			},
+			Reopen: func(t *testing.T, prev *kv.OpenedStore) kv.Store {
+				if err := prev.Close(); err != nil {
+					t.Fatalf("close before reopen: %v", err)
+				}
+				return mustOpen(t, "lsm", dir)
+			},
 		})
 	})
 
 	// Fault-wrapped chains: the wrapper simulates durability (durable
 	// image + volatile overlay), so crash-and-recover is Fault.Reopen.
-	// cache(4)+fault+mem additionally proves the write-behind tier
-	// flushes INTO the durability point: a synced Apply through the
-	// cache must survive the simulated crash below it. fault+lsm puts
-	// synced data where the LSM store's Scan hands out reused buffers.
-	for _, spec := range []string{"fault+mem", "cache(4)+fault+mem", "fault+lsm"} {
+	// fault+lsm puts synced data where the LSM store's Scan hands out
+	// reused buffers.
+	for _, spec := range []string{"fault+mem", "fault+lsm"} {
 		t.Run(spec, func(t *testing.T) {
 			Run(t, Harness{
 				Spec: spec,
@@ -78,7 +66,7 @@ func TestConformance(t *testing.T) {
 // no conformance harness exercises it — the reminder to extend the
 // table above when a new adapter lands.
 func TestConformanceCoversAllDrivers(t *testing.T) {
-	covered := map[string]bool{"mem": true, "lsm": true, "cache": true, "fault": true}
+	covered := map[string]bool{"mem": true, "lsm": true, "fault": true}
 	for _, name := range kv.Drivers() {
 		if !covered[name] {
 			t.Errorf("driver %q has no conformance harness in conformance_test.go", name)

@@ -11,16 +11,14 @@ import (
 // Section 4.1 design decision that "any existing backend structure with a
 // key-value mapping can be used" as the base table. Backends register
 // themselves by name (the LSM store self-registers as "lsm"; this package
-// registers "mem", "fault" and "cache") and are resolved purely by spec
-// string — a chain of adapters from the outermost wrapper to the terminal
-// store:
+// registers "mem" and "fault") and are resolved purely by spec string — a
+// chain of adapters from the outermost wrapper to the terminal store:
 //
 //	mem                    volatile in-memory store
 //	lsm:<dir>              persistent LSM store rooted at <dir>
 //	lsm                    ... rooted at OpenOptions.Dir
-//	cache(256)+lsm:<dir>   256-entry read-through/write-behind cache tier
-//	                       over the LSM store
 //	fault+mem              fault-injection wrapper over the memory store
+//	fault+fault+mem        wrappers stack, outermost first
 //
 // Layers are separated by '+', outermost first; every layer but the last
 // must be a wrapper (Driver.Wrapper), and the last must be a terminal
@@ -59,11 +57,11 @@ func CapabilitiesOf(s Store) Capabilities {
 // Driver is one registered backend adapter.
 type Driver struct {
 	// Open instantiates the store. arg is the layer's spec argument
-	// ("lsm:/data" passes "/data", "cache(256)" passes "256", "" when
-	// absent); opt carries chain-wide defaults such as the data
-	// directory. Wrapper drivers receive the already-opened next store
-	// in the chain as inner and own it from then on (their Close must
-	// close it); terminal drivers receive nil.
+	// ("lsm:/data" passes "/data", "" when absent); opt carries
+	// chain-wide defaults such as the data directory. Wrapper drivers
+	// receive the already-opened next store in the chain as inner and own
+	// it from then on (their Close must close it); terminal drivers
+	// receive nil.
 	Open func(arg string, opt OpenOptions, inner Store) (Store, error)
 	// Wrapper marks chainable drivers that require an inner store.
 	Wrapper bool
@@ -200,8 +198,7 @@ type OpenOptions struct {
 
 // OpenedStore is the store resolved from a backend spec: the outermost
 // store of the chain, and access to the individual layers for callers
-// that read per-tier counters (the cache tier's hit/miss statistics, the
-// fault wrapper's scripting surface).
+// that reach one (the fault wrapper's scripting surface).
 type OpenedStore struct {
 	Store
 	spec   string
@@ -249,16 +246,6 @@ func Open(spec string, opt OpenOptions) (*OpenedStore, error) {
 	return &OpenedStore{Store: inner, spec: spec, layers: opened}, nil
 }
 
-// CacheLayer returns the chain's outermost cache tier, or nil.
-func (o *OpenedStore) CacheLayer() *Cache {
-	for _, s := range o.layers {
-		if c, ok := s.(*Cache); ok {
-			return c
-		}
-	}
-	return nil
-}
-
 // FaultLayer returns the chain's outermost fault wrapper, or nil.
 func (o *OpenedStore) FaultLayer() *Fault {
 	for _, s := range o.layers {
@@ -269,8 +256,8 @@ func (o *OpenedStore) FaultLayer() *Fault {
 	return nil
 }
 
-// The drivers this package ships: the terminal memory store and the two
-// chainable wrappers. The LSM store registers itself as "lsm" from
+// The drivers this package ships: the terminal memory store and the
+// chainable fault wrapper. The LSM store registers itself as "lsm" from
 // internal/lsm (import it — directly or transitively — to use lsm
 // specs).
 func init() {
@@ -291,40 +278,4 @@ func init() {
 			return NewFault(inner), nil
 		},
 	})
-	Register("cache", Driver{
-		Wrapper: true,
-		Open: func(arg string, _ OpenOptions, inner Store) (Store, error) {
-			capacity := DefaultCacheEntries
-			if arg != "" {
-				n, err := parsePositiveInt(arg)
-				if err != nil {
-					return nil, fmt.Errorf("cache driver wants a positive entry capacity, got %q", arg)
-				}
-				capacity = n
-			}
-			return NewCache(inner, capacity), nil
-		},
-	})
-}
-
-// parsePositiveInt parses a strictly positive decimal integer without
-// pulling in strconv's error wrapping for a nicer message upstream.
-func parsePositiveInt(s string) (int, error) {
-	n := 0
-	if s == "" {
-		return 0, fmt.Errorf("empty")
-	}
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			return 0, fmt.Errorf("not a number")
-		}
-		n = n*10 + int(c-'0')
-		if n > 1<<30 {
-			return 0, fmt.Errorf("out of range")
-		}
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("zero")
-	}
-	return n, nil
 }

@@ -15,16 +15,14 @@ func TestSpecParsingErrors(t *testing.T) {
 		"+mem",           // empty layer
 		"mem+",           // empty layer
 		"nosuch",         // unknown driver
-		"cache",          // wrapper as terminal
+		"cache(256)+mem", // unknown driver: there is no cache tier
 		"fault",          // wrapper as terminal
+		"fault+fault",    // wrappers with no terminal
 		"mem+mem",        // terminal wrapping
-		"mem+cache+mem",  // terminal in wrapper position
-		"cache(4",        // unclosed argument
+		"mem+fault+mem",  // terminal in wrapper position
+		"fault(4",        // unclosed argument
 		"mem(x)",         // mem takes no arg
 		"fault(x)+mem",   // fault takes no arg
-		"cache(0)+mem",   // zero capacity
-		"cache(-1)+mem",  // negative capacity
-		"cache(abc)+mem", // non-numeric capacity
 		"(4)+mem",        // missing driver name
 	} {
 		if _, err := kv.Open(spec, kv.OpenOptions{}); err == nil {
@@ -32,7 +30,7 @@ func TestSpecParsingErrors(t *testing.T) {
 		}
 	}
 	// CheckSpec must reject the structural errors without opening anything.
-	if err := kv.CheckSpec("cache"); err == nil {
+	if err := kv.CheckSpec("fault"); err == nil {
 		t.Error("CheckSpec accepted a wrapper-terminated spec")
 	}
 	if err := kv.CheckSpec("nosuch"); err == nil {
@@ -54,11 +52,9 @@ func TestSpecCapabilities(t *testing.T) {
 	}{
 		{"mem", kv.Capabilities{}},
 		{"lsm", kv.Capabilities{Durable: true}},
-		{"cache(8)+mem", kv.Capabilities{}},
-		{"cache(8)+lsm", kv.Capabilities{Durable: true}},
 		{"fault+mem", kv.Capabilities{Durable: true}},
 		{"fault+lsm", kv.Capabilities{Durable: true}},
-		{"cache(8)+fault+mem", kv.Capabilities{Durable: true}},
+		{"fault+fault+mem", kv.Capabilities{Durable: true}},
 	}
 	for _, c := range cases {
 		st, err := kv.Open(c.spec, kv.OpenOptions{Dir: t.TempDir()})
@@ -91,38 +87,47 @@ func TestCapabilitiesOfDefaults(t *testing.T) {
 }
 
 func TestOpenChainLayers(t *testing.T) {
-	st, err := kv.Open("cache(4)+fault+mem", kv.OpenOptions{})
+	st, err := kv.Open("fault+fault+mem", kv.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if st.Spec() != "cache(4)+fault+mem" {
+	if st.Spec() != "fault+fault+mem" {
 		t.Errorf("Spec() = %q", st.Spec())
 	}
 	layers := st.Layers()
 	if len(layers) != 3 {
 		t.Fatalf("Layers() = %d stores, want 3", len(layers))
 	}
-	if _, ok := layers[0].(*kv.Cache); !ok {
-		t.Errorf("outermost layer is %T, want *kv.Cache", layers[0])
-	}
-	if st.CacheLayer() == nil {
-		t.Error("CacheLayer() = nil")
-	}
-	if st.FaultLayer() == nil {
-		t.Error("FaultLayer() = nil")
+	for i, l := range layers[:2] {
+		if _, ok := l.(*kv.Fault); !ok {
+			t.Errorf("layer %d is %T, want *kv.Fault", i, l)
+		}
 	}
 	if _, ok := layers[2].(*kv.Mem); !ok {
 		t.Errorf("terminal layer is %T, want *kv.Mem", layers[2])
 	}
-	// A plain spec has no cache or fault layer to find.
+	// FaultLayer finds the outermost wrapper, and the chain works
+	// through both.
+	if st.FaultLayer() != layers[0] {
+		t.Error("FaultLayer() is not the outermost fault wrapper")
+	}
+	b := kv.NewBatch(1)
+	b.Put([]byte("k"), []byte("v"))
+	if err := st.Apply(b, true); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := layers[2].Get([]byte("k")); err != nil || !ok || string(v) != "v" {
+		t.Errorf("terminal Get(k) = %q, %v, %v after a synced Apply through the chain", v, ok, err)
+	}
+	// A plain spec has no fault layer to find.
 	plain, err := kv.Open("mem", kv.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	if plain.CacheLayer() != nil || plain.FaultLayer() != nil {
-		t.Error("mem chain reports cache/fault layers")
+	if plain.FaultLayer() != nil {
+		t.Error("mem chain reports a fault layer")
 	}
 }
 
@@ -146,7 +151,7 @@ func TestOpenLSMSpecForms(t *testing.T) {
 
 func TestDriversListed(t *testing.T) {
 	names := strings.Join(kv.Drivers(), ",")
-	for _, want := range []string{"mem", "lsm", "cache", "fault"} {
+	for _, want := range []string{"mem", "lsm", "fault"} {
 		if !strings.Contains(names, want) {
 			t.Errorf("Drivers() = %s, missing %q", names, want)
 		}

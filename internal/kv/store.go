@@ -61,3 +61,9 @@ func Len(s Store) (int, error) {
 	err := s.Scan(nil, nil, func(_, _ []byte) bool { n++; return true })
 	return n, err
 }
+
+// NewCache returns inner unchanged. The key-level cache tier it once built
+// is gone (DESIGN.md "Why there is no cache tier"); the function remains
+// only because benchmark/probes.go calls it, like PartitionedFeed.Ack and
+// Table.StopIdleGC.
+func NewCache(inner Store, _ int) Store { return inner }

@@ -13,13 +13,11 @@ import (
 
 // backendEquivSpecs are the registered backend specs the cross-backend
 // property drives: the volatile reference, the persistent LSM store,
-// the cache tier over both, and the fault wrapper (unscripted, so it
-// only exercises the pass-through + overlay machinery).
+// and the fault wrapper (unscripted, so it only exercises the
+// pass-through + overlay machinery).
 var backendEquivSpecs = []string{
 	"mem",
 	"lsm",
-	"cache(32)+lsm",
-	"cache(16)+mem",
 	"fault+mem",
 }
 

@@ -97,9 +97,9 @@ func runScriptIngest(t *testing.T, p txn.Protocol, tbl *txn.Table, script []scri
 // plain Group.Watch listener records each commit's timestamp and keys on
 // the committing goroutine, and the rows are the script model's (runRef)
 // for the committed transactions that wrote a row, in commit order — the
-// keys the engine reports must be the model's. A read at the commit would
-// need a snapshot, which draws a timestamp and so shifts every later
-// commit's.
+// keys the engine reports must be the model's. Taking the rows from the
+// model rather than from a snapshot read at the commit keeps the
+// reference independent of the engine's read path too.
 func sequentialFeedSigs(t *testing.T, script []scriptItem, punctuateN int) []commitSig {
 	t.Helper()
 	p, tbl := feedEnv(t)

@@ -97,10 +97,10 @@ type IndexStats struct {
 	// that gave a row an index key it had no entry for; a rewrite that
 	// keeps its key adds nothing. Deletes counts entries dropped: by
 	// commits that moved a row out of a set its memos forgot (see
-	// Lookup), and by Table.GC, whose share is Swept. Puts - Deletes is
+	// lookup), and by Table.GC, whose share is Swept. Puts - Deletes is
 	// ResidentPostings.
 	Puts, Deletes, Swept uint64
-	// Lookups counts Lookup calls; Hits the rows they returned.
+	// Lookups counts Snapshot.Lookup calls; Hits the rows they returned.
 	Lookups, Hits uint64
 }
 
@@ -140,7 +140,7 @@ func (ix *Index) shard(ikey string) *indexShard {
 // sweep would check it, for r alone: r leaves it unless a version r
 // retains still extracts to its key. So a row stays in a set its memos
 // no longer name only while a version it retained when the memo went
-// carries the set's key (see Lookup for the bound that gives).
+// carries the set's key (see lookup for the bound that gives).
 func (ix *Index) add(r *row, value []byte) {
 	ikey, ok := ix.extract(r.key, value)
 	if !ok {
@@ -199,7 +199,7 @@ func (r *row) remember(c *candidates) (gone *candidates) {
 	return gone
 }
 
-// Lookup calls fn for every row whose index key equals ikey at snapshot
+// lookup calls fn for every row whose index key equals ikey at snapshot
 // rts, with the row's value at that same snapshot, until fn returns
 // false. Each candidate's row is read at rts and kept iff the extractor
 // maps that version to ikey, so the result equals a full-table scan at
@@ -215,7 +215,7 @@ func (r *row) remember(c *candidates) (gone *candidates) {
 // rowMemos sets, with no Table.GC. An entry kept past a pin, or past a
 // memo another index's set pushed out, stays until the row rejoins and
 // leaves its set again, or until a Table.GC drops it.
-func (ix *Index) Lookup(rts Timestamp, ikey string, fn func(key string, value []byte) bool) {
+func (ix *Index) lookup(rts Timestamp, ikey string, fn func(key string, value []byte) bool) {
 	ix.lookups.Add(1)
 	buf := acquireRows()
 	defer releaseRows(buf)

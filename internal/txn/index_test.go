@@ -27,7 +27,7 @@ func valueBucket(_ string, v []byte) (string, bool) {
 func lookupAll(t *testing.T, ix *Index, rts Timestamp, ikey string) map[string]string {
 	t.Helper()
 	out := map[string]string{}
-	ix.Lookup(rts, ikey, func(k string, v []byte) bool {
+	ix.lookup(rts, ikey, func(k string, v []byte) bool {
 		if _, dup := out[k]; dup {
 			t.Fatalf("lookup(%q) returned key %q twice", ikey, k)
 		}
@@ -55,7 +55,7 @@ func checkLookupEqualsScan(t testing.TB, tbl *Table, ix *Index, rts Timestamp, b
 	for _, c := range buckets {
 		b := string(c)
 		got := map[string]string{}
-		ix.Lookup(rts, b, func(k string, v []byte) bool {
+		ix.lookup(rts, b, func(k string, v []byte) bool {
 			if _, dup := got[k]; dup {
 				t.Errorf("rts %d bucket %s: key %s returned twice", rts, b, k)
 			}

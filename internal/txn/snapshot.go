@@ -60,7 +60,10 @@ func (c *Context) Snapshot(tables ...*Table) (*Snapshot, error) {
 
 	// The snapshot occupies a transaction slot so the GC horizon scan
 	// (OldestActiveVersion) sees its pin; it never enters a commit path.
-	tx := &Txn{id: c.next(), ctx: c, readOnly: true, readCTS: make([]groupCut, 0, len(groups))}
+	// It writes, locks and validates nothing, so nothing orders by its
+	// id: it reads the clock instead of ticking it, and ad-hoc queries
+	// leave the commit timestamps of the topology alone.
+	tx := &Txn{id: c.Now(), ctx: c, readOnly: true, readCTS: make([]groupCut, 0, len(groups))}
 	if err := c.register(tx); err != nil {
 		return nil, err
 	}
@@ -218,7 +221,7 @@ func (s *Snapshot) Lookup(ix *Index, ikey string, fn func(key string, value []by
 		return err
 	}
 	defer s.end()
-	ix.Lookup(rts, ikey, fn)
+	ix.lookup(rts, ikey, fn)
 	return nil
 }
 

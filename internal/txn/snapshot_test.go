@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -83,6 +84,56 @@ func TestSnapshotBasics(t *testing.T) {
 	snap.Release() // idempotent
 	if _, _, err := snap.Get(e.t1, "a"); err != ErrFinished {
 		t.Fatalf("Get after Release = %v, want ErrFinished", err)
+	}
+}
+
+// TestSnapshotLeavesTheClock pins that a Snapshot reads the commit clock
+// without ticking it: a snapshot writes, locks and validates nothing, so
+// the commit timestamps of a topology must not depend on how many ad-hoc
+// queries ran beside it. A commit watcher that takes and releases a
+// Snapshot on every commit must leave every commit timestamp of a script
+// as it is without the snapshots.
+func TestSnapshotLeavesTheClock(t *testing.T) {
+	e := newEnv(t)
+	write(t, NewSI(e.ctx), e.t1, "a", "1")
+	before := e.ctx.Now()
+	snap, err := e.ctx.Snapshot(e.t1, e.t2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Release()
+	if after := e.ctx.Now(); after != before {
+		t.Errorf("Snapshot + Release moved the clock from %d to %d", before, after)
+	}
+
+	run := func(snapshotPerCommit bool) []Timestamp {
+		e := newEnv(t)
+		var ctss []Timestamp
+		e.group.Watch(func(cts Timestamp, _ map[StateID][]string) {
+			ctss = append(ctss, cts)
+			if !snapshotPerCommit {
+				return
+			}
+			snap, err := e.ctx.Snapshot(e.t1, e.t2)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			snap.Release()
+		})
+		p := NewSI(e.ctx)
+		for i := 0; i < 20; i++ {
+			write(t, p, e.t1, fmt.Sprintf("k%d", i%5), fmt.Sprint(i))
+			if i%3 == 0 {
+				write(t, p, e.t1, "x", fmt.Sprint(i), "y", fmt.Sprint(i))
+				write(t, p, e.t2, "z", fmt.Sprint(i))
+			}
+		}
+		return ctss
+	}
+	plain, watched := run(false), run(true)
+	if !slices.Equal(plain, watched) {
+		t.Errorf("a Snapshot per commit shifted the commit timestamps:\n without %v\n with    %v", plain, watched)
 	}
 }
 

@@ -141,15 +141,8 @@ type (
 	StoreOpenOptions = kv.OpenOptions
 	// OpenedStore is the store chain resolved from a backend spec:
 	// Store plus the composed capability flags and per-layer access
-	// (cache-tier counters, the fault wrapper's scripting surface).
+	// (the fault wrapper's scripting surface).
 	OpenedStore = kv.OpenedStore
-	// CacheStore is the chainable read-through/write-behind cache tier
-	// ("cache(256)+lsm"); its write-behind set flushes at every
-	// durability point, preserving group-commit semantics.
-	CacheStore = kv.Cache
-	// CacheStoreStats are the cache tier's hit/miss/evict/dirty
-	// counters (CacheStore.Stats).
-	CacheStoreStats = kv.CacheStats
 )
 
 // Element kinds (transaction boundary punctuations).
@@ -222,9 +215,8 @@ var (
 	// OpenLSM opens (creating if needed) a persistent LSM base table.
 	OpenLSM = func(dir string, opts LSMOptions) (Store, error) { return lsm.Open(dir, opts) }
 	// OpenStore resolves a backend spec through the storage adapter
-	// registry and opens the chain: "mem", "lsm:<dir>",
-	// "cache(256)+lsm", "fault+mem", ... Importing this package
-	// registers every built-in backend.
+	// registry and opens the chain: "mem", "lsm:<dir>", "fault+mem",
+	// ... Importing this package registers every built-in backend.
 	OpenStore = kv.Open
 	// RegisterStore makes a storage adapter available to OpenStore
 	// under a name; third-party backends plug in here.
@@ -234,9 +226,6 @@ var (
 	// StoreCapabilitiesOf returns a store's declared capability flags
 	// (the conservative durable default for stores that declare none).
 	StoreCapabilitiesOf = kv.CapabilitiesOf
-	// NewCacheStore wraps a store in the cache tier directly (the
-	// "cache(n)+..." spec layer does the same through OpenStore).
-	NewCacheStore = kv.NewCache
 
 	// Window aggregate functions.
 	Sum   = stream.Sum
