@@ -120,8 +120,9 @@ func TestCostBudgets(t *testing.T) {
 		{
 			// One SI transaction rewriting 1 hot row, 8 times while a
 			// Snapshot of the table is held and 24 times after its
-			// Release, over and over: 2.16 allocations, 300 B per commit —
-			// the commit's 2 and a 32nd of the Snapshot's 5. The held
+			// Release, over and over: 2.06 allocations, 292 B per commit —
+			// the commit's 2 and a 32nd of the Snapshot's 2 (2.16, 300 B
+			// at b45c7c7, whose Snapshot made 5). The held
 			// snapshot spills the row's versions to 16 slots, and 24 calm
 			// commits are too few to return them inline, so the cycle
 			// grows nothing; a return after 16 calm commits would grow
@@ -152,10 +153,12 @@ func TestCostBudgets(t *testing.T) {
 		},
 		{
 			// A Snapshot over two tables of two groups, 20 Gets (10 per
-			// table) and its Release: 6 allocations, 376 B, all of them
-			// Context.Snapshot's; a Get allocates nothing.
+			// table) and its Release: 3 allocations, 160 B, all of them
+			// Context.Snapshot's — the Snapshot, its table list and its two
+			// group cuts; a Get allocates nothing (6, 376 B at b45c7c7, when
+			// a snapshot built a Txn to hold its cut).
 			name: "snapshot 20 gets", unit: "snapshot",
-			allocs: 6, bytes: 416,
+			allocs: 3, bytes: 176,
 			measure: snapshotGetCost,
 		},
 		{

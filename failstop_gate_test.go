@@ -523,11 +523,36 @@ func TestToTableStageIsFused(t *testing.T) {
 // gate fails when the GC pin — the value a read cut publishes — is stored
 // by more than one function of non-test internal/txn, and when that code
 // resolves a table by name (Context.Table) instead of using the *Table it
-// holds.
+// holds. It also fails when a struct type other than cut keeps per-group
+// cuts ([]groupCut), and when Snapshot holds a *Txn: a snapshot is a cut,
+// not a transaction.
 func TestReadCutExistsOnce(t *testing.T) {
 	var pinners, lookups []string
 	_, files := parseNonTest(t, "internal/txn")
 	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, field := range st.Fields.List {
+				switch typ := field.Type.(type) {
+				case *ast.ArrayType:
+					if id, ok := typ.Elt.(*ast.Ident); ok && typ.Len == nil && id.Name == "groupCut" && ts.Name.Name != "cut" {
+						t.Errorf("%s declares a []groupCut field: per-group cuts live in cut only", ts.Name.Name)
+					}
+				case *ast.StarExpr:
+					if id, ok := typ.X.(*ast.Ident); ok && id.Name == "Txn" && ts.Name.Name == "Snapshot" {
+						t.Errorf("Snapshot has a *Txn field: a snapshot embeds a cut, not a transaction")
+					}
+				}
+			}
+			return true
+		})
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

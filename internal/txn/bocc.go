@@ -170,19 +170,20 @@ func (r *recentCommits) Len() int {
 
 // oldestActiveStart returns the minimum begin timestamp among active
 // transactions, or the current clock when none are active; it bounds how
-// much BOCC history must be retained.
+// much BOCC history must be retained. Held snapshots validate nothing and
+// are not scanned.
 func (c *Context) oldestActiveStart() Timestamp {
 	oldest := c.counter.Load()
-	for w := range c.slotWords {
+	for w := range txnWords {
 		word := c.slotWords[w].Load()
 		for ; word != 0; word &= word - 1 {
 			slot := w*64 + bits.TrailingZeros64(word)
-			t := c.slots[slot].Load()
-			if t == nil {
+			k := c.slots[slot].Load()
+			if k == nil {
 				continue
 			}
-			if t.startTS < oldest {
-				oldest = t.startTS
+			if k.startTS < oldest {
+				oldest = k.startTS
 			}
 		}
 	}

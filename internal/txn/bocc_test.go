@@ -226,3 +226,22 @@ func TestBOCCMultiStateAtomicity(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotHoldsNoBOCCHistory: BOCC keeps the write sets committed
+// since its oldest active transaction began. A snapshot validates nothing,
+// so holding one must leave that history pruned.
+func TestSnapshotHoldsNoBOCCHistory(t *testing.T) {
+	e := newEnv(t)
+	p := NewBOCC(e.ctx)
+	snap, err := e.ctx.Snapshot(e.t1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	for i := 0; i < 1024; i++ {
+		write(t, p, e.t1, fmt.Sprintf("k%d", i%10), "v")
+	}
+	if n := e.ctx.recent.Len(); n > 128 {
+		t.Fatalf("%d BOCC commit records kept behind one held snapshot", n)
+	}
+}

@@ -150,16 +150,12 @@ func (p *protocolBase) Begin() (*Txn, error) { return p.begin(false) }
 func (p *protocolBase) BeginReadOnly() (*Txn, error) { return p.begin(true) }
 
 func (p *protocolBase) begin(readOnly bool) (*Txn, error) {
-	t := &Txn{
-		id:       p.ctx.next(),
-		ctx:      p.ctx,
-		readOnly: readOnly,
-	}
-	t.startTS = t.id
+	t := &Txn{id: p.ctx.next(), readOnly: readOnly}
+	t.ctx, t.startTS = p.ctx, t.id
 	if p.trackReads {
 		t.reads = make(map[*Table]map[string]struct{})
 	}
-	if err := p.ctx.register(t); err != nil {
+	if err := p.ctx.register(&t.cut, 0, txnWords); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -521,7 +517,7 @@ func (p *protocolBase) admitAlone(tx *Txn) error {
 			return err
 		}
 	}
-	p.finish(tx)
+	tx.end(false)
 	return nil
 }
 
@@ -584,20 +580,6 @@ func (p *protocolBase) groupCommitMany(g *Group, reqs []*commitReq) {
 	}
 }
 
-// finish releases the transaction's slot exactly once.
-func (p *protocolBase) finish(tx *Txn) {
-	tx.mu.Lock()
-	already := tx.finished.Swap(true)
-	done := tx.done
-	tx.mu.Unlock()
-	if !already {
-		if done != nil {
-			close(done)
-		}
-		p.ctx.unregister(tx)
-	}
-}
-
 // abort drops all write sets and releases the slot. "It is enough ... to
 // simply clear the corresponding write set and release the memory"
 // (Section 4.2). Write sets are private, so it is safe under any latch —
@@ -605,18 +587,9 @@ func (p *protocolBase) finish(tx *Txn) {
 // holding the group latches. ErrFinished reports a transaction that was
 // already decided (callers recording a verdict of their own ignore it).
 func (p *protocolBase) abort(tx *Txn) error {
-	tx.mu.Lock()
-	if tx.finished.Swap(true) {
-		tx.mu.Unlock()
+	if !tx.end(true) {
 		return ErrFinished
 	}
-	tx.dropStates()
-	done := tx.done
-	tx.mu.Unlock()
-	if done != nil {
-		close(done)
-	}
-	p.ctx.unregister(tx)
 	return nil
 }
 
@@ -997,7 +970,7 @@ func (p *protocolBase) commitBatch(groups []*Group, batch []*commitReq) {
 				(*h)(req.cts, req.tx.states)
 			}
 		}
-		p.finish(req.tx)
+		req.tx.end(false)
 		recycleTxn(req.tx)
 		req.decided()
 	}

@@ -12,10 +12,18 @@ import (
 	"sistream/internal/metrics"
 )
 
-// maxActiveTxns bounds the active-transaction table. The paper manages
-// transaction slots with 64-bit CAS bit vectors; we keep that design and
-// use several words.
-const maxActiveTxns = 1024
+// maxActiveTxns bounds the transactions of the active-transaction table,
+// maxSnapshots its snapshots. The paper manages transaction slots with
+// 64-bit CAS bit vectors; we keep that design and use several words, in
+// two ranges sized on their own, so held snapshots never take a writer's
+// slot.
+const (
+	maxActiveTxns = 1024
+	maxSnapshots  = 1024
+	// txnWords is the transaction range of the slot words: the words
+	// before it hold transactions, the ones after it snapshots.
+	txnWords = maxActiveTxns / 64
+)
 
 // Context is the global state context of the paper's Figure 3: the
 // registry of states and topology groups, the table of active
@@ -51,10 +59,12 @@ type Context struct {
 	// never take it.
 	setupMu sync.Mutex
 
-	// Active transaction table: a fixed slot array managed by CAS bit
-	// vectors, scanned to derive OldestActiveVersion for GC.
-	slotWords [maxActiveTxns / 64]atomic.Uint64
-	slots     [maxActiveTxns]atomic.Pointer[Txn]
+	// Active transaction table: the read cuts of the open transactions
+	// and, after them, of the held snapshots (txnWords), a fixed slot
+	// array managed by CAS bit vectors, scanned to derive
+	// OldestActiveVersion for GC.
+	slotWords [(maxActiveTxns + maxSnapshots) / 64]atomic.Uint64
+	slots     [maxActiveTxns + maxSnapshots]atomic.Pointer[cut]
 
 	// recent is the BOCC history of committed write sets (see bocc.go).
 	recent recentCommits
@@ -82,9 +92,10 @@ func (c *Context) advanceTo(ts Timestamp) {
 	}
 }
 
-// register allocates a slot for t in the active-transaction table.
-func (c *Context) register(t *Txn) error {
-	for w := range c.slotWords {
+// register allocates a slot for k in the slot words [from, to) of the
+// active-transaction table.
+func (c *Context) register(k *cut, from, to int) error {
+	for w := from; w < to; w++ {
 		for {
 			word := c.slotWords[w].Load()
 			free := ^word
@@ -94,8 +105,8 @@ func (c *Context) register(t *Txn) error {
 			bit := bits.TrailingZeros64(free)
 			if c.slotWords[w].CompareAndSwap(word, word|1<<uint(bit)) {
 				slot := w*64 + bit
-				t.slot = slot
-				c.slots[slot].Store(t)
+				k.slot = slot
+				c.slots[slot].Store(k)
 				return nil
 			}
 		}
@@ -103,9 +114,9 @@ func (c *Context) register(t *Txn) error {
 	return ErrTooManyTxns
 }
 
-// unregister frees t's slot.
-func (c *Context) unregister(t *Txn) {
-	slot := t.slot
+// unregister frees k's slot.
+func (c *Context) unregister(k *cut) {
+	slot := k.slot
 	c.slots[slot].Store(nil)
 	w, bit := slot/64, uint(slot%64)
 	for {
@@ -117,7 +128,7 @@ func (c *Context) unregister(t *Txn) {
 }
 
 // OldestActiveVersion returns the garbage-collection horizon: the minimum
-// snapshot any active transaction may still read. Versions whose
+// cut any active transaction or held snapshot may still read. Versions whose
 // deletion timestamp is at or below it are invisible to everyone and
 // reclaimable. With no active readers the horizon is the current clock.
 func (c *Context) OldestActiveVersion() Timestamp {
@@ -126,11 +137,11 @@ func (c *Context) OldestActiveVersion() Timestamp {
 		word := c.slotWords[w].Load()
 		for ; word != 0; word &= word - 1 {
 			slot := w*64 + bits.TrailingZeros64(word)
-			t := c.slots[slot].Load()
-			if t == nil {
+			k := c.slots[slot].Load()
+			if k == nil {
 				continue // slot being released concurrently
 			}
-			if p := t.pinnedOldest.Load(); p != 0 && p < oldest {
+			if p := k.pinnedOldest.Load(); p != 0 && p < oldest {
 				oldest = p
 			}
 		}
@@ -138,7 +149,8 @@ func (c *Context) OldestActiveVersion() Timestamp {
 	return oldest
 }
 
-// ActiveCount returns the number of registered transactions (diagnostic).
+// ActiveCount returns the number of registered transactions and snapshots
+// (diagnostic).
 func (c *Context) ActiveCount() int {
 	n := 0
 	for w := range c.slotWords {

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -102,7 +103,7 @@ func TestOldestActiveVersionHorizon(t *testing.T) {
 	if _, _, err := p.Read(r, e.t1, "k"); err != nil {
 		t.Fatal(err)
 	}
-	pinned, _ := r.cut(e.group)
+	pinned, _ := r.at(e.group)
 	write(t, p, e.t1, "k", "v2")
 	if got := e.ctx.OldestActiveVersion(); got != pinned {
 		t.Fatalf("horizon %d, want pinned %d", got, pinned)
@@ -392,5 +393,38 @@ func TestPropertySISerialHistoryMatchesMap(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHeldSnapshotsLeaveWriterSlots: snapshots register in a slot range of
+// their own, so a full range of held snapshots leaves every transaction
+// slot to the writers, and one snapshot more fails with ErrTooManyTxns.
+func TestHeldSnapshotsLeaveWriterSlots(t *testing.T) {
+	e := newEnv(t)
+	p := NewSI(e.ctx)
+	snaps := make([]*Snapshot, 0, maxSnapshots)
+	for i := 0; i < maxSnapshots; i++ {
+		snap, err := e.ctx.Snapshot(e.t1)
+		if err != nil {
+			t.Fatalf("snapshot %d: %v", i, err)
+		}
+		snaps = append(snaps, snap)
+	}
+	tx, err := p.Begin()
+	if err != nil {
+		t.Fatalf("Begin with %d snapshots held: %v", len(snaps), err)
+	}
+	if err := p.Write(tx, e.t1, "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, p, tx)
+	if _, err := e.ctx.Snapshot(e.t1); !errors.Is(err, ErrTooManyTxns) {
+		t.Fatalf("snapshot %d = %v, want ErrTooManyTxns", maxSnapshots+1, err)
+	}
+	for _, snap := range snaps {
+		snap.Release()
+	}
+	if n := e.ctx.ActiveCount(); n != 0 {
+		t.Fatalf("%d registered after every snapshot was released", n)
 	}
 }

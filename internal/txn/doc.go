@@ -11,10 +11,13 @@
 //
 // The package splits along the paper's Figure 3:
 //
-//	context.go      Context (registry, active-transaction table,
-//	                logical clock), Group and the commit-watcher hooks
-//	txn.go          Txn handles, append-only write sets, the read-cut
-//	                rule (pinGroups) behind snapshots and SI pins
+//	context.go      Context (registry, active table of transaction and
+//	                snapshot cuts, logical clock), Group and the
+//	                commit-watcher hooks
+//	txn.go          Txn handles and append-only write sets
+//	cut.go          the read cut a Txn and a Snapshot each embed: the
+//	                per-group cuts, the GC pin and the one read-cut rule
+//	                (pinGroups)
 //	table.go        Table: the MVCC dictionary over a kv.Store base table
 //	row.go          rows (key, versions, store handle, commit marks) and
 //	                the open-addressed row index

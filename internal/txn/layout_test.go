@@ -408,3 +408,156 @@ func TestSpanningCommitsRaceGroupPipelines(t *testing.T) {
 		t.Fatalf("pair = %d after %d spanning increments", decodeU64([]byte(v)), writers*commits)
 	}
 }
+
+// splitGroups returns a context with tables a and b on one mem store, each
+// in a group of its own (ga, gb).
+func splitGroups(t *testing.T) (*Context, *Table, *Table) {
+	t.Helper()
+	store := kv.NewMem()
+	t.Cleanup(func() { store.Close() })
+	ctx := NewContext()
+	a, _ := ctx.CreateTable("a", store, TableOptions{})
+	b, _ := ctx.CreateTable("b", store, TableOptions{})
+	if _, err := ctx.CreateGroup("ga", a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctx.CreateGroup("gb", b); err != nil {
+		t.Fatal(err)
+	}
+	return ctx, a, b
+}
+
+// TestSIReadsOneCutAcrossDeclaredGroups: an SI transaction that declared
+// tables of two groups reads both groups at one cut, pinned at its first
+// access. A commit spanning the groups that lands between its two reads
+// is in neither of them. Pinned one group at a time, the second read saw
+// the commit the first had missed.
+func TestSIReadsOneCutAcrossDeclaredGroups(t *testing.T) {
+	ctx, a, b := splitGroups(t)
+	p := NewSI(ctx)
+	span := func(v string) {
+		tx, err := p.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Write(tx, a, "k", []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Write(tx, b, "k", []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		mustCommit(t, p, tx)
+	}
+	span("1")
+
+	tx, err := p.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Declare(a, b); err != nil {
+		t.Fatal(err)
+	}
+	va, _, err := p.Read(tx, a, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	span("2")
+	vb, _, err := p.Read(tx, b, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(va) != string(vb) {
+		t.Fatalf("torn: a=%q b=%q", va, vb)
+	}
+	mustCommit(t, p, tx)
+}
+
+// TestSpanningCommitsRaceSIReaders is TestSpanningCommitsRaceGroupPipelines
+// with SI transactions as the readers: each declares both tables, so its
+// two reads of the spanning pair share one cut and must agree. Run under
+// -race.
+func TestSpanningCommitsRaceSIReaders(t *testing.T) {
+	ctx, a, b := splitGroups(t)
+	p := NewSI(ctx)
+	write(t, p, a, "pair", string(encodeU64(0)))
+	write(t, p, b, "pair", string(encodeU64(0)))
+
+	const writers, commits = 2, 150
+	h := newHammer(t)
+	// commit retries body until it commits; FCW losses are expected.
+	commit := func(body func(tx *Txn) error) bool {
+		for {
+			tx, err := p.Begin()
+			if err != nil {
+				t.Error(err)
+				return false
+			}
+			if err = body(tx); err == nil {
+				err = p.Commit(tx)
+			}
+			if err == nil {
+				return true
+			}
+			_ = p.Abort(tx) // ErrFinished after a failed commit
+			if !IsAbort(err) {
+				t.Error(err)
+				return false
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		for _, tbl := range []*Table{a, b} {
+			h.spawn(1, func(int) bool {
+				return commit(func(tx *Txn) error { return p.Write(tx, tbl, fmt.Sprintf("solo%d", w), encodeU64(1)) })
+			})
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < commits; i++ {
+				if !commit(func(tx *Txn) error {
+					v, _, err := p.Read(tx, a, "pair")
+					if err != nil {
+						return err
+					}
+					next := encodeU64(decodeU64(v) + 1)
+					if err := p.Write(tx, a, "pair", next); err != nil {
+						return err
+					}
+					return p.Write(tx, b, "pair", next)
+				}) {
+					return
+				}
+			}
+		}()
+	}
+	h.spawn(2, func(int) bool {
+		tx, err := p.BeginReadOnly()
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		defer p.Abort(tx)
+		if err := tx.Declare(a, b); err != nil {
+			t.Error(err)
+			return false
+		}
+		va, _, errA := p.Read(tx, a, "pair")
+		vb, _, errB := p.Read(tx, b, "pair")
+		if errA != nil || errB != nil {
+			t.Error(errA, errB)
+			return false
+		}
+		if decodeU64(va) != decodeU64(vb) {
+			t.Errorf("SI reader tore a spanning commit: a=%d b=%d", decodeU64(va), decodeU64(vb))
+			return false
+		}
+		return true
+	})
+	wg.Wait()
+	h.finish()
+	if v, _ := readOne(t, p, a, "pair"); decodeU64([]byte(v)) != writers*commits {
+		t.Fatalf("pair = %d after %d spanning increments", decodeU64([]byte(v)), writers*commits)
+	}
+}

@@ -426,7 +426,7 @@ func TestSnapshotScanConsistentUnderWrites(t *testing.T) {
 	if _, _, err := p.Read(reader, e.t1, "k0"); err != nil { // pin
 		t.Fatal(err)
 	}
-	rts, _ := reader.cut(e.group)
+	rts, _ := reader.at(e.group)
 	for i := 0; i < 10; i++ {
 		write(t, p, e.t1, fmt.Sprintf("k%d", i), "new")
 	}

@@ -8,12 +8,13 @@ import (
 // (Section 4.2). Over the shared entry path (protocolBase) it sets two
 // rules:
 //
-//   - a snapshot pin (pinSnapshot): the first access of a group, read or
-//     write, pins the group's LastCTS as the transaction's ReadCTS. Reads
-//     consult the write set, then the latest version visible at that
-//     snapshot; they never block writes and vice versa. Writes only
-//     append to the write set ("Dirty Array"); with a single writer they
-//     never block.
+//   - a snapshot pin (pinSnapshot): the transaction's first access, read
+//     or write, pins the LastCTS of the accessed group and of every
+//     declared one, at one cut, as its ReadCTS (Txn.pin); a group first
+//     reached later is pinned then. Reads consult the write set, then the
+//     latest version visible at that snapshot; they never block writes
+//     and vice versa. Writes only append to the write set ("Dirty
+//     Array"); with a single writer they never block.
 //   - First-Committer-Wins admission (admitFCW): multiple writers of one
 //     key are resolved at commit time by the group-commit pipeline's
 //     leader, against installed versions plus earlier same-batch
@@ -41,9 +42,9 @@ func (p *SI) Name() string { return "mvcc" }
 // if any written key has a committed version newer than the transaction's
 // snapshot — "if the current version is greater than the timestamp of
 // the transaction, it must abort" (Section 4.2). The snapshot is the
-// ReadCTS pinned at the transaction's first access of the group (writes
-// pin it too, so it always exists for written states); the begin
-// timestamp is a defensive fallback. The rows carry the writes admitted
+// ReadCTS pinned for the group (Txn.pin; writes pin it too, so it always
+// exists for written states); the begin timestamp is a defensive
+// fallback. The rows carry the writes admitted
 // earlier in the same group-commit batch as their mark: those versions
 // are not installed yet but must conflict all the same.
 //
@@ -55,7 +56,7 @@ func (p *SI) Name() string { return "mvcc" }
 func (p *SI) admitFCW(tx *Txn, _ batchMarks) error {
 	for _, e := range tx.states {
 		snapshot := tx.id
-		if pinned, ok := tx.cut(e.table.Group()); ok {
+		if pinned, ok := tx.at(e.table.Group()); ok {
 			snapshot = pinned
 		}
 		if ch := tx.chain; ch != nil {

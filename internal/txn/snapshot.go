@@ -2,7 +2,6 @@ package txn
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -12,10 +11,11 @@ import (
 // (possibly of different topology groups): each group is read at its own
 // LastCTS, all of them pinned at once, so every read — point lookups,
 // full scans, striped lane-parallel scans, and secondary-index lookups —
-// observes whole transactions or nothing. A Snapshot holds a transaction
-// slot and a GC pin (the same OldestActiveVersion machinery protecting
-// feeds and read-write transactions), so version reclamation respects
-// even very long scans; Release the snapshot when done to unpin the
+// observes whole transactions or nothing. A Snapshot is a registered
+// read cut, the same one a transaction reads through: it holds a slot of
+// the active table's snapshot range and a GC pin (OldestActiveVersion),
+// so version reclamation respects even very long scans, but no writer's
+// slot and no BOCC history. Release the snapshot when done to unpin the
 // horizon.
 //
 // Reads never block writers and writers never block reads: every method
@@ -25,7 +25,7 @@ import (
 // released keeps the pin until it returns, so it completes against the
 // pinned cut; a read that starts after Release fails with ErrFinished.
 type Snapshot struct {
-	tx     *Txn
+	cut
 	tables []*Table
 
 	// state is twice the number of reads in flight, plus 1 once Release
@@ -44,7 +44,8 @@ func (c *Context) Snapshot(tables ...*Table) (*Snapshot, error) {
 		return nil, fmt.Errorf("txn: Snapshot needs at least one table")
 	}
 	covered := make([]*Table, 0, len(tables))
-	var groups []*Group
+	var buf [4]*Group
+	groups := buf[:0]
 	for _, tbl := range tables {
 		g := tbl.Group()
 		if g == nil {
@@ -58,28 +59,26 @@ func (c *Context) Snapshot(tables ...*Table) (*Snapshot, error) {
 		}
 	}
 
-	// The snapshot occupies a transaction slot so the GC horizon scan
-	// (OldestActiveVersion) sees its pin; it never enters a commit path.
-	// It writes, locks and validates nothing, so nothing orders by its
-	// id: it reads the clock instead of ticking it, and ad-hoc queries
-	// leave the commit timestamps of the topology alone.
-	tx := &Txn{id: c.Now(), ctx: c, readOnly: true, readCTS: make([]groupCut, 0, len(groups))}
-	if err := c.register(tx); err != nil {
-		return nil, err
+	// The snapshot registers its cut in the snapshot range, so the GC
+	// horizon scan (OldestActiveVersion) sees its pin; it never enters a
+	// commit path. It writes, locks and validates nothing, so nothing
+	// orders by it: it neither ticks the clock, leaving the commit
+	// timestamps of the topology alone, nor holds back BOCC's history.
+	s := &Snapshot{tables: covered}
+	s.ctx = c
+	if len(groups) > 1 {
+		s.readCTS = make([]groupCut, 0, len(groups))
 	}
-	tx.pinGroups(groups)
-	return &Snapshot{tx: tx, tables: covered}, nil
+	if err := c.register(&s.cut, txnWords, len(c.slotWords)); err != nil {
+		return nil, fmt.Errorf("%w: %d snapshots held", err, maxSnapshots)
+	}
+	s.pinGroups(groups)
+	return s, nil
 }
 
 // CTS returns the snapshot's oldest group cut: every group is read at or
 // after it.
-func (s *Snapshot) CTS() Timestamp {
-	oldest := Timestamp(math.MaxUint64)
-	for _, c := range s.tx.readCTS {
-		oldest = min(oldest, c.cts)
-	}
-	return oldest
-}
+func (s *Snapshot) CTS() Timestamp { return s.oldest() }
 
 // begin starts a read of tbl, which must have been declared when the
 // snapshot was taken — only declared tables are covered by the
@@ -100,7 +99,7 @@ func (s *Snapshot) begin(tbl *Table) (Timestamp, error) {
 		s.end()
 		return 0, fmt.Errorf("txn: table %q not covered by this snapshot", tbl.id)
 	}
-	cts, _ := s.tx.cut(tbl.Group())
+	cts, _ := s.at(tbl.Group())
 	return cts, nil
 }
 
@@ -108,7 +107,7 @@ func (s *Snapshot) begin(tbl *Table) (Timestamp, error) {
 // it was the last one in flight.
 func (s *Snapshot) end() {
 	if s.state.Add(-2) == 1 {
-		s.unpin()
+		s.release()
 	}
 }
 
@@ -225,14 +224,15 @@ func (s *Snapshot) Lookup(ix *Index, ikey string, fn func(key string, value []by
 	return nil
 }
 
-// Release drops the snapshot's GC pin and transaction slot. Idempotent.
+// Release drops the snapshot's GC pin and slot. Idempotent.
 // After Release every read method fails with ErrFinished; versions the
 // snapshot alone kept alive become reclaimable by the next sweep. Reads
 // still running — a scan whose callback called Release, or a read on
 // another lane — keep the pin until the last of them returns.
 func (s *Snapshot) Release() {
 	// A CAS loop where state.Or(1) would do: Go 1.24.0 on amd64 clobbers a
-	// live register when Or's result is used, and s arrived in unpin as 0x1.
+	// live register when Or's result is used, and the unpin that followed
+	// saw s as 0x1.
 	for {
 		st := s.state.Load()
 		if st&1 != 0 {
@@ -240,25 +240,11 @@ func (s *Snapshot) Release() {
 		}
 		if s.state.CompareAndSwap(st, st|1) {
 			if st == 0 {
-				s.unpin()
+				s.release()
 			}
 			return
 		}
 	}
-}
-
-// unpin drops the GC pin and the transaction slot; state decides that it
-// runs exactly once.
-func (s *Snapshot) unpin() {
-	tx := s.tx
-	tx.mu.Lock()
-	tx.finished.Store(true)
-	done := tx.done
-	tx.mu.Unlock()
-	if done != nil {
-		close(done)
-	}
-	tx.ctx.unregister(tx)
 }
 
 // scanStripe iterates the visible keys of shard stripe `stripe` of

@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -272,9 +270,11 @@ func touchKeys(ops []WriteOp) uint64 {
 // single Txn is not supported, matching the paper's model where a
 // transaction is one unit of stream progress.
 type Txn struct {
-	id   ID
-	slot int
-	ctx  *Context
+	id ID
+	// cut is the transaction's read cut and GC pin, and what its slot in
+	// the active-transaction table holds; under SI it fills at the first
+	// access (pin).
+	cut
 
 	// mu guards the per-state entries (status flags and write sets), the
 	// snapshot pins and the lock list. Operators of one stream query
@@ -296,21 +296,11 @@ type Txn struct {
 	states   []*stateEntry
 	stateBuf [2]*stateEntry
 
-	// readCTS is the cut each topology group is read at: the group's
-	// LastCTS, pinned at first access (paper Section 4.2/4.3; pinGroups).
-	// cutBuf backs it for a transaction reading one group.
-	readCTS []groupCut
-	cutBuf  [1]groupCut
-
 	// reads is the BOCC read set (keys per state); nil for other
 	// protocols. writes is the BOCC write set, collected at admission —
 	// the install consumes the entries — for registration once the
 	// transaction committed; nil unless it wrote something.
 	reads, writes map[*Table]map[string]struct{}
-
-	// startTS is the counter value at Begin; BOCC validates against
-	// transactions committed after it.
-	startTS Timestamp
 
 	// locks tracks S2PL lock ownership for release at commit/abort.
 	locks []lockRef
@@ -320,31 +310,19 @@ type Txn struct {
 	// first write (SetChain); read by commit admission and wait-die.
 	chain *Chain
 
-	// pinnedOldest is what this transaction forces OldestActiveVersion
-	// to: at or below the oldest cut in readCTS. 0 = no pin yet. It is
-	// read concurrently by the GC horizon scan, hence atomic.
-	pinnedOldest atomic.Uint64
-
 	// done closes when the transaction finishes (commit or abort). The
 	// stream layer uses it to serialize the consecutive transactions of
 	// one continuous query: batch N+1 must not begin until batch N is
 	// decided, because the paper's model treats a stream query as a
 	// SEQUENCE of transactions, not a set of concurrent ones. It is made
 	// only when someone waits on an open transaction (Done), under mu, and
-	// closed, if made, where finished is set under mu (finish, abort,
-	// Snapshot.unpin).
+	// closed, if made, where finished is set under mu (end).
 	done chan struct{}
 
 	// req is the transaction's request to the commit pipeline, filled
 	// when its flag set completes: a transaction is coordinated at most
 	// once.
 	req commitReq
-}
-
-// groupCut is the cut a transaction reads one topology group at.
-type groupCut struct {
-	g   *Group
-	cts Timestamp
 }
 
 // Done returns a channel closed when the transaction has committed or
@@ -413,33 +391,12 @@ func (t *Txn) dropStates() {
 	t.states = nil
 }
 
-// cut returns the cut g is read at, if the transaction pinned one.
-func (t *Txn) cut(g *Group) (Timestamp, bool) {
-	for _, c := range t.readCTS {
-		if c.g == g {
-			return c.cts, true
-		}
-	}
-	return 0, false
-}
-
-// setCut records cts as the cut g is read at.
-func (t *Txn) setCut(g *Group, cts Timestamp) {
-	for i := range t.readCTS {
-		if t.readCTS[i].g == g {
-			t.readCTS[i].cts = cts
-			return
-		}
-	}
-	if t.readCTS == nil {
-		t.readCTS = t.cutBuf[:0]
-	}
-	t.readCTS = append(t.readCTS, groupCut{g, cts})
-}
-
 // Declare registers tables this transaction is going to access before it
 // commits, mirroring the paper's per-transaction "list of accessed
-// states" in the context (Figure 3). Declaration matters for the
+// states" in the context (Figure 3). Declaration does two things. It is
+// how an SI transaction reads several groups at one cut: the first
+// access pins every declared table's group together (pin), so a commit
+// spanning them is in all of its reads or in none. And it matters for the
 // consistency protocol in pipelined dataflows: the coordinator is
 // whoever flips the LAST state to Commit, so every state of the query
 // must be on the list before the first CommitState arrives — otherwise
@@ -461,60 +418,48 @@ func (t *Txn) Declare(tables ...*Table) error {
 }
 
 // pin returns the cut to read table tbl at: its group's LastCTS, pinned
-// on the transaction's first access of the group. Groups are pinned one
-// at a time, as they are reached, so a transaction reading two groups may
-// see one of them before a spanning commit and the other after it; a
-// Snapshot pins all its groups at once (Context.Snapshot).
+// on the transaction's first access of the group. The first access of
+// any group pins, at one cut (pinGroups), every group the transaction
+// declared or wrote by then together with tbl's: Declare is how a
+// transaction reads several groups at one cut. A group reached only
+// later joins the cut alone, at its LastCTS of that moment, so a
+// transaction that reads an undeclared group may see it after a spanning
+// commit whose other groups it read before.
 func (t *Txn) pin(tbl *Table) Timestamp {
 	g := tbl.Group()
-	rts, ok := t.cut(g)
-	if !ok {
-		t.pinGroups(g.solo)
-		rts, _ = t.cut(g)
+	if rts, ok := t.at(g); ok {
+		return rts
 	}
+	gs := g.solo
+	if len(t.readCTS) == 0 && len(t.states) > 0 {
+		if gs = txGroups(t); !slices.Contains(gs, g) {
+			gs = append(slices.Clip(gs), g)
+		}
+	}
+	t.pinGroups(gs)
+	rts, _ := t.at(g)
 	return rts
 }
 
-// pinGroups is the one read-cut rule: it records each group of gs in
-// readCTS at that group's own published LastCTS, and holds the GC pin
-// (pinnedOldest) at or below the oldest cut the transaction reads.
-//
-// Two checks make the cut safe to read. The groups are read only while no
-// spanning commit is publishing (Context.spanning is even), so a commit
-// across several of them is seen in all or in none. And the pin is
-// stored before it is validated: if the spanning counter or any LastCTS
-// moved by then, a commit may have taken its GC horizon before the pin
-// was visible, so the cuts are read again. On exit, a commit of a group
-// that took its horizon before the pin is either published at or below
-// the group's cut or still holds the group's latch; either way it
-// reclaims only versions ended at or below the cut, which the cut does
-// not read. Every later commit sees the pin.
-func (t *Txn) pinGroups(gs []*Group) {
-	spanning := &t.ctx.spanning
-	for {
-		seq := spanning.Load()
-		if seq&1 != 0 {
-			runtime.Gosched()
-			continue
-		}
-		oldest := Timestamp(math.MaxUint64)
-		for _, g := range gs {
-			cts := g.LastCTS()
-			t.setCut(g, cts)
-			oldest = min(oldest, cts)
-		}
-		if p := t.pinnedOldest.Load(); p == 0 || oldest < p {
-			t.pinnedOldest.Store(oldest)
-		}
-		stable := spanning.Load() == seq
-		for _, g := range gs {
-			cts, _ := t.cut(g)
-			stable = stable && g.LastCTS() == cts
-		}
-		if stable {
-			return
-		}
+// end finishes the transaction once: it flips finished, drops the write
+// sets when drop is set, closes done if anyone made it, and frees the
+// slot. It reports false when the transaction was already finished.
+func (t *Txn) end(drop bool) bool {
+	t.mu.Lock()
+	if t.finished.Swap(true) {
+		t.mu.Unlock()
+		return false
 	}
+	if drop {
+		t.dropStates()
+	}
+	done := t.done
+	t.mu.Unlock()
+	if done != nil {
+		close(done)
+	}
+	t.release()
+	return true
 }
 
 // trackRead records key into the BOCC read set.
