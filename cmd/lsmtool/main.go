@@ -109,8 +109,6 @@ func main() {
 		fmt.Printf("compactions:  %d\n", st.Compactions)
 		fmt.Printf("memtable:     %d keys, ~%d bytes; put in key order %d times (flush or scan) in %s\n",
 			st.MemKeys, st.MemBytes, st.MemOrderings, time.Duration(st.MemOrderNanos))
-		fmt.Printf("block cache:  %d blocks, %d hits, %d misses\n",
-			st.BlockCacheBlocks, st.BlockCacheHits, st.BlockCacheMisses)
 		fmt.Printf("wal recovery: %d records replayed, %d torn tails discarded\n",
 			st.WALRecordsRecovered, st.WALTornTails)
 		fmt.Printf("write path:   %d wal segments recycled, %d write stalls, flush %s, compaction %s\n",

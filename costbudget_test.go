@@ -594,7 +594,7 @@ func sstableScanCost(t *testing.T) (allocs, bytes float64) {
 		rowBytes   = 64 // key + value + entry header, near enough
 		rows       = 64 * blockBytes / rowBytes
 	)
-	db, err := lsm.Open(t.TempDir(), lsm.Options{BlockBytes: blockBytes, BlockCacheBlocks: -1, DisableAutoCompaction: true})
+	db, err := lsm.Open(t.TempDir(), lsm.Options{BlockBytes: blockBytes, DisableAutoCompaction: true})
 	if err != nil {
 		t.Fatal(err)
 	}

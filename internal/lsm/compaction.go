@@ -213,7 +213,6 @@ func (d *DB) writeCompactionOutputs(merge *mergingIterator, dropTombstones bool)
 			return nil
 		}
 		count, smallest, largest, size, err := b.finish()
-		d.tableHashes = b.hashes[:0]
 		if err != nil {
 			return err
 		}
@@ -222,7 +221,7 @@ func (d *DB) writeCompactionOutputs(merge *mergingIterator, dropTombstones bool)
 			// by never creating empty builders (guarded below).
 			return nil
 		}
-		reader, err := openTable(sstPath(d.dir, bNum), bNum, d.cache)
+		reader, err := openTable(sstPath(d.dir, bNum), bNum)
 		if err != nil {
 			return err
 		}
@@ -250,7 +249,6 @@ func (d *DB) writeCompactionOutputs(merge *mergingIterator, dropTombstones bool)
 			if err != nil {
 				return nil, err
 			}
-			b.hashes = d.tableHashes
 		}
 		b.add(merge.key(), merge.value(), merge.kind())
 		if b.offset+uint64(len(b.block)) >= d.opts.MaxOutputBytes {

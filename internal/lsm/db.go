@@ -47,10 +47,6 @@ type Options struct {
 	// DisableAutoCompaction turns off flush-triggered compaction; tests
 	// use it to construct specific layouts.
 	DisableAutoCompaction bool
-	// BlockCacheBlocks is the capacity of the shared data-block LRU cache
-	// serving point lookups, in blocks (default 256 — 1 MiB at the
-	// default block size). Negative disables caching.
-	BlockCacheBlocks int
 }
 
 func (o Options) withDefaults() Options {
@@ -71,9 +67,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxOutputBytes == 0 {
 		o.MaxOutputBytes = 2 << 20
-	}
-	if o.BlockCacheBlocks == 0 {
-		o.BlockCacheBlocks = 256
 	}
 	return o
 }
@@ -123,16 +116,10 @@ type DB struct {
 	// further writes (see ErrDBFailed). Set once via CAS; never cleared.
 	failure atomic.Pointer[dbFailure]
 
-	// cache is the shared data-block LRU (nil when disabled).
-	cache *blockCache
-
-	// Table-building scratch, kept empty between uses: flushOrder is the
-	// array flushImm sorts a memtable's entries in, tableHashes the one a
-	// table builder collects its keys' bloom hashes in. Only one table is
-	// built at a time — by the flush worker, or by Compact while the
-	// worker is idle.
-	flushOrder  []memEntry
-	tableHashes []uint32
+	// flushOrder is the array flushImm sorts a memtable's entries in,
+	// kept empty between flushes. Only one table is built at a time — by
+	// the flush worker, or by Compact while the worker is idle.
+	flushOrder []memEntry
 
 	// stats
 	flushes         int
@@ -159,7 +146,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, err
 	}
 	d := &DB{dir: dir, opts: opts, mem: newMemtableSized(opts.MemtableBytes), cur: newVersion(), nextFileNum: 1,
-		cache:  newBlockCache(opts.BlockCacheBlocks),
 		bgDone: make(chan struct{})}
 	d.bgCond = sync.NewCond(&d.mu)
 
@@ -287,7 +273,7 @@ func (d *DB) recoverManifest(num uint64) (logNum uint64, err error) {
 		return 0, fmt.Errorf("lsm: recover manifest: %w", err)
 	}
 	for fnum, s := range files {
-		reader, err := openTable(sstPath(d.dir, fnum), fnum, d.cache)
+		reader, err := openTable(sstPath(d.dir, fnum), fnum)
 		if err != nil {
 			return 0, fmt.Errorf("lsm: recover table %d: %w", fnum, err)
 		}
@@ -587,7 +573,6 @@ func (d *DB) flushImm() error {
 	if err != nil {
 		return err
 	}
-	b.hashes = d.tableHashes
 	it := d.orderedIter(imm, d.flushOrder)
 	for it.seekToFirst(); it.valid(); it.next() {
 		b.add(it.key(), it.value(), it.kind())
@@ -597,11 +582,10 @@ func (d *DB) flushImm() error {
 	clear(it.sorted)
 	d.flushOrder = it.sorted[:0]
 	count, smallest, largest, size, err := b.finish()
-	d.tableHashes = b.hashes[:0]
 	if err != nil {
 		return err
 	}
-	reader, err := openTable(sstPath(d.dir, num), num, d.cache)
+	reader, err := openTable(sstPath(d.dir, num), num)
 	if err != nil {
 		return err
 	}
@@ -825,11 +809,11 @@ type Stats struct {
 	LevelBytes  [numLevels]uint64
 	MemBytes    int
 	MemKeys     int
-	// BlockCacheHits / BlockCacheMisses count point-lookup block fetches
-	// served from / missed by the shared block cache.
+	// BlockCacheHits, BlockCacheMisses and BlockCacheBlocks are always
+	// zero: the store caches no blocks. They stay until the benchmark,
+	// which reads them, stops doing so.
 	BlockCacheHits   uint64
 	BlockCacheMisses uint64
-	// BlockCacheBlocks is the current number of cached blocks.
 	BlockCacheBlocks int
 	// WALRecordsRecovered counts the durable WAL records replayed into
 	// the memtable by this Open; WALTornTails counts logs that ended in a
@@ -878,8 +862,6 @@ func (d *DB) Stats() Stats {
 		MemOrderings:        d.memOrderings.Load(),
 		MemOrderNanos:       d.memOrderNanos.Load(),
 	}
-	s.BlockCacheHits, s.BlockCacheMisses = d.cache.stats()
-	s.BlockCacheBlocks = d.cache.len()
 	for l, level := range d.cur.levels {
 		s.LevelFiles[l] = len(level)
 		s.LevelBytes[l] = d.cur.levelBytes(l)

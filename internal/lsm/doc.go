@@ -1,17 +1,20 @@
 // Package lsm implements a persistent log-structured merge-tree key-value
 // store: a write-ahead log, an unordered hash-indexed memtable (put in
 // key order by whoever flushes or scans it), block-based sorted string
-// tables with bloom filters, leveled compaction, a shared
-// data-block LRU cache, and a manifest-based recovery protocol.
+// tables with a CRC on every block, leveled compaction, and a
+// manifest-based recovery protocol.
 //
 // It is this repository's substitute for RocksDB, which the paper's
 // evaluation (Section 5) uses as the persistent base table with the sync
 // option enabled. The property that matters for reproducing the paper's
 // results is preserved: committed writes are made durable by a
 // synchronous, batched log append (so the continuous writer is
-// I/O-bound), while point reads are served from memory-resident
-// structures (memtable, table indexes, bloom filters, block cache and
-// the OS page cache), so ad-hoc readers are CPU-bound.
+// I/O-bound). The engine above serves every read from its in-memory
+// versions and reads the store back only at recovery and index backfill,
+// one Scan per table, so the store keeps no read-side structure beyond
+// each table's index: a point Get binary-searches the index and preads
+// one block (through the OS page cache). Get serves lsmtool, the
+// conformance suite and the engine's one watermark read per table.
 //
 // # Files and recovery
 //

@@ -184,7 +184,7 @@ func TestPropertyIteratorSeek(t *testing.T) {
 		if _, _, _, _, err := b.finish(); err != nil {
 			return false
 		}
-		r, err := openTable(path, 0, nil)
+		r, err := openTable(path, 0)
 		if err != nil {
 			return false
 		}

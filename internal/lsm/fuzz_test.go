@@ -3,6 +3,10 @@ package lsm
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -129,6 +133,97 @@ func FuzzDecodeBatchPayload(f *testing.F) {
 			if again[i].kind != ops[i].kind || !bytes.Equal(again[i].key, ops[i].key) || !bytes.Equal(again[i].value, ops[i].value) {
 				t.Fatalf("op %d changed across a re-encode", i)
 			}
+		}
+	})
+}
+
+// tableAllocSlack is what opening a file and formatting an error may
+// allocate on top of what the table's own bytes justify.
+const tableAllocSlack = 4 << 10
+
+// allocated returns the heap bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzOpenTable: on any bytes, openTable, a full iteration, seek and get
+// return nil or an errCorrupt error, never panic, and none of them
+// allocates more than the file's size (plus tableAllocSlack) — whatever
+// lengths the footer and the index claim. Seeded with tables of this
+// build, an empty one and the golden table an older build wrote with a
+// filter block.
+func FuzzOpenTable(f *testing.F) {
+	golden, err := os.ReadFile(goldenTable)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	dir := f.TempDir()
+	for i, n := range []int{0, 1, goldenKeys} {
+		path := filepath.Join(dir, fmt.Sprintf("%d.sst", i))
+		b, err := newTableBuilder(path, 256)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			b.add(goldenEntry(i))
+		}
+		if _, _, _, _, err := b.finish(); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "t.sst")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		limit := uint64(len(data)) + tableAllocSlack
+		check := func(op string, err error, bytes uint64) {
+			t.Helper()
+			if err != nil && !errors.Is(err, errCorrupt) {
+				t.Fatalf("%s: %v, want nil or errCorrupt", op, err)
+			}
+			if bytes > limit {
+				t.Fatalf("%s allocated %d bytes for a %d-byte file", op, bytes, len(data))
+			}
+		}
+		var r *tableReader
+		n := allocated(func() { r, err = openTable(path, 0) })
+		check("openTable", err, n)
+		if err != nil {
+			return
+		}
+		defer r.close()
+		it := r.iterator()
+		n = allocated(func() {
+			for it.seekToFirst(); it.next(); {
+			}
+		})
+		check("iteration", it.err, n)
+		keys := [][]byte{nil, []byte("golden-0150"), {0xff}}
+		for i := range min(r.blocks(), 4) {
+			first, _, _ := r.block(i)
+			keys = append(keys, first)
+		}
+		for _, k := range keys {
+			it := r.iterator()
+			n = allocated(func() {
+				it.seek(k)
+				for it.next() {
+				}
+			})
+			check(fmt.Sprintf("seek %q", k), it.err, n)
+			n = allocated(func() { _, _, _, err = r.get(k) })
+			check(fmt.Sprintf("get %q", k), err, n)
 		}
 	})
 }

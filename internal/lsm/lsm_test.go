@@ -513,44 +513,6 @@ func TestPropertyDBMatchesModel(t *testing.T) {
 	}
 }
 
-func TestBloomFilter(t *testing.T) {
-	var hashes []uint32
-	for i := 0; i < 10000; i++ {
-		hashes = append(hashes, bloomHash([]byte(fmt.Sprintf("key-%d", i))))
-	}
-	f := buildBloom(hashes, bloomBitsPerKey)
-	for i := 0; i < 10000; i++ {
-		if !f.mayContain(bloomHash([]byte(fmt.Sprintf("key-%d", i)))) {
-			t.Fatalf("false negative for key-%d", i)
-		}
-	}
-	fp := 0
-	const probes = 20000
-	for i := 0; i < probes; i++ {
-		if f.mayContain(bloomHash([]byte(fmt.Sprintf("absent-%d", i)))) {
-			fp++
-		}
-	}
-	rate := float64(fp) / probes
-	if rate > 0.03 {
-		t.Fatalf("bloom false-positive rate %.4f too high", rate)
-	}
-}
-
-func TestBloomRoundTrip(t *testing.T) {
-	hashes := []uint32{1, 2, 3, 0xdeadbeef}
-	f := buildBloom(hashes, 10)
-	g := unmarshalBloom(f.marshal())
-	for _, h := range hashes {
-		if !g.mayContain(h) {
-			t.Fatalf("false negative after round trip for %x", h)
-		}
-	}
-	if (bloomFilter{}).mayContain(42) != true {
-		t.Fatal("empty filter must not filter")
-	}
-}
-
 func TestSSTableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.sst")
@@ -574,7 +536,7 @@ func TestSSTableRoundTrip(t *testing.T) {
 	if count != n || string(smallest) != "key-00000" || string(largest) != fmt.Sprintf("key-%05d", n-1) || size == 0 {
 		t.Fatalf("meta: count=%d smallest=%q largest=%q size=%d", count, smallest, largest, size)
 	}
-	r, err := openTable(path, 0, nil)
+	r, err := openTable(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -663,7 +625,7 @@ func TestSSTableCorruptFooter(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openTable(path, 0, nil); err == nil {
+	if _, err := openTable(path, 0); err == nil {
 		t.Fatal("expected corruption error")
 	}
 }

@@ -16,16 +16,15 @@ import (
 //	data block 0        followed by 4-byte CRC-32C of the block
 //	data block 1        followed by 4-byte CRC-32C of the block
 //	...
-//	filter block        serialized bloom filter over all user keys,
-//	                    followed by 4-byte CRC-32C of the block
 //	index block         one entry per data block:
 //	                      varint len(firstKey), firstKey,
 //	                      uvarint offset, uvarint length
 //	footer (40 bytes):
 //	      8  index offset
 //	      4  index length
-//	      8  filter offset
-//	      4  filter length
+//	     12  zero (older builds wrote a filter block between the data
+//	         and the index, and its offset and length here; readers
+//	         ignore these bytes, so such tables still open)
 //	      8  entry count
 //	      4  CRC-32C of the index block
 //	      4  magic (0x5354424C "STBL")
@@ -34,7 +33,9 @@ import (
 // trailing CRC is read alongside and verified on every block fetch, so a
 // flipped bit in a data block surfaces as errCorrupt instead of a wrong
 // answer. The footer carries the index's own CRC; the magic doubles as a
-// truncation check.
+// truncation check. openTable checks every length the footer and the
+// index claim against the file before it reads or allocates: a range
+// that runs past its container is errCorrupt.
 //
 // Each data block is a sequence of entries:
 //
@@ -51,7 +52,7 @@ const (
 	footerSize      = 40
 	defaultBlockLen = 4096
 	// blockTrailerLen is the per-block CRC-32C trailer appended after every
-	// data and filter block.
+	// data block.
 	blockTrailerLen = 4
 )
 
@@ -64,12 +65,9 @@ type tableBuilder struct {
 	blockLen int
 
 	block      []byte // current data block under construction
-	indexKeys  [][]byte
-	indexOffs  []uint64
-	indexLens  []uint32
+	index      []byte // index entries of the blocks written so far
 	blockFirst []byte
 
-	hashes   []uint32
 	count    uint64
 	smallest []byte
 	largest  []byte
@@ -110,7 +108,6 @@ func (b *tableBuilder) add(key []byte, value []byte, kind entryKind) {
 		b.block = binary.AppendUvarint(b.block, uint64(len(value)))
 		b.block = append(b.block, value...)
 	}
-	b.hashes = append(b.hashes, bloomHash(key))
 	b.count++
 	if len(b.block) >= b.blockLen {
 		b.flushBlock()
@@ -121,9 +118,10 @@ func (b *tableBuilder) flushBlock() {
 	if b.err != nil || len(b.block) == 0 {
 		return
 	}
-	b.indexKeys = append(b.indexKeys, append([]byte(nil), b.blockFirst...))
-	b.indexOffs = append(b.indexOffs, b.offset)
-	b.indexLens = append(b.indexLens, uint32(len(b.block)))
+	b.index = binary.AppendUvarint(b.index, uint64(len(b.blockFirst)))
+	b.index = append(b.index, b.blockFirst...)
+	b.index = binary.AppendUvarint(b.index, b.offset)
+	b.index = binary.AppendUvarint(b.index, uint64(len(b.block)))
 	if err := b.writeChecksummed(b.block); err != nil {
 		b.err = err
 		return
@@ -146,32 +144,15 @@ func (b *tableBuilder) writeChecksummed(block []byte) error {
 	return nil
 }
 
-// finish flushes remaining data, writes filter, index and footer, and
-// syncs the file. It returns table metadata on success.
+// finish flushes remaining data, writes the index and footer, and syncs
+// the file. It returns table metadata on success.
 func (b *tableBuilder) finish() (count uint64, smallest, largest []byte, size uint64, err error) {
 	b.flushBlock()
 	if b.err != nil {
 		b.abandon()
 		return 0, nil, nil, 0, b.err
 	}
-	// Filter block (checksummed like data blocks: a corrupt filter would
-	// silently turn present keys into bloom misses — data loss, not just a
-	// slow path).
-	filter := buildBloom(b.hashes, bloomBitsPerKey).marshal()
-	filterOff := b.offset
-	if err := b.writeChecksummed(filter); err != nil {
-		b.abandon()
-		return 0, nil, nil, 0, err
-	}
-	// Index block.
-	var index []byte
-	for i := range b.indexKeys {
-		index = binary.AppendUvarint(index, uint64(len(b.indexKeys[i])))
-		index = append(index, b.indexKeys[i]...)
-		index = binary.AppendUvarint(index, b.indexOffs[i])
-		index = binary.AppendUvarint(index, uint64(b.indexLens[i]))
-	}
-	indexOff := b.offset
+	index, indexOff := b.index, b.offset
 	if _, err := b.w.Write(index); err != nil {
 		b.abandon()
 		return 0, nil, nil, 0, err
@@ -181,8 +162,6 @@ func (b *tableBuilder) finish() (count uint64, smallest, largest []byte, size ui
 	var footer [footerSize]byte
 	binary.LittleEndian.PutUint64(footer[0:8], indexOff)
 	binary.LittleEndian.PutUint32(footer[8:12], uint32(len(index)))
-	binary.LittleEndian.PutUint64(footer[12:20], filterOff)
-	binary.LittleEndian.PutUint32(footer[20:24], uint32(len(filter)))
 	binary.LittleEndian.PutUint64(footer[24:32], b.count)
 	binary.LittleEndian.PutUint32(footer[32:36], crc32.Checksum(index, crcTable))
 	binary.LittleEndian.PutUint32(footer[36:40], sstMagic)
@@ -214,97 +193,106 @@ func (b *tableBuilder) abandon() {
 }
 
 // tableReader serves point lookups and ordered iteration over one SSTable.
-// The index and bloom filter are held in memory; data blocks are read with
-// pread so a reader is safe for concurrent use. Point lookups go through
-// the DB's shared block cache (when one is configured); iteration reads
-// blocks directly to keep streaming scans from evicting hot blocks.
+// The index block is held in memory with the position of each entry in
+// it; data blocks are read with pread so a reader is safe for concurrent
+// use.
 type tableReader struct {
-	f      *os.File
-	num    uint64
-	cache  *blockCache
-	filter bloomFilter
-
-	indexKeys [][]byte
-	indexOffs []uint64
-	indexLens []uint32
-	count     uint64
+	f     *os.File
+	num   uint64
+	index []byte   // the index block
+	ents  []uint32 // ents[i] is where block i's entry starts in index
+	count uint64
 }
 
-func openTable(path string, num uint64, cache *blockCache) (*tableReader, error) {
+func openTable(path string, num uint64) (*tableReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: open sstable: %w", err)
 	}
-	st, err := f.Stat()
+	r, err := readIndex(f, path)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
+	r.num = num
+	return r, nil
+}
+
+// readIndex reads f's footer and index block. Every range they claim is
+// checked against the file before it is read or allocated: the index must
+// end before the footer, and the data blocks must run back to back from
+// offset 0, each followed by its trailer, and end before the index.
+func readIndex(f *os.File, path string) (*tableReader, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
 	if st.Size() < footerSize {
-		f.Close()
 		return nil, fmt.Errorf("%w: %s too small", errCorrupt, path)
 	}
 	var footer [footerSize]byte
 	if _, err := f.ReadAt(footer[:], st.Size()-footerSize); err != nil {
-		f.Close()
 		return nil, err
 	}
 	if binary.LittleEndian.Uint32(footer[36:40]) != sstMagic {
-		f.Close()
 		return nil, fmt.Errorf("%w: %s bad magic", errCorrupt, path)
 	}
 	indexOff := binary.LittleEndian.Uint64(footer[0:8])
-	indexLen := binary.LittleEndian.Uint32(footer[8:12])
-	filterOff := binary.LittleEndian.Uint64(footer[12:20])
-	filterLen := binary.LittleEndian.Uint32(footer[20:24])
-	count := binary.LittleEndian.Uint64(footer[24:32])
-	indexCRC := binary.LittleEndian.Uint32(footer[32:36])
-
+	indexLen := uint64(binary.LittleEndian.Uint32(footer[8:12]))
+	if dataEnd := uint64(st.Size() - footerSize); indexOff > dataEnd || indexLen > dataEnd-indexOff {
+		return nil, fmt.Errorf("%w: %s index of %d bytes at %d runs past the footer at %d",
+			errCorrupt, path, indexLen, indexOff, dataEnd)
+	}
 	index := make([]byte, indexLen)
 	if _, err := f.ReadAt(index, int64(indexOff)); err != nil {
-		f.Close()
 		return nil, err
 	}
-	if crc32.Checksum(index, crcTable) != indexCRC {
-		f.Close()
+	if crc32.Checksum(index, crcTable) != binary.LittleEndian.Uint32(footer[32:36]) {
 		return nil, fmt.Errorf("%w: %s index checksum", errCorrupt, path)
 	}
-	filterBuf := make([]byte, filterLen+blockTrailerLen)
-	if _, err := f.ReadAt(filterBuf, int64(filterOff)); err != nil {
-		f.Close()
-		return nil, err
+	blocks := 0
+	for rest, end := index, uint64(0); len(rest) > 0; blocks++ {
+		_, off, n, next, ok := indexEntry(rest)
+		if !ok || off != end || n == 0 || n > indexOff-off || indexOff-off-n < blockTrailerLen {
+			return nil, fmt.Errorf("%w: %s index entry %d", errCorrupt, path, blocks)
+		}
+		rest, end = next, off+n+blockTrailerLen
 	}
-	if crc32.Checksum(filterBuf[:filterLen], crcTable) != binary.LittleEndian.Uint32(filterBuf[filterLen:]) {
-		f.Close()
-		return nil, fmt.Errorf("%w: %s filter checksum", errCorrupt, path)
-	}
-	filterBuf = filterBuf[:filterLen]
-	r := &tableReader{f: f, num: num, cache: cache, filter: unmarshalBloom(filterBuf), count: count}
-	for len(index) > 0 {
-		klen, n := binary.Uvarint(index)
-		if n <= 0 || uint64(len(index)-n) < klen {
-			f.Close()
-			return nil, fmt.Errorf("%w: %s index entry", errCorrupt, path)
-		}
-		key := index[n : n+int(klen)]
-		index = index[n+int(klen):]
-		off, n := binary.Uvarint(index)
-		if n <= 0 {
-			f.Close()
-			return nil, fmt.Errorf("%w: %s index offset", errCorrupt, path)
-		}
-		index = index[n:]
-		blen, n := binary.Uvarint(index)
-		if n <= 0 {
-			f.Close()
-			return nil, fmt.Errorf("%w: %s index length", errCorrupt, path)
-		}
-		index = index[n:]
-		r.indexKeys = append(r.indexKeys, key)
-		r.indexOffs = append(r.indexOffs, off)
-		r.indexLens = append(r.indexLens, uint32(blen))
+	r := &tableReader{f: f, index: index, ents: make([]uint32, 0, blocks),
+		count: binary.LittleEndian.Uint64(footer[24:32])}
+	for rest := index; len(rest) > 0; {
+		r.ents = append(r.ents, uint32(len(index)-len(rest)))
+		_, _, _, rest, _ = indexEntry(rest)
 	}
 	return r, nil
+}
+
+// indexEntry decodes the index entry at the front of b: its block's first
+// key, offset and payload length, and the bytes after it. ok is false
+// when b does not start with a whole entry.
+func indexEntry(b []byte) (key []byte, off, n uint64, rest []byte, ok bool) {
+	klen, k := binary.Uvarint(b)
+	if k <= 0 || uint64(len(b)-k) < klen {
+		return nil, 0, 0, nil, false
+	}
+	key, b = b[k:k+int(klen)], b[k+int(klen):]
+	if off, k = binary.Uvarint(b); k <= 0 {
+		return nil, 0, 0, nil, false
+	}
+	b = b[k:]
+	if n, k = binary.Uvarint(b); k <= 0 {
+		return nil, 0, 0, nil, false
+	}
+	return key, off, n, b[k:], true
+}
+
+// blocks returns the number of data blocks.
+func (r *tableReader) blocks() int { return len(r.ents) }
+
+// block returns data block i's first key, offset and payload length.
+func (r *tableReader) block(i int) (key []byte, off, n uint64) {
+	key, off, n, _, _ = indexEntry(r.index[r.ents[i]:])
+	return key, off, n
 }
 
 func (r *tableReader) close() error {
@@ -320,8 +308,9 @@ func (r *tableReader) close() error {
 // -1 when the key precedes the table.
 func (r *tableReader) blockFor(key []byte) int {
 	// Last block whose first key <= key.
-	i := sort.Search(len(r.indexKeys), func(i int) bool {
-		return bytes.Compare(r.indexKeys[i], key) > 0
+	i := sort.Search(r.blocks(), func(i int) bool {
+		first, _, _ := r.block(i)
+		return bytes.Compare(first, key) > 0
 	})
 	return i - 1
 }
@@ -337,9 +326,9 @@ func (r *tableReader) readBlock(i int) ([]byte, error) {
 // readBlockInto is readBlock reading into buf's storage, grown when it is
 // too small; the block returned aliases it and keeps its capacity.
 func (r *tableReader) readBlockInto(buf []byte, i int) ([]byte, error) {
-	n := r.indexLens[i]
+	_, off, n := r.block(i)
 	buf = slices.Grow(buf[:0], int(n+blockTrailerLen))[:n+blockTrailerLen]
-	if _, err := r.f.ReadAt(buf, int64(r.indexOffs[i])); err != nil {
+	if _, err := r.f.ReadAt(buf, int64(off)); err != nil {
 		return nil, err
 	}
 	if crc32.Checksum(buf[:n], crcTable) != binary.LittleEndian.Uint32(buf[n:]) {
@@ -348,36 +337,15 @@ func (r *tableReader) readBlockInto(buf []byte, i int) ([]byte, error) {
 	return buf[:n], nil
 }
 
-// readBlockCached serves a data block through the DB's block cache.
-// Cached blocks are immutable and shared between concurrent readers:
-// values returned by get() alias them, which is covered by the kv.Store
-// contract that values handed out by Get must not be modified — a caller
-// violating it would now corrupt the block for later readers instead of
-// only its own private copy.
-func (r *tableReader) readBlockCached(i int) ([]byte, error) {
-	k := blockKey{file: r.num, block: i}
-	if b, ok := r.cache.get(k); ok {
-		return b, nil
-	}
-	b, err := r.readBlock(i)
-	if err == nil {
-		r.cache.put(k, b)
-	}
-	return b, err
-}
-
 // get performs a point lookup. found=false means this table has no entry
 // for the key (the search must continue in older tables); found=true with
 // kind==kindDelete means the key is authoritatively deleted.
 func (r *tableReader) get(key []byte) (value []byte, kind entryKind, found bool, err error) {
-	if !r.filter.mayContain(bloomHash(key)) {
-		return nil, 0, false, nil
-	}
 	bi := r.blockFor(key)
 	if bi < 0 {
 		return nil, 0, false, nil
 	}
-	block, err := r.readBlockCached(bi)
+	block, err := r.readBlock(bi)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -455,14 +423,14 @@ type tableIterator struct {
 }
 
 func (r *tableReader) iterator() *tableIterator {
-	return &tableIterator{r: r, blockIdx: -1, exhaust: len(r.indexKeys) == 0}
+	return &tableIterator{r: r, blockIdx: -1, exhaust: r.blocks() == 0}
 }
 
 // seekToFirst positions before the first entry; call next to advance.
 func (it *tableIterator) seekToFirst() {
 	it.blockIdx = -1
 	it.blk = blockIterator{}
-	it.exhaust = len(it.r.indexKeys) == 0
+	it.exhaust = it.r.blocks() == 0
 }
 
 // seek positions so that the next call to next() yields the first entry
@@ -474,7 +442,7 @@ func (it *tableIterator) seek(k []byte) {
 	if bi < 0 {
 		bi = 0
 	}
-	if bi >= len(it.r.indexKeys) {
+	if bi >= it.r.blocks() {
 		it.exhaust = true
 		return
 	}
@@ -528,7 +496,7 @@ func (it *tableIterator) next() bool {
 			return false
 		}
 		it.blockIdx++
-		if it.blockIdx >= len(it.r.indexKeys) {
+		if it.blockIdx >= it.r.blocks() {
 			it.exhaust = true
 			return false
 		}

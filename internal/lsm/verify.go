@@ -36,12 +36,13 @@ type VerifyReport struct {
 // VerifyDir checks a closed LSM directory offline — without opening the
 // database, so it never replays, rotates or deletes anything. It walks
 // CURRENT → manifest → every referenced SSTable (footer magic, index
-// checksum, filter checksum, every data block's CRC, ascending key order,
-// entry count and manifest bounds), checks the sorted-level disjointness
-// invariant, and strictly decodes every WAL recovery would replay
-// (mid-file corruption is an error; a torn tail is not). The first
-// violation aborts with a descriptive error; a nil error means recovery
-// from this directory cannot silently lose or invent committed data.
+// checksum, the index's block ranges, every data block's CRC, ascending
+// key order, entry count and manifest bounds), checks the sorted-level
+// disjointness invariant, and strictly decodes every WAL recovery would
+// replay (mid-file corruption is an error; a torn tail is not). The
+// first violation aborts with a descriptive error; a nil error means
+// recovery from this directory cannot silently lose or invent committed
+// data.
 func VerifyDir(dir string) (VerifyReport, error) {
 	var rep VerifyReport
 	manifestNum, haveCurrent, err := readCurrent(dir)
@@ -134,12 +135,14 @@ func VerifyDir(dir string) (VerifyReport, error) {
 	return rep, nil
 }
 
-// verifyTable opens one SSTable (footer magic, index CRC, filter CRC) and
-// walks every data block, verifying each block's CRC, global ascending
-// key order, the footer's entry count and the manifest's key bounds.
+// verifyTable opens one SSTable (footer magic, index CRC, block ranges
+// inside the file) and walks every data block, verifying each block's
+// CRC, global ascending key order, the footer's entry count and the
+// manifest's key bounds. A filter block an older build wrote between the
+// data and the index is skipped, not read.
 func verifyTable(dir string, ef editFile, rep *VerifyReport) error {
 	path := sstPath(dir, ef.Num)
-	r, err := openTable(path, ef.Num, nil)
+	r, err := openTable(path, ef.Num)
 	if err != nil {
 		return err
 	}
@@ -150,7 +153,7 @@ func verifyTable(dir string, ef editFile, rep *VerifyReport) error {
 		smallest []byte
 		largest  []byte
 	)
-	for i := range r.indexKeys {
+	for i := range r.blocks() {
 		block, err := r.readBlock(i) // verifies the block CRC
 		if err != nil {
 			return err
