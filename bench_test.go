@@ -33,7 +33,7 @@ import (
 func cell(b *testing.B, cfg bench.Config) bench.Result {
 	b.Helper()
 	if cfg.Dir == "" {
-		cfg.Dir = b.TempDir() // unused by volatile backend specs
+		cfg.Dir = b.TempDir() // unused by the mem backend
 	}
 	var last bench.Result
 	for i := 0; i < b.N; i++ {

@@ -12,12 +12,8 @@
 //	lsmtool -dir data wal-dump       # decode the write-ahead logs (read-only)
 //	lsmtool -dir data wal-dump -skip-corrupt   # salvage: resync past corruption
 //	lsmtool -wal data/000007.wal wal-dump      # one specific log file
-//	lsmtool -dir data -store 'fault+lsm' scan   # scan through a chained spec
 //
-// The online commands resolve the store through the kv adapter registry:
-// -store takes any registered backend spec with an lsm layer (default
-// "lsm", rooted at -dir). stats and compact address the lsm layer of the
-// chain; scan and get go through the whole chain.
+// The online commands (stats, scan, get, compact) open the store at -dir.
 //
 // wal-dump and verify never open the database (recovery would rotate the
 // logs and delete orphans); they read the files directly, so they work on
@@ -32,13 +28,11 @@ import (
 	"os"
 	"time"
 
-	"sistream/internal/kv"
 	"sistream/internal/lsm"
 )
 
 func main() {
 	dir := flag.String("dir", "", "LSM data directory (required unless -wal)")
-	spec := flag.String("store", "lsm", "backend spec for the online commands (must chain an lsm layer)")
 	key := flag.String("key", "", "key for get")
 	prefix := flag.String("prefix", "", "key prefix filter for scan")
 	limit := flag.Int("limit", 0, "max rows for scan (0 = all)")
@@ -86,24 +80,14 @@ func main() {
 		fmt.Println("ok")
 		return
 	}
-	store, err := kv.Open(*spec, kv.OpenOptions{Dir: *dir})
+	db, err := lsm.Open(*dir, lsm.Options{})
 	if err != nil {
 		fatal(err)
 	}
-	defer store.Close()
-	var db *lsm.DB
-	for _, s := range store.Layers() {
-		if d, ok := s.(*lsm.DB); ok {
-			db = d
-			break
-		}
-	}
+	defer db.Close()
 
 	switch cmd {
 	case "stats":
-		if db == nil {
-			fatal(fmt.Errorf("stats needs an lsm layer in -store %q", *spec))
-		}
 		st := db.Stats()
 		fmt.Printf("flushes:      %d\n", st.Flushes)
 		fmt.Printf("compactions:  %d\n", st.Compactions)
@@ -127,7 +111,7 @@ func main() {
 	case "scan":
 		start, end := scanBounds(*prefix)
 		n := 0
-		err := store.Scan(start, end, func(k, v []byte) bool {
+		err := db.Scan(start, end, func(k, v []byte) bool {
 			fmt.Printf("%q = %q\n", k, v)
 			n++
 			return *limit == 0 || n < *limit
@@ -140,7 +124,7 @@ func main() {
 		if *key == "" {
 			fatal(fmt.Errorf("get needs -key"))
 		}
-		v, ok, err := store.Get([]byte(*key))
+		v, ok, err := db.Get([]byte(*key))
 		if err != nil {
 			fatal(err)
 		}
@@ -150,9 +134,6 @@ func main() {
 		}
 		fmt.Printf("%q\n", v)
 	case "compact":
-		if db == nil {
-			fatal(fmt.Errorf("compact needs an lsm layer in -store %q", *spec))
-		}
 		if err := db.Compact(); err != nil {
 			fatal(err)
 		}

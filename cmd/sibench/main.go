@@ -14,9 +14,7 @@
 //	sibench -csv                         # CSV instead of tables
 //
 // Scale knobs: -tablesize (paper: 1000000), -duration per cell, -backend
-// for the base table, -dir for persistent data directories. Backends
-// resolve through the kv adapter registry, so any registered spec works:
-// mem, lsm, fault+lsm, fault+mem, ...
+// for the base table (mem or lsm), -dir for the lsm data directories.
 package main
 
 import (
@@ -56,10 +54,10 @@ func newFlags() *flags {
 	f.BoolVar(&f.cell, "cell", false, "run a single cell with the flags below")
 	f.BoolVar(&f.scaling, "scaling", false, "sweep concurrent writers to show group-commit scaling")
 	f.BoolVar(&f.csv, "csv", false, "CSV output")
-	f.StringVar(&f.dir, "dir", "", "data directory for persistent backends (default: temp)")
+	f.StringVar(&f.dir, "dir", "", "data directory for the lsm backend (default: temp)")
 	b := &f.base
 	f.StringVar(&b.Protocol, "protocol", b.Protocol, "mvcc | s2pl | bocc")
-	f.StringVar(&b.Backend, "backend", b.Backend, "backend spec through the kv registry: mem | lsm | fault+lsm | ...")
+	f.StringVar(&b.Backend, "backend", b.Backend, "base table: mem | lsm")
 	f.IntVar(&b.TableSize, "tablesize", b.TableSize, "keys per state (paper: 1000000)")
 	f.IntVar(&b.Readers, "readers", b.Readers, "concurrent ad-hoc queries")
 	f.IntVar(&b.Writers, "writers", b.Writers, "continuous writer queries")

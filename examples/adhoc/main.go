@@ -43,13 +43,16 @@ func bucketOf(key string, _ []byte) (string, bool) {
 
 func main() {
 	roundsFlag := flag.Uint64("rounds", 5000, "writer transactions to run")
-	specFlag := flag.String("store", "mem", "backend spec (mem, lsm:<dir>, fault+lsm:<dir>, ...)")
+	dirFlag := flag.String("dir", "", "LSM data directory (empty: in-memory store)")
 	flag.Parse()
 	rounds := *roundsFlag
 
-	store, err := sistream.OpenStore(*specFlag, sistream.StoreOpenOptions{})
-	if err != nil {
-		log.Fatal(err)
+	store := sistream.NewMemStore()
+	if *dirFlag != "" {
+		var err error
+		if store, err = sistream.OpenLSM(*dirFlag, sistream.LSMOptions{}); err != nil {
+			log.Fatal(err)
+		}
 	}
 	defer store.Close()
 	ctx := sistream.NewContext()
@@ -113,8 +116,9 @@ func main() {
 	}
 
 	// Reader 3: lane-parallel scan + index equivalence — scan accounts at
-	// the snapshot with 4 lanes, then check each bucket's index lookup
-	// returns exactly the scanned rows of that bucket.
+	// the snapshot with 4 goroutines, one ScanStripe each, then check each
+	// bucket's index lookup returns exactly the scanned rows of that
+	// bucket.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -128,16 +132,25 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
+			const lanes = 4
 			var mu sync.Mutex
+			var lanesWG sync.WaitGroup
 			scanned := map[string]uint64{}
-			if err := snap.ParallelScan(accounts, 4, func(k string, v []byte) bool {
-				mu.Lock()
-				scanned[k] = u64(v)
-				mu.Unlock()
-				return true
-			}); err != nil {
-				log.Fatal(err)
+			for lane := range lanes {
+				lanesWG.Add(1)
+				go func() {
+					defer lanesWG.Done()
+					if err := snap.ScanStripe(accounts, lane, lanes, func(k string, v []byte) bool {
+						mu.Lock()
+						scanned[k] = u64(v)
+						mu.Unlock()
+						return true
+					}); err != nil {
+						log.Fatal(err)
+					}
+				}()
 			}
+			lanesWG.Wait()
 			ok := true
 			total := 0
 			for b := 0; b < numBuckets; b++ {

@@ -12,14 +12,9 @@ import (
 )
 
 func main() {
-	// Backends resolve by spec through the storage adapter registry: a
-	// volatile "mem" store keeps the example self-contained; swap the
-	// spec for "lsm:<dir>" (persistent) or "fault+lsm:<dir>" (the
-	// fault-injection wrapper chained over it).
-	store, err := sistream.OpenStore("mem", sistream.StoreOpenOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	// A volatile in-memory store keeps the example self-contained;
+	// sistream.OpenLSM(dir, sistream.LSMOptions{}) is the persistent one.
+	store := sistream.NewMemStore()
 	defer store.Close()
 
 	// State management: one table in one topology group.
@@ -28,7 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("base table %q (durable=%t)\n", store.Spec(), store.Capabilities().Durable)
+	fmt.Printf("base table mem (durable=%t)\n", sistream.StoreCapabilitiesOf(store).Durable)
 	if _, err := ctx.CreateGroup("pipeline", events); err != nil {
 		log.Fatal(err)
 	}

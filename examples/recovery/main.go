@@ -30,9 +30,8 @@ func main() {
 }
 
 func incarnation1(dir string) sistream.Timestamp {
-	// The persistent backend by registry spec; the directory rides in the
-	// open options ("lsm:<dir>" inline would work too).
-	store, err := sistream.OpenStore("lsm", sistream.StoreOpenOptions{Dir: dir})
+	// The persistent backend: an LSM store rooted at dir.
+	store, err := sistream.OpenLSM(dir, sistream.LSMOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,7 +81,7 @@ func incarnation1(dir string) sistream.Timestamp {
 }
 
 func incarnation2(dir string, wantCTS sistream.Timestamp) {
-	store, err := sistream.OpenStore("lsm", sistream.StoreOpenOptions{Dir: dir})
+	store, err := sistream.OpenLSM(dir, sistream.LSMOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

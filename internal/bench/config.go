@@ -10,8 +10,6 @@ package bench
 import (
 	"fmt"
 	"time"
-
-	"sistream/internal/kv"
 )
 
 // Config parameterizes one benchmark cell. The zero value is not valid;
@@ -20,12 +18,10 @@ type Config struct {
 	// Protocol selects the concurrency control: "mvcc", "s2pl" or
 	// "bocc".
 	Protocol string
-	// Backend selects the base table by kv registry spec: "mem", "lsm"
-	// (the paper uses a persistent LSM store, RocksDB), or a chained
-	// spec such as "fault+lsm".
+	// Backend selects the base table: "mem" or "lsm" (the paper uses a
+	// persistent LSM store, RocksDB).
 	Backend string
-	// Dir is the default data directory for persistent backend layers
-	// whose spec carries no inline path.
+	// Dir is the lsm backend's data directory.
 	Dir string
 	// States is the number of tables in the topology group (paper: 2).
 	States int
@@ -83,10 +79,14 @@ func (c *Config) validate() error {
 	default:
 		return fmt.Errorf("bench: unknown protocol %q", c.Protocol)
 	}
-	// The spec is checked against the registry without opening it;
-	// directory problems surface when Run opens the store.
-	if err := kv.CheckSpec(c.Backend); err != nil {
-		return fmt.Errorf("bench: backend %w", err)
+	switch c.Backend {
+	case "mem":
+	case "lsm":
+		if c.Dir == "" {
+			return fmt.Errorf("bench: backend lsm needs a data directory")
+		}
+	default:
+		return fmt.Errorf("bench: unknown backend %q (mem or lsm)", c.Backend)
 	}
 	if c.States < 1 || c.TableSize < 1 || c.TxnOps < 1 || c.Writers < 0 || c.Readers < 0 {
 		return fmt.Errorf("bench: non-positive size parameter")

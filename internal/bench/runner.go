@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"sistream/internal/kv"
-	_ "sistream/internal/lsm" // registers the "lsm" backend driver
+	"sistream/internal/lsm"
 	"sistream/internal/metrics"
 	"sistream/internal/txn"
 	"sistream/internal/zipf"
@@ -19,16 +19,22 @@ import (
 // any committed reader snapshot must observe equal values everywhere.
 const chkKey = "\x00chk"
 
-// Run executes one benchmark cell and returns its result. cfg.Backend
-// resolves through the kv adapter registry, so any registered spec works
-// ("mem", "lsm", "fault+lsm", ...).
+// Run executes one benchmark cell over the cfg.Backend store and returns
+// its result.
 func Run(cfg Config) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	store, err := kv.Open(cfg.Backend, kv.OpenOptions{Dir: cfg.Dir})
-	if err != nil {
-		return Result{}, err
+	var store kv.Store
+	switch cfg.Backend {
+	case "mem":
+		store = kv.NewMem()
+	case "lsm":
+		db, err := lsm.Open(cfg.Dir, lsm.Options{})
+		if err != nil {
+			return Result{}, err
+		}
+		store = db
 	}
 	defer store.Close()
 	return runOn(cfg, store)

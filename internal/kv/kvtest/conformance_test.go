@@ -4,17 +4,18 @@ import (
 	"testing"
 
 	"sistream/internal/kv"
-	_ "sistream/internal/lsm" // registers the "lsm" driver
+	"sistream/internal/lsm"
 )
 
-// TestConformance runs the contract suite against every registered
-// backend spec, chained adapters included. CI runs it under -race with
-// no -short as the named "kv conformance (race)" step.
+// TestConformance runs the contract suite against every store the
+// repository ships, the fault wrapper around each terminal store
+// included. CI runs it under -race with no -short as the named "kv
+// conformance (race)" step.
 func TestConformance(t *testing.T) {
 	t.Run("mem", func(t *testing.T) {
 		Run(t, Harness{
-			Spec: "mem",
-			Open: func(t *testing.T) *kv.OpenedStore { return mustOpen(t, "mem", "") },
+			Name: "mem",
+			Open: func(t *testing.T) kv.Store { return kv.NewMem() },
 		})
 	})
 
@@ -23,35 +24,36 @@ func TestConformance(t *testing.T) {
 	t.Run("lsm", func(t *testing.T) {
 		var dir string
 		Run(t, Harness{
-			Spec: "lsm",
-			Open: func(t *testing.T) *kv.OpenedStore {
+			Name: "lsm",
+			Open: func(t *testing.T) kv.Store {
 				dir = t.TempDir()
-				return mustOpen(t, "lsm", dir)
+				return openLSM(t, dir)
 			},
-			Reopen: func(t *testing.T, prev *kv.OpenedStore) kv.Store {
+			Reopen: func(t *testing.T, prev kv.Store) kv.Store {
 				if err := prev.Close(); err != nil {
 					t.Fatalf("close before reopen: %v", err)
 				}
-				return mustOpen(t, "lsm", dir)
+				return openLSM(t, dir)
 			},
 		})
 	})
 
-	// Fault-wrapped chains: the wrapper simulates durability (durable
-	// image + volatile overlay), so crash-and-recover is Fault.Reopen.
-	// fault+lsm puts synced data where the LSM store's Scan hands out
-	// reused buffers.
-	for _, spec := range []string{"fault+mem", "fault+lsm"} {
-		t.Run(spec, func(t *testing.T) {
+	// The fault wrapper simulates durability (durable image + volatile
+	// overlay), so crash-and-recover is Fault.Reopen. fault+lsm puts
+	// synced data where the LSM store's Scan hands out reused buffers.
+	for _, c := range []struct {
+		name  string
+		inner func(t *testing.T) kv.Store
+	}{
+		{"fault+mem", func(*testing.T) kv.Store { return kv.NewMem() }},
+		{"fault+lsm", func(t *testing.T) kv.Store { return openLSM(t, t.TempDir()) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			Run(t, Harness{
-				Spec: spec,
-				Open: func(t *testing.T) *kv.OpenedStore { return mustOpen(t, spec, t.TempDir()) },
-				Reopen: func(t *testing.T, prev *kv.OpenedStore) kv.Store {
-					f := prev.FaultLayer()
-					if f == nil {
-						t.Fatalf("spec %q has no fault layer", spec)
-					}
-					re, err := f.Reopen()
+				Name: c.name,
+				Open: func(t *testing.T) kv.Store { return kv.NewFault(c.inner(t)) },
+				Reopen: func(t *testing.T, prev kv.Store) kv.Store {
+					re, err := prev.(*kv.Fault).Reopen()
 					if err != nil {
 						t.Fatalf("fault reopen: %v", err)
 					}
@@ -62,23 +64,11 @@ func TestConformance(t *testing.T) {
 	}
 }
 
-// TestConformanceCoversAllDrivers fails when a driver is registered but
-// no conformance harness exercises it — the reminder to extend the
-// table above when a new adapter lands.
-func TestConformanceCoversAllDrivers(t *testing.T) {
-	covered := map[string]bool{"mem": true, "lsm": true, "fault": true}
-	for _, name := range kv.Drivers() {
-		if !covered[name] {
-			t.Errorf("driver %q has no conformance harness in conformance_test.go", name)
-		}
-	}
-}
-
-func mustOpen(t *testing.T, spec, dir string) *kv.OpenedStore {
+func openLSM(t *testing.T, dir string) kv.Store {
 	t.Helper()
-	st, err := kv.Open(spec, kv.OpenOptions{Dir: dir})
+	db, err := lsm.Open(dir, lsm.Options{})
 	if err != nil {
-		t.Fatalf("open %q: %v", spec, err)
+		t.Fatalf("open lsm %s: %v", dir, err)
 	}
-	return st
+	return db
 }

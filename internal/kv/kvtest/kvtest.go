@@ -1,14 +1,14 @@
 // Package kvtest is the conformance suite for kv.Store implementations:
 // the executable form of the interface contract in internal/kv/store.go.
-// Every registered backend spec — terminal stores and chained adapters
-// alike — is run through the same battery: no key/value aliasing after
+// Every store the repository ships — mem, lsm and the fault wrapper
+// around each — is run through the same battery: no key/value aliasing after
 // calls return, Apply atomicity and in-batch ordering, Scan bounds,
 // ordering and early stop, a Scan over synced keys returning each key
 // once with its own value, Sync durability where the backend declares
 // Durable, ErrClosed after Close, and ops carrying kv.Handles behaving
 // exactly as ops without.
 //
-// New adapters get conformance coverage by adding one Harness to the
+// A new store gets conformance coverage by adding one Harness to the
 // table in conformance_test.go.
 package kvtest
 
@@ -21,19 +21,19 @@ import (
 	"sistream/internal/kv"
 )
 
-// Harness describes how to exercise one backend spec.
+// Harness describes how to exercise one store.
 type Harness struct {
-	// Spec is the backend spec under test, for diagnostics.
-	Spec string
-	// Open returns a fresh, empty store chain. The suite closes it.
-	Open func(t *testing.T) *kv.OpenedStore
+	// Name names the store under test, for diagnostics.
+	Name string
+	// Open returns a fresh, empty store. The suite closes it.
+	Open func(t *testing.T) kv.Store
 	// Reopen, when non-nil, simulates a crash-and-recover cycle on a
-	// chain previously opened by Open: it must return a store seeing
+	// store previously opened by Open: it must return a store seeing
 	// exactly the data that was durable in prev, taking ownership of
 	// prev (crashing or closing it as the simulation requires). The
 	// suite closes the returned store. Durability tests are skipped
 	// when nil.
-	Reopen func(t *testing.T, prev *kv.OpenedStore) kv.Store
+	Reopen func(t *testing.T, prev kv.Store) kv.Store
 }
 
 // Run executes the conformance suite against one harness.
@@ -242,13 +242,13 @@ func testSyncedScan(t *testing.T, h Harness) {
 // and the harness can simulate the crash.
 func testSyncDurability(t *testing.T, h Harness) {
 	st := h.Open(t)
-	if !st.Capabilities().Durable {
+	if !kv.CapabilitiesOf(st).Durable {
 		st.Close()
-		t.Skipf("spec %q is not durable", h.Spec)
+		t.Skipf("store %q is not durable", h.Name)
 	}
 	if h.Reopen == nil {
 		st.Close()
-		t.Skipf("harness for %q cannot simulate a crash", h.Spec)
+		t.Skipf("harness for %q cannot simulate a crash", h.Name)
 	}
 	b := kv.NewBatch(2)
 	b.Put([]byte("durable-a"), []byte("1"))

@@ -11,6 +11,9 @@
 // Scan, Sync and Close — plus, optionally, the one capability flag it
 // declares through Capable. The conformance suite in internal/kv/kvtest
 // is its executable form.
+//
+// A store is built by its constructor: NewMem, lsm.Open, or NewFault
+// around either of them for tests that script failures.
 package kv
 
 import "errors"
@@ -52,6 +55,33 @@ type Store interface {
 
 	// Close releases resources. Operations after Close return ErrClosed.
 	Close() error
+}
+
+// Capabilities are what a store declares about itself (Capable). A
+// wrapper declares its own, whatever the store it wraps declares.
+type Capabilities struct {
+	// Durable: Apply(sync=true) and Sync are real durability points —
+	// data they cover survives a process crash (for the fault wrapper, a
+	// simulated one). The group-commit leader consults this flag: a
+	// backend without it (the memory store) never gets a sync point
+	// requested — the commit path skips the fsync honestly instead of
+	// asking for one the backend would silently ignore.
+	Durable bool
+}
+
+// Capable is implemented by stores that declare their capability flags.
+type Capable interface {
+	Capabilities() Capabilities
+}
+
+// CapabilitiesOf returns the store's declared capability flags. Stores
+// that do not implement Capable get the conservative default — durable —
+// so an unknown third-party store has its sync requests passed through.
+func CapabilitiesOf(s Store) Capabilities {
+	if c, ok := s.(Capable); ok {
+		return c.Capabilities()
+	}
+	return Capabilities{Durable: true}
 }
 
 // Len returns the number of live keys in a store by scanning it; it is a

@@ -6,15 +6,14 @@ import (
 	"testing"
 
 	"sistream/internal/kv"
+	"sistream/internal/lsm"
 	"sistream/internal/txn"
-
-	_ "sistream/internal/lsm" // registers the "lsm" driver
 )
 
-// backendEquivSpecs are the registered backend specs the cross-backend
-// property drives: the volatile reference, the persistent LSM store,
-// and the fault wrapper (unscripted, so it only exercises the
-// pass-through + overlay machinery).
+// backendEquivSpecs are the stores the cross-backend property drives, by
+// name: the volatile reference, the persistent LSM store, and the fault
+// wrapper (unscripted, so it only exercises the pass-through + overlay
+// machinery).
 var backendEquivSpecs = []string{
 	"mem",
 	"lsm",
@@ -23,13 +22,22 @@ var backendEquivSpecs = []string{
 
 // runSpineOn drives one script through the full commit spine —
 // Punctuate → TransactionsWindow → Parallelize → ToTable →
-// MergeBatched — over the given backend spec with synchronous commits,
-// and returns the committed table content and the commit stats.
+// MergeBatched — over the named store with synchronous commits, and
+// returns the committed table content and the commit stats.
 func runSpineOn(t *testing.T, spec string, script []scriptItem, punctuateN, window, lanes int) (rows map[string]string, writes, commits, aborts int64, commitTxns uint64) {
 	t.Helper()
-	store, err := kv.Open(spec, kv.OpenOptions{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatalf("open %q: %v", spec, err)
+	var store kv.Store
+	switch spec {
+	case "mem":
+		store = kv.NewMem()
+	case "lsm":
+		db, err := lsm.Open(t.TempDir(), lsm.Options{})
+		if err != nil {
+			t.Fatalf("open %q: %v", spec, err)
+		}
+		store = db
+	case "fault+mem":
+		store = kv.NewFault(kv.NewMem())
 	}
 	t.Cleanup(func() { store.Close() })
 	ctx := txn.NewContext()
@@ -75,7 +83,7 @@ func runSpineOn(t *testing.T, spec string, script []scriptItem, punctuateN, wind
 
 // TestPropertyBackendEquivalence: one random script driven through the
 // full spine must yield identical table contents and commit stats on
-// every registered backend — the storage adapter is not allowed to
+// every backend — the storage adapter is not allowed to
 // change what commits, only where the bytes live. Batch counts are NOT
 // compared: group-commit coalescing depends on commit latency, which is
 // exactly what differs between backends.

@@ -5,7 +5,7 @@ import "sync"
 // The dataflow engine is vectorized: edges carry []Element batches, so
 // one channel send/receive is amortized over up to batchCap elements, and
 // chains of operators that need no goroutine of their own (Map, Filter,
-// FlatMap, Punctuate, KeyBy, FormatValue, Transactions, ToTable) fuse into
+// FlatMap, Punctuate, FormatValue, Transactions, ToTable) fuse into
 // the consuming operator's goroutine instead of costing one goroutine and
 // one channel hop each. Punctuations stay in-band: a batch may contain
 // BOT/COMMIT/ROLLBACK anywhere, and stages that care (ToTable,

@@ -6,6 +6,7 @@ import (
 
 	"sistream/internal/kv"
 	"sistream/internal/leaktest"
+	"sistream/internal/lsm"
 	"sistream/internal/txn"
 )
 
@@ -16,8 +17,7 @@ import (
 // failure (wrapping txn.ErrGroupFailed), account every later boundary as
 // an abort, and drain to completion — no wedged worker, no post-failure
 // commit acknowledged. The durable image under the fault layer is the
-// volatile store and the LSM store (the "lsm" driver is registered by
-// backend_equiv_test.go's import).
+// volatile store and the LSM store.
 func TestSpineDrainsCleanlyOnGroupFailure(t *testing.T) {
 	closes := map[string]func(s *Stream, p txn.Protocol, tbl *txn.Table) *ToTableStats{
 		"sequential": func(s *Stream, p txn.Protocol, tbl *txn.Table) *ToTableStats {
@@ -46,29 +46,31 @@ func TestSpineDrainsCleanlyOnGroupFailure(t *testing.T) {
 		},
 	}
 	for closeName, build := range closes {
-		for specName, spec := range map[string]string{
-			"fault+mem": "fault+mem",
-			"fault+lsm": "fault+lsm:" + t.TempDir(),
+		for storeName, inner := range map[string]func(t *testing.T) kv.Store{
+			"fault+mem": func(*testing.T) kv.Store { return kv.NewMem() },
+			"fault+lsm": func(t *testing.T) kv.Store {
+				db, err := lsm.Open(t.TempDir(), lsm.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return db
+			},
 		} {
-			t.Run(closeName+"/"+specName, func(t *testing.T) { drainsCleanlyOnGroupFailure(t, spec, build) })
+			t.Run(closeName+"/"+storeName, func(t *testing.T) { drainsCleanlyOnGroupFailure(t, inner, build) })
 		}
 	}
 }
 
-func drainsCleanlyOnGroupFailure(t *testing.T, spec string, build func(*Stream, txn.Protocol, *txn.Table) *ToTableStats) {
+func drainsCleanlyOnGroupFailure(t *testing.T, inner func(*testing.T) kv.Store, build func(*Stream, txn.Protocol, *txn.Table) *ToTableStats) {
 	leaktest.Check(t) // the drained topology and the closed store leave nothing running
-	store, err := kv.Open(spec, kv.OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close() // closes the durable image the reopened handle shares
-	fault := store.FaultLayer()
+	fault := kv.NewFault(inner(t))
+	defer fault.Close() // closes the durable image the reopened handle shares
 	badDisk := errors.New("injected: EIO")
 	// Fail the 4th durability point and every one after it.
 	fault.FailSyncAt(4, badDisk)
 
 	ctx := txn.NewContext()
-	tbl, err := ctx.CreateTable("t", store, txn.TableOptions{SyncCommits: true})
+	tbl, err := ctx.CreateTable("t", fault, txn.TableOptions{SyncCommits: true})
 	if err != nil {
 		t.Fatal(err)
 	}

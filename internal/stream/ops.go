@@ -84,7 +84,7 @@ func (s *Stream) Punctuate(n int) *Stream {
 		s.t.fail("punctuate", fmt.Errorf("Punctuate needs n >= 1, got %d", n))
 		n = 1
 	}
-	s.t.note("operator", "punctuate", fmt.Sprintf("every=%d (fused)", n), nil)
+	s.t.note("operator", "punctuate", fmt.Sprintf("every=%d (fused)", n))
 	// explicit: inside a transaction delimited by punctuations already
 	// present in the input — those are passed through untouched.
 	// auto: inside a transaction this operator opened itself.
@@ -231,9 +231,9 @@ func (s *Stream) TransactionsTuned(p txn.Protocol, tun *AutoTuner, tables ...*tx
 // operator consumes the stream: window bounds the undecided transactions,
 // and a window above one attaches them to a shared txn.Chain (a chain of
 // one would be a plain transaction). desc states the window decision in
-// the recorded plan (explain.go).
+// the recorded plan (plan.go).
 func (s *Stream) transactionsPipeline(p txn.Protocol, window int, desc string, tables ...*txn.Table) *Stream {
-	s.t.note("operator", "transactions", desc, nil)
+	s.t.note("operator", "transactions", desc)
 	var cur *txn.Txn
 	var inflight []*txn.Txn
 	var chain *txn.Chain

@@ -139,7 +139,7 @@ func (s *Stream) Parallelize(p int, keyFn *KeyFn) *ParallelRegion {
 	}
 	if p == 1 {
 		r.lanes = []*Stream{s}
-		s.t.note("region", "parallelize", "lanes=1 (identity, no router)", nil)
+		s.t.note("region", "parallelize", "lanes=1 (identity, no router)")
 		return r
 	}
 	route := keyFn.tupleFn()
@@ -147,7 +147,7 @@ func (s *Stream) Parallelize(p int, keyFn *KeyFn) *ParallelRegion {
 	for i := range r.lanes {
 		r.lanes[i] = s.t.newStream()
 	}
-	s.t.note("region", "parallelize", fmt.Sprintf("lanes=%d key=%s (hash-routed, punctuations broadcast)", p, keyDesc), occOf(r.lanes...))
+	s.t.note("region", "parallelize", fmt.Sprintf("lanes=%d key=%s (hash-routed, punctuations broadcast)", p, keyDesc))
 	pend := make([][]Element, p)
 	// ship sends lane i's pending batch (blocking) and clears it. A
 	// non-nil pending batch always holds at least one element (it is
@@ -257,7 +257,7 @@ func (r *ParallelRegion) Reparallelize(name string, p int, keyFn *KeyFn) *Parall
 	}
 	if p == len(r.lanes) && (p == 1 || keyFn == r.key) {
 		r.merged = true
-		r.t.note("region", name, fmt.Sprintf("fused lane-for-lane (lanes=%d, matching partitioning — no merge, no re-route)", p), nil)
+		r.t.note("region", name, fmt.Sprintf("fused lane-for-lane (lanes=%d, matching partitioning — no merge, no re-route)", p))
 		return &ParallelRegion{
 			t:     r.t,
 			lanes: r.lanes,
@@ -265,7 +265,7 @@ func (r *ParallelRegion) Reparallelize(name string, p int, keyFn *KeyFn) *Parall
 			key:   r.key,
 		}
 	}
-	r.t.note("region", name, "reroute (partitioning mismatch: merge + re-hash)", nil)
+	r.t.note("region", name, "reroute (partitioning mismatch: merge + re-hash)")
 	return r.Merge(name).Parallelize(p, keyFn)
 }
 
@@ -476,16 +476,13 @@ func (r *ParallelRegion) close(name string, onPunct func(Element), sp *commitSpi
 	r.merged = true
 	out := r.t.newStream()
 	if sp == nil {
-		r.t.note("spine", name, fmt.Sprintf("merge barrier, lanes=%d (synchronous commit at barrier)", len(r.lanes)), occOf(out))
+		r.t.note("spine", name, fmt.Sprintf("merge barrier, lanes=%d (synchronous commit at barrier)", len(r.lanes)))
 	} else {
 		desc := fmt.Sprintf("commit spine, lanes=%d batch<=%d", len(r.lanes), sp.maxBatch)
 		if !sp.holdOut {
 			desc = fmt.Sprintf("commit spine, lanes=%d batch<=queued, inflight<=%d (work-conserving)", len(r.lanes), sp.maxBatch)
 		}
-		occ := occOf(out)
-		r.t.note("spine", name, desc, func() string {
-			return fmt.Sprintf("%s, queue %d/%d", occ(), len(sp.q), cap(sp.q))
-		})
+		r.t.note("spine", name, desc)
 	}
 	b := newLaneBarrier(len(r.lanes), out, onPunct)
 	var wg sync.WaitGroup

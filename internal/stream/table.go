@@ -64,9 +64,7 @@ func newTableSink(t *Topology, p txn.Protocol, tbl *txn.Table, lanes string) *ta
 		t: t, name: "to_table/" + string(tbl.ID()),
 		p: p, tbl: tbl, tbls: []*txn.Table{tbl}, stats: &ToTableStats{},
 	}
-	t.note("table", s.name, "protocol="+p.Name()+" lanes="+lanes, func() string {
-		return fmt.Sprintf("writes=%d commits=%d aborts=%d", s.stats.Writes.Load(), s.stats.Commits.Load(), s.stats.Aborts.Load())
-	})
+	t.note("table", s.name, "protocol="+p.Name()+" lanes="+lanes)
 	return s
 }
 
@@ -362,7 +360,7 @@ func FromSnapshot(t *Topology, snap *txn.Snapshot, tbl *txn.Table, lanes int) *S
 			})
 		})
 	}
-	t.note("source", name, fmt.Sprintf("snapshot scan, cts=%d lanes=%d", snap.CTS(), lanes), nil)
+	t.note("source", name, fmt.Sprintf("snapshot scan, cts=%d lanes=%d", snap.CTS(), lanes))
 	if lanes == 1 {
 		return mk(0)
 	}

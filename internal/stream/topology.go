@@ -28,11 +28,10 @@ type Topology struct {
 	// each, so a ToTable writes whether or not its output is used.
 	undrained map[*Stream]bool
 
-	// Recorded plan (see explain.go): construction-time notes plus live
-	// samplers, append-only under its own mutex so Explain can run while
-	// the topology does.
+	// Recorded plan (see plan.go): construction-time notes, append-only
+	// under its own mutex so Plan can run while the topology does.
 	planMu sync.Mutex
-	plan   []*planNode
+	plan   []PlanStep
 }
 
 // New creates an empty topology.
@@ -165,7 +164,7 @@ func (t *Topology) spawn(op string, body func()) {
 // edge (a backlogged consumer) makes batches grow toward batchCap.
 func (t *Topology) Source(name string, gen func(emit func(Element)) error) *Stream {
 	out := t.newStream()
-	t.note("source", name, "", occOf(out))
+	t.note("source", name, "")
 	t.spawn(name, func() {
 		if !t.released() {
 			close(out.ch)
@@ -185,7 +184,7 @@ func (t *Topology) Source(name string, gen func(emit func(Element)) error) *Stre
 // examples convenience). The input is pre-chunked into full batches.
 func (t *Topology) SliceSource(name string, tuples []Tuple) *Stream {
 	out := t.newStream()
-	t.note("source", name, fmt.Sprintf("%d tuples", len(tuples)), occOf(out))
+	t.note("source", name, fmt.Sprintf("%d tuples", len(tuples)))
 	t.spawn(name, func() {
 		defer close(out.ch)
 		if !t.released() {

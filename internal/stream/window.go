@@ -154,14 +154,6 @@ func (s *Stream) TumblingWindow(name string, size int64, agg AggFunc) *Stream {
 	return out
 }
 
-// KeyBy rewrites tuple keys via fn (a grouping/repartitioning helper).
-func (s *Stream) KeyBy(fn func(Tuple) string) *Stream {
-	return s.Map("keyby", func(t Tuple) Tuple {
-		t.Key = fn(t)
-		return t
-	})
-}
-
 // FormatValue renders Num into Value using the given format, so
 // aggregation results can be persisted by ToTable.
 func (s *Stream) FormatValue(format string) *Stream {

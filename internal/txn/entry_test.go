@@ -512,8 +512,15 @@ func BenchmarkRecovery(b *testing.B) {
 }
 
 // benchRecovery runs op b.N times, each after an untimed setup when one
-// is given, and reports ns and allocations per row.
+// is given, and reports ns and allocations per row. One untimed setup and
+// op come first: the first recovery over a store is slower than the ones
+// after it, and timing it would make ns/row depend on b.N.
 func benchRecovery(b *testing.B, rows int, op, setup func()) {
+	if setup != nil {
+		setup()
+	}
+	op()
+	runtime.GC()
 	var ms runtime.MemStats
 	var mallocs uint64
 	b.ResetTimer()

@@ -84,12 +84,13 @@ func TestRecoveryFromLSM(t *testing.T) {
 // row — or every recovered row but the last reads another row's key.
 func TestRecoveryThroughFaultLSM(t *testing.T) {
 	dir := t.TempDir()
-	open := func() (*kv.OpenedStore, *Context, *Table) {
+	open := func() (kv.Store, *Context, *Table) {
 		t.Helper()
-		st, err := kv.Open("fault+lsm", kv.OpenOptions{Dir: dir})
+		db, err := lsm.Open(dir, lsm.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		st := kv.NewFault(db)
 		ctx := NewContext()
 		tbl, err := ctx.CreateTable("t", st, TableOptions{SyncCommits: true})
 		if err != nil {
@@ -468,12 +469,27 @@ func TestPropertyRecoveryMatchesCommittedModel(t *testing.T) {
 	}
 }
 
+// openLSM opens the LSM store rooted at dir or fails the test.
+func openLSM(t *testing.T, dir string) kv.Store {
+	t.Helper()
+	db, err := lsm.Open(dir, lsm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
 func runRecoveryProperty(t *testing.T, backend string, seed int64) {
 	rng := newRand(seed)
 	dir := t.TempDir()
-	st, err := kv.Open(backend, kv.OpenOptions{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
+	var st kv.Store
+	switch backend {
+	case "mem":
+		st = kv.NewMem()
+	case "lsm":
+		st = openLSM(t, dir)
+	case "fault+mem":
+		st = kv.NewFault(kv.NewMem())
 	}
 	ids := []StateID{"t0", "t1", "t2"}[:1+rng.Intn(3)]
 	open := func(store kv.Store) (*Context, []*Table, *Group) {
@@ -553,13 +569,11 @@ func runRecoveryProperty(t *testing.T, backend string, seed int64) {
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if st, err = kv.Open(backend, kv.OpenOptions{Dir: dir}); err != nil {
-			t.Fatal(err)
-		}
-		recovered = st
+		recovered = openLSM(t, dir)
 	case "fault+mem":
-		f := st.Layers()[0].(*kv.Fault)
+		f := st.(*kv.Fault)
 		f.Crash()
+		var err error
 		if recovered, err = f.Reopen(); err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package txn
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 )
 
@@ -134,29 +133,11 @@ func (s *Snapshot) Scan(tbl *Table, fn func(key string, value []byte) bool) erro
 	return nil
 }
 
-// ScanRange iterates the keys of tbl in [start, end) visible at the
-// snapshot (lexicographic bounds; end == "" means unbounded), in
-// unspecified order, calling fn until it returns false.
-func (s *Snapshot) ScanRange(tbl *Table, start, end string, fn func(key string, value []byte) bool) error {
-	rts, err := s.begin(tbl)
-	if err != nil {
-		return err
-	}
-	defer s.end()
-	scanStripe(tbl, rts, 0, 1, func(key string, value []byte) bool {
-		if key < start || (end != "" && key >= end) {
-			return true
-		}
-		return fn(key, value)
-	})
-	return nil
-}
-
 // ScanStripe iterates stripe number `stripe` of `stripes` equal slices
 // of tbl's key shards at the snapshot — the unit of lane-parallel scans:
 // the stripes partition the table, so `stripes` goroutines each scanning
-// one stripe cover every visible key exactly once (ParallelScan wires
-// exactly that).
+// one stripe of the same snapshot cover every visible key exactly once,
+// all at the snapshot's one cut.
 func (s *Snapshot) ScanStripe(tbl *Table, stripe, stripes int, fn func(key string, value []byte) bool) error {
 	rts, err := s.begin(tbl)
 	if err != nil {
@@ -167,44 +148,6 @@ func (s *Snapshot) ScanStripe(tbl *Table, stripe, stripes int, fn func(key strin
 		return fmt.Errorf("txn: ScanStripe: invalid stripe %d of %d", stripe, stripes)
 	}
 	scanStripe(tbl, rts, stripe, stripes, fn)
-	return nil
-}
-
-// ParallelScan scans tbl at the snapshot with `lanes` concurrent
-// goroutines, one stripe of the key shards each. fn is called
-// concurrently from all lanes and must be safe for that; returning false
-// from any invocation stops every lane promptly. The scan observes the
-// same consistent cut as a sequential Scan — lanes share one pinned
-// timestamp.
-func (s *Snapshot) ParallelScan(tbl *Table, lanes int, fn func(key string, value []byte) bool) error {
-	rts, err := s.begin(tbl)
-	if err != nil {
-		return err
-	}
-	defer s.end()
-	if lanes = min(max(lanes, 1), tableShards); lanes == 1 {
-		scanStripe(tbl, rts, 0, 1, fn)
-		return nil
-	}
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for lane := 0; lane < lanes; lane++ {
-		wg.Add(1)
-		go func(stripe int) {
-			defer wg.Done()
-			scanStripe(tbl, rts, stripe, lanes, func(key string, value []byte) bool {
-				if stop.Load() {
-					return false
-				}
-				if !fn(key, value) {
-					stop.Store(true)
-					return false
-				}
-				return true
-			})
-		}(lane)
-	}
-	wg.Wait()
 	return nil
 }
 

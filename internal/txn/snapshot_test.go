@@ -68,18 +68,6 @@ func TestSnapshotBasics(t *testing.T) {
 		t.Fatal("out-of-range stripe accepted")
 	}
 
-	// Range scan honors [start, end).
-	var ranged []string
-	if err := snap.ScanRange(e.t1, "a", "c", func(k string, _ []byte) bool {
-		ranged = append(ranged, k)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(ranged) != 2 {
-		t.Fatalf("ScanRange[a,c) saw %v, want a and b", ranged)
-	}
-
 	snap.Release()
 	snap.Release() // idempotent
 	if _, _, err := snap.Get(e.t1, "a"); err != ErrFinished {
@@ -249,8 +237,9 @@ func TestStressSnapshotNoPartialTxn(t *testing.T) {
 		return true
 	})
 
-	// Scanners: lane-parallel scan of t1 under the same snapshot, then
-	// verify every scanned pair against t2 point reads at the same cut.
+	// Scanners: lane-parallel scan of t1 under the same snapshot — four
+	// ScanStripe goroutines at its one cut — then verify every scanned
+	// pair against t2 point reads at the same cut.
 	h.spawn(workers-writers-workers/2, func(int) bool {
 		snap, err := e.ctx.Snapshot(e.t1, e.t2)
 		if err != nil {
@@ -262,15 +251,29 @@ func TestStressSnapshotNoPartialTxn(t *testing.T) {
 			k string
 			v uint64
 		}
+		const lanes = 4
 		rows := make(chan kvpair, pairs)
-		if err := snap.ParallelScan(e.t1, 4, func(k string, v []byte) bool {
-			rows <- kvpair{k, decodeU64(v)}
-			return true
-		}); err != nil {
-			h.t.Error(err)
-			return false
+		errs := make(chan error, lanes)
+		var scanners sync.WaitGroup
+		for lane := range lanes {
+			scanners.Add(1)
+			go func() {
+				defer scanners.Done()
+				errs <- snap.ScanStripe(e.t1, lane, lanes, func(k string, v []byte) bool {
+					rows <- kvpair{k, decodeU64(v)}
+					return true
+				})
+			}()
 		}
+		scanners.Wait()
 		close(rows)
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				h.t.Error(err)
+				return false
+			}
+		}
 		for r := range rows {
 			v2, ok, err := snap.Get(e.t2, r.k)
 			if err != nil {
@@ -361,9 +364,6 @@ func TestSnapshotReleaseMidReadKeepsTheCut(t *testing.T) {
 		},
 		"ScanStripe": func(s *Snapshot, tbl *Table, _ *Index, fn func(string, []byte) bool) error {
 			return s.ScanStripe(tbl, 0, 1, fn)
-		},
-		"ParallelScan": func(s *Snapshot, tbl *Table, _ *Index, fn func(string, []byte) bool) error {
-			return s.ParallelScan(tbl, 4, fn)
 		},
 		"Lookup": func(s *Snapshot, _ *Table, ix *Index, fn func(string, []byte) bool) error {
 			return s.Lookup(ix, "a", fn)

@@ -119,12 +119,11 @@ type (
 	// always 0.
 	AutoTunerStats = stream.AutoTunerStats
 	// PlanStep is one step of a topology's recorded query plan
-	// (Topology.Plan, rendered by Explain): its kind, name, construction
-	// decision and a live runtime sample.
+	// (Topology.Plan): its kind, name and construction decision.
 	PlanStep = stream.PlanStep
 )
 
-// Base tables and the storage adapter registry.
+// Base tables.
 type (
 	// Store is the key-value base-table interface.
 	Store = kv.Store
@@ -134,15 +133,6 @@ type (
 	// itself — one, Durable; the group-commit leader consults it to skip
 	// sync points over backends that have none.
 	StoreCapabilities = kv.Capabilities
-	// StoreDriver is one registered storage adapter (RegisterStore).
-	StoreDriver = kv.Driver
-	// StoreOpenOptions carries chain-wide defaults for OpenStore, such
-	// as the data directory of persistent layers.
-	StoreOpenOptions = kv.OpenOptions
-	// OpenedStore is the store chain resolved from a backend spec:
-	// Store plus the composed capability flags and per-layer access
-	// (the fault wrapper's scripting surface).
-	OpenedStore = kv.OpenedStore
 )
 
 // Element kinds (transaction boundary punctuations).
@@ -192,10 +182,6 @@ var (
 	// FromSnapshot streams a pinned Snapshot's rows of one table as a
 	// lane-parallel scan source (the analytical FROM(table) source).
 	FromSnapshot = stream.FromSnapshot
-	// Explain renders a topology's recorded query plan: every step's
-	// construction decisions (fusion, lanes, reroutes, window mode) plus
-	// live runtime figures (channel occupancy, tuner position, counters).
-	Explain = stream.Explain
 	// QueryKeys runs point reads under one pinned Snapshot across the
 	// addressed tables, wait-free under all three protocols.
 	QueryKeys = stream.QueryKeys
@@ -214,15 +200,6 @@ var (
 	NewMemStore = func() Store { return kv.NewMem() }
 	// OpenLSM opens (creating if needed) a persistent LSM base table.
 	OpenLSM = func(dir string, opts LSMOptions) (Store, error) { return lsm.Open(dir, opts) }
-	// OpenStore resolves a backend spec through the storage adapter
-	// registry and opens the chain: "mem", "lsm:<dir>", "fault+mem",
-	// ... Importing this package registers every built-in backend.
-	OpenStore = kv.Open
-	// RegisterStore makes a storage adapter available to OpenStore
-	// under a name; third-party backends plug in here.
-	RegisterStore = kv.Register
-	// StoreDrivers lists the registered storage adapter names.
-	StoreDrivers = kv.Drivers
 	// StoreCapabilitiesOf returns a store's declared capability flags
 	// (the conservative durable default for stores that declare none).
 	StoreCapabilitiesOf = kv.CapabilitiesOf
